@@ -42,15 +42,16 @@ pub use schemes::{
     CarPlanner, ChainPlanner, RecoverySite, RepairPlanner, RprPlanner, TraditionalPlanner,
 };
 pub use robust::{
-    crash_candidates, replan_after_crash, resolve, simulate_injected, AttemptFault, CrashFault,
-    Replan, ResolvedFaults, RobustOutcome,
+    check_retry_budget, crash_candidates, replan_after_crash, resolve, simulate_injected,
+    AttemptFault, CrashFault, Replan, ResolvedFaults, RobustOutcome,
 };
 pub use sim::{
     chunk_sizes, lower_plan_into, network_for_ctx, simulate, simulate_batch, BatchOutcome,
     SimOutcome,
 };
 pub use supervise::{
-    degraded_client, plan_with_pool, resolve_storm_bucket, supervise_injected, GenFaults,
-    GenerationRecord, PoolReplan, SuperviseConfig, SuperviseOutcome, Tier,
+    plan_with_pool, resolve_storm_bucket, supervise, supervise_injected, Banked, Baseline, Ending,
+    Evidence, GenFaults, Generation, GenerationRecord, GenerationRun, PoolKey, PoolReplan,
+    RepairBackend, SimBackend, Splice, SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
 };
-pub use trace::{combine_kernel, simulate_traced};
+pub use trace::{combine_kernel, plan_built, simulate_traced};

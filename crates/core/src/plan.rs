@@ -190,6 +190,40 @@ impl RepairPlan {
         }
     }
 
+    /// `(cross-rack, inner-rack)` bytes moved by the sends flagged in
+    /// `moved` (one flag per op; combines move nothing). Full payloads
+    /// only — aborted attempts and retransmissions are not traffic.
+    pub fn traffic(&self, topo: &Topology, moved: &[bool]) -> (u64, u64) {
+        let (mut cross, mut inner) = (0u64, 0u64);
+        for (op, _) in self.ops.iter().zip(moved).filter(|(_, m)| **m) {
+            if let Op::Send { from, to, .. } = op {
+                if topo.same_rack(*from, *to) {
+                    inner += self.block_bytes;
+                } else {
+                    cross += self.block_bytes;
+                }
+            }
+        }
+        (cross, inner)
+    }
+
+    /// Distinct cross-rack sender nodes, sorted — the anchor for
+    /// `CrashSite::NewHelper` ("crash the replacement") resolution in the
+    /// next supervision generation.
+    pub fn cross_senders(&self, topo: &Topology) -> Vec<usize> {
+        let mut nodes: Vec<usize> = self
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                Op::Send { from, to, .. } if !topo.same_rack(*from, *to) => Some(from.0),
+                _ => None,
+            })
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    }
+
     /// The failed blocks this plan reconstructs.
     pub fn targets(&self) -> Vec<BlockId> {
         self.outputs.iter().map(|&(b, _)| b).collect()

@@ -19,8 +19,8 @@
 use crate::plan::{Op, OpId, Payload, RepairPlan};
 use crate::scenario::RepairContext;
 use crate::schemes::{CarPlanner, RepairPlanner, RprPlanner, TraditionalPlanner};
-use crate::sim::{lower_op, lower_plan, network_for, simulate};
-use crate::trace::{emit_stream_summaries, emit_wave_boundaries, PlanTagger};
+use crate::sim::{lower_partial, lower_plan, network_for, simulate};
+use crate::trace::{emit_stream_summaries, emit_wave_boundaries, plan_built, PlanTagger};
 use rpr_codec::BlockId;
 use rpr_faults::{reason, FaultKind, FaultPlan, RetryPolicy, SplitMix64};
 use rpr_netsim::{FailSpec, JobId, SimReport, Simulator};
@@ -476,34 +476,42 @@ pub(crate) fn shift_event(mut event: Event, dt: f64) -> Event {
     event
 }
 
-/// Apply resolved derates and per-op attempt failures to a fresh
-/// simulator holding `jobs` (the chunk jobs of each plan op — a
-/// singleton without streaming). Attempt faults land on the op's *first*
-/// chunk: corruption is detected at the first verified chunk and a
-/// stream resumes from its last verified chunk, so only that chunk's
-/// latency is re-paid. Errors when an op's injected failure count
-/// exhausts the retry budget.
-pub(crate) fn arm_simulator(
-    sim: &mut Simulator,
-    jobs: &[Vec<JobId>],
-    faults: &ResolvedFaults,
+/// `Err` when any op's injected failure count exhausts the retry budget
+/// (`max_attempts` attempts per transfer, the last of which must succeed).
+pub fn check_retry_budget(
+    op_faults: &[Vec<AttemptFault>],
     policy: &RetryPolicy,
 ) -> Result<(), String> {
+    match op_faults.iter().position(|fs| fs.len() >= policy.max_attempts.max(1)) {
+        Some(i) => Err(format!(
+            "op {i}: {} injected failures exhaust the retry budget \
+             (max_attempts = {})",
+            op_faults[i].len(),
+            policy.max_attempts
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Apply resolved derates and per-op attempt failures to a fresh
+/// simulator; `first_job` maps an op to its first chunk job (`None` for
+/// ops that were not lowered). Attempt faults land on the op's *first*
+/// chunk: corruption is detected at the first verified chunk and a
+/// stream resumes from its last verified chunk, so only that chunk's
+/// latency is re-paid. The caller has already run [`check_retry_budget`].
+pub(crate) fn arm_simulator(
+    sim: &mut Simulator,
+    first_job: impl Fn(usize) -> Option<JobId>,
+    faults: &ResolvedFaults,
+    policy: &RetryPolicy,
+) {
     for &(node, factor) in &faults.slow {
         sim.derate_node(node, factor);
     }
     for (i, fs) in faults.op_faults.iter().enumerate() {
-        if fs.is_empty() {
+        let (false, Some(job)) = (fs.is_empty(), first_job(i)) else {
             continue;
-        }
-        if fs.len() >= policy.max_attempts {
-            return Err(format!(
-                "op {i}: {} injected failures exhaust the retry budget \
-                 (max_attempts = {})",
-                fs.len(),
-                policy.max_attempts
-            ));
-        }
+        };
         let specs: Vec<FailSpec> = fs
             .iter()
             .enumerate()
@@ -513,9 +521,8 @@ pub(crate) fn arm_simulator(
                 reason: f.reason.to_string(),
             })
             .collect();
-        sim.fail_attempts(jobs[i][0], specs);
+        sim.fail_attempts(job, specs);
     }
-    Ok(())
 }
 
 /// First activation instant of a job (the start of its first attempt).
@@ -548,24 +555,15 @@ pub fn simulate_injected(
 ) -> Result<RobustOutcome, String> {
     let resolved = resolve(plan, ctx.topo, fp)?;
     let clean_time = simulate(plan, ctx).repair_time;
-    let stats = plan.stats(ctx.topo);
     let (waves, wave_count) = plan.cross_waves(ctx.topo);
-
-    rec.record(Event::PlanBuilt {
-        scheme: plan.scheme.to_string(),
-        parts: plan.outputs.len(),
-        ops: plan.ops.len(),
-        cross_transfers: stats.cross_transfers,
-        inner_transfers: stats.inner_transfers,
-        cross_timesteps: wave_count,
-        block_bytes: plan.block_bytes,
-    });
+    rec.record(plan_built(plan, ctx.topo));
 
     let chunk = ctx.effective_chunk();
     let mut sim = Simulator::new(network_for(ctx));
     let mut matrix_paid = vec![false; ctx.topo.node_count()];
     let jobs = lower_plan(&mut sim, plan, &ctx.cost, &mut matrix_paid, 0, chunk);
-    arm_simulator(&mut sim, &jobs, &resolved, policy)?;
+    check_retry_budget(&resolved.op_faults, policy)?;
+    arm_simulator(&mut sim, |i| Some(jobs[i][0]), &resolved, policy);
 
     let Some(crash) = resolved.crash else {
         // Transient faults only: one simulation, retries in place.
@@ -655,37 +653,15 @@ pub fn simulate_injected(
     for &(node, factor) in &resolved.slow {
         sim2.derate_node(node, factor);
     }
-    let mut matrix_paid2 = vec![false; ctx.topo.node_count()];
-    let mut jobs2: Vec<Option<Vec<JobId>>> = Vec::with_capacity(replan.plan.ops.len());
-    for i in 0..replan.plan.ops.len() {
-        if !replan.lowered[i] {
-            jobs2.push(None);
-            continue;
-        }
-        let data = replan.plan.ops[i].dependencies();
-        let data_jobs: Vec<Vec<JobId>> = data
-            .iter()
-            .filter_map(|d| jobs2[d.0].clone())
-            .collect();
-        let ordering_jobs: Vec<Vec<JobId>> = replan
-            .plan
-            .deps_of(i)
-            .iter()
-            .filter(|d| !data.contains(d))
-            .filter_map(|d| jobs2[d.0].clone())
-            .collect();
-        jobs2.push(Some(lower_op(
-            &mut sim2,
-            &replan.plan,
-            i,
-            &ctx.cost,
-            &mut matrix_paid2,
-            1,
-            &data_jobs,
-            &ordering_jobs,
-            chunk,
-        )));
-    }
+    lower_partial(
+        &mut sim2,
+        &replan.plan,
+        &replan.lowered,
+        &ctx.cost,
+        ctx.topo.node_count(),
+        1,
+        chunk,
+    );
     let (waves2, _) = replan.plan.cross_waves(ctx.topo);
     let buffer2 = Collect::default();
     let tagger2 = PlanTagger::new(&replan.plan, &waves2, chunk, &buffer2);
@@ -697,27 +673,9 @@ pub fn simulate_injected(
     // Traffic actually moved: completed original sends plus executed
     // replacement sends (full payloads only; the aborted trigger's
     // partial bytes are not counted).
-    let mut cross = 0u64;
-    let mut inner = 0u64;
-    let mut count_send = |op: &Op, bytes: u64| {
-        if let Op::Send { from, to, .. } = op {
-            if ctx.topo.same_rack(*from, *to) {
-                inner += bytes;
-            } else {
-                cross += bytes;
-            }
-        }
-    };
-    for (i, op) in plan.ops.iter().enumerate() {
-        if completed[i] {
-            count_send(op, plan.block_bytes);
-        }
-    }
-    for (i, op) in replan.plan.ops.iter().enumerate() {
-        if replan.lowered[i] {
-            count_send(op, replan.plan.block_bytes);
-        }
-    }
+    let (c1, i1) = plan.traffic(ctx.topo, &completed);
+    let (c2, i2) = replan.plan.traffic(ctx.topo, &replan.lowered);
+    let (cross, inner) = (c1 + c2, i1 + i2);
     let repair_time = t0 + report2.makespan;
     rec.record(Event::RepairDone {
         t: repair_time,

@@ -241,6 +241,48 @@ pub(crate) fn lower_plan(
     job_of
 }
 
+/// Lower only the `lowered` ops of a plan, wiring dependencies through
+/// whatever subset exists (reused deps vanish — their payloads are
+/// already at hand).
+pub(crate) fn lower_partial(
+    sim: &mut Simulator,
+    plan: &RepairPlan,
+    lowered: &[bool],
+    cost: &crate::cost::CostModel,
+    node_count: usize,
+    tag: usize,
+    chunk: Option<u64>,
+) -> Vec<Option<Vec<JobId>>> {
+    let mut matrix_paid = vec![false; node_count];
+    let mut jobs: Vec<Option<Vec<JobId>>> = Vec::with_capacity(plan.ops.len());
+    for (i, op) in plan.ops.iter().enumerate() {
+        if !lowered[i] {
+            jobs.push(None);
+            continue;
+        }
+        let data = op.dependencies();
+        let data_jobs: Vec<Vec<JobId>> = data.iter().filter_map(|d| jobs[d.0].clone()).collect();
+        let ordering_jobs: Vec<Vec<JobId>> = plan
+            .deps_of(i)
+            .iter()
+            .filter(|d| !data.contains(d))
+            .filter_map(|d| jobs[d.0].clone())
+            .collect();
+        jobs.push(Some(lower_op(
+            sim,
+            plan,
+            i,
+            cost,
+            &mut matrix_paid,
+            tag,
+            &data_jobs,
+            &ordering_jobs,
+            chunk,
+        )));
+    }
+    jobs
+}
+
 /// Lower one op of a plan into the simulator, with explicit dependency
 /// jobs (partial lowering after a replan filters out prefilled deps).
 ///

@@ -1,55 +1,58 @@
-//! The repair supervisor: drives a repair to byte-verified completion
-//! under an arbitrary *sequence* of faults.
+//! The repair supervisor: one loop that drives a repair to byte-verified
+//! completion under an arbitrary *sequence* of faults, on any substrate.
 //!
 //! [`robust`](crate::robust) handles exactly one helper crash per repair;
-//! this module generalizes the crash-splice machinery into a bounded
-//! **supervision loop**. Each iteration is one *generation*: a plan (the
-//! original, or a replan) runs until it either completes or a storm
-//! fault kills one of its helpers, at which point the supervisor
+//! [`supervise`] generalizes the crash-splice machinery into a bounded
+//! **supervision loop** over a [`RepairBackend`]. Each iteration is one
+//! *generation*: the backend runs a plan (the original, or a replan)
+//! until it completes, a storm fault kills one of its helpers, or the
+//! backend's hedge watchdog cancels it, and the loop
 //!
-//! 1. banks every completed partial result into a **pool** keyed by
-//!    `(node, symbolic coefficient vector)` — entries survive across
-//!    *every* replan generation and are evicted only when their host
-//!    node dies;
-//! 2. feeds transfer outcomes into a [`HealthTracker`] so helper
-//!    re-selection stops re-picking known-bad nodes (quarantined nodes
-//!    are [avoided](crate::scenario::RepairContext::with_avoided), with
-//!    probing re-admission);
-//! 3. replans around the dead node, reusing the pool, descending the
+//! 1. resolves the storm's next bucket against the plan
+//!    ([`resolve_storm_bucket`]: seeded, so every backend picks the same
+//!    sites), carrying surplus crashes and every `Slow` derate forward;
+//! 2. feeds each finished send's duration into a [`HealthTracker`] so
+//!    helper re-selection stops re-picking known-bad nodes (quarantined
+//!    nodes are [avoided](crate::scenario::RepairContext::with_avoided),
+//!    with probing re-admission);
+//! 3. seals the backend's proof evidence into the ledger and, under
+//!    Mandatory proofs, accuses the helpers it convicts;
+//! 4. banks every finished partial result into a **pool** keyed by
+//!    `(node, symbolic coefficient vector)` with its `(generation, op)`
+//!    provenance — entries survive across *every* replan generation and
+//!    are evicted only when their host dies or is accused;
+//! 5. replans around the damage via [`plan_with_pool`], descending the
 //!    RPR → CAR → traditional → degraded-read **tier ladder** when the
-//!    replan budget or the repair deadline is blown;
-//! 4. splices the new generation's trace after one backoff delay.
+//!    replan budget or the repair deadline is blown.
 //!
-//! Crash-free generations additionally run **hedged transfers**: when a
-//! cross-rack stream falls past a configurable latency multiple of its
-//! wave's median, the supervisor launches a speculative alternative
-//! (a pool-reusing replan that avoids the straggling helper) and keeps
-//! whichever finishes first. Everything is bit-deterministic for a fixed
-//! seed — the same storm replays to the identical trace, which is what
-//! `scripts/verify.sh`'s chaos soak checks.
-//!
-//! The `rpr-exec` backend enacts the same storm on real bytes via the
-//! shared [`resolve_storm_bucket`] / [`plan_with_pool`] primitives, so
-//! both backends pick identical fault sites and replacement plans.
+//! A backend owns only what genuinely differs between substrates: running
+//! one generation under resolved faults, the clock, the form proof
+//! evidence takes, and *how* it hedges. Two exist: [`SimBackend`]
+//! (`rpr-netsim` on the virtual clock, behind [`supervise_injected`];
+//! bit-deterministic for a fixed seed, which is what `scripts/verify.sh`'s
+//! chaos soak checks) and `rpr-exec`'s threaded executor on real bytes.
+//! Hedging is the one capability whose *shape* differs: virtual time can
+//! be rewound, so the simulator resolves a hedge inside a completed
+//! generation ([`Splice`] — the alternative is adopted only if it finishes
+//! first); real time cannot, so a byte-moving backend cancels the
+//! straggling generation ([`Ending::Cancelled`]) and the loop launches the
+//! alternative as the next one.
 
-use crate::plan::{Input, Op, OpId, Payload, RepairPlan};
-use crate::robust::{
-    fallback_plan, first_start, shift_event, AttemptFault, Collect, CrashFault, ResolvedFaults,
-};
+mod sim_backend;
+
+pub use sim_backend::{SimBackend, Taint};
+
+use crate::plan::{Op, OpId, RepairPlan};
+use crate::robust::{check_retry_budget, fallback_plan, AttemptFault, CrashFault, ResolvedFaults};
 use crate::scenario::RepairContext;
 use crate::schemes::{RepairPlanner, TraditionalPlanner};
-use crate::sim::{lower_op, lower_plan, network_for};
-use crate::trace::PlanTagger;
+use crate::trace::plan_built;
 use rpr_faults::{
     reason, CrashSite, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault,
 };
-use rpr_netsim::{FailSpec, JobId, SimReport, Simulator};
-use rpr_obs::{Event, Recorder, Transfer};
-use rpr_proof::{
-    symbolic_block_hash, symbolic_output_hash, ProofKey, ProofLedger, ProofMode, ProofSource,
-    RepairProof,
-};
-use rpr_topology::NodeId;
+use rpr_obs::{Event, Recorder};
+use rpr_proof::{ProofKey, ProofLedger, ProofMode, RepairProof};
+use rpr_topology::{NodeId, Topology};
 use std::collections::HashMap;
 
 /// Time tolerance when comparing simulation instants.
@@ -192,6 +195,24 @@ pub struct SuperviseOutcome {
     pub accusations: usize,
     /// The sealed proof ledger (no entries with the proof plane off).
     pub ledger: ProofLedger,
+}
+
+/// Why a supervised repair could not complete.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SuperviseError {
+    /// A transfer's injected failures exhaust the retry budget.
+    RetriesExhausted(String),
+    /// The storm killed more than `k` blocks in total, no fallback plan
+    /// validates, or the generation cap tripped.
+    Unrecoverable(String),
+}
+
+impl From<SuperviseError> for String {
+    fn from(e: SuperviseError) -> String {
+        match e {
+            SuperviseError::RetriesExhausted(m) | SuperviseError::Unrecoverable(m) => m,
+        }
+    }
 }
 
 /// One storm bucket resolved against a concrete generation plan.
@@ -506,123 +527,165 @@ pub fn plan_with_pool<V>(
     })
 }
 
-/// A recorder that drops every event (clean baseline runs).
-struct Null;
+/// Pool key of a partial result: `(hosting node, symbolic coefficient
+/// vector)` — equal keys hold byte-identical values for any stripe.
+pub type PoolKey = (usize, Vec<u8>);
 
-impl Recorder for Null {
-    fn record(&self, _: Event) {}
+/// One banked partial result.
+#[derive(Debug, Clone)]
+pub struct Banked<P> {
+    /// The backend's handle on the value (real bytes, or a symbolic
+    /// stand-in).
+    pub partial: P,
+    /// The `(generation, op)` that produced it, so a pool re-serve's proof
+    /// names its true origin ([`ProofSource::Pooled`](rpr_proof::ProofSource)).
+    pub origin: (usize, usize),
 }
 
-/// Lower only the `lowered` ops of a plan, wiring dependencies through
-/// whatever subset exists (reused deps vanish — their payloads are
-/// already at hand).
-fn lower_partial(
-    sim: &mut Simulator,
-    plan: &RepairPlan,
-    lowered: &[bool],
-    cost: &crate::cost::CostModel,
-    node_count: usize,
-    tag: usize,
-    chunk: Option<u64>,
-) -> Vec<Option<Vec<JobId>>> {
-    let mut matrix_paid = vec![false; node_count];
-    let mut jobs: Vec<Option<Vec<JobId>>> = Vec::with_capacity(plan.ops.len());
-    for (i, op) in plan.ops.iter().enumerate() {
-        if !lowered[i] {
-            jobs.push(None);
-            continue;
-        }
-        let data = op.dependencies();
-        let data_jobs: Vec<Vec<JobId>> = data.iter().filter_map(|d| jobs[d.0].clone()).collect();
-        let ordering_jobs: Vec<Vec<JobId>> = plan
-            .deps_of(i)
-            .iter()
-            .filter(|d| !data.contains(d))
-            .filter_map(|d| jobs[d.0].clone())
-            .collect();
-        jobs.push(Some(lower_op(
-            sim,
-            plan,
-            i,
-            cost,
-            &mut matrix_paid,
-            tag,
-            &data_jobs,
-            &ordering_jobs,
-            chunk,
-        )));
-    }
-    jobs
+/// Everything a backend needs to run one generation.
+pub struct Generation<'a, 'c, P> {
+    /// Generation index `g` — also the label tag (`p{g}op{i}`).
+    pub index: usize,
+    /// This generation's context: grown failure set, pinned recovery node
+    /// (or degraded-read client), same topology and cost model.
+    pub ctx: &'a RepairContext<'c>,
+    /// The plan to run.
+    pub plan: &'a RepairPlan,
+    /// [`RepairPlan::symbolic_vectors`] of `plan`.
+    pub vecs: &'a [Vec<u8>],
+    /// Per-op: whether it executes (false: pruned, or served by the pool).
+    pub lowered: &'a [bool],
+    /// Per-op: the banked partial serving it instead of execution.
+    pub reused: Vec<Option<&'a Banked<P>>>,
+    /// This generation's resolved faults.
+    pub faults: &'a ResolvedFaults,
+    /// Every derate injected so far, this bucket's included.
+    pub slow: &'a [(NodeId, f64)],
+    /// Retry backoff schedule for transient transfer failures.
+    pub policy: &'a RetryPolicy,
+    /// Effective straggler multiple when this generation may hedge.
+    pub hedge: Option<f64>,
+    tier: Tier,
+    pool: &'a HashMap<PoolKey, Banked<P>>,
+    dead: &'a [NodeId],
+    quarantined: Vec<NodeId>,
 }
 
-/// Apply derates and attempt faults to a partially-lowered simulator.
-fn arm_partial(
-    sim: &mut Simulator,
-    jobs: &[Option<Vec<JobId>>],
-    faults: &ResolvedFaults,
-    policy: &RetryPolicy,
-) -> Result<(), String> {
-    for &(node, factor) in &faults.slow {
-        sim.derate_node(node, factor);
-    }
-    for (i, fs) in faults.op_faults.iter().enumerate() {
-        if fs.is_empty() {
-            continue;
-        }
-        let Some(js) = &jobs[i] else { continue };
-        if fs.len() >= policy.max_attempts {
-            return Err(format!(
-                "op {i}: {} injected failures exhaust the retry budget \
-                 (max_attempts = {})",
-                fs.len(),
-                policy.max_attempts
-            ));
-        }
-        let specs: Vec<FailSpec> = fs
-            .iter()
-            .enumerate()
-            .map(|(a, f)| FailSpec {
-                fraction: f.fraction,
-                delay: policy.delay(a),
-                reason: f.reason.to_string(),
-            })
-            .collect();
-        sim.fail_attempts(js[0], specs);
-    }
-    Ok(())
-}
-
-/// Which executed ops finished at or before `t`.
-fn completed_at(report: &SimReport, jobs: &[Option<Vec<JobId>>], t: f64) -> Vec<bool> {
-    jobs.iter()
-        .map(|js| match js {
-            Some(js) => {
-                let last = *js.last().expect("ops lower to >= 1 job");
-                report.record(last).finish <= t + EPS
+impl<P> Generation<'_, '_, P> {
+    /// The speculative alternative to this generation: a pool-reusing plan
+    /// at the same tier that avoids `slow` (and every quarantined node),
+    /// counting the ops flagged in `done` as already banked. `None` when
+    /// no plan exists without the slow node.
+    pub fn alternative(&self, slow: NodeId, done: &[bool]) -> Option<PoolReplan> {
+        let mut banked: HashMap<PoolKey, ()> = self.pool.keys().map(|k| (k.clone(), ())).collect();
+        for (i, op) in self.plan.ops.iter().enumerate() {
+            let loc = op.output_location();
+            if done[i] && !self.dead.contains(&loc) {
+                banked.insert((loc.0, self.vecs[i].clone()), ());
             }
-            None => false,
-        })
-        .collect()
+        }
+        let avoid = avoid_list(self.quarantined.clone(), Some(slow), self.dead);
+        plan_with_pool(&self.ctx.clone().with_avoided(avoid), &banked, self.tier).ok()
+    }
 }
 
-/// Per-wave `(start, finish)` spans over the executed cross sends.
-fn wave_spans(
-    waves: &[Option<usize>],
-    wave_count: usize,
-    jobs: &[Option<Vec<JobId>>],
-    report: &SimReport,
-) -> Vec<(f64, f64)> {
-    let mut spans = vec![(f64::INFINITY, 0.0f64); wave_count];
-    for (i, wave) in waves.iter().enumerate() {
-        let (Some(w), Some(js)) = (wave, &jobs[i]) else {
-            continue;
-        };
-        let first = first_start(report, js[0]);
-        let finish = report.record(*js.last().expect("non-empty")).finish;
-        spans[*w].0 = spans[*w].0.min(first);
-        spans[*w].1 = spans[*w].1.max(finish);
-    }
-    spans
+/// How a generation ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ending {
+    /// Every lowered op finished.
+    Completed,
+    /// This helper died mid-generation.
+    Crashed(NodeId),
+    /// The backend's hedge watchdog cancelled the generation while send
+    /// op `straggler` was still in flight.
+    Cancelled {
+        /// The unfinished send whose source is the straggling helper.
+        straggler: usize,
+    },
+}
+
+/// A hedge the backend resolved *inside* a completed generation (the
+/// simulator's counterfactual splice).
+#[derive(Debug, Clone, Copy)]
+pub struct Splice {
+    /// Pool-served ops of the adopted alternative; `None` when the
+    /// original transfer still finished first.
+    pub won: Option<usize>,
+}
+
+/// What one generation did.
+pub struct GenerationRun<P> {
+    /// How it ended.
+    pub ending: Ending,
+    /// Clock reading the [`spans`](GenerationRun::spans) are relative to.
+    pub started: f64,
+    /// Clock reading when the generation ended.
+    pub now: f64,
+    /// Per-op output of every executed op that finished (`None`: pruned,
+    /// pool-served, or cut short).
+    pub partials: Vec<Option<P>>,
+    /// Per-op `(start, end)`, meaningful where the op finished.
+    pub spans: Vec<(f64, f64)>,
+    /// Transient-fault retries that fired.
+    pub retries: usize,
+    /// `(cross-rack, inner-rack)` bytes of completed transfers.
+    pub traffic: (u64, u64),
+    /// A hedge launched and resolved within the generation.
+    pub splice: Option<Splice>,
+}
+
+/// One generation's proof evidence.
+#[derive(Debug, Clone, Default)]
+pub struct Evidence {
+    /// One proof per available value (finished or pool-served), op order.
+    pub proofs: Vec<RepairProof>,
+    /// Ops whose output disagrees with its expected witness.
+    pub tainted: Vec<usize>,
+    /// Nodes the evidence convicts (sorted, deduplicated): wrong output
+    /// from honest inputs.
+    pub dishonest: Vec<usize>,
+}
+
+/// The fault-free reference a backend measured for the original plan.
+/// [`Default`] (no measurement) disables per-wave deadline budgets.
+#[derive(Debug, Clone, Default)]
+pub struct Baseline {
+    /// Fault-free repair time.
+    pub clean_time: f64,
+    /// Per-wave `(start, finish)` of the fault-free run.
+    pub wave_spans: Vec<(f64, f64)>,
+}
+
+/// A substrate that can run one generation of a repair plan. Everything
+/// else — which faults strike, what is banked and purged, when to replan
+/// and at which tier, who is accused — is [`supervise`]'s.
+pub trait RepairBackend {
+    /// The backend's handle on a partial result: real bytes on a
+    /// byte-moving substrate, a symbolic stand-in on a simulated one.
+    type Partial: Clone;
+
+    /// Called once with the original plan before generation 0.
+    fn begin(&mut self, plan: &RepairPlan, ctx: &RepairContext<'_>) -> Baseline;
+
+    /// Run one generation under its resolved faults, streaming transfer
+    /// and combine events (and, for a crash, the `node_down` failure and
+    /// `helper_crashed`) into `rec`.
+    fn run_generation(
+        &mut self,
+        gen: &Generation<'_, '_, Self::Partial>,
+        rec: &dyn Recorder,
+    ) -> GenerationRun<Self::Partial>;
+
+    /// Evidence for every value `run` made available.
+    fn prove(
+        &mut self,
+        gen: &Generation<'_, '_, Self::Partial>,
+        run: &GenerationRun<Self::Partial>,
+        key: ProofKey,
+    ) -> Evidence;
+
+    /// Let `delay` seconds of backoff pass on the backend's clock.
+    fn pause(&mut self, delay: f64);
 }
 
 /// Median of a non-empty duration list.
@@ -636,131 +699,29 @@ fn median_of(durs: &mut [f64]) -> f64 {
     }
 }
 
-/// Find the worst straggling send: one whose duration exceeds
-/// `multiple` times its peer-group median. Peers are the send's wave
-/// when the wave has at least two sends, otherwise its whole link class
-/// (all cross sends, or all inner sends — peers move the same block
-/// size over the same link class). Returns `(op, straggler start,
-/// detection instant)` where detection fires at
-/// `start + multiple * median` — the earliest moment the supervisor can
-/// *know* the transfer is late.
-fn find_straggler(
-    plan: &RepairPlan,
-    waves: &[Option<usize>],
-    jobs: &[Option<Vec<JobId>>],
-    report: &SimReport,
-    multiple: f64,
-) -> Option<(usize, f64, f64)> {
-    let mut sends: Vec<(usize, Option<usize>, f64, f64)> = Vec::new(); // (op, wave, start, dur)
-    for (i, op) in plan.ops.iter().enumerate() {
-        let Some(js) = &jobs[i] else { continue };
-        if !matches!(op, Op::Send { .. }) {
-            continue;
-        }
-        let start = first_start(report, js[0]);
-        let finish = report.record(*js.last().expect("non-empty")).finish;
-        sends.push((i, waves[i], start, finish - start));
-    }
-    let mut best: Option<(f64, usize, f64, f64)> = None;
-    for &(i, w, start, dur) in &sends {
-        // Peer group, always excluding the candidate itself (a 10x
-        // outlier must not drag its own baseline up): the send's wave
-        // when it has company there, else its whole link class —
-        // single-failure pipelines ship one cross block per wave, so
-        // waves alone are no peer group.
-        let mut peers: Vec<f64> = sends
-            .iter()
-            .filter(|&&(pi, pw, _, _)| pi != i && w.is_some() && pw == w)
-            .map(|&(.., d)| d)
-            .collect();
-        if peers.is_empty() {
-            peers = sends
-                .iter()
-                .filter(|&&(pi, pw, _, _)| pi != i && pw.is_some() == w.is_some())
-                .map(|&(.., d)| d)
-                .collect();
-        }
-        if peers.is_empty() {
-            continue;
-        }
-        let median = median_of(&mut peers);
-        if median <= 0.0 {
-            continue;
-        }
-        if dur > multiple * median {
-            let excess = dur / median;
-            if best.as_ref().is_none_or(|&(e, ..)| excess > e) {
-                best = Some((excess, i, start, start + multiple * median));
-            }
-        }
-    }
-    best.map(|(_, i, start, detect)| (i, start, detect))
-}
-
-/// The transfer descriptor of send op `i` under `tag`, for failure
-/// events emitted by the supervisor itself.
-fn send_xfer(
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
-    waves: &[Option<usize>],
-    tag: usize,
-    i: usize,
-) -> Transfer {
-    let Op::Send { from, to, .. } = &plan.ops[i] else {
-        unreachable!("supervisor failure events target sends");
-    };
-    Transfer {
-        label: format!("p{tag}op{i}:send"),
-        src_node: from.0,
-        src_rack: ctx.topo.rack_of(*from).0,
-        dst_node: to.0,
-        dst_rack: ctx.topo.rack_of(*to).0,
-        bytes: plan.block_bytes,
-        cross: !ctx.topo.same_rack(*from, *to),
-        timestep: waves[i],
-    }
-}
-
-/// Feed per-sender health scores from one generation's report: each
-/// executed send scores its source node against the median duration of
-/// its peer group (all cross sends form one group, all inner sends
-/// another — peers move the same block size over the same link class),
+/// Feed per-sender health scores from one generation: each finished send
+/// scores its source node against the median duration of its link class
+/// (cross vs inner — peers move the same block size over the same class),
 /// so healthy-but-contended plans stay near 1.0 while a genuinely slow
-/// node decays. Returns nodes *newly* quarantined.
-fn feed_health(
+/// node decays. Returns nodes *newly* quarantined, with their scores.
+fn feed_health<P>(
     tracker: &mut HealthTracker,
     plan: &RepairPlan,
-    waves: &[Option<usize>],
-    jobs: &[Option<Vec<JobId>>],
-    report: &SimReport,
-    completed: &[bool],
+    topo: &Topology,
+    run: &GenerationRun<P>,
 ) -> Vec<(usize, f64)> {
     let before = tracker.quarantined();
-    let mut groups: HashMap<bool, Vec<(usize, f64)>> = HashMap::new();
+    let mut classes: [Vec<(usize, f64)>; 2] = [Vec::new(), Vec::new()];
     for (i, op) in plan.ops.iter().enumerate() {
-        if !completed[i] {
-            continue;
-        }
-        let (Op::Send { from, .. }, Some(js)) = (op, &jobs[i]) else {
+        let (Op::Send { from, to, .. }, Some(_)) = (op, &run.partials[i]) else {
             continue;
         };
-        if *from == plan.recovery {
-            continue;
+        let dur = run.spans[i].1 - run.spans[i].0;
+        if *from != plan.recovery && dur > 0.0 {
+            classes[usize::from(!topo.same_rack(*from, *to))].push((from.0, dur));
         }
-        let start = first_start(report, js[0]);
-        let finish = report.record(*js.last().expect("non-empty")).finish;
-        groups
-            .entry(waves[i].is_some())
-            .or_default()
-            .push((from.0, finish - start));
     }
-    for cross in [false, true] {
-        let Some(members) = groups.get(&cross) else {
-            continue;
-        };
-        if members.len() < 2 {
-            continue;
-        }
+    for members in classes.iter().filter(|m| m.len() >= 2) {
         let mut durs: Vec<f64> = members.iter().map(|&(_, d)| d).collect();
         let median = median_of(&mut durs);
         for &(node, dur) in members {
@@ -775,33 +736,9 @@ fn feed_health(
         .collect()
 }
 
-/// Count traffic of executed-and-completed sends into `(cross, inner)`.
-fn count_traffic(
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
-    flags: &[bool],
-    cross: &mut u64,
-    inner: &mut u64,
-) {
-    for (i, op) in plan.ops.iter().enumerate() {
-        if !flags[i] {
-            continue;
-        }
-        if let Op::Send { from, to, .. } = op {
-            if ctx.topo.same_rack(*from, *to) {
-                *inner += plan.block_bytes;
-            } else {
-                *cross += plan.block_bytes;
-            }
-        }
-    }
-}
-
 /// Pick the degraded-read client: the lowest-index live spare node (no
 /// block of this stripe), or failing that any live non-failed host.
-/// Shared by both backends so their [`Tier::DegradedRead`] generations
-/// deliver to the same node.
-pub fn degraded_client(ctx: &RepairContext<'_>, dead: &[NodeId], recovery: NodeId) -> Option<NodeId> {
+fn degraded_client(ctx: &RepairContext<'_>, dead: &[NodeId], recovery: NodeId) -> Option<NodeId> {
     let failed_hosts: Vec<NodeId> = ctx.failed.iter().map(|b| ctx.placement.node_of(*b)).collect();
     let live = |n: NodeId| !dead.contains(&n) && !failed_hosts.contains(&n) && n != recovery;
     let spare = (0..ctx.topo.node_count())
@@ -810,181 +747,418 @@ pub fn degraded_client(ctx: &RepairContext<'_>, dead: &[NodeId], recovery: NodeI
     spare.or_else(|| (0..ctx.topo.node_count()).map(NodeId).find(|&n| live(n)))
 }
 
-/// Pool key `(node, coefficient vector)` → the sorted `(gen, op)` lie
-/// sites tainting that banked partial (see [`gen_taints`]).
-type PoolTaintMap = HashMap<(usize, Vec<u8>), Vec<(usize, usize)>>;
-
-/// Per-op taint sets for one generation: the sorted `(gen, op)` lie
-/// sites corrupting each op's output. Taint enters at a lying send and
-/// flows through every data dependency — cut-through folding means one
-/// lied block poisons the whole downstream partial-sum chain — and
-/// through pool reuse (a banked partial carries the taint it was
-/// produced with).
-fn gen_taints(
-    plan: &RepairPlan,
-    lies: &[usize],
-    reused_keys: &[Option<(usize, Vec<u8>)>],
-    pool_taint: &PoolTaintMap,
-    g: usize,
-) -> Vec<Vec<(usize, usize)>> {
-    let mut taints: Vec<Vec<(usize, usize)>> = Vec::with_capacity(plan.ops.len());
-    for (i, op) in plan.ops.iter().enumerate() {
-        let mut t: Vec<(usize, usize)> = match &reused_keys[i] {
-            Some(key) => pool_taint.get(key).cloned().unwrap_or_default(),
-            None => {
-                let mut t = Vec::new();
-                for d in op.dependencies() {
-                    t.extend(taints[d.0].iter().copied());
-                }
-                if lies.contains(&i) {
-                    t.push((g, i));
-                }
-                t
+/// The helper a hedge switches to: the alternative plan's first
+/// cross-rack sender other than `slow` (its recovery node when none).
+fn hedge_node(alt: &RepairPlan, topo: &Topology, slow: NodeId) -> usize {
+    alt.ops
+        .iter()
+        .find_map(|op| match op {
+            Op::Send { from, to, .. } if !topo.same_rack(*from, *to) && *from != slow => {
+                Some(from.0)
             }
-        };
-        t.sort_unstable();
-        t.dedup();
-        taints.push(t);
-    }
-    taints
+            _ => None,
+        })
+        .unwrap_or(alt.recovery.0)
 }
 
-/// The proof inputs of op `i`: one `(source, hash)` pair per consumed
-/// value, in consumption order. Blocks that arrive via a send reference
-/// the send op (its output is what was actually consumed); locally-read
-/// blocks reference the stripe block itself.
-fn proof_inputs(
-    key: ProofKey,
-    plan: &RepairPlan,
-    i: usize,
-    vecs: &[Vec<u8>],
-    taints: &[Vec<(usize, usize)>],
-) -> Vec<(ProofSource, u128)> {
-    let op_hash = |s: usize| symbolic_output_hash(key, &vecs[s], &taints[s]);
-    match &plan.ops[i] {
-        Op::Send { what, .. } => match what {
-            Payload::Block(b) => vec![(ProofSource::Block(b.0), symbolic_block_hash(key, b.0))],
-            Payload::Intermediate(src) => vec![(ProofSource::Op(src.0), op_hash(src.0))],
-        },
-        Op::Combine { inputs, .. } => inputs
-            .iter()
-            .map(|inp| match inp {
-                Input::Block { via: Some(v), .. } => (ProofSource::Op(v.0), op_hash(v.0)),
-                Input::Block { block, via: None, .. } => {
-                    (ProofSource::Block(block.0), symbolic_block_hash(key, block.0))
-                }
-                Input::Intermediate(src) => (ProofSource::Op(src.0), op_hash(src.0)),
-            })
-            .collect(),
-    }
+/// Helper-selection avoid list: quarantined nodes plus an optional
+/// straggler, minus the dead (their blocks are in the failure set).
+fn avoid_list(mut avoid: Vec<NodeId>, straggler: Option<NodeId>, dead: &[NodeId]) -> Vec<NodeId> {
+    avoid.extend(straggler.filter(|n| !avoid.contains(n)));
+    avoid.retain(|n| !dead.contains(n));
+    avoid
 }
 
-/// Emit one generation's proofs into the ledger and the trace: one
-/// sealed entry per completed op (pool-reused ops re-serve under the
-/// `"pool"` algorithm tag, with a [`ProofSource::Pooled`] input naming
-/// the generation and op that originally banked the partial), a
-/// `proof_emitted` event each, and a `proof_rejected` event for every
-/// output that disagrees with its expected witness. Returns the deduped
-/// nodes whose *completed lies* make them dishonest — accusation
-/// (Mandatory only) is the caller's call.
-#[allow(clippy::too_many_arguments)]
-fn emit_generation_proofs(
-    key: ProofKey,
-    ledger: &mut ProofLedger,
-    emitted: &mut usize,
-    rejected: &mut usize,
-    plan: &RepairPlan,
-    vecs: &[Vec<u8>],
-    taints: &[Vec<(usize, usize)>],
-    reused_keys: &[Option<(usize, Vec<u8>)>],
-    pool_origin: &HashMap<(usize, Vec<u8>), (usize, usize)>,
-    completed: &[bool],
-    lies: &[usize],
-    chunk: Option<u64>,
-    g: usize,
-    now: f64,
-    rec: &dyn Recorder,
-) -> Vec<usize> {
-    let (chunks, chunk_bytes) = match chunk {
-        Some(c) if c > 0 && c < plan.block_bytes => (plan.block_bytes.div_ceil(c) as usize, c),
-        _ => (1, plan.block_bytes),
-    };
-    let mut dishonest: Vec<usize> = Vec::new();
-    for i in 0..plan.ops.len() {
-        let reused = reused_keys[i].is_some();
-        if !reused && !completed[i] {
-            continue;
-        }
-        // The node under suspicion: the sender for transfers (it produced
-        // the bytes on the wire), the folding node for combines, the
-        // hosting node for pool re-serves.
-        let node = match (&plan.ops[i], reused) {
-            (_, true) => plan.ops[i].output_location().0,
-            (Op::Send { from, .. }, false) => from.0,
-            (Op::Combine { node, .. }, false) => node.0,
-        };
-        let proof = RepairProof {
-            op: i,
-            node,
-            coeffs: vecs[i].clone(),
-            inputs: match &reused_keys[i] {
-                // A re-serve's single input is the banked partial: the
-                // provenance edge points at its original producer, and
-                // the hash equals this op's own output (a re-serve
-                // forwards the banked bytes, taint and all), so audits
-                // chase taint back to the liar across generations.
-                Some(k) => pool_origin
-                    .get(k)
-                    .map(|&(src_gen, src_op)| {
-                        vec![(
-                            ProofSource::Pooled {
-                                gen: src_gen,
-                                op: src_op,
-                            },
-                            symbolic_output_hash(key, &vecs[i], &taints[i]),
-                        )]
-                    })
-                    .unwrap_or_default(),
-                None => proof_inputs(key, plan, i, vecs, taints),
-            },
-            output_hash: symbolic_output_hash(key, &vecs[i], &taints[i]),
-            expected_hash: symbolic_output_hash(key, &vecs[i], &[]),
-            algorithm: if reused { "pool" } else { "sim" }.to_string(),
-            chunks,
-            chunk_bytes,
-        };
-        let honest = proof.honest_output();
-        ledger.push(g, proof);
-        *emitted += 1;
-        rec.record(Event::ProofEmitted {
-            op: i,
-            node,
-            gen: g,
+fn quarantined(tracker: &HealthTracker) -> Vec<NodeId> {
+    tracker.quarantined().into_iter().map(NodeId).collect()
+}
+
+/// Health-aware, pool-reusing plan for `ctx` at `tier`, falling back to
+/// unfiltered helper selection if the avoid list starves the planner.
+fn replan<V>(
+    ctx: &RepairContext<'_>,
+    tracker: &HealthTracker,
+    dead: &[NodeId],
+    straggler: Option<NodeId>,
+    pool: &HashMap<PoolKey, V>,
+    tier: Tier,
+) -> Result<PoolReplan, SuperviseError> {
+    let avoid = avoid_list(quarantined(tracker), straggler, dead);
+    plan_with_pool(&ctx.clone().with_avoided(avoid), pool, tier)
+        .or_else(|_| plan_with_pool(ctx, pool, tier))
+        .map_err(SuperviseError::Unrecoverable)
+}
+
+/// Record the whole-repair deadline breach, once.
+fn check_deadline(cfg: &SuperviseConfig, now: f64, out: &mut SuperviseOutcome, rec: &dyn Recorder) {
+    if let Some(d) = cfg.deadline.filter(|&d| now > d && !out.deadline_hit) {
+        out.deadline_hit = true;
+        rec.record(Event::DeadlineExceeded {
+            scope: "repair".to_string(),
+            budget: d,
+            elapsed: now,
             t: now,
         });
-        if !honest {
-            *rejected += 1;
-            rec.record(Event::ProofRejected {
-                op: i,
-                node,
-                gen: g,
-                t: now,
-            });
-        }
-        if lies.contains(&i) {
-            dishonest.push(node);
-        }
     }
-    dishonest.sort_unstable();
-    dishonest.dedup();
-    dishonest
 }
 
-/// Run a supervised repair on the `rpr-netsim` backend: the full
-/// supervision loop — multi-crash replanning with pooled partial reuse,
-/// hedged transfers, health-aware helper re-selection, and
-/// deadline-driven tier degradation — on the virtual clock,
-/// bit-deterministically.
+/// Seal one generation's proofs into the ledger and the trace: a
+/// `proof_emitted` event each, plus `proof_rejected` for every output
+/// that disagrees with its expected witness.
+fn record_proofs(
+    proofs: Vec<RepairProof>,
+    gen: usize,
+    t: f64,
+    out: &mut SuperviseOutcome,
+    rec: &dyn Recorder,
+) {
+    for proof in proofs {
+        let (op, node, honest) = (proof.op, proof.node, proof.honest_output());
+        out.ledger.push(gen, proof);
+        out.proofs_emitted += 1;
+        rec.record(Event::ProofEmitted { op, node, gen, t });
+        if !honest {
+            out.proofs_rejected += 1;
+            rec.record(Event::ProofRejected { op, node, gen, t });
+        }
+    }
+}
+
+/// Drive a repair to completion on `backend` under a fault storm: the one
+/// supervision loop. Each iteration is a generation — resolve the storm
+/// bucket against the current plan, have the backend run it, feed helper
+/// health, seal proofs, then either finish or bank what completed, purge
+/// what died or lied, descend the tier ladder if the replan budget or the
+/// deadline is blown, and replan around the damage.
+///
+/// `tracker` persists across calls so a fleet recovery can share one
+/// health view. Returns `Err` when the storm kills more than `k` blocks
+/// in total, a fault exhausts the retry budget, no fallback plan
+/// validates, or the generation cap trips.
+pub fn supervise<B: RepairBackend>(
+    backend: &mut B,
+    ctx: &RepairContext<'_>,
+    storm: &FaultStorm,
+    cfg: &SuperviseConfig,
+    tracker: &mut HealthTracker,
+    rec: &dyn Recorder,
+) -> Result<SuperviseOutcome, SuperviseError> {
+    use SuperviseError::{RetriesExhausted, Unrecoverable};
+    let mandatory = cfg.proof == ProofMode::Mandatory;
+    let mut rng = SplitMix64::new(storm.seed);
+    let mut pool: HashMap<PoolKey, Banked<B::Partial>> = HashMap::new();
+    let mut failed = ctx.failed.clone();
+    let mut dead: Vec<NodeId> = Vec::new();
+    let mut ctx_g = ctx.clone();
+    let mut rep = replan(&ctx_g, tracker, &dead, None, &pool, Tier::Full)?;
+    let baseline = backend.begin(&rep.plan, ctx);
+    rec.record(plan_built(&rep.plan, ctx.topo));
+
+    // The ledger key derives from the storm seed, so the offline auditor
+    // re-derives it without any side channel.
+    let mut out = SuperviseOutcome {
+        repair_time: 0.0,
+        clean_time: baseline.clean_time,
+        generations: Vec::new(),
+        retries: 0,
+        replans: 0,
+        reused_ops: 0,
+        final_scheme: String::new(),
+        final_tier: Tier::Full,
+        hedges: 0,
+        hedge_wins: 0,
+        deadline_hit: false,
+        fault_sites: Vec::new(),
+        cross_bytes: 0,
+        inner_bytes: 0,
+        proofs_emitted: 0,
+        proofs_rejected: 0,
+        accusations: 0,
+        ledger: ProofLedger::new(storm.seed, cfg.proof),
+    };
+    let key = out.ledger.key();
+    let mut prev_senders: Option<Vec<usize>> = None;
+    let mut carry: Vec<StormFault> = Vec::new();
+    let mut slow: Vec<(NodeId, f64)> = Vec::new();
+    // A cancelled straggler: (label, hedge node) until the alternative
+    // completes; one watchdog hedge per repair.
+    let mut hedge_pending: Option<(String, usize)> = None;
+    let mut hedge_spent = false;
+
+    let max_generations = storm.generations.len() + cfg.max_replans + 4;
+    for g in 0..=max_generations {
+        let plan = &rep.plan;
+        let pool_before = pool.len();
+        let mut bucket = std::mem::take(&mut carry);
+        bucket.extend(storm.generations.get(g).into_iter().flatten().copied());
+        let GenFaults {
+            resolved,
+            descriptions,
+            deferred,
+        } = resolve_storm_bucket(
+            &bucket,
+            plan,
+            &rep.lowered,
+            prev_senders.as_deref(),
+            &ctx_g,
+            &mut rng,
+        );
+        carry = deferred;
+        out.fault_sites.extend(descriptions);
+        check_retry_budget(&resolved.op_faults, &cfg.policy).map_err(RetriesExhausted)?;
+        slow.extend(resolved.slow.iter().copied());
+
+        // Hedging arms in generations expected to complete: no crash, no
+        // lie a Mandatory verifier will reject, no hedge already spent.
+        // Adaptive mode widens the straggler threshold when the tracked
+        // fleet is broadly slow.
+        let doomed = resolved.crash.is_some() || (mandatory && !resolved.lies.is_empty());
+        let hedge = cfg.hedge.filter(|_| !doomed && !hedge_spent).map(|fixed| {
+            if cfg.adaptive_hedge {
+                cfg.policy
+                    .straggler_multiple(fixed, &tracker.observed_slowdowns())
+            } else {
+                fixed
+            }
+        });
+        let vecs = plan.symbolic_vectors();
+        let gen = Generation {
+            index: g,
+            ctx: &ctx_g,
+            plan,
+            vecs: &vecs,
+            lowered: &rep.lowered,
+            reused: rep.reused.iter().map(|k| k.as_ref().map(|k| &pool[k])).collect(),
+            faults: &resolved,
+            slow: &slow,
+            policy: &cfg.policy,
+            hedge,
+            tier: out.final_tier,
+            pool: &pool,
+            dead: &dead,
+            quarantined: quarantined(tracker),
+        };
+        let run = backend.run_generation(&gen, rec);
+        let evidence = if cfg.proof.active() {
+            backend.prove(&gen, &run, key)
+        } else {
+            Evidence::default()
+        };
+        let now = run.now;
+        out.retries += run.retries;
+        out.cross_bytes += run.traffic.0;
+        out.inner_bytes += run.traffic.1;
+        if let Some(splice) = run.splice {
+            out.hedges += 1;
+            if let Some(reused) = splice.won {
+                out.hedge_wins += 1;
+                out.reused_ops += reused;
+            }
+        }
+
+        // Health: the node that ended the generation failed; finished
+        // peers score against their class median.
+        let (crashed, straggler) = match run.ending {
+            Ending::Completed => (None, None),
+            Ending::Crashed(node) => (Some(node), None),
+            Ending::Cancelled { straggler } => match &plan.ops[straggler] {
+                Op::Send { from, .. } => (None, Some(*from)),
+                Op::Combine { .. } => unreachable!("stragglers are sends"),
+            },
+        };
+        if let Some(node) = crashed.or(straggler) {
+            tracker.record_failure(node.0);
+        }
+        for (node, score) in feed_health(tracker, plan, ctx.topo, &run) {
+            rec.record(Event::HelperQuarantined { node, score, t: now });
+        }
+        out.generations.push(GenerationRecord {
+            scheme: plan.scheme.to_string(),
+            tier: out.final_tier,
+            executed_ops: rep.executed_count(),
+            reused_ops: rep.reused_count(),
+            completed_ops: run.partials.iter().filter(|p| p.is_some()).count(),
+            pool_before,
+            crashed: crashed.map(|n| n.0),
+            faults: bucket.iter().map(|f| f.name().to_string()).collect(),
+        });
+
+        // Accusations steer control flow in Mandatory mode only: Advisory
+        // records rejections without acting on them.
+        let accused = if mandatory { evidence.dishonest } else { Vec::new() };
+        if run.ending == Ending::Completed && accused.is_empty() {
+            // ---- done: deadline hierarchy, final proofs, close out. ----
+            if let Some((label, winner_node)) = hedge_pending.take() {
+                // The cancelled original never ran to completion, so the
+                // true saving is unknown on a cancelling backend.
+                out.hedge_wins += 1;
+                rec.record(Event::HedgeWon { label, winner_node, saved: 0.0, t: now });
+            }
+            if let Some(d) = cfg.deadline {
+                // Per-wave budgets proportional to the clean run's spans,
+                // then the whole-repair budget.
+                let (waves, wave_count) = plan.cross_waves(ctx.topo);
+                let mut spans = vec![(f64::INFINITY, 0.0f64); wave_count];
+                for (i, wave) in waves.iter().enumerate() {
+                    if let (Some(w), true) = (wave, rep.lowered[i]) {
+                        spans[*w].0 = spans[*w].0.min(run.spans[i].0);
+                        spans[*w].1 = spans[*w].1.max(run.spans[i].1);
+                    }
+                }
+                let clean_total = baseline.clean_time.max(EPS);
+                for (&(start, finish), &(cs, cf)) in spans.iter().zip(&baseline.wave_spans) {
+                    if !start.is_finite() || !cs.is_finite() {
+                        continue;
+                    }
+                    let budget = d * (cf - cs) / clean_total;
+                    let actual = finish - start;
+                    if actual > budget + EPS {
+                        rec.record(Event::DeadlineExceeded {
+                            scope: "wave".to_string(),
+                            budget,
+                            elapsed: actual,
+                            t: run.started + finish,
+                        });
+                    }
+                }
+            }
+            check_deadline(cfg, now, &mut out, rec);
+            record_proofs(evidence.proofs, g, now, &mut out, rec);
+            rec.record(Event::RepairDone {
+                t: now,
+                cross_bytes: out.cross_bytes,
+                inner_bytes: out.inner_bytes,
+            });
+            tracker.tick_generation();
+            out.repair_time = now;
+            out.final_scheme = plan.scheme.to_string();
+            return Ok(out);
+        }
+
+        // ---- not done: seal what finished, bank it, purge the dead and
+        // the dishonest, replan. ----
+        record_proofs(evidence.proofs, g, now, &mut out, rec);
+        // Bank every finished partial whose host is alive. Under Mandatory
+        // proofs a tainted partial is evidence, never cache.
+        for (i, partial) in run.partials.into_iter().enumerate() {
+            let loc = plan.ops[i].output_location();
+            let hosted = Some(loc) != crashed && !dead.contains(&loc);
+            let clean = !(mandatory && evidence.tainted.contains(&i));
+            if let (Some(partial), true, true) = (partial, hosted, clean) {
+                let origin = (g, i);
+                pool.insert((loc.0, vecs[i].clone()), Banked { partial, origin });
+            }
+        }
+        if let Some(node) = crashed {
+            dead.push(node);
+            pool.retain(|(host, _), _| *host != node.0);
+        }
+        for &node in &accused {
+            rec.record(Event::HelperAccused { node, gen: g, t: now });
+            tracker.accuse(node);
+            out.accusations += 1;
+        }
+        pool.retain(|(host, _), _| !accused.contains(host));
+
+        if straggler.is_some() {
+            // A cancelled straggler is a hedge, not a replan: same tier,
+            // same failure set, no backoff.
+            out.hedges += 1;
+            hedge_spent = true;
+        } else {
+            if let Some(node) = crashed {
+                // The dead helper's block joins the failure set.
+                let block = ctx.placement.block_on(node);
+                failed.push(block.expect("crashed helpers host blocks"));
+                if failed.len() > ctx.params().k {
+                    return Err(Unrecoverable(format!(
+                        "supervise: {} failures exceed k = {} — stripe unrecoverable",
+                        failed.len(),
+                        ctx.params().k
+                    )));
+                }
+            }
+            out.replans += 1;
+            check_deadline(cfg, now, &mut out, rec);
+
+            // Tier ladder: replan budget first, deadline breach second.
+            let excess = out.replans.saturating_sub(cfg.max_replans);
+            let mut next_tier = match excess {
+                0 => Tier::Full,
+                1 => Tier::Traditional,
+                _ => Tier::DegradedRead,
+            };
+            if out.deadline_hit && next_tier < Tier::Traditional {
+                next_tier = Tier::Traditional;
+            }
+            if next_tier > out.final_tier {
+                rec.record(Event::DegradedFallback {
+                    tier: next_tier.name().to_string(),
+                    reason: if out.deadline_hit && excess == 0 {
+                        "deadline exceeded".to_string()
+                    } else {
+                        format!("replan budget ({}) exhausted", cfg.max_replans)
+                    },
+                    t: now,
+                });
+                out.final_tier = next_tier;
+            }
+
+            // Next generation's context: grown failure set, recovery
+            // pinned — or, at the last tier, a degraded-read client.
+            let recovery = plan.recovery;
+            ctx_g = ctx.clone();
+            ctx_g.failed = failed.clone();
+            let client = (out.final_tier == Tier::DegradedRead)
+                .then(|| degraded_client(&ctx_g, &dead, recovery))
+                .flatten();
+            match client {
+                Some(client) => ctx_g = ctx_g.with_recovery_node(client),
+                None => {
+                    ctx_g.recovery_node_override = Some(recovery);
+                    ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
+                }
+            }
+        }
+        let next = replan(&ctx_g, tracker, &dead, straggler, &pool, out.final_tier)?;
+        out.reused_ops += next.reused_count();
+        match straggler {
+            Some(slow_node) => {
+                let Ending::Cancelled { straggler: op } = run.ending else {
+                    unreachable!("stragglers come from cancelled generations");
+                };
+                let label = format!("p{g}op{op}:send");
+                let hedge_node = hedge_node(&next.plan, ctx.topo, slow_node);
+                rec.record(Event::HedgeLaunched {
+                    label: label.clone(),
+                    slow_node: slow_node.0,
+                    hedge_node,
+                    multiple: hedge.expect("only hedging generations are cancelled"),
+                    t: now,
+                });
+                hedge_pending = Some((label, hedge_node));
+            }
+            None => {
+                rec.record(Event::Replanned {
+                    scheme: next.plan.scheme.to_string(),
+                    failed: failed.len(),
+                    reused_ops: next.reused_count(),
+                    t: now,
+                });
+                backend.pause(cfg.policy.delay(out.replans - 1));
+            }
+        }
+        prev_senders = Some(plan.cross_senders(ctx.topo));
+        rep = next;
+        tracker.tick_generation();
+    }
+    Err(Unrecoverable(format!(
+        "supervision loop exceeded {max_generations} generations"
+    )))
+}
+
+/// Run a supervised repair on the `rpr-netsim` backend: [`supervise`] on
+/// the virtual clock, bit-deterministically.
 ///
 /// `tracker` persists across calls so a fleet recovery can share one
 /// health view; pass [`HealthTracker::with_defaults`] for a one-shot
@@ -1003,768 +1177,5 @@ pub fn supervise_injected(
     tracker: &mut HealthTracker,
     rec: &dyn Recorder,
 ) -> Result<SuperviseOutcome, String> {
-    let mut rng = SplitMix64::new(storm.seed);
-    let chunk = ctx.effective_chunk();
-    let node_count = ctx.topo.node_count();
-
-    // Proof plane: the ledger key derives from the storm seed, so the
-    // offline auditor re-derives it without any side channel. All of
-    // this is RNG-free — Off mode stays bit-identical to pre-proof runs.
-    let proof_key = ProofKey::from_seed(storm.seed);
-    let mut ledger = ProofLedger::new(storm.seed, cfg.proof);
-    let mut proofs_emitted = 0usize;
-    let mut proofs_rejected = 0usize;
-    let mut accusations = 0usize;
-    let mut pool_taint: PoolTaintMap = HashMap::new();
-    // Provenance per pool key: which (generation, op) produced the
-    // banked partial, so a pool re-serve's proof can name its true
-    // origin instead of an inputless "pool" claim. Kept in lockstep
-    // with `pool` / `pool_taint` purges.
-    let mut pool_origin: HashMap<(usize, Vec<u8>), (usize, usize)> = HashMap::new();
-
-    // Generation 0: health-aware plan (fall back to unfiltered helper
-    // selection if quarantine starves the planner).
-    let avoid_nodes = |t: &HealthTracker| -> Vec<NodeId> {
-        t.quarantined().into_iter().map(NodeId).collect()
-    };
-    let mut ctx_g = ctx.clone();
-    let plan0 = {
-        let avoided = ctx_g.clone().with_avoided(avoid_nodes(tracker));
-        fallback_plan(&avoided).or_else(|_| fallback_plan(&ctx_g))?
-    };
-
-    // Clean baseline: makespan and per-wave spans (deadline budgets).
-    let (clean_time, clean_spans) = {
-        let mut sim = Simulator::new(network_for(ctx));
-        let mut paid = vec![false; node_count];
-        let jobs: Vec<Option<Vec<JobId>>> =
-            lower_plan(&mut sim, &plan0, &ctx.cost, &mut paid, 0, chunk)
-                .into_iter()
-                .map(Some)
-                .collect();
-        let report = sim.run_recorded(&Null);
-        let (w0, wc0) = plan0.cross_waves(ctx.topo);
-        (report.makespan, wave_spans(&w0, wc0, &jobs, &report))
-    };
-    let clean_total: f64 = clean_time.max(EPS);
-
-    let stats = plan0.stats(ctx.topo);
-    let (_, wc) = plan0.cross_waves(ctx.topo);
-    rec.record(Event::PlanBuilt {
-        scheme: plan0.scheme.to_string(),
-        parts: plan0.outputs.len(),
-        ops: plan0.ops.len(),
-        cross_transfers: stats.cross_transfers,
-        inner_transfers: stats.inner_transfers,
-        cross_timesteps: wc,
-        block_bytes: plan0.block_bytes,
-    });
-
-    let mut pool: HashMap<(usize, Vec<u8>), ()> = HashMap::new();
-    let mut generations: Vec<GenerationRecord> = Vec::new();
-    let mut fault_sites: Vec<String> = Vec::new();
-    let mut plan = plan0;
-    let mut reused_keys: Vec<Option<(usize, Vec<u8>)>> = vec![None; plan.ops.len()];
-    let mut lowered: Vec<bool> = vec![true; plan.ops.len()];
-    let mut failed = ctx.failed.clone();
-    let mut dead: Vec<NodeId> = Vec::new();
-    let mut prev_senders: Option<Vec<usize>> = None;
-    let mut carry: Vec<StormFault> = Vec::new();
-    let mut t_base = 0.0f64;
-    let mut retries = 0usize;
-    let mut replans = 0usize;
-    let mut reused_total = 0usize;
-    let mut hedges = 0usize;
-    let mut hedge_wins = 0usize;
-    let mut deadline_hit = false;
-    let mut cross_bytes = 0u64;
-    let mut inner_bytes = 0u64;
-    let mut tier = Tier::Full;
-
-    let max_generations = storm.generations.len() + cfg.max_replans + 4;
-    let mut g = 0usize;
-    loop {
-        if g > max_generations {
-            return Err(format!(
-                "supervision loop exceeded {max_generations} generations"
-            ));
-        }
-        let pool_before = pool.len();
-        let mut bucket = std::mem::take(&mut carry);
-        if let Some(b) = storm.generations.get(g) {
-            bucket.extend(b.iter().copied());
-        }
-        let gen_faults = resolve_storm_bucket(
-            &bucket,
-            &plan,
-            &lowered,
-            prev_senders.as_deref(),
-            &ctx_g,
-            &mut rng,
-        );
-        carry = gen_faults.deferred.clone();
-        fault_sites.extend(gen_faults.descriptions.iter().cloned());
-
-        let (waves, wave_count) = plan.cross_waves(ctx.topo);
-        let mut sim = Simulator::new(network_for(&ctx_g));
-        let jobs = lower_partial(&mut sim, &plan, &lowered, &ctx.cost, node_count, g, chunk);
-        arm_partial(&mut sim, &jobs, &gen_faults.resolved, &cfg.policy)?;
-        let buffer = Collect::default();
-        let report = {
-            let tagger = PlanTagger::new(&plan, &waves, chunk, &buffer);
-            sim.run_recorded(&tagger)
-        };
-        let events = buffer.into_events();
-        let vecs = plan.symbolic_vectors();
-        let taints = if cfg.proof.active() {
-            gen_taints(
-                &plan,
-                &gen_faults.resolved.lies,
-                &reused_keys,
-                &pool_taint,
-                g,
-            )
-        } else {
-            vec![Vec::new(); plan.ops.len()]
-        };
-
-        if let Some(crash) = gen_faults.resolved.crash {
-            // ---- crash generation: bank partials, replan, splice on. ----
-            let trigger_jobs = jobs[crash.trigger.0]
-                .as_ref()
-                .expect("crash triggers target executed ops");
-            let t_star = first_start(&report, trigger_jobs[0]);
-            let completed = completed_at(&report, &jobs, t_star);
-            retries += report
-                .records
-                .iter()
-                .map(|r| r.failures.iter().filter(|f| f.at <= t_star + EPS).count())
-                .sum::<usize>();
-            for e in events {
-                if e.time() <= t_star + EPS {
-                    rec.record(shift_event(e, t_base));
-                }
-            }
-            let now = t_base + t_star;
-            rec.record(Event::TransferFailed {
-                xfer: send_xfer(&plan, ctx, &waves, g, crash.trigger.0),
-                attempt: 0,
-                reason: reason::NODE_DOWN.to_string(),
-                t: now,
-            });
-            rec.record(Event::HelperCrashed {
-                node: crash.node.0,
-                rack: ctx.topo.rack_of(crash.node).0,
-                t: now,
-            });
-
-            // Health: the dead node failed; completed peers score.
-            tracker.record_failure(crash.node.0);
-            for (n, score) in feed_health(tracker, &plan, &waves, &jobs, &report, &completed) {
-                rec.record(Event::HelperQuarantined { node: n, score, t: now });
-            }
-
-            // Proof plane: sealed evidence for every op that completed
-            // before the crash cut the generation short.
-            let mut accused: Vec<usize> = Vec::new();
-            if cfg.proof.active() {
-                let completed_lies: Vec<usize> = gen_faults
-                    .resolved
-                    .lies
-                    .iter()
-                    .copied()
-                    .filter(|&i| completed[i])
-                    .collect();
-                let dishonest = emit_generation_proofs(
-                    proof_key,
-                    &mut ledger,
-                    &mut proofs_emitted,
-                    &mut proofs_rejected,
-                    &plan,
-                    &vecs,
-                    &taints,
-                    &reused_keys,
-                    &pool_origin,
-                    &completed,
-                    &completed_lies,
-                    chunk,
-                    g,
-                    now,
-                    rec,
-                );
-                if cfg.proof == ProofMode::Mandatory {
-                    accused = dishonest;
-                }
-            }
-
-            // Bank completed partials (not the dead node's) and traffic.
-            // With Mandatory proofs, evidence-tainted partials never bank.
-            for (i, done) in completed.iter().enumerate() {
-                let loc = plan.ops[i].output_location();
-                if *done && loc != crash.node && !dead.contains(&loc) {
-                    if cfg.proof == ProofMode::Mandatory && !taints[i].is_empty() {
-                        continue;
-                    }
-                    pool.insert((loc.0, vecs[i].clone()), ());
-                    if cfg.proof.active() {
-                        pool_taint.insert((loc.0, vecs[i].clone()), taints[i].clone());
-                        pool_origin.insert((loc.0, vecs[i].clone()), (g, i));
-                    }
-                }
-            }
-            count_traffic(&plan, ctx, &completed, &mut cross_bytes, &mut inner_bytes);
-            dead.push(crash.node);
-            pool.retain(|(n, _), _| *n != crash.node.0);
-            pool_taint.retain(|(n, _), _| *n != crash.node.0);
-            pool_origin.retain(|(n, _), _| *n != crash.node.0);
-            for n in accused {
-                rec.record(Event::HelperAccused {
-                    node: n,
-                    gen: g,
-                    t: now,
-                });
-                tracker.accuse(n);
-                accusations += 1;
-                pool.retain(|(pn, _), _| *pn != n);
-                pool_taint.retain(|(pn, _), _| *pn != n);
-                pool_origin.retain(|(pn, _), _| *pn != n);
-            }
-
-            generations.push(GenerationRecord {
-                scheme: plan.scheme.to_string(),
-                tier,
-                executed_ops: lowered.iter().filter(|l| **l).count(),
-                reused_ops: reused_keys.iter().filter(|r| r.is_some()).count(),
-                completed_ops: completed.iter().filter(|c| **c).count(),
-                pool_before,
-                crashed: Some(crash.node.0),
-                faults: bucket.iter().map(|f| f.name().to_string()).collect(),
-            });
-
-            // The dead helper's block joins the failure set.
-            let block = ctx
-                .placement
-                .block_on(crash.node)
-                .expect("crash candidates host blocks");
-            failed.push(block);
-            if failed.len() > ctx.params().k {
-                return Err(format!(
-                    "supervise: {} failures exceed k = {} — stripe unrecoverable",
-                    failed.len(),
-                    ctx.params().k
-                ));
-            }
-            replans += 1;
-
-            // Deadline check at the crash instant.
-            if let Some(d) = cfg.deadline {
-                if now > d && !deadline_hit {
-                    deadline_hit = true;
-                    rec.record(Event::DeadlineExceeded {
-                        scope: "repair".to_string(),
-                        budget: d,
-                        elapsed: now,
-                        t: now,
-                    });
-                }
-            }
-
-            // Tier ladder: replan budget first, deadline breach second.
-            let excess = replans.saturating_sub(cfg.max_replans);
-            let mut next_tier = match excess {
-                0 => Tier::Full,
-                1 => Tier::Traditional,
-                _ => Tier::DegradedRead,
-            };
-            if deadline_hit && next_tier < Tier::Traditional {
-                next_tier = Tier::Traditional;
-            }
-            if next_tier > tier {
-                rec.record(Event::DegradedFallback {
-                    tier: next_tier.name().to_string(),
-                    reason: if deadline_hit && excess == 0 {
-                        "deadline exceeded".to_string()
-                    } else {
-                        format!("replan budget ({}) exhausted", cfg.max_replans)
-                    },
-                    t: now,
-                });
-                tier = next_tier;
-            }
-
-            // Next generation's context: grown failure set, pinned
-            // recovery (or a degraded-read client), quarantine-aware.
-            let recovery = plan.recovery;
-            ctx_g = ctx.clone();
-            ctx_g.failed = failed.clone();
-            if tier == Tier::DegradedRead {
-                if let Some(client) = degraded_client(&ctx_g, &dead, recovery) {
-                    ctx_g = ctx_g.with_recovery_node(client);
-                } else {
-                    ctx_g.recovery_node_override = Some(recovery);
-                    ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-                }
-            } else {
-                ctx_g.recovery_node_override = Some(recovery);
-                ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-            }
-            let mut avoid = avoid_nodes(tracker);
-            avoid.retain(|n| !dead.contains(n));
-            let rep = {
-                let avoided = ctx_g.clone().with_avoided(avoid);
-                plan_with_pool(&avoided, &pool, tier).or_else(|_| {
-                    plan_with_pool(&ctx_g, &pool, tier)
-                })?
-            };
-            reused_total += rep.reused_count();
-            rec.record(Event::Replanned {
-                scheme: rep.plan.scheme.to_string(),
-                failed: failed.len(),
-                reused_ops: rep.reused_count(),
-                t: now,
-            });
-
-            prev_senders = Some({
-                let mut ns: Vec<usize> = plan
-                    .ops
-                    .iter()
-                    .filter_map(|op| match op {
-                        Op::Send { from, to, .. } if !ctx.topo.same_rack(*from, *to) => {
-                            Some(from.0)
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                ns.sort_unstable();
-                ns.dedup();
-                ns
-            });
-            plan = rep.plan;
-            reused_keys = rep.reused;
-            lowered = rep.lowered;
-            t_base = now + cfg.policy.delay(replans - 1);
-            tracker.tick_generation();
-            g += 1;
-            continue;
-        }
-
-        // ---- crash-free generation: hedge, check deadlines, finish. ----
-        let mut makespan = report.makespan;
-        retries += report
-            .records
-            .iter()
-            .map(|r| r.failures.len())
-            .sum::<usize>();
-        let completed_all = lowered.clone();
-
-        // ---- proof-rejected generation (Mandatory): the generation ran
-        // to completion — a lie is invisible to the transport layer — but
-        // end-of-generation verification rejects the liar's proof. Fail
-        // the generation, accuse and quarantine the liar on evidence,
-        // purge its banked partials, and replan without it. ----
-        if cfg.proof == ProofMode::Mandatory && !gen_faults.resolved.lies.is_empty() {
-            let now = t_base + makespan;
-            for e in events {
-                rec.record(shift_event(e, t_base));
-            }
-            count_traffic(&plan, ctx, &lowered, &mut cross_bytes, &mut inner_bytes);
-            for (n, score) in feed_health(tracker, &plan, &waves, &jobs, &report, &completed_all) {
-                rec.record(Event::HelperQuarantined { node: n, score, t: now });
-            }
-            let dishonest = emit_generation_proofs(
-                proof_key,
-                &mut ledger,
-                &mut proofs_emitted,
-                &mut proofs_rejected,
-                &plan,
-                &vecs,
-                &taints,
-                &reused_keys,
-                &pool_origin,
-                &completed_all,
-                &gen_faults.resolved.lies,
-                chunk,
-                g,
-                now,
-                rec,
-            );
-            // Bank only taint-free partials: the tainted chain is
-            // worthless evidence-backed garbage, and the liar's own
-            // entries (old and new) are purged below.
-            for (i, done) in completed_all.iter().enumerate() {
-                let loc = plan.ops[i].output_location();
-                if *done && !dead.contains(&loc) && taints[i].is_empty() {
-                    pool.insert((loc.0, vecs[i].clone()), ());
-                    pool_taint.insert((loc.0, vecs[i].clone()), Vec::new());
-                    pool_origin.insert((loc.0, vecs[i].clone()), (g, i));
-                }
-            }
-            for &n in &dishonest {
-                rec.record(Event::HelperAccused {
-                    node: n,
-                    gen: g,
-                    t: now,
-                });
-                tracker.accuse(n);
-                accusations += 1;
-            }
-            pool.retain(|(n, _), _| !dishonest.contains(n));
-            pool_taint.retain(|(n, _), _| !dishonest.contains(n));
-            pool_origin.retain(|(n, _), _| !dishonest.contains(n));
-
-            generations.push(GenerationRecord {
-                scheme: plan.scheme.to_string(),
-                tier,
-                executed_ops: lowered.iter().filter(|l| **l).count(),
-                reused_ops: reused_keys.iter().filter(|r| r.is_some()).count(),
-                completed_ops: completed_all.iter().filter(|c| **c).count(),
-                pool_before,
-                crashed: None,
-                faults: bucket.iter().map(|f| f.name().to_string()).collect(),
-            });
-            replans += 1;
-
-            if let Some(d) = cfg.deadline {
-                if now > d && !deadline_hit {
-                    deadline_hit = true;
-                    rec.record(Event::DeadlineExceeded {
-                        scope: "repair".to_string(),
-                        budget: d,
-                        elapsed: now,
-                        t: now,
-                    });
-                }
-            }
-            let excess = replans.saturating_sub(cfg.max_replans);
-            let mut next_tier = match excess {
-                0 => Tier::Full,
-                1 => Tier::Traditional,
-                _ => Tier::DegradedRead,
-            };
-            if deadline_hit && next_tier < Tier::Traditional {
-                next_tier = Tier::Traditional;
-            }
-            if next_tier > tier {
-                rec.record(Event::DegradedFallback {
-                    tier: next_tier.name().to_string(),
-                    reason: if deadline_hit && excess == 0 {
-                        "deadline exceeded".to_string()
-                    } else {
-                        format!("replan budget ({}) exhausted", cfg.max_replans)
-                    },
-                    t: now,
-                });
-                tier = next_tier;
-            }
-
-            // Next generation: same failure set (the liar's block is
-            // intact — it lied about bytes, it did not die), recovery
-            // pinned, and the accusation-quarantine steers helper
-            // selection away from the liar.
-            let recovery = plan.recovery;
-            ctx_g = ctx.clone();
-            ctx_g.failed = failed.clone();
-            if tier == Tier::DegradedRead {
-                if let Some(client) = degraded_client(&ctx_g, &dead, recovery) {
-                    ctx_g = ctx_g.with_recovery_node(client);
-                } else {
-                    ctx_g.recovery_node_override = Some(recovery);
-                    ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-                }
-            } else {
-                ctx_g.recovery_node_override = Some(recovery);
-                ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-            }
-            let mut avoid = avoid_nodes(tracker);
-            avoid.retain(|n| !dead.contains(n));
-            let rep = {
-                let avoided = ctx_g.clone().with_avoided(avoid);
-                plan_with_pool(&avoided, &pool, tier)
-                    .or_else(|_| plan_with_pool(&ctx_g, &pool, tier))?
-            };
-            reused_total += rep.reused_count();
-            rec.record(Event::Replanned {
-                scheme: rep.plan.scheme.to_string(),
-                failed: failed.len(),
-                reused_ops: rep.reused_count(),
-                t: now,
-            });
-            prev_senders = Some({
-                let mut ns: Vec<usize> = plan
-                    .ops
-                    .iter()
-                    .filter_map(|op| match op {
-                        Op::Send { from, to, .. } if !ctx.topo.same_rack(*from, *to) => {
-                            Some(from.0)
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                ns.sort_unstable();
-                ns.dedup();
-                ns
-            });
-            plan = rep.plan;
-            reused_keys = rep.reused;
-            lowered = rep.lowered;
-            t_base = now + cfg.policy.delay(replans - 1);
-            tracker.tick_generation();
-            g += 1;
-            continue;
-        }
-
-        let mut hedge_cut: Option<f64> = None; // replay original events up to here
-        let mut hedge_events: Vec<(Event, f64)> = Vec::new(); // (event, shift)
-
-        if let Some(fixed) = cfg.hedge {
-            // Adaptive mode widens the straggler threshold when the
-            // tracked fleet is broadly slow, so only true outliers — not
-            // helpers pacing a degraded cluster — trigger a hedge.
-            let mult = if cfg.adaptive_hedge {
-                cfg.policy
-                    .straggler_multiple(fixed, &tracker.observed_slowdowns())
-            } else {
-                fixed
-            };
-            if let Some((slow_i, _, detect)) = find_straggler(&plan, &waves, &jobs, &report, mult)
-            {
-                let Op::Send { from, .. } = &plan.ops[slow_i] else {
-                    unreachable!("stragglers are sends");
-                };
-                let slow_node = *from;
-                let done_at_detect = completed_at(&report, &jobs, detect);
-                let mut hedge_pool = pool.clone();
-                for (i, done) in done_at_detect.iter().enumerate() {
-                    let loc = plan.ops[i].output_location();
-                    if *done && !dead.contains(&loc) {
-                        hedge_pool.insert((loc.0, vecs[i].clone()), ());
-                    }
-                }
-                let mut avoid = avoid_nodes(tracker);
-                if !avoid.contains(&slow_node) {
-                    avoid.push(slow_node);
-                }
-                avoid.retain(|n| !dead.contains(n));
-                // Hedge only if an alternative exists without the slow
-                // node — no unfiltered fallback here, that would just
-                // rebuild the same straggling plan.
-                if let Ok(hrep) =
-                    plan_with_pool(&ctx_g.clone().with_avoided(avoid), &hedge_pool, tier)
-                {
-                    let hedge_node = hrep
-                        .plan
-                        .ops
-                        .iter()
-                        .find_map(|op| match op {
-                            Op::Send { from, to, .. }
-                                if !ctx.topo.same_rack(*from, *to) && *from != slow_node =>
-                            {
-                                Some(from.0)
-                            }
-                            _ => None,
-                        })
-                        .unwrap_or(hrep.plan.recovery.0);
-                    let mut hsim = Simulator::new(network_for(&ctx_g));
-                    let _hjobs = lower_partial(
-                        &mut hsim,
-                        &hrep.plan,
-                        &hrep.lowered,
-                        &ctx.cost,
-                        node_count,
-                        g + 1,
-                        chunk,
-                    );
-                    for &(node, factor) in &gen_faults.resolved.slow {
-                        hsim.derate_node(node, factor);
-                    }
-                    let (hwaves, _) = hrep.plan.cross_waves(ctx.topo);
-                    let hbuffer = Collect::default();
-                    let hreport = {
-                        let htagger = PlanTagger::new(&hrep.plan, &hwaves, chunk, &hbuffer);
-                        hsim.run_recorded(&htagger)
-                    };
-                    hedges += 1;
-                    rec.record(Event::HedgeLaunched {
-                        label: format!("p{g}op{slow_i}:send"),
-                        slow_node: slow_node.0,
-                        hedge_node,
-                        multiple: mult,
-                        t: t_base + detect,
-                    });
-                    let hedged_makespan = detect + hreport.makespan;
-                    if hedged_makespan + EPS < makespan {
-                        hedge_wins += 1;
-                        // Adopt the hedged timeline: original events up
-                        // to detection, then the alternative's.
-                        hedge_cut = Some(detect);
-                        for e in hbuffer.into_events() {
-                            hedge_events.push((e, t_base + detect));
-                        }
-                        hedge_events.push((
-                            Event::HedgeWon {
-                                label: format!("p{g}op{slow_i}:send"),
-                                winner_node: hedge_node,
-                                saved: makespan - hedged_makespan,
-                                t: t_base + hedged_makespan,
-                            },
-                            0.0,
-                        ));
-                        makespan = hedged_makespan;
-                        count_traffic(
-                            &plan,
-                            ctx,
-                            &done_at_detect,
-                            &mut cross_bytes,
-                            &mut inner_bytes,
-                        );
-                        count_traffic(
-                            &hrep.plan,
-                            ctx,
-                            &hrep.lowered,
-                            &mut cross_bytes,
-                            &mut inner_bytes,
-                        );
-                        reused_total += hrep.reused_count();
-                    }
-                }
-            }
-        }
-
-        // Health scores + quarantine events at generation end.
-        let newly = feed_health(tracker, &plan, &waves, &jobs, &report, &completed_all);
-
-        // Replay the generation's events (hedged splice or straight).
-        match hedge_cut {
-            Some(cut) => {
-                for e in events {
-                    if e.time() <= cut + EPS {
-                        rec.record(shift_event(e, t_base));
-                    }
-                }
-                for (e, shift) in hedge_events {
-                    rec.record(shift_event(e, shift));
-                }
-            }
-            None => {
-                for e in events {
-                    rec.record(shift_event(e, t_base));
-                }
-                for (e, shift) in hedge_events {
-                    rec.record(shift_event(e, shift));
-                }
-                count_traffic(&plan, ctx, &lowered, &mut cross_bytes, &mut inner_bytes);
-            }
-        }
-        let total_time = t_base + makespan;
-        for (n, score) in newly {
-            rec.record(Event::HelperQuarantined {
-                node: n,
-                score,
-                t: total_time,
-            });
-        }
-
-        // Deadline hierarchy: per-wave budgets proportional to the clean
-        // run's spans, then the whole-repair budget.
-        if let Some(d) = cfg.deadline {
-            let spans = wave_spans(&waves, wave_count, &jobs, &report);
-            for (w, &(start, finish)) in spans.iter().enumerate() {
-                if !start.is_finite() {
-                    continue;
-                }
-                let Some(&(cs, cf)) = clean_spans.get(w) else {
-                    continue;
-                };
-                if !cs.is_finite() {
-                    continue;
-                }
-                let budget = d * (cf - cs) / clean_total;
-                let actual = finish - start;
-                if actual > budget + EPS {
-                    rec.record(Event::DeadlineExceeded {
-                        scope: "wave".to_string(),
-                        budget,
-                        elapsed: actual,
-                        t: t_base + finish,
-                    });
-                }
-            }
-            if total_time > d && !deadline_hit {
-                deadline_hit = true;
-                rec.record(Event::DeadlineExceeded {
-                    scope: "repair".to_string(),
-                    budget: d,
-                    elapsed: total_time,
-                    t: total_time,
-                });
-            }
-        }
-
-        generations.push(GenerationRecord {
-            scheme: plan.scheme.to_string(),
-            tier,
-            executed_ops: lowered.iter().filter(|l| **l).count(),
-            reused_ops: reused_keys.iter().filter(|r| r.is_some()).count(),
-            completed_ops: lowered.iter().filter(|l| **l).count(),
-            pool_before,
-            crashed: None,
-            faults: bucket.iter().map(|f| f.name().to_string()).collect(),
-        });
-        // The final generation's proofs. Advisory records any lie as a
-        // rejection without acting on it; Mandatory can only reach here
-        // lie-free (a rejected proof fails the generation above).
-        if cfg.proof.active() {
-            let completed_lies: Vec<usize> = gen_faults
-                .resolved
-                .lies
-                .iter()
-                .copied()
-                .filter(|&i| completed_all[i])
-                .collect();
-            emit_generation_proofs(
-                proof_key,
-                &mut ledger,
-                &mut proofs_emitted,
-                &mut proofs_rejected,
-                &plan,
-                &vecs,
-                &taints,
-                &reused_keys,
-                &pool_origin,
-                &completed_all,
-                &completed_lies,
-                chunk,
-                g,
-                total_time,
-                rec,
-            );
-        }
-        rec.record(Event::RepairDone {
-            t: total_time,
-            cross_bytes,
-            inner_bytes,
-        });
-        tracker.tick_generation();
-
-        return Ok(SuperviseOutcome {
-            repair_time: total_time,
-            clean_time,
-            generations,
-            retries,
-            replans,
-            reused_ops: reused_total,
-            final_scheme: plan.scheme.to_string(),
-            final_tier: tier,
-            hedges,
-            hedge_wins,
-            deadline_hit,
-            fault_sites,
-            cross_bytes,
-            inner_bytes,
-            proofs_emitted,
-            proofs_rejected,
-            accusations,
-            ledger,
-        });
-    }
+    supervise(&mut SimBackend::default(), ctx, storm, cfg, tracker, rec).map_err(String::from)
 }

@@ -14,6 +14,7 @@ use crate::scenario::RepairContext;
 use crate::sim::{chunk_sizes, lower_plan, network_for, SimOutcome};
 use rpr_netsim::Simulator;
 use rpr_obs::{Event, Kernel, Recorder, Transfer};
+use rpr_topology::Topology;
 
 /// The decode kernel combine op `i` runs: [`Kernel::Xor`] when the scheme
 /// doesn't force matrix decoding and every block coefficient is 1 (the
@@ -29,6 +30,21 @@ pub fn combine_kernel(plan: &RepairPlan, i: usize) -> Option<Kernel> {
                     .any(|inp| matches!(inp, Input::Block { coeff, .. } if *coeff != 1));
             Some(if gf { Kernel::Gf } else { Kernel::Xor })
         }
+    }
+}
+
+/// The `plan_built` event every repair trace opens with, on either
+/// substrate.
+pub fn plan_built(plan: &RepairPlan, topo: &Topology) -> Event {
+    let stats = plan.stats(topo);
+    Event::PlanBuilt {
+        scheme: plan.scheme.to_string(),
+        parts: plan.outputs.len(),
+        ops: plan.ops.len(),
+        cross_transfers: stats.cross_transfers,
+        inner_transfers: stats.inner_transfers,
+        cross_timesteps: plan.cross_waves(topo).1,
+        block_bytes: plan.block_bytes,
     }
 }
 
@@ -135,17 +151,8 @@ pub fn simulate_traced(
     ctx: &RepairContext<'_>,
     rec: &dyn Recorder,
 ) -> SimOutcome {
-    let stats = plan.stats(ctx.topo);
     let (waves, wave_count) = plan.cross_waves(ctx.topo);
-    rec.record(Event::PlanBuilt {
-        scheme: plan.scheme.to_string(),
-        parts: plan.outputs.len(),
-        ops: plan.ops.len(),
-        cross_transfers: stats.cross_transfers,
-        inner_transfers: stats.inner_transfers,
-        cross_timesteps: wave_count,
-        block_bytes: plan.block_bytes,
-    });
+    rec.record(plan_built(plan, ctx.topo));
 
     let chunk = ctx.effective_chunk();
     let mut sim = Simulator::new(network_for(ctx));
@@ -165,7 +172,7 @@ pub fn simulate_traced(
     SimOutcome {
         repair_time: report.makespan,
         report,
-        stats,
+        stats: plan.stats(ctx.topo),
     }
 }
 

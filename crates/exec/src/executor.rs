@@ -11,17 +11,16 @@ use parking_lot::Mutex;
 use rpr_codec::BlockId;
 use rpr_core::robust::{replan_after_crash, resolve, ResolvedFaults};
 use rpr_core::{
-    chunk_sizes, combine_kernel, degraded_client, plan_with_pool, resolve_storm_bucket,
-    GenerationRecord, Input, Op, Payload, RepairContext, RepairPlan, SuperviseConfig, Tier,
+    check_retry_budget, chunk_sizes, combine_kernel, plan_built, Input, Op, Payload,
+    RepairContext, RepairPlan,
 };
-use rpr_faults::{checksum64, reason, FaultPlan, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault};
+use rpr_faults::{checksum64, reason, FaultPlan, RetryPolicy};
 use rpr_obs::{Event, Recorder};
-use rpr_proof::{hash_bytes, ProofKey, ProofLedger, ProofMode, ProofSource, RepairProof};
 use rpr_topology::NodeId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Rate-limiter granularity when the context does not configure a
 /// streaming chunk size. With [`RepairContext::with_chunk_size`] the
@@ -135,22 +134,22 @@ enum Delivery {
 
 /// Everything that parameterizes one execution attempt beyond the plan
 /// itself.
-struct AttemptCfg<'a> {
+pub(crate) struct AttemptCfg<'a> {
     /// Faults to enact (attempt failures, crash, link derates).
-    faults: Option<&'a ResolvedFaults>,
+    pub(crate) faults: Option<&'a ResolvedFaults>,
     /// Retry backoff schedule.
-    policy: RetryPolicy,
+    pub(crate) policy: RetryPolicy,
     /// Per-op values already available from a previous attempt.
-    prefilled: &'a [Option<Arc<Vec<u8>>>],
+    pub(crate) prefilled: &'a [Option<Arc<Vec<u8>>>],
     /// Which ops actually execute (false: skipped or reused).
-    lowered: &'a [bool],
+    pub(crate) lowered: &'a [bool],
     /// Label tag (`p{tag}op{i}`), 0 for the original plan, 1 after replan.
-    tag: usize,
+    pub(crate) tag: usize,
     /// Cooperative cancellation: when set, in-flight transfers abandon
     /// the stream between shaper admissions and propagate `Failed`
     /// downstream, unwinding the whole attempt. The supervisor's hedge
     /// watchdog uses this to cancel a straggling generation for real.
-    cancel: Option<&'a AtomicBool>,
+    pub(crate) cancel: Option<&'a AtomicBool>,
 }
 
 /// Immutable per-run state shared by every op thread.
@@ -202,20 +201,20 @@ impl RunEnv<'_, '_> {
 }
 
 /// What one attempt produced.
-struct AttemptRun {
+pub(crate) struct AttemptRun {
     /// Output value of every op that completed.
-    values: Vec<Option<Arc<Vec<u8>>>>,
+    pub(crate) values: Vec<Option<Arc<Vec<u8>>>>,
     /// Wall-clock timings (zero for ops that did not run).
-    op_timings: Vec<OpTiming>,
+    pub(crate) op_timings: Vec<OpTiming>,
     /// Wall time at which the helper crash fired, if one did.
-    crash_t: Option<f64>,
+    pub(crate) crash_t: Option<f64>,
     /// Failed-and-retried transfer attempts.
-    retries: usize,
+    pub(crate) retries: usize,
     /// Chunk-buffer pool counters for this attempt.
-    arena: ArenaStats,
+    pub(crate) arena: ArenaStats,
     /// Earliest wall time any output op delivered its first chunk (the
     /// degraded-read first byte); `None` if no output op ran.
-    first_out: Option<f64>,
+    pub(crate) first_out: Option<f64>,
 }
 
 /// Execute a plan on real stripe contents.
@@ -248,7 +247,7 @@ pub fn execute_recorded(
     rec: &dyn Recorder,
 ) -> ExecReport {
     check_stripe(plan, stripe);
-    record_plan_built(plan, ctx, rec);
+    rec.record(plan_built(plan, ctx.topo));
     let t0 = Instant::now();
     let lowered = vec![true; plan.ops.len()];
     let prefilled: Vec<Option<Arc<Vec<u8>>>> = vec![None; plan.ops.len()];
@@ -294,17 +293,8 @@ pub fn execute_resilient(
 ) -> Result<ResilientReport, ExecError> {
     check_stripe(plan, stripe);
     let resolved = resolve(plan, ctx.topo, fp).map_err(ExecError::Unrecoverable)?;
-    for (i, fs) in resolved.op_faults.iter().enumerate() {
-        if !fs.is_empty() && fs.len() >= policy.max_attempts {
-            return Err(ExecError::RetriesExhausted(format!(
-                "op {i}: {} injected failures exhaust the retry budget \
-                 (max_attempts = {})",
-                fs.len(),
-                policy.max_attempts
-            )));
-        }
-    }
-    record_plan_built(plan, ctx, rec);
+    check_retry_budget(&resolved.op_faults, policy).map_err(ExecError::RetriesExhausted)?;
+    rec.record(plan_built(plan, ctx.topo));
     let t0 = Instant::now();
     let all = vec![true; plan.ops.len()];
     let no_prefill: Vec<Option<Arc<Vec<u8>>>> = vec![None; plan.ops.len()];
@@ -387,24 +377,9 @@ pub fn execute_resilient(
 
     // Traffic actually moved: completed original sends plus executed
     // replacement sends.
-    let mut cross_bytes = 0u64;
-    let mut inner_bytes = 0u64;
-    for (i, op) in plan.ops.iter().enumerate() {
-        if completed[i] {
-            add_send_bytes(ctx, op, plan.block_bytes, &mut cross_bytes, &mut inner_bytes);
-        }
-    }
-    for (i, op) in rep.plan.ops.iter().enumerate() {
-        if rep.lowered[i] {
-            add_send_bytes(
-                ctx,
-                op,
-                rep.plan.block_bytes,
-                &mut cross_bytes,
-                &mut inner_bytes,
-            );
-        }
-    }
+    let (c1, i1) = plan.traffic(ctx.topo, &completed);
+    let (c2, i2) = rep.plan.traffic(ctx.topo, &rep.lowered);
+    let (cross_bytes, inner_bytes) = (c1 + c2, i1 + i2);
     rec.record(Event::RepairDone {
         t: wall_seconds,
         cross_bytes,
@@ -434,851 +409,7 @@ pub fn execute_resilient(
     })
 }
 
-/// The result of a supervised execution under a fault storm.
-#[derive(Clone, Debug)]
-pub struct SupervisedReport {
-    /// The final execution report (verification runs against the plan
-    /// that actually completed the repair).
-    pub report: ExecReport,
-    /// Per-generation records, in order.
-    pub generations: Vec<GenerationRecord>,
-    /// Transfer attempts that failed and were retried.
-    pub retries: usize,
-    /// Plan replacements after helper crashes.
-    pub replans: usize,
-    /// Total ops satisfied from the partial-result pool.
-    pub reused_ops: usize,
-    /// Hedges launched (straggling generations cancelled mid-stream).
-    pub hedges: usize,
-    /// Hedges whose speculative alternative completed the repair.
-    pub hedge_wins: usize,
-    /// True when the repair deadline was exceeded at any point.
-    pub deadline_hit: bool,
-    /// Scheme of the plan that completed the repair.
-    pub final_scheme: &'static str,
-    /// Tier the repair completed at.
-    pub final_tier: Tier,
-    /// Human-readable resolved fault sites, in injection order.
-    pub fault_sites: Vec<String>,
-    /// Repair proofs recorded to the ledger (zero when proofs are Off).
-    pub proofs_emitted: usize,
-    /// Proofs whose output hash disagreed with the expectation.
-    pub proofs_rejected: usize,
-    /// Helpers quarantined on proof evidence (Mandatory mode only).
-    pub accusations: usize,
-    /// The proof ledger for the whole repair, verifiable offline with
-    /// `rpr audit` against the recorded trace.
-    pub ledger: ProofLedger,
-}
-
-/// Run one attempt under an optional hedge watchdog: a timer thread arms
-/// at `budget` seconds from now and, if the attempt is still running,
-/// flips `cancel` — every in-flight transfer aborts between shaper
-/// admissions and the attempt unwinds through its `Delivery` channels.
-/// Returns the attempt plus whether the watchdog fired.
-#[allow(clippy::too_many_arguments)]
-fn run_watched(
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
-    stripe: &[Vec<u8>],
-    rec: &dyn Recorder,
-    t0: Instant,
-    cfg: &AttemptCfg<'_>,
-    budget: Option<f64>,
-    cancel: &AtomicBool,
-) -> (AttemptRun, bool) {
-    let Some(budget) = budget else {
-        return (run_attempt(plan, ctx, stripe, rec, t0, cfg), false);
-    };
-    let done = std::sync::Mutex::new(false);
-    let cv = std::sync::Condvar::new();
-    let fired = AtomicBool::new(false);
-    let run = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let armed = Instant::now();
-            let mut finished = done.lock().expect("watchdog lock");
-            while !*finished {
-                let Some(left) = Duration::from_secs_f64(budget.max(1e-3))
-                    .checked_sub(armed.elapsed())
-                else {
-                    fired.store(true, Ordering::SeqCst);
-                    cancel.store(true, Ordering::SeqCst);
-                    return;
-                };
-                finished = cv
-                    .wait_timeout(finished, left)
-                    .expect("watchdog lock")
-                    .0;
-            }
-        });
-        let run = run_attempt(plan, ctx, stripe, rec, t0, cfg);
-        *done.lock().expect("watchdog lock") = true;
-        cv.notify_all();
-        run
-    });
-    (run, fired.load(Ordering::SeqCst))
-}
-
-/// Feed per-sender health scores from one generation's wall-clock
-/// timings: each completed send scores its source node against the
-/// median duration of its link class (cross vs inner — peers move the
-/// same block size over the same class). Returns nodes *newly*
-/// quarantined.
-fn feed_supervised_health(
-    tracker: &mut HealthTracker,
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
-    timings: &[OpTiming],
-    completed: &[bool],
-) -> Vec<(usize, f64)> {
-    let before = tracker.quarantined();
-    let mut groups: HashMap<bool, Vec<(usize, f64)>> = HashMap::new();
-    for (i, op) in plan.ops.iter().enumerate() {
-        if !completed[i] {
-            continue;
-        }
-        let Op::Send { from, to, .. } = op else {
-            continue;
-        };
-        if *from == plan.recovery {
-            continue;
-        }
-        let dur = timings[i].end - timings[i].start;
-        if dur <= 0.0 {
-            continue;
-        }
-        groups
-            .entry(!ctx.topo.same_rack(*from, *to))
-            .or_default()
-            .push((from.0, dur));
-    }
-    for cross in [false, true] {
-        let Some(members) = groups.get(&cross) else {
-            continue;
-        };
-        if members.len() < 2 {
-            continue;
-        }
-        let mut durs: Vec<f64> = members.iter().map(|&(_, d)| d).collect();
-        durs.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
-        let mid = durs.len() / 2;
-        let median = if durs.len() % 2 == 1 {
-            durs[mid]
-        } else {
-            0.5 * (durs[mid - 1] + durs[mid])
-        };
-        for &(node, dur) in members {
-            tracker.record_success(node, dur, median);
-        }
-    }
-    tracker
-        .quarantined()
-        .into_iter()
-        .filter(|n| !before.contains(n))
-        .map(|n| (n, tracker.score(n)))
-        .collect()
-}
-
-/// Distinct cross-rack sender nodes of a plan, sorted — the anchor for
-/// [`rpr_faults::CrashSite::NewHelper`] resolution next generation.
-fn cross_sender_nodes(plan: &RepairPlan, ctx: &RepairContext<'_>) -> Vec<usize> {
-    let mut ns: Vec<usize> = plan
-        .ops
-        .iter()
-        .filter_map(|op| match op {
-            Op::Send { from, to, .. } if !ctx.topo.same_rack(*from, *to) => Some(from.0),
-            _ => None,
-        })
-        .collect();
-    ns.sort_unstable();
-    ns.dedup();
-    ns
-}
-
-/// Emit one generation's [`RepairProof`]s from the real bytes the attempt
-/// produced. Every op with an available value (executed this generation
-/// or re-served from the partial pool) gets an entry: the output hash is
-/// taken over the actual bytes, the expected hash over the ground-truth
-/// GF linear combination of the op's symbolic coefficient vector applied
-/// to the original stripe, and the inputs bind each consumed edge to its
-/// producer's recorded output. Returns which ops are tainted (output ≠
-/// expected) and which nodes the evidence convicts: a node is accused
-/// only when its op's output is wrong *and* every recorded input matches
-/// the producer's expected value — exactly the localization rule the
-/// offline auditor applies, so online accusations and `rpr audit` agree.
-#[allow(clippy::too_many_arguments)]
-fn exec_generation_proofs(
-    key: ProofKey,
-    ledger: &mut ProofLedger,
-    emitted: &mut usize,
-    rejected: &mut usize,
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
-    stripe: &[Vec<u8>],
-    vecs: &[Vec<u8>],
-    values: &[Option<Arc<Vec<u8>>>],
-    reused: &[bool],
-    g: usize,
-    now: f64,
-    rec: &dyn Recorder,
-) -> (Vec<bool>, Vec<usize>) {
-    let block_hashes: Vec<u128> = stripe.iter().map(|b| hash_bytes(key, b)).collect();
-    let sizes = chunk_sizes(plan.block_bytes, ctx.effective_chunk());
-    let (chunks, chunk_bytes) = (sizes.len(), sizes[0]);
-    let mut out_hash: Vec<Option<u128>> = vec![None; plan.ops.len()];
-    let mut exp_hash: Vec<Option<u128>> = vec![None; plan.ops.len()];
-    let mut tainted = vec![false; plan.ops.len()];
-    let mut accused: Vec<usize> = Vec::new();
-    for (i, op) in plan.ops.iter().enumerate() {
-        let Some(v) = &values[i] else { continue };
-        let mut expected = vec![0u8; plan.block_bytes as usize];
-        for (b, &c) in vecs[i].iter().enumerate() {
-            if c != 0 {
-                rpr_gf::mul_acc_slice(c, &stripe[b], &mut expected);
-            }
-        }
-        let oh = hash_bytes(key, v);
-        let eh = hash_bytes(key, &expected);
-        out_hash[i] = Some(oh);
-        exp_hash[i] = Some(eh);
-        tainted[i] = oh != eh;
-        let (node, algorithm, inputs) = if reused[i] {
-            // Re-served from the partial pool: provenance was discarded
-            // at banking time, so the entry carries no input edges.
-            (op.output_location().0, "pool".to_string(), Vec::new())
-        } else {
-            match op {
-                Op::Send { what, from, .. } => {
-                    let inputs = match what {
-                        Payload::Block(b) => {
-                            vec![(ProofSource::Block(b.0), block_hashes[b.0])]
-                        }
-                        Payload::Intermediate(src) => vec![(
-                            ProofSource::Op(src.0),
-                            out_hash[src.0].expect("send source produced before send"),
-                        )],
-                    };
-                    (from.0, "wire".to_string(), inputs)
-                }
-                Op::Combine { node, inputs, .. } => {
-                    let kernel = combine_kernel(plan, i)
-                        .expect("combine ops always have a kernel")
-                        .name();
-                    let alg = format!("{kernel}/{}", rpr_gf::active_tier().name());
-                    let ins = inputs
-                        .iter()
-                        .map(|inp| match inp {
-                            Input::Block { via: Some(v), .. } => (
-                                ProofSource::Op(v.0),
-                                out_hash[v.0].expect("via op produced before combine"),
-                            ),
-                            Input::Block { block, via: None, .. } => {
-                                (ProofSource::Block(block.0), block_hashes[block.0])
-                            }
-                            Input::Intermediate(o) => (
-                                ProofSource::Op(o.0),
-                                out_hash[o.0].expect("input op produced before combine"),
-                            ),
-                        })
-                        .collect();
-                    (node.0, alg, ins)
-                }
-            }
-        };
-        let inputs_honest = inputs.iter().all(|(src, h)| match src {
-            ProofSource::Op(s) => exp_hash[*s].is_some_and(|e| *h == e),
-            ProofSource::Block(_) => true,
-            // The exec engine never banks partials across generations,
-            // so it never emits pooled inputs; if one ever appeared its
-            // honesty would belong to the origin generation, not here.
-            ProofSource::Pooled { .. } => false,
-        });
-        let proof = RepairProof {
-            op: i,
-            node,
-            coeffs: vecs[i].clone(),
-            inputs,
-            output_hash: oh,
-            expected_hash: eh,
-            algorithm,
-            chunks,
-            chunk_bytes,
-        };
-        ledger.push(g, proof);
-        *emitted += 1;
-        rec.record(Event::ProofEmitted { gen: g, op: i, node, t: now });
-        if oh != eh {
-            *rejected += 1;
-            rec.record(Event::ProofRejected { gen: g, op: i, node, t: now });
-            if inputs_honest {
-                accused.push(node);
-            }
-        }
-    }
-    accused.sort_unstable();
-    accused.dedup();
-    (tainted, accused)
-}
-
-/// Execute a supervised repair on real bytes — the wall-clock counterpart
-/// of [`rpr_core::supervise_injected`]. The same supervision loop runs
-/// here: storm buckets resolve against each generation's plan through the
-/// shared [`resolve_storm_bucket`] (identically seeded draws), completed
-/// partial results bank into a pool of real byte buffers keyed by
-/// `(node, symbolic coefficient vector)` and prefill replacement plans
-/// built by the shared [`plan_with_pool`], helper health feeds a
-/// [`HealthTracker`] consulted at re-selection, and the replan budget /
-/// deadline drive the same RPR → traditional → degraded-read tier ladder.
-///
-/// Hedging differs from the simulator by necessity: real time cannot be
-/// rewound, so instead of splicing a counterfactual the supervisor arms a
-/// watchdog at `hedge ×` the plan's analytical makespan and, when it
-/// fires, *actually cancels* the straggling generation — in-flight
-/// transfers abort between shaper admissions and unwind through their
-/// `Delivery` channels — then launches the speculative alternative: a
-/// pool-reusing replan that avoids the straggling helper. `hedge_wins`
-/// counts alternatives that completed the repair. Because the
-/// counterfactual is never run to completion, `hedge_won.saved` is
-/// reported as zero on this backend (the simulator reports the true
-/// saving for the same seed).
-///
-/// The reconstruction is verified byte-for-byte against the lost
-/// originals regardless of how many faults fired.
-///
-/// # Panics
-/// Panics if the stripe has the wrong shape (see [`execute`]).
-pub fn execute_supervised(
-    ctx: &RepairContext<'_>,
-    stripe: &[Vec<u8>],
-    rec: &dyn Recorder,
-    storm: &FaultStorm,
-    cfg: &SuperviseConfig,
-    tracker: &mut HealthTracker,
-) -> Result<SupervisedReport, ExecError> {
-    let mut rng = SplitMix64::new(storm.seed);
-    let proof_key = ProofKey::from_seed(storm.seed);
-    let mut ledger = ProofLedger::new(storm.seed, cfg.proof);
-    let mut proofs_emitted = 0usize;
-    let mut proofs_rejected = 0usize;
-    let mut accusations = 0usize;
-    let avoid_nodes =
-        |t: &HealthTracker| -> Vec<NodeId> { t.quarantined().into_iter().map(NodeId).collect() };
-
-    let mut pool: HashMap<(usize, Vec<u8>), Arc<Vec<u8>>> = HashMap::new();
-    let mut ctx_g = ctx.clone();
-    let rep0 = {
-        let avoided = ctx_g.clone().with_avoided(avoid_nodes(tracker));
-        plan_with_pool(&avoided, &pool, Tier::Full)
-            .or_else(|_| plan_with_pool(&ctx_g, &pool, Tier::Full))
-            .map_err(ExecError::Unrecoverable)?
-    };
-    check_stripe(&rep0.plan, stripe);
-    record_plan_built(&rep0.plan, ctx, rec);
-
-    let t0 = Instant::now();
-    let mut plan = rep0.plan;
-    let mut reused_keys = rep0.reused;
-    let mut lowered = rep0.lowered;
-    let mut generations: Vec<GenerationRecord> = Vec::new();
-    let mut fault_sites: Vec<String> = Vec::new();
-    let mut failed = ctx.failed.clone();
-    let mut dead: Vec<NodeId> = Vec::new();
-    let mut prev_senders: Option<Vec<usize>> = None;
-    let mut carry: Vec<StormFault> = Vec::new();
-    let mut slow_accum: Vec<(NodeId, f64)> = Vec::new();
-    let mut retries = 0usize;
-    let mut replans = 0usize;
-    let mut reused_total = 0usize;
-    let mut arena = ArenaStats::default();
-    let mut hedges = 0usize;
-    let mut hedge_wins = 0usize;
-    let mut hedge_pending: Option<(String, usize)> = None; // (label, hedge node)
-    let mut hedge_armed = true;
-    let mut deadline_hit = false;
-    let mut cross_bytes = 0u64;
-    let mut inner_bytes = 0u64;
-    let mut tier = Tier::Full;
-    let mut first_byte: Option<f64> = None;
-
-    let max_generations = storm.generations.len() + cfg.max_replans + 4;
-    let mut g = 0usize;
-    loop {
-        if g > max_generations {
-            return Err(ExecError::Unrecoverable(format!(
-                "supervision loop exceeded {max_generations} generations"
-            )));
-        }
-        let pool_before = pool.len();
-        let mut bucket = std::mem::take(&mut carry);
-        if let Some(b) = storm.generations.get(g) {
-            bucket.extend(b.iter().copied());
-        }
-        let gen_faults = resolve_storm_bucket(
-            &bucket,
-            &plan,
-            &lowered,
-            prev_senders.as_deref(),
-            &ctx_g,
-            &mut rng,
-        );
-        carry = gen_faults.deferred.clone();
-        fault_sites.extend(gen_faults.descriptions.iter().cloned());
-        for (i, fs) in gen_faults.resolved.op_faults.iter().enumerate() {
-            if !fs.is_empty() && fs.len() >= cfg.policy.max_attempts {
-                return Err(ExecError::RetriesExhausted(format!(
-                    "op {i}: {} injected failures exhaust the retry budget \
-                     (max_attempts = {})",
-                    fs.len(),
-                    cfg.policy.max_attempts
-                )));
-            }
-        }
-        // Slow links persist across generations — real degraded hardware
-        // does not heal when the supervisor replans around it.
-        slow_accum.extend(gen_faults.resolved.slow.iter().copied());
-        let resolved = ResolvedFaults {
-            op_faults: gen_faults.resolved.op_faults.clone(),
-            crash: gen_faults.resolved.crash,
-            slow: slow_accum.clone(),
-            lies: gen_faults.resolved.lies.clone(),
-        };
-
-        let prefilled: Vec<Option<Arc<Vec<u8>>>> = reused_keys
-            .iter()
-            .map(|k| k.as_ref().and_then(|key| pool.get(key).cloned()))
-            .collect();
-        for (i, key) in reused_keys.iter().enumerate() {
-            if key.is_some() && prefilled[i].is_none() {
-                return Err(ExecError::Unrecoverable(format!(
-                    "op {i}: reused partial evicted from the pool before execution"
-                )));
-            }
-        }
-        let vecs = plan.symbolic_vectors();
-
-        // Hedge watchdog: crash-free generations only, one hedge per
-        // repair (the alternative must be allowed to finish).
-        let hedge_budget = match (cfg.hedge, gen_faults.resolved.crash) {
-            (Some(m), None) if hedge_armed => {
-                Some(m * rpr_core::simulate(&plan, &ctx_g).repair_time)
-            }
-            _ => None,
-        };
-        let cancel = AtomicBool::new(false);
-        let a_cfg = AttemptCfg {
-            faults: Some(&resolved),
-            policy: cfg.policy,
-            prefilled: &prefilled,
-            lowered: &lowered,
-            tag: g,
-            cancel: Some(&cancel),
-        };
-        let (run, hedge_fired) =
-            run_watched(&plan, &ctx_g, stripe, rec, t0, &a_cfg, hedge_budget, &cancel);
-        retries += run.retries;
-        arena = arena.plus(run.arena);
-        first_byte = match (first_byte, run.first_out) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let completed: Vec<bool> = run.values.iter().map(|v| v.is_some()).collect();
-        let now = t0.elapsed().as_secs_f64();
-
-        // Proof plane: hash every available value (executed or re-served
-        // from the pool) against the ground-truth expectation and record
-        // the evidence. Accusations only steer control flow in Mandatory.
-        let avail: Vec<Option<Arc<Vec<u8>>>> = run
-            .values
-            .iter()
-            .zip(&prefilled)
-            .map(|(v, p)| v.clone().or_else(|| p.clone()))
-            .collect();
-        let reused_flags: Vec<bool> = reused_keys.iter().map(|k| k.is_some()).collect();
-        let (tainted, accused) = if cfg.proof.active() {
-            exec_generation_proofs(
-                proof_key,
-                &mut ledger,
-                &mut proofs_emitted,
-                &mut proofs_rejected,
-                &plan,
-                ctx,
-                stripe,
-                &vecs,
-                &avail,
-                &reused_flags,
-                g,
-                now,
-                rec,
-            )
-        } else {
-            (vec![false; plan.ops.len()], Vec::new())
-        };
-        let accused = if cfg.proof == ProofMode::Mandatory {
-            accused
-        } else {
-            Vec::new()
-        };
-
-        // Bank every completed partial whose host is still alive, and
-        // count the traffic those completions actually moved. Under
-        // Mandatory proofs, tainted partials are evidence — never cached.
-        let bank = |pool: &mut HashMap<(usize, Vec<u8>), Arc<Vec<u8>>>,
-                    dead: &[NodeId],
-                    skip: Option<NodeId>| {
-            for (i, v) in run.values.iter().enumerate() {
-                if cfg.proof == ProofMode::Mandatory && tainted[i] {
-                    continue;
-                }
-                if let Some(v) = v {
-                    let loc = plan.ops[i].output_location();
-                    if Some(loc) != skip && !dead.contains(&loc) {
-                        pool.insert((loc.0, vecs[i].clone()), v.clone());
-                    }
-                }
-            }
-        };
-        for (i, op) in plan.ops.iter().enumerate() {
-            if completed[i] {
-                add_send_bytes(ctx, op, plan.block_bytes, &mut cross_bytes, &mut inner_bytes);
-            }
-        }
-        for (n, score) in feed_supervised_health(tracker, &plan, ctx, &run.op_timings, &completed)
-        {
-            rec.record(Event::HelperQuarantined { node: n, score, t: now });
-        }
-        generations.push(GenerationRecord {
-            scheme: plan.scheme.to_string(),
-            tier,
-            executed_ops: lowered.iter().filter(|l| **l).count(),
-            reused_ops: reused_keys.iter().filter(|r| r.is_some()).count(),
-            completed_ops: completed.iter().filter(|c| **c).count(),
-            pool_before,
-            crashed: gen_faults.resolved.crash.map(|c| c.node.0),
-            faults: bucket.iter().map(|f| f.name().to_string()).collect(),
-        });
-
-        if let Some(crash) = gen_faults.resolved.crash {
-            // ---- crash generation: bank partials, replan, go again. ----
-            // run_attempt already emitted the node_down transfer failure
-            // and helper_crashed events at the moment the node died.
-            tracker.record_failure(crash.node.0);
-            bank(&mut pool, &dead, Some(crash.node));
-            dead.push(crash.node);
-            pool.retain(|(n, _), _| *n != crash.node.0);
-            for &n in &accused {
-                rec.record(Event::HelperAccused { node: n, gen: g, t: now });
-                tracker.accuse(n);
-                accusations += 1;
-            }
-            if !accused.is_empty() {
-                pool.retain(|(pn, _), _| !accused.contains(pn));
-            }
-
-            let block = ctx
-                .placement
-                .block_on(crash.node)
-                .expect("crash candidates host blocks");
-            failed.push(block);
-            if failed.len() > ctx.params().k {
-                return Err(ExecError::Unrecoverable(format!(
-                    "{} failures exceed k = {} — stripe unrecoverable",
-                    failed.len(),
-                    ctx.params().k
-                )));
-            }
-            replans += 1;
-
-            if let Some(d) = cfg.deadline {
-                if now > d && !deadline_hit {
-                    deadline_hit = true;
-                    rec.record(Event::DeadlineExceeded {
-                        scope: "repair".to_string(),
-                        budget: d,
-                        elapsed: now,
-                        t: now,
-                    });
-                }
-            }
-            let excess = replans.saturating_sub(cfg.max_replans);
-            let mut next_tier = match excess {
-                0 => Tier::Full,
-                1 => Tier::Traditional,
-                _ => Tier::DegradedRead,
-            };
-            if deadline_hit && next_tier < Tier::Traditional {
-                next_tier = Tier::Traditional;
-            }
-            if next_tier > tier {
-                rec.record(Event::DegradedFallback {
-                    tier: next_tier.name().to_string(),
-                    reason: if deadline_hit && excess == 0 {
-                        "deadline exceeded".to_string()
-                    } else {
-                        format!("replan budget ({}) exhausted", cfg.max_replans)
-                    },
-                    t: now,
-                });
-                tier = next_tier;
-            }
-
-            let recovery = plan.recovery;
-            ctx_g = ctx.clone();
-            ctx_g.failed = failed.clone();
-            if tier == Tier::DegradedRead {
-                if let Some(client) = degraded_client(&ctx_g, &dead, recovery) {
-                    ctx_g = ctx_g.with_recovery_node(client);
-                } else {
-                    ctx_g.recovery_node_override = Some(recovery);
-                    ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-                }
-            } else {
-                ctx_g.recovery_node_override = Some(recovery);
-                ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-            }
-            let mut avoid = avoid_nodes(tracker);
-            avoid.retain(|n| !dead.contains(n));
-            let rep = {
-                let avoided = ctx_g.clone().with_avoided(avoid);
-                plan_with_pool(&avoided, &pool, tier)
-                    .or_else(|_| plan_with_pool(&ctx_g, &pool, tier))
-                    .map_err(ExecError::Unrecoverable)?
-            };
-            reused_total += rep.reused_count();
-            rec.record(Event::Replanned {
-                scheme: rep.plan.scheme.to_string(),
-                failed: failed.len(),
-                reused_ops: rep.reused_count(),
-                t: now,
-            });
-            prev_senders = Some(cross_sender_nodes(&plan, ctx));
-            plan = rep.plan;
-            reused_keys = rep.reused;
-            lowered = rep.lowered;
-            std::thread::sleep(Duration::from_secs_f64(cfg.policy.delay(replans - 1)));
-            tracker.tick_generation();
-            g += 1;
-            continue;
-        }
-
-        if cfg.proof == ProofMode::Mandatory && !accused.is_empty() {
-            // ---- proof failure: the generation completed at the
-            // transport level, but the evidence convicts a helper of
-            // sending fabricated bytes. Fail the generation, quarantine
-            // the liar on proof evidence (not timeout), purge its pool
-            // entries, and replan around it. ----
-            bank(&mut pool, &dead, None);
-            for &n in &accused {
-                rec.record(Event::HelperAccused { node: n, gen: g, t: now });
-                tracker.accuse(n);
-                accusations += 1;
-            }
-            pool.retain(|(pn, _), _| !accused.contains(pn));
-            replans += 1;
-
-            if let Some(d) = cfg.deadline {
-                if now > d && !deadline_hit {
-                    deadline_hit = true;
-                    rec.record(Event::DeadlineExceeded {
-                        scope: "repair".to_string(),
-                        budget: d,
-                        elapsed: now,
-                        t: now,
-                    });
-                }
-            }
-            let excess = replans.saturating_sub(cfg.max_replans);
-            let mut next_tier = match excess {
-                0 => Tier::Full,
-                1 => Tier::Traditional,
-                _ => Tier::DegradedRead,
-            };
-            if deadline_hit && next_tier < Tier::Traditional {
-                next_tier = Tier::Traditional;
-            }
-            if next_tier > tier {
-                rec.record(Event::DegradedFallback {
-                    tier: next_tier.name().to_string(),
-                    reason: if deadline_hit && excess == 0 {
-                        "deadline exceeded".to_string()
-                    } else {
-                        format!("replan budget ({}) exhausted", cfg.max_replans)
-                    },
-                    t: now,
-                });
-                tier = next_tier;
-            }
-
-            let recovery = plan.recovery;
-            ctx_g = ctx.clone();
-            ctx_g.failed = failed.clone();
-            if tier == Tier::DegradedRead {
-                if let Some(client) = degraded_client(&ctx_g, &dead, recovery) {
-                    ctx_g = ctx_g.with_recovery_node(client);
-                } else {
-                    ctx_g.recovery_node_override = Some(recovery);
-                    ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-                }
-            } else {
-                ctx_g.recovery_node_override = Some(recovery);
-                ctx_g.recovery_override = Some(ctx.topo.rack_of(recovery));
-            }
-            let mut avoid = avoid_nodes(tracker);
-            avoid.retain(|n| !dead.contains(n));
-            let rep = {
-                let avoided = ctx_g.clone().with_avoided(avoid);
-                plan_with_pool(&avoided, &pool, tier)
-                    .or_else(|_| plan_with_pool(&ctx_g, &pool, tier))
-                    .map_err(ExecError::Unrecoverable)?
-            };
-            reused_total += rep.reused_count();
-            rec.record(Event::Replanned {
-                scheme: rep.plan.scheme.to_string(),
-                failed: failed.len(),
-                reused_ops: rep.reused_count(),
-                t: now,
-            });
-            prev_senders = Some(cross_sender_nodes(&plan, ctx));
-            plan = rep.plan;
-            reused_keys = rep.reused;
-            lowered = rep.lowered;
-            std::thread::sleep(Duration::from_secs_f64(cfg.policy.delay(replans - 1)));
-            tracker.tick_generation();
-            g += 1;
-            continue;
-        }
-
-        let unfinished_send = (0..plan.ops.len()).find(|&i| {
-            lowered[i] && !completed[i] && matches!(&plan.ops[i], Op::Send { .. })
-        });
-        if hedge_fired {
-            if let Some(slow_i) = unfinished_send {
-                // ---- straggler cancelled: launch the speculative
-                // alternative — a pool-reusing replan avoiding the
-                // abandoned transfer's source. ----
-                let Op::Send { from, .. } = &plan.ops[slow_i] else {
-                    unreachable!("unfinished_send matched a send");
-                };
-                let slow_node = *from;
-                hedges += 1;
-                hedge_armed = false;
-                tracker.record_failure(slow_node.0);
-                bank(&mut pool, &dead, None);
-
-                let mut avoid = avoid_nodes(tracker);
-                if !avoid.contains(&slow_node) {
-                    avoid.push(slow_node);
-                }
-                avoid.retain(|n| !dead.contains(n));
-                let label = format!("p{g}op{slow_i}:send");
-                let rep = plan_with_pool(&ctx_g.clone().with_avoided(avoid), &pool, tier)
-                    .or_else(|_| plan_with_pool(&ctx_g, &pool, tier))
-                    .map_err(ExecError::Unrecoverable)?;
-                let hedge_node = rep
-                    .plan
-                    .ops
-                    .iter()
-                    .find_map(|op| match op {
-                        Op::Send { from, to, .. }
-                            if !ctx.topo.same_rack(*from, *to) && *from != slow_node =>
-                        {
-                            Some(from.0)
-                        }
-                        _ => None,
-                    })
-                    .unwrap_or(rep.plan.recovery.0);
-                rec.record(Event::HedgeLaunched {
-                    label: label.clone(),
-                    slow_node: slow_node.0,
-                    hedge_node,
-                    multiple: cfg.hedge.expect("hedge fired implies a multiple"),
-                    t: now,
-                });
-                hedge_pending = Some((label, hedge_node));
-                reused_total += rep.reused_count();
-                prev_senders = Some(cross_sender_nodes(&plan, ctx));
-                plan = rep.plan;
-                reused_keys = rep.reused;
-                lowered = rep.lowered;
-                tracker.tick_generation();
-                g += 1;
-                continue;
-            }
-            // The watchdog raced a clean finish: everything completed
-            // before any transfer aborted — fall through as a completion.
-        }
-
-        // ---- completion: verify, close out, report. ----
-        let mut mismatches = Vec::new();
-        let mut recovered = Vec::with_capacity(plan.outputs.len());
-        for &(target, op) in &plan.outputs {
-            let got = run.values[op.0]
-                .clone()
-                .or_else(|| prefilled[op.0].clone())
-                .ok_or_else(|| {
-                    ExecError::Unrecoverable(format!("output {op:?} never produced"))
-                })?;
-            if got.as_slice() != stripe[target.0].as_slice() {
-                mismatches.push(target);
-            }
-            recovered.push((target, got));
-        }
-        if let Some((label, winner)) = hedge_pending.take() {
-            hedge_wins += 1;
-            rec.record(Event::HedgeWon {
-                label,
-                winner_node: winner,
-                saved: 0.0,
-                t: now,
-            });
-        }
-        if let Some(d) = cfg.deadline {
-            if now > d && !deadline_hit {
-                deadline_hit = true;
-                rec.record(Event::DeadlineExceeded {
-                    scope: "repair".to_string(),
-                    budget: d,
-                    elapsed: now,
-                    t: now,
-                });
-            }
-        }
-        rec.record(Event::RepairDone {
-            t: now,
-            cross_bytes,
-            inner_bytes,
-        });
-        tracker.tick_generation();
-        return Ok(SupervisedReport {
-            report: ExecReport {
-                wall_seconds: now,
-                arena,
-                op_timings: run.op_timings,
-                cross_bytes,
-                inner_bytes,
-                verified: mismatches.is_empty(),
-                mismatches,
-                recovered,
-                first_byte_seconds: first_byte,
-            },
-            generations,
-            retries,
-            replans,
-            reused_ops: reused_total,
-            hedges,
-            hedge_wins,
-            deadline_hit,
-            final_scheme: plan.scheme,
-            final_tier: tier,
-            fault_sites,
-            proofs_emitted,
-            proofs_rejected,
-            accusations,
-            ledger,
-        });
-    }
-}
-
-fn check_stripe(plan: &RepairPlan, stripe: &[Vec<u8>]) {
+pub(crate) fn check_stripe(plan: &RepairPlan, stripe: &[Vec<u8>]) {
     assert_eq!(
         stripe.len(),
         plan.params.total(),
@@ -1293,36 +424,6 @@ fn check_stripe(plan: &RepairPlan, stripe: &[Vec<u8>]) {
         block_len as u64, plan.block_bytes,
         "execute: stripe block size must match the plan"
     );
-}
-
-fn record_plan_built(plan: &RepairPlan, ctx: &RepairContext<'_>, rec: &dyn Recorder) {
-    let stats = plan.stats(ctx.topo);
-    let (_, wave_count) = plan.cross_waves(ctx.topo);
-    rec.record(Event::PlanBuilt {
-        scheme: plan.scheme.to_string(),
-        parts: plan.outputs.len(),
-        ops: plan.ops.len(),
-        cross_transfers: stats.cross_transfers,
-        inner_transfers: stats.inner_transfers,
-        cross_timesteps: wave_count,
-        block_bytes: plan.block_bytes,
-    });
-}
-
-fn add_send_bytes(
-    ctx: &RepairContext<'_>,
-    op: &Op,
-    bytes: u64,
-    cross: &mut u64,
-    inner: &mut u64,
-) {
-    if let Op::Send { from, to, .. } = op {
-        if ctx.topo.same_rack(*from, *to) {
-            *inner += bytes;
-        } else {
-            *cross += bytes;
-        }
-    }
 }
 
 /// Per-node link shapers, mirroring rpr-netsim's resource layout, with
@@ -1354,7 +455,7 @@ fn node_links(ctx: &RepairContext<'_>, slow: &[(NodeId, f64)]) -> Vec<NodeLinks>
 /// Transfers with injected attempt failures retry in place; a helper
 /// crash poisons the dead node's remaining ops and propagates `Failed`
 /// through the DAG, while independent branches run to completion.
-fn run_attempt(
+pub(crate) fn run_attempt(
     plan: &RepairPlan,
     ctx: &RepairContext<'_>,
     stripe: &[Vec<u8>],
@@ -2311,11 +1412,7 @@ fn close_run(
     }
 
     // Traffic accounting from the plan structure.
-    let mut cross_bytes = 0u64;
-    let mut inner_bytes = 0u64;
-    for op in &plan.ops {
-        add_send_bytes(ctx, op, plan.block_bytes, &mut cross_bytes, &mut inner_bytes);
-    }
+    let (cross_bytes, inner_bytes) = plan.traffic(ctx.topo, &vec![true; plan.ops.len()]);
 
     // Timestep boundaries from the recorded wall-clock timings, then the
     // closing repair_done.
@@ -2434,14 +1531,14 @@ fn build_decoding_matrix(ctx: &RepairContext<'_>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rpr_codec::{CodeParams, StripeCodec};
     use rpr_core::{crash_candidates, CostModel, RepairPlanner, RprPlanner, TraditionalPlanner};
     use rpr_faults::FaultKind;
     use rpr_topology::{cluster_for, BandwidthProfile, Placement};
 
-    fn stripe_for(codec: &StripeCodec, len: usize, seed: u64) -> Vec<Vec<u8>> {
+    pub(crate) fn stripe_for(codec: &StripeCodec, len: usize, seed: u64) -> Vec<Vec<u8>> {
         let n = codec.params().n;
         let mut s = seed | 1;
         let data: Vec<Vec<u8>> = (0..n)
@@ -2461,7 +1558,7 @@ mod tests {
     }
 
     /// A fast retry policy so backoff sleeps stay in the milliseconds.
-    fn fast_policy() -> RetryPolicy {
+    pub(crate) fn fast_policy() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 4,
             backoff: 0.01,
@@ -2647,16 +1744,16 @@ mod tests {
         assert!(report.verified);
     }
 
-    struct Fx {
-        codec: StripeCodec,
+    pub(crate) struct Fx {
+        pub(crate) codec: StripeCodec,
         topo: rpr_topology::Topology,
         placement: Placement,
         profile: BandwidthProfile,
-        block: u64,
+        pub(crate) block: u64,
     }
 
     impl Fx {
-        fn new(n: usize, k: usize, block: u64) -> Fx {
+        pub(crate) fn new(n: usize, k: usize, block: u64) -> Fx {
             let params = CodeParams::new(n, k);
             let topo = cluster_for(params, 1, 1);
             let placement = Placement::rpr_preplaced(params, &topo);
@@ -2670,7 +1767,7 @@ mod tests {
             }
         }
 
-        fn ctx(&self, failed: Vec<BlockId>) -> RepairContext<'_> {
+        pub(crate) fn ctx(&self, failed: Vec<BlockId>) -> RepairContext<'_> {
             RepairContext::new(
                 &self.codec,
                 &self.topo,
@@ -3080,232 +2177,5 @@ mod tests {
                 last.1
             );
         }
-    }
-
-    use rpr_faults::CrashSite;
-
-    fn supervised(
-        fx: &Fx,
-        storm: &FaultStorm,
-        cfg: &SuperviseConfig,
-        seed: u64,
-    ) -> (SupervisedReport, Vec<Event>) {
-        let ctx = fx.ctx(vec![BlockId(1)]);
-        let stripe = stripe_for(&fx.codec, fx.block as usize, seed);
-        let rec = rpr_obs::TraceRecorder::default();
-        let mut tracker = HealthTracker::with_defaults();
-        let out = execute_supervised(&ctx, &stripe, &rec, storm, cfg, &mut tracker)
-            .expect("supervised repair completes");
-        (out, rec.take_events())
-    }
-
-    #[test]
-    fn supervised_three_fault_storm_completes_and_verifies() {
-        // The acceptance storm: helper crash, crash of its replacement,
-        // then a transient timeout — all on real bytes at (6,3).
-        let fx = Fx::new(6, 3, 32 * 1024);
-        let storm = FaultStorm::new(77)
-            .with_generation(vec![StormFault::Crash(CrashSite::SeedPick)])
-            .with_generation(vec![StormFault::Crash(CrashSite::NewHelper)])
-            .with_generation(vec![StormFault::Timeout]);
-        let cfg = SuperviseConfig {
-            policy: fast_policy(),
-            ..SuperviseConfig::default()
-        };
-        let (out, events) = supervised(&fx, &storm, &cfg, 55);
-
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
-        assert_eq!(out.replans, 2, "two crashes, two replans");
-        assert_eq!(out.generations.len(), 3);
-        assert!(out.generations[0].crashed.is_some());
-        assert!(out.generations[1].crashed.is_some());
-        assert!(out.generations[2].crashed.is_none());
-        assert!(out.retries >= 1, "the timeout fired");
-        assert_eq!(out.final_tier, Tier::Full);
-        assert!(out
-            .fault_sites
-            .iter()
-            .any(|s| s.starts_with("replacement-crash")));
-        let names: Vec<&str> = events.iter().map(|e| e.name()).collect();
-        assert_eq!(names.iter().filter(|n| **n == "helper_crashed").count(), 2);
-        assert_eq!(names.iter().filter(|n| **n == "replanned").count(), 2);
-        assert_eq!(*names.last().unwrap(), "repair_done");
-        // The fault sites replay deterministically: the crash set after a
-        // cancelled generation is structural, not timing-dependent.
-        let (out2, _) = supervised(&fx, &storm, &cfg, 55);
-        assert_eq!(out.fault_sites, out2.fault_sites);
-        assert!(out2.report.verified);
-    }
-
-    #[test]
-    fn supervised_hedge_cancels_the_straggler_and_switches() {
-        let fx = Fx::new(6, 3, 256 * 1024);
-        // One helper's links run at 10%: its cross send would take 10x
-        // the clean makespan, so the watchdog fires at 2x, cancels the
-        // generation, and the pool-reusing alternative completes.
-        let storm = FaultStorm::new(3).with_generation(vec![StormFault::Slow { factor: 0.1 }]);
-        let cfg = SuperviseConfig {
-            policy: fast_policy(),
-            hedge: Some(2.0),
-            ..SuperviseConfig::default()
-        };
-        let (out, events) = supervised(&fx, &storm, &cfg, 91);
-
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
-        assert_eq!(out.hedges, 1, "the straggler must trigger exactly one hedge");
-        assert_eq!(out.hedge_wins, 1, "the alternative must finish the repair");
-        assert_eq!(out.replans, 0, "a hedge is not a crash replan");
-        assert_eq!(out.generations.len(), 2);
-        let names: Vec<&str> = events.iter().map(|e| e.name()).collect();
-        assert!(names.contains(&"hedge_launched"));
-        assert!(names.contains(&"hedge_won"));
-        // The cancelled straggler never reappears: the winning plan
-        // avoids the slow node entirely.
-        let slow = events
-            .iter()
-            .find_map(|e| match e {
-                Event::HedgeLaunched { slow_node, .. } => Some(*slow_node),
-                _ => None,
-            })
-            .expect("hedge_launched recorded");
-        let last_gen = out.generations.last().unwrap();
-        assert!(last_gen.completed_ops > 0);
-        assert!(
-            !out.fault_sites.is_empty() && out.fault_sites[0].contains("slow"),
-            "sites: {:?}",
-            out.fault_sites
-        );
-        assert_ne!(out.report.op_timings.len(), 0);
-        let _ = slow;
-    }
-
-    #[test]
-    fn supervised_lie_is_convicted_on_evidence_not_timeout() {
-        // The acceptance storm for the proof plane: a Byzantine helper
-        // sends wrong bytes under a valid FNV checksum at (6,3). The
-        // transport never retries; the generation completes, proofs
-        // reject, and the liar is accused and replanned around.
-        let fx = Fx::new(6, 3, 32 * 1024);
-        let storm = FaultStorm::new(9).with_generation(vec![StormFault::Lie]);
-        let cfg = SuperviseConfig {
-            policy: fast_policy(),
-            proof: ProofMode::Mandatory,
-            ..SuperviseConfig::default()
-        };
-        let ctx = fx.ctx(vec![BlockId(1)]);
-        let stripe = stripe_for(&fx.codec, fx.block as usize, 13);
-        let rec = rpr_obs::TraceRecorder::default();
-        // Probe window far past the run so the conviction is observable
-        // in the tracker after the repair returns.
-        let mut tracker = HealthTracker::new(0.5, 0.4, 100);
-        let out = execute_supervised(&ctx, &stripe, &rec, &storm, &cfg, &mut tracker)
-            .expect("mandatory repair completes past the liar");
-
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
-        assert!(out.proofs_emitted > 0);
-        assert!(out.proofs_rejected > 0, "the lie must fail proof verification");
-        assert_eq!(out.accusations, 1, "exactly one helper convicted");
-        assert_eq!(out.retries, 0, "valid checksums: transport never retries a lie");
-        assert_eq!(out.replans, 1, "conviction forces one replan");
-        let liar: usize = out
-            .fault_sites
-            .iter()
-            .find(|s| s.starts_with("lie "))
-            .and_then(|s| s.trim_end_matches(')').rsplit("node ").next())
-            .and_then(|n| n.parse().ok())
-            .expect("site names the lying node");
-        assert!(tracker.is_quarantined(liar), "the liar sits in quarantine");
-
-        // Online conviction and offline audit agree on the culprit.
-        let audit = out.ledger.audit();
-        let idx = audit.first_dishonest().expect("dishonest hop localized");
-        assert_eq!(out.ledger.entries[idx].proof.node, liar);
-
-        // Evidence events in causal order; no transport-level failures.
-        let names: Vec<&str> = rec.take_events().iter().map(|e| e.name()).collect();
-        let rejected = names.iter().position(|n| *n == "proof_rejected");
-        let accused = names.iter().position(|n| *n == "helper_accused");
-        assert!(rejected.is_some() && accused.is_some() && rejected < accused);
-        assert!(!names.contains(&"transfer_failed"));
-        assert!(!names.contains(&"retry_scheduled"));
-
-        // Conviction is deterministic: a fresh same-seed run produces a
-        // byte-identical ledger.
-        let mut tracker2 = HealthTracker::new(0.5, 0.4, 100);
-        let out2 = execute_supervised(&ctx, &stripe, &rpr_obs::NoopRecorder, &storm, &cfg, &mut tracker2)
-            .expect("replay completes");
-        assert_eq!(out.ledger.to_json_lines(), out2.ledger.to_json_lines());
-    }
-
-    #[test]
-    fn exec_accused_helper_probe_readmission_depends_on_conduct() {
-        // One tracker across repairs, probe window 3: a lie repair ticks
-        // the generation counter twice, so the liar is still quarantined
-        // when the next repair begins. An honest follow-up closes the
-        // window and re-admits it; a persistent liar (the same seeded
-        // storm replayed) is re-accused on its very first probe.
-        let fx = Fx::new(6, 3, 16 * 1024);
-        let ctx = fx.ctx(vec![BlockId(1)]);
-        let stripe = stripe_for(&fx.codec, fx.block as usize, 29);
-        let storm = FaultStorm::new(9).with_generation(vec![StormFault::Lie]);
-        let cfg = SuperviseConfig {
-            policy: fast_policy(),
-            proof: ProofMode::Mandatory,
-            ..SuperviseConfig::default()
-        };
-
-        let mut tracker = HealthTracker::new(0.5, 0.4, 3);
-        let out = execute_supervised(&ctx, &stripe, &rpr_obs::NoopRecorder, &storm, &cfg, &mut tracker)
-            .expect("lie repair completes");
-        assert!(out.report.verified);
-        assert_eq!(out.accusations, 1);
-        let liar = tracker.quarantined();
-        assert_eq!(liar.len(), 1, "the convicted helper is quarantined");
-        let liar = liar[0];
-
-        // Turned honest: a fault-free repair on the same tracker elapses
-        // the probe window and re-admits the node.
-        let clean = execute_supervised(
-            &ctx,
-            &stripe,
-            &rpr_obs::NoopRecorder,
-            &FaultStorm::new(10),
-            &cfg,
-            &mut tracker,
-        )
-        .expect("clean repair completes");
-        assert!(clean.report.verified);
-        assert_eq!(clean.accusations, 0);
-        assert!(
-            !tracker.is_quarantined(liar),
-            "honest node re-admitted once the probe window elapses"
-        );
-
-        // Persistent liar: replaying the same seeded storm makes the
-        // re-admitted node lie again, and evidence puts it right back in
-        // quarantine — probation never becomes trust.
-        let again = execute_supervised(&ctx, &stripe, &rpr_obs::NoopRecorder, &storm, &cfg, &mut tracker)
-            .expect("repeat-offense repair completes");
-        assert!(again.report.verified);
-        assert_eq!(again.accusations, 1, "re-accused on the first probe");
-        assert_eq!(again.fault_sites, out.fault_sites, "same node, same lie");
-        assert!(tracker.score(liar) <= 0.4 + 1e-12, "score never recovers");
-    }
-
-    #[test]
-    fn supervised_replan_budget_exhaustion_degrades_the_tier() {
-        let fx = Fx::new(6, 3, 16 * 1024);
-        let storm = FaultStorm::new(17).with_generation(vec![StormFault::Crash(CrashSite::SeedPick)]);
-        let cfg = SuperviseConfig {
-            policy: fast_policy(),
-            max_replans: 0,
-            ..SuperviseConfig::default()
-        };
-        let (out, events) = supervised(&fx, &storm, &cfg, 23);
-
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
-        assert_eq!(out.replans, 1);
-        assert!(out.final_tier >= Tier::Traditional, "tier: {:?}", out.final_tier);
-        assert!(events.iter().any(|e| e.name() == "degraded_fallback"));
     }
 }

@@ -20,12 +20,14 @@
 mod arena;
 mod executor;
 mod ratelimit;
+mod supervised;
 
 pub use arena::ArenaStats;
 pub use executor::{
-    execute, execute_recorded, execute_resilient, execute_supervised, ExecError, ExecReport,
-    OpTiming, ResilientReport, SupervisedReport,
+    execute, execute_recorded, execute_resilient, ExecError, ExecReport, OpTiming,
+    ResilientReport,
 };
+pub use supervised::{execute_supervised, SupervisedReport};
 pub use ratelimit::TokenBucket;
 
 use rpr_topology::BandwidthProfile;

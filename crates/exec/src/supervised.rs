@@ -1,0 +1,640 @@
+//! The threaded executor as a [`RepairBackend`]: one supervision
+//! generation is one [`run_attempt`] on real bytes and the wall clock.
+//! The loop itself — storm resolution, pool, replans, tier ladder,
+//! accusations — is [`rpr_core::supervise`], shared with the simulator.
+
+use crate::arena::ArenaStats;
+use crate::executor::{check_stripe, run_attempt, AttemptCfg, AttemptRun};
+use crate::{ExecError, ExecReport, OpTiming};
+use rpr_codec::BlockId;
+use rpr_core::{
+    chunk_sizes, combine_kernel, supervise, Baseline, Ending, Evidence, Generation,
+    GenerationRecord, GenerationRun, Input, Op, Payload, RepairBackend, RepairContext, RepairPlan,
+    ResolvedFaults, SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
+};
+use rpr_faults::{FaultStorm, HealthTracker};
+use rpr_obs::Recorder;
+use rpr_proof::{hash_bytes, ProofKey, ProofLedger, ProofSource, RepairProof};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// The result of a supervised execution under a fault storm.
+#[derive(Clone, Debug)]
+pub struct SupervisedReport {
+    /// The final execution report (verification runs against the plan
+    /// that actually completed the repair).
+    pub report: ExecReport,
+    /// Per-generation records, in order.
+    pub generations: Vec<GenerationRecord>,
+    /// Transfer attempts that failed and were retried.
+    pub retries: usize,
+    /// Plan replacements after helper crashes.
+    pub replans: usize,
+    /// Total ops satisfied from the partial-result pool.
+    pub reused_ops: usize,
+    /// Hedges launched (straggling generations cancelled mid-stream).
+    pub hedges: usize,
+    /// Hedges whose speculative alternative completed the repair.
+    pub hedge_wins: usize,
+    /// True when the repair deadline was exceeded at any point.
+    pub deadline_hit: bool,
+    /// Scheme of the plan that completed the repair.
+    pub final_scheme: &'static str,
+    /// Tier the repair completed at.
+    pub final_tier: Tier,
+    /// Human-readable resolved fault sites, in injection order.
+    pub fault_sites: Vec<String>,
+    /// Repair proofs recorded to the ledger (zero when proofs are Off).
+    pub proofs_emitted: usize,
+    /// Proofs whose output hash disagreed with the expectation.
+    pub proofs_rejected: usize,
+    /// Helpers quarantined on proof evidence (Mandatory mode only).
+    pub accusations: usize,
+    /// The proof ledger for the whole repair, verifiable offline with
+    /// `rpr audit` against the recorded trace.
+    pub ledger: ProofLedger,
+}
+
+impl From<SuperviseError> for ExecError {
+    fn from(e: SuperviseError) -> ExecError {
+        match e {
+            SuperviseError::RetriesExhausted(m) => ExecError::RetriesExhausted(m),
+            SuperviseError::Unrecoverable(m) => ExecError::Unrecoverable(m),
+        }
+    }
+}
+
+/// Run one attempt under an optional hedge watchdog: a timer thread arms
+/// at `budget` seconds from now and, if the attempt is still running,
+/// flips `cancel` — every in-flight transfer aborts between shaper
+/// admissions and the attempt unwinds through its `Delivery` channels.
+/// Returns the attempt plus whether the watchdog fired.
+fn run_watched(
+    run: impl FnOnce() -> AttemptRun,
+    budget: Option<f64>,
+    cancel: &AtomicBool,
+) -> (AttemptRun, bool) {
+    let Some(budget) = budget else {
+        return (run(), false);
+    };
+    let done = std::sync::Mutex::new(false);
+    let cv = std::sync::Condvar::new();
+    let fired = AtomicBool::new(false);
+    let run = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let armed = Instant::now();
+            let mut finished = done.lock().expect("watchdog lock");
+            while !*finished {
+                let Some(left) = Duration::from_secs_f64(budget.max(1e-3))
+                    .checked_sub(armed.elapsed())
+                else {
+                    fired.store(true, Ordering::SeqCst);
+                    cancel.store(true, Ordering::SeqCst);
+                    return;
+                };
+                finished = cv
+                    .wait_timeout(finished, left)
+                    .expect("watchdog lock")
+                    .0;
+            }
+        });
+        let run = run();
+        *done.lock().expect("watchdog lock") = true;
+        cv.notify_all();
+        run
+    });
+    (run, fired.load(Ordering::SeqCst))
+}
+
+/// What the most recent generation left behind, for the final report.
+struct LastRun {
+    scheme: &'static str,
+    op_timings: Vec<OpTiming>,
+    /// The plan's outputs and whatever value (executed or pool-served)
+    /// the generation had for each.
+    outputs: Vec<(BlockId, Option<Arc<Vec<u8>>>)>,
+}
+
+/// [`RepairBackend`] on OS threads, token-bucket shapers, real bytes.
+struct ExecBackend<'a> {
+    stripe: &'a [Vec<u8>],
+    t0: Instant,
+    arena: ArenaStats,
+    first_byte: Option<f64>,
+    last: Option<LastRun>,
+}
+
+impl RepairBackend for ExecBackend<'_> {
+    type Partial = Arc<Vec<u8>>;
+
+    /// No fault-free dry run on real bytes: the wall clock starts here.
+    fn begin(&mut self, plan: &RepairPlan, _: &RepairContext<'_>) -> Baseline {
+        check_stripe(plan, self.stripe);
+        self.t0 = Instant::now();
+        Baseline::default()
+    }
+
+    /// Real time cannot be rewound, so hedging here is a watchdog armed at
+    /// `hedge ×` the plan's analytical makespan: when it fires the
+    /// straggling generation is *actually cancelled* — in-flight transfers
+    /// abort between shaper admissions — and the loop launches the
+    /// alternative as the next generation.
+    fn run_generation(
+        &mut self,
+        gen: &Generation<'_, '_, Self::Partial>,
+        rec: &dyn Recorder,
+    ) -> GenerationRun<Self::Partial> {
+        let (plan, ctx) = (gen.plan, gen.ctx);
+        let faults = ResolvedFaults {
+            slow: gen.slow.to_vec(),
+            ..gen.faults.clone()
+        };
+        let prefilled: Vec<Option<Arc<Vec<u8>>>> = gen
+            .reused
+            .iter()
+            .map(|b| b.map(|b| b.partial.clone()))
+            .collect();
+        let budget = gen
+            .hedge
+            .map(|m| m * rpr_core::simulate(plan, ctx).repair_time);
+        let cancel = AtomicBool::new(false);
+        let cfg = AttemptCfg {
+            faults: Some(&faults),
+            policy: *gen.policy,
+            prefilled: &prefilled,
+            lowered: gen.lowered,
+            tag: gen.index,
+            cancel: Some(&cancel),
+        };
+        let attempt = || run_attempt(plan, ctx, self.stripe, rec, self.t0, &cfg);
+        let (run, fired) = run_watched(attempt, budget, &cancel);
+        let now = self.t0.elapsed().as_secs_f64();
+        self.arena = self.arena.plus(run.arena);
+        self.first_byte = match (self.first_byte, run.first_out) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        let completed: Vec<bool> = run.values.iter().map(|v| v.is_some()).collect();
+        // A watchdog that raced a clean finish cancelled nothing.
+        let unfinished_send = (0..plan.ops.len()).find(|&i| {
+            gen.lowered[i] && !completed[i] && matches!(&plan.ops[i], Op::Send { .. })
+        });
+        let ending = match (gen.faults.crash, unfinished_send) {
+            // run_attempt already emitted the node_down transfer failure
+            // and helper_crashed events at the moment the node died.
+            (Some(crash), _) => Ending::Crashed(crash.node),
+            (None, Some(straggler)) if fired => Ending::Cancelled { straggler },
+            _ => Ending::Completed,
+        };
+        self.last = Some(LastRun {
+            scheme: plan.scheme,
+            outputs: plan
+                .outputs
+                .iter()
+                .map(|&(target, op)| {
+                    let got = run.values[op.0].clone().or_else(|| prefilled[op.0].clone());
+                    (target, got)
+                })
+                .collect(),
+            op_timings: run.op_timings.clone(),
+        });
+        GenerationRun {
+            ending,
+            started: 0.0,
+            now,
+            traffic: plan.traffic(ctx.topo, &completed),
+            spans: run.op_timings.iter().map(|t| (t.start, t.end)).collect(),
+            partials: run.values,
+            retries: run.retries,
+            splice: None,
+        }
+    }
+
+    /// Evidence from the real bytes the generation produced. Every op
+    /// with an available value (executed, or re-served from the pool)
+    /// gets an entry: the output hash is taken over the actual bytes, the
+    /// expected hash over the ground-truth GF linear combination of the
+    /// op's symbolic coefficient vector applied to the original stripe,
+    /// and the inputs bind each consumed edge to its producer's recorded
+    /// output — for a re-serve, the `(generation, op)` that banked it. A
+    /// node is convicted only when its op's output is wrong *and* every
+    /// recorded input matches the producer's expected value — exactly the
+    /// localization rule the offline auditor applies, so online
+    /// accusations and `rpr audit` agree.
+    fn prove(
+        &mut self,
+        gen: &Generation<'_, '_, Self::Partial>,
+        run: &GenerationRun<Self::Partial>,
+        key: ProofKey,
+    ) -> Evidence {
+        let (plan, stripe) = (gen.plan, self.stripe);
+        let block_hashes: Vec<u128> = stripe.iter().map(|b| hash_bytes(key, b)).collect();
+        let sizes = chunk_sizes(plan.block_bytes, gen.ctx.effective_chunk());
+        let (chunks, chunk_bytes) = (sizes.len(), sizes[0]);
+        let mut out_hash: Vec<Option<u128>> = vec![None; plan.ops.len()];
+        let mut exp_hash: Vec<Option<u128>> = vec![None; plan.ops.len()];
+        let mut evidence = Evidence::default();
+        for (i, op) in plan.ops.iter().enumerate() {
+            let banked = gen.reused[i];
+            let Some(v) = banked.map(|b| &b.partial).or(run.partials[i].as_ref()) else {
+                continue;
+            };
+            let mut expected = vec![0u8; plan.block_bytes as usize];
+            for (b, &c) in gen.vecs[i].iter().enumerate() {
+                if c != 0 {
+                    rpr_gf::mul_acc_slice(c, &stripe[b], &mut expected);
+                }
+            }
+            let oh = hash_bytes(key, v);
+            let eh = hash_bytes(key, &expected);
+            out_hash[i] = Some(oh);
+            exp_hash[i] = Some(eh);
+            let op_input = |s: usize| {
+                let h = out_hash[s].expect("producers precede consumers");
+                (ProofSource::Op(s), h)
+            };
+            let (node, algorithm, inputs) = match (banked, op) {
+                // A re-serve forwards the banked bytes: its one input is
+                // the partial's original producer, hash equal to its own
+                // output, so audits chase taint back across generations.
+                (Some(b), _) => {
+                    let source = ProofSource::Pooled { gen: b.origin.0, op: b.origin.1 };
+                    (op.output_location().0, "pool".to_string(), vec![(source, oh)])
+                }
+                (None, Op::Send { what, from, .. }) => {
+                    let input = match what {
+                        Payload::Block(b) => (ProofSource::Block(b.0), block_hashes[b.0]),
+                        Payload::Intermediate(src) => op_input(src.0),
+                    };
+                    (from.0, "wire".to_string(), vec![input])
+                }
+                (None, Op::Combine { node, inputs, .. }) => {
+                    let kernel = combine_kernel(plan, i)
+                        .expect("combine ops always have a kernel")
+                        .name();
+                    let alg = format!("{kernel}/{}", rpr_gf::active_tier().name());
+                    let ins = inputs
+                        .iter()
+                        .map(|inp| match inp {
+                            Input::Block { via: Some(v), .. } => op_input(v.0),
+                            Input::Block { block, via: None, .. } => {
+                                (ProofSource::Block(block.0), block_hashes[block.0])
+                            }
+                            Input::Intermediate(o) => op_input(o.0),
+                        })
+                        .collect();
+                    (node.0, alg, ins)
+                }
+            };
+            if oh != eh {
+                evidence.tainted.push(i);
+                let inputs_honest = inputs.iter().all(|(src, h)| match src {
+                    ProofSource::Op(s) => exp_hash[*s] == Some(*h),
+                    ProofSource::Block(_) => true,
+                    // The banked bytes are this op's output: as wrong as it.
+                    ProofSource::Pooled { .. } => false,
+                });
+                if inputs_honest {
+                    evidence.dishonest.push(node);
+                }
+            }
+            evidence.proofs.push(RepairProof {
+                op: i,
+                node,
+                coeffs: gen.vecs[i].clone(),
+                inputs,
+                output_hash: oh,
+                expected_hash: eh,
+                algorithm,
+                chunks,
+                chunk_bytes,
+            });
+        }
+        evidence.dishonest.sort_unstable();
+        evidence.dishonest.dedup();
+        evidence
+    }
+
+    fn pause(&mut self, delay: f64) {
+        std::thread::sleep(Duration::from_secs_f64(delay));
+    }
+}
+
+impl ExecBackend<'_> {
+    /// Verify the final generation's outputs byte-for-byte against the
+    /// lost originals and assemble the report.
+    fn into_report(self, out: SuperviseOutcome) -> Result<SupervisedReport, ExecError> {
+        let last = self.last.expect("a completed repair ran a generation");
+        let mut mismatches = Vec::new();
+        let mut recovered = Vec::with_capacity(last.outputs.len());
+        for (target, got) in last.outputs {
+            let got = got.ok_or_else(|| {
+                ExecError::Unrecoverable(format!("output for {target:?} never produced"))
+            })?;
+            if got.as_slice() != self.stripe[target.0].as_slice() {
+                mismatches.push(target);
+            }
+            recovered.push((target, got));
+        }
+        Ok(SupervisedReport {
+            report: ExecReport {
+                wall_seconds: out.repair_time,
+                arena: self.arena,
+                op_timings: last.op_timings,
+                cross_bytes: out.cross_bytes,
+                inner_bytes: out.inner_bytes,
+                verified: mismatches.is_empty(),
+                mismatches,
+                recovered,
+                first_byte_seconds: self.first_byte,
+            },
+            generations: out.generations,
+            retries: out.retries,
+            replans: out.replans,
+            reused_ops: out.reused_ops,
+            hedges: out.hedges,
+            hedge_wins: out.hedge_wins,
+            deadline_hit: out.deadline_hit,
+            final_scheme: last.scheme,
+            final_tier: out.final_tier,
+            fault_sites: out.fault_sites,
+            proofs_emitted: out.proofs_emitted,
+            proofs_rejected: out.proofs_rejected,
+            accusations: out.accusations,
+            ledger: out.ledger,
+        })
+    }
+}
+
+/// Execute a supervised repair on real bytes — the wall-clock counterpart
+/// of [`rpr_core::supervise_injected`], and the same [`supervise`] loop:
+/// identically seeded storm resolution, a pool of real byte buffers keyed
+/// by `(node, symbolic coefficient vector)` prefilling replacement plans,
+/// helper health consulted at re-selection, and the same RPR →
+/// traditional → degraded-read tier ladder.
+///
+/// Hedging differs from the simulator by necessity — see
+/// [`rpr_core::supervise`]'s module docs. `hedge_wins` counts
+/// alternatives that completed the repair; because the cancelled original
+/// is never run to completion, `hedge_won.saved` is reported as zero on
+/// this backend (the simulator reports the true saving for the same
+/// seed).
+///
+/// The reconstruction is verified byte-for-byte against the lost
+/// originals regardless of how many faults fired.
+///
+/// # Panics
+/// Panics if the stripe has the wrong shape (see [`execute`](crate::execute)).
+pub fn execute_supervised(
+    ctx: &RepairContext<'_>,
+    stripe: &[Vec<u8>],
+    rec: &dyn Recorder,
+    storm: &FaultStorm,
+    cfg: &SuperviseConfig,
+    tracker: &mut HealthTracker,
+) -> Result<SupervisedReport, ExecError> {
+    let mut backend = ExecBackend {
+        stripe,
+        t0: Instant::now(),
+        arena: ArenaStats::default(),
+        first_byte: None,
+        last: None,
+    };
+    let out = supervise(&mut backend, ctx, storm, cfg, tracker, rec)?;
+    backend.into_report(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::tests::{fast_policy, stripe_for, Fx};
+    use rpr_faults::{CrashSite, StormFault};
+    use rpr_obs::Event;
+    use rpr_proof::ProofMode;
+
+    fn supervised(
+        fx: &Fx,
+        storm: &FaultStorm,
+        cfg: &SuperviseConfig,
+        seed: u64,
+    ) -> (SupervisedReport, Vec<Event>) {
+        let ctx = fx.ctx(vec![BlockId(1)]);
+        let stripe = stripe_for(&fx.codec, fx.block as usize, seed);
+        let rec = rpr_obs::TraceRecorder::default();
+        let mut tracker = HealthTracker::with_defaults();
+        let out = execute_supervised(&ctx, &stripe, &rec, storm, cfg, &mut tracker)
+            .expect("supervised repair completes");
+        (out, rec.take_events())
+    }
+
+    #[test]
+    fn supervised_three_fault_storm_completes_and_verifies() {
+        // The acceptance storm: helper crash, crash of its replacement,
+        // then a transient timeout — all on real bytes at (6,3).
+        let fx = Fx::new(6, 3, 32 * 1024);
+        let storm = FaultStorm::new(77)
+            .with_generation(vec![StormFault::Crash(CrashSite::SeedPick)])
+            .with_generation(vec![StormFault::Crash(CrashSite::NewHelper)])
+            .with_generation(vec![StormFault::Timeout]);
+        let cfg = SuperviseConfig {
+            policy: fast_policy(),
+            ..SuperviseConfig::default()
+        };
+        let (out, events) = supervised(&fx, &storm, &cfg, 55);
+
+        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
+        assert_eq!(out.replans, 2, "two crashes, two replans");
+        assert_eq!(out.generations.len(), 3);
+        assert!(out.generations[0].crashed.is_some());
+        assert!(out.generations[1].crashed.is_some());
+        assert!(out.generations[2].crashed.is_none());
+        assert!(out.retries >= 1, "the timeout fired");
+        assert_eq!(out.final_tier, Tier::Full);
+        assert!(out
+            .fault_sites
+            .iter()
+            .any(|s| s.starts_with("replacement-crash")));
+        let names: Vec<&str> = events.iter().map(|e| e.name()).collect();
+        assert_eq!(names.iter().filter(|n| **n == "helper_crashed").count(), 2);
+        assert_eq!(names.iter().filter(|n| **n == "replanned").count(), 2);
+        assert_eq!(*names.last().unwrap(), "repair_done");
+        // The fault sites replay deterministically: the crash set after a
+        // cancelled generation is structural, not timing-dependent.
+        let (out2, _) = supervised(&fx, &storm, &cfg, 55);
+        assert_eq!(out.fault_sites, out2.fault_sites);
+        assert!(out2.report.verified);
+    }
+
+    #[test]
+    fn supervised_hedge_cancels_the_straggler_and_switches() {
+        let fx = Fx::new(6, 3, 256 * 1024);
+        // One helper's links run at 10%: its cross send would take 10x
+        // the clean makespan, so the watchdog fires at 2x, cancels the
+        // generation, and the pool-reusing alternative completes.
+        let storm = FaultStorm::new(3).with_generation(vec![StormFault::Slow { factor: 0.1 }]);
+        let cfg = SuperviseConfig {
+            policy: fast_policy(),
+            hedge: Some(2.0),
+            ..SuperviseConfig::default()
+        };
+        let (out, events) = supervised(&fx, &storm, &cfg, 91);
+
+        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
+        assert_eq!(out.hedges, 1, "the straggler must trigger exactly one hedge");
+        assert_eq!(out.hedge_wins, 1, "the alternative must finish the repair");
+        assert_eq!(out.replans, 0, "a hedge is not a crash replan");
+        assert_eq!(out.generations.len(), 2);
+        let names: Vec<&str> = events.iter().map(|e| e.name()).collect();
+        assert!(names.contains(&"hedge_launched"));
+        assert!(names.contains(&"hedge_won"));
+        // The cancelled straggler never reappears: the winning plan
+        // avoids the slow node entirely.
+        let slow = events
+            .iter()
+            .find_map(|e| match e {
+                Event::HedgeLaunched { slow_node, .. } => Some(*slow_node),
+                _ => None,
+            })
+            .expect("hedge_launched recorded");
+        let last_gen = out.generations.last().unwrap();
+        assert!(last_gen.completed_ops > 0);
+        assert!(
+            !out.fault_sites.is_empty() && out.fault_sites[0].contains("slow"),
+            "sites: {:?}",
+            out.fault_sites
+        );
+        assert_ne!(out.report.op_timings.len(), 0);
+        let _ = slow;
+    }
+
+    #[test]
+    fn supervised_lie_is_convicted_on_evidence_not_timeout() {
+        // The acceptance storm for the proof plane: a Byzantine helper
+        // sends wrong bytes under a valid FNV checksum at (6,3). The
+        // transport never retries; the generation completes, proofs
+        // reject, and the liar is accused and replanned around.
+        let fx = Fx::new(6, 3, 32 * 1024);
+        let storm = FaultStorm::new(9).with_generation(vec![StormFault::Lie]);
+        let cfg = SuperviseConfig {
+            policy: fast_policy(),
+            proof: ProofMode::Mandatory,
+            ..SuperviseConfig::default()
+        };
+        let ctx = fx.ctx(vec![BlockId(1)]);
+        let stripe = stripe_for(&fx.codec, fx.block as usize, 13);
+        let rec = rpr_obs::TraceRecorder::default();
+        // Probe window far past the run so the conviction is observable
+        // in the tracker after the repair returns.
+        let mut tracker = HealthTracker::new(0.5, 0.4, 100);
+        let out = execute_supervised(&ctx, &stripe, &rec, &storm, &cfg, &mut tracker)
+            .expect("mandatory repair completes past the liar");
+
+        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
+        assert!(out.proofs_emitted > 0);
+        assert!(out.proofs_rejected > 0, "the lie must fail proof verification");
+        assert_eq!(out.accusations, 1, "exactly one helper convicted");
+        assert_eq!(out.retries, 0, "valid checksums: transport never retries a lie");
+        assert_eq!(out.replans, 1, "conviction forces one replan");
+        let liar: usize = out
+            .fault_sites
+            .iter()
+            .find(|s| s.starts_with("lie "))
+            .and_then(|s| s.trim_end_matches(')').rsplit("node ").next())
+            .and_then(|n| n.parse().ok())
+            .expect("site names the lying node");
+        assert!(tracker.is_quarantined(liar), "the liar sits in quarantine");
+
+        // Online conviction and offline audit agree on the culprit.
+        let audit = out.ledger.audit();
+        let idx = audit.first_dishonest().expect("dishonest hop localized");
+        assert_eq!(out.ledger.entries[idx].proof.node, liar);
+
+        // Evidence events in causal order; no transport-level failures.
+        let names: Vec<&str> = rec.take_events().iter().map(|e| e.name()).collect();
+        let rejected = names.iter().position(|n| *n == "proof_rejected");
+        let accused = names.iter().position(|n| *n == "helper_accused");
+        assert!(rejected.is_some() && accused.is_some() && rejected < accused);
+        assert!(!names.contains(&"transfer_failed"));
+        assert!(!names.contains(&"retry_scheduled"));
+
+        // Conviction is deterministic: a fresh same-seed run produces a
+        // byte-identical ledger.
+        let mut tracker2 = HealthTracker::new(0.5, 0.4, 100);
+        let out2 = execute_supervised(&ctx, &stripe, &rpr_obs::NoopRecorder, &storm, &cfg, &mut tracker2)
+            .expect("replay completes");
+        assert_eq!(out.ledger.to_json_lines(), out2.ledger.to_json_lines());
+    }
+
+    #[test]
+    fn exec_accused_helper_probe_readmission_depends_on_conduct() {
+        // One tracker across repairs, probe window 3: a lie repair ticks
+        // the generation counter twice, so the liar is still quarantined
+        // when the next repair begins. An honest follow-up closes the
+        // window and re-admits it; a persistent liar (the same seeded
+        // storm replayed) is re-accused on its very first probe.
+        let fx = Fx::new(6, 3, 16 * 1024);
+        let ctx = fx.ctx(vec![BlockId(1)]);
+        let stripe = stripe_for(&fx.codec, fx.block as usize, 29);
+        let storm = FaultStorm::new(9).with_generation(vec![StormFault::Lie]);
+        let cfg = SuperviseConfig {
+            policy: fast_policy(),
+            proof: ProofMode::Mandatory,
+            ..SuperviseConfig::default()
+        };
+
+        let mut tracker = HealthTracker::new(0.5, 0.4, 3);
+        let out = execute_supervised(&ctx, &stripe, &rpr_obs::NoopRecorder, &storm, &cfg, &mut tracker)
+            .expect("lie repair completes");
+        assert!(out.report.verified);
+        assert_eq!(out.accusations, 1);
+        let liar = tracker.quarantined();
+        assert_eq!(liar.len(), 1, "the convicted helper is quarantined");
+        let liar = liar[0];
+
+        // Turned honest: a fault-free repair on the same tracker elapses
+        // the probe window and re-admits the node.
+        let clean = execute_supervised(
+            &ctx,
+            &stripe,
+            &rpr_obs::NoopRecorder,
+            &FaultStorm::new(10),
+            &cfg,
+            &mut tracker,
+        )
+        .expect("clean repair completes");
+        assert!(clean.report.verified);
+        assert_eq!(clean.accusations, 0);
+        assert!(
+            !tracker.is_quarantined(liar),
+            "honest node re-admitted once the probe window elapses"
+        );
+
+        // Persistent liar: replaying the same seeded storm makes the
+        // re-admitted node lie again, and evidence puts it right back in
+        // quarantine — probation never becomes trust.
+        let again = execute_supervised(&ctx, &stripe, &rpr_obs::NoopRecorder, &storm, &cfg, &mut tracker)
+            .expect("repeat-offense repair completes");
+        assert!(again.report.verified);
+        assert_eq!(again.accusations, 1, "re-accused on the first probe");
+        assert_eq!(again.fault_sites, out.fault_sites, "same node, same lie");
+        assert!(tracker.score(liar) <= 0.4 + 1e-12, "score never recovers");
+    }
+
+    #[test]
+    fn supervised_replan_budget_exhaustion_degrades_the_tier() {
+        let fx = Fx::new(6, 3, 16 * 1024);
+        let storm = FaultStorm::new(17).with_generation(vec![StormFault::Crash(CrashSite::SeedPick)]);
+        let cfg = SuperviseConfig {
+            policy: fast_policy(),
+            max_replans: 0,
+            ..SuperviseConfig::default()
+        };
+        let (out, events) = supervised(&fx, &storm, &cfg, 23);
+
+        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
+        assert_eq!(out.replans, 1);
+        assert!(out.final_tier >= Tier::Traditional, "tier: {:?}", out.final_tier);
+        assert!(events.iter().any(|e| e.name() == "degraded_fallback"));
+    }
+}
