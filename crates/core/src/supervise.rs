@@ -557,10 +557,10 @@ pub struct Generation<'a, 'c, P> {
     pub lowered: &'a [bool],
     /// Per-op: the banked partial serving it instead of execution.
     pub reused: Vec<Option<&'a Banked<P>>>,
-    /// This generation's resolved faults.
+    /// This generation's resolved faults. `slow` holds every derate
+    /// injected so far, not just this bucket's: degraded hardware does
+    /// not heal when the supervisor replans around it.
     pub faults: &'a ResolvedFaults,
-    /// Every derate injected so far, this bucket's included.
-    pub slow: &'a [(NodeId, f64)],
     /// Retry backoff schedule for transient transfer failures.
     pub policy: &'a RetryPolicy,
     /// Effective straggler multiple when this generation may hedge.
@@ -662,7 +662,7 @@ pub struct Baseline {
 pub trait RepairBackend {
     /// The backend's handle on a partial result: real bytes on a
     /// byte-moving substrate, a symbolic stand-in on a simulated one.
-    type Partial: Clone;
+    type Partial;
 
     /// Called once with the original plan before generation 0.
     fn begin(&mut self, plan: &RepairPlan, ctx: &RepairContext<'_>) -> Baseline;
@@ -892,7 +892,7 @@ pub fn supervise<B: RepairBackend>(
         let mut bucket = std::mem::take(&mut carry);
         bucket.extend(storm.generations.get(g).into_iter().flatten().copied());
         let GenFaults {
-            resolved,
+            mut resolved,
             descriptions,
             deferred,
         } = resolve_storm_bucket(
@@ -907,6 +907,7 @@ pub fn supervise<B: RepairBackend>(
         out.fault_sites.extend(descriptions);
         check_retry_budget(&resolved.op_faults, &cfg.policy).map_err(RetriesExhausted)?;
         slow.extend(resolved.slow.iter().copied());
+        resolved.slow.clone_from(&slow);
 
         // Hedging arms in generations expected to complete: no crash, no
         // lie a Mandatory verifier will reject, no hedge already spent.
@@ -930,7 +931,6 @@ pub fn supervise<B: RepairBackend>(
             lowered: &rep.lowered,
             reused: rep.reused.iter().map(|k| k.as_ref().map(|k| &pool[k])).collect(),
             faults: &resolved,
-            slow: &slow,
             policy: &cfg.policy,
             hedge,
             tier: out.final_tier,

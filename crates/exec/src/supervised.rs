@@ -10,7 +10,7 @@ use rpr_codec::BlockId;
 use rpr_core::{
     chunk_sizes, combine_kernel, supervise, Baseline, Ending, Evidence, Generation,
     GenerationRecord, GenerationRun, Input, Op, Payload, RepairBackend, RepairContext, RepairPlan,
-    ResolvedFaults, SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
+    SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
 };
 use rpr_faults::{FaultStorm, HealthTracker};
 use rpr_obs::Recorder;
@@ -146,10 +146,6 @@ impl RepairBackend for ExecBackend<'_> {
         rec: &dyn Recorder,
     ) -> GenerationRun<Self::Partial> {
         let (plan, ctx) = (gen.plan, gen.ctx);
-        let faults = ResolvedFaults {
-            slow: gen.slow.to_vec(),
-            ..gen.faults.clone()
-        };
         let prefilled: Vec<Option<Arc<Vec<u8>>>> = gen
             .reused
             .iter()
@@ -160,7 +156,7 @@ impl RepairBackend for ExecBackend<'_> {
             .map(|m| m * rpr_core::simulate(plan, ctx).repair_time);
         let cancel = AtomicBool::new(false);
         let cfg = AttemptCfg {
-            faults: Some(&faults),
+            faults: Some(gen.faults),
             policy: *gen.policy,
             prefilled: &prefilled,
             lowered: gen.lowered,

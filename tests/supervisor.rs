@@ -1,4 +1,5 @@
-//! Repair-supervisor acceptance suite (sim side).
+//! Repair-supervisor acceptance suite (sim side, plus the properties
+//! both backends inherit from the shared loop).
 //!
 //! The headline guarantees (see `docs/ROBUSTNESS.md`):
 //! * a seeded 3-fault storm — helper crash, crash of its replacement,
@@ -18,7 +19,8 @@ use rpr::core::{
     SuperviseConfig, Tier,
 };
 use rpr::faults::{ChaosProcess, CrashSite, FaultStorm, HealthTracker, RetryPolicy, StormFault};
-use rpr::obs::{export, TraceRecorder};
+use rpr::exec::execute_supervised;
+use rpr::obs::{export, Event, TraceRecorder};
 use rpr::topology::{cluster_for, BandwidthProfile, Placement};
 use std::collections::HashMap;
 
@@ -318,4 +320,68 @@ fn pool_reuse_preserves_the_decode_equation() {
     }
     assert!(reused > 0, "a fully-banked pool must be reused");
     assert!(reused <= pool.len());
+}
+
+/// Cross-send durations of generation 1, split into the slow node's and
+/// everyone else's.
+fn generation_1_cross_sends(events: &[Event], slow: usize) -> (Vec<f64>, Vec<f64>) {
+    let mut sends = (Vec::new(), Vec::new());
+    for e in events {
+        if let Event::TransferDone { xfer, start, end } = e {
+            if xfer.cross && xfer.label.starts_with("p1op") {
+                let side = if xfer.src_node == slow { &mut sends.0 } else { &mut sends.1 };
+                side.push(end - start);
+            }
+        }
+    }
+    sends
+}
+
+#[test]
+fn slow_links_stay_slow_across_a_replan_on_both_backends() {
+    // A derate and a crash in the same bucket: the crash forces a replan,
+    // and the derated helper (a different node at this seed) still serves
+    // a cross send in generation 1. Degraded hardware does not heal when
+    // the supervisor replans around something else, on either substrate.
+    let world = World::new(6, 3, 256 << 10);
+    let storm = FaultStorm::new(8).with_generation(vec![
+        StormFault::Slow { factor: 0.25 },
+        StormFault::Crash(CrashSite::SeedPick),
+    ]);
+    let cfg = SuperviseConfig {
+        policy: fast_policy(),
+        ..SuperviseConfig::default()
+    };
+    let slow_node = |sites: &[String]| -> usize {
+        let site = sites.iter().find(|s| s.starts_with("slow node ")).expect("slow resolved");
+        site.split_whitespace().nth(2).and_then(|n| n.parse().ok()).expect("node index")
+    };
+    let check = |backend: &str, events: &[Event], sites: &[String]| {
+        let (slow, peers) = generation_1_cross_sends(events, slow_node(sites));
+        assert!(!slow.is_empty(), "{backend}: the derated helper must serve generation 1");
+        assert!(!peers.is_empty(), "{backend}: generation 1 needs a full-rate peer");
+        let fastest_slow = slow.iter().copied().fold(f64::INFINITY, f64::min);
+        let slowest_peer = peers.iter().copied().fold(0.0, f64::max);
+        assert!(
+            fastest_slow > 2.0 * slowest_peer,
+            "{backend}: x0.25 derate must still show in generation 1 \
+             ({fastest_slow} s vs full-rate {slowest_peer} s)"
+        );
+    };
+
+    let ctx = world.ctx(vec![BlockId(1)]);
+    let rec = TraceRecorder::with_capacity(16384);
+    let sim = supervise_injected(&ctx, &storm, &cfg, &mut HealthTracker::with_defaults(), &rec)
+        .expect("sim completes");
+    check("sim", &rec.take_events(), &sim.fault_sites);
+
+    let data: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i.wrapping_mul(37) ^ 0x5a; 256 << 10]).collect();
+    let refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
+    let stripe = world.codec.encode_stripe(&refs);
+    let rec = TraceRecorder::with_capacity(16384);
+    let exec = execute_supervised(&ctx, &stripe, &rec, &storm, &cfg, &mut HealthTracker::with_defaults())
+        .expect("exec completes");
+    assert!(exec.report.verified);
+    assert_eq!(exec.fault_sites, sim.fault_sites, "both backends resolve the same sites");
+    check("exec", &rec.take_events(), &exec.fault_sites);
 }

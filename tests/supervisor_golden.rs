@@ -204,8 +204,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("4,2/block/slow-hedge/s17", 0x2fd85a5f8bf8676f),
     ("4,2/block/slow-hedge/s4242", 0xb755f8050eac6ce3),
     ("4,2/block/slow+crash/s8", 0x7f2494839bfd4258),
-    ("4,2/block/slow+crash/s17", 0xfd2ade206588bfff),
-    ("4,2/block/slow+crash/s4242", 0x3589a3e1a8b7d846),
+    ("4,2/block/slow+crash/s17", 0x06ae90f909a79fc1),
+    ("4,2/block/slow+crash/s4242", 0x07ce8608b18dc7ef),
     ("4,2/block/ladder/s8", 0xb78eea63fcf76374),
     ("4,2/block/ladder/s17", 0xcb8250d568335931),
     ("4,2/block/ladder/s4242", 0x10cd2699ee532c95),
@@ -242,8 +242,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("4,2/chunk/slow-hedge/s8", 0x8d960a151d8c530a),
     ("4,2/chunk/slow-hedge/s17", 0x9ff44484f0a17136),
     ("4,2/chunk/slow-hedge/s4242", 0xc057c5edadc6b1ee),
-    ("4,2/chunk/slow+crash/s8", 0xe8c8aeb37358908b),
-    ("4,2/chunk/slow+crash/s17", 0x5d769a04348455f9),
+    ("4,2/chunk/slow+crash/s8", 0x82945bfb7b884d6c),
+    ("4,2/chunk/slow+crash/s17", 0x6f1c38b2b75a69f2),
     ("4,2/chunk/slow+crash/s4242", 0x1fffb8d4610b90e0),
     ("4,2/chunk/ladder/s8", 0x62db3516b8d5068c),
     ("4,2/chunk/ladder/s17", 0xac41b69ed0fba64d),
@@ -281,9 +281,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("6,3/block/slow-hedge/s8", 0x9ea8f006a279de61),
     ("6,3/block/slow-hedge/s17", 0x187601d02329c401),
     ("6,3/block/slow-hedge/s4242", 0xaa451125dfb26f4f),
-    ("6,3/block/slow+crash/s8", 0xe120890862814ee6),
+    ("6,3/block/slow+crash/s8", 0x3a8f2657a961a56c),
     ("6,3/block/slow+crash/s17", 0xa3775f8ce817e62c),
-    ("6,3/block/slow+crash/s4242", 0x2f30687d4a7c9867),
+    ("6,3/block/slow+crash/s4242", 0x3fafe3147dd60e75),
     ("6,3/block/ladder/s8", 0xb46fa4e564bd77a6),
     ("6,3/block/ladder/s17", 0x0a4eb3d8090716fd),
     ("6,3/block/ladder/s4242", 0x43d904ad0c9328e4),
@@ -321,8 +321,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("6,3/chunk/slow-hedge/s17", 0x4b870bbc1a8bb430),
     ("6,3/chunk/slow-hedge/s4242", 0x1563c720b2a33379),
     ("6,3/chunk/slow+crash/s8", 0x25e373a795eec8eb),
-    ("6,3/chunk/slow+crash/s17", 0xa4c3c7dc6cfb4fc0),
-    ("6,3/chunk/slow+crash/s4242", 0x7bf816ea94491732),
+    ("6,3/chunk/slow+crash/s17", 0xa99a7df0b5905254),
+    ("6,3/chunk/slow+crash/s4242", 0x0ef6613932803b09),
     ("6,3/chunk/ladder/s8", 0x2fb5c7b5bc8303a3),
     ("6,3/chunk/ladder/s17", 0x54bf8176bdf1c39e),
     ("6,3/chunk/ladder/s4242", 0x0b66b593b645300c),
@@ -360,7 +360,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("8,4/block/slow-hedge/s17", 0x626989734a6cadbe),
     ("8,4/block/slow-hedge/s4242", 0x82870172a0893b5e),
     ("8,4/block/slow+crash/s8", 0x26245ecdf42dbe0f),
-    ("8,4/block/slow+crash/s17", 0x132ecbd8d986fd40),
+    ("8,4/block/slow+crash/s17", 0x7f0f6118abc90d4c),
     ("8,4/block/slow+crash/s4242", 0xe302e9e26db2fa10),
     ("8,4/block/ladder/s8", 0xf7e3973caa20d112),
     ("8,4/block/ladder/s17", 0xca44095abc61ad57),
@@ -400,7 +400,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("8,4/chunk/slow-hedge/s4242", 0xf8c237329308e948),
     ("8,4/chunk/slow+crash/s8", 0x4894d93ef639634c),
     ("8,4/chunk/slow+crash/s17", 0x94d1e5eb7d10e5e4),
-    ("8,4/chunk/slow+crash/s4242", 0x6e93257f66985c1e),
+    ("8,4/chunk/slow+crash/s4242", 0x12ff9945329f2ca6),
     ("8,4/chunk/ladder/s8", 0xa8d65d01b328b10b),
     ("8,4/chunk/ladder/s17", 0x3544387f32057cd6),
     ("8,4/chunk/ladder/s4242", 0x5b2203e2db97aa56),
