@@ -22,6 +22,7 @@ use rpr::faults::{ChaosProcess, CrashSite, FaultStorm, HealthTracker, RetryPolic
 use rpr::exec::execute_supervised;
 use rpr::obs::{export, Event, TraceRecorder};
 use rpr::topology::{cluster_for, BandwidthProfile, Placement};
+use rpr_proof::{ProofMode, ProofSource};
 use std::collections::HashMap;
 
 struct World {
@@ -384,4 +385,59 @@ fn slow_links_stay_slow_across_a_replan_on_both_backends() {
     assert!(exec.report.verified);
     assert_eq!(exec.fault_sites, sim.fault_sites, "both backends resolve the same sites");
     check("exec", &rec.take_events(), &exec.fault_sites);
+}
+
+#[test]
+fn exec_pool_reserves_carry_provenance_back_to_the_liar() {
+    // Advisory proofs, a lie and a crash in one bucket: the lied partial
+    // chain finishes on surviving branches, is banked tainted (Advisory
+    // records, never acts), and generation 1 re-serves it from the pool.
+    // The re-serve's proof must name the (generation, op) that banked it,
+    // so the offline audit walks the taint back to the lying sender
+    // instead of convicting the innocent pool host.
+    let world = World::new(6, 3, 32 << 10);
+    let cfg = SuperviseConfig {
+        policy: fast_policy(),
+        proof: ProofMode::Advisory,
+        ..SuperviseConfig::default()
+    };
+    let data: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i.wrapping_mul(37) ^ 0x5a; 32 << 10]).collect();
+    let refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
+    let stripe = world.codec.encode_stripe(&refs);
+    let ctx = world.ctx(vec![BlockId(1)]);
+    let storm = FaultStorm::new(0)
+        .with_generation(vec![StormFault::Lie, StormFault::Crash(CrashSite::SeedPick)]);
+    let rec = rpr::obs::noop();
+    let out = execute_supervised(&ctx, &stripe, rec, &storm, &cfg, &mut HealthTracker::with_defaults())
+        .expect("advisory repair completes");
+    assert_eq!(out.accusations, 0, "Advisory never accuses online");
+
+    let liar: usize = out
+        .fault_sites
+        .iter()
+        .find(|s| s.starts_with("lie "))
+        .and_then(|s| s.trim_end_matches(')').rsplit("node ").next())
+        .and_then(|n| n.parse().ok())
+        .expect("site names the lying node");
+    let tainted_reserves: Vec<_> = out
+        .ledger
+        .entries
+        .iter()
+        .filter(|e| e.proof.algorithm == "pool" && !e.proof.honest_output())
+        .collect();
+    assert!(!tainted_reserves.is_empty(), "a tainted partial must be re-served");
+    for e in &tainted_reserves {
+        assert_ne!(e.proof.node, liar, "the pool host is not the liar");
+        assert!(
+            matches!(e.proof.inputs[..], [(ProofSource::Pooled { gen: 0, .. }, _)]),
+            "re-serve names its generation-0 producer: {:?}",
+            e.proof.inputs
+        );
+    }
+    let audit = out.ledger.audit();
+    assert!(audit.wire_failures.is_empty(), "every provenance edge resolves");
+    assert!(!audit.dishonest.is_empty(), "the lie is localized");
+    for &i in &audit.dishonest {
+        assert_eq!(out.ledger.entries[i].proof.node, liar, "entry {i} blames the wrong node");
+    }
 }
