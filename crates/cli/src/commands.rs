@@ -8,7 +8,8 @@ use rpr_codec::{CodeParams, StripeCodec};
 use rpr_core::analysis::{rpr_repair_time, traditional_repair_time, AnalysisParams};
 use rpr_core::{
     crash_candidates, simulate, simulate_injected, supervise_injected, viz, CarPlanner, CostModel,
-    Op, Payload, RepairContext, RepairPlanner, RprPlanner, SuperviseConfig, TraditionalPlanner,
+    Op, Payload, RepairContext, RepairPlanner, RprPlanner, SuperviseConfig, SuperviseOutcome,
+    TraditionalPlanner,
 };
 use rpr_faults::{
     CrashSite, FaultKind, FaultPlan, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault,
@@ -559,72 +560,40 @@ fn chaos(c: &ChaosArgs) -> Result<(), String> {
         .collect();
     eprintln!("# storm (seed {}): {}", c.seed, storm_names.join(" -> "));
 
-    struct Summary {
-        makespan: f64,
-        clean: Option<f64>,
-        verified: Option<bool>,
-        generations: usize,
-        retries: usize,
-        replans: usize,
-        reused: usize,
-        hedges: usize,
-        hedge_wins: usize,
-        deadline_hit: bool,
-        final_scheme: String,
-        final_tier: &'static str,
-        fault_sites: Vec<String>,
-        proofs_emitted: usize,
-        proofs_rejected: usize,
-        accusations: usize,
-        ledger: ProofLedger,
-    }
-    let s = match c.backend {
+    // Both backends report through the shared loop's outcome; the executor
+    // adds byte verification and has no fault-free baseline to compare to.
+    let (s, clean, verified) = match c.backend {
         InjectBackend::Sim => {
             let out = supervise_injected(&ctx, &storm, &cfg, &mut tracker, &rec)?;
-            Summary {
-                makespan: out.repair_time,
-                clean: Some(out.clean_time),
-                verified: None,
-                generations: out.generations.len(),
-                retries: out.retries,
-                replans: out.replans,
-                reused: out.reused_ops,
-                hedges: out.hedges,
-                hedge_wins: out.hedge_wins,
-                deadline_hit: out.deadline_hit,
-                final_scheme: out.final_scheme,
-                final_tier: out.final_tier.name(),
-                fault_sites: out.fault_sites,
-                proofs_emitted: out.proofs_emitted,
-                proofs_rejected: out.proofs_rejected,
-                accusations: out.accusations,
-                ledger: out.ledger,
-            }
+            let clean = out.clean_time;
+            (out, Some(clean), None)
         }
         InjectBackend::Exec => {
             let stripe = deterministic_stripe(&w.codec, a.block_bytes as usize, c.seed);
             let out =
                 rpr_exec::execute_supervised(&ctx, &stripe, &rec, &storm, &cfg, &mut tracker)
                     .map_err(|e| e.to_string())?;
-            Summary {
-                makespan: out.report.wall_seconds,
-                clean: None,
-                verified: Some(out.report.verified),
-                generations: out.generations.len(),
+            let outcome = SuperviseOutcome {
+                repair_time: out.report.wall_seconds,
+                clean_time: f64::NAN,
+                generations: out.generations,
                 retries: out.retries,
                 replans: out.replans,
-                reused: out.reused_ops,
+                reused_ops: out.reused_ops,
+                final_scheme: out.final_scheme.to_string(),
+                final_tier: out.final_tier,
                 hedges: out.hedges,
                 hedge_wins: out.hedge_wins,
                 deadline_hit: out.deadline_hit,
-                final_scheme: out.final_scheme.to_string(),
-                final_tier: out.final_tier.name(),
                 fault_sites: out.fault_sites,
+                cross_bytes: out.report.cross_bytes,
+                inner_bytes: out.report.inner_bytes,
                 proofs_emitted: out.proofs_emitted,
                 proofs_rejected: out.proofs_rejected,
                 accusations: out.accusations,
                 ledger: out.ledger,
-            }
+            };
+            (outcome, None, Some(out.report.verified))
         }
     };
     if let Some(path) = &c.ledger_out {
@@ -650,41 +619,41 @@ fn chaos(c: &ChaosArgs) -> Result<(), String> {
             c.seed,
             json_str_array(&storm_names),
             json_str_array(&s.fault_sites),
-            s.generations,
+            s.generations.len(),
             s.retries + s.replans + 1,
             s.retries,
             s.replans,
-            s.reused,
+            s.reused_ops,
             s.hedges,
             s.hedge_wins,
             s.deadline_hit,
             json_str(&s.final_scheme),
-            json_str(s.final_tier),
+            json_str(s.final_tier.name()),
             json_str(cfg.proof.name()),
             s.proofs_emitted,
             s.proofs_rejected,
             s.accusations,
-            s.makespan,
-            s.clean.map_or("null".to_string(), |v| v.to_string()),
-            s.verified.map_or("null".to_string(), |v| v.to_string()),
+            s.repair_time,
+            clean.map_or("null".to_string(), |v| v.to_string()),
+            verified.map_or("null".to_string(), |v| v.to_string()),
         );
     }
     eprintln!(
         "# supervised repair: {:.2} s{} | {} generations | retries {} | replans {} | \
          reused {} | hedges {}/{} | tier {} ({}){}",
-        s.makespan,
-        s.clean
-            .map(|cl| format!(" vs clean {cl:.2} s (+{:.1}%)", (s.makespan / cl - 1.0) * 100.0))
+        s.repair_time,
+        clean
+            .map(|cl| format!(" vs clean {cl:.2} s (+{:.1}%)", (s.repair_time / cl - 1.0) * 100.0))
             .unwrap_or_default(),
-        s.generations,
+        s.generations.len(),
         s.retries,
         s.replans,
-        s.reused,
+        s.reused_ops,
         s.hedge_wins,
         s.hedges,
-        s.final_tier,
+        s.final_tier.name(),
         s.final_scheme,
-        match s.verified {
+        match verified {
             Some(true) => " | verified: yes",
             Some(false) => " | verified: NO",
             None => "",
@@ -702,7 +671,7 @@ fn chaos(c: &ChaosArgs) -> Result<(), String> {
             s.accusations,
         );
     }
-    if s.verified == Some(false) {
+    if verified == Some(false) {
         return Err("repair completed but the reconstruction failed byte verification".into());
     }
     if cfg.proof == ProofMode::Mandatory && s.proofs_rejected > 0 && s.accusations == 0 {

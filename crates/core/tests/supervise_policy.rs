@@ -197,6 +197,6 @@ fn the_generation_cap_trips_instead_of_spinning() {
     let (out, backend) = run((6, 3), &[Step::Lie], &cfg);
     let err = out.expect_err("never completes");
     assert!(matches!(&err, SuperviseError::Unrecoverable(m) if m.contains("exceeded")), "{err:?}");
-    // Empty storm, max_replans 4: generations 0..=8.
-    assert_eq!(backend.served_from.len(), 0 + 4 + 4 + 1);
+    // Empty storm, max_replans 4: the cap is 0 + 4 + 4, generations 0..=8.
+    assert_eq!(backend.served_from.len(), 9);
 }

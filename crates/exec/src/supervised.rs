@@ -1,7 +1,7 @@
 //! The threaded executor as a [`RepairBackend`]: one supervision
 //! generation is one [`run_attempt`] on real bytes and the wall clock.
 //! The loop itself — storm resolution, pool, replans, tier ladder,
-//! accusations — is [`rpr_core::supervise`], shared with the simulator.
+//! accusations — is [`rpr_core::supervise()`], shared with the simulator.
 
 use crate::arena::ArenaStats;
 use crate::executor::{check_stripe, run_attempt, AttemptCfg, AttemptRun};
@@ -9,7 +9,7 @@ use crate::{ExecError, ExecReport, OpTiming};
 use rpr_codec::BlockId;
 use rpr_core::{
     chunk_sizes, combine_kernel, supervise, Baseline, Ending, Evidence, Generation,
-    GenerationRecord, GenerationRun, Input, Op, Payload, RepairBackend, RepairContext, RepairPlan,
+    GenerationRecord, GenerationRun, Input, Op, OpId, Payload, RepairBackend, RepairContext, RepairPlan,
     SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
 };
 use rpr_faults::{FaultStorm, HealthTracker};
@@ -111,9 +111,10 @@ fn run_watched(
 struct LastRun {
     scheme: &'static str,
     op_timings: Vec<OpTiming>,
-    /// The plan's outputs and whatever value (executed or pool-served)
+    /// The plan's outputs, and whatever value (executed or pool-served)
     /// the generation had for each.
-    outputs: Vec<(BlockId, Option<Arc<Vec<u8>>>)>,
+    outputs: Vec<(BlockId, OpId)>,
+    values: Vec<Option<Arc<Vec<u8>>>>,
 }
 
 /// [`RepairBackend`] on OS threads, token-bucket shapers, real bytes.
@@ -185,13 +186,11 @@ impl RepairBackend for ExecBackend<'_> {
         };
         self.last = Some(LastRun {
             scheme: plan.scheme,
-            outputs: plan
+            outputs: plan.outputs.clone(),
+            values: plan
                 .outputs
                 .iter()
-                .map(|&(target, op)| {
-                    let got = run.values[op.0].clone().or_else(|| prefilled[op.0].clone());
-                    (target, got)
-                })
+                .map(|&(_, op)| run.values[op.0].clone().or_else(|| prefilled[op.0].clone()))
                 .collect(),
             op_timings: run.op_timings.clone(),
         });
@@ -324,10 +323,9 @@ impl ExecBackend<'_> {
         let last = self.last.expect("a completed repair ran a generation");
         let mut mismatches = Vec::new();
         let mut recovered = Vec::with_capacity(last.outputs.len());
-        for (target, got) in last.outputs {
-            let got = got.ok_or_else(|| {
-                ExecError::Unrecoverable(format!("output for {target:?} never produced"))
-            })?;
+        for ((target, op), got) in last.outputs.into_iter().zip(last.values) {
+            let got = got
+                .ok_or_else(|| ExecError::Unrecoverable(format!("output {op:?} never produced")))?;
             if got.as_slice() != self.stripe[target.0].as_slice() {
                 mismatches.push(target);
             }
@@ -364,14 +362,14 @@ impl ExecBackend<'_> {
 }
 
 /// Execute a supervised repair on real bytes — the wall-clock counterpart
-/// of [`rpr_core::supervise_injected`], and the same [`supervise`] loop:
+/// of [`rpr_core::supervise_injected`], and the same [`supervise()`] loop:
 /// identically seeded storm resolution, a pool of real byte buffers keyed
 /// by `(node, symbolic coefficient vector)` prefilling replacement plans,
 /// helper health consulted at re-selection, and the same RPR →
 /// traditional → degraded-read tier ladder.
 ///
 /// Hedging differs from the simulator by necessity — see
-/// [`rpr_core::supervise`]'s module docs. `hedge_wins` counts
+/// [`mod@rpr_core::supervise`]'s module docs. `hedge_wins` counts
 /// alternatives that completed the repair; because the cancelled original
 /// is never run to completion, `hedge_won.saved` is reported as zero on
 /// this backend (the simulator reports the true saving for the same

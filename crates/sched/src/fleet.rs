@@ -461,24 +461,28 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
     let mut kept: Vec<u32> = Vec::with_capacity(spec.stripes);
     let job_demands: Vec<Demand>;
 
+    // One supervised sim of `ctx` under `storm`, costed for the scheduler;
+    // `None` when the storm makes the stripe unrepairable.
+    let class_info = |ctx: &RepairContext<'_>, storm: &FaultStorm, cfg: &SuperviseConfig| {
+        let mut tracker = HealthTracker::with_defaults();
+        let out = supervise_injected(ctx, storm, cfg, &mut tracker, rpr_obs::noop()).ok()?;
+        let plan = first_valid_plan(ctx).expect("a valid plan exists for <=k failures");
+        Some(ClassInfo {
+            duration: out.repair_time,
+            cross_bytes: out.cross_bytes,
+            inner_bytes: out.inner_bytes,
+            demand: plan_demand(&plan, &canon_topo, &canon_net),
+            replans: out.replans,
+            retries: out.retries,
+            degraded: out.final_tier > Tier::Full,
+        })
+    };
+
     if spec.cacheable() {
         // One canonical sim per distinct failed-block set.
         let infos: Vec<ClassInfo> = run_indexed(threads, class_failed.len(), |ci| {
-            let ctx = make_ctx(&class_failed[ci]);
-            let storm = FaultStorm::new(0);
-            let mut tracker = HealthTracker::with_defaults();
-            let out = supervise_injected(&ctx, &storm, &spec.cfg, &mut tracker, rpr_obs::noop())
-                .expect("clean supervised repair cannot fail");
-            let plan = first_valid_plan(&ctx).expect("a valid plan exists for <=k failures");
-            ClassInfo {
-                duration: out.repair_time,
-                cross_bytes: out.cross_bytes,
-                inner_bytes: out.inner_bytes,
-                demand: plan_demand(&plan, &canon_topo, &canon_net),
-                replans: out.replans,
-                retries: out.retries,
-                degraded: out.final_tier > Tier::Full,
-            }
+            class_info(&make_ctx(&class_failed[ci]), &FaultStorm::new(0), &spec.cfg)
+                .expect("clean supervised repair cannot fail")
         });
         for (s, gen) in stripes.iter().enumerate() {
             let info = &infos[gen.class as usize];
@@ -535,22 +539,7 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
             for bucket in &spec.storm {
                 storm = storm.with_generation(bucket.clone());
             }
-            let mut tracker = HealthTracker::with_defaults();
-            let out =
-                supervise_injected(&ctx, &storm, &spec.cfg, &mut tracker, rpr_obs::noop()).ok()?;
-            let plan = first_valid_plan(&ctx).expect("a valid plan exists for <=k failures");
-            Some((
-                ClassInfo {
-                    duration: out.repair_time,
-                    cross_bytes: out.cross_bytes,
-                    inner_bytes: out.inner_bytes,
-                    demand: plan_demand(&plan, &canon_topo, &canon_net),
-                    replans: out.replans,
-                    retries: out.retries,
-                    degraded: out.final_tier > Tier::Full,
-                },
-                false,
-            ))
+            Some((class_info(&ctx, &storm, &spec.cfg)?, false))
         });
         let mut demands = Vec::new();
         for (s, info) in outcomes.into_iter().enumerate() {
@@ -623,21 +612,8 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
         if let Some(info) = esc_classes.borrow().get(&failed) {
             return info.clone();
         }
-        let ctx = make_ctx(&failed);
-        let storm = FaultStorm::new(0);
-        let mut tracker = HealthTracker::with_defaults();
-        let out = supervise_injected(&ctx, &storm, &esc_cfg, &mut tracker, rpr_obs::noop())
+        let info = class_info(&make_ctx(&failed), &FaultStorm::new(0), &esc_cfg)
             .expect("clean supervised repair cannot fail");
-        let plan = first_valid_plan(&ctx).expect("a valid plan exists for <=k failures");
-        let info = ClassInfo {
-            duration: out.repair_time,
-            cross_bytes: out.cross_bytes,
-            inner_bytes: out.inner_bytes,
-            demand: plan_demand(&plan, &canon_topo, &canon_net),
-            replans: out.replans,
-            retries: out.retries,
-            degraded: out.final_tier > Tier::Full,
-        };
         esc_classes.borrow_mut().insert(failed, info.clone());
         info
     };
