@@ -182,9 +182,12 @@ fn proof_inputs(
             .iter()
             .map(|inp| match inp {
                 Input::Block { via: Some(v), .. } => (ProofSource::Op(v.0), op_hash(v.0)),
-                Input::Block { block, via: None, .. } => {
-                    (ProofSource::Block(block.0), symbolic_block_hash(key, block.0))
-                }
+                Input::Block {
+                    block, via: None, ..
+                } => (
+                    ProofSource::Block(block.0),
+                    symbolic_block_hash(key, block.0),
+                ),
                 Input::Intermediate(src) => (ProofSource::Op(src.0), op_hash(src.0)),
             })
             .collect(),
@@ -200,12 +203,24 @@ impl RepairBackend for SimBackend {
         let all = vec![true; plan.ops.len()];
         let mut sim = Simulator::new(network_for(ctx));
         let nodes = ctx.topo.node_count();
-        let jobs = lower_partial(&mut sim, plan, &all, &ctx.cost, nodes, 0, ctx.effective_chunk());
+        let jobs = lower_partial(
+            &mut sim,
+            plan,
+            &all,
+            &ctx.cost,
+            nodes,
+            0,
+            ctx.effective_chunk(),
+        );
         let report = sim.run_recorded(rpr_obs::noop());
         let spans = op_spans(&report, &jobs);
         let (waves, wave_count) = plan.cross_waves(ctx.topo);
         let mut wave_spans = vec![(f64::INFINITY, 0.0f64); wave_count];
-        for (i, w) in waves.iter().enumerate().filter_map(|(i, w)| Some((i, (*w)?))) {
+        for (i, w) in waves
+            .iter()
+            .enumerate()
+            .filter_map(|(i, w)| Some((i, (*w)?)))
+        {
             wave_spans[w].0 = wave_spans[w].0.min(spans[i].0);
             wave_spans[w].1 = wave_spans[w].1.max(spans[i].1);
         }
@@ -234,7 +249,11 @@ impl RepairBackend for SimBackend {
         let spans = op_spans(&report, &jobs);
         let taints = gen_taints(gen);
         let partials_of = |taints: Vec<Taint>, done: &[bool]| -> Vec<Option<Taint>> {
-            taints.into_iter().zip(done).map(|(t, &d)| d.then_some(t)).collect()
+            taints
+                .into_iter()
+                .zip(done)
+                .map(|(t, &d)| d.then_some(t))
+                .collect()
         };
 
         if let Some(crash) = gen.faults.crash {
@@ -289,7 +308,10 @@ impl RepairBackend for SimBackend {
             .hedge
             .and_then(|m| Some((m, find_straggler(plan, &waves, gen.lowered, &spans, m)?)));
         if let Some((multiple, (slow_i, detect))) = straggler {
-            let Op::Send { from: slow_node, .. } = plan.ops[slow_i] else {
+            let Op::Send {
+                from: slow_node, ..
+            } = plan.ops[slow_i]
+            else {
                 unreachable!("stragglers are sends");
             };
             let done_at_detect = finished_by(&spans, gen.lowered, detect);
@@ -297,7 +319,15 @@ impl RepairBackend for SimBackend {
             if let Some(alt) = gen.alternative(slow_node, &done_at_detect) {
                 let winner_node = hedge_node(&alt.plan, ctx.topo, slow_node);
                 let mut hsim = Simulator::new(network_for(ctx));
-                lower_partial(&mut hsim, &alt.plan, &alt.lowered, &ctx.cost, nodes, g + 1, chunk);
+                lower_partial(
+                    &mut hsim,
+                    &alt.plan,
+                    &alt.lowered,
+                    &ctx.cost,
+                    nodes,
+                    g + 1,
+                    chunk,
+                );
                 for &(node, factor) in &gen.faults.slow {
                     hsim.derate_node(node, factor);
                 }
@@ -402,7 +432,10 @@ impl RepairBackend for SimBackend {
             let (node, algorithm, inputs) = match (gen.reused[i], op) {
                 (Some(banked), _) => {
                     let (src_gen, src_op) = banked.origin;
-                    let source = ProofSource::Pooled { gen: src_gen, op: src_op };
+                    let source = ProofSource::Pooled {
+                        gen: src_gen,
+                        op: src_op,
+                    };
                     (op.output_location().0, "pool", vec![(source, output_hash)])
                 }
                 (None, Op::Send { from, .. }) => {

@@ -6,9 +6,8 @@
 
 use rpr_codec::{BlockId, CodeParams, StripeCodec};
 use rpr_core::{
-    supervise, Baseline, CostModel, Ending, Evidence, Generation, GenerationRun, Op,
-    RepairBackend, RepairContext, RepairPlan, SuperviseConfig, SuperviseError, SuperviseOutcome,
-    Tier,
+    supervise, Baseline, CostModel, Ending, Evidence, Generation, GenerationRun, Op, RepairBackend,
+    RepairContext, RepairPlan, SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
 };
 use rpr_faults::{FaultStorm, HealthTracker};
 use rpr_obs::Recorder;
@@ -63,7 +62,10 @@ fn first_helper(gen: &Generation<'_, '_, ()>) -> NodeId {
     let aggregates = |n: &NodeId| gen.plan.ops.iter().any(|op| op.output_location() == *n);
     let senders = gen.plan.cross_senders(gen.ctx.topo);
     let helpers: Vec<NodeId> = senders.into_iter().map(NodeId).filter(live).collect();
-    *helpers.iter().find(|n| aggregates(n)).unwrap_or(&helpers[0])
+    *helpers
+        .iter()
+        .find(|n| aggregates(n))
+        .unwrap_or(&helpers[0])
 }
 
 impl RepairBackend for Scripted {
@@ -73,10 +75,15 @@ impl RepairBackend for Scripted {
         Baseline::default()
     }
 
-    fn run_generation(&mut self, gen: &Generation<'_, '_, ()>, _: &dyn Recorder) -> GenerationRun<()> {
+    fn run_generation(
+        &mut self,
+        gen: &Generation<'_, '_, ()>,
+        _: &dyn Recorder,
+    ) -> GenerationRun<()> {
         let ops = &gen.plan.ops;
         let hosts = (0..ops.len()).filter(|&i| gen.reused[i].is_some());
-        self.served_from.push(hosts.map(|i| ops[i].output_location().0).collect());
+        self.served_from
+            .push(hosts.map(|i| ops[i].output_location().0).collect());
         let crashed = matches!(self.step(gen.index), Step::Crash).then(|| first_helper(gen));
         self.condemned.extend(crashed.map(|n| n.0));
         self.clock += 10.0;
@@ -85,7 +92,9 @@ impl RepairBackend for Scripted {
             started: 0.0,
             now: self.clock,
             partials: (0..ops.len())
-                .map(|i| (gen.lowered[i] && Some(ops[i].output_location()) != crashed).then_some(()))
+                .map(|i| {
+                    (gen.lowered[i] && Some(ops[i].output_location()) != crashed).then_some(())
+                })
                 .collect(),
             spans: vec![(0.0, 1.0); ops.len()],
             retries: 0,
@@ -94,7 +103,12 @@ impl RepairBackend for Scripted {
         }
     }
 
-    fn prove(&mut self, gen: &Generation<'_, '_, ()>, _: &GenerationRun<()>, _: ProofKey) -> Evidence {
+    fn prove(
+        &mut self,
+        gen: &Generation<'_, '_, ()>,
+        _: &GenerationRun<()>,
+        _: ProofKey,
+    ) -> Evidence {
         let mut evidence = Evidence::default();
         if matches!(self.step(gen.index), Step::Lie) {
             let liar = first_helper(gen).0;
@@ -125,11 +139,26 @@ fn run(
     let placement = Placement::rpr_preplaced(params, &topo);
     let profile = BandwidthProfile::uniform(topo.rack_count(), 80.0e6, 8.0e6);
     let failed = vec![BlockId(1)];
-    let ctx = RepairContext::new(&codec, &topo, &placement, failed, 1 << 20, &profile, CostModel::free());
+    let ctx = RepairContext::new(
+        &codec,
+        &topo,
+        &placement,
+        failed,
+        1 << 20,
+        &profile,
+        CostModel::free(),
+    );
     let mut backend = Scripted::new(script);
     let mut tracker = HealthTracker::with_defaults();
     let storm = FaultStorm::new(1);
-    let out = supervise(&mut backend, &ctx, &storm, cfg, &mut tracker, rpr_obs::noop());
+    let out = supervise(
+        &mut backend,
+        &ctx,
+        &storm,
+        cfg,
+        &mut tracker,
+        rpr_obs::noop(),
+    );
     (out, backend)
 }
 
@@ -140,11 +169,22 @@ fn tiers(out: &SuperviseOutcome) -> Vec<Tier> {
 #[test]
 fn tier_descends_exactly_one_and_two_replans_past_the_budget() {
     use Step::{Complete, Crash};
-    let cfg = SuperviseConfig { max_replans: 1, ..SuperviseConfig::default() };
+    let cfg = SuperviseConfig {
+        max_replans: 1,
+        ..SuperviseConfig::default()
+    };
     let (out, _) = run((8, 4), &[Crash, Crash, Crash, Complete], &cfg);
     let out = out.expect("three crashes fit k = 4");
     assert_eq!(out.replans, 3);
-    assert_eq!(tiers(&out), [Tier::Full, Tier::Full, Tier::Traditional, Tier::DegradedRead]);
+    assert_eq!(
+        tiers(&out),
+        [
+            Tier::Full,
+            Tier::Full,
+            Tier::Traditional,
+            Tier::DegradedRead
+        ]
+    );
     assert_eq!(out.final_tier, Tier::DegradedRead);
 }
 
@@ -153,17 +193,31 @@ fn a_deadline_breach_alone_caps_at_traditional() {
     use Step::{Complete, Crash};
     // Ten seconds per generation against a five-second deadline: breached
     // at the first crash, with the replan budget (4) never exhausted.
-    let cfg = SuperviseConfig { deadline: Some(5.0), ..SuperviseConfig::default() };
+    let cfg = SuperviseConfig {
+        deadline: Some(5.0),
+        ..SuperviseConfig::default()
+    };
     let (out, _) = run((8, 4), &[Crash, Crash, Crash, Complete], &cfg);
     let out = out.expect("completes");
     assert!(out.deadline_hit);
-    assert_eq!(tiers(&out), [Tier::Full, Tier::Traditional, Tier::Traditional, Tier::Traditional]);
+    assert_eq!(
+        tiers(&out),
+        [
+            Tier::Full,
+            Tier::Traditional,
+            Tier::Traditional,
+            Tier::Traditional
+        ]
+    );
 }
 
 #[test]
 fn the_pool_never_serves_from_a_dead_or_accused_host() {
     use Step::{Complete, Crash, Lie};
-    let cfg = SuperviseConfig { proof: ProofMode::Mandatory, ..SuperviseConfig::default() };
+    let cfg = SuperviseConfig {
+        proof: ProofMode::Mandatory,
+        ..SuperviseConfig::default()
+    };
     // At (4,2) the crash after the conviction leaves too few helpers to
     // keep avoiding the convict, so generation 2 plans through it again —
     // and must not find its purged partials waiting in the pool.
@@ -185,7 +239,10 @@ fn the_pool_never_serves_from_a_dead_or_accused_host() {
 fn more_than_k_failures_is_an_error() {
     let (out, backend) = run((6, 3), &[Step::Crash], &SuperviseConfig::default());
     let err = out.expect_err("1 lost block + 3 crashes exceed k = 3");
-    assert!(matches!(&err, SuperviseError::Unrecoverable(m) if m.contains("exceed k = 3")), "{err:?}");
+    assert!(
+        matches!(&err, SuperviseError::Unrecoverable(m) if m.contains("exceed k = 3")),
+        "{err:?}"
+    );
     assert_eq!(backend.served_from.len(), 3, "gave up at the third crash");
 }
 
@@ -193,10 +250,16 @@ fn more_than_k_failures_is_an_error() {
 fn the_generation_cap_trips_instead_of_spinning() {
     // A helper convicted in every generation: no failure ever accrues, so
     // nothing but the cap ends the repair.
-    let cfg = SuperviseConfig { proof: ProofMode::Mandatory, ..SuperviseConfig::default() };
+    let cfg = SuperviseConfig {
+        proof: ProofMode::Mandatory,
+        ..SuperviseConfig::default()
+    };
     let (out, backend) = run((6, 3), &[Step::Lie], &cfg);
     let err = out.expect_err("never completes");
-    assert!(matches!(&err, SuperviseError::Unrecoverable(m) if m.contains("exceeded")), "{err:?}");
+    assert!(
+        matches!(&err, SuperviseError::Unrecoverable(m) if m.contains("exceeded")),
+        "{err:?}"
+    );
     // Empty storm, max_replans 4: the cap is 0 + 4 + 4, generations 0..=8.
     assert_eq!(backend.served_from.len(), 9);
 }

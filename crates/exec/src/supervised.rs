@@ -9,8 +9,8 @@ use crate::{ExecError, ExecReport, OpTiming};
 use rpr_codec::BlockId;
 use rpr_core::{
     chunk_sizes, combine_kernel, supervise, Baseline, Ending, Evidence, Generation,
-    GenerationRecord, GenerationRun, Input, Op, OpId, Payload, RepairBackend, RepairContext, RepairPlan,
-    SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
+    GenerationRecord, GenerationRun, Input, Op, OpId, Payload, RepairBackend, RepairContext,
+    RepairPlan, SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
 };
 use rpr_faults::{FaultStorm, HealthTracker};
 use rpr_obs::Recorder;
@@ -86,17 +86,14 @@ fn run_watched(
             let armed = Instant::now();
             let mut finished = done.lock().expect("watchdog lock");
             while !*finished {
-                let Some(left) = Duration::from_secs_f64(budget.max(1e-3))
-                    .checked_sub(armed.elapsed())
+                let Some(left) =
+                    Duration::from_secs_f64(budget.max(1e-3)).checked_sub(armed.elapsed())
                 else {
                     fired.store(true, Ordering::SeqCst);
                     cancel.store(true, Ordering::SeqCst);
                     return;
                 };
-                finished = cv
-                    .wait_timeout(finished, left)
-                    .expect("watchdog lock")
-                    .0;
+                finished = cv.wait_timeout(finished, left).expect("watchdog lock").0;
             }
         });
         let run = run();
@@ -174,9 +171,8 @@ impl RepairBackend for ExecBackend<'_> {
         };
         let completed: Vec<bool> = run.values.iter().map(|v| v.is_some()).collect();
         // A watchdog that raced a clean finish cancelled nothing.
-        let unfinished_send = (0..plan.ops.len()).find(|&i| {
-            gen.lowered[i] && !completed[i] && matches!(&plan.ops[i], Op::Send { .. })
-        });
+        let unfinished_send = (0..plan.ops.len())
+            .find(|&i| gen.lowered[i] && !completed[i] && matches!(&plan.ops[i], Op::Send { .. }));
         let ending = match (gen.faults.crash, unfinished_send) {
             // run_attempt already emitted the node_down transfer failure
             // and helper_crashed events at the moment the node died.
@@ -254,8 +250,15 @@ impl RepairBackend for ExecBackend<'_> {
                 // the partial's original producer, hash equal to its own
                 // output, so audits chase taint back across generations.
                 (Some(b), _) => {
-                    let source = ProofSource::Pooled { gen: b.origin.0, op: b.origin.1 };
-                    (op.output_location().0, "pool".to_string(), vec![(source, oh)])
+                    let source = ProofSource::Pooled {
+                        gen: b.origin.0,
+                        op: b.origin.1,
+                    };
+                    (
+                        op.output_location().0,
+                        "pool".to_string(),
+                        vec![(source, oh)],
+                    )
                 }
                 (None, Op::Send { what, from, .. }) => {
                     let input = match what {
@@ -273,9 +276,9 @@ impl RepairBackend for ExecBackend<'_> {
                         .iter()
                         .map(|inp| match inp {
                             Input::Block { via: Some(v), .. } => op_input(v.0),
-                            Input::Block { block, via: None, .. } => {
-                                (ProofSource::Block(block.0), block_hashes[block.0])
-                            }
+                            Input::Block {
+                                block, via: None, ..
+                            } => (ProofSource::Block(block.0), block_hashes[block.0]),
                             Input::Intermediate(o) => op_input(o.0),
                         })
                         .collect();
@@ -437,7 +440,11 @@ mod tests {
         };
         let (out, events) = supervised(&fx, &storm, &cfg, 55);
 
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
+        assert!(
+            out.report.verified,
+            "mismatches: {:?}",
+            out.report.mismatches
+        );
         assert_eq!(out.replans, 2, "two crashes, two replans");
         assert_eq!(out.generations.len(), 3);
         assert!(out.generations[0].crashed.is_some());
@@ -474,8 +481,15 @@ mod tests {
         };
         let (out, events) = supervised(&fx, &storm, &cfg, 91);
 
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
-        assert_eq!(out.hedges, 1, "the straggler must trigger exactly one hedge");
+        assert!(
+            out.report.verified,
+            "mismatches: {:?}",
+            out.report.mismatches
+        );
+        assert_eq!(
+            out.hedges, 1,
+            "the straggler must trigger exactly one hedge"
+        );
         assert_eq!(out.hedge_wins, 1, "the alternative must finish the repair");
         assert_eq!(out.replans, 0, "a hedge is not a crash replan");
         assert_eq!(out.generations.len(), 2);
@@ -524,11 +538,21 @@ mod tests {
         let out = execute_supervised(&ctx, &stripe, &rec, &storm, &cfg, &mut tracker)
             .expect("mandatory repair completes past the liar");
 
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
+        assert!(
+            out.report.verified,
+            "mismatches: {:?}",
+            out.report.mismatches
+        );
         assert!(out.proofs_emitted > 0);
-        assert!(out.proofs_rejected > 0, "the lie must fail proof verification");
+        assert!(
+            out.proofs_rejected > 0,
+            "the lie must fail proof verification"
+        );
         assert_eq!(out.accusations, 1, "exactly one helper convicted");
-        assert_eq!(out.retries, 0, "valid checksums: transport never retries a lie");
+        assert_eq!(
+            out.retries, 0,
+            "valid checksums: transport never retries a lie"
+        );
         assert_eq!(out.replans, 1, "conviction forces one replan");
         let liar: usize = out
             .fault_sites
@@ -555,8 +579,15 @@ mod tests {
         // Conviction is deterministic: a fresh same-seed run produces a
         // byte-identical ledger.
         let mut tracker2 = HealthTracker::new(0.5, 0.4, 100);
-        let out2 = execute_supervised(&ctx, &stripe, &rpr_obs::NoopRecorder, &storm, &cfg, &mut tracker2)
-            .expect("replay completes");
+        let out2 = execute_supervised(
+            &ctx,
+            &stripe,
+            &rpr_obs::NoopRecorder,
+            &storm,
+            &cfg,
+            &mut tracker2,
+        )
+        .expect("replay completes");
         assert_eq!(out.ledger.to_json_lines(), out2.ledger.to_json_lines());
     }
 
@@ -578,8 +609,15 @@ mod tests {
         };
 
         let mut tracker = HealthTracker::new(0.5, 0.4, 3);
-        let out = execute_supervised(&ctx, &stripe, &rpr_obs::NoopRecorder, &storm, &cfg, &mut tracker)
-            .expect("lie repair completes");
+        let out = execute_supervised(
+            &ctx,
+            &stripe,
+            &rpr_obs::NoopRecorder,
+            &storm,
+            &cfg,
+            &mut tracker,
+        )
+        .expect("lie repair completes");
         assert!(out.report.verified);
         assert_eq!(out.accusations, 1);
         let liar = tracker.quarantined();
@@ -607,8 +645,15 @@ mod tests {
         // Persistent liar: replaying the same seeded storm makes the
         // re-admitted node lie again, and evidence puts it right back in
         // quarantine — probation never becomes trust.
-        let again = execute_supervised(&ctx, &stripe, &rpr_obs::NoopRecorder, &storm, &cfg, &mut tracker)
-            .expect("repeat-offense repair completes");
+        let again = execute_supervised(
+            &ctx,
+            &stripe,
+            &rpr_obs::NoopRecorder,
+            &storm,
+            &cfg,
+            &mut tracker,
+        )
+        .expect("repeat-offense repair completes");
         assert!(again.report.verified);
         assert_eq!(again.accusations, 1, "re-accused on the first probe");
         assert_eq!(again.fault_sites, out.fault_sites, "same node, same lie");
@@ -618,7 +663,8 @@ mod tests {
     #[test]
     fn supervised_replan_budget_exhaustion_degrades_the_tier() {
         let fx = Fx::new(6, 3, 16 * 1024);
-        let storm = FaultStorm::new(17).with_generation(vec![StormFault::Crash(CrashSite::SeedPick)]);
+        let storm =
+            FaultStorm::new(17).with_generation(vec![StormFault::Crash(CrashSite::SeedPick)]);
         let cfg = SuperviseConfig {
             policy: fast_policy(),
             max_replans: 0,
@@ -626,9 +672,17 @@ mod tests {
         };
         let (out, events) = supervised(&fx, &storm, &cfg, 23);
 
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
+        assert!(
+            out.report.verified,
+            "mismatches: {:?}",
+            out.report.mismatches
+        );
         assert_eq!(out.replans, 1);
-        assert!(out.final_tier >= Tier::Traditional, "tier: {:?}", out.final_tier);
+        assert!(
+            out.final_tier >= Tier::Traditional,
+            "tier: {:?}",
+            out.final_tier
+        );
         assert!(events.iter().any(|e| e.name() == "degraded_fallback"));
     }
 }

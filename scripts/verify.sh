@@ -47,6 +47,12 @@
 #      SIMD multiply must stay >= 4x the scalar tier (scripts/
 #      bench_gate.sh). Set RPR_BENCH_GATE=off to skip, e.g. on loaded
 #      machines. See docs/PERFORMANCE.md.
+#  14. benchmark smoke: `benchmark/` is a cargo workspace of its own, so
+#      steps 1-5 never compile it. `benchmark/run.sh --quick` (< 15 s
+#      after the build) builds the harness offline against the working
+#      tree and runs every workload at a tenth of its size; it must exit
+#      zero (every operation and invariant of every workload passed) and
+#      leave `benchmark/` and BENCHMARK.json exactly as committed.
 #
 # Note: `cargo doc` prints a filename-collision warning for the `rpr` CLI
 # binary vs the `rpr` facade lib (cargo#6313); it is cargo's, not
@@ -341,5 +347,19 @@ else
         fi
     fi
 fi
+
+# Step 14: an API slip that breaks the benchmark harness must fail here,
+# not in the PR driver. The harness always builds offline.
+echo "==> benchmark/run.sh --quick"
+if ! benchmark/run.sh --quick >/dev/null; then
+    echo "benchmark smoke FAILED: the harness did not build or a workload failed" >&2
+    exit 1
+fi
+if [ -n "$(git status --porcelain benchmark BENCHMARK.json)" ]; then
+    echo "benchmark smoke FAILED: the run changed benchmark/ or BENCHMARK.json:" >&2
+    git status --porcelain benchmark BENCHMARK.json >&2
+    exit 1
+fi
+echo "==> benchmark harness builds, runs, and leaves its files untouched"
 
 echo "==> verify OK"

@@ -18,8 +18,8 @@ use rpr::codec::{BlockId, CodeParams, StripeCodec};
 use rpr::core::{supervise_injected, CostModel, RepairContext, SuperviseConfig};
 use rpr::faults::{checksum64, CrashSite, FaultStorm, HealthTracker, StormFault};
 use rpr::obs::{export, TraceRecorder};
-use rpr_proof::ProofMode;
 use rpr::topology::{cluster_for, BandwidthProfile, Placement};
+use rpr_proof::ProofMode;
 
 const CODES: [(usize, usize); 3] = [(4, 2), (6, 3), (8, 4)];
 const SEEDS: [u64; 3] = [8, 17, 4242];
@@ -45,9 +45,21 @@ fn storms() -> Vec<(&'static str, Vec<Vec<StormFault>>, SuperviseConfig)> {
         ),
         ("corrupt", vec![vec![StormFault::Corrupt]], base()),
         ("rack", vec![vec![StormFault::RackOutage]], base()),
-        ("lie-off", vec![vec![StormFault::Lie]], proof(ProofMode::Off)),
-        ("lie-advisory", vec![vec![StormFault::Lie]], proof(ProofMode::Advisory)),
-        ("lie-mandatory", vec![vec![StormFault::Lie]], proof(ProofMode::Mandatory)),
+        (
+            "lie-off",
+            vec![vec![StormFault::Lie]],
+            proof(ProofMode::Off),
+        ),
+        (
+            "lie-advisory",
+            vec![vec![StormFault::Lie]],
+            proof(ProofMode::Advisory),
+        ),
+        (
+            "lie-mandatory",
+            vec![vec![StormFault::Lie]],
+            proof(ProofMode::Mandatory),
+        ),
         // A tainted partial banked at the crash and re-served afterwards.
         (
             "lie+crash-advisory",
@@ -57,15 +69,25 @@ fn storms() -> Vec<(&'static str, Vec<Vec<StormFault>>, SuperviseConfig)> {
         (
             "slow-hedge",
             vec![vec![StormFault::Slow { factor: 0.1 }]],
-            SuperviseConfig { hedge: Some(2.0), ..base() },
+            SuperviseConfig {
+                hedge: Some(2.0),
+                ..base()
+            },
         ),
         // A derate injected before a replan (does it persist?).
-        ("slow+crash", vec![vec![StormFault::Slow { factor: 0.25 }, crash]], base()),
+        (
+            "slow+crash",
+            vec![vec![StormFault::Slow { factor: 0.25 }, crash]],
+            base(),
+        ),
         // max_replans + 2 crashes walk the whole tier ladder.
         (
             "ladder",
             vec![vec![crash], vec![crash]],
-            SuperviseConfig { max_replans: 0, ..base() },
+            SuperviseConfig {
+                max_replans: 0,
+                ..base()
+            },
         ),
         // Breached at the crash and again (per wave and whole-repair) in
         // the final generation, with proofs on to pin their relative order.
