@@ -482,7 +482,8 @@ pub fn check_retry_budget(
     op_faults: &[Vec<AttemptFault>],
     policy: &RetryPolicy,
 ) -> Result<(), String> {
-    match op_faults.iter().position(|fs| fs.len() >= policy.max_attempts.max(1)) {
+    let exhausted = |fs: &Vec<AttemptFault>| !fs.is_empty() && fs.len() >= policy.max_attempts;
+    match op_faults.iter().position(exhausted) {
         Some(i) => Err(format!(
             "op {i}: {} injected failures exhaust the retry budget \
              (max_attempts = {})",

@@ -568,7 +568,7 @@ pub struct Generation<'a, 'c, P> {
     tier: Tier,
     pool: &'a HashMap<PoolKey, Banked<P>>,
     dead: &'a [NodeId],
-    quarantined: Vec<NodeId>,
+    tracker: &'a HealthTracker,
 }
 
 impl<P> Generation<'_, '_, P> {
@@ -584,7 +584,7 @@ impl<P> Generation<'_, '_, P> {
                 banked.insert((loc.0, self.vecs[i].clone()), ());
             }
         }
-        let avoid = avoid_list(self.quarantined.clone(), Some(slow), self.dead);
+        let avoid = avoid_list(quarantined(self.tracker), Some(slow), self.dead);
         plan_with_pool(&self.ctx.clone().with_avoided(avoid), &banked, self.tier).ok()
     }
 }
@@ -734,6 +734,25 @@ fn feed_health<P>(
         .filter(|n| !before.contains(n))
         .map(|n| (n, tracker.score(n)))
         .collect()
+}
+
+/// Per-wave `(start, finish)` over the cross sends flagged in `ran`, from
+/// per-op spans; a wave none of whose sends ran starts at infinity.
+fn wave_spans(
+    plan: &RepairPlan,
+    topo: &Topology,
+    ran: &[bool],
+    spans: &[(f64, f64)],
+) -> Vec<(f64, f64)> {
+    let (waves, wave_count) = plan.cross_waves(topo);
+    let mut out = vec![(f64::INFINITY, 0.0f64); wave_count];
+    for (i, wave) in waves.iter().enumerate() {
+        if let (Some(w), true) = (wave, ran[i]) {
+            out[*w].0 = out[*w].0.min(spans[i].0);
+            out[*w].1 = out[*w].1.max(spans[i].1);
+        }
+    }
+    out
 }
 
 /// Pick the degraded-read client: the lowest-index live spare node (no
@@ -936,7 +955,7 @@ pub fn supervise<B: RepairBackend>(
             tier: out.final_tier,
             pool: &pool,
             dead: &dead,
-            quarantined: quarantined(tracker),
+            tracker,
         };
         let run = backend.run_generation(&gen, rec);
         let evidence = if cfg.proof.active() {
@@ -997,14 +1016,7 @@ pub fn supervise<B: RepairBackend>(
             if let Some(d) = cfg.deadline {
                 // Per-wave budgets proportional to the clean run's spans,
                 // then the whole-repair budget.
-                let (waves, wave_count) = plan.cross_waves(ctx.topo);
-                let mut spans = vec![(f64::INFINITY, 0.0f64); wave_count];
-                for (i, wave) in waves.iter().enumerate() {
-                    if let (Some(w), true) = (wave, rep.lowered[i]) {
-                        spans[*w].0 = spans[*w].0.min(run.spans[i].0);
-                        spans[*w].1 = spans[*w].1.max(run.spans[i].1);
-                    }
-                }
+                let spans = wave_spans(plan, ctx.topo, &rep.lowered, &run.spans);
                 let clean_total = baseline.clean_time.max(EPS);
                 for (&(start, finish), &(cs, cf)) in spans.iter().zip(&baseline.wave_spans) {
                     if !start.is_finite() || !cs.is_finite() {

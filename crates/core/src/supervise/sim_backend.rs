@@ -3,7 +3,7 @@
 //! timeline at `t_base`.
 
 use super::{
-    hedge_node, median_of, Baseline, Ending, Evidence, Generation, GenerationRun, RepairBackend,
+    hedge_node, median_of, wave_spans, Baseline, Ending, Evidence, Generation, GenerationRun, RepairBackend,
     Splice,
 };
 use crate::plan::{Input, Op, Payload, RepairPlan};
@@ -213,17 +213,7 @@ impl RepairBackend for SimBackend {
             ctx.effective_chunk(),
         );
         let report = sim.run_recorded(rpr_obs::noop());
-        let spans = op_spans(&report, &jobs);
-        let (waves, wave_count) = plan.cross_waves(ctx.topo);
-        let mut wave_spans = vec![(f64::INFINITY, 0.0f64); wave_count];
-        for (i, w) in waves
-            .iter()
-            .enumerate()
-            .filter_map(|(i, w)| Some((i, (*w)?)))
-        {
-            wave_spans[w].0 = wave_spans[w].0.min(spans[i].0);
-            wave_spans[w].1 = wave_spans[w].1.max(spans[i].1);
-        }
+        let wave_spans = wave_spans(plan, ctx.topo, &all, &op_spans(&report, &jobs));
         Baseline {
             clean_time: report.makespan,
             wave_spans,

@@ -180,6 +180,7 @@ impl RepairBackend for ExecBackend<'_> {
             (None, Some(straggler)) if fired => Ending::Cancelled { straggler },
             _ => Ending::Completed,
         };
+        let spans = run.op_timings.iter().map(|t| (t.start, t.end)).collect();
         self.last = Some(LastRun {
             scheme: plan.scheme,
             outputs: plan.outputs.clone(),
@@ -188,14 +189,14 @@ impl RepairBackend for ExecBackend<'_> {
                 .iter()
                 .map(|&(_, op)| run.values[op.0].clone().or_else(|| prefilled[op.0].clone()))
                 .collect(),
-            op_timings: run.op_timings.clone(),
+            op_timings: run.op_timings,
         });
         GenerationRun {
             ending,
             started: 0.0,
             now,
             traffic: plan.traffic(ctx.topo, &completed),
-            spans: run.op_timings.iter().map(|t| (t.start, t.end)).collect(),
+            spans,
             partials: run.values,
             retries: run.retries,
             splice: None,

@@ -48,6 +48,16 @@ impl World {
         }
     }
 
+    /// An encoded stripe of real (patterned) bytes for the exec backend.
+    fn stripe(&self) -> Vec<Vec<u8>> {
+        let n = self.codec.params().n as u8;
+        let data: Vec<Vec<u8>> = (0..n)
+            .map(|i| vec![i.wrapping_mul(37) ^ 0x5a; self.block as usize])
+            .collect();
+        let refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
+        self.codec.encode_stripe(&refs)
+    }
+
     fn ctx(&self, failed: Vec<BlockId>) -> RepairContext<'_> {
         RepairContext::new(
             &self.codec,
@@ -376,9 +386,7 @@ fn slow_links_stay_slow_across_a_replan_on_both_backends() {
         .expect("sim completes");
     check("sim", &rec.take_events(), &sim.fault_sites);
 
-    let data: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i.wrapping_mul(37) ^ 0x5a; 256 << 10]).collect();
-    let refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
-    let stripe = world.codec.encode_stripe(&refs);
+    let stripe = world.stripe();
     let rec = TraceRecorder::with_capacity(16384);
     let exec = execute_supervised(&ctx, &stripe, &rec, &storm, &cfg, &mut HealthTracker::with_defaults())
         .expect("exec completes");
@@ -401,9 +409,7 @@ fn exec_pool_reserves_carry_provenance_back_to_the_liar() {
         proof: ProofMode::Advisory,
         ..SuperviseConfig::default()
     };
-    let data: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i.wrapping_mul(37) ^ 0x5a; 32 << 10]).collect();
-    let refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
-    let stripe = world.codec.encode_stripe(&refs);
+    let stripe = world.stripe();
     let ctx = world.ctx(vec![BlockId(1)]);
     let storm = FaultStorm::new(0)
         .with_generation(vec![StormFault::Lie, StormFault::Crash(CrashSite::SeedPick)]);
