@@ -10,11 +10,10 @@ usage:
   rpr plan    --code N,K --fail BLOCKS [options] [--gantt] [--dot]
   rpr compare --code N,K --fail BLOCKS [options]
   rpr trace   --code N,K --fail BLOCKS [options] [--format F] [--out FILE]
-  rpr inject  --code N,K --fail BLOCKS [options] [--fault F] [--seed S]
-              [--backend B] [--format F] [--out FILE] [--json]
+  rpr inject  --code N,K --fail BLOCKS [options] [--fault F] [chaos options]
   rpr chaos   --code N,K --fail BLOCKS [options] [--storm LIST] [--seed S]
               [--backend B] [--hedge M] [--deadline S] [--proof MODE]
-              [--ledger-out FILE] [--out FILE] [--json]
+              [--ledger-out FILE] [--format F] [--out FILE] [--json]
   rpr audit   --trace FILE --ledger FILE [--json]
   rpr fleet   [--code N,K] [--stripes N] [--racks R] [--nodes-per-rack N]
               [--block-mib M] [--ratio R] [--seed S] [--storm LIST]
@@ -33,6 +32,7 @@ usage:
 BLOCKS   comma-separated block names or indices: d1, p0, 3, d0,d2
 options:
   --scheme S        rpr | car | chain | traditional | traditional-local (default rpr)
+                    inject / chaos: rpr only, the supervisor picks the plan
   --placement P     compact | preplaced | flat                   (default preplaced)
   --block-mib M     block size in MiB                            (default 256)
   --chunk-size M    streaming chunk in MiB; payloads cut through
@@ -44,19 +44,19 @@ options:
                     GF kernels (see docs/PERFORMANCE.md)
 trace options (see docs/TRACING.md):
   --format F        chrome | jsonl                               (default chrome;
-                                                                  inject: jsonl)
+                                                                  inject, chaos: jsonl)
   --out FILE        write the trace to FILE instead of stdout
-inject options (see docs/ROBUSTNESS.md):
-  --fault F         crash | timeout | corrupt | slow | rack      (default crash)
-  --seed S          deterministic fault seed                     (default 17)
-  --backend B       sim | exec                                   (default sim)
-                    exec moves real bytes: pass a small --block-mib
-  --json            machine-readable summary on stdout (the trace
-                    is then only written when --out is given)
+inject: `chaos` with a one-fault storm (see docs/ROBUSTNESS.md):
+  --fault F         the storm's only fault, named as in --storm   (default crash)
 chaos options (supervised fault storms, see docs/ROBUSTNESS.md):
   --storm LIST      one fault per generation, comma-separated:
                     crash | replacement-crash | timeout | corrupt |
                     slow | rack | lie    (default crash,replacement-crash,timeout)
+  --seed S          deterministic fault seed                      (default 17)
+  --backend B       sim | exec                                    (default sim)
+                    exec moves real bytes: pass a small --block-mib
+  --json            machine-readable summary on stdout (the trace
+                    is then only written when --out is given)
   --hedge M         hedge a straggler at M x the peer median      (default off)
   --deadline S      repair deadline in (virtual or wall) seconds  (default off)
   --proof MODE      off | advisory | mandatory: repair-proof plane (default off)
@@ -114,11 +114,9 @@ pub enum Command {
     Compare(PlanArgs),
     /// Simulate one scheme and dump its structured repair trace.
     Trace(TraceArgs),
-    /// Run one scheme under a seed-picked injected fault and dump the
-    /// degraded repair trace.
-    Inject(InjectArgs),
-    /// Drive a repair through the supervisor under a multi-generation
-    /// fault storm (crash of a replacement helper included).
+    /// Drive a repair through the supervisor under a fault storm: one
+    /// seed-picked fault (`inject`) or one per generation (`chaos`, crash
+    /// of a replacement helper included).
     Chaos(ChaosArgs),
     /// Drain a fleet-scale backlog of at-risk stripes through the
     /// prioritized, bandwidth-arbitrated repair scheduler.
@@ -196,53 +194,18 @@ pub struct TraceArgs {
     pub out: Option<String>,
 }
 
-/// Fault family injected by `rpr inject`; the concrete site (node, op,
-/// rack, timestep) is picked deterministically from the seed.
+/// Which substrate runs the supervised repair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultChoice {
-    /// A helper node dies mid-pipeline; recovery replans around it.
-    Crash,
-    /// One transfer stalls partway and times out once.
-    Timeout,
-    /// One intermediate block arrives corrupted (checksum rejects it).
-    Corrupt,
-    /// One helper's links run degraded for the whole repair.
-    Slow,
-    /// A rack switch drops every cross transfer of one timestep once.
-    Rack,
-}
-
-/// Which substrate runs the injected repair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InjectBackend {
+pub enum Backend {
     /// Virtual-clock flow simulator (bit-deterministic traces).
     Sim,
     /// Real-byte executor (wall-clock timing, byte-exact verification).
     Exec,
 }
 
-/// Options for the `inject` command.
-#[derive(Clone, Debug, PartialEq)]
-pub struct InjectArgs {
-    /// The scenario to degrade (same knobs as `plan`).
-    pub plan: PlanArgs,
-    /// Fault family to inject.
-    pub fault: FaultChoice,
-    /// Backend that runs the repair.
-    pub backend: InjectBackend,
-    /// Seed driving both the site pick and the fault parameters.
-    pub seed: u64,
-    /// Output format of the trace.
-    pub format: TraceFormat,
-    /// Output path; stdout when absent.
-    pub out: Option<String>,
-    /// Print a machine-readable summary object on stdout; the trace is
-    /// then only written when `out` is set.
-    pub json: bool,
-}
-
-/// One storm generation of `rpr chaos`; the concrete site is picked
-/// deterministically from the seed each generation.
+/// One storm generation of `rpr chaos` (`rpr inject` runs exactly one);
+/// the concrete site is picked deterministically from the seed each
+/// generation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChaosFault {
     /// A seed-picked cross-sending helper crashes.
@@ -277,13 +240,13 @@ impl ChaosFault {
     }
 }
 
-/// Options for the `chaos` command.
+/// Options for the `chaos` and `inject` commands.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosArgs {
     /// The scenario to batter (same knobs as `plan`).
     pub plan: PlanArgs,
     /// Backend that runs the supervised repair.
-    pub backend: InjectBackend,
+    pub backend: Backend,
     /// One fault per storm generation, in order.
     pub storm: Vec<ChaosFault>,
     /// Seed driving every site pick across the storm.
@@ -813,6 +776,12 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             ) {
                 return Err(format!("unknown scheme `{scheme}`"));
             }
+            if matches!(verb.as_str(), "inject" | "chaos") && scheme != "rpr" {
+                return Err(format!(
+                    "--scheme {scheme}: the supervisor chooses the plan (RPR first, then \
+                     CAR, then traditional); `{verb}` accepts only --scheme rpr"
+                ));
+            }
             let cost = flags.get("--cost").unwrap_or("simics").to_string();
             if !matches!(cost.as_str(), "simics" | "ec2" | "free" | "measured") {
                 return Err(format!("unknown cost model `{cost}`"));
@@ -836,8 +805,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 Some(other) => Err(format!("unknown trace format `{other}`")),
             };
             let backend = match flags.get("--backend").unwrap_or("sim") {
-                "sim" => InjectBackend::Sim,
-                "exec" => InjectBackend::Exec,
+                "sim" => Backend::Sim,
+                "exec" => Backend::Exec,
                 other => return Err(format!("unknown backend `{other}`")),
             };
             let seed = flags
@@ -853,30 +822,19 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     format: format(TraceFormat::Chrome)?,
                     out: flags.get("--out").map(String::from),
                 }),
-                "inject" => Command::Inject(InjectArgs {
-                    plan: args,
-                    fault: match flags.get("--fault").unwrap_or("crash") {
-                        "crash" => FaultChoice::Crash,
-                        "timeout" => FaultChoice::Timeout,
-                        "corrupt" => FaultChoice::Corrupt,
-                        "slow" => FaultChoice::Slow,
-                        "rack" => FaultChoice::Rack,
-                        other => return Err(format!("unknown fault `{other}`")),
-                    },
-                    backend,
-                    seed,
-                    // JSONL by default: injected traces exist to be diffed.
-                    format: format(TraceFormat::Jsonl)?,
-                    out: flags.get("--out").map(String::from),
-                    json: flags.has("--json"),
-                }),
                 _ => {
-                    let storm = flags
-                        .get("--storm")
-                        .unwrap_or("crash,replacement-crash,timeout")
-                        .split(',')
-                        .map(|s| ChaosFault::from_name(s.trim()))
-                        .collect::<Result<Vec<_>, _>>()?;
+                    let storm = match verb.as_str() {
+                        // `inject` is `chaos` with a one-fault storm.
+                        "inject" => {
+                            vec![ChaosFault::from_name(flags.get("--fault").unwrap_or("crash"))?]
+                        }
+                        _ => flags
+                            .get("--storm")
+                            .unwrap_or("crash,replacement-crash,timeout")
+                            .split(',')
+                            .map(|s| ChaosFault::from_name(s.trim()))
+                            .collect::<Result<Vec<_>, _>>()?,
+                    };
                     if storm.is_empty() {
                         return Err("--storm needs at least one fault".into());
                     }
@@ -907,6 +865,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                         deadline,
                         proof,
                         ledger_out: flags.get("--ledger-out").map(String::from),
+                        // JSONL by default: degraded traces exist to be diffed.
                         format: format(TraceFormat::Jsonl)?,
                         out: flags.get("--out").map(String::from),
                         json: flags.has("--json"),
@@ -1016,44 +975,50 @@ mod tests {
     fn parse_inject_command() {
         let cmd = parse(&argv(
             "inject --code 6,3 --fail d1 --fault timeout --seed 4242 \
-             --backend exec --format chrome --out chaos.json",
+             --backend exec --format chrome --out chaos.json --json",
         ))
         .unwrap();
         match cmd {
-            Command::Inject(i) => {
-                assert_eq!(i.plan.params, CodeParams::new(6, 3));
-                assert_eq!(i.fault, FaultChoice::Timeout);
-                assert_eq!(i.backend, InjectBackend::Exec);
-                assert_eq!(i.seed, 4242);
-                assert_eq!(i.format, TraceFormat::Chrome);
-                assert_eq!(i.out.as_deref(), Some("chaos.json"));
+            Command::Chaos(c) => {
+                assert_eq!(c.plan.params, CodeParams::new(6, 3));
+                assert_eq!(c.storm, vec![ChaosFault::Timeout]);
+                assert_eq!(c.backend, Backend::Exec);
+                assert_eq!(c.seed, 4242);
+                assert_eq!(c.format, TraceFormat::Chrome);
+                assert_eq!(c.out.as_deref(), Some("chaos.json"));
+                assert!(c.json);
             }
             other => panic!("wrong command {other:?}"),
         }
-        match parse(&argv("inject --code 6,3 --fail d1")).unwrap() {
-            Command::Inject(i) => {
-                assert_eq!(i.fault, FaultChoice::Crash, "crash is the default");
-                assert_eq!(i.backend, InjectBackend::Sim, "sim is the default");
-                assert_eq!(i.seed, 17);
-                assert_eq!(i.format, TraceFormat::Jsonl, "inject defaults to jsonl");
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        // `inject` is `chaos` with a one-fault storm, nothing else.
+        assert_eq!(
+            parse(&argv("inject --code 6,3 --fail d1")).unwrap(),
+            parse(&argv("chaos --code 6,3 --fail d1 --storm crash")).unwrap(),
+            "crash is the default fault; sim, seed 17, jsonl, no --json as for chaos"
+        );
         assert!(parse(&argv("inject --code 6,3 --fail d1 --fault meteor")).is_err());
+        assert!(parse(&argv("inject --code 6,3 --fail d1 --fault crash,timeout")).is_err());
         assert!(parse(&argv("inject --code 6,3 --fail d1 --backend fpga")).is_err());
         assert!(parse(&argv("inject --code 6,3 --fail d1 --seed -1")).is_err());
     }
 
     #[test]
-    fn parse_inject_json_flag() {
-        match parse(&argv("inject --code 6,3 --fail d1 --json")).unwrap() {
-            Command::Inject(i) => assert!(i.json),
-            other => panic!("wrong command {other:?}"),
+    fn inject_and_chaos_reject_a_scheme_the_supervisor_would_ignore() {
+        for verb in ["inject", "chaos"] {
+            for scheme in ["car", "chain", "traditional", "traditional-local"] {
+                let err = parse(&argv(&format!(
+                    "{verb} --code 6,3 --fail d1 --scheme {scheme}"
+                )))
+                .unwrap_err();
+                assert!(err.contains("the supervisor chooses the plan"), "{err}");
+            }
+            assert!(parse(&argv(&format!("{verb} --code 6,3 --fail d1 --scheme rpr"))).is_ok());
+            let err =
+                parse(&argv(&format!("{verb} --code 6,3 --fail d1 --scheme nope"))).unwrap_err();
+            assert!(err.contains("unknown scheme"), "{err}");
         }
-        match parse(&argv("inject --code 6,3 --fail d1")).unwrap() {
-            Command::Inject(i) => assert!(!i.json, "json is opt-in"),
-            other => panic!("wrong command {other:?}"),
-        }
+        // Every other verb still takes any scheme.
+        assert!(parse(&argv("trace --code 6,3 --fail d1 --scheme car")).is_ok());
     }
 
     #[test]
@@ -1076,7 +1041,7 @@ mod tests {
                     ]
                 );
                 assert_eq!(c.seed, 99);
-                assert_eq!(c.backend, InjectBackend::Exec);
+                assert_eq!(c.backend, Backend::Exec);
                 assert_eq!(c.hedge, Some(2.5));
                 assert_eq!(c.deadline, Some(30.0));
                 assert!(c.json);
@@ -1095,7 +1060,7 @@ mod tests {
                     ],
                     "the acceptance storm is the default"
                 );
-                assert_eq!(c.backend, InjectBackend::Sim);
+                assert_eq!(c.backend, Backend::Sim);
                 assert_eq!(c.hedge, None);
                 assert_eq!(c.deadline, None);
                 assert!(!c.json);

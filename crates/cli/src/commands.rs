@@ -1,19 +1,16 @@
 //! Command implementations.
 
 use crate::args::{
-    AuditArgs, ChaosArgs, ChaosFault, Command, FaultChoice, FleetArgs, InjectArgs, InjectBackend,
-    LoadArgs, LoadModeChoice, PlanArgs, TraceArgs, TraceFormat,
+    AuditArgs, Backend, ChaosArgs, ChaosFault, Command, FleetArgs, LoadArgs, LoadModeChoice,
+    PlanArgs, TraceArgs, TraceFormat,
 };
 use rpr_codec::{CodeParams, StripeCodec};
 use rpr_core::analysis::{rpr_repair_time, traditional_repair_time, AnalysisParams};
 use rpr_core::{
-    crash_candidates, simulate, simulate_injected, supervise_injected, viz, CarPlanner, CostModel,
-    Op, Payload, RepairContext, RepairPlanner, RprPlanner, SuperviseConfig, SuperviseOutcome,
-    TraditionalPlanner,
+    simulate, supervise_injected, viz, CarPlanner, CostModel, RepairContext, RepairPlanner,
+    RprPlanner, SuperviseConfig, SuperviseOutcome, TraditionalPlanner,
 };
-use rpr_faults::{
-    CrashSite, FaultKind, FaultPlan, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault,
-};
+use rpr_faults::{CrashSite, FaultStorm, HealthTracker, StormFault};
 use rpr_proof::{ProofLedger, ProofMode};
 use rpr_topology::{cluster_for, BandwidthProfile, Placement, PlacementPolicy, GBIT};
 
@@ -23,7 +20,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
         Command::Plan(a) => plan(&a),
         Command::Compare(a) => compare(&a),
         Command::Trace(t) => trace(&t),
-        Command::Inject(i) => inject(&i),
         Command::Chaos(c) => chaos(&c),
         Command::Fleet(f) => fleet(&f),
         Command::Load(l) => load(&l),
@@ -261,101 +257,6 @@ fn trace(t: &TraceArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Turn a fault *family* into a concrete [`FaultPlan`]: the site (node,
-/// op, rack, timestep) is picked from the seed, so the same seed always
-/// degrades the same transfer — the property the chaos determinism check
-/// in `scripts/verify.sh` relies on.
-fn seeded_fault_plan(
-    plan: &rpr_core::RepairPlan,
-    ctx: &RepairContext<'_>,
-    choice: FaultChoice,
-    seed: u64,
-) -> Result<FaultPlan, String> {
-    let mut rng = SplitMix64::new(seed);
-    let sends_matching = |pred: &dyn Fn(&Op) -> bool| -> Vec<usize> {
-        plan.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| pred(op))
-            .map(|(i, _)| i)
-            .collect()
-    };
-    let kind = match choice {
-        FaultChoice::Crash => {
-            let cands = crash_candidates(plan, ctx);
-            if cands.is_empty() {
-                return Err("no crash candidate: every cross sender is the recovery node".into());
-            }
-            let (node, timestep) = cands[rng.pick(cands.len())];
-            FaultKind::HelperCrash { node, timestep }
-        }
-        FaultChoice::Timeout => {
-            let sends = sends_matching(&|op| matches!(op, Op::Send { .. }));
-            if sends.is_empty() {
-                return Err("plan has no transfers to time out".into());
-            }
-            FaultKind::TransferTimeout {
-                op: sends[rng.pick(sends.len())],
-            }
-        }
-        FaultChoice::Corrupt => {
-            let ints = sends_matching(&|op| {
-                matches!(
-                    op,
-                    Op::Send {
-                        what: Payload::Intermediate(_),
-                        ..
-                    }
-                )
-            });
-            if ints.is_empty() {
-                return Err(
-                    "plan ships no intermediate blocks to corrupt (try --scheme rpr)".into(),
-                );
-            }
-            FaultKind::CorruptIntermediate {
-                op: ints[rng.pick(ints.len())],
-            }
-        }
-        FaultChoice::Slow => {
-            let mut helpers: Vec<usize> = plan
-                .ops
-                .iter()
-                .filter_map(|op| match op {
-                    Op::Send { from, .. } => Some(from.0),
-                    _ => None,
-                })
-                .collect();
-            helpers.sort_unstable();
-            helpers.dedup();
-            FaultKind::SlowLink {
-                node: helpers[rng.pick(helpers.len())],
-                factor: 0.25,
-            }
-        }
-        FaultChoice::Rack => {
-            let (waves, _) = plan.cross_waves(ctx.topo);
-            let mut sites: Vec<(usize, usize)> = plan
-                .ops
-                .iter()
-                .enumerate()
-                .filter_map(|(i, op)| match (op, waves[i]) {
-                    (Op::Send { from, .. }, Some(w)) => Some((ctx.topo.rack_of(*from).0, w)),
-                    _ => None,
-                })
-                .collect();
-            sites.sort_unstable();
-            sites.dedup();
-            if sites.is_empty() {
-                return Err("plan has no cross-rack transfers to drop".into());
-            }
-            let (rack, timestep) = sites[rng.pick(sites.len())];
-            FaultKind::RackSwitchOutage { rack, timestep }
-        }
-    };
-    Ok(FaultPlan::new(seed).with(kind))
-}
-
 /// Deterministic stripe contents for the exec backend (same LCG as the
 /// executor's own tests, so corruption scenarios are reproducible).
 fn deterministic_stripe(codec: &StripeCodec, len: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -374,99 +275,6 @@ fn deterministic_stripe(codec: &StripeCodec, len: usize, seed: u64) -> Vec<Vec<u
         .collect();
     let refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
     codec.encode_stripe(&refs)
-}
-
-/// Run the scenario once under a seed-picked injected fault and dump the
-/// degraded trace (`--backend sim` replays on the virtual clock and is
-/// bit-deterministic; `--backend exec` moves real bytes and verifies the
-/// reconstruction). Trace to `--out`/stdout, human summary to stderr.
-fn inject(t: &InjectArgs) -> Result<(), String> {
-    let a = &t.plan;
-    let w = world(a);
-    let ctx = context(a, &w);
-    let plan = planner_by_name(&a.scheme).plan(&ctx);
-    plan.validate(&w.codec, &w.topo, &w.placement)
-        .expect("planner output must validate");
-    let fp = seeded_fault_plan(&plan, &ctx, t.fault, t.seed)?;
-    eprintln!("# injecting (seed {}): {:?}", t.seed, fp.faults[0]);
-
-    let policy = RetryPolicy::default();
-    let rec = rpr_obs::TraceRecorder::default();
-    // (makespan, clean, verified, retries, replans, reused, final scheme)
-    let (makespan, clean, verified, retries, replans, reused, final_scheme);
-    let summary = match t.backend {
-        InjectBackend::Sim => {
-            let out = simulate_injected(&plan, &ctx, &fp, &policy, &rec)?;
-            (makespan, clean, verified) = (out.repair_time, Some(out.clean_time), None);
-            (retries, replans, reused) = (out.retries, out.replans, out.reused_ops);
-            final_scheme = out.final_scheme.to_string();
-            format!(
-                "degraded {:.2} s vs clean {:.2} s (+{:.1}%) | retries {} | \
-                 replans {} | reused ops {} | finished as {}",
-                out.repair_time,
-                out.clean_time,
-                (out.repair_time / out.clean_time - 1.0) * 100.0,
-                out.retries,
-                out.replans,
-                out.reused_ops,
-                final_scheme
-            )
-        }
-        InjectBackend::Exec => {
-            let stripe = deterministic_stripe(&w.codec, a.block_bytes as usize, t.seed);
-            let out = rpr_exec::execute_resilient(&plan, &ctx, &stripe, &rec, &fp, &policy)
-                .map_err(|e| e.to_string())?;
-            (makespan, clean, verified) =
-                (out.report.wall_seconds, None, Some(out.report.verified));
-            (retries, replans, reused) = (out.retries, out.replans, out.reused_ops);
-            final_scheme = out.final_scheme.to_string();
-            format!(
-                "wall {:.2} s | verified: {} | retries {} | replans {} | \
-                 reused ops {} | finished as {}",
-                out.report.wall_seconds,
-                if out.report.verified { "yes" } else { "NO" },
-                out.retries,
-                out.replans,
-                out.reused_ops,
-                final_scheme
-            )
-        }
-    };
-
-    let snap = rec.snapshot();
-    let events = rec.take_events();
-    emit_trace(&events, t.format, &t.out, t.json)?;
-    if t.json {
-        println!(
-            "{{\"command\":\"inject\",\"backend\":{},\"scheme\":{},\"seed\":{},\
-             \"fault\":{},\"attempts\":{},\"retries\":{},\"replans\":{},\
-             \"reused_partials\":{},\"final_scheme\":{},\"makespan\":{},\
-             \"clean\":{},\"verified\":{}}}",
-            json_str(match t.backend {
-                InjectBackend::Sim => "sim",
-                InjectBackend::Exec => "exec",
-            }),
-            json_str(&a.scheme),
-            t.seed,
-            json_str(&format!("{:?}", fp.faults[0])),
-            retries + replans + 1,
-            retries,
-            replans,
-            reused,
-            json_str(&final_scheme),
-            makespan,
-            clean.map_or("null".to_string(), |v| v.to_string()),
-            verified.map_or("null".to_string(), |v| v.to_string()),
-        );
-    }
-    eprintln!(
-        "# {} repair under fault: {summary} | {} events ({} dropped)",
-        a.scheme, snap.recorded_events, snap.dropped_events,
-    );
-    if verified == Some(false) {
-        return Err("repair completed but the reconstruction failed byte verification".into());
-    }
-    Ok(())
 }
 
 /// Minimal JSON string escaping (the repository avoids serde): quotes,
@@ -530,14 +338,15 @@ fn storm_fault(f: ChaosFault) -> StormFault {
     }
 }
 
-/// Drive a repair through the supervisor under a multi-generation fault
-/// storm (`--storm crash,replacement-crash,timeout` is the acceptance
-/// storm: a helper crash, then a crash of its replacement, then one
-/// transient timeout). `--backend sim` replays bit-deterministically on
-/// the virtual clock; `--backend exec` moves real bytes, cancels real
-/// transfers when hedging fires, and byte-verifies the reconstruction.
-/// The supervisor owns scheme selection (RPR first, degrading through
-/// the tier ladder), so `--scheme` is ignored here.
+/// Drive a repair through the supervisor under a fault storm: `rpr
+/// inject`'s single seed-picked fault, or `rpr chaos`'s one per generation
+/// (`--storm crash,replacement-crash,timeout` is the acceptance storm: a
+/// helper crash, then a crash of its replacement, then one transient
+/// timeout). `--backend sim` replays bit-deterministically on the virtual
+/// clock; `--backend exec` moves real bytes, cancels real transfers when
+/// hedging fires, and byte-verifies the reconstruction. The supervisor
+/// owns scheme selection (RPR first, degrading through the tier ladder),
+/// which is why the parser rejects any other `--scheme`.
 fn chaos(c: &ChaosArgs) -> Result<(), String> {
     let a = &c.plan;
     let w = world(a);
@@ -563,12 +372,12 @@ fn chaos(c: &ChaosArgs) -> Result<(), String> {
     // Both backends report through the shared loop's outcome; the executor
     // adds byte verification and has no fault-free baseline to compare to.
     let (s, clean, verified) = match c.backend {
-        InjectBackend::Sim => {
+        Backend::Sim => {
             let out = supervise_injected(&ctx, &storm, &cfg, &mut tracker, &rec)?;
             let clean = out.clean_time;
             (out, Some(clean), None)
         }
-        InjectBackend::Exec => {
+        Backend::Exec => {
             let stripe = deterministic_stripe(&w.codec, a.block_bytes as usize, c.seed);
             let out =
                 rpr_exec::execute_supervised(&ctx, &stripe, &rec, &storm, &cfg, &mut tracker)
@@ -613,8 +422,8 @@ fn chaos(c: &ChaosArgs) -> Result<(), String> {
              \"proof\":{},\"proofs_emitted\":{},\"proofs_rejected\":{},\
              \"accusations\":{},\"makespan\":{},\"clean\":{},\"verified\":{}}}",
             json_str(match c.backend {
-                InjectBackend::Sim => "sim",
-                InjectBackend::Exec => "exec",
+                Backend::Sim => "sim",
+                Backend::Exec => "exec",
             }),
             c.seed,
             json_str_array(&storm_names),

@@ -55,3 +55,89 @@ fn parity_failures_through_the_cli() {
     run("plan --code 12,4 --fail p2 --block-mib 8").expect("parity repair");
     run("plan --code 12,4 --fail p0,p1 --block-mib 8").expect("double parity");
 }
+
+/// A scratch path for one test's `--out` file (tests run in parallel, so
+/// each names its own).
+fn scratch(name: &str) -> String {
+    format!("{}/cli_{name}", env!("CARGO_TARGET_TMPDIR"))
+}
+
+#[test]
+fn inject_runs_every_fault_family_on_both_backends() {
+    for fault in ["crash", "timeout", "corrupt", "slow", "rack"] {
+        let out = scratch(&format!("inject_{fault}.jsonl"));
+        run(&format!(
+            "inject --code 6,3 --fail d1 --fault {fault} --block-mib 16 --json --out {out}"
+        ))
+        .unwrap_or_else(|e| panic!("sim {fault}: {e}"));
+        let trace = std::fs::read_to_string(&out).expect("trace written");
+        assert!(trace.ends_with("\n") && trace.contains("\"type\":\"repair_done\""));
+    }
+    // Real bytes: byte verification failing is an error, so Ok means verified.
+    let out = scratch("inject_exec.jsonl");
+    run(&format!(
+        "inject --code 6,3 --fail d1 --fault corrupt --backend exec --block-mib 1 --out {out}"
+    ))
+    .expect("exec corrupt");
+}
+
+#[test]
+fn chaos_runs_the_acceptance_storm_and_the_proof_plane() {
+    let out = scratch("chaos_default.jsonl");
+    run(&format!(
+        "chaos --code 6,3 --fail d1 --block-mib 16 --seed 77 --json --out {out}"
+    ))
+    .expect("acceptance storm");
+    let trace = std::fs::read_to_string(&out).expect("trace written");
+    assert_eq!(trace.matches("\"type\":\"replanned\"").count(), 2);
+
+    let (out, ledger) = (scratch("chaos_lie.jsonl"), scratch("chaos_lie.ledger"));
+    run(&format!(
+        "chaos --code 6,3 --fail d1 --block-mib 16 --storm lie --proof mandatory --seed 21 \
+         --out {out} --ledger-out {ledger}"
+    ))
+    .expect("lie storm");
+    run(&format!("audit --trace {out} --ledger {ledger}")).expect("audit localizes the liar");
+
+    let out = scratch("chaos_hedge.jsonl");
+    run(&format!(
+        "chaos --code 6,3 --fail d1 --block-mib 16 --storm slow --hedge 2 --deadline 30 \
+         --format chrome --out {out}"
+    ))
+    .expect("hedged straggler");
+}
+
+#[test]
+fn inject_is_chaos_with_a_one_fault_storm() {
+    for (mode, chunk) in [("block", ""), ("chunk", "--chunk-size 8")] {
+        let (a, b) = (
+            scratch(&format!("same_inject_{mode}.jsonl")),
+            scratch(&format!("same_chaos_{mode}.jsonl")),
+        );
+        run(&format!(
+            "inject --code 6,3 --fail d1 --fault crash --seed 17 {chunk} --out {a}"
+        ))
+        .expect("inject");
+        run(&format!(
+            "chaos --code 6,3 --fail d1 --storm crash --seed 17 {chunk} --out {b}"
+        ))
+        .expect("chaos");
+        let (a, b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+        assert!(!a.is_empty());
+        assert!(
+            a == b,
+            "{mode}: inject and chaos --storm crash traces differ"
+        );
+    }
+}
+
+#[test]
+fn inject_and_chaos_refuse_a_scheme_instead_of_ignoring_it() {
+    for verb in ["inject", "chaos"] {
+        let err = run(&format!("{verb} --code 6,3 --fail d1 --scheme car")).unwrap_err();
+        assert!(
+            err.contains("the supervisor chooses the plan"),
+            "{verb}: {err}"
+        );
+    }
+}

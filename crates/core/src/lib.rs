@@ -26,7 +26,6 @@
 pub mod analysis;
 pub mod cost;
 pub mod plan;
-pub mod robust;
 pub mod scenario;
 pub mod schemes;
 pub mod sim;
@@ -41,17 +40,14 @@ pub use scenario::RepairContext;
 pub use schemes::{
     CarPlanner, ChainPlanner, RecoverySite, RepairPlanner, RprPlanner, TraditionalPlanner,
 };
-pub use robust::{
-    check_retry_budget, crash_candidates, replan_after_crash, resolve, simulate_injected,
-    AttemptFault, CrashFault, Replan, ResolvedFaults, RobustOutcome,
-};
 pub use sim::{
     chunk_sizes, lower_plan_into, network_for_ctx, simulate, simulate_batch, BatchOutcome,
     SimOutcome,
 };
 pub use supervise::{
-    plan_with_pool, resolve_storm_bucket, supervise, supervise_injected, Banked, Baseline, Ending,
-    Evidence, GenFaults, Generation, GenerationRecord, GenerationRun, PoolKey, PoolReplan,
-    RepairBackend, SimBackend, Splice, SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
+    check_retry_budget, crash_candidates, plan_with_pool, resolve_storm_bucket, supervise,
+    supervise_injected, AttemptFault, Banked, Baseline, CrashFault, Ending, Evidence, GenFaults,
+    Generation, GenerationRecord, GenerationRun, PoolKey, PoolReplan, RepairBackend,
+    ResolvedFaults, SimBackend, Splice, SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
 };
 pub use trace::{combine_kernel, plan_built, simulate_traced};

@@ -1,12 +1,12 @@
 //! The repair supervisor: one loop that drives a repair to byte-verified
 //! completion under an arbitrary *sequence* of faults, on any substrate.
 //!
-//! [`robust`](crate::robust) handles exactly one helper crash per repair;
-//! [`supervise`] generalizes the crash-splice machinery into a bounded
-//! **supervision loop** over a [`RepairBackend`]. Each iteration is one
-//! *generation*: the backend runs a plan (the original, or a replan)
-//! until it completes, a storm fault kills one of its helpers, or the
-//! backend's hedge watchdog cancels it, and the loop
+//! [`supervise`] is a bounded **supervision loop** over a
+//! [`RepairBackend`], and the only fault path: a single injected fault is
+//! a one-bucket [`FaultStorm`]. Each iteration is one *generation*: the
+//! backend runs a plan (the original, or a replan) until it completes, a
+//! storm fault kills one of its helpers, or the backend's hedge watchdog
+//! cancels it, and the loop
 //!
 //! 1. resolves the storm's next bucket against the plan
 //!    ([`resolve_storm_bucket`]: seeded, so every backend picks the same
@@ -43,9 +43,8 @@ mod sim_backend;
 pub use sim_backend::{SimBackend, Taint};
 
 use crate::plan::{Op, OpId, RepairPlan};
-use crate::robust::{check_retry_budget, fallback_plan, AttemptFault, CrashFault, ResolvedFaults};
 use crate::scenario::RepairContext;
-use crate::schemes::{RepairPlanner, TraditionalPlanner};
+use crate::schemes::{CarPlanner, RepairPlanner, RprPlanner, TraditionalPlanner};
 use crate::trace::plan_built;
 use rpr_faults::{
     reason, CrashSite, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault,
@@ -213,6 +212,50 @@ impl From<SuperviseError> for String {
             SuperviseError::RetriesExhausted(m) | SuperviseError::Unrecoverable(m) => m,
         }
     }
+}
+
+/// One resolved failure of a single transfer attempt.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AttemptFault {
+    /// Fraction of the payload moved before the attempt is abandoned, in
+    /// `[0, 1]` (1.0 models corruption: the full payload arrives and
+    /// fails checksum verification).
+    pub fraction: f64,
+    /// Stable reason string (see [`rpr_faults::reason`]).
+    pub reason: &'static str,
+}
+
+/// A helper crash resolved to the concrete op whose start triggers it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CrashFault {
+    /// The dying helper.
+    pub node: NodeId,
+    /// The pipeline wave at which it dies.
+    pub timestep: usize,
+    /// The cross-rack send whose start marks the death: the node fails
+    /// immediately after beginning this transfer, which therefore never
+    /// completes.
+    pub trigger: OpId,
+}
+
+/// Storm faults resolved against one concrete [`RepairPlan`]: every
+/// symbolic fault pinned to plan ops with its free parameters (failure
+/// fractions) drawn from the seeded stream.
+#[derive(Clone, Debug)]
+pub struct ResolvedFaults {
+    /// Per-op injected attempt failures, in injection order (`op_faults[i]`
+    /// is empty for unaffected ops).
+    pub op_faults: Vec<Vec<AttemptFault>>,
+    /// At most one helper crash.
+    pub crash: Option<CrashFault>,
+    /// Per-node bandwidth derates `(node, factor)` active for the whole
+    /// generation.
+    pub slow: Vec<(NodeId, f64)>,
+    /// Send ops whose helper turns Byzantine: the payload carries wrong
+    /// bytes under a valid FNV checksum. Only the proof plane
+    /// (`rpr-proof`, [`SuperviseConfig::proof`]) can detect these —
+    /// transport-level retry never fires.
+    pub lies: Vec<usize>,
 }
 
 /// One storm bucket resolved against a concrete generation plan.
@@ -435,6 +478,69 @@ pub fn resolve_storm_bucket(
     out
 }
 
+/// `Err` when any op's injected failure count exhausts the retry budget
+/// (`max_attempts` attempts per transfer, the last of which must succeed).
+pub fn check_retry_budget(
+    op_faults: &[Vec<AttemptFault>],
+    policy: &RetryPolicy,
+) -> Result<(), String> {
+    let exhausted = |fs: &Vec<AttemptFault>| !fs.is_empty() && fs.len() >= policy.max_attempts;
+    match op_faults.iter().position(exhausted) {
+        Some(i) => Err(format!(
+            "op {i}: {} injected failures exhaust the retry budget \
+             (max_attempts = {})",
+            op_faults[i].len(),
+            policy.max_attempts
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Every `(node, timestep)` pair at which a helper crash can fire for this
+/// plan: block-hosting helpers (not the recovery node) at the wave of each
+/// of their cross-rack sends, sorted by `(timestep, node)` and
+/// deduplicated. A [`CrashSite::Node`] naming one of these nodes crashes
+/// it at its first listed timestep; tests and the benchmark enumerate
+/// them to aim crashes.
+pub fn crash_candidates(plan: &RepairPlan, ctx: &RepairContext<'_>) -> Vec<(usize, usize)> {
+    let (waves, _) = plan.cross_waves(ctx.topo);
+    let rec = ctx.recovery_node();
+    let mut out: Vec<(usize, usize)> = Vec::new();
+    for (i, op) in plan.ops.iter().enumerate() {
+        if let (Op::Send { from, .. }, Some(w)) = (op, waves[i]) {
+            if *from != rec && ctx.placement.block_on(*from).is_some() {
+                out.push((from.0, w));
+            }
+        }
+    }
+    out.sort_by_key(|&(n, w)| (w, n));
+    out.dedup();
+    out
+}
+
+/// First validating plan along the RPR → CAR → traditional chain.
+fn fallback_plan(ctx: &RepairContext<'_>) -> Result<RepairPlan, String> {
+    let mut errors = Vec::new();
+    let rpr = RprPlanner::new().plan(ctx);
+    match rpr.validate(ctx.codec, ctx.topo, ctx.placement) {
+        Ok(()) => return Ok(rpr),
+        Err(e) => errors.push(format!("rpr: {e}")),
+    }
+    if ctx.failed.len() == 1 {
+        let car = CarPlanner::new().plan(ctx);
+        match car.validate(ctx.codec, ctx.topo, ctx.placement) {
+            Ok(()) => return Ok(car),
+            Err(e) => errors.push(format!("car: {e}")),
+        }
+    }
+    let trad = TraditionalPlanner::new().plan(ctx);
+    match trad.validate(ctx.codec, ctx.topo, ctx.placement) {
+        Ok(()) => return Ok(trad),
+        Err(e) => errors.push(format!("traditional: {e}")),
+    }
+    Err(format!("replan: no fallback validates ({})", errors.join("; ")))
+}
+
 /// A pool-aware replacement plan: which ops the partial-result pool
 /// already satisfies and which must actually execute.
 #[derive(Debug, Clone)]
@@ -463,8 +569,9 @@ impl PoolReplan {
 /// Build a plan for `ctx` at `tier`, marking every op whose output the
 /// partial pool already holds (same node, same symbolic coefficient
 /// vector — hence byte-identical contents) as reused, and pruning the
-/// DAG walk behind reused ops exactly like
-/// [`replan_after_crash`](crate::robust::replan_after_crash).
+/// DAG walk behind reused ops (their dependencies need not run again).
+/// Reuse is conservative and provably correct: value and location must
+/// both coincide.
 ///
 /// Shared by both backends: the sim pool carries only keys, the exec
 /// pool maps the same keys to real byte buffers, so `V` is generic.
@@ -475,8 +582,10 @@ pub fn plan_with_pool<V>(
 ) -> Result<PoolReplan, String> {
     let usable = ctx.survivors().len();
     if usable < ctx.params().n {
-        // Same guard as `fallback_plan`: an avoid list must never turn
-        // into a planner panic — the supervisor retries unfiltered.
+        // An avoid list (quarantined helpers) can starve the planners
+        // below the n survivors decoding needs; that must surface as an
+        // error the supervisor can catch with an unfiltered retry, not a
+        // planner panic.
         return Err(format!(
             "replan: only {usable} usable survivors (need {})",
             ctx.params().n
@@ -1174,9 +1283,10 @@ pub fn supervise<B: RepairBackend>(
 ///
 /// `tracker` persists across calls so a fleet recovery can share one
 /// health view; pass [`HealthTracker::with_defaults`] for a one-shot
-/// repair. Events stream into `rec` exactly as
-/// [`simulate_injected`](crate::robust::simulate_injected) emits them,
-/// plus the supervisor vocabulary (`hedge_launched`, `hedge_won`,
+/// repair. Events stream into `rec`: the transfer and combine events of
+/// [`simulate_traced`](crate::trace::simulate_traced), the failure
+/// vocabulary (`transfer_failed`, `retry_scheduled`, `helper_crashed`,
+/// `replanned`), and the supervisor's (`hedge_launched`, `hedge_won`,
 /// `helper_quarantined`, `deadline_exceeded`, `degraded_fallback`).
 ///
 /// Returns `Err` when the storm kills more than `k - failed` helpers
@@ -1190,4 +1300,185 @@ pub fn supervise_injected(
     rec: &dyn Recorder,
 ) -> Result<SuperviseOutcome, String> {
     supervise(&mut SimBackend::default(), ctx, storm, cfg, tracker, rec).map_err(String::from)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cost::CostModel;
+    use rpr_codec::{BlockId, CodeParams, StripeCodec};
+    use rpr_topology::{cluster_for, BandwidthProfile, Placement};
+
+    /// (6,3), block 1 failed, the RPR plan, every op lowered.
+    fn with_plan(check: impl Fn(&RepairContext<'_>, &RepairPlan, &[bool])) {
+        let params = CodeParams::new(6, 3);
+        let codec = StripeCodec::new(params);
+        let topo = cluster_for(params, 1, 1);
+        let placement = Placement::rpr_preplaced(params, &topo);
+        let profile = BandwidthProfile::simics_default(topo.rack_count());
+        let ctx = RepairContext::new(
+            &codec,
+            &topo,
+            &placement,
+            vec![BlockId(1)],
+            64 << 20,
+            &profile,
+            CostModel::free(),
+        );
+        let plan = RprPlanner::new().plan(&ctx);
+        plan.validate(&codec, &topo, &placement).expect("valid");
+        check(&ctx, &plan, &vec![true; plan.ops.len()]);
+    }
+
+    fn resolve_one(
+        fault: StormFault,
+        seed: u64,
+        ctx: &RepairContext<'_>,
+        plan: &RepairPlan,
+        lowered: &[bool],
+    ) -> GenFaults {
+        resolve_storm_bucket(&[fault], plan, lowered, None, ctx, &mut SplitMix64::new(seed))
+    }
+
+    #[test]
+    fn every_crash_candidate_resolves_to_itself_at_its_first_wave() {
+        with_plan(|ctx, plan, lowered| {
+            let cands = crash_candidates(plan, ctx);
+            assert!(!cands.is_empty());
+            for &(node, _) in &cands {
+                assert_ne!(node, ctx.recovery_node().0);
+                assert!(ctx.placement.block_on(NodeId(node)).is_some());
+                let first = cands.iter().find(|c| c.0 == node).expect("listed").1;
+                let site = StormFault::Crash(CrashSite::Node(node));
+                // Whatever the seed: a listed node is never substituted.
+                for seed in 0..8 {
+                    let crash = resolve_one(site, seed, ctx, plan, lowered).resolved.crash;
+                    let crash = crash.expect("candidate crashes");
+                    assert_eq!((crash.node.0, crash.timestep), (node, first));
+                    let Op::Send { from, .. } = &plan.ops[crash.trigger.0] else {
+                        panic!("trigger is a send");
+                    };
+                    assert_eq!(from.0, node);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn a_node_site_off_the_candidate_list_is_substituted_not_skipped() {
+        // The documented `CrashSite::Node` fallback: the recovery node is
+        // never a candidate, so a candidate is seed-picked in its place —
+        // the same one `SeedPick` draws from the same stream — and the
+        // site description names the node actually crashed.
+        with_plan(|ctx, plan, lowered| {
+            let off = ctx.recovery_node().0;
+            let nodes: Vec<usize> = crash_candidates(plan, ctx).iter().map(|c| c.0).collect();
+            assert!(!nodes.contains(&off));
+            let mut picked = Vec::new();
+            for seed in 0..16 {
+                let got = resolve_one(StormFault::Crash(CrashSite::Node(off)), seed, ctx, plan, lowered);
+                let crash = got.resolved.crash.expect("substituted, not skipped");
+                assert!(nodes.contains(&crash.node.0));
+                assert!(
+                    got.descriptions[0].starts_with(&format!("crash node {} ", crash.node.0)),
+                    "{:?}",
+                    got.descriptions
+                );
+                let seed_pick =
+                    resolve_one(StormFault::Crash(CrashSite::SeedPick), seed, ctx, plan, lowered);
+                assert_eq!(seed_pick.resolved.crash, Some(crash));
+                picked.push(crash.node.0);
+            }
+            picked.dedup();
+            assert!(picked.len() > 1, "the seed steers the substitute");
+        });
+    }
+
+    #[test]
+    fn transient_faults_pick_among_all_executed_sends() {
+        with_plan(|ctx, plan, lowered| {
+            let is_raw = |i: usize| {
+                matches!(&plan.ops[i], Op::Send { what: crate::plan::Payload::Block(_), .. })
+            };
+            let (waves, _) = plan.cross_waves(ctx.topo);
+            let (mut corrupt_raw, mut corrupt_interm, mut timeout_inner) = (false, false, false);
+            for seed in 0..64 {
+                // Corrupt: one full-payload failure on any send — the
+                // documented behaviour, raw block sends included.
+                let got = resolve_one(StormFault::Corrupt, seed, ctx, plan, lowered);
+                let hit: Vec<usize> =
+                    (0..plan.ops.len()).filter(|&i| !got.resolved.op_faults[i].is_empty()).collect();
+                assert_eq!(hit.len(), 1);
+                assert!(matches!(plan.ops[hit[0]], Op::Send { .. }));
+                let want = AttemptFault { fraction: 1.0, reason: reason::CORRUPT };
+                assert_eq!(got.resolved.op_faults[hit[0]], vec![want]);
+                assert_eq!(got.descriptions, vec![format!("corrupt op {}", hit[0])]);
+                corrupt_raw |= is_raw(hit[0]);
+                corrupt_interm |= !is_raw(hit[0]);
+
+                // Timeout: stalls a quarter to three quarters in, on any
+                // send — inner-rack ones too.
+                let got = resolve_one(StormFault::Timeout, seed, ctx, plan, lowered);
+                let hit: Vec<usize> =
+                    (0..plan.ops.len()).filter(|&i| !got.resolved.op_faults[i].is_empty()).collect();
+                assert_eq!(hit.len(), 1);
+                let f = got.resolved.op_faults[hit[0]][0];
+                assert_eq!(f.reason, reason::TIMEOUT);
+                assert!((0.25..0.75).contains(&f.fraction), "{}", f.fraction);
+                timeout_inner |= waves[hit[0]].is_none();
+
+                // Rack outage: every cross send out of one rack, once each,
+                // and nothing else.
+                let got = resolve_one(StormFault::RackOutage, seed, ctx, plan, lowered);
+                let mut racks = Vec::new();
+                for (i, fs) in got.resolved.op_faults.iter().enumerate() {
+                    if let (Op::Send { from, .. }, false) = (&plan.ops[i], fs.is_empty()) {
+                        assert!(waves[i].is_some(), "op {i} is not a cross send");
+                        assert_eq!((fs.len(), fs[0].reason), (1, reason::SWITCH_OUTAGE));
+                        racks.push(ctx.topo.rack_of(*from));
+                    }
+                }
+                racks.dedup();
+                assert_eq!(racks.len(), 1, "one rack blips");
+                let from_rack = (0..plan.ops.len()).filter(|&i| {
+                    matches!(&plan.ops[i], Op::Send { from, .. }
+                        if waves[i].is_some() && ctx.topo.rack_of(*from) == racks[0])
+                });
+                assert!(from_rack.into_iter().all(|i| !got.resolved.op_faults[i].is_empty()));
+            }
+            assert!(corrupt_raw && corrupt_interm, "corrupt is not limited to intermediates");
+            assert!(timeout_inner, "timeout is not limited to cross sends");
+        });
+    }
+
+    #[test]
+    fn resolution_only_targets_executed_ops() {
+        with_plan(|ctx, plan, _| {
+            let none = vec![false; plan.ops.len()];
+            let bucket = [
+                StormFault::Crash(CrashSite::SeedPick),
+                StormFault::Timeout,
+                StormFault::Corrupt,
+                StormFault::Slow { factor: 0.5 },
+                StormFault::Lie,
+                StormFault::RackOutage,
+            ];
+            let got =
+                resolve_storm_bucket(&bucket, plan, &none, None, ctx, &mut SplitMix64::new(1));
+            assert!(got.resolved.crash.is_none() && got.resolved.slow.is_empty());
+            assert!(got.resolved.lies.is_empty());
+            assert!(got.resolved.op_faults.iter().all(|f| f.is_empty()));
+            assert_eq!(got.descriptions.len(), bucket.len());
+            assert!(got.descriptions.iter().all(|d| d.contains("skipped")), "{:?}", got.descriptions);
+        });
+    }
+
+    #[test]
+    fn retry_budget_counts_injected_failures_per_op() {
+        let fault = AttemptFault { fraction: 0.5, reason: reason::TIMEOUT };
+        let policy = RetryPolicy { max_attempts: 2, ..RetryPolicy::default() };
+        assert!(check_retry_budget(&[vec![], vec![fault]], &policy).is_ok());
+        let err = check_retry_budget(&[vec![], vec![fault, fault]], &policy).unwrap_err();
+        assert!(err.starts_with("op 1: 2 injected failures exhaust the retry budget"), "{err}");
+    }
 }

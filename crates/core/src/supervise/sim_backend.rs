@@ -4,15 +4,14 @@
 
 use super::{
     hedge_node, median_of, wave_spans, Baseline, Ending, Evidence, Generation, GenerationRun, RepairBackend,
-    Splice,
+    ResolvedFaults, Splice,
 };
 use crate::plan::{Input, Op, Payload, RepairPlan};
-use crate::robust::{arm_simulator, first_start, shift_event, Collect};
 use crate::scenario::RepairContext;
 use crate::sim::{lower_partial, network_for};
 use crate::trace::PlanTagger;
-use rpr_faults::reason;
-use rpr_netsim::{JobId, SimReport, Simulator};
+use rpr_faults::{reason, RetryPolicy};
+use rpr_netsim::{FailSpec, JobId, SimReport, Simulator};
 use rpr_obs::{Event, Recorder, Transfer};
 use rpr_proof::{symbolic_block_hash, symbolic_output_hash, ProofKey, ProofSource, RepairProof};
 
@@ -32,6 +31,61 @@ pub type Taint = Vec<(usize, usize)>;
 pub struct SimBackend {
     /// Where the next generation's clock starts on the repair timeline.
     t_base: f64,
+}
+
+/// A recorder adapter collecting events into a buffer for replay.
+#[derive(Default)]
+struct Collect(std::sync::Mutex<Vec<Event>>);
+
+impl Collect {
+    fn into_events(self) -> Vec<Event> {
+        self.0.into_inner().expect("collector poisoned")
+    }
+}
+
+impl Recorder for Collect {
+    fn record(&self, event: Event) {
+        self.0.lock().expect("collector poisoned").push(event);
+    }
+}
+
+/// Apply resolved derates and per-op attempt failures to a fresh
+/// simulator; `first_job` maps an op to its first chunk job (`None` for
+/// ops that were not lowered). Attempt faults land on the op's *first*
+/// chunk: corruption is detected at the first verified chunk and a
+/// stream resumes from its last verified chunk, so only that chunk's
+/// latency is re-paid. The loop has already run
+/// [`check_retry_budget`](super::check_retry_budget).
+fn arm_simulator(
+    sim: &mut Simulator,
+    first_job: impl Fn(usize) -> Option<JobId>,
+    faults: &ResolvedFaults,
+    policy: &RetryPolicy,
+) {
+    for &(node, factor) in &faults.slow {
+        sim.derate_node(node, factor);
+    }
+    for (i, fs) in faults.op_faults.iter().enumerate() {
+        let (false, Some(job)) = (fs.is_empty(), first_job(i)) else {
+            continue;
+        };
+        let specs: Vec<FailSpec> = fs
+            .iter()
+            .enumerate()
+            .map(|(a, f)| FailSpec {
+                fraction: f.fraction,
+                delay: policy.delay(a),
+                reason: f.reason.to_string(),
+            })
+            .collect();
+        sim.fail_attempts(job, specs);
+    }
+}
+
+/// First activation instant of a job (the start of its first attempt).
+fn first_start(report: &SimReport, job: JobId) -> f64 {
+    let r = report.record(job);
+    r.failures.first().map(|f| f.start).unwrap_or(r.start)
 }
 
 /// Per-op `(first start, last finish)` of the executed ops.
@@ -253,7 +307,7 @@ impl RepairBackend for SimBackend {
             let completed = finished_by(&spans, gen.lowered, t_star);
             for e in events {
                 if e.time() <= t_star + EPS {
-                    rec.record(shift_event(e, t_base));
+                    rec.record(e.shifted(t_base));
                 }
             }
             let now = t_base + t_star;
@@ -342,7 +396,7 @@ impl RepairBackend for SimBackend {
                     adopted = hbuffer
                         .into_events()
                         .into_iter()
-                        .map(|e| shift_event(e, t_base + detect))
+                        .map(|e| e.shifted(t_base + detect))
                         .collect();
                     adopted.push(Event::HedgeWon {
                         label,
@@ -362,7 +416,7 @@ impl RepairBackend for SimBackend {
         }
         for e in events {
             if e.time() <= cut + EPS {
-                rec.record(shift_event(e, t_base));
+                rec.record(e.shifted(t_base));
             }
         }
         for e in adopted {

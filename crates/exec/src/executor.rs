@@ -1,20 +1,20 @@
-//! Thread-per-operation plan execution with real bytes, including the
-//! fault-injected path: per-attempt transfer failures with checksum
-//! verification and bounded retry, helper-crash propagation through the
-//! operation DAG, and supervised replanning that reuses completed partial
-//! results (see `docs/ROBUSTNESS.md`).
+//! Thread-per-operation plan execution with real bytes: one attempt at a
+//! plan, including the faults a supervision generation enacts on it —
+//! per-attempt transfer failures with checksum verification and bounded
+//! retry, and helper-crash propagation through the operation DAG.
+//! Replanning around what an attempt lost is the supervision loop's
+//! ([`crate::execute_supervised`], `docs/ROBUSTNESS.md`).
 
 use crate::arena::{ArenaStats, BufferPool, Chunk};
 use crate::ratelimit::TokenBucket;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rpr_codec::BlockId;
-use rpr_core::robust::{replan_after_crash, resolve, ResolvedFaults};
 use rpr_core::{
-    check_retry_budget, chunk_sizes, combine_kernel, plan_built, Input, Op, Payload,
-    RepairContext, RepairPlan,
+    chunk_sizes, combine_kernel, plan_built, Input, Op, Payload, RepairContext, RepairPlan,
+    ResolvedFaults,
 };
-use rpr_faults::{checksum64, reason, FaultPlan, RetryPolicy};
+use rpr_faults::{checksum64, reason, RetryPolicy};
 use rpr_obs::{Event, Recorder};
 use rpr_topology::NodeId;
 use std::collections::HashMap;
@@ -77,11 +77,11 @@ pub struct ExecReport {
     pub first_byte_seconds: Option<f64>,
 }
 
-/// Why a fault-injected execution could not complete.
+/// Why a supervised execution could not complete.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
-    /// The fault plan does not apply to this repair, or the crash made the
-    /// stripe unrecoverable (more than `k` total failures).
+    /// The storm's crashes made the stripe unrecoverable (more than `k`
+    /// total failures), or no fallback plan validates.
     Unrecoverable(String),
     /// A transfer's injected failures exhaust the retry budget.
     RetriesExhausted(String),
@@ -97,22 +97,6 @@ impl std::fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
-
-/// The result of a fault-injected, supervised execution.
-#[derive(Clone, Debug)]
-pub struct ResilientReport {
-    /// The final execution report (verification runs against the plan
-    /// that actually completed the repair).
-    pub report: ExecReport,
-    /// Transfer attempts that failed and were retried.
-    pub retries: usize,
-    /// Plan replacements after a helper crash (0 or 1).
-    pub replans: usize,
-    /// Replacement-plan ops satisfied by reused partial results.
-    pub reused_ops: usize,
-    /// Scheme of the plan that completed the repair.
-    pub final_scheme: &'static str,
-}
 
 struct NodeLinks {
     up: TokenBucket,
@@ -143,7 +127,7 @@ pub(crate) struct AttemptCfg<'a> {
     pub(crate) prefilled: &'a [Option<Arc<Vec<u8>>>],
     /// Which ops actually execute (false: skipped or reused).
     pub(crate) lowered: &'a [bool],
-    /// Label tag (`p{tag}op{i}`), 0 for the original plan, 1 after replan.
+    /// Label tag (`p{tag}op{i}`): the supervision generation index.
     pub(crate) tag: usize,
     /// Cooperative cancellation: when set, in-flight transfers abandon
     /// the stream between shaper admissions and propagate `Failed`
@@ -206,8 +190,6 @@ pub(crate) struct AttemptRun {
     pub(crate) values: Vec<Option<Arc<Vec<u8>>>>,
     /// Wall-clock timings (zero for ops that did not run).
     pub(crate) op_timings: Vec<OpTiming>,
-    /// Wall time at which the helper crash fired, if one did.
-    pub(crate) crash_t: Option<f64>,
     /// Failed-and-retried transfer attempts.
     pub(crate) retries: usize,
     /// Chunk-buffer pool counters for this attempt.
@@ -262,151 +244,6 @@ pub fn execute_recorded(
     let run = run_attempt(plan, ctx, stripe, rec, t0, &cfg);
     let wall_seconds = t0.elapsed().as_secs_f64();
     close_run(plan, ctx, stripe, rec, run, wall_seconds)
-}
-
-/// Execute a plan under injected faults with bounded retry and crash
-/// recovery — the wall-clock counterpart of
-/// [`rpr_core::simulate_injected`].
-///
-/// Transient faults (timeouts, corrupted intermediates, switch outages)
-/// replay the affected transfer: the failed attempt moves real bytes
-/// through the shapers, corruption is detected by an FNV-1a checksum
-/// mismatch, and the retry follows the policy's exponential backoff. A
-/// helper crash marks every remaining op of the dead node failed; the
-/// failure propagates through the DAG, surviving branches run to
-/// completion, and the supervisor replans via
-/// [`replan_after_crash`], re-executing
-/// only what reused partial results cannot satisfy. The reconstruction is
-/// verified byte-for-byte against the original blocks regardless of how
-/// many faults fired.
-///
-/// # Panics
-/// Panics if the stripe has the wrong shape or the plan is malformed (run
-/// [`RepairPlan::validate`] first).
-pub fn execute_resilient(
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
-    stripe: &[Vec<u8>],
-    rec: &dyn Recorder,
-    fp: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<ResilientReport, ExecError> {
-    check_stripe(plan, stripe);
-    let resolved = resolve(plan, ctx.topo, fp).map_err(ExecError::Unrecoverable)?;
-    check_retry_budget(&resolved.op_faults, policy).map_err(ExecError::RetriesExhausted)?;
-    rec.record(plan_built(plan, ctx.topo));
-    let t0 = Instant::now();
-    let all = vec![true; plan.ops.len()];
-    let no_prefill: Vec<Option<Arc<Vec<u8>>>> = vec![None; plan.ops.len()];
-    let cfg1 = AttemptCfg {
-        faults: Some(&resolved),
-        policy: *policy,
-        prefilled: &no_prefill,
-        lowered: &all,
-        tag: 0,
-        cancel: None,
-    };
-    let run1 = run_attempt(plan, ctx, stripe, rec, t0, &cfg1);
-
-    if run1.crash_t.is_none() {
-        let wall_seconds = t0.elapsed().as_secs_f64();
-        let retries = run1.retries;
-        let report = close_run(plan, ctx, stripe, rec, run1, wall_seconds);
-        return Ok(ResilientReport {
-            report,
-            retries,
-            replans: 0,
-            reused_ops: 0,
-            final_scheme: plan.scheme,
-        });
-    }
-
-    // A helper died. Surviving branches have run to completion; replan
-    // around the dead node, reusing what finished.
-    let crash = resolved.crash.expect("crash_t implies a crash fault");
-    let completed: Vec<bool> = run1.values.iter().map(|v| v.is_some()).collect();
-    let rep =
-        replan_after_crash(ctx, plan, crash.node, &completed).map_err(ExecError::Unrecoverable)?;
-    let reused_ops = rep.reused_count();
-    rec.record(Event::Replanned {
-        scheme: rep.plan.scheme.to_string(),
-        failed: rep.failed.len(),
-        reused_ops,
-        t: t0.elapsed().as_secs_f64(),
-    });
-    std::thread::sleep(std::time::Duration::from_secs_f64(policy.delay(0)));
-
-    let prefilled: Vec<Option<Arc<Vec<u8>>>> = rep
-        .reused
-        .iter()
-        .map(|r| r.and_then(|j| run1.values[j.0].clone()))
-        .collect();
-    // Slow links persist into the recovery attempt; one-shot faults and
-    // the crash were consumed by the original plan.
-    let faults2 = ResolvedFaults {
-        op_faults: vec![Vec::new(); rep.plan.ops.len()],
-        crash: None,
-        slow: resolved.slow.clone(),
-        lies: Vec::new(),
-    };
-    let cfg2 = AttemptCfg {
-        faults: Some(&faults2),
-        policy: *policy,
-        prefilled: &prefilled,
-        lowered: &rep.lowered,
-        tag: 1,
-        cancel: None,
-    };
-    let run2 = run_attempt(&rep.plan, ctx, stripe, rec, t0, &cfg2);
-    let wall_seconds = t0.elapsed().as_secs_f64();
-
-    let mut mismatches = Vec::new();
-    let mut recovered = Vec::with_capacity(rep.plan.outputs.len());
-    for &(target, op) in &rep.plan.outputs {
-        let got = run2.values[op.0]
-            .clone()
-            .or_else(|| prefilled[op.0].clone())
-            .ok_or_else(|| {
-                ExecError::Unrecoverable(format!("replacement output {op:?} never produced"))
-            })?;
-        if got.as_slice() != stripe[target.0].as_slice() {
-            mismatches.push(target);
-        }
-        recovered.push((target, got));
-    }
-
-    // Traffic actually moved: completed original sends plus executed
-    // replacement sends.
-    let (c1, i1) = plan.traffic(ctx.topo, &completed);
-    let (c2, i2) = rep.plan.traffic(ctx.topo, &rep.lowered);
-    let (cross_bytes, inner_bytes) = (c1 + c2, i1 + i2);
-    rec.record(Event::RepairDone {
-        t: wall_seconds,
-        cross_bytes,
-        inner_bytes,
-    });
-
-    let first_byte_seconds = match (run1.first_out, run2.first_out) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
-    Ok(ResilientReport {
-        report: ExecReport {
-            wall_seconds,
-            arena: run1.arena.plus(run2.arena),
-            op_timings: run2.op_timings,
-            cross_bytes,
-            inner_bytes,
-            verified: mismatches.is_empty(),
-            mismatches,
-            recovered,
-            first_byte_seconds,
-        },
-        retries: run1.retries + run2.retries,
-        replans: 1,
-        reused_ops,
-        final_scheme: rep.plan.scheme,
-    })
 }
 
 pub(crate) fn check_stripe(plan: &RepairPlan, stripe: &[Vec<u8>]) {
@@ -516,7 +353,6 @@ pub(crate) fn run_attempt(
             })
         })
         .collect();
-    let crash_t: Mutex<Option<f64>> = Mutex::new(None);
     let retries = AtomicUsize::new(0);
 
     let mut outputs = vec![false; plan.ops.len()];
@@ -560,11 +396,10 @@ pub(crate) fn run_attempt(
             let timings = &timings;
             let matrix_done = &matrix_done;
             let waves = &waves;
-            let crash_t = &crash_t;
             let retries = &retries;
             scope.spawn(move || {
                 if streaming {
-                    stream_op(env, cfg, i, op, my_consumers, &my_producers, values, timings, crash_t, retries);
+                    stream_op(env, cfg, i, op, my_consumers, &my_producers, values, timings, retries);
                     return;
                 }
                 // Gather dependency values: prefilled (reused) first, then
@@ -616,7 +451,6 @@ pub(crate) fn run_attempt(
                             rack: ctx.topo.rack_of(c.node).0,
                             t: now,
                         });
-                        *crash_t.lock() = Some(now);
                     }
                     for tx in my_producers {
                         // The consumer may have unwound already under a
@@ -869,7 +703,6 @@ pub(crate) fn run_attempt(
     AttemptRun {
         values: values.into_iter().map(|m| m.into_inner()).collect(),
         op_timings: timings.into_iter().map(|m| m.into_inner()).collect(),
-        crash_t: crash_t.into_inner(),
         retries: retries.into_inner(),
         arena: pool.stats(),
         first_out: first_out.into_inner(),
@@ -947,7 +780,6 @@ fn stream_op(
     producers: &[Sender<Delivery>],
     values: &[Mutex<Option<Arc<Vec<u8>>>>],
     timings: &[Mutex<OpTiming>],
-    crash_t: &Mutex<Option<f64>>,
     retries: &AtomicUsize,
 ) {
     let plan = env.plan;
@@ -1029,7 +861,6 @@ fn stream_op(
                 rack: ctx.topo.rack_of(c.node).0,
                 t: now,
             });
-            *crash_t.lock() = Some(now);
         }
         fail_downstream();
         return;
@@ -1534,8 +1365,7 @@ fn build_decoding_matrix(ctx: &RepairContext<'_>) {
 pub(crate) mod tests {
     use super::*;
     use rpr_codec::{CodeParams, StripeCodec};
-    use rpr_core::{crash_candidates, CostModel, RepairPlanner, RprPlanner, TraditionalPlanner};
-    use rpr_faults::FaultKind;
+    use rpr_core::{CostModel, RepairPlanner, RprPlanner, TraditionalPlanner};
     use rpr_topology::{cluster_for, BandwidthProfile, Placement};
 
     pub(crate) fn stripe_for(codec: &StripeCodec, len: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -1780,144 +1610,8 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn injected_timeout_retries_and_still_verifies() {
-        let fx = Fx::new(6, 2, 32 * 1024);
-        let ctx = fx.ctx(vec![BlockId(1)]);
-        let plan = RprPlanner::new().plan(&ctx);
-        let send = plan
-            .ops
-            .iter()
-            .position(|op| matches!(op, Op::Send { .. }))
-            .unwrap();
-        let fp = FaultPlan::new(3)
-            .with(FaultKind::TransferTimeout { op: send })
-            .with(FaultKind::SlowLink {
-                node: 0,
-                factor: 0.9,
-            });
-        let stripe = stripe_for(&fx.codec, fx.block as usize, 21);
-        let rec = rpr_obs::TraceRecorder::default();
-        let out = execute_resilient(&plan, &ctx, &stripe, &rec, &fp, &fast_policy())
-            .expect("recovers");
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
-        assert_eq!(out.retries, 1);
-        assert_eq!(out.replans, 0);
-        let names: Vec<&str> = rec.take_events().iter().map(|e| e.name()).collect();
-        assert!(names.contains(&"transfer_failed"));
-        assert!(names.contains(&"retry_scheduled"));
-        assert_eq!(*names.last().unwrap(), "repair_done");
-    }
-
-    #[test]
-    fn corrupted_intermediate_is_detected_by_checksum_and_retried() {
-        let fx = Fx::new(6, 2, 32 * 1024);
-        let ctx = fx.ctx(vec![BlockId(1)]);
-        let plan = RprPlanner::new().plan(&ctx);
-        let interm = plan
-            .ops
-            .iter()
-            .position(|op| {
-                matches!(
-                    op,
-                    Op::Send {
-                        what: Payload::Intermediate(_),
-                        ..
-                    }
-                )
-            })
-            .expect("rpr ships intermediates");
-        let fp = FaultPlan::new(8).with(FaultKind::CorruptIntermediate { op: interm });
-        let stripe = stripe_for(&fx.codec, fx.block as usize, 33);
-        let rec = rpr_obs::TraceRecorder::default();
-        let out = execute_resilient(&plan, &ctx, &stripe, &rec, &fp, &fast_policy())
-            .expect("recovers");
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
-        assert_eq!(out.retries, 1);
-        let events = rec.take_events();
-        let corrupt_failures = events
-            .iter()
-            .filter(|e| {
-                matches!(e, Event::TransferFailed { reason, .. } if reason == reason::CORRUPT)
-            })
-            .count();
-        assert_eq!(corrupt_failures, 1);
-        let snap = rec.snapshot();
-        assert_eq!(snap.transfer_failures, 1);
-        assert_eq!(snap.retries, 1);
-    }
-
-    #[test]
-    fn exhausted_retry_budget_is_an_error() {
-        let fx = Fx::new(6, 2, 16 * 1024);
-        let ctx = fx.ctx(vec![BlockId(1)]);
-        let plan = RprPlanner::new().plan(&ctx);
-        let send = plan
-            .ops
-            .iter()
-            .position(|op| matches!(op, Op::Send { .. }))
-            .unwrap();
-        let fp = FaultPlan::new(3).with(FaultKind::TransferTimeout { op: send });
-        let tight = RetryPolicy {
-            max_attempts: 1,
-            ..fast_policy()
-        };
-        let stripe = stripe_for(&fx.codec, fx.block as usize, 5);
-        let err = execute_resilient(&plan, &ctx, &stripe, rpr_obs::noop(), &fp, &tight)
-            .unwrap_err();
-        assert!(matches!(err, ExecError::RetriesExhausted(_)), "{err}");
-    }
-
-    #[test]
-    fn helper_crash_replans_and_verifies() {
-        let fx = Fx::new(6, 3, 16 * 1024);
-        let ctx = fx.ctx(vec![BlockId(1)]);
-        let plan = RprPlanner::new().plan(&ctx);
-        plan.validate(&fx.codec, &fx.topo, &fx.placement)
-            .expect("valid");
-        let (node, step) = crash_candidates(&plan, &ctx)[0];
-        let fp = FaultPlan::new(17).with(FaultKind::HelperCrash {
-            node,
-            timestep: step,
-        });
-        let stripe = stripe_for(&fx.codec, fx.block as usize, 55);
-        let rec = rpr_obs::TraceRecorder::default();
-        let out = execute_resilient(&plan, &ctx, &stripe, &rec, &fp, &fast_policy())
-            .expect("recovers");
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
-        assert_eq!(out.replans, 1);
-        let names: Vec<&str> = rec.take_events().iter().map(|e| e.name()).collect();
-        assert!(names.contains(&"helper_crashed"));
-        assert!(names.contains(&"replanned"));
-        assert_eq!(*names.last().unwrap(), "repair_done");
-    }
-
-    #[test]
-    fn empty_fault_plan_behaves_like_plain_execution() {
-        let fx = Fx::new(4, 2, 32 * 1024);
-        let ctx = fx.ctx(vec![BlockId(1)]);
-        let plan = RprPlanner::new().plan(&ctx);
-        let stripe = stripe_for(&fx.codec, fx.block as usize, 77);
-        let out = execute_resilient(
-            &plan,
-            &ctx,
-            &stripe,
-            rpr_obs::noop(),
-            &FaultPlan::new(0),
-            &fast_policy(),
-        )
-        .expect("runs");
-        assert!(out.report.verified);
-        assert_eq!(out.retries, 0);
-        assert_eq!(out.replans, 0);
-        assert_eq!(out.final_scheme, plan.scheme);
-        let plain = execute(&plan, &ctx, &stripe);
-        assert_eq!(out.report.cross_bytes, plain.cross_bytes);
-        assert_eq!(out.report.inner_bytes, plain.inner_bytes);
-    }
-
     impl Fx {
-        fn ctx_chunked(&self, failed: Vec<BlockId>, chunk: u64) -> RepairContext<'_> {
+        pub(crate) fn ctx_chunked(&self, failed: Vec<BlockId>, chunk: u64) -> RepairContext<'_> {
             self.ctx(failed).with_chunk_size(chunk)
         }
     }
@@ -2019,86 +1713,6 @@ pub(crate) mod tests {
             .filter(|e| matches!(e, Event::CombineDone { .. }))
             .count();
         assert_eq!(combines, stats.combines);
-    }
-
-    #[test]
-    fn streamed_timeout_retry_resumes_and_verifies() {
-        let fx = Fx::new(6, 2, 32 * 1024);
-        let ctx = fx.ctx_chunked(vec![BlockId(1)], 4 * 1024);
-        let plan = RprPlanner::new().plan(&ctx);
-        let send = plan
-            .ops
-            .iter()
-            .position(|op| matches!(op, Op::Send { .. }))
-            .unwrap();
-        let fp = FaultPlan::new(3).with(FaultKind::TransferTimeout { op: send });
-        let stripe = stripe_for(&fx.codec, fx.block as usize, 29);
-        let rec = rpr_obs::TraceRecorder::default();
-        let out = execute_resilient(&plan, &ctx, &stripe, &rec, &fp, &fast_policy())
-            .expect("recovers");
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
-        assert_eq!(out.retries, 1);
-        let names: Vec<&str> = rec.take_events().iter().map(|e| e.name()).collect();
-        assert!(names.contains(&"transfer_failed"));
-        assert!(names.contains(&"retry_scheduled"));
-        assert!(names.contains(&"stream_summary"));
-        assert_eq!(*names.last().unwrap(), "repair_done");
-    }
-
-    #[test]
-    fn streamed_corruption_is_caught_per_chunk_and_retried() {
-        let fx = Fx::new(6, 2, 32 * 1024);
-        let ctx = fx.ctx_chunked(vec![BlockId(1)], 4 * 1024);
-        let plan = RprPlanner::new().plan(&ctx);
-        let interm = plan
-            .ops
-            .iter()
-            .position(|op| {
-                matches!(
-                    op,
-                    Op::Send {
-                        what: Payload::Intermediate(_),
-                        ..
-                    }
-                )
-            })
-            .expect("rpr ships intermediates");
-        let fp = FaultPlan::new(8).with(FaultKind::CorruptIntermediate { op: interm });
-        let stripe = stripe_for(&fx.codec, fx.block as usize, 31);
-        let rec = rpr_obs::TraceRecorder::default();
-        let out = execute_resilient(&plan, &ctx, &stripe, &rec, &fp, &fast_policy())
-            .expect("recovers");
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
-        assert_eq!(out.retries, 1);
-        let corrupt_failures = rec
-            .take_events()
-            .iter()
-            .filter(|e| {
-                matches!(e, Event::TransferFailed { reason, .. } if reason == reason::CORRUPT)
-            })
-            .count();
-        assert_eq!(corrupt_failures, 1);
-    }
-
-    #[test]
-    fn streamed_helper_crash_still_replans_and_verifies() {
-        let fx = Fx::new(6, 3, 16 * 1024);
-        let ctx = fx.ctx_chunked(vec![BlockId(1)], 2 * 1024);
-        let plan = RprPlanner::new().plan(&ctx);
-        let (node, step) = crash_candidates(&plan, &ctx)[0];
-        let fp = FaultPlan::new(17).with(FaultKind::HelperCrash {
-            node,
-            timestep: step,
-        });
-        let stripe = stripe_for(&fx.codec, fx.block as usize, 37);
-        let rec = rpr_obs::TraceRecorder::default();
-        let out = execute_resilient(&plan, &ctx, &stripe, &rec, &fp, &fast_policy())
-            .expect("recovers");
-        assert!(out.report.verified, "mismatches: {:?}", out.report.mismatches);
-        assert_eq!(out.replans, 1);
-        let names: Vec<&str> = rec.take_events().iter().map(|e| e.name()).collect();
-        assert!(names.contains(&"helper_crashed"));
-        assert!(names.contains(&"replanned"));
     }
 
     #[test]

@@ -23,10 +23,7 @@ mod ratelimit;
 mod supervised;
 
 pub use arena::ArenaStats;
-pub use executor::{
-    execute, execute_recorded, execute_resilient, ExecError, ExecReport, OpTiming,
-    ResilientReport,
-};
+pub use executor::{execute, execute_recorded, ExecError, ExecReport, OpTiming};
 pub use supervised::{execute_supervised, SupervisedReport};
 pub use ratelimit::TokenBucket;
 

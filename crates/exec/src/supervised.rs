@@ -407,6 +407,7 @@ pub fn execute_supervised(
 mod tests {
     use super::*;
     use crate::executor::tests::{fast_policy, stripe_for, Fx};
+    use rpr_core::RepairPlanner;
     use rpr_faults::{CrashSite, StormFault};
     use rpr_obs::Event;
     use rpr_proof::ProofMode;
@@ -417,13 +418,138 @@ mod tests {
         cfg: &SuperviseConfig,
         seed: u64,
     ) -> (SupervisedReport, Vec<Event>) {
-        let ctx = fx.ctx(vec![BlockId(1)]);
+        supervised_in(&fx.ctx(vec![BlockId(1)]), fx, storm, cfg, seed)
+    }
+
+    fn supervised_in(
+        ctx: &RepairContext<'_>,
+        fx: &Fx,
+        storm: &FaultStorm,
+        cfg: &SuperviseConfig,
+        seed: u64,
+    ) -> (SupervisedReport, Vec<Event>) {
         let stripe = stripe_for(&fx.codec, fx.block as usize, seed);
         let rec = rpr_obs::TraceRecorder::default();
         let mut tracker = HealthTracker::with_defaults();
-        let out = execute_supervised(&ctx, &stripe, &rec, storm, cfg, &mut tracker)
+        let out = execute_supervised(ctx, &stripe, &rec, storm, cfg, &mut tracker)
             .expect("supervised repair completes");
         (out, rec.take_events())
+    }
+
+    fn fast_cfg() -> SuperviseConfig {
+        SuperviseConfig {
+            policy: fast_policy(),
+            ..SuperviseConfig::default()
+        }
+    }
+
+    /// Store-and-forward, then cut-through in `chunk`-byte chunks.
+    fn block_then_streamed(fx: &Fx, chunk: u64) -> [(&'static str, RepairContext<'_>); 2] {
+        [
+            ("block", fx.ctx(vec![BlockId(1)])),
+            ("streamed", fx.ctx_chunked(vec![BlockId(1)], chunk)),
+        ]
+    }
+
+    #[test]
+    fn one_timeout_retries_and_still_verifies() {
+        let fx = Fx::new(6, 2, 32 * 1024);
+        let storm = FaultStorm::new(3)
+            .with_generation(vec![StormFault::Timeout, StormFault::Slow { factor: 0.9 }]);
+        for (mode, ctx) in block_then_streamed(&fx, 4 * 1024) {
+            let (out, events) = supervised_in(&ctx, &fx, &storm, &fast_cfg(), 21);
+            assert!(out.report.verified, "{mode}: {:?}", out.report.mismatches);
+            assert_eq!((out.retries, out.replans), (1, 0), "{mode}");
+            assert!(out.fault_sites[0].starts_with("timeout op "), "{mode}");
+            let names: Vec<&str> = events.iter().map(|e| e.name()).collect();
+            assert!(names.contains(&"transfer_failed"), "{mode}");
+            assert!(names.contains(&"retry_scheduled"), "{mode}");
+            assert_eq!(names.contains(&"stream_summary"), mode == "streamed");
+            assert_eq!(*names.last().unwrap(), "repair_done", "{mode}");
+        }
+    }
+
+    #[test]
+    fn one_corrupted_payload_is_caught_by_checksum_and_retried() {
+        // Streamed, the corruption is caught at the first verified chunk.
+        let fx = Fx::new(6, 2, 32 * 1024);
+        let storm = FaultStorm::new(8).with_generation(vec![StormFault::Corrupt]);
+        for (mode, ctx) in block_then_streamed(&fx, 4 * 1024) {
+            let (out, events) = supervised_in(&ctx, &fx, &storm, &fast_cfg(), 33);
+            assert!(out.report.verified, "{mode}: {:?}", out.report.mismatches);
+            assert_eq!((out.retries, out.replans), (1, 0), "{mode}");
+            let failures: Vec<&str> = events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::TransferFailed { reason, .. } => Some(reason.as_str()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(failures, [rpr_faults::reason::CORRUPT], "{mode}");
+            let retries = events
+                .iter()
+                .filter(|e| e.name() == "retry_scheduled")
+                .count();
+            assert_eq!(retries, 1, "{mode}");
+        }
+    }
+
+    #[test]
+    fn a_fault_past_the_retry_budget_is_a_typed_error() {
+        let fx = Fx::new(6, 2, 16 * 1024);
+        let storm = FaultStorm::new(3).with_generation(vec![StormFault::Timeout]);
+        let mut cfg = fast_cfg();
+        cfg.policy.max_attempts = 1;
+        let err = execute_supervised(
+            &fx.ctx(vec![BlockId(1)]),
+            &stripe_for(&fx.codec, fx.block as usize, 5),
+            rpr_obs::noop(),
+            &storm,
+            &cfg,
+            &mut HealthTracker::with_defaults(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, ExecError::RetriesExhausted(_)), "{err}");
+    }
+
+    #[test]
+    fn one_helper_crash_replans_and_verifies() {
+        let fx = Fx::new(6, 3, 16 * 1024);
+        for (mode, ctx) in block_then_streamed(&fx, 2 * 1024) {
+            let plan = rpr_core::RprPlanner::new().plan(&ctx);
+            let (node, wave) = rpr_core::crash_candidates(&plan, &ctx)[0];
+            let storm =
+                FaultStorm::new(17).with_generation(vec![StormFault::Crash(CrashSite::Node(node))]);
+            let (out, events) = supervised_in(&ctx, &fx, &storm, &fast_cfg(), 55);
+            assert!(out.report.verified, "{mode}: {:?}", out.report.mismatches);
+            assert_eq!(out.replans, 1, "{mode}");
+            let site = format!("crash node {node} (wave {wave}, ");
+            assert!(
+                out.fault_sites[0].starts_with(&site),
+                "{mode}: {:?}",
+                out.fault_sites
+            );
+            let names: Vec<&str> = events.iter().map(|e| e.name()).collect();
+            assert!(names.contains(&"helper_crashed"), "{mode}");
+            assert!(names.contains(&"replanned"), "{mode}");
+            assert_eq!(*names.last().unwrap(), "repair_done", "{mode}");
+        }
+    }
+
+    #[test]
+    fn an_empty_storm_behaves_like_plain_execution() {
+        let fx = Fx::new(4, 2, 32 * 1024);
+        let ctx = fx.ctx(vec![BlockId(1)]);
+        let plan = rpr_core::RprPlanner::new().plan(&ctx);
+        let stripe = stripe_for(&fx.codec, fx.block as usize, 77);
+        let (out, _) = supervised(&fx, &FaultStorm::new(0), &fast_cfg(), 77);
+        let plain = crate::execute_recorded(&plan, &ctx, &stripe, rpr_obs::noop());
+        assert!(out.report.verified && plain.verified);
+        assert_eq!((out.retries, out.replans, out.reused_ops), (0, 0, 0));
+        assert_eq!(out.final_scheme, plan.scheme);
+        assert_eq!(out.report.cross_bytes, plain.cross_bytes);
+        assert_eq!(out.report.inner_bytes, plain.inner_bytes);
+        assert_eq!(out.report.recovered, plain.recovered);
     }
 
     #[test]

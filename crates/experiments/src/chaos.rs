@@ -58,13 +58,14 @@ pub fn chaos(fast: bool) {
         }
 
         let mttr = times.iter().sum::<f64>() / times.len().max(1) as f64;
+        times.sort_by(f64::total_cmp);
         rows.push(vec![
             format!("({n},{k})"),
             storms.len().to_string(),
             util::fmt_pct(times.len() as f64 / storms.len() as f64),
             util::fmt_s(clean),
             util::fmt_s(mttr),
-            util::fmt_s(rpr_store::quantile(&times, 0.99)),
+            util::fmt_s(rpr_sched::quantile(&times, 0.99)),
             util::fmt_pct(mttr / clean - 1.0),
             replans.to_string(),
             hedge_wins.to_string(),

@@ -1,17 +1,19 @@
 //! Deterministic fault-injection primitives.
 //!
 //! This crate is the dependency-free bottom of the robustness layer: it
-//! defines *what can go wrong* during a repair ([`FaultKind`],
-//! [`FaultPlan`]) and *how the system reacts* ([`RetryPolicy`]), plus two
-//! small utilities the recovery machinery needs — a seeded [`SplitMix64`]
-//! PRNG so every injected fault is reproducible, and a [`checksum64`]
-//! digest used to verify intermediate blocks in flight.
+//! defines *what can go wrong* during a repair ([`StormFault`],
+//! [`FaultStorm`]) and *how the system reacts* ([`RetryPolicy`],
+//! [`HealthTracker`]), plus two small utilities the recovery machinery
+//! needs — a seeded [`SplitMix64`] PRNG so every injected fault is
+//! reproducible, and a [`checksum64`] digest used to verify intermediate
+//! blocks in flight.
 //!
-//! Faults are described against a repair plan symbolically (op indices,
-//! node indices, pipeline timesteps — all plain `usize`); `rpr-core`
-//! resolves them against a concrete [`RepairPlan`] and both backends
-//! (`rpr-netsim`, `rpr-exec`) enact them. The full fault model and
-//! recovery semantics are documented in `docs/ROBUSTNESS.md`.
+//! Faults are described independently of any repair plan (a fault kind
+//! per supervision generation, sites left symbolic); `rpr-core`'s
+//! supervision loop resolves them against the concrete [`RepairPlan`] each
+//! generation runs and both backends (`rpr-netsim`, `rpr-exec`) enact
+//! them. The full fault model and recovery semantics are documented in
+//! `docs/ROBUSTNESS.md`.
 //!
 //! [`RepairPlan`]: https://docs.rs/rpr-core
 
@@ -92,83 +94,6 @@ pub fn checksum64(data: &[u8]) -> u64 {
         h = h.wrapping_mul(PRIME);
     }
     h
-}
-
-/// One injectable fault. Indices are plain `usize` (node, rack, plan-op,
-/// pipeline timestep); `rpr-core` validates them against a concrete plan.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultKind {
-    /// Helper `node` dies immediately before performing its first
-    /// cross-rack send scheduled at wave `timestep` or later. Survived by
-    /// replanning (the node never comes back).
-    HelperCrash {
-        /// Node index that crashes.
-        node: usize,
-        /// Pipeline timestep at (or after) which the crash takes effect.
-        timestep: usize,
-    },
-    /// The transfer for plan op `op` stalls partway and times out once;
-    /// the retry succeeds.
-    TransferTimeout {
-        /// Plan op index (must be a `Send`).
-        op: usize,
-    },
-    /// The intermediate block carried by plan op `op` arrives corrupted
-    /// once; checksum verification detects it and the retry succeeds.
-    CorruptIntermediate {
-        /// Plan op index (must be a `Send` carrying an intermediate).
-        op: usize,
-    },
-    /// Every link of `node` runs at `factor` of its profiled bandwidth
-    /// for the whole repair (a degraded NIC / contended ToR port).
-    SlowLink {
-        /// Node index whose links are derated.
-        node: usize,
-        /// Rate multiplier in `(0, 1]`.
-        factor: f64,
-    },
-    /// The aggregation switch of `rack` drops every cross-rack transfer
-    /// of pipeline wave `timestep` touching that rack, once each.
-    RackSwitchOutage {
-        /// Rack index whose switch blips.
-        rack: usize,
-        /// Pipeline timestep during which the outage occurs.
-        timestep: usize,
-    },
-}
-
-/// A deterministic, seed-driven set of faults to inject into one repair.
-///
-/// The seed feeds a [`SplitMix64`] stream that fixes every free parameter
-/// (failure fractions, corruption offsets), so the same plan + same
-/// `FaultPlan` produce bit-identical behavior on the simulator backend.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultPlan {
-    /// Seed for the deterministic parameter stream.
-    pub seed: u64,
-    /// The faults to inject, in declaration order.
-    pub faults: Vec<FaultKind>,
-}
-
-impl FaultPlan {
-    /// An empty fault plan with the given seed.
-    pub fn new(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            faults: Vec::new(),
-        }
-    }
-
-    /// Builder-style: append one fault.
-    pub fn with(mut self, fault: FaultKind) -> FaultPlan {
-        self.faults.push(fault);
-        self
-    }
-
-    /// True when no faults are injected.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
 }
 
 /// Bounded-retry policy for failed transfers and crash recovery.
@@ -293,8 +218,11 @@ impl RetryPolicy {
 /// helpers are swapped out underneath it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashSite {
-    /// A specific node index (must be a live helper when the generation
-    /// starts, or the crash is skipped).
+    /// A specific node index. When that node is not a crash candidate of
+    /// the generation (it sends nothing cross-rack, hosts no live block, or
+    /// is the recovery node), a candidate is seed-picked in its place, as
+    /// for [`CrashSite::SeedPick`]; the resolved site description names
+    /// the node actually crashed.
     Node(usize),
     /// Seed-pick among the current generation's crash candidates.
     SeedPick,
@@ -306,16 +234,20 @@ pub enum CrashSite {
 }
 
 /// One fault scheduled by the chaos process, described independently of
-/// any concrete plan. The supervisor turns these into valid
-/// [`FaultKind`]s by inspecting the generation's plan.
+/// any concrete plan. The supervisor pins each to ops of the plan its
+/// generation runs; a fault with no possible target there is skipped and
+/// says so in the resolved site list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StormFault {
     /// A helper crash at the given site. Each crash ends the current
     /// supervision generation and forces a replan.
     Crash(CrashSite),
-    /// One transient transfer timeout on a seed-picked cross send.
+    /// One transient transfer timeout on a seed-picked send the
+    /// generation executes (inner- or cross-rack).
     Timeout,
-    /// One corrupted intermediate on a seed-picked intermediate send.
+    /// One corrupted payload on a seed-picked send the generation
+    /// executes, raw block or intermediate alike: it arrives in full and
+    /// fails checksum verification once.
     Corrupt,
     /// A seed-picked helper's links run at `factor` of their rate for the
     /// rest of the repair.
@@ -323,7 +255,8 @@ pub enum StormFault {
         /// Rate multiplier in `(0, 1]`.
         factor: f64,
     },
-    /// The recovery rack's switch blips for one seeded wave.
+    /// A seed-picked sending rack's switch blips: every cross-rack send
+    /// the generation executes out of that rack fails once.
     RackOutage,
     /// A seed-picked helper turns Byzantine for the generation: its send
     /// carries wrong bytes under a *valid* FNV checksum, so only proof
@@ -1072,19 +1005,5 @@ mod tests {
         // quarantine.
         h.record_success(1, 4.0, 1.0);
         assert!(h.score(1) < 1.0 && !h.is_quarantined(1));
-    }
-
-    #[test]
-    fn fault_plan_builder_appends_in_order() {
-        let fp = FaultPlan::new(3)
-            .with(FaultKind::TransferTimeout { op: 2 })
-            .with(FaultKind::SlowLink {
-                node: 1,
-                factor: 0.5,
-            });
-        assert_eq!(fp.seed, 3);
-        assert_eq!(fp.faults.len(), 2);
-        assert!(!fp.is_empty());
-        assert!(FaultPlan::new(0).is_empty());
     }
 }

@@ -519,4 +519,286 @@ impl Event {
             | Event::RequestDone { end, .. } => *end,
         }
     }
+
+    /// The same event `dt` seconds later: every timestamp field moves,
+    /// durations (`queue_wait`, `first_byte`) do not. Splices a trace
+    /// recorded on its own zero-based clock into a longer timeline.
+    pub fn shifted(mut self, dt: f64) -> Event {
+        match &mut self {
+            Event::PlanBuilt { .. } => {}
+            Event::TimestepStarted { t, .. }
+            | Event::TimestepFinished { t, .. }
+            | Event::TransferQueued { t, .. }
+            | Event::TransferStarted { t, .. }
+            | Event::TransferFailed { t, .. }
+            | Event::RetryScheduled { t, .. }
+            | Event::HelperCrashed { t, .. }
+            | Event::Replanned { t, .. }
+            | Event::StreamSummary { t, .. }
+            | Event::HedgeLaunched { t, .. }
+            | Event::HedgeWon { t, .. }
+            | Event::HelperQuarantined { t, .. }
+            | Event::DeadlineExceeded { t, .. }
+            | Event::DegradedFallback { t, .. }
+            | Event::StripeEnqueued { t, .. }
+            | Event::StripeAdmitted { t, .. }
+            | Event::BandwidthWaited { t, .. }
+            | Event::ChurnFailure { t, .. }
+            | Event::RiskEscalated { t, .. }
+            | Event::StripeLost { t, .. }
+            | Event::JournalCheckpoint { t, .. }
+            | Event::QosThrottled { t, .. }
+            | Event::RequestIssued { t, .. }
+            | Event::ProofEmitted { t, .. }
+            | Event::ProofRejected { t, .. }
+            | Event::HelperAccused { t, .. }
+            | Event::RepairDone { t, .. } => *t += dt,
+            Event::TransferDone { start, end, .. } | Event::CombineDone { start, end, .. } => {
+                *start += dt;
+                *end += dt;
+            }
+            Event::RequestDone { issued, end, .. } => {
+                *issued += dt;
+                *end += dt;
+            }
+        }
+        self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn xfer() -> Transfer {
+        Transfer {
+            label: "p0op5:send".to_string(),
+            src_node: 2,
+            src_rack: 0,
+            dst_node: 7,
+            dst_rack: 2,
+            bytes: 1 << 20,
+            cross: true,
+            timestep: Some(1),
+        }
+    }
+
+    /// One sample of every variant, each with distinct non-zero times.
+    fn one_of_each() -> Vec<Event> {
+        let s = String::new;
+        vec![
+            Event::PlanBuilt {
+                scheme: s(),
+                parts: 1,
+                ops: 9,
+                cross_transfers: 2,
+                inner_transfers: 3,
+                cross_timesteps: 2,
+                block_bytes: 1 << 20,
+            },
+            Event::TimestepStarted { step: 0, t: 1.0 },
+            Event::TimestepFinished { step: 0, t: 2.0 },
+            Event::TransferQueued {
+                xfer: xfer(),
+                t: 3.0,
+            },
+            Event::TransferStarted {
+                xfer: xfer(),
+                queue_wait: 0.25,
+                t: 4.0,
+            },
+            Event::TransferDone {
+                xfer: xfer(),
+                start: 4.0,
+                end: 5.0,
+            },
+            Event::CombineDone {
+                label: s(),
+                node: 7,
+                rack: 2,
+                kernel: Kernel::Xor,
+                inputs: 2,
+                bytes: 1 << 20,
+                start: 5.0,
+                end: 6.0,
+            },
+            Event::TransferFailed {
+                xfer: xfer(),
+                attempt: 0,
+                reason: s(),
+                t: 7.0,
+            },
+            Event::RetryScheduled {
+                label: s(),
+                rack: 0,
+                attempt: 0,
+                delay: 0.05,
+                t: 8.0,
+            },
+            Event::HelperCrashed {
+                node: 2,
+                rack: 0,
+                t: 9.0,
+            },
+            Event::Replanned {
+                scheme: s(),
+                failed: 2,
+                reused_ops: 3,
+                t: 10.0,
+            },
+            Event::StreamSummary {
+                xfer: xfer(),
+                chunks: 8,
+                chunk_bytes: 1 << 17,
+                first_chunk_latency: 0.5,
+                throughput: 1e6,
+                t: 11.0,
+            },
+            Event::HedgeLaunched {
+                label: s(),
+                slow_node: 2,
+                hedge_node: 3,
+                multiple: 2.0,
+                t: 12.0,
+            },
+            Event::HedgeWon {
+                label: s(),
+                winner_node: 3,
+                saved: 1.5,
+                t: 13.0,
+            },
+            Event::HelperQuarantined {
+                node: 2,
+                score: 0.2,
+                t: 14.0,
+            },
+            Event::DeadlineExceeded {
+                scope: s(),
+                budget: 10.0,
+                elapsed: 15.0,
+                t: 15.0,
+            },
+            Event::DegradedFallback {
+                tier: s(),
+                reason: s(),
+                t: 16.0,
+            },
+            Event::StripeEnqueued {
+                stripe: 1,
+                level: 1,
+                t: 17.0,
+            },
+            Event::StripeAdmitted {
+                stripe: 1,
+                level: 1,
+                t: 18.0,
+            },
+            Event::BandwidthWaited {
+                stripe: 1,
+                level: 1,
+                waited: 0.75,
+                t: 19.0,
+            },
+            Event::ChurnFailure {
+                stripe: 1,
+                level: 2,
+                t: 20.0,
+            },
+            Event::RiskEscalated {
+                stripe: 1,
+                from: 1,
+                to: 2,
+                in_flight: true,
+                t: 21.0,
+            },
+            Event::StripeLost {
+                stripe: 1,
+                level: 4,
+                t: 22.0,
+            },
+            Event::JournalCheckpoint {
+                seq: 5,
+                completed: 3,
+                lost: 0,
+                t: 23.0,
+            },
+            Event::RequestIssued {
+                request: 1,
+                read: true,
+                degraded: false,
+                t: 24.0,
+            },
+            Event::RequestDone {
+                request: 1,
+                read: true,
+                degraded: false,
+                first_byte: 0.125,
+                issued: 24.0,
+                end: 25.0,
+            },
+            Event::QosThrottled {
+                flows: 4,
+                fraction: 0.15,
+                t: 26.0,
+            },
+            Event::ProofEmitted {
+                op: 5,
+                node: 2,
+                gen: 0,
+                t: 27.0,
+            },
+            Event::ProofRejected {
+                op: 5,
+                node: 2,
+                gen: 0,
+                t: 28.0,
+            },
+            Event::HelperAccused {
+                node: 2,
+                gen: 0,
+                t: 29.0,
+            },
+            Event::RepairDone {
+                t: 30.0,
+                cross_bytes: 2 << 20,
+                inner_bytes: 3 << 20,
+            },
+        ]
+    }
+
+    #[test]
+    fn shifted_moves_every_timestamp_and_no_duration() {
+        let duration = |e: &Event| match e {
+            Event::TransferStarted { queue_wait: d, .. }
+            | Event::RequestDone { first_byte: d, .. } => Some(*d),
+            _ => None,
+        };
+        let span_start = |e: &Event| match e {
+            Event::TransferDone { start: s, .. }
+            | Event::CombineDone { start: s, .. }
+            | Event::RequestDone { issued: s, .. } => Some(*s),
+            _ => None,
+        };
+        let dt = 100.0;
+        let mut names = Vec::new();
+        for e in one_of_each() {
+            names.push(e.name());
+            let moved = e.clone().shifted(dt);
+            if let Event::PlanBuilt { .. } = e {
+                assert_eq!(moved, e, "plan_built carries no time");
+                continue;
+            }
+            assert_eq!(moved.time(), e.time() + dt, "{}", e.name());
+            assert_eq!(duration(&moved), duration(&e), "{}", e.name());
+            assert_eq!(
+                span_start(&moved),
+                span_start(&e).map(|s| s + dt),
+                "{}: spans move as a whole",
+                e.name()
+            );
+        }
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 31, "one sample per variant");
+    }
 }

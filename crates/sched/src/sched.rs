@@ -1018,5 +1018,14 @@ mod tests {
         let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         assert_eq!(quantile(&v, 0.99), 99.0);
         assert_eq!(quantile(&v, 0.50), 50.0);
+        assert_eq!(quantile(&v, 1.0), 100.0);
+        assert_eq!(quantile(&[1.0, 2.0], 0.0), 1.0, "rank 0 clamps to rank 1");
+        assert_eq!(quantile(&[1.0, 2.0], 0.51), 2.0);
+        // (0.1 + 0.2) * 10 = 3.0000000000000004: an unguarded ceil turns
+        // that into rank 4. Nearest-rank must stay at rank 3.
+        let ten: Vec<f64> = (1..=10).map(|i| i as f64).collect();
+        let q = 0.1 + 0.2;
+        assert!(q > 0.3, "this q must carry the classic fp excess");
+        assert_eq!(quantile(&ten, q), 3.0);
     }
 }

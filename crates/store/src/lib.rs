@@ -35,7 +35,7 @@ mod recovery;
 mod store;
 
 pub use recovery::{
-    quantile, Failure, FleetRecoveryOptions, FleetRecoveryOutcome, RecoveryOptions,
+    Failure, FleetRecoveryOptions, FleetRecoveryOutcome, RecoveryOptions,
     RecoveryOutcome, Scheme, SupervisedRecoveryOptions, SupervisedRecoveryOutcome,
 };
 pub use store::{Store, StoreConfig};

@@ -269,22 +269,6 @@ pub struct FleetRecoveryOutcome {
     pub replayed: usize,
 }
 
-/// Quantile of a sample by the nearest-rank method (`q` in `0..=1`).
-/// Returns 0.0 for an empty sample.
-///
-/// Delegates to [`rpr_sched::quantile`] after sorting, which snaps
-/// `q·len` to an integer rank when float rounding leaves it within
-/// tolerance of one. The previous unguarded `ceil` could spill one rank
-/// too high whenever `q·len` computed a hair above an exact integer
-/// (e.g. `(0.1 + 0.2) · 10 = 3.0000000000000004` ceiled to rank 4), and
-/// on a single-element sample any such spill is clamped back silently —
-/// masking the bug instead of exercising it.
-pub fn quantile(sample: &[f64], q: f64) -> f64 {
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    rpr_sched::quantile(&sorted, q)
-}
-
 impl Store {
     /// The `(stripe, lost blocks)` list a failure causes.
     pub fn affected_stripes(&self, failure: Failure) -> Vec<(usize, Vec<BlockId>)> {
@@ -552,6 +536,8 @@ impl Store {
             makespan += wave_wall;
         }
 
+        let mut sorted_seconds = stripe_seconds.clone();
+        sorted_seconds.sort_by(f64::total_cmp);
         let mttr = if stripe_seconds.is_empty() {
             0.0
         } else {
@@ -561,7 +547,7 @@ impl Store {
             stripes_affected: affected.len(),
             completed,
             makespan,
-            p99_stripe_seconds: quantile(&stripe_seconds, 0.99),
+            p99_stripe_seconds: rpr_sched::quantile(&sorted_seconds, 0.99),
             stripe_seconds,
             mttr,
             replans,
@@ -1045,43 +1031,6 @@ mod tests {
         );
         assert_eq!(one.completed, all.completed);
         assert!((one.makespan - one.stripe_seconds.iter().sum::<f64>()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantile_nearest_rank() {
-        assert_eq!(quantile(&[], 0.99), 0.0);
-        assert_eq!(quantile(&[5.0], 0.99), 5.0);
-        let s: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(quantile(&s, 0.99), 99.0);
-        assert_eq!(quantile(&s, 0.5), 50.0);
-        assert_eq!(quantile(&s, 1.0), 100.0);
-    }
-
-    #[test]
-    fn quantile_degenerate_samples() {
-        // Empty: defined as 0.
-        assert_eq!(quantile(&[], 0.0), 0.0);
-        assert_eq!(quantile(&[], 1.0), 0.0);
-        // One element: every quantile is that element.
-        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(quantile(&[5.0], q), 5.0, "single element at q={q}");
-        }
-        // Two elements (input unsorted): p50 is rank 1, anything above
-        // spills to rank 2, and the rank-0 corner clamps to rank 1.
-        assert_eq!(quantile(&[2.0, 1.0], 0.0), 1.0);
-        assert_eq!(quantile(&[2.0, 1.0], 0.5), 1.0, "p50 of 2 is rank 1");
-        assert_eq!(quantile(&[2.0, 1.0], 0.51), 2.0);
-        assert_eq!(quantile(&[2.0, 1.0], 1.0), 2.0);
-    }
-
-    #[test]
-    fn quantile_snaps_float_noise_to_the_exact_rank() {
-        // (0.1 + 0.2) * 10 = 3.0000000000000004: an unguarded ceil turns
-        // that into rank 4. Nearest-rank must stay at rank 3.
-        let s: Vec<f64> = (1..=10).map(|i| i as f64).collect();
-        let q = 0.1 + 0.2;
-        assert!(q > 0.3, "this q must carry the classic fp excess");
-        assert_eq!(quantile(&s, q), 3.0);
     }
 
     #[test]

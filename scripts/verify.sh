@@ -11,43 +11,42 @@
 #   3. cargo test -q --workspace
 #   4. cargo clippy --workspace --all-targets -- -D warnings
 #   5. cargo doc --no-deps --workspace   (rustdoc warnings are errors)
-#   6. chaos determinism: `rpr inject` twice per fixed seed must emit
-#      byte-identical JSONL traces (docs/ROBUSTNESS.md), with and
-#      without cut-through streaming (--chunk-size)
-#   7. streaming collapse: at (6,3) the chunked `rpr plan` makespan must
+#   6. streaming collapse: at (6,3) the chunked `rpr plan` makespan must
 #      be strictly lower than the store-and-forward one
-#   8. chaos soak: the supervised 3-fault storm (`rpr chaos`, crash →
-#      replacement crash → timeout) must complete at (6,3) and emit a
-#      byte-identical trace across runs, block and chunk mode
-#   9. Byzantine soak: a seeded `StormFault::Lie` storm under
+#   7. chaos soak: the supervised 3-fault storm (`rpr chaos`, crash →
+#      replacement crash → timeout) and the one-crash storm (`--storm
+#      crash`, what `rpr inject` runs) must complete at (6,3) and emit a
+#      byte-identical trace and summary across runs (docs/ROBUSTNESS.md),
+#      with and without cut-through streaming (--chunk-size)
+#   8. Byzantine soak: a seeded `StormFault::Lie` storm under
 #      `--proof mandatory` must complete with the liar accused (not
 #      timed out), produce byte-identical traces and proof ledgers
 #      across two same-seed runs, and `rpr audit` must verify the
 #      captured ledger against the trace offline and localize the
 #      dishonest hop (docs/ROBUSTNESS.md, "The proof plane")
-#  10. fleet soak: the fleet scheduler (`rpr fleet`, 10k stripes) must
+#   9. fleet soak: the fleet scheduler (`rpr fleet`, 10k stripes) must
 #      drain a 10k-stripe backlog per seed and emit byte-identical JSON
 #      summaries across two same-seed runs with zero arbiter
 #      double-releases (docs/FLEET.md)
-#  11. foreground soak: the load co-simulation (`rpr load`, 240 requests
+#  10. foreground soak: the load co-simulation (`rpr load`, 240 requests
 #      against 4 staggered stripe repairs) must emit byte-identical JSON
 #      summaries across two same-seed runs per mode, and the QoS-throttled
 #      p99 latency must land strictly below the unthrottled p99
 #      (docs/FOREGROUND.md)
-#  12. churn soak: a journaled 10k-stripe drain under live churn
+#  11. churn soak: a journaled 10k-stripe drain under live churn
 #      (`rpr fleet --churn-rate --journal`) is killed -9 mid-drain
 #      (RPR_JOURNAL_STALL_US stretches the write window), resumed from
 #      the torn journal, and the resumed run's `"summary":{...}` must be
 #      byte-identical to an uninterrupted same-seed run's, with zero
 #      stripes lost at a churn rate the drain outpaces (docs/FLEET.md,
 #      "Drains under churn" / "The journal")
-#  13. bench gate: a quick bench snapshot (scripts/bench_snapshot.sh
+#  12. bench gate: a quick bench snapshot (scripts/bench_snapshot.sh
 #      --quick) must not regress the GF kernel throughput by more than
 #      15% against the newest committed BENCH_*.json, and the dispatched
 #      SIMD multiply must stay >= 4x the scalar tier (scripts/
 #      bench_gate.sh). Set RPR_BENCH_GATE=off to skip, e.g. on loaded
 #      machines. See docs/PERFORMANCE.md.
-#  14. benchmark smoke: `benchmark/` is a cargo workspace of its own, so
+#  13. benchmark smoke: `benchmark/` is a cargo workspace of its own, so
 #      steps 1-5 never compile it. `benchmark/run.sh --quick` (< 15 s
 #      after the build) builds the harness offline against the working
 #      tree and runs every workload at a tenth of its size; it must exit
@@ -83,31 +82,11 @@ run cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc $OFFLINE --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc $OFFLINE --no-deps --workspace
 
-# Step 6: the degraded (fault-injected) repair trace must be
-# bit-deterministic under a fixed seed — run the crash scenario twice per
-# seed and byte-compare the JSONL traces, both store-and-forward and with
-# cut-through streaming enabled.
 CHAOS_DIR="target/chaos"
 mkdir -p "$CHAOS_DIR"
 RPR="target/release/rpr"
-for seed in 17 4242; do
-    for mode in block chunk; do
-        if [ "$mode" = chunk ]; then CHUNK="--chunk-size 8"; else CHUNK=""; fi
-        for rep in a b; do
-            echo "==> $RPR inject --code 6,3 --fail d1 --fault crash --seed $seed $CHUNK (run $rep)"
-            "$RPR" inject --code 6,3 --fail d1 --fault crash --seed "$seed" $CHUNK \
-                --out "$CHAOS_DIR/crash_s${seed}_${mode}_${rep}.jsonl" 2>/dev/null
-        done
-        if ! cmp -s "$CHAOS_DIR/crash_s${seed}_${mode}_a.jsonl" \
-                    "$CHAOS_DIR/crash_s${seed}_${mode}_b.jsonl"; then
-            echo "chaos determinism FAILED: seed $seed ($mode) traces differ" >&2
-            exit 1
-        fi
-        echo "==> chaos trace for seed $seed ($mode) is byte-identical across runs"
-    done
-done
 
-# Step 7: cut-through streaming must strictly beat store-and-forward at
+# Step 6: cut-through streaming must strictly beat store-and-forward at
 # (6,3) — the headline claim of the chunked pipeline (ECPipe §3 applied
 # to RPR §3.2).
 extract_time() {
@@ -128,41 +107,45 @@ if ! awk "BEGIN { exit !($T_CHUNK < $T_BLOCK) }"; then
 fi
 echo "==> streamed makespan $T_CHUNK s < store-and-forward $T_BLOCK s"
 
-# Step 8: the repair supervisor must drive the acceptance storm — a helper
-# crash, a crash of its replacement, then a timeout — to completion on the
-# simulator, deterministically: two runs per seed must produce the same
-# one-line JSON summary and a byte-identical trace, with and without
-# cut-through streaming.
-for seed in 17 4242; do
-    for mode in block chunk; do
-        if [ "$mode" = chunk ]; then CHUNK="--chunk-size 8"; else CHUNK=""; fi
-        for rep in a b; do
-            echo "==> $RPR chaos --code 6,3 --fail d1 --seed $seed $CHUNK (run $rep)"
-            "$RPR" chaos --code 6,3 --fail d1 --seed "$seed" $CHUNK --json \
-                --out "$CHAOS_DIR/storm_s${seed}_${mode}_${rep}.jsonl" \
-                > "$CHAOS_DIR/storm_s${seed}_${mode}_${rep}.json" 2>/dev/null
-        done
-        for rep in a b; do
-            if ! grep -q '"replans":2' "$CHAOS_DIR/storm_s${seed}_${mode}_${rep}.json"; then
-                echo "chaos soak FAILED: seed $seed ($mode) storm did not replan twice" >&2
+# Step 7: the repair supervisor must drive the acceptance storm — a helper
+# crash, a crash of its replacement, then a timeout — and the one-crash
+# storm `rpr inject` runs to completion on the simulator, deterministically:
+# two runs per seed must produce the same one-line JSON summary and a
+# byte-identical trace, with and without cut-through streaming.
+for storm in crash,replacement-crash,timeout crash; do
+    case "$storm" in
+        crash) TAG=crash; REPLANS=1 ;;
+        *) TAG=storm; REPLANS=2 ;;
+    esac
+    for seed in 17 4242; do
+        for mode in block chunk; do
+            if [ "$mode" = chunk ]; then CHUNK="--chunk-size 8"; else CHUNK=""; fi
+            OUT="$CHAOS_DIR/${TAG}_s${seed}_${mode}"
+            for rep in a b; do
+                echo "==> $RPR chaos --code 6,3 --fail d1 --storm $storm --seed $seed $CHUNK (run $rep)"
+                "$RPR" chaos --code 6,3 --fail d1 --storm "$storm" --seed "$seed" $CHUNK \
+                    --json --out "${OUT}_${rep}.jsonl" > "${OUT}_${rep}.json" 2>/dev/null
+            done
+            for rep in a b; do
+                if ! grep -q "\"replans\":$REPLANS" "${OUT}_${rep}.json"; then
+                    echo "chaos soak FAILED: seed $seed ($mode) storm $storm did not replan $REPLANS time(s)" >&2
+                    exit 1
+                fi
+            done
+            if ! cmp -s "${OUT}_a.jsonl" "${OUT}_b.jsonl"; then
+                echo "chaos soak FAILED: seed $seed ($mode) storm $storm traces differ" >&2
                 exit 1
             fi
+            if ! cmp -s "${OUT}_a.json" "${OUT}_b.json"; then
+                echo "chaos soak FAILED: seed $seed ($mode) storm $storm summaries differ" >&2
+                exit 1
+            fi
+            echo "==> supervised storm $storm for seed $seed ($mode) completed deterministically"
         done
-        if ! cmp -s "$CHAOS_DIR/storm_s${seed}_${mode}_a.jsonl" \
-                    "$CHAOS_DIR/storm_s${seed}_${mode}_b.jsonl"; then
-            echo "chaos soak FAILED: seed $seed ($mode) storm traces differ" >&2
-            exit 1
-        fi
-        if ! cmp -s "$CHAOS_DIR/storm_s${seed}_${mode}_a.json" \
-                    "$CHAOS_DIR/storm_s${seed}_${mode}_b.json"; then
-            echo "chaos soak FAILED: seed $seed ($mode) storm summaries differ" >&2
-            exit 1
-        fi
-        echo "==> supervised storm for seed $seed ($mode) completed deterministically"
     done
 done
 
-# Step 9: the proof plane must convict a Byzantine helper. A seeded lie
+# Step 8: the proof plane must convict a Byzantine helper. A seeded lie
 # storm — wrong bytes under a valid FNV checksum — must complete in
 # Mandatory mode with the liar accused and quarantined on proof evidence
 # (never a transport retry), the trace and ledger must be byte-identical
@@ -214,7 +197,7 @@ for seed in 21 77; do
     echo "==> byzantine storm for seed $seed: convicted, deterministic, audited offline"
 done
 
-# Step 10: the fleet scheduler must drain a bounded 10k-stripe backlog to
+# Step 9: the fleet scheduler must drain a bounded 10k-stripe backlog to
 # completion and do so bit-deterministically — two same-seed runs of
 # `rpr fleet` must print byte-identical JSON summaries.
 for seed in 17 4242; do
@@ -241,7 +224,7 @@ for seed in 17 4242; do
     echo "==> fleet drain for seed $seed completed deterministically"
 done
 
-# Step 11: foreground traffic under repair must be deterministic and the
+# Step 10: foreground traffic under repair must be deterministic and the
 # QoS class must actually protect the client tail — per seed, each mode's
 # two same-seed summaries must be byte-identical, and the QoS p99 must be
 # strictly below the unthrottled p99 at the (6,3) paper config.
@@ -274,7 +257,7 @@ for seed in 17 4242; do
     echo "==> foreground soak for seed $seed: QoS p99 $P99_QOS < unthrottled $P99_UNTH"
 done
 
-# Step 12: a drain must survive a crash of the repair process itself.
+# Step 11: a drain must survive a crash of the repair process itself.
 # Journal a churned 10k-stripe drain with stretched journal writes, kill
 # it -9 mid-drain, resume from the torn journal, and demand the resumed
 # summary be byte-identical to an uninterrupted same-seed run's — with
@@ -321,7 +304,7 @@ if ! grep -q '"lost":0' "$CHAOS_DIR/churn_clean.summary"; then
 fi
 echo "==> churn soak: killed -9 mid-drain, resumed bit-identically, 0 lost"
 
-# Step 13: performance must not silently rot. Take a quick snapshot and
+# Step 12: performance must not silently rot. Take a quick snapshot and
 # gate it against the newest committed baseline; a transient miss (quick
 # windows on a shared box are noisy) gets two retries before it counts.
 if [ "${RPR_BENCH_GATE:-on}" = "off" ]; then
@@ -348,7 +331,7 @@ else
     fi
 fi
 
-# Step 14: an API slip that breaks the benchmark harness must fail here,
+# Step 13: an API slip that breaks the benchmark harness must fail here,
 # not in the PR driver. The harness always builds offline.
 echo "==> benchmark/run.sh --quick"
 if ! benchmark/run.sh --quick >/dev/null; then

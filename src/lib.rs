@@ -51,7 +51,7 @@
 //! | [`sched`] | fleet-scale repair scheduler: stripe index, bandwidth arbiter |
 //! | [`load`] | foreground workload generator, repair QoS co-simulation |
 //! | [`obs`] | structured repair traces and per-rack metrics |
-//! | [`faults`] | deterministic fault injection: fault plans, retry policies |
+//! | [`faults`] | deterministic fault injection: fault storms, helper health, retry policies |
 //!
 //! To capture a structured trace of a repair, attach an [`obs::TraceRecorder`]
 //! via [`core::simulate_traced`] (or `exec::execute_recorded`) and export the

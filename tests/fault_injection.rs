@@ -1,21 +1,22 @@
-//! Deterministic chaos suite: injected faults across both backends.
+//! Deterministic chaos suite: single injected faults across both backends,
+//! each run as a one-bucket [`FaultStorm`] through the supervision loop.
 //!
 //! The headline guarantees (see `docs/ROBUSTNESS.md`):
-//! * a helper crash at *any* pipeline timestep of a single-failure RPR
-//!   repair completes via replanning and reconstructs the lost block
-//!   byte-identically on the real-data executor;
-//! * transient faults (timeouts, corrupted intermediates) are retried and
-//!   the repair still verifies;
+//! * a helper crash at *any* site of a single-failure RPR repair completes
+//!   via replanning, never faster than the clean run, and reconstructs the
+//!   lost block byte-identically on the real-data executor;
+//! * transient faults (timeouts, corrupted payloads, switch outages) are
+//!   retried and the repair still verifies;
 //! * under a fixed seed the simulated degraded trace is bit-deterministic
-//!   (the property `scripts/verify.sh` diffs end-to-end via `rpr inject`).
+//!   (the property `scripts/verify.sh` diffs end-to-end via `rpr chaos`).
 
 use rpr::codec::{BlockId, CodeParams, StripeCodec};
 use rpr::core::{
-    crash_candidates, simulate_injected, CostModel, Op, Payload, RepairContext, RepairPlanner,
-    RprPlanner,
+    crash_candidates, supervise_injected, CostModel, RepairContext, RepairPlanner, RprPlanner,
+    SuperviseConfig, SuperviseOutcome,
 };
-use rpr::exec::execute_resilient;
-use rpr::faults::{FaultKind, FaultPlan, RetryPolicy, SplitMix64};
+use rpr::exec::{execute_supervised, ExecError};
+use rpr::faults::{CrashSite, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault};
 use rpr::obs::{export, Event, TraceRecorder};
 use rpr::topology::{cluster_for, BandwidthProfile, Placement};
 
@@ -72,13 +73,50 @@ impl World {
     }
 }
 
-fn fast_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 4,
-        backoff: 0.01,
-        multiplier: 2.0,
-        ..RetryPolicy::default()
+fn fast_cfg() -> SuperviseConfig {
+    SuperviseConfig {
+        policy: RetryPolicy {
+            max_attempts: 4,
+            backoff: 0.01,
+            multiplier: 2.0,
+            ..RetryPolicy::default()
+        },
+        ..SuperviseConfig::default()
     }
+}
+
+fn one_bucket(seed: u64, faults: Vec<StormFault>) -> FaultStorm {
+    FaultStorm::new(seed).with_generation(faults)
+}
+
+/// The `(node, wave)` crash sites of the generation-0 plan the supervisor
+/// will build for `ctx`. A [`CrashSite::Node`] strikes a node's *first*
+/// site, so the sites are only all reachable while no node has two.
+fn crash_sites(ctx: &RepairContext<'_>) -> Vec<(usize, usize)> {
+    let sites = crash_candidates(&RprPlanner::new().plan(ctx), ctx);
+    let mut nodes: Vec<usize> = sites.iter().map(|s| s.0).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    assert_eq!(nodes.len(), sites.len(), "a helper with two crash sites");
+    sites
+}
+
+/// `fault_sites[0]` must name the requested node and wave: a
+/// [`CrashSite::Node`] that is no candidate is silently re-aimed by the
+/// resolver, which would turn a sweep over sites into a sweep over seeds.
+fn assert_aimed(fault_sites: &[String], node: usize, wave: usize, what: &str) {
+    let want = format!("crash node {node} (wave {wave}, ");
+    assert!(fault_sites[0].starts_with(&want), "{what}: {fault_sites:?}");
+}
+
+fn sim(
+    ctx: &RepairContext<'_>,
+    storm: &FaultStorm,
+    cfg: &SuperviseConfig,
+) -> Result<(SuperviseOutcome, Vec<Event>), String> {
+    let rec = TraceRecorder::default();
+    let out = supervise_injected(ctx, storm, cfg, &mut HealthTracker::with_defaults(), &rec)?;
+    Ok((out, rec.take_events()))
 }
 
 /// Simulated chaos sweep: for every paper configuration, crash every
@@ -86,145 +124,152 @@ fn fast_policy() -> RetryPolicy {
 /// always complete by replanning, never faster than the clean run.
 #[test]
 fn sim_crash_at_every_site_replans_and_completes() {
+    let mut total = 0;
     for (n, k) in PAPER_CODES {
         let w = World::new(n, k, 8 << 20);
         let ctx = w.ctx(vec![BlockId(1)]);
-        let plan = RprPlanner::new().plan(&ctx);
-        plan.validate(&w.codec, &w.topo, &w.placement).expect("valid");
-        let sites = crash_candidates(&plan, &ctx);
+        let sites = crash_sites(&ctx);
         assert!(!sites.is_empty(), "({n},{k}): no crash sites");
-        for (site, &(node, timestep)) in sites.iter().enumerate() {
-            let fp = FaultPlan::new(1000 + site as u64)
-                .with(FaultKind::HelperCrash { node, timestep });
-            let rec = TraceRecorder::default();
-            let out = simulate_injected(&plan, &ctx, &fp, &fast_policy(), &rec)
-                .unwrap_or_else(|e| panic!("({n},{k}) crash node {node}@{timestep}: {e}"));
-            assert_eq!(out.replans, 1, "({n},{k}) node {node}@{timestep}");
+        total += sites.len();
+        for (site, &(node, wave)) in sites.iter().enumerate() {
+            let what = format!("({n},{k}) crash node {node}@{wave}");
+            let storm = one_bucket(
+                1000 + site as u64,
+                vec![StormFault::Crash(CrashSite::Node(node))],
+            );
+            let (out, events) =
+                sim(&ctx, &storm, &fast_cfg()).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_aimed(&out.fault_sites, node, wave, &what);
+            assert_eq!(out.replans, 1, "{what}");
             assert!(
                 out.repair_time >= out.clean_time,
-                "({n},{k}) node {node}@{timestep}: degraded {} < clean {}",
+                "{what}: degraded {} < clean {}",
                 out.repair_time,
                 out.clean_time
             );
-            let names: Vec<&str> = rec.take_events().iter().map(|e| e.name()).collect();
-            for expect in ["helper_crashed", "replanned", "repair_done"] {
+            let names: Vec<&str> = events.iter().map(|e| e.name()).collect();
+            for expect in ["helper_crashed", "replanned"] {
                 assert!(
                     names.contains(&expect),
-                    "({n},{k}) node {node}@{timestep}: missing {expect} in {names:?}"
+                    "{what}: missing {expect} in {names:?}"
                 );
+            }
+            assert_eq!(*names.last().unwrap(), "repair_done", "{what}");
+            // The timeline is monotone: repair_done is the latest instant.
+            for e in &events {
+                assert!(e.time() <= out.repair_time + 1e-9, "{what}: {e:?}");
+            }
+        }
+    }
+    assert_eq!(total, 16, "the six paper codes have 16 crash sites");
+}
+
+/// The acceptance scenario: kill each helper of an RS(6,3) and an RS(6,2)
+/// repair in turn — every pipeline timestep included — store-and-forward
+/// and streamed; the real-data executor must recover through replanning
+/// and reconstruct the block byte-identically every time.
+#[test]
+fn exec_crash_at_every_site_recovers_byte_identically() {
+    for (n, k) in [(6, 3), (6, 2)] {
+        let w = World::new(n, k, 16 * 1024);
+        let stripe = w.stripe(99);
+        for chunk in [None, Some(4 * 1024)] {
+            let ctx = match chunk {
+                Some(c) => w.ctx(vec![BlockId(1)]).with_chunk_size(c),
+                None => w.ctx(vec![BlockId(1)]),
+            };
+            let sites = crash_sites(&ctx);
+            let mut waves: Vec<usize> = sites.iter().map(|s| s.1).collect();
+            waves.dedup();
+            assert!(waves.len() >= 2, "({n},{k}) pipelines over >= 2 timesteps");
+            for &(node, wave) in &sites {
+                let what = format!("({n},{k}) chunk {chunk:?} crash node {node}@{wave}");
+                let storm = one_bucket(
+                    7 + wave as u64,
+                    vec![StormFault::Crash(CrashSite::Node(node))],
+                );
+                let rec = TraceRecorder::default();
+                let mut tracker = HealthTracker::with_defaults();
+                let out =
+                    execute_supervised(&ctx, &stripe, &rec, &storm, &fast_cfg(), &mut tracker)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_aimed(&out.fault_sites, node, wave, &what);
+                assert!(out.report.verified, "{what}: {:?}", out.report.mismatches);
+                assert_eq!(out.replans, 1, "{what}");
+                let names: Vec<&str> = rec.take_events().iter().map(|e| e.name()).collect();
+                for expect in ["helper_crashed", "replanned"] {
+                    assert!(names.contains(&expect), "{what}: no {expect} event");
+                }
             }
         }
     }
 }
 
-/// The acceptance scenario: on RS(6,3) with one failed block, kill one
-/// seeded-random helper at *every* pipeline timestep in turn; the
-/// real-data executor must recover through replanning and reconstruct the
-/// block byte-identically every time.
+/// Transient faults: each kind is retried in place on both backends
+/// (`retry_scheduled`, no replan), the simulated repair slows down, and
+/// the executed one still ends in a byte-verified reconstruction.
 #[test]
-fn exec_crash_at_every_timestep_recovers_byte_identically() {
-    let w = World::new(6, 3, 16 * 1024);
+fn transient_faults_retry_in_place_and_verify() {
+    let w = World::new(6, 2, 16 * 1024);
     let ctx = w.ctx(vec![BlockId(1)]);
-    let plan = RprPlanner::new().plan(&ctx);
-    plan.validate(&w.codec, &w.topo, &w.placement).expect("valid");
-    let stripe = w.stripe(99);
-    let sites = crash_candidates(&plan, &ctx);
-    let timesteps: Vec<usize> = {
-        let mut ws: Vec<usize> = sites.iter().map(|&(_, w)| w).collect();
-        ws.dedup();
-        ws
-    };
-    assert!(timesteps.len() >= 2, "(6,3) pipelines over 2 timesteps");
-    let mut rng = SplitMix64::new(42);
-    for step in timesteps {
-        // One seeded-random helper among those active at this timestep.
-        let at_step: Vec<usize> = sites
-            .iter()
-            .filter(|&&(_, w)| w == step)
-            .map(|&(n, _)| n)
-            .collect();
-        let node = at_step[rng.pick(at_step.len())];
-        let fp = FaultPlan::new(7 + step as u64)
-            .with(FaultKind::HelperCrash { node, timestep: step });
+    let stripe = w.stripe(5);
+    for fault in [
+        StormFault::Timeout,
+        StormFault::Corrupt,
+        StormFault::RackOutage,
+    ] {
+        let storm = one_bucket(9, vec![fault]);
+
+        let (out, events) = sim(&ctx, &storm, &fast_cfg()).expect("sim completes");
+        assert_eq!((out.retries, out.replans), (1, 0), "sim {fault:?}");
+        assert!(out.repair_time > out.clean_time, "sim {fault:?} costs time");
+        assert_eq!(events.last().map(|e| e.name()), Some("repair_done"));
+
         let rec = TraceRecorder::default();
-        let out = execute_resilient(&plan, &ctx, &stripe, &rec, &fp, &fast_policy())
-            .unwrap_or_else(|e| panic!("crash node {node}@{step}: {e}"));
-        assert!(
-            out.report.verified,
-            "crash node {node}@{step}: mismatches {:?}",
-            out.report.mismatches
+        let mut tracker = HealthTracker::with_defaults();
+        let exec = execute_supervised(&ctx, &stripe, &rec, &storm, &fast_cfg(), &mut tracker)
+            .unwrap_or_else(|e| panic!("{fault:?}: {e}"));
+        assert!(exec.report.verified, "{fault:?}: not verified");
+        assert_eq!((exec.retries, exec.replans), (1, 0), "exec {fault:?}");
+        assert_eq!(
+            exec.fault_sites, out.fault_sites,
+            "both backends resolve the same site"
         );
-        assert_eq!(out.replans, 1, "crash node {node}@{step}");
-        let events = rec.take_events();
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, Event::Replanned { .. })),
-            "crash node {node}@{step}: no replanned event"
-        );
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, Event::HelperCrashed { .. })),
-            "crash node {node}@{step}: no helper_crashed event"
-        );
+        for names in [events, rec.take_events()] {
+            let names: Vec<&str> = names.iter().map(|e| e.name()).collect();
+            assert!(names.contains(&"transfer_failed"), "{fault:?}: {names:?}");
+            assert!(names.contains(&"retry_scheduled"), "{fault:?}: {names:?}");
+        }
     }
 }
 
-/// Transient faults on the executor: a seeded-random timeout and a
-/// corrupted intermediate must both be retried (`retry_scheduled`) and
-/// still end in a byte-verified reconstruction.
+/// The two edges of the retry budget: no fault at all is exactly the clean
+/// repair, and one fault against `max_attempts: 1` is a typed error on
+/// both backends before anything runs.
 #[test]
-fn exec_transient_faults_retry_and_verify() {
-    let w = World::new(6, 2, 16 * 1024);
+fn empty_storm_is_the_clean_repair_and_a_spent_budget_is_an_error() {
+    let w = World::new(6, 3, 16 * 1024);
     let ctx = w.ctx(vec![BlockId(1)]);
-    let plan = RprPlanner::new().plan(&ctx);
-    plan.validate(&w.codec, &w.topo, &w.placement).expect("valid");
-    let stripe = w.stripe(5);
+    let (out, _) = sim(&ctx, &FaultStorm::new(7), &fast_cfg()).expect("runs");
+    assert_eq!(out.repair_time, out.clean_time);
+    assert_eq!((out.retries, out.replans), (0, 0));
+    assert!(out.fault_sites.is_empty());
 
-    let mut rng = SplitMix64::new(123);
-    let sends: Vec<usize> = plan
-        .ops
-        .iter()
-        .enumerate()
-        .filter(|(_, op)| matches!(op, Op::Send { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    let interms: Vec<usize> = plan
-        .ops
-        .iter()
-        .enumerate()
-        .filter(|(_, op)| {
-            matches!(
-                op,
-                Op::Send {
-                    what: Payload::Intermediate(_),
-                    ..
-                }
-            )
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let cases = [
-        FaultKind::TransferTimeout {
-            op: sends[rng.pick(sends.len())],
-        },
-        FaultKind::CorruptIntermediate {
-            op: interms[rng.pick(interms.len())],
-        },
-    ];
-    for kind in cases {
-        let fp = FaultPlan::new(9).with(kind.clone());
-        let rec = TraceRecorder::default();
-        let out = execute_resilient(&plan, &ctx, &stripe, &rec, &fp, &fast_policy())
-            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-        assert!(out.report.verified, "{kind:?}: not verified");
-        assert_eq!(out.retries, 1, "{kind:?}");
-        assert_eq!(out.replans, 0, "{kind:?}");
-        let names: Vec<&str> = rec.take_events().iter().map(|e| e.name()).collect();
-        assert!(names.contains(&"transfer_failed"), "{kind:?}: {names:?}");
-        assert!(names.contains(&"retry_scheduled"), "{kind:?}: {names:?}");
-    }
+    let mut tight = fast_cfg();
+    tight.policy.max_attempts = 1;
+    let storm = one_bucket(5, vec![StormFault::Timeout]);
+    let err = sim(&ctx, &storm, &tight).unwrap_err();
+    assert!(err.contains("retry budget"), "{err}");
+    let err = execute_supervised(
+        &ctx,
+        &w.stripe(5),
+        rpr::obs::noop(),
+        &storm,
+        &tight,
+        &mut HealthTracker::with_defaults(),
+    )
+    .unwrap_err();
+    assert!(matches!(err, ExecError::RetriesExhausted(_)), "{err}");
 }
 
 /// Fixed seed in, identical bytes out: the simulated degraded trace —
@@ -235,20 +280,16 @@ fn sim_injected_trace_is_bit_deterministic() {
     let run = |seed: u64| -> String {
         let w = World::new(8, 4, 64 << 20);
         let ctx = w.ctx(vec![BlockId(2)]);
-        let plan = RprPlanner::new().plan(&ctx);
-        let (node, timestep) = crash_candidates(&plan, &ctx)[1];
-        let send = plan
-            .ops
-            .iter()
-            .position(|op| matches!(op, Op::Send { .. }))
-            .expect("plans start with sends");
-        let fp = FaultPlan::new(seed)
-            .with(FaultKind::TransferTimeout { op: send })
-            .with(FaultKind::HelperCrash { node, timestep });
-        let rec = TraceRecorder::default();
-        simulate_injected(&plan, &ctx, &fp, &RetryPolicy::default(), &rec)
-            .expect("injected repair completes");
-        export::to_json_lines(&rec.take_events())
+        let (node, _) = crash_sites(&ctx)[1];
+        let storm = one_bucket(
+            seed,
+            vec![
+                StormFault::Timeout,
+                StormFault::Crash(CrashSite::Node(node)),
+            ],
+        );
+        let (_, events) = sim(&ctx, &storm, &SuperviseConfig::default()).expect("completes");
+        export::to_json_lines(&events)
     };
     assert_eq!(run(17), run(17), "same seed must replay identically");
     assert_ne!(run(17), run(4242), "the seed must actually steer the run");
