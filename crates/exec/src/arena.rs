@@ -119,15 +119,19 @@ impl Drop for PoolBuf {
     }
 }
 
-/// The payload of one `Delivery`: a pooled chunk on the streaming hot
-/// path, or a plain shared vector for whole-block values (block-mode
-/// edges, prefilled partials, local stripe reads). Cloning either
-/// variant is an `Arc` bump — fan-out edges share one buffer.
+/// The payload of one `Delivery`: a pooled buffer for a chunk smaller
+/// than its block — the streaming hot path — or, when the chunk *is* the
+/// block (no streaming chunk size, or one at least the block size), the
+/// producing op's finished output itself. Which one is decided by the
+/// chunk's length alone. Cloning either variant is an `Arc` bump —
+/// fan-out edges share one buffer.
 #[derive(Clone, Debug)]
 pub enum Chunk {
     /// A pool-backed chunk; returns to its [`BufferPool`] on last drop.
     Pooled(Arc<PoolBuf>),
-    /// A whole-block value shared as an ordinary vector.
+    /// A whole block, shared with the op that produced it: the same
+    /// allocation the attempt keeps as that op's value, so a one-chunk
+    /// stream copies nothing into the pool.
     Shared(Arc<Vec<u8>>),
 }
 
@@ -140,16 +144,6 @@ impl Chunk {
     /// Wrap an already-shared whole-block value.
     pub fn shared(v: Arc<Vec<u8>>) -> Chunk {
         Chunk::Shared(v)
-    }
-
-    /// The payload as a block-shaped `Arc<Vec<u8>>` — free for `Shared`,
-    /// one copy for `Pooled` (never hit on the block-mode path, which
-    /// only ever carries `Shared`).
-    pub fn to_block(&self) -> Arc<Vec<u8>> {
-        match self {
-            Chunk::Shared(v) => v.clone(),
-            Chunk::Pooled(b) => Arc::new(b.to_vec()),
-        }
     }
 }
 
@@ -223,10 +217,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_chunks_convert_to_blocks_without_copying() {
+    fn shared_chunks_expose_the_block_without_copying() {
         let v = Arc::new(vec![1u8, 2, 3]);
         let c = Chunk::shared(v.clone());
-        assert!(Arc::ptr_eq(&c.to_block(), &v));
+        assert!(std::ptr::eq(&c[..], v.as_slice()), "deref must not copy");
     }
 
     #[test]

@@ -4,10 +4,17 @@
 //! retry, and helper-crash propagation through the operation DAG.
 //! Replanning around what an attempt lost is the supervision loop's
 //! ([`crate::execute_supervised`], `docs/ROBUSTNESS.md`).
+//!
+//! There is one way to run an op: as a stream of chunks
+//! (`rpr_core::chunk_sizes`, the same split the simulator lowers over).
+//! Store-and-forward is the stream with one chunk — the whole block —
+//! which is what a context without [`RepairContext::with_chunk_size`]
+//! gets; every fault and every event is enacted once, for any chunk
+//! count.
 
 use crate::arena::{ArenaStats, BufferPool, Chunk};
 use crate::ratelimit::TokenBucket;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded as channel, Receiver, Sender};
 use parking_lot::Mutex;
 use rpr_codec::BlockId;
 use rpr_core::{
@@ -17,7 +24,6 @@ use rpr_core::{
 use rpr_faults::{checksum64, reason, RetryPolicy};
 use rpr_obs::{Event, Recorder};
 use rpr_topology::NodeId;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,8 +64,8 @@ pub struct ExecReport {
     pub mismatches: Vec<BlockId>,
     /// Chunk-buffer arena counters: how many delivery buffers were
     /// allocated fresh vs recycled from the pool. Streaming runs settle
-    /// into recycling; block-mode runs use neither (whole-block values
-    /// are shared, not pooled).
+    /// into recycling; one-chunk runs use neither (a chunk that is the
+    /// whole block is shared, not pooled).
     pub arena: ArenaStats,
     /// The reconstructed output blocks, in plan-output order — the exact
     /// bytes a degraded-read client receives. Shared (`Arc`) with the
@@ -106,10 +112,9 @@ struct NodeLinks {
     cpu: Mutex<()>,
 }
 
-/// What flows through a dependency channel: the producer's output, or
-/// notice that it will never arrive (dead helper upstream). Streamed
-/// edges carry pooled chunk buffers; block-mode edges carry shared
-/// whole-block values.
+/// What flows through a dependency channel: the next chunk of the
+/// producer's output, or notice that the rest will never arrive (dead
+/// helper upstream).
 #[derive(Debug)]
 enum Delivery {
     Data(Chunk),
@@ -151,10 +156,13 @@ struct RunEnv<'r, 'c> {
     /// Rate-limiter granularity in bytes (the streaming chunk size, or
     /// [`DEFAULT_SHAPER_CHUNK`] when streaming is off).
     chunk: usize,
-    /// Chunk split of one block (a singleton without streaming).
-    sizes: &'r [u64],
-    /// Shared chunk-buffer arena: streamed deliveries check buffers out
-    /// of this pool instead of allocating per chunk.
+    /// Chunk boundaries within one block: chunk `j` is bytes
+    /// `offsets[j]..offsets[j + 1]`. Without a streaming chunk size the
+    /// block is its own single chunk.
+    offsets: &'r [usize],
+    /// Shared chunk-buffer arena: deliveries of a chunk smaller than the
+    /// block check buffers out of this pool instead of allocating per
+    /// chunk.
     pool: &'r Arc<BufferPool>,
     /// `outputs[i]` — op `i` produces a plan output (a reconstructed
     /// block delivered to the recovery node / degraded-read client).
@@ -167,8 +175,28 @@ struct RunEnv<'r, 'c> {
 impl RunEnv<'_, '_> {
     /// Byte range of chunk `j` within a block.
     fn range(&self, j: usize) -> std::ops::Range<usize> {
-        let start: u64 = self.sizes[..j].iter().sum();
-        (start as usize)..((start + self.sizes[j]) as usize)
+        self.offsets[j]..self.offsets[j + 1]
+    }
+
+    /// Deliver chunk `r` of `block` to every consumer in `to`. A chunk
+    /// that is the whole block goes out as the block itself — an `Arc`
+    /// bump, no second copy and nothing pooled; a smaller chunk is copied
+    /// into a pooled buffer, which returns to the pool when the last
+    /// consumer finishes with it, so the steady state allocates nothing
+    /// per chunk. A consumer may have aborted (failed input on another
+    /// edge) and dropped its receiver mid-stream; sends into a closed
+    /// channel are simply dropped.
+    fn forward(&self, to: &[Sender<Delivery>], block: &Arc<Vec<u8>>, r: std::ops::Range<usize>) {
+        let chunk = if r.len() as u64 == self.plan.block_bytes {
+            Chunk::shared(block.clone())
+        } else {
+            let mut c = self.pool.get(r.len());
+            c.copy_from_slice(&block[r]);
+            Chunk::pooled(c)
+        };
+        for tx in to {
+            let _ = tx.send(Delivery::Data(chunk.clone()));
+        }
     }
 
     /// Note that output op `i` just made its first chunk available at
@@ -303,16 +331,16 @@ pub(crate) fn run_attempt(
     let empty_slow: &[(NodeId, f64)] = &[];
     let slow = cfg.faults.map_or(empty_slow, |f| f.slow.as_slice());
     let links = node_links(ctx, slow);
-    let crash = cfg.faults.and_then(|f| f.crash);
-    let sizes = chunk_sizes(plan.block_bytes, ctx.effective_chunk());
-    let streaming = sizes.len() > 1;
+    let mut offsets = vec![0usize];
+    for size in chunk_sizes(plan.block_bytes, ctx.effective_chunk()) {
+        offsets.push(offsets[offsets.len() - 1] + size as usize);
+    }
 
     // Wire one channel per (producer, consumer) dependency edge between
     // executing ops; dependencies on reused ops read the prefilled value.
-    // Block-level edges carry exactly one delivery, so a rendezvous
-    // channel suffices; streamed edges carry one delivery per chunk and
-    // are unbounded — the shapers pace the producers, and cut-through
-    // must never let a slow fan-out branch stall the stream.
+    // An edge carries one delivery per chunk and is unbounded — the
+    // shapers pace the producers, and cut-through must never let a slow
+    // fan-out branch stall the stream.
     let mut producers: Vec<Vec<Sender<Delivery>>> =
         (0..plan.ops.len()).map(|_| Vec::new()).collect();
     type Edge = (usize, Receiver<Delivery>);
@@ -324,7 +352,7 @@ pub(crate) fn run_attempt(
         }
         for dep in plan.deps_of(i) {
             if cfg.lowered[dep.0] {
-                let (tx, rx) = if streaming { unbounded() } else { bounded(1) };
+                let (tx, rx) = channel();
                 producers[dep.0].push(tx);
                 consumers[i].push((dep.0, rx));
             }
@@ -341,18 +369,6 @@ pub(crate) fn run_attempt(
     let matrix_done: Vec<Mutex<bool>> = (0..nodes).map(|_| Mutex::new(false)).collect();
 
     let (waves, _) = plan.cross_waves(ctx.topo);
-    let values: Vec<Mutex<Option<Arc<Vec<u8>>>>> =
-        plan.ops.iter().map(|_| Mutex::new(None)).collect();
-    let timings: Vec<Mutex<OpTiming>> = plan
-        .ops
-        .iter()
-        .map(|_| {
-            Mutex::new(OpTiming {
-                start: 0.0,
-                end: 0.0,
-            })
-        })
-        .collect();
     let retries = AtomicUsize::new(0);
 
     let mut outputs = vec![false; plan.ops.len()];
@@ -376,381 +392,63 @@ pub(crate) fn run_attempt(
         chunk: ctx
             .effective_chunk()
             .map_or(DEFAULT_SHAPER_CHUNK, |c| c as usize),
-        sizes: &sizes,
+        offsets: &offsets,
         pool: &pool,
         outputs: &outputs,
         first_out: &first_out,
     };
 
-    std::thread::scope(|scope| {
-        for (i, op) in plan.ops.iter().enumerate() {
-            if !cfg.lowered[i] {
-                continue;
-            }
-            let my_consumers = std::mem::take(&mut consumers[i]);
-            let my_producers = std::mem::take(&mut producers[i]);
-            let env = &env;
-            let links = &links;
-            let agg = &agg;
-            let values = &values;
-            let timings = &timings;
-            let matrix_done = &matrix_done;
-            let waves = &waves;
-            let retries = &retries;
-            scope.spawn(move || {
-                if streaming {
-                    stream_op(env, cfg, i, op, my_consumers, &my_producers, values, timings, retries);
-                    return;
-                }
-                // Gather dependency values: prefilled (reused) first, then
-                // the channel edges.
-                let mut vals: HashMap<usize, Arc<Vec<u8>>> = HashMap::new();
-                for dep in plan.deps_of(i) {
-                    if let Some(v) = &cfg.prefilled[dep.0] {
-                        vals.insert(dep.0, v.clone());
-                    }
-                }
-                let mut failed_input = false;
-                for (dep, rx) in my_consumers {
-                    match rx.recv().expect("producer thread panicked") {
-                        Delivery::Data(v) => {
-                            // Block-mode edges only ever carry `Shared`
-                            // values, so this is an Arc bump, not a copy.
-                            vals.insert(dep, v.to_block());
-                        }
-                        Delivery::Failed => failed_input = true,
-                    }
-                }
-                let exec_node = match op {
-                    Op::Send { from, .. } => *from,
-                    Op::Combine { node, .. } => *node,
-                };
-                let down =
-                    crash.is_some_and(|c| c.node == exec_node && i >= c.trigger.0);
-                if failed_input || down {
-                    if crash.is_some_and(|c| c.trigger.0 == i) {
-                        // The crash trigger: the node dies as this send
-                        // begins, so the failure is observed here.
-                        let c = crash.expect("checked above");
-                        let now = t0.elapsed().as_secs_f64();
-                        if let Op::Send { from, to, .. } = op {
-                            let xfer = transfer_descr(plan, ctx, cfg.tag, i, from, to, waves);
-                            rec.record(Event::TransferQueued {
-                                xfer: xfer.clone(),
-                                t: now,
-                            });
-                            rec.record(Event::TransferFailed {
-                                xfer,
-                                attempt: 0,
-                                reason: reason::NODE_DOWN.to_string(),
-                                t: now,
-                            });
-                        }
-                        rec.record(Event::HelperCrashed {
-                            node: c.node.0,
-                            rack: ctx.topo.rack_of(c.node).0,
-                            t: now,
-                        });
-                    }
-                    for tx in my_producers {
-                        // The consumer may have unwound already under a
-                        // hedge cancellation; a dropped receiver is fine.
-                        let _ = tx.send(Delivery::Failed);
-                    }
-                    return;
-                }
-                let started = t0.elapsed().as_secs_f64();
-
-                let out: Arc<Vec<u8>> = match op {
-                    Op::Send { what, from, to } => {
-                        let data: Arc<Vec<u8>> = match what {
-                            Payload::Block(b) => Arc::new(stripe[b.0].clone()),
-                            Payload::Intermediate(o) => vals[&o.0].clone(),
-                        };
-                        // A Byzantine helper flips a byte *before* taking
-                        // the sender-side digest, so the transport
-                        // checksum validates the lie end-to-end — only
-                        // the proof plane can catch it.
-                        let data: Arc<Vec<u8>> = if cfg
-                            .faults
-                            .is_some_and(|f| f.lies.contains(&i))
-                        {
-                            let mut bad = (*data).clone();
-                            bad[0] ^= 0xA5;
-                            Arc::new(bad)
-                        } else {
-                            data
-                        };
-                        // Sender-side digest: every delivery is verified
-                        // against it on arrival.
-                        let expected = checksum64(&data);
-                        let xfer = transfer_descr(plan, ctx, cfg.tag, i, from, to, waves);
-                        let no_faults: &[rpr_core::AttemptFault] = &[];
-                        let injected = cfg
-                            .faults
-                            .map_or(no_faults, |f| f.op_faults[i].as_slice());
-                        for (a, fault) in injected.iter().enumerate() {
-                            let queued = t0.elapsed().as_secs_f64();
-                            rec.record(Event::TransferQueued {
-                                xfer: xfer.clone(),
-                                t: queued,
-                            });
-                            if fault.reason == reason::CORRUPT {
-                                // The full payload arrives with a flipped
-                                // byte; the checksum rejects it.
-                                let mut bad = (*data).clone();
-                                bad[0] ^= 0x01;
-                                let Some(admitted) = shaped_transfer(
-                                    ctx,
-                                    links,
-                                    agg.as_ref(),
-                                    *from,
-                                    *to,
-                                    bad.len(),
-                                    env.chunk,
-                                    cfg.cancel,
-                                ) else {
-                                    for tx in &my_producers {
-                                        let _ = tx.send(Delivery::Failed);
-                                    }
-                                    return;
-                                };
-                                rec.record(Event::TransferStarted {
-                                    xfer: xfer.clone(),
-                                    queue_wait: admitted,
-                                    t: queued + admitted,
-                                });
-                                assert_ne!(
-                                    checksum64(&bad),
-                                    expected,
-                                    "checksum must detect injected corruption"
-                                );
-                            } else {
-                                // The attempt stalls after moving a
-                                // fraction of the payload.
-                                let part = (data.len() as f64 * fault.fraction) as usize;
-                                let Some(admitted) = shaped_transfer(
-                                    ctx,
-                                    links,
-                                    agg.as_ref(),
-                                    *from,
-                                    *to,
-                                    part,
-                                    env.chunk,
-                                    cfg.cancel,
-                                ) else {
-                                    for tx in &my_producers {
-                                        let _ = tx.send(Delivery::Failed);
-                                    }
-                                    return;
-                                };
-                                rec.record(Event::TransferStarted {
-                                    xfer: xfer.clone(),
-                                    queue_wait: admitted,
-                                    t: queued + admitted,
-                                });
-                            }
-                            let now = t0.elapsed().as_secs_f64();
-                            rec.record(Event::TransferFailed {
-                                xfer: xfer.clone(),
-                                attempt: a,
-                                reason: fault.reason.to_string(),
-                                t: now,
-                            });
-                            let delay = cfg.policy.delay(a);
-                            rec.record(Event::RetryScheduled {
-                                label: xfer.label.clone(),
-                                rack: xfer.src_rack,
-                                attempt: a,
-                                delay,
-                                t: now,
-                            });
-                            retries.fetch_add(1, Ordering::Relaxed);
-                            std::thread::sleep(std::time::Duration::from_secs_f64(delay));
-                        }
-                        // The (final) successful attempt.
-                        let queued = t0.elapsed().as_secs_f64();
-                        rec.record(Event::TransferQueued {
-                            xfer: xfer.clone(),
-                            t: queued,
-                        });
-                        let Some(admitted) = shaped_transfer(
-                            ctx,
-                            links,
-                            agg.as_ref(),
-                            *from,
-                            *to,
-                            data.len(),
-                            env.chunk,
-                            cfg.cancel,
-                        ) else {
-                            for tx in &my_producers {
-                                let _ = tx.send(Delivery::Failed);
-                            }
-                            return;
-                        };
-                        rec.record(Event::TransferStarted {
-                            xfer: xfer.clone(),
-                            queue_wait: admitted,
-                            t: queued + admitted,
-                        });
-                        assert_eq!(
-                            checksum64(&data),
-                            expected,
-                            "delivered payload failed verification"
-                        );
-                        rec.record(Event::TransferDone {
-                            xfer,
-                            start: queued + admitted,
-                            end: t0.elapsed().as_secs_f64(),
-                        });
-                        data
-                    }
-                    Op::Combine { node, inputs, .. } => {
-                        let _cpu = links[node.0].cpu.lock();
-                        let work_start = Instant::now();
-                        // Model the decode pace of the target machine: the
-                        // real folds run first (verifying the bytes), then
-                        // the thread is paced up to the CostModel's time so
-                        // scaled-down experiments keep the paper's
-                        // decode-to-transfer proportions. CostModel::free()
-                        // disables pacing entirely.
-                        let mut modeled = 0.0f64;
-                        let uses_matrix = plan.force_matrix
-                            || inputs
-                                .iter()
-                                .any(|i| matches!(i, Input::Block { coeff, .. } if *coeff != 1));
-                        if needs_matrix && uses_matrix {
-                            let mut done = matrix_done[node.0].lock();
-                            if !*done {
-                                *done = true;
-                                build_decoding_matrix(ctx);
-                                modeled += ctx.cost.matrix_build_seconds;
-                            }
-                        }
-                        let mut pd = rpr_codec::PartialDecoder::new(stripe[0].len());
-                        for inp in inputs {
-                            match inp {
-                                Input::Block {
-                                    block,
-                                    coeff,
-                                    via: None,
-                                } => {
-                                    pd.fold(*coeff, &stripe[block.0]);
-                                    modeled += if plan.force_matrix {
-                                        ctx.cost.forced_fold_seconds(plan.block_bytes)
-                                    } else {
-                                        ctx.cost.fold_seconds(*coeff, plan.block_bytes)
-                                    };
-                                }
-                                Input::Block {
-                                    block: _,
-                                    coeff,
-                                    via: Some(s),
-                                } => {
-                                    pd.fold(*coeff, &vals[&s.0]);
-                                    modeled += if plan.force_matrix {
-                                        ctx.cost.forced_fold_seconds(plan.block_bytes)
-                                    } else {
-                                        ctx.cost.fold_seconds(*coeff, plan.block_bytes)
-                                    };
-                                }
-                                Input::Intermediate(o) => {
-                                    pd.merge_bytes(&vals[&o.0]);
-                                    modeled += if plan.force_matrix {
-                                        ctx.cost.forced_fold_seconds(plan.block_bytes)
-                                    } else {
-                                        ctx.cost.merge_seconds(plan.block_bytes)
-                                    };
-                                }
-                            }
-                        }
-                        let spent = work_start.elapsed().as_secs_f64();
-                        if modeled.is_finite() && modeled > spent {
-                            std::thread::sleep(std::time::Duration::from_secs_f64(modeled - spent));
-                        }
-                        Arc::new(pd.finish())
-                    }
-                };
-
-                let ended = t0.elapsed().as_secs_f64();
-                {
-                    let mut t = timings[i].lock();
-                    t.start = started;
-                    t.end = ended;
-                }
-                if let Op::Combine { node, inputs, .. } = op {
-                    rec.record(Event::CombineDone {
-                        label: format!("p{}op{i}:combine", cfg.tag),
-                        node: node.0,
-                        rack: ctx.topo.rack_of(*node).0,
-                        kernel: combine_kernel(plan, i).expect("op is a combine"),
-                        inputs: inputs.len(),
-                        bytes: plan.block_bytes,
-                        start: started,
-                        end: ended,
-                    });
-                }
-                env.note_first_out(i, ended);
-                *values[i].lock() = Some(out.clone());
-                for tx in my_producers {
-                    let _ = tx.send(Delivery::Data(Chunk::shared(out.clone())));
-                }
-            });
-        }
+    // One thread per executing op, each returning what its op produced
+    // (nothing, and an idle timing, if it did not run or did not finish).
+    let idle = OpTiming {
+        start: 0.0,
+        end: 0.0,
+    };
+    let (values, op_timings) = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..plan.ops.len())
+            .map(|i| {
+                cfg.lowered[i].then(|| {
+                    let my_consumers = std::mem::take(&mut consumers[i]);
+                    let my_producers = std::mem::take(&mut producers[i]);
+                    let (env, op, retries) = (&env, &plan.ops[i], &retries);
+                    scope.spawn(move || {
+                        run_op(env, cfg, i, op, my_consumers, &my_producers, retries)
+                    })
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| {
+                t.and_then(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .map_or((None, idle), |(value, timing)| (Some(value), timing))
+            })
+            .unzip()
     });
 
     AttemptRun {
-        values: values.into_iter().map(|m| m.into_inner()).collect(),
-        op_timings: timings.into_iter().map(|m| m.into_inner()).collect(),
+        values,
+        op_timings,
         retries: retries.into_inner(),
         arena: pool.stats(),
         first_out: first_out.into_inner(),
     }
 }
 
-/// A send's per-chunk payload source: a whole buffer already in memory
-/// (local block or prefilled value) or a live upstream stream.
-struct SendSource<'f> {
-    whole: Option<&'f [u8]>,
-    edge: Option<Receiver<Delivery>>,
-    have: usize,
-    /// Byzantine sender: perturb each chunk before digesting it, so the
-    /// per-chunk FNV checksum validates the lie (see `StormFault::Lie`).
-    lie: bool,
-}
-
-impl SendSource<'_> {
-    /// Materialize chunks up to and including `j` into `buf`, recording
-    /// each chunk's FNV-1a checksum. Returns false if the upstream
-    /// producer died.
-    fn ensure(&mut self, j: usize, env: &RunEnv<'_, '_>, buf: &mut [u8], sums: &mut Vec<u64>) -> bool {
-        while self.have <= j {
-            let r = env.range(self.have);
-            match (&self.whole, &self.edge) {
-                (Some(w), _) => buf[r.clone()].copy_from_slice(&w[r.clone()]),
-                (None, Some(rx)) => match rx.recv().expect("producer thread panicked") {
-                    Delivery::Data(c) => buf[r.clone()].copy_from_slice(&c),
-                    Delivery::Failed => return false,
-                },
-                (None, None) => unreachable!("send payload always has a source"),
-            }
-            if self.lie {
-                buf[r.start] ^= 0xA5;
-            }
-            sums.push(checksum64(&buf[r]));
-            self.have += 1;
-        }
-        true
-    }
-}
-
-/// One combine input's chunk source.
+/// One op input's chunk source.
 enum ChunkFeed<'f> {
     /// A buffer fully in memory (local stripe block or prefilled value).
     Whole(&'f [u8]),
     /// A live upstream stream delivering one chunk per message.
     Edge(Receiver<Delivery>),
+}
+
+/// The next chunk on a dependency edge, `None` if its producer failed.
+fn recv_chunk(rx: &Receiver<Delivery>) -> Option<Chunk> {
+    match rx.recv().expect("producer thread panicked") {
+        Delivery::Data(c) => Some(c),
+        Delivery::Failed => None,
+    }
 }
 
 /// How a combine folds one input.
@@ -761,222 +459,281 @@ enum FoldKind {
     Merge,
 }
 
-/// Streamed (cut-through) execution of one op. Payloads move hop-to-hop
-/// in `env.sizes`-sized chunks: a send verifies each chunk against its
-/// FNV-1a checksum and forwards it downstream the moment it is intact, so
-/// a retry resumes from the first unverified chunk instead of
-/// re-streaming the whole block; a combine folds chunk `j` with the GF
-/// kernels as soon as every input's chunk `j` arrived and forwards the
-/// folded chunk immediately. The downstream hop therefore starts after
-/// one chunk, not one block — the executor's critical path collapses
-/// from `waves × t_block` toward `t_block + (waves − 1) × t_chunk`.
-#[allow(clippy::too_many_arguments)]
-fn stream_op(
+/// The sending side of one transfer: the block as it assembles at the
+/// receiver, chunk by chunk, and how far it got.
+struct SendStream<'f> {
+    env: &'f RunEnv<'f, 'f>,
+    cancel: Option<&'f AtomicBool>,
+    i: usize,
+    from: NodeId,
+    to: NodeId,
+    downstream: &'f [Sender<Delivery>],
+    feed: ChunkFeed<'f>,
+    /// Byzantine sender: perturb each chunk before digesting it, so the
+    /// per-chunk FNV checksum validates the lie end-to-end — only the
+    /// proof plane can catch it (see `StormFault::Lie`).
+    lie: bool,
+    buf: Arc<Vec<u8>>,
+    /// Sender-side FNV-1a digest of every chunk materialized in `buf`;
+    /// each delivery is verified against it on arrival.
+    sums: Vec<u64>,
+    /// Chunks verified and forwarded downstream so far; a failed attempt
+    /// never rewinds this — the retry re-streams from the first
+    /// unverified chunk, not from the start of the block.
+    delivered: usize,
+    first_delivered_t: Option<f64>,
+}
+
+impl SendStream<'_> {
+    /// Materialize the next undelivered chunk in `buf` and digest it.
+    /// Chunks arrive in order, so `buf` grows by appending; a chunk that
+    /// is the whole block (`Chunk::Shared`) is adopted as the block
+    /// itself, not copied. `None` if the upstream producer died.
+    fn ensure(&mut self) -> Option<()> {
+        if self.sums.len() > self.delivered {
+            return Some(());
+        }
+        let r = self.env.range(self.delivered);
+        let total = self.env.plan.block_bytes as usize;
+        let append = |buf: &mut Arc<Vec<u8>>, chunk: &[u8]| {
+            let buf = Arc::get_mut(buf).expect("an unfinished block has one holder");
+            buf.reserve_exact(total - buf.len());
+            buf.extend_from_slice(chunk);
+        };
+        match &self.feed {
+            ChunkFeed::Whole(w) => append(&mut self.buf, &w[r.clone()]),
+            ChunkFeed::Edge(rx) => match recv_chunk(rx)? {
+                Chunk::Shared(block) => self.buf = block,
+                Chunk::Pooled(chunk) => append(&mut self.buf, &chunk),
+            },
+        }
+        if self.lie {
+            Arc::make_mut(&mut self.buf)[r.start] ^= 0xA5;
+        }
+        self.sums.push(checksum64(&self.buf[r]));
+        Some(())
+    }
+
+    /// Move `bytes` of the next undelivered chunk through the shapers,
+    /// once upstream has produced it. Returns the wait for the shapers'
+    /// first admission; `None` if upstream died or the attempt was
+    /// cancelled mid-transfer.
+    fn shape(&mut self, bytes: usize) -> Option<f64> {
+        self.ensure()?;
+        let env = self.env;
+        shaped_transfer(
+            env.ctx,
+            env.links,
+            env.agg,
+            self.from,
+            self.to,
+            bytes,
+            env.chunk,
+            self.cancel,
+        )
+    }
+
+    /// Send the next undelivered chunk whole: shaped, verified against its
+    /// sender-side digest, and forwarded downstream the moment it is intact.
+    fn deliver_next(&mut self) -> Option<f64> {
+        let r = self.env.range(self.delivered);
+        let wait = self.shape(r.len())?;
+        assert_eq!(
+            checksum64(&self.buf[r.clone()]),
+            self.sums[self.delivered],
+            "delivered chunk failed verification"
+        );
+        self.env.forward(self.downstream, &self.buf, r);
+        self.delivered += 1;
+        if self.first_delivered_t.is_none() {
+            let now = self.env.t0.elapsed().as_secs_f64();
+            self.first_delivered_t = Some(now);
+            self.env.note_first_out(self.i, now);
+        }
+        Some(wait)
+    }
+}
+
+/// Execute op `i`, returning its output and timing — or, if it could not
+/// finish (dead helper upstream or here, hedge cancellation), tell every
+/// consumer the output will never arrive. The one place a failure is
+/// announced downstream.
+fn run_op(
     env: &RunEnv<'_, '_>,
     cfg: &AttemptCfg<'_>,
     i: usize,
     op: &Op,
     consumers: Vec<(usize, Receiver<Delivery>)>,
     producers: &[Sender<Delivery>],
-    values: &[Mutex<Option<Arc<Vec<u8>>>>],
-    timings: &[Mutex<OpTiming>],
     retries: &AtomicUsize,
-) {
-    let plan = env.plan;
-    let ctx = env.ctx;
-    let rec = env.rec;
-    let t0 = env.t0;
-    let m = env.sizes.len();
-    let total = plan.block_bytes as usize;
-    let crash = cfg.faults.and_then(|f| f.crash);
-    // A downstream consumer may have aborted (failed input on another
-    // edge) and dropped its receiver while this stream is mid-flight;
-    // chunk sends into a closed channel are simply dropped.
-    let forward = |chunk: Chunk| {
+) -> Option<(Arc<Vec<u8>>, OpTiming)> {
+    let done = try_op(env, cfg, i, op, consumers, producers, retries);
+    if done.is_none() {
         for tx in producers {
-            let _ = tx.send(Delivery::Data(chunk.clone()));
-        }
-    };
-    // Forward one chunk through a pooled buffer: the buffer returns to
-    // the pool when the last downstream consumer finishes with it, so
-    // the steady state allocates nothing per chunk.
-    let forward_pooled = |bytes: &[u8]| {
-        let mut c = env.pool.get(bytes.len());
-        c.copy_from_slice(bytes);
-        forward(Chunk::pooled(c));
-    };
-    let fail_downstream = || {
-        for tx in producers {
+            // The consumer may have unwound already under a hedge
+            // cancellation; a dropped receiver is fine.
             let _ = tx.send(Delivery::Failed);
         }
-    };
+    }
+    done
+}
+
+/// One op, as a stream. Payloads move hop-to-hop in the chunks `env.range`
+/// delimits — one chunk, the whole block, unless the context configures a
+/// smaller streaming chunk: a send verifies each chunk against its FNV-1a
+/// checksum and forwards it downstream the moment it is intact, so a
+/// retry resumes from the first unverified chunk instead of re-streaming
+/// the whole block; a combine folds chunk `j` with the GF kernels as soon
+/// as every input's chunk `j` arrived and forwards the folded chunk
+/// immediately. With `m` chunks the downstream hop starts after one chunk,
+/// not one block — the executor's critical path collapses from
+/// `waves × t_block` toward `t_block + (waves − 1) × t_chunk` — and
+/// `m == 1` is store-and-forward. Returns `None` if the op did not finish.
+fn try_op(
+    env: &RunEnv<'_, '_>,
+    cfg: &AttemptCfg<'_>,
+    i: usize,
+    op: &Op,
+    consumers: Vec<(usize, Receiver<Delivery>)>,
+    producers: &[Sender<Delivery>],
+    retries: &AtomicUsize,
+) -> Option<(Arc<Vec<u8>>, OpTiming)> {
+    let (plan, ctx, rec) = (env.plan, env.ctx, env.rec);
+    let now = || env.t0.elapsed().as_secs_f64();
+    let m = env.offsets.len() - 1;
+    let total = plan.block_bytes as usize;
 
     // Split edges: data edges feed payload chunks; ordering edges (link
     // FIFO, used by slice-pipelined plans) must drain completely before
     // this op may start — they serialize whole ops, exactly as the
     // analytical lowering does.
     let data = op.dependencies();
-    let mut edges: HashMap<usize, Receiver<Delivery>> = HashMap::new();
-    let mut failed_input = false;
-    for (dep, rx) in consumers {
-        if data.iter().any(|d| d.0 == dep) {
-            edges.insert(dep, rx);
-        } else {
-            for _ in 0..m {
-                match rx.recv().expect("producer thread panicked") {
-                    Delivery::Data(_) => {}
-                    Delivery::Failed => {
-                        failed_input = true;
-                        break;
-                    }
-                }
-            }
+    let mut edges = consumers;
+    let mut ordered = Some(());
+    edges.retain(|(dep, rx)| {
+        let is_data = data.iter().any(|d| d.0 == *dep);
+        if !is_data && (0..m).any(|_| recv_chunk(rx).is_none()) {
+            ordered = None;
         }
-    }
+        is_data
+    });
 
-    let exec_node = match op {
-        Op::Send { from, .. } => *from,
-        Op::Combine { node, .. } => *node,
-    };
-    let down = crash.is_some_and(|c| c.node == exec_node && i >= c.trigger.0);
-    if failed_input || down {
-        if crash.is_some_and(|c| c.trigger.0 == i) {
-            let c = crash.expect("checked above");
-            let now = t0.elapsed().as_secs_f64();
+    // An op begins when chunk 0 of every data input is in hand (`ready`).
+    // That instant is its start stamp — the simulator's rule, `first_start`
+    // of the chunk-0 job — and the instant a crashing helper is found
+    // dead: the crash trigger's node dies as that send begins, so the
+    // failure is observed here.
+    let begin = |ready: Option<()>| -> Option<f64> {
+        let exec_node = match op {
+            Op::Send { from, .. } => *from,
+            Op::Combine { node, .. } => *node,
+        };
+        let crash = cfg.faults.and_then(|f| f.crash);
+        let down = crash.is_some_and(|c| c.node == exec_node && i >= c.trigger.0);
+        if ready.is_some() && !down {
+            return Some(now());
+        }
+        if let Some(c) = crash.filter(|c| c.trigger.0 == i) {
+            let t = now();
             if let Op::Send { from, to, .. } = op {
                 let xfer = transfer_descr(plan, ctx, cfg.tag, i, from, to, env.waves);
                 rec.record(Event::TransferQueued {
                     xfer: xfer.clone(),
-                    t: now,
+                    t,
                 });
                 rec.record(Event::TransferFailed {
                     xfer,
                     attempt: 0,
                     reason: reason::NODE_DOWN.to_string(),
-                    t: now,
+                    t,
                 });
             }
             rec.record(Event::HelperCrashed {
                 node: c.node.0,
                 rack: ctx.topo.rack_of(c.node).0,
-                t: now,
+                t,
             });
         }
-        fail_downstream();
-        return;
-    }
-    let started = t0.elapsed().as_secs_f64();
+        None
+    };
 
     match op {
         Op::Send { what, from, to } => {
-            let mut src = SendSource {
-                whole: match what {
-                    Payload::Block(b) => Some(env.stripe[b.0].as_slice()),
-                    Payload::Intermediate(o) => cfg.prefilled[o.0].as_deref().map(|v| v.as_slice()),
+            let mut s = SendStream {
+                env,
+                cancel: cfg.cancel,
+                i,
+                from: *from,
+                to: *to,
+                downstream: producers,
+                feed: match what {
+                    Payload::Block(b) => ChunkFeed::Whole(env.stripe[b.0].as_slice()),
+                    Payload::Intermediate(o) => feed_for(cfg, &mut edges, o.0),
                 },
-                edge: match what {
-                    Payload::Intermediate(o) if cfg.prefilled[o.0].is_none() => edges.remove(&o.0),
-                    _ => None,
-                },
-                have: 0,
                 lie: cfg.faults.is_some_and(|f| f.lies.contains(&i)),
+                buf: Arc::default(),
+                sums: Vec::with_capacity(m),
+                delivered: 0,
+                first_delivered_t: None,
             };
-            let mut buf = vec![0u8; total];
-            let mut sums: Vec<u64> = Vec::with_capacity(m);
+            let started = begin(ordered.and_then(|()| s.ensure()))?;
             let xfer = transfer_descr(plan, ctx, cfg.tag, i, from, to, env.waves);
             let no_faults: &[rpr_core::AttemptFault] = &[];
             let injected = cfg.faults.map_or(no_faults, |f| f.op_faults[i].as_slice());
-            // Chunks verified and forwarded downstream so far; a failed
-            // attempt never rewinds this — the retry re-streams from the
-            // first unverified chunk, not from the start of the block.
-            let mut delivered = 0usize;
-            let mut first_delivered_t: Option<f64> = None;
 
             for (a, fault) in injected.iter().enumerate() {
-                let queued = t0.elapsed().as_secs_f64();
+                let queued = now();
                 rec.record(Event::TransferQueued {
                     xfer: xfer.clone(),
                     t: queued,
                 });
-                let mut admitted = 0.0f64;
-                if fault.reason == reason::CORRUPT {
-                    // The next chunk arrives with a flipped byte; its
-                    // checksum rejects it, so it is neither forwarded nor
-                    // counted as verified.
-                    if !src.ensure(delivered, env, &mut buf, &mut sums) {
-                        fail_downstream();
-                        return;
-                    }
-                    let mut bad = buf[env.range(delivered)].to_vec();
+                // The wait for this attempt's first shaper admission.
+                let mut admitted: Option<f64> = None;
+                let corrupt = fault.reason == reason::CORRUPT;
+                // A timed-out attempt stalls after `fraction` of the block,
+                // counted from the block's start. Whole chunks inside that
+                // prefix get through intact and stay verified and forwarded;
+                // the last chunk never does.
+                let part = (total as f64 * fault.fraction) as usize;
+                while !corrupt && s.delivered + 1 < m && env.range(s.delivered).end <= part {
+                    let wait = s.deliver_next()?;
+                    admitted.get_or_insert(wait);
+                }
+                // What the attempt moves and loses: on a timeout the rest of
+                // the prefix, a partial chunk; on corruption the whole next
+                // chunk, which arrives with a flipped byte, fails its
+                // checksum, and is neither forwarded nor counted as verified.
+                let r = env.range(s.delivered);
+                let lost = if corrupt {
+                    r.len()
+                } else {
+                    part.saturating_sub(r.start)
+                };
+                if lost > 0 {
+                    let wait = s.shape(lost)?;
+                    admitted.get_or_insert(wait);
+                }
+                if corrupt {
+                    let mut bad = s.buf[r].to_vec();
                     bad[0] ^= 0x01;
-                    admitted = match shaped_transfer(
-                        ctx, env.links, env.agg, *from, *to, bad.len(), env.chunk, cfg.cancel,
-                    ) {
-                        Some(a) => a,
-                        None => {
-                            fail_downstream();
-                            return;
-                        }
-                    };
                     assert_ne!(
                         checksum64(&bad),
-                        sums[delivered],
+                        s.sums[s.delivered],
                         "checksum must detect injected corruption"
                     );
-                } else {
-                    // The attempt stalls after a prefix of the stream;
-                    // chunks that got through intact stay verified and
-                    // forwarded.
-                    let goal = (((m as f64) * fault.fraction).floor() as usize).min(m - 1);
-                    let mut first = true;
-                    for j in delivered..goal {
-                        if !src.ensure(j, env, &mut buf, &mut sums) {
-                            fail_downstream();
-                            return;
-                        }
-                        let r = env.range(j);
-                        let Some(wait) = shaped_transfer(
-                            ctx,
-                            env.links,
-                            env.agg,
-                            *from,
-                            *to,
-                            r.len(),
-                            env.chunk,
-                            cfg.cancel,
-                        ) else {
-                            fail_downstream();
-                            return;
-                        };
-                        if first {
-                            admitted = wait;
-                            first = false;
-                        }
-                        assert_eq!(
-                            checksum64(&buf[r.clone()]),
-                            sums[j],
-                            "delivered chunk failed verification"
-                        );
-                        forward_pooled(&buf[r]);
-                        if first_delivered_t.is_none() {
-                            let now = t0.elapsed().as_secs_f64();
-                            first_delivered_t = Some(now);
-                            env.note_first_out(i, now);
-                        }
-                    }
-                    delivered = delivered.max(goal);
                 }
+                let admitted = admitted.unwrap_or(0.0);
                 rec.record(Event::TransferStarted {
                     xfer: xfer.clone(),
                     queue_wait: admitted,
                     t: queued + admitted,
                 });
-                let now = t0.elapsed().as_secs_f64();
+                let failed = now();
                 rec.record(Event::TransferFailed {
                     xfer: xfer.clone(),
                     attempt: a,
                     reason: fault.reason.to_string(),
-                    t: now,
+                    t: failed,
                 });
                 let delay = cfg.policy.delay(a);
                 rec.record(Event::RetryScheduled {
@@ -984,77 +741,91 @@ fn stream_op(
                     rack: xfer.src_rack,
                     attempt: a,
                     delay,
-                    t: now,
+                    t: failed,
                 });
                 retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(std::time::Duration::from_secs_f64(delay));
             }
 
             // The (final) successful attempt streams the rest.
-            let queued = t0.elapsed().as_secs_f64();
+            let queued = now();
             rec.record(Event::TransferQueued {
                 xfer: xfer.clone(),
                 t: queued,
             });
-            let mut admitted = 0.0f64;
-            for j in delivered..m {
-                if !src.ensure(j, env, &mut buf, &mut sums) {
-                    fail_downstream();
-                    return;
-                }
-                let r = env.range(j);
-                let Some(wait) = shaped_transfer(
-                    ctx, env.links, env.agg, *from, *to, r.len(), env.chunk, cfg.cancel,
-                ) else {
-                    fail_downstream();
-                    return;
-                };
-                if j == delivered {
-                    admitted = wait;
-                    rec.record(Event::TransferStarted {
-                        xfer: xfer.clone(),
-                        queue_wait: admitted,
-                        t: queued + admitted,
-                    });
-                }
-                assert_eq!(
-                    checksum64(&buf[r.clone()]),
-                    sums[j],
-                    "delivered chunk failed verification"
-                );
-                forward_pooled(&buf[r]);
-                if first_delivered_t.is_none() {
-                    let now = t0.elapsed().as_secs_f64();
-                    first_delivered_t = Some(now);
-                    env.note_first_out(i, now);
-                }
+            let admitted = s.deliver_next()?;
+            rec.record(Event::TransferStarted {
+                xfer: xfer.clone(),
+                queue_wait: admitted,
+                t: queued + admitted,
+            });
+            while s.delivered < m {
+                s.deliver_next()?;
             }
-            let end = t0.elapsed().as_secs_f64();
+            let end = now();
             rec.record(Event::TransferDone {
                 xfer: xfer.clone(),
                 start: queued + admitted,
                 end,
             });
-            rec.record(Event::StreamSummary {
-                xfer,
-                chunks: m,
-                chunk_bytes: env.sizes[0],
-                first_chunk_latency: first_delivered_t.expect("streamed >= 1 chunk") - started,
-                throughput: if end > started {
-                    total as f64 / (end - started)
-                } else {
-                    f64::INFINITY
-                },
-                t: end,
-            });
-            {
-                let mut t = timings[i].lock();
-                t.start = started;
-                t.end = end;
+            if m > 1 {
+                // Cut-through only: a one-chunk stream is the transfer.
+                rec.record(Event::StreamSummary {
+                    xfer,
+                    chunks: m,
+                    chunk_bytes: env.range(0).len() as u64,
+                    first_chunk_latency: s.first_delivered_t.expect("streamed >= 1 chunk")
+                        - started,
+                    throughput: if end > started {
+                        total as f64 / (end - started)
+                    } else {
+                        f64::INFINITY
+                    },
+                    t: end,
+                });
             }
-            *values[i].lock() = Some(Arc::new(buf));
+            Some((
+                s.buf,
+                OpTiming {
+                    start: started,
+                    end,
+                },
+            ))
         }
         Op::Combine { node, inputs, .. } => {
+            let feeds: Vec<(ChunkFeed<'_>, FoldKind)> = inputs
+                .iter()
+                .map(|inp| match inp {
+                    Input::Block { block, coeff, via } => {
+                        let feed = match via {
+                            None => ChunkFeed::Whole(env.stripe[block.0].as_slice()),
+                            Some(s) => feed_for(cfg, &mut edges, s.0),
+                        };
+                        (feed, FoldKind::Coeff(*coeff))
+                    }
+                    Input::Intermediate(o) => (feed_for(cfg, &mut edges, o.0), FoldKind::Merge),
+                })
+                .collect();
+            // Gather the next chunk's upstream deliveries — always BEFORE
+            // taking the node's CPU lock: another combine on the same node
+            // may be the producer of one of these edges, and holding the
+            // lock across recv would deadlock the pair.
+            let mut arrived: Vec<Option<Chunk>> = vec![None; feeds.len()];
+            let gather = |arrived: &mut [Option<Chunk>]| -> Option<()> {
+                for (slot, (feed, _)) in arrived.iter_mut().zip(&feeds) {
+                    if let ChunkFeed::Edge(rx) = feed {
+                        *slot = Some(recv_chunk(rx)?);
+                    }
+                }
+                Some(())
+            };
+            let started = begin(ordered.and_then(|()| gather(&mut arrived)))?;
+
+            // Model the decode pace of the target machine: the real folds
+            // run first (verifying the bytes), then the thread is paced up
+            // to the CostModel's time so scaled-down experiments keep the
+            // paper's decode-to-transfer proportions. CostModel::free()
+            // disables pacing entirely.
             let work_start = Instant::now();
             let mut modeled = 0.0f64;
             let uses_matrix = plan.force_matrix
@@ -1070,52 +841,19 @@ fn stream_op(
                     modeled += ctx.cost.matrix_build_seconds;
                 }
             }
-            let mut feeds: Vec<(ChunkFeed<'_>, FoldKind)> = inputs
-                .iter()
-                .map(|inp| match inp {
-                    Input::Block {
-                        block,
-                        coeff,
-                        via: None,
-                    } => (
-                        ChunkFeed::Whole(env.stripe[block.0].as_slice()),
-                        FoldKind::Coeff(*coeff),
-                    ),
-                    Input::Block {
-                        block: _,
-                        coeff,
-                        via: Some(s),
-                    } => (feed_for(cfg, &mut edges, s.0), FoldKind::Coeff(*coeff)),
-                    Input::Intermediate(o) => (feed_for(cfg, &mut edges, o.0), FoldKind::Merge),
-                })
-                .collect();
-            let mut out = vec![0u8; total];
-            let mut arrived: Vec<Option<Chunk>> = vec![None; feeds.len()];
+            let mut out = Arc::new(vec![0u8; total]);
             for j in 0..m {
+                if j > 0 {
+                    gather(&mut arrived)?;
+                }
                 let r = env.range(j);
                 let clen = r.len() as u64;
-                // Gather this chunk's upstream deliveries BEFORE taking
-                // the node's CPU lock: another combine on the same node
-                // may be the producer of one of these edges, and holding
-                // the lock across recv would deadlock the pair.
-                for (f, (feed, _)) in feeds.iter_mut().enumerate() {
-                    if let ChunkFeed::Edge(rx) = feed {
-                        match rx.recv().expect("producer thread panicked") {
-                            Delivery::Data(c) => arrived[f] = Some(c),
-                            Delivery::Failed => {
-                                fail_downstream();
-                                return;
-                            }
-                        }
-                    }
-                }
                 let _cpu = env.links[node.0].cpu.lock();
                 // Fold every input directly into this chunk's slice of
-                // the output block — the per-chunk accumulator the
-                // PartialDecoder used to allocate (plus its copy-out) is
-                // gone; `out[r]` starts zeroed and serves as the
-                // accumulator itself.
-                let dst = &mut out[r.clone()];
+                // the output block: `out[r]` starts zeroed and serves as
+                // the accumulator itself.
+                let block = Arc::get_mut(&mut out).expect("an unfinished block has one holder");
+                let dst = &mut block[r.clone()];
                 for (f, (feed, kind)) in feeds.iter().enumerate() {
                     let chunk: &[u8] = match feed {
                         ChunkFeed::Whole(w) => &w[r.clone()],
@@ -1140,15 +878,15 @@ fn stream_op(
                 if modeled.is_finite() && modeled > spent {
                     std::thread::sleep(std::time::Duration::from_secs_f64(modeled - spent));
                 }
-                forward_pooled(&out[r]);
+                env.forward(producers, &out, r);
                 if j == 0 {
                     // The degraded-read cut-through moment: the first
                     // decoded chunk of a reconstructed block exists at
                     // the recovery node while the rest is in flight.
-                    env.note_first_out(i, t0.elapsed().as_secs_f64());
+                    env.note_first_out(i, now());
                 }
             }
-            let ended = t0.elapsed().as_secs_f64();
+            let end = now();
             rec.record(Event::CombineDone {
                 label: format!("p{}op{i}:combine", cfg.tag),
                 node: node.0,
@@ -1157,28 +895,33 @@ fn stream_op(
                 inputs: inputs.len(),
                 bytes: plan.block_bytes,
                 start: started,
-                end: ended,
+                end,
             });
-            {
-                let mut t = timings[i].lock();
-                t.start = started;
-                t.end = ended;
-            }
-            *values[i].lock() = Some(Arc::new(out));
+            Some((
+                out,
+                OpTiming {
+                    start: started,
+                    end,
+                },
+            ))
         }
     }
 }
 
-/// The chunk feed of a combine input produced by op `dep`: the prefilled
-/// value after a replan, the live channel edge otherwise.
+/// The chunk feed of an input produced by op `dep`: the prefilled value
+/// after a replan, the live channel edge otherwise.
 fn feed_for<'f>(
     cfg: &AttemptCfg<'f>,
-    edges: &mut HashMap<usize, Receiver<Delivery>>,
+    edges: &mut Vec<(usize, Receiver<Delivery>)>,
     dep: usize,
 ) -> ChunkFeed<'f> {
     match cfg.prefilled[dep].as_deref() {
         Some(v) => ChunkFeed::Whole(v.as_slice()),
-        None => ChunkFeed::Edge(edges.remove(&dep).expect("lowered dependency has an edge")),
+        None => {
+            let at = edges.iter().position(|(d, _)| *d == dep);
+            let (_, rx) = edges.swap_remove(at.expect("lowered dependency has an edge"));
+            ChunkFeed::Edge(rx)
+        }
     }
 }
 
@@ -1650,18 +1393,127 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn chunk_at_or_above_block_size_takes_the_block_path() {
+    fn chunk_at_or_above_block_size_is_a_one_chunk_stream() {
         let fx = Fx::new(4, 2, 32 * 1024);
         let plain_ctx = fx.ctx(vec![BlockId(1)]);
         let plan = RprPlanner::new().plan(&plain_ctx);
         let stripe = stripe_for(&fx.codec, fx.block as usize, 19);
-        let plain = execute(&plan, &plain_ctx, &stripe);
+        let run = |ctx: &RepairContext<'_>| {
+            let rec = rpr_obs::TraceRecorder::default();
+            let report = execute_recorded(&plan, ctx, &stripe, &rec);
+            let mut names: Vec<&str> = rec.take_events().iter().map(|e| e.name()).collect();
+            names.sort_unstable();
+            (report, names)
+        };
+        let (plain, plain_names) = run(&plain_ctx);
+        assert!(
+            !plain_names.contains(&"stream_summary"),
+            "a one-chunk stream is no cut-through"
+        );
+        assert_eq!(
+            plain.arena,
+            ArenaStats::default(),
+            "a whole block is shared, not pooled"
+        );
         for chunk in [fx.block, fx.block + 1, fx.block * 8] {
             let ctx = fx.ctx_chunked(vec![BlockId(1)], chunk);
-            let report = execute(&plan, &ctx, &stripe);
+            let (report, names) = run(&ctx);
             assert!(report.verified);
             assert_eq!(report.cross_bytes, plain.cross_bytes);
             assert_eq!(report.inner_bytes, plain.inner_bytes);
+            assert_eq!(names, plain_names, "chunk {chunk}");
+            assert_eq!(report.arena, plain.arena, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn a_timed_out_attempt_pays_the_shaper_floor_for_its_prefix() {
+        // One rule for every chunk count: the failing attempt moves
+        // `fraction` of the block through the shapers before it fails. A
+        // token bucket never passes more than what it holds (its burst, or
+        // one shaper granule if that is larger) plus `rate x dt` in `dt`,
+        // and the attempt's first granule is admitted before
+        // `transfer_started` is stamped, so the started -> failed interval
+        // has a floor that scheduling noise can only exceed.
+        let fx = Fx::new(6, 2, 2 * 1024 * 1024);
+        let fraction = 0.3;
+        let part = (fx.block as f64 * fraction) as usize;
+        let stripe = stripe_for(&fx.codec, fx.block as usize, 61);
+        for (mode, ctx) in [
+            ("block", fx.ctx(vec![BlockId(1)])),
+            ("streamed", fx.ctx_chunked(vec![BlockId(1)], 4 * 1024)),
+        ] {
+            let plan = RprPlanner::new().plan(&ctx);
+            let (op, from, to) = plan
+                .ops
+                .iter()
+                .enumerate()
+                .find_map(|(i, op)| match op {
+                    Op::Send { from, to, .. } if !fx.topo.same_rack(*from, *to) => {
+                        Some((i, *from, *to))
+                    }
+                    _ => None,
+                })
+                .expect("the plan crosses racks");
+            let mut op_faults = vec![Vec::new(); plan.ops.len()];
+            op_faults[op].push(rpr_core::AttemptFault {
+                fraction,
+                reason: reason::TIMEOUT,
+            });
+            let faults = ResolvedFaults {
+                op_faults,
+                crash: None,
+                slow: Vec::new(),
+                lies: Vec::new(),
+            };
+            let lowered = vec![true; plan.ops.len()];
+            let prefilled = vec![None; plan.ops.len()];
+            let cfg = AttemptCfg {
+                faults: Some(&faults),
+                policy: fast_policy(),
+                prefilled: &prefilled,
+                lowered: &lowered,
+                tag: 0,
+                cancel: None,
+            };
+            let rec = rpr_obs::TraceRecorder::default();
+            let t0 = Instant::now();
+            let run = run_attempt(&plan, &ctx, &stripe, &rec, t0, &cfg);
+            assert_eq!(run.retries, 1, "{mode}");
+            let report = close_run(&plan, &ctx, &stripe, &rec, run, t0.elapsed().as_secs_f64());
+            assert!(report.verified, "{mode}: {:?}", report.mismatches);
+
+            let label = format!("p0op{op}:send");
+            let events = rec.take_events();
+            let started = events
+                .iter()
+                .find_map(|e| match e {
+                    Event::TransferStarted { xfer, t, .. } if xfer.label == label => Some(*t),
+                    _ => None,
+                })
+                .expect("the failing attempt started");
+            let failed = events
+                .iter()
+                .find_map(|e| match e {
+                    Event::TransferFailed { xfer, t, .. } if xfer.label == label => Some(*t),
+                    _ => None,
+                })
+                .expect("the attempt failed");
+            let rate = fx.profile.rate(fx.topo.rack_of(from), fx.topo.rack_of(to));
+            let granule = ctx
+                .effective_chunk()
+                .map_or(DEFAULT_SHAPER_CHUNK, |c| c as usize);
+            let held = TokenBucket::new(rate).burst().max(granule as f64);
+            let floor = ((part - granule) as f64 - held) / rate;
+            assert!(
+                floor > 0.03,
+                "the floor must be far above timer noise: {floor}"
+            );
+            assert!(
+                failed - started >= floor,
+                "{mode}: a timed-out attempt moved {part} bytes in {} s, under the shaper floor {floor} s",
+                failed - started
+            );
         }
     }
 
@@ -1726,8 +1578,7 @@ pub(crate) mod tests {
             for &chunk in &[1_024u64, 7_777, 24 * 1024 + 11] {
                 let ctx = fx.ctx_chunked(vec![BlockId(1)], chunk);
                 let plan = RprPlanner::new().plan(&ctx);
-                let stripe =
-                    stripe_for(&fx.codec, fx.block as usize, (n * 31 + k) as u64 ^ chunk);
+                let stripe = stripe_for(&fx.codec, fx.block as usize, (n * 31 + k) as u64 ^ chunk);
                 let report = execute(&plan, &ctx, &stripe);
                 assert!(
                     report.verified,

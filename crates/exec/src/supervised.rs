@@ -719,6 +719,50 @@ mod tests {
     }
 
     #[test]
+    fn a_lie_convicts_the_same_node_on_the_same_evidence_in_both_modes() {
+        // The lie is enacted once, for every chunk count: the liar flips
+        // the first byte of each chunk before digesting it — of the whole
+        // block when the stream is one chunk.
+        let fx = Fx::new(6, 3, 32 * 1024);
+        let storm = FaultStorm::new(9).with_generation(vec![StormFault::Lie]);
+        let cfg = SuperviseConfig {
+            policy: fast_policy(),
+            proof: ProofMode::Mandatory,
+            ..SuperviseConfig::default()
+        };
+        let stripe = stripe_for(&fx.codec, fx.block as usize, 13);
+        let mut convicted = Vec::new();
+        for (mode, ctx) in block_then_streamed(&fx, 4 * 1024) {
+            let (out, _) = supervised_in(&ctx, &fx, &storm, &cfg, 13);
+            assert!(out.report.verified, "{mode}: {:?}", out.report.mismatches);
+            assert_eq!(out.accusations, 1, "{mode}");
+            let idx = out.ledger.audit().first_dishonest().expect("lie localized");
+            let proof = &out.ledger.entries[idx].proof;
+            let mut lied = vec![0u8; fx.block as usize];
+            for (b, &c) in proof.coeffs.iter().enumerate() {
+                if c != 0 {
+                    rpr_gf::mul_acc_slice(c, &stripe[b], &mut lied);
+                }
+            }
+            assert_eq!(
+                hash_bytes(out.ledger.key(), &lied),
+                proof.expected_hash,
+                "{mode}"
+            );
+            for start in (0..lied.len()).step_by(proof.chunk_bytes as usize) {
+                lied[start] ^= 0xA5;
+            }
+            assert_eq!(
+                hash_bytes(out.ledger.key(), &lied),
+                proof.output_hash,
+                "{mode}"
+            );
+            convicted.push((proof.node, proof.op, proof.expected_hash, out.fault_sites));
+        }
+        assert_eq!(convicted[0], convicted[1], "block vs streamed");
+    }
+
+    #[test]
     fn exec_accused_helper_probe_readmission_depends_on_conduct() {
         // One tracker across repairs, probe window 3: a lie repair ticks
         // the generation counter twice, so the liar is still quarantined

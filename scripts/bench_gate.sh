@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Compare a fresh bench snapshot against the committed baseline and fail
-# on a performance regression. Used by verify.sh (step 9); see
+# on a performance regression. Used by verify.sh (step 13); see
 # docs/PERFORMANCE.md for the policy rationale.
 #
 # Usage: scripts/bench_gate.sh BASELINE.json CURRENT.json

@@ -18,35 +18,39 @@
 #      crash`, what `rpr inject` runs) must complete at (6,3) and emit a
 #      byte-identical trace and summary across runs (docs/ROBUSTNESS.md),
 #      with and without cut-through streaming (--chunk-size)
-#   8. Byzantine soak: a seeded `StormFault::Lie` storm under
+#   8. exec soak: the same 3-fault storm on the real-bytes backend
+#      (`rpr chaos --backend exec --block-mib 4`), once as a one-chunk
+#      stream and once cut-through (`--chunk-size 1`), must verify byte
+#      for byte and replan twice. Traces are wall-clock, so no `cmp`.
+#   9. Byzantine soak: a seeded `StormFault::Lie` storm under
 #      `--proof mandatory` must complete with the liar accused (not
 #      timed out), produce byte-identical traces and proof ledgers
 #      across two same-seed runs, and `rpr audit` must verify the
 #      captured ledger against the trace offline and localize the
 #      dishonest hop (docs/ROBUSTNESS.md, "The proof plane")
-#   9. fleet soak: the fleet scheduler (`rpr fleet`, 10k stripes) must
+#  10. fleet soak: the fleet scheduler (`rpr fleet`, 10k stripes) must
 #      drain a 10k-stripe backlog per seed and emit byte-identical JSON
 #      summaries across two same-seed runs with zero arbiter
 #      double-releases (docs/FLEET.md)
-#  10. foreground soak: the load co-simulation (`rpr load`, 240 requests
+#  11. foreground soak: the load co-simulation (`rpr load`, 240 requests
 #      against 4 staggered stripe repairs) must emit byte-identical JSON
 #      summaries across two same-seed runs per mode, and the QoS-throttled
 #      p99 latency must land strictly below the unthrottled p99
 #      (docs/FOREGROUND.md)
-#  11. churn soak: a journaled 10k-stripe drain under live churn
+#  12. churn soak: a journaled 10k-stripe drain under live churn
 #      (`rpr fleet --churn-rate --journal`) is killed -9 mid-drain
 #      (RPR_JOURNAL_STALL_US stretches the write window), resumed from
 #      the torn journal, and the resumed run's `"summary":{...}` must be
 #      byte-identical to an uninterrupted same-seed run's, with zero
 #      stripes lost at a churn rate the drain outpaces (docs/FLEET.md,
 #      "Drains under churn" / "The journal")
-#  12. bench gate: a quick bench snapshot (scripts/bench_snapshot.sh
+#  13. bench gate: a quick bench snapshot (scripts/bench_snapshot.sh
 #      --quick) must not regress the GF kernel throughput by more than
 #      15% against the newest committed BENCH_*.json, and the dispatched
 #      SIMD multiply must stay >= 4x the scalar tier (scripts/
 #      bench_gate.sh). Set RPR_BENCH_GATE=off to skip, e.g. on loaded
 #      machines. See docs/PERFORMANCE.md.
-#  13. benchmark smoke: `benchmark/` is a cargo workspace of its own, so
+#  14. benchmark smoke: `benchmark/` is a cargo workspace of its own, so
 #      steps 1-5 never compile it. `benchmark/run.sh --quick` (< 15 s
 #      after the build) builds the harness offline against the working
 #      tree and runs every workload at a tenth of its size; it must exit
@@ -145,7 +149,22 @@ for storm in crash,replacement-crash,timeout crash; do
     done
 done
 
-# Step 8: the proof plane must convict a Byzantine helper. A seeded lie
+# Step 8: the executor runs every op through one streamed runner; drive it
+# under the same storm on real bytes in both of its regimes.
+for CHUNK in "" "--chunk-size 1"; do
+    echo "==> $RPR chaos --code 6,3 --fail d1 --storm crash,replacement-crash,timeout --seed 17 --backend exec --block-mib 4 $CHUNK"
+    "$RPR" chaos --code 6,3 --fail d1 --storm crash,replacement-crash,timeout --seed 17 \
+        --backend exec --block-mib 4 $CHUNK --json > "$CHAOS_DIR/exec_storm.json" 2>/dev/null
+    for want in '"verified":true' '"replans":2'; do
+        if ! grep -q "$want" "$CHAOS_DIR/exec_storm.json"; then
+            echo "exec soak FAILED: storm on real bytes ($CHUNK) lacks $want" >&2
+            exit 1
+        fi
+    done
+done
+echo "==> supervised storm on real bytes verified, store-and-forward and cut-through"
+
+# Step 9: the proof plane must convict a Byzantine helper. A seeded lie
 # storm — wrong bytes under a valid FNV checksum — must complete in
 # Mandatory mode with the liar accused and quarantined on proof evidence
 # (never a transport retry), the trace and ledger must be byte-identical
@@ -197,7 +216,7 @@ for seed in 21 77; do
     echo "==> byzantine storm for seed $seed: convicted, deterministic, audited offline"
 done
 
-# Step 9: the fleet scheduler must drain a bounded 10k-stripe backlog to
+# Step 10: the fleet scheduler must drain a bounded 10k-stripe backlog to
 # completion and do so bit-deterministically — two same-seed runs of
 # `rpr fleet` must print byte-identical JSON summaries.
 for seed in 17 4242; do
@@ -224,7 +243,7 @@ for seed in 17 4242; do
     echo "==> fleet drain for seed $seed completed deterministically"
 done
 
-# Step 10: foreground traffic under repair must be deterministic and the
+# Step 11: foreground traffic under repair must be deterministic and the
 # QoS class must actually protect the client tail — per seed, each mode's
 # two same-seed summaries must be byte-identical, and the QoS p99 must be
 # strictly below the unthrottled p99 at the (6,3) paper config.
@@ -257,7 +276,7 @@ for seed in 17 4242; do
     echo "==> foreground soak for seed $seed: QoS p99 $P99_QOS < unthrottled $P99_UNTH"
 done
 
-# Step 11: a drain must survive a crash of the repair process itself.
+# Step 12: a drain must survive a crash of the repair process itself.
 # Journal a churned 10k-stripe drain with stretched journal writes, kill
 # it -9 mid-drain, resume from the torn journal, and demand the resumed
 # summary be byte-identical to an uninterrupted same-seed run's — with
@@ -304,7 +323,7 @@ if ! grep -q '"lost":0' "$CHAOS_DIR/churn_clean.summary"; then
 fi
 echo "==> churn soak: killed -9 mid-drain, resumed bit-identically, 0 lost"
 
-# Step 12: performance must not silently rot. Take a quick snapshot and
+# Step 13: performance must not silently rot. Take a quick snapshot and
 # gate it against the newest committed baseline; a transient miss (quick
 # windows on a shared box are noisy) gets two retries before it counts.
 if [ "${RPR_BENCH_GATE:-on}" = "off" ]; then
@@ -331,7 +350,7 @@ else
     fi
 fi
 
-# Step 13: an API slip that breaks the benchmark harness must fail here,
+# Step 14: an API slip that breaks the benchmark harness must fail here,
 # not in the PR driver. The harness always builds offline.
 echo "==> benchmark/run.sh --quick"
 if ! benchmark/run.sh --quick >/dev/null; then

@@ -21,7 +21,7 @@ use rpr::core::{
 use rpr::faults::{ChaosProcess, CrashSite, FaultStorm, HealthTracker, RetryPolicy, StormFault};
 use rpr::exec::execute_supervised;
 use rpr::obs::{export, Event, TraceRecorder};
-use rpr::topology::{cluster_for, BandwidthProfile, Placement};
+use rpr::topology::{cluster_for, BandwidthProfile, Placement, RackId};
 use rpr_proof::{ProofMode, ProofSource};
 use std::collections::HashMap;
 
@@ -367,32 +367,47 @@ fn slow_links_stay_slow_across_a_replan_on_both_backends() {
         let site = sites.iter().find(|s| s.starts_with("slow node ")).expect("slow resolved");
         site.split_whitespace().nth(2).and_then(|n| n.parse().ok()).expect("node index")
     };
-    let check = |backend: &str, events: &[Event], sites: &[String]| {
-        let (slow, peers) = generation_1_cross_sends(events, slow_node(sites));
-        assert!(!slow.is_empty(), "{backend}: the derated helper must serve generation 1");
-        assert!(!peers.is_empty(), "{backend}: generation 1 needs a full-rate peer");
-        let fastest_slow = slow.iter().copied().fold(f64::INFINITY, f64::min);
-        let slowest_peer = peers.iter().copied().fold(0.0, f64::max);
-        assert!(
-            fastest_slow > 2.0 * slowest_peer,
-            "{backend}: x0.25 derate must still show in generation 1 \
-             ({fastest_slow} s vs full-rate {slowest_peer} s)"
-        );
-    };
 
+    // On the virtual clock durations are exact: compare against a peer.
     let ctx = world.ctx(vec![BlockId(1)]);
     let rec = TraceRecorder::with_capacity(16384);
     let sim = supervise_injected(&ctx, &storm, &cfg, &mut HealthTracker::with_defaults(), &rec)
         .expect("sim completes");
-    check("sim", &rec.take_events(), &sim.fault_sites);
+    let (slow, peers) = generation_1_cross_sends(&rec.take_events(), slow_node(&sim.fault_sites));
+    assert!(!slow.is_empty(), "sim: the derated helper must serve generation 1");
+    assert!(!peers.is_empty(), "sim: generation 1 needs a full-rate peer");
+    let fastest_slow = slow.iter().copied().fold(f64::INFINITY, f64::min);
+    let slowest_peer = peers.iter().copied().fold(0.0, f64::max);
+    assert!(
+        fastest_slow > 2.0 * slowest_peer,
+        "sim: x0.25 derate must still show in generation 1 \
+         ({fastest_slow} s vs full-rate {slowest_peer} s)"
+    );
 
+    // On the wall clock a peer's duration is noise-bound, so assert the
+    // derated shaper's own floor instead: a token bucket passes at most
+    // what it holds plus `rate x dt` in `dt`. The first 64 KiB shaper
+    // granule is admitted before `start` is stamped, and the bucket holds
+    // at most its burst or one granule, whichever is larger. A healed
+    // full-rate link undercuts this floor; scheduler noise only exceeds it.
     let stripe = world.stripe();
     let rec = TraceRecorder::with_capacity(16384);
     let exec = execute_supervised(&ctx, &stripe, &rec, &storm, &cfg, &mut HealthTracker::with_defaults())
         .expect("exec completes");
     assert!(exec.report.verified);
     assert_eq!(exec.fault_sites, sim.fault_sites, "both backends resolve the same sites");
-    check("exec", &rec.take_events(), &exec.fault_sites);
+    let (slow, _) = generation_1_cross_sends(&rec.take_events(), slow_node(&exec.fault_sites));
+    assert!(!slow.is_empty(), "exec: the derated helper must serve generation 1");
+    let rate = 0.25 * world.profile.rate(RackId(0), RackId(1));
+    let granule = (64 << 10) as f64;
+    let held = rpr::exec::TokenBucket::new(rate).burst().max(granule);
+    let floor = (world.block as f64 - granule - held) / rate;
+    for took in slow {
+        assert!(
+            took >= floor,
+            "exec: x0.25 derate must still show in generation 1 ({took} s, shaper floor {floor} s)"
+        );
+    }
 }
 
 #[test]
