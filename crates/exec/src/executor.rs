@@ -437,8 +437,11 @@ pub(crate) fn run_attempt(
 
 /// One op input's chunk source.
 enum ChunkFeed<'f> {
-    /// A buffer fully in memory (local stripe block or prefilled value).
+    /// A local stripe block, fully in memory.
     Whole(&'f [u8]),
+    /// An intermediate a previous generation finished (re-served from the
+    /// partial pool after a replan), held as the block it already is.
+    Prefilled(&'f Arc<Vec<u8>>),
     /// A live upstream stream delivering one chunk per message.
     Edge(Receiver<Delivery>),
 }
@@ -487,8 +490,9 @@ struct SendStream<'f> {
 impl SendStream<'_> {
     /// Materialize the next undelivered chunk in `buf` and digest it.
     /// Chunks arrive in order, so `buf` grows by appending; a chunk that
-    /// is the whole block (`Chunk::Shared`) is adopted as the block
-    /// itself, not copied. `None` if the upstream producer died.
+    /// is the whole block (`Chunk::Shared`, or a prefilled value at one
+    /// chunk) is adopted as the block itself, not copied. `None` if the
+    /// upstream producer died.
     fn ensure(&mut self) -> Option<()> {
         if self.sums.len() > self.delivered {
             return Some(());
@@ -502,6 +506,8 @@ impl SendStream<'_> {
         };
         match &self.feed {
             ChunkFeed::Whole(w) => append(&mut self.buf, &w[r.clone()]),
+            ChunkFeed::Prefilled(block) if r.len() == total => self.buf = Arc::clone(block),
+            ChunkFeed::Prefilled(block) => append(&mut self.buf, &block[r.clone()]),
             ChunkFeed::Edge(rx) => match recv_chunk(rx)? {
                 Chunk::Shared(block) => self.buf = block,
                 Chunk::Pooled(chunk) => append(&mut self.buf, &chunk),
@@ -825,21 +831,26 @@ fn try_op(
             // run first (verifying the bytes), then the thread is paced up
             // to the CostModel's time so scaled-down experiments keep the
             // paper's decode-to-transfer proportions. CostModel::free()
-            // disables pacing entirely.
-            let work_start = Instant::now();
+            // disables pacing entirely. Only time holding the node's CPU
+            // counts as `spent`: a combine that waited for the lock has not
+            // computed yet, so two combines on one node take the sum of
+            // their modeled times, as on the simulator's CPU resource.
             let mut modeled = 0.0f64;
+            let mut spent = 0.0f64;
             let uses_matrix = plan.force_matrix
                 || inputs
                     .iter()
                     .any(|i| matches!(i, Input::Block { coeff, .. } if *coeff != 1));
             if env.needs_matrix && uses_matrix {
                 let _cpu = env.links[node.0].cpu.lock();
+                let held = Instant::now();
                 let mut done = env.matrix_done[node.0].lock();
                 if !*done {
                     *done = true;
                     build_decoding_matrix(ctx);
                     modeled += ctx.cost.matrix_build_seconds;
                 }
+                spent += held.elapsed().as_secs_f64();
             }
             let mut out = Arc::new(vec![0u8; total]);
             for j in 0..m {
@@ -849,6 +860,7 @@ fn try_op(
                 let r = env.range(j);
                 let clen = r.len() as u64;
                 let _cpu = env.links[node.0].cpu.lock();
+                let held = Instant::now();
                 // Fold every input directly into this chunk's slice of
                 // the output block: `out[r]` starts zeroed and serves as
                 // the accumulator itself.
@@ -857,6 +869,7 @@ fn try_op(
                 for (f, (feed, kind)) in feeds.iter().enumerate() {
                     let chunk: &[u8] = match feed {
                         ChunkFeed::Whole(w) => &w[r.clone()],
+                        ChunkFeed::Prefilled(block) => &block[r.clone()],
                         ChunkFeed::Edge(_) => arrived[f].as_ref().expect("gathered above"),
                     };
                     match kind {
@@ -874,11 +887,12 @@ fn try_op(
                 // Pace the stream to the modeled decode rate before
                 // forwarding, so downstream sees chunks at the pace the
                 // target machine would produce them.
-                let spent = work_start.elapsed().as_secs_f64();
-                if modeled.is_finite() && modeled > spent {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(modeled - spent));
+                let behind = modeled - spent - held.elapsed().as_secs_f64();
+                if behind.is_finite() && behind > 0.0 {
+                    std::thread::sleep(std::time::Duration::from_secs_f64(behind));
                 }
                 env.forward(producers, &out, r);
+                spent += held.elapsed().as_secs_f64();
                 if j == 0 {
                     // The degraded-read cut-through moment: the first
                     // decoded chunk of a reconstructed block exists at
@@ -915,8 +929,8 @@ fn feed_for<'f>(
     edges: &mut Vec<(usize, Receiver<Delivery>)>,
     dep: usize,
 ) -> ChunkFeed<'f> {
-    match cfg.prefilled[dep].as_deref() {
-        Some(v) => ChunkFeed::Whole(v.as_slice()),
+    match &cfg.prefilled[dep] {
+        Some(block) => ChunkFeed::Prefilled(block),
         None => {
             let at = edges.iter().position(|(d, _)| *d == dep);
             let (_, rx) = edges.swap_remove(at.expect("lowered dependency has an edge"));
@@ -928,20 +942,9 @@ fn feed_for<'f>(
 /// The modeled CPU seconds of folding one `bytes`-sized chunk.
 fn chunk_fold_cost(plan: &RepairPlan, ctx: &RepairContext<'_>, kind: &FoldKind, bytes: u64) -> f64 {
     match kind {
-        FoldKind::Coeff(coeff) => {
-            if plan.force_matrix {
-                ctx.cost.forced_fold_seconds(bytes)
-            } else {
-                ctx.cost.fold_seconds(*coeff, bytes)
-            }
-        }
-        FoldKind::Merge => {
-            if plan.force_matrix {
-                ctx.cost.forced_fold_seconds(bytes)
-            } else {
-                ctx.cost.merge_seconds(bytes)
-            }
-        }
+        _ if plan.force_matrix => ctx.cost.forced_fold_seconds(bytes),
+        FoldKind::Coeff(coeff) => ctx.cost.fold_seconds(*coeff, bytes),
+        FoldKind::Merge => ctx.cost.merge_seconds(bytes),
     }
 }
 
@@ -1513,6 +1516,60 @@ pub(crate) mod tests {
                 failed - started >= floor,
                 "{mode}: a timed-out attempt moved {part} bytes in {} s, under the shaper floor {floor} s",
                 failed - started
+            );
+        }
+    }
+
+    #[test]
+    fn combines_on_one_node_pace_to_the_sum_of_their_modeled_times() {
+        // Two failures, traditional repair: both decodes run at the
+        // recovery node and become ready together. A node has one CPU
+        // (the simulator's resource), so from the first combine's start
+        // to the last one's end at least the sum of their modeled times
+        // passes — waiting for the CPU is not computing. Sleeps only
+        // overshoot, so the bound cannot flake.
+        let fx = Fx::new(4, 2, 128 * 1024);
+        let rate = 8.0e6; // every fold of a block is modeled at 16 ms
+        let cost = CostModel {
+            xor_rate: rate,
+            gf_rate: rate,
+            matrix_build_seconds: 0.0,
+        };
+        let stripe = stripe_for(&fx.codec, fx.block as usize, 67);
+        for (mode, chunk) in [("block", None), ("streamed", Some(16 * 1024))] {
+            let ctx = RepairContext::new(
+                &fx.codec,
+                &fx.topo,
+                &fx.placement,
+                vec![BlockId(0), BlockId(3)],
+                fx.block,
+                &fx.profile,
+                cost,
+            );
+            let ctx = match chunk {
+                Some(c) => ctx.with_chunk_size(c),
+                None => ctx,
+            };
+            let plan = TraditionalPlanner::new().plan(&ctx);
+            let report = execute(&plan, &ctx, &stripe);
+            assert!(report.verified, "{mode}: {:?}", report.mismatches);
+
+            let mut modeled = 0.0;
+            let (mut first_start, mut last_end) = (f64::INFINITY, 0.0f64);
+            let mut at = None;
+            for (op, t) in plan.ops.iter().zip(&report.op_timings) {
+                if let Op::Combine { node, inputs, .. } = op {
+                    assert_eq!(*at.get_or_insert(*node), *node, "one decoding node");
+                    modeled += inputs.len() as f64 * fx.block as f64 / rate;
+                    first_start = first_start.min(t.start);
+                    last_end = last_end.max(t.end);
+                }
+            }
+            assert!(modeled > 0.1, "two four-input decodes: {modeled}");
+            assert!(
+                last_end - first_start >= modeled,
+                "{mode}: combines modeled at {modeled} s took {} s on one CPU",
+                last_end - first_start
             );
         }
     }
