@@ -567,7 +567,7 @@ impl Event {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn xfer() -> Transfer {
@@ -584,7 +584,7 @@ mod tests {
     }
 
     /// One sample of every variant, each with distinct non-zero times.
-    fn one_of_each() -> Vec<Event> {
+    pub(crate) fn one_of_each() -> Vec<Event> {
         let s = String::new;
         vec![
             Event::PlanBuilt {

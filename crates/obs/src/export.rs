@@ -984,6 +984,7 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::one_of_each;
     use crate::event::Kernel;
 
     fn sample_events() -> Vec<Event> {
@@ -1073,6 +1074,160 @@ mod tests {
         assert!(!in_str, "unterminated string in {s}");
         assert_eq!(depth_obj, 0, "unbalanced braces in {s}");
         assert_eq!(depth_arr, 0, "unbalanced brackets in {s}");
+    }
+
+    /// What the committed fixtures render: every variant, every variant
+    /// again `shifted(0.333)` (so each step has a duplicate
+    /// `timestep_started`), then the cases a rewrite could get wrong.
+    fn fixture_events() -> Vec<Event> {
+        let hostile = Transfer {
+            label: "p0op1:send \"q\" \\ \t\u{1}".into(),
+            src_node: 9,
+            src_rack: 3,
+            dst_node: 10,
+            dst_rack: 3,
+            bytes: 512,
+            cross: false,
+            timestep: None,
+        };
+        let mut events = one_of_each();
+        events.extend(one_of_each().into_iter().map(|e| e.shifted(0.333)));
+        events.extend([
+            Event::PlanBuilt {
+                scheme: "r\"p\\r".into(),
+                parts: 2,
+                ops: 0,
+                cross_transfers: 0,
+                inner_transfers: 0,
+                cross_timesteps: 0,
+                block_bytes: u64::MAX,
+            },
+            // An inner transfer: `timestep` is null in JSON-lines and
+            // absent from the Chrome `args`.
+            Event::TransferQueued {
+                xfer: hostile.clone(),
+                t: 31.0,
+            },
+            Event::TransferStarted {
+                xfer: hostile.clone(),
+                queue_wait: f64::INFINITY,
+                t: 31.5,
+            },
+            Event::TransferDone {
+                xfer: hostile.clone(),
+                start: 31.5,
+                end: 32.0,
+            },
+            // An inverted span clamps to zero duration.
+            Event::TransferDone {
+                xfer: hostile.clone(),
+                start: 34.0,
+                end: 33.0,
+            },
+            Event::TransferFailed {
+                xfer: hostile.clone(),
+                attempt: 3,
+                reason: "node_down".into(),
+                t: 35.0,
+            },
+            Event::StreamSummary {
+                xfer: hostile,
+                chunks: 1,
+                chunk_bytes: 512,
+                first_chunk_latency: f64::NAN,
+                throughput: f64::INFINITY,
+                t: 36.0,
+            },
+            Event::CombineDone {
+                label: "p0op2:combine".into(),
+                node: 10,
+                rack: 3,
+                kernel: Kernel::Gf,
+                inputs: 3,
+                bytes: 512,
+                start: f64::NAN,
+                end: 37.0,
+            },
+            // A rack that only a pipeline-lane retry names still gets a
+            // process row (and pushes the pipeline's pid up).
+            Event::RetryScheduled {
+                label: "p0op1:send".into(),
+                rack: 5,
+                attempt: 3,
+                delay: f64::NAN,
+                t: 38.0,
+            },
+            Event::HedgeWon {
+                label: "p0op1:send".into(),
+                winner_node: 4,
+                saved: f64::NEG_INFINITY,
+                t: 39.0,
+            },
+            // Duplicate start: the span opens at the first one.
+            Event::TimestepStarted { step: 5, t: 40.0 },
+            Event::TimestepStarted { step: 5, t: 41.0 },
+            Event::TimestepFinished { step: 5, t: 42.0 },
+            // Unpaired finish: the span opens at 0.
+            Event::TimestepFinished { step: 7, t: 43.0 },
+            // A finish recorded before its start still finds it.
+            Event::TimestepFinished { step: 9, t: 45.0 },
+            Event::TimestepStarted { step: 9, t: 44.0 },
+            Event::RequestIssued {
+                request: 2,
+                read: false,
+                degraded: false,
+                t: 46.0,
+            },
+            Event::RequestDone {
+                request: 3,
+                read: true,
+                degraded: true,
+                first_byte: 0.5,
+                issued: 48.0,
+                end: 47.0,
+            },
+            Event::RepairDone {
+                t: f64::NAN,
+                cross_bytes: 0,
+                inner_bytes: 0,
+            },
+        ]);
+        events
+    }
+
+    fn assert_matches_fixture(format: &str, got: &str, want: &str) {
+        if got == want {
+            return;
+        }
+        let (mut got, mut want) = (got.lines(), want.lines());
+        let mut line = 1;
+        loop {
+            let (g, w) = (got.next(), want.next());
+            assert!(
+                g == w,
+                "{format} output differs from its fixture at line {line}:\n  got:  {g:?}\n  want: {w:?}"
+            );
+            assert!(g.is_some(), "{format} output differs only in line endings");
+            line += 1;
+        }
+    }
+
+    /// Both wire formats, byte for byte: the fixtures are the oracle for any
+    /// rewrite of the exporters. A deliberate format change regenerates
+    /// them in the same commit and says why.
+    #[test]
+    fn both_formats_match_the_committed_fixtures() {
+        let events = fixture_events();
+        assert_matches_fixture(
+            "JSON-lines",
+            &to_json_lines(&events),
+            include_str!("../tests/fixtures/all_events.jsonl"),
+        );
+        assert_matches_fixture(
+            "Chrome",
+            &to_chrome_trace(&events),
+            include_str!("../tests/fixtures/all_events.chrome.json"),
+        );
     }
 
     #[test]
