@@ -4,10 +4,17 @@
 //! Serialization is hand-rolled (this crate is dependency-free); all
 //! strings are escaped per RFC 8259 and non-finite floats are emitted
 //! as `null` so output is always valid JSON.
+//!
+//! Neither exporter names an event's fields: both walk the visitor that
+//! the `events!` table in `event.rs` generates. JSON-lines is that walk
+//! verbatim. The Chrome document adds one `Row` per rendered event
+//! (`chrome_row`) — display name, category, lane, shape, and which field
+//! keys go into `args` — and a single emitter turns a row into an entry.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::event::{Event, Transfer};
+use crate::event::{Event, Field};
 
 fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
@@ -27,26 +34,16 @@ fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Incremental writer for one JSON object.
-struct Obj {
-    out: String,
+/// Incremental writer for one JSON object, appended to `out`.
+struct Obj<'a> {
+    out: &'a mut String,
     first: bool,
 }
 
-impl Obj {
-    fn new() -> Obj {
-        Obj {
-            out: String::from("{"),
-            first: true,
-        }
+impl<'a> Obj<'a> {
+    fn open(out: &'a mut String) -> Obj<'a> {
+        out.push('{');
+        Obj { out, first: true }
     }
 
     fn key(&mut self, key: &str) {
@@ -54,327 +51,391 @@ impl Obj {
             self.out.push(',');
         }
         self.first = false;
-        push_json_string(&mut self.out, key);
+        push_json_string(self.out, key);
         self.out.push(':');
     }
 
-    fn str(&mut self, key: &str, v: &str) -> &mut Self {
+    /// The one place a value becomes JSON text.
+    fn field(&mut self, key: &str, value: Field<'_>) -> &mut Self {
         self.key(key);
-        push_json_string(&mut self.out, v);
-        self
-    }
-
-    fn u64(&mut self, key: &str, v: u64) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.out, "{v}");
-        self
-    }
-
-    fn usize(&mut self, key: &str, v: usize) -> &mut Self {
-        self.u64(key, v as u64)
-    }
-
-    fn f64(&mut self, key: &str, v: f64) -> &mut Self {
-        self.key(key);
-        push_f64(&mut self.out, v);
-        self
-    }
-
-    fn bool(&mut self, key: &str, v: bool) -> &mut Self {
-        self.key(key);
-        self.out.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    fn opt_usize(&mut self, key: &str, v: Option<usize>) -> &mut Self {
-        self.key(key);
-        match v {
-            Some(v) => {
-                let _ = write!(self.out, "{v}");
+        let _ = match value {
+            Field::Str(s) => {
+                push_json_string(self.out, s);
+                Ok(())
             }
-            None => self.out.push_str("null"),
-        }
+            Field::Int(v) => write!(self.out, "{v}"),
+            Field::Flag(v) => write!(self.out, "{v}"),
+            Field::Step(Some(v)) => write!(self.out, "{v}"),
+            Field::Time(v) | Field::Secs(v) if v.is_finite() => write!(self.out, "{v}"),
+            Field::Step(None) | Field::Time(_) | Field::Secs(_) => write!(self.out, "null"),
+        };
         self
     }
 
-    fn raw(&mut self, key: &str, v: &str) -> &mut Self {
-        self.key(key);
-        self.out.push_str(v);
-        self
-    }
-
-    fn finish(mut self) -> String {
+    fn close(self) {
         self.out.push('}');
-        self.out
     }
 }
 
-fn transfer_fields(o: &mut Obj, x: &Transfer) {
-    o.str("label", &x.label)
-        .usize("src_node", x.src_node)
-        .usize("src_rack", x.src_rack)
-        .usize("dst_node", x.dst_node)
-        .usize("dst_rack", x.dst_rack)
-        .u64("bytes", x.bytes)
-        .bool("cross", x.cross)
-        .opt_usize("timestep", x.timestep);
+fn push_event(out: &mut String, event: &Event) {
+    let mut o = Obj::open(out);
+    o.field("type", Field::Str(event.name()));
+    event.visit(|key, value| {
+        o.field(key, value);
+    });
+    o.close();
 }
 
 /// Serialize one event as a single-line JSON object (no trailing newline).
 pub fn event_to_json(event: &Event) -> String {
-    let mut o = Obj::new();
-    o.str("type", event.name());
-    match event {
-        Event::PlanBuilt {
-            scheme,
-            parts,
-            ops,
-            cross_transfers,
-            inner_transfers,
-            cross_timesteps,
-            block_bytes,
-        } => {
-            o.str("scheme", scheme)
-                .usize("parts", *parts)
-                .usize("ops", *ops)
-                .usize("cross_transfers", *cross_transfers)
-                .usize("inner_transfers", *inner_transfers)
-                .usize("cross_timesteps", *cross_timesteps)
-                .u64("block_bytes", *block_bytes);
-        }
-        Event::TimestepStarted { step, t } | Event::TimestepFinished { step, t } => {
-            o.usize("step", *step).f64("t", *t);
-        }
-        Event::TransferQueued { xfer, t } => {
-            transfer_fields(&mut o, xfer);
-            o.f64("t", *t);
-        }
-        Event::TransferStarted {
-            xfer,
-            queue_wait,
-            t,
-        } => {
-            transfer_fields(&mut o, xfer);
-            o.f64("queue_wait", *queue_wait).f64("t", *t);
-        }
-        Event::TransferDone { xfer, start, end } => {
-            transfer_fields(&mut o, xfer);
-            o.f64("start", *start).f64("end", *end);
-        }
-        Event::CombineDone {
-            label,
-            node,
-            rack,
-            kernel,
-            inputs,
-            bytes,
-            start,
-            end,
-        } => {
-            o.str("label", label)
-                .usize("node", *node)
-                .usize("rack", *rack)
-                .str("kernel", kernel.name())
-                .usize("inputs", *inputs)
-                .u64("bytes", *bytes)
-                .f64("start", *start)
-                .f64("end", *end);
-        }
-        Event::TransferFailed {
-            xfer,
-            attempt,
-            reason,
-            t,
-        } => {
-            transfer_fields(&mut o, xfer);
-            o.usize("attempt", *attempt).str("reason", reason).f64("t", *t);
-        }
-        Event::RetryScheduled {
-            label,
-            rack,
-            attempt,
-            delay,
-            t,
-        } => {
-            o.str("label", label)
-                .usize("rack", *rack)
-                .usize("attempt", *attempt)
-                .f64("delay", *delay)
-                .f64("t", *t);
-        }
-        Event::HelperCrashed { node, rack, t } => {
-            o.usize("node", *node).usize("rack", *rack).f64("t", *t);
-        }
-        Event::Replanned {
-            scheme,
-            failed,
-            reused_ops,
-            t,
-        } => {
-            o.str("scheme", scheme)
-                .usize("failed", *failed)
-                .usize("reused_ops", *reused_ops)
-                .f64("t", *t);
-        }
-        Event::StreamSummary {
-            xfer,
-            chunks,
-            chunk_bytes,
-            first_chunk_latency,
-            throughput,
-            t,
-        } => {
-            transfer_fields(&mut o, xfer);
-            o.usize("chunks", *chunks)
-                .u64("chunk_bytes", *chunk_bytes)
-                .f64("first_chunk_latency", *first_chunk_latency)
-                .f64("throughput", *throughput)
-                .f64("t", *t);
-        }
-        Event::HedgeLaunched {
-            label,
-            slow_node,
-            hedge_node,
-            multiple,
-            t,
-        } => {
-            o.str("label", label)
-                .usize("slow_node", *slow_node)
-                .usize("hedge_node", *hedge_node)
-                .f64("multiple", *multiple)
-                .f64("t", *t);
-        }
-        Event::HedgeWon {
-            label,
-            winner_node,
-            saved,
-            t,
-        } => {
-            o.str("label", label)
-                .usize("winner_node", *winner_node)
-                .f64("saved", *saved)
-                .f64("t", *t);
-        }
-        Event::HelperQuarantined { node, score, t } => {
-            o.usize("node", *node).f64("score", *score).f64("t", *t);
-        }
-        Event::DeadlineExceeded {
-            scope,
-            budget,
-            elapsed,
-            t,
-        } => {
-            o.str("scope", scope)
-                .f64("budget", *budget)
-                .f64("elapsed", *elapsed)
-                .f64("t", *t);
-        }
-        Event::DegradedFallback { tier, reason, t } => {
-            o.str("tier", tier).str("reason", reason).f64("t", *t);
-        }
-        Event::StripeEnqueued { stripe, level, t }
-        | Event::StripeAdmitted { stripe, level, t }
-        | Event::ChurnFailure { stripe, level, t }
-        | Event::StripeLost { stripe, level, t } => {
-            o.u64("stripe", *stripe).usize("level", *level).f64("t", *t);
-        }
-        Event::RiskEscalated {
-            stripe,
-            from,
-            to,
-            in_flight,
-            t,
-        } => {
-            o.u64("stripe", *stripe)
-                .usize("from", *from)
-                .usize("to", *to)
-                .bool("in_flight", *in_flight)
-                .f64("t", *t);
-        }
-        Event::JournalCheckpoint {
-            seq,
-            completed,
-            lost,
-            t,
-        } => {
-            o.u64("seq", *seq)
-                .u64("completed", *completed)
-                .u64("lost", *lost)
-                .f64("t", *t);
-        }
-        Event::BandwidthWaited {
-            stripe,
-            level,
-            waited,
-            t,
-        } => {
-            o.u64("stripe", *stripe)
-                .usize("level", *level)
-                .f64("waited", *waited)
-                .f64("t", *t);
-        }
-        Event::RequestIssued {
-            request,
-            read,
-            degraded,
-            t,
-        } => {
-            o.u64("request", *request)
-                .bool("read", *read)
-                .bool("degraded", *degraded)
-                .f64("t", *t);
-        }
-        Event::RequestDone {
-            request,
-            read,
-            degraded,
-            first_byte,
-            issued,
-            end,
-        } => {
-            o.u64("request", *request)
-                .bool("read", *read)
-                .bool("degraded", *degraded)
-                .f64("first_byte", *first_byte)
-                .f64("issued", *issued)
-                .f64("end", *end);
-        }
-        Event::QosThrottled { flows, fraction, t } => {
-            o.u64("flows", *flows).f64("fraction", *fraction).f64("t", *t);
-        }
-        Event::ProofEmitted { op, node, gen, t } | Event::ProofRejected { op, node, gen, t } => {
-            o.usize("op", *op)
-                .usize("node", *node)
-                .usize("gen", *gen)
-                .f64("t", *t);
-        }
-        Event::HelperAccused { node, gen, t } => {
-            o.usize("node", *node).usize("gen", *gen).f64("t", *t);
-        }
-        Event::RepairDone {
-            t,
-            cross_bytes,
-            inner_bytes,
-        } => {
-            o.f64("t", *t)
-                .u64("cross_bytes", *cross_bytes)
-                .u64("inner_bytes", *inner_bytes);
-        }
-    }
-    o.finish()
+    let mut out = String::new();
+    push_event(&mut out, event);
+    out
 }
 
 /// Serialize events as JSON-lines: one JSON object per line.
 pub fn to_json_lines(events: &[Event]) -> String {
     let mut out = String::new();
     for e in events {
-        out.push_str(&event_to_json(e));
+        push_event(&mut out, e);
         out.push('\n');
     }
     out
 }
 
 const MICROS: f64 = 1e6;
+
+/// The row (Chrome thread) an entry sits on.
+enum Lane {
+    /// `pid` = this rack, `tid` = this node.
+    Node(usize, usize),
+    /// This `tid` of the synthetic "repair pipeline" process.
+    Pipeline(usize),
+}
+
+enum Shape {
+    /// A zero-width `i` entry at [`Event::time`] with this scope (`s`).
+    Instant(&'static str),
+    /// An `X` entry from this start (seconds) to [`Event::time`].
+    Span(f64),
+}
+
+/// How one event renders in the Chrome trace.
+struct Row {
+    name: String,
+    cat: &'static str,
+    lane: Lane,
+    shape: Shape,
+    /// Keys of the event's fields copied into `args`, in this order
+    /// (not always schema order: see `transfer_done`). Empty: no `args`.
+    args: &'static [&'static str],
+}
+
+fn request_kind(read: bool, degraded: bool) -> &'static str {
+    match (degraded, read) {
+        (true, _) => "degraded read",
+        (false, true) => "read",
+        (false, false) => "write",
+    }
+}
+
+/// The Chrome rendering of `e`, or `None` for the two events that only
+/// show through another's entry. `wave_start` is the first
+/// `timestep_started` time of each step.
+fn chrome_row(e: &Event, wave_start: &HashMap<usize, f64>) -> Option<Row> {
+    use Lane::{Node, Pipeline};
+    use Shape::{Instant, Span};
+    Some(match e {
+        Event::PlanBuilt { scheme, .. } => Row {
+            name: format!("plan: {scheme}"),
+            cat: "plan",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["ops", "cross_transfers", "cross_timesteps"],
+        },
+        // Rendered as the start of the paired `timestep_finished` span.
+        Event::TimestepStarted { .. } => return None,
+        // An unpaired finish opens at 0.
+        Event::TimestepFinished { step, .. } => Row {
+            name: format!("timestep {step}"),
+            cat: "timestep",
+            lane: Pipeline(1),
+            shape: Span(wave_start.get(step).copied().unwrap_or(0.0)),
+            args: &["step"],
+        },
+        Event::TransferQueued { xfer, .. } => Row {
+            name: format!("queued: {}", xfer.label),
+            cat: "queue",
+            lane: Node(xfer.src_rack, xfer.src_node),
+            shape: Instant("t"),
+            args: &[],
+        },
+        // Queue wait is visible as the gap between the queued instant
+        // and the `transfer_done` span, both on the source node row.
+        Event::TransferStarted { .. } => return None,
+        Event::TransferDone { xfer, start, .. } => Row {
+            name: xfer.label.clone(),
+            cat: if xfer.cross {
+                "transfer.cross"
+            } else {
+                "transfer.inner"
+            },
+            lane: Node(xfer.src_rack, xfer.src_node),
+            shape: Span(*start),
+            args: &["bytes", "dst_node", "dst_rack", "timestep"],
+        },
+        Event::CombineDone {
+            label,
+            node,
+            rack,
+            start,
+            ..
+        } => Row {
+            name: label.clone(),
+            cat: "combine",
+            lane: Node(*rack, *node),
+            shape: Span(*start),
+            args: &["kernel", "inputs", "bytes"],
+        },
+        Event::TransferFailed { xfer, reason, .. } => Row {
+            name: format!("failed: {} ({reason})", xfer.label),
+            cat: "fault",
+            lane: Node(xfer.src_rack, xfer.src_node),
+            shape: Instant("t"),
+            args: &["attempt"],
+        },
+        Event::RetryScheduled { label, .. } => Row {
+            name: format!("retry: {label}"),
+            cat: "fault",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["rack", "attempt", "delay"],
+        },
+        Event::HelperCrashed { node, rack, .. } => Row {
+            name: format!("helper crashed: node {node}"),
+            cat: "fault",
+            lane: Node(*rack, *node),
+            shape: Instant("p"),
+            args: &["node"],
+        },
+        Event::Replanned { scheme, .. } => Row {
+            name: format!("replanned: {scheme}"),
+            cat: "fault",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["failed", "reused_ops"],
+        },
+        Event::StreamSummary { xfer, .. } => Row {
+            name: format!("stream: {}", xfer.label),
+            cat: "stream",
+            lane: Node(xfer.src_rack, xfer.src_node),
+            shape: Instant("t"),
+            args: &["chunks", "chunk_bytes", "first_chunk_latency", "throughput"],
+        },
+        Event::HedgeLaunched { label, .. } => Row {
+            name: format!("hedge: {label}"),
+            cat: "hedge",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["slow_node", "hedge_node", "multiple"],
+        },
+        Event::HedgeWon { label, .. } => Row {
+            name: format!("hedge won: {label}"),
+            cat: "hedge",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["winner_node", "saved"],
+        },
+        Event::HelperQuarantined { node, .. } => Row {
+            name: format!("quarantined: node {node}"),
+            cat: "health",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["node", "score"],
+        },
+        Event::DeadlineExceeded { scope, .. } => Row {
+            name: format!("deadline exceeded ({scope})"),
+            cat: "deadline",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["budget", "elapsed"],
+        },
+        Event::DegradedFallback { tier, .. } => Row {
+            name: format!("degraded fallback: {tier}"),
+            cat: "deadline",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["reason"],
+        },
+        Event::StripeEnqueued { stripe, .. } => Row {
+            name: format!("stripe {stripe} enqueued"),
+            cat: "fleet",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["stripe", "level"],
+        },
+        Event::StripeAdmitted { stripe, .. } => Row {
+            name: format!("stripe {stripe} admitted"),
+            cat: "fleet",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["stripe", "level"],
+        },
+        Event::BandwidthWaited { stripe, .. } => Row {
+            name: format!("stripe {stripe} waited for bandwidth"),
+            cat: "fleet",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["stripe", "level", "waited"],
+        },
+        Event::ChurnFailure { stripe, .. } => Row {
+            name: format!("stripe {stripe} hit by churn"),
+            cat: "fleet",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["stripe", "level"],
+        },
+        Event::RiskEscalated {
+            stripe, from, to, ..
+        } => Row {
+            name: format!("stripe {stripe} escalated {from}→{to}"),
+            cat: "fleet",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["stripe", "from", "to", "in_flight"],
+        },
+        Event::StripeLost { stripe, .. } => Row {
+            name: format!("stripe {stripe} permanently lost"),
+            cat: "fleet",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["stripe", "level"],
+        },
+        Event::JournalCheckpoint { seq, .. } => Row {
+            name: format!("journal checkpoint #{seq}"),
+            cat: "fleet",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["seq", "completed", "lost"],
+        },
+        Event::RequestIssued {
+            request,
+            read,
+            degraded,
+            ..
+        } => Row {
+            name: format!(
+                "request {request} issued ({})",
+                request_kind(*read, *degraded)
+            ),
+            cat: "load",
+            lane: Pipeline(2),
+            shape: Instant("p"),
+            args: &["request", "read", "degraded"],
+        },
+        Event::RequestDone {
+            request,
+            read,
+            degraded,
+            issued,
+            ..
+        } => Row {
+            name: format!("request {request} ({})", request_kind(*read, *degraded)),
+            cat: "load",
+            lane: Pipeline(2),
+            shape: Span(*issued),
+            args: &["request", "read", "degraded", "first_byte"],
+        },
+        Event::QosThrottled { flows, .. } => Row {
+            name: format!("qos throttled {flows} repair flows"),
+            cat: "load",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["flows", "fraction"],
+        },
+        Event::ProofEmitted { op, node, .. } => Row {
+            name: format!("proof emitted: op {op} (node {node})"),
+            cat: "proof",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["op", "node", "gen"],
+        },
+        Event::ProofRejected { op, node, .. } => Row {
+            name: format!("proof rejected: op {op} (node {node})"),
+            cat: "proof",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["op", "node", "gen"],
+        },
+        Event::HelperAccused { node, .. } => Row {
+            name: format!("accused: node {node}"),
+            cat: "proof",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["node", "gen"],
+        },
+        Event::RepairDone { .. } => Row {
+            name: "repair done".to_string(),
+            cat: "plan",
+            lane: Pipeline(0),
+            shape: Instant("p"),
+            args: &["cross_bytes", "inner_bytes"],
+        },
+    })
+}
+
+/// Appends the one `process_name` metadata entry that labels `pid`.
+fn push_process_name(out: &mut String, pid: usize, name: &str) {
+    let mut o = Obj::open(out);
+    o.field("name", Field::Str("process_name"))
+        .field("ph", Field::Str("M"))
+        .field("pid", Field::Int(pid as u64))
+        .key("args");
+    let mut args = Obj::open(o.out);
+    args.field("name", Field::Str(name));
+    args.close();
+    o.close();
+}
+
+/// Appends the entry for `e` as `row` describes it — the one emitter.
+fn push_entry(out: &mut String, e: &Event, row: &Row, pipeline_pid: usize) {
+    let end = e.time();
+    let (ph, start) = match row.shape {
+        Shape::Instant(_) => ("i", end),
+        Shape::Span(start) => ("X", start),
+    };
+    let (pid, tid) = match row.lane {
+        Lane::Node(rack, node) => (rack, node),
+        Lane::Pipeline(tid) => (pipeline_pid, tid),
+    };
+    let mut o = Obj::open(out);
+    o.field("name", Field::Str(&row.name))
+        .field("cat", Field::Str(row.cat))
+        .field("ph", Field::Str(ph))
+        .field("ts", Field::Secs(start * MICROS));
+    if let Shape::Span(_) = row.shape {
+        o.field("dur", Field::Secs((end - start).max(0.0) * MICROS));
+    }
+    o.field("pid", Field::Int(pid as u64))
+        .field("tid", Field::Int(tid as u64));
+    if let Shape::Instant(scope) = row.shape {
+        o.field("s", Field::Str(scope));
+    }
+    if !row.args.is_empty() {
+        o.key("args");
+        let mut args = Obj::open(o.out);
+        for &wanted in row.args {
+            e.visit(|key, value| {
+                // An inner transfer has no `timestep` to show.
+                if key == wanted && value != Field::Step(None) {
+                    args.field(key, value);
+                }
+            });
+        }
+        args.close();
+    }
+    o.close();
+}
 
 /// Serialize events as a Chrome `trace_event` JSON document, loadable in
 /// `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
@@ -384,608 +445,43 @@ const MICROS: f64 = 1e6;
 /// synthetic "pipeline" process one past the highest rack. Timestamps
 /// are microseconds (`ts`/`dur`), per the format.
 pub fn to_chrome_trace(events: &[Event]) -> String {
-    let mut entries: Vec<String> = Vec::new();
+    // Every rack any event names gets a process row, whichever lane the
+    // event itself renders on (`retry_scheduled` sits on the pipeline's).
     let mut max_rack = 0usize;
+    let mut wave_start: HashMap<usize, f64> = HashMap::new();
     for e in events {
-        match e {
-            Event::TransferQueued { xfer, .. }
-            | Event::TransferStarted { xfer, .. }
-            | Event::TransferDone { xfer, .. }
-            | Event::TransferFailed { xfer, .. }
-            | Event::StreamSummary { xfer, .. } => {
-                max_rack = max_rack.max(xfer.src_rack).max(xfer.dst_rack);
-            }
-            Event::CombineDone { rack, .. }
-            | Event::RetryScheduled { rack, .. }
-            | Event::HelperCrashed { rack, .. } => max_rack = max_rack.max(*rack),
-            _ => {}
+        if let Event::TimestepStarted { step, t } = e {
+            wave_start.entry(*step).or_insert(*t);
         }
+        e.visit(|key, value| {
+            if let ("rack" | "src_rack" | "dst_rack", Field::Int(rack)) = (key, value) {
+                max_rack = max_rack.max(rack as usize);
+            }
+        });
     }
     let pipeline_pid = max_rack + 1;
 
-    for rack in 0..=max_rack {
-        let mut o = Obj::new();
-        o.str("name", "process_name")
-            .str("ph", "M")
-            .usize("pid", rack)
-            .raw("args", &format!("{{\"name\":\"rack {rack}\"}}"));
-        entries.push(o.finish());
-    }
-    {
-        let mut o = Obj::new();
-        o.str("name", "process_name")
-            .str("ph", "M")
-            .usize("pid", pipeline_pid)
-            .raw("args", "{\"name\":\"repair pipeline\"}");
-        entries.push(o.finish());
-    }
-
-    for e in events {
-        match e {
-            Event::PlanBuilt {
-                scheme,
-                ops,
-                cross_transfers,
-                cross_timesteps,
-                ..
-            } => {
-                let mut o = Obj::new();
-                o.str("name", &format!("plan: {scheme}"))
-                    .str("cat", "plan")
-                    .str("ph", "i")
-                    .f64("ts", 0.0)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw(
-                        "args",
-                        &format!(
-                            "{{\"ops\":{ops},\"cross_transfers\":{cross_transfers},\
-                             \"cross_timesteps\":{cross_timesteps}}}"
-                        ),
-                    );
-                entries.push(o.finish());
-            }
-            Event::TimestepStarted { .. } => {
-                // Rendered as a span from the paired TimestepFinished below.
-            }
-            Event::TimestepFinished { step, t } => {
-                let start = events
-                    .iter()
-                    .find_map(|e| match e {
-                        Event::TimestepStarted { step: s, t } if s == step => Some(*t),
-                        _ => None,
-                    })
-                    .unwrap_or(0.0);
-                let mut o = Obj::new();
-                o.str("name", &format!("timestep {step}"))
-                    .str("cat", "timestep")
-                    .str("ph", "X")
-                    .f64("ts", start * MICROS)
-                    .f64("dur", (t - start).max(0.0) * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 1)
-                    .raw("args", &format!("{{\"step\":{step}}}"));
-                entries.push(o.finish());
-            }
-            Event::TransferQueued { .. } | Event::TransferStarted { .. } => {
-                // Queue wait is visible as the gap between the queued
-                // instant (below, on the source node row) and the span.
-                if let Event::TransferQueued { xfer, t } = e {
-                    let mut o = Obj::new();
-                    o.str("name", &format!("queued: {}", xfer.label))
-                        .str("cat", "queue")
-                        .str("ph", "i")
-                        .f64("ts", t * MICROS)
-                        .usize("pid", xfer.src_rack)
-                        .usize("tid", xfer.src_node)
-                        .str("s", "t");
-                    entries.push(o.finish());
-                }
-            }
-            Event::TransferDone { xfer, start, end } => {
-                let cat = if xfer.cross {
-                    "transfer.cross"
-                } else {
-                    "transfer.inner"
-                };
-                let mut args = String::from("{");
-                let _ = write!(
-                    args,
-                    "\"bytes\":{},\"dst_node\":{},\"dst_rack\":{}",
-                    xfer.bytes, xfer.dst_node, xfer.dst_rack
-                );
-                if let Some(step) = xfer.timestep {
-                    let _ = write!(args, ",\"timestep\":{step}");
-                }
-                args.push('}');
-                let mut o = Obj::new();
-                o.str("name", &xfer.label)
-                    .str("cat", cat)
-                    .str("ph", "X")
-                    .f64("ts", start * MICROS)
-                    .f64("dur", (end - start).max(0.0) * MICROS)
-                    .usize("pid", xfer.src_rack)
-                    .usize("tid", xfer.src_node)
-                    .raw("args", &args);
-                entries.push(o.finish());
-            }
-            Event::CombineDone {
-                label,
-                node,
-                rack,
-                kernel,
-                inputs,
-                bytes,
-                start,
-                end,
-            } => {
-                let mut o = Obj::new();
-                o.str("name", label)
-                    .str("cat", "combine")
-                    .str("ph", "X")
-                    .f64("ts", start * MICROS)
-                    .f64("dur", (end - start).max(0.0) * MICROS)
-                    .usize("pid", *rack)
-                    .usize("tid", *node)
-                    .raw(
-                        "args",
-                        &format!(
-                            "{{\"kernel\":\"{}\",\"inputs\":{inputs},\"bytes\":{bytes}}}",
-                            kernel.name()
-                        ),
-                    );
-                entries.push(o.finish());
-            }
-            Event::TransferFailed {
-                xfer,
-                attempt,
-                reason,
-                t,
-            } => {
-                let mut o = Obj::new();
-                o.str("name", &format!("failed: {} ({reason})", xfer.label))
-                    .str("cat", "fault")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", xfer.src_rack)
-                    .usize("tid", xfer.src_node)
-                    .str("s", "t")
-                    .raw("args", &format!("{{\"attempt\":{attempt}}}"));
-                entries.push(o.finish());
-            }
-            Event::RetryScheduled {
-                label,
-                rack,
-                attempt,
-                delay,
-                t,
-            } => {
-                let mut args = String::from("{");
-                let _ = write!(args, "\"rack\":{rack},\"attempt\":{attempt},\"delay\":");
-                push_f64(&mut args, *delay);
-                args.push('}');
-                let mut o = Obj::new();
-                o.str("name", &format!("retry: {label}"))
-                    .str("cat", "fault")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw("args", &args);
-                entries.push(o.finish());
-            }
-            Event::HelperCrashed { node, rack, t } => {
-                let mut o = Obj::new();
-                o.str("name", &format!("helper crashed: node {node}"))
-                    .str("cat", "fault")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", *rack)
-                    .usize("tid", *node)
-                    .str("s", "p")
-                    .raw("args", &format!("{{\"node\":{node}}}"));
-                entries.push(o.finish());
-            }
-            Event::Replanned {
-                scheme,
-                failed,
-                reused_ops,
-                t,
-            } => {
-                let mut o = Obj::new();
-                o.str("name", &format!("replanned: {scheme}"))
-                    .str("cat", "fault")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw(
-                        "args",
-                        &format!("{{\"failed\":{failed},\"reused_ops\":{reused_ops}}}"),
-                    );
-                entries.push(o.finish());
-            }
-            Event::StreamSummary {
-                xfer,
-                chunks,
-                chunk_bytes,
-                first_chunk_latency,
-                throughput,
-                t,
-            } => {
-                let mut args = String::from("{");
-                let _ = write!(args, "\"chunks\":{chunks},\"chunk_bytes\":{chunk_bytes}");
-                args.push_str(",\"first_chunk_latency\":");
-                push_f64(&mut args, *first_chunk_latency);
-                args.push_str(",\"throughput\":");
-                push_f64(&mut args, *throughput);
-                args.push('}');
-                let mut o = Obj::new();
-                o.str("name", &format!("stream: {}", xfer.label))
-                    .str("cat", "stream")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", xfer.src_rack)
-                    .usize("tid", xfer.src_node)
-                    .str("s", "t")
-                    .raw("args", &args);
-                entries.push(o.finish());
-            }
-            Event::HedgeLaunched {
-                label,
-                slow_node,
-                hedge_node,
-                multiple,
-                t,
-            } => {
-                let mut args = String::from("{");
-                let _ = write!(args, "\"slow_node\":{slow_node},\"hedge_node\":{hedge_node}");
-                args.push_str(",\"multiple\":");
-                push_f64(&mut args, *multiple);
-                args.push('}');
-                let mut o = Obj::new();
-                o.str("name", &format!("hedge: {label}"))
-                    .str("cat", "hedge")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw("args", &args);
-                entries.push(o.finish());
-            }
-            Event::HedgeWon {
-                label,
-                winner_node,
-                saved,
-                t,
-            } => {
-                let mut args = String::from("{");
-                let _ = write!(args, "\"winner_node\":{winner_node},\"saved\":");
-                push_f64(&mut args, *saved);
-                args.push('}');
-                let mut o = Obj::new();
-                o.str("name", &format!("hedge won: {label}"))
-                    .str("cat", "hedge")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw("args", &args);
-                entries.push(o.finish());
-            }
-            Event::HelperQuarantined { node, score, t } => {
-                let mut args = String::from("{");
-                let _ = write!(args, "\"node\":{node},\"score\":");
-                push_f64(&mut args, *score);
-                args.push('}');
-                let mut o = Obj::new();
-                o.str("name", &format!("quarantined: node {node}"))
-                    .str("cat", "health")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw("args", &args);
-                entries.push(o.finish());
-            }
-            Event::DeadlineExceeded {
-                scope,
-                budget,
-                elapsed,
-                t,
-            } => {
-                let mut args = String::from("{");
-                args.push_str("\"budget\":");
-                push_f64(&mut args, *budget);
-                args.push_str(",\"elapsed\":");
-                push_f64(&mut args, *elapsed);
-                args.push('}');
-                let mut o = Obj::new();
-                o.str("name", &format!("deadline exceeded ({scope})"))
-                    .str("cat", "deadline")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw("args", &args);
-                entries.push(o.finish());
-            }
-            Event::DegradedFallback { tier, reason, t } => {
-                let mut o = Obj::new();
-                o.str("name", &format!("degraded fallback: {tier}"))
-                    .str("cat", "deadline")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw("args", &format!("{{\"reason\":\"{reason}\"}}"));
-                entries.push(o.finish());
-            }
-            Event::StripeEnqueued { stripe, level, t }
-            | Event::StripeAdmitted { stripe, level, t } => {
-                let verb = if matches!(e, Event::StripeEnqueued { .. }) {
-                    "enqueued"
-                } else {
-                    "admitted"
-                };
-                let mut o = Obj::new();
-                o.str("name", &format!("stripe {stripe} {verb}"))
-                    .str("cat", "fleet")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw("args", &format!("{{\"stripe\":{stripe},\"level\":{level}}}"));
-                entries.push(o.finish());
-            }
-            Event::BandwidthWaited {
-                stripe,
-                level,
-                waited,
-                t,
-            } => {
-                let mut args = String::from("{");
-                let _ = write!(args, "\"stripe\":{stripe},\"level\":{level},\"waited\":");
-                push_f64(&mut args, *waited);
-                args.push('}');
-                let mut o = Obj::new();
-                o.str("name", &format!("stripe {stripe} waited for bandwidth"))
-                    .str("cat", "fleet")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw("args", &args);
-                entries.push(o.finish());
-            }
-            Event::ChurnFailure { stripe, level, t } | Event::StripeLost { stripe, level, t } => {
-                let verb = if matches!(e, Event::ChurnFailure { .. }) {
-                    "hit by churn"
-                } else {
-                    "permanently lost"
-                };
-                let mut o = Obj::new();
-                o.str("name", &format!("stripe {stripe} {verb}"))
-                    .str("cat", "fleet")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw("args", &format!("{{\"stripe\":{stripe},\"level\":{level}}}"));
-                entries.push(o.finish());
-            }
-            Event::RiskEscalated {
-                stripe,
-                from,
-                to,
-                in_flight,
-                t,
-            } => {
-                let mut o = Obj::new();
-                o.str("name", &format!("stripe {stripe} escalated {from}→{to}"))
-                    .str("cat", "fleet")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw(
-                        "args",
-                        &format!(
-                            "{{\"stripe\":{stripe},\"from\":{from},\"to\":{to},\
-                             \"in_flight\":{in_flight}}}"
-                        ),
-                    );
-                entries.push(o.finish());
-            }
-            Event::JournalCheckpoint {
-                seq,
-                completed,
-                lost,
-                t,
-            } => {
-                let mut o = Obj::new();
-                o.str("name", &format!("journal checkpoint #{seq}"))
-                    .str("cat", "fleet")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw(
-                        "args",
-                        &format!("{{\"seq\":{seq},\"completed\":{completed},\"lost\":{lost}}}"),
-                    );
-                entries.push(o.finish());
-            }
-            Event::RequestIssued {
-                request,
-                read,
-                degraded,
-                t,
-            } => {
-                let kind = if *degraded {
-                    "degraded read"
-                } else if *read {
-                    "read"
-                } else {
-                    "write"
-                };
-                let mut o = Obj::new();
-                o.str("name", &format!("request {request} issued ({kind})"))
-                    .str("cat", "load")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 2)
-                    .str("s", "p")
-                    .raw(
-                        "args",
-                        &format!("{{\"request\":{request},\"read\":{read},\"degraded\":{degraded}}}"),
-                    );
-                entries.push(o.finish());
-            }
-            Event::RequestDone {
-                request,
-                read,
-                degraded,
-                first_byte,
-                issued,
-                end,
-            } => {
-                let kind = if *degraded {
-                    "degraded read"
-                } else if *read {
-                    "read"
-                } else {
-                    "write"
-                };
-                let mut args = String::from("{");
-                let _ = write!(args, "\"request\":{request},\"read\":{read},\"degraded\":{degraded}");
-                args.push_str(",\"first_byte\":");
-                push_f64(&mut args, *first_byte);
-                args.push('}');
-                let mut o = Obj::new();
-                o.str("name", &format!("request {request} ({kind})"))
-                    .str("cat", "load")
-                    .str("ph", "X")
-                    .f64("ts", issued * MICROS)
-                    .f64("dur", (end - issued).max(0.0) * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 2)
-                    .raw("args", &args);
-                entries.push(o.finish());
-            }
-            Event::QosThrottled { flows, fraction, t } => {
-                let mut args = String::from("{");
-                let _ = write!(args, "\"flows\":{flows},\"fraction\":");
-                push_f64(&mut args, *fraction);
-                args.push('}');
-                let mut o = Obj::new();
-                o.str("name", &format!("qos throttled {flows} repair flows"))
-                    .str("cat", "load")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw("args", &args);
-                entries.push(o.finish());
-            }
-            Event::ProofEmitted { op, node, gen, t } => {
-                let mut o = Obj::new();
-                o.str("name", &format!("proof emitted: op {op} (node {node})"))
-                    .str("cat", "proof")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw(
-                        "args",
-                        &format!("{{\"op\":{op},\"node\":{node},\"gen\":{gen}}}"),
-                    );
-                entries.push(o.finish());
-            }
-            Event::ProofRejected { op, node, gen, t } => {
-                let mut o = Obj::new();
-                o.str("name", &format!("proof rejected: op {op} (node {node})"))
-                    .str("cat", "proof")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw(
-                        "args",
-                        &format!("{{\"op\":{op},\"node\":{node},\"gen\":{gen}}}"),
-                    );
-                entries.push(o.finish());
-            }
-            Event::HelperAccused { node, gen, t } => {
-                let mut o = Obj::new();
-                o.str("name", &format!("accused: node {node}"))
-                    .str("cat", "proof")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw("args", &format!("{{\"node\":{node},\"gen\":{gen}}}"));
-                entries.push(o.finish());
-            }
-            Event::RepairDone {
-                t,
-                cross_bytes,
-                inner_bytes,
-            } => {
-                let mut o = Obj::new();
-                o.str("name", "repair done")
-                    .str("cat", "plan")
-                    .str("ph", "i")
-                    .f64("ts", t * MICROS)
-                    .usize("pid", pipeline_pid)
-                    .usize("tid", 0)
-                    .str("s", "p")
-                    .raw(
-                        "args",
-                        &format!(
-                            "{{\"cross_bytes\":{cross_bytes},\"inner_bytes\":{inner_bytes}}}"
-                        ),
-                    );
-                entries.push(o.finish());
-            }
-        }
-    }
-
     let mut out = String::from("{\"traceEvents\":[\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < entries.len() {
-            out.push(',');
-        }
-        out.push('\n');
+    for rack in 0..=max_rack {
+        push_process_name(&mut out, rack, &format!("rack {rack}"));
+        out.push_str(",\n");
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
+    push_process_name(&mut out, pipeline_pid, "repair pipeline");
+    for e in events {
+        if let Some(row) = chrome_row(e, &wave_start) {
+            out.push_str(",\n");
+            push_entry(&mut out, e, &row, pipeline_pid);
+        }
+    }
+    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::tests::one_of_each;
-    use crate::event::Kernel;
+    use crate::event::tests::{one_of_each, tracing_md_section};
+    use crate::event::{Kernel, Transfer};
 
     fn sample_events() -> Vec<Event> {
         let xfer = Transfer {
@@ -1578,6 +1074,34 @@ mod tests {
         assert!(chrome.contains("proof emitted: op 4 (node 9)"));
         assert!(chrome.contains("proof rejected: op 4 (node 9)"));
         assert!(chrome.contains("accused: node 9"));
+    }
+
+    #[test]
+    fn chrome_args_strings_are_escaped() {
+        let events = vec![Event::DegradedFallback {
+            tier: "traditional".into(),
+            reason: "budget \"2\" spent\\".into(),
+            t: 1.0,
+        }];
+        let chrome = to_chrome_trace(&events);
+        assert_structurally_valid_json(&chrome);
+        assert!(chrome.contains("\"reason\":\"budget \\\"2\\\" spent\\\\\""));
+    }
+
+    #[test]
+    fn tracing_md_maps_every_chrome_category() {
+        let mapping = tracing_md_section("Format 2");
+        for e in one_of_each() {
+            let Some(row) = chrome_row(&e, &HashMap::new()) else {
+                continue;
+            };
+            assert!(
+                mapping.contains(&format!("`cat: {}`", row.cat)),
+                "docs/TRACING.md's Chrome mapping table has no row for `cat: {}` ({})",
+                row.cat,
+                e.name()
+            );
+        }
     }
 
     #[test]

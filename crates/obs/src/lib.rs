@@ -15,12 +15,19 @@
 //!   log2 latency histograms, and a bounded drop-oldest event ring.
 //! - [`Event`]: the structured event vocabulary (plan built, timestep
 //!   started/finished, transfer queued/started/done, combine done with
-//!   XOR-vs-GF kernel kind, repair done). Units and semantics are
-//!   specified in `docs/TRACING.md`.
+//!   XOR-vs-GF kernel kind, repair done, and the fault, supervisor, proof,
+//!   fleet and foreground-load events). Each event is declared **once**,
+//!   in the `events!` table of `event.rs`: wire name, field keys in wire
+//!   order, and per field whether it is a timestamp or a duration. The
+//!   enum, [`Event::name`], [`Event::time`], [`Event::shifted`] and both
+//!   exporters derive from that table; `docs/TRACING.md` specifies units
+//!   and semantics and is checked against it by a unit test.
 //! - [`export`]: JSON-lines ([`export::to_json_lines`]) and Chrome
 //!   `trace_event` ([`export::to_chrome_trace`]) serialization, both
 //!   hand-rolled so this crate stays dependency-free (the build
-//!   environment has no registry access).
+//!   environment has no registry access). JSON-lines is the declared
+//!   fields in order; the Chrome document is one rendering row per event
+//!   over the same fields.
 //!
 //! Racks and nodes appear as plain `usize` indices, so `rpr-obs` sits at
 //! the bottom of the workspace dependency graph next to `rpr-gf`, and

@@ -17,7 +17,10 @@
 #      replacement crash → timeout) and the one-crash storm (`--storm
 #      crash`, what `rpr inject` runs) must complete at (6,3) and emit a
 #      byte-identical trace and summary across runs (docs/ROBUSTNESS.md),
-#      with and without cut-through streaming (--chunk-size)
+#      with and without cut-through streaming (--chunk-size); the seed-17
+#      block-mode storm is also written as `--format chrome`, which must
+#      be byte-identical across runs and parse (jq) to a non-empty
+#      `traceEvents` array (docs/TRACING.md)
 #   8. exec soak: the same 3-fault storm on the real-bytes backend
 #      (`rpr chaos --backend exec --block-mib 4`), once as a one-chunk
 #      stream and once cut-through (`--chunk-size 1`), must verify byte
@@ -36,7 +39,9 @@
 #      against 4 staggered stripe repairs) must emit byte-identical JSON
 #      summaries across two same-seed runs per mode, and the QoS-throttled
 #      p99 latency must land strictly below the unthrottled p99
-#      (docs/FOREGROUND.md)
+#      (docs/FOREGROUND.md); the QoS runs also write their trace as
+#      `--format chrome`, byte-identical across runs and with entries on
+#      the `tid 2` request lane
 #  12. churn soak: a journaled 10k-stripe drain under live churn
 #      (`rpr fleet --churn-rate --journal`) is killed -9 mid-drain
 #      (RPR_JOURNAL_STALL_US stretches the write window), resumed from
@@ -143,6 +148,21 @@ for storm in crash,replacement-crash,timeout crash; do
             if ! cmp -s "${OUT}_a.json" "${OUT}_b.json"; then
                 echo "chaos soak FAILED: seed $seed ($mode) storm $storm summaries differ" >&2
                 exit 1
+            fi
+            # The Chrome exporter end to end: byte-stable and a parseable document.
+            if [ "$TAG/$seed/$mode" = storm/17/block ]; then
+                for rep in a b; do
+                    "$RPR" chaos --code 6,3 --fail d1 --storm "$storm" --seed "$seed" \
+                        --format chrome --out "${OUT}_${rep}.chrome.json" >/dev/null 2>&1
+                done
+                if ! cmp -s "${OUT}_a.chrome.json" "${OUT}_b.chrome.json"; then
+                    echo "chaos soak FAILED: seed $seed ($mode) storm $storm Chrome traces differ" >&2
+                    exit 1
+                fi
+                if ! jq -e '.traceEvents | length > 0' "${OUT}_a.chrome.json" >/dev/null; then
+                    echo "chaos soak FAILED: Chrome trace is not a JSON document with traceEvents" >&2
+                    exit 1
+                fi
             fi
             echo "==> supervised storm $storm for seed $seed ($mode) completed deterministically"
         done
@@ -263,6 +283,21 @@ for seed in 17 4242; do
             exit 1
         fi
     done
+    # The request lane through the Chrome exporter, QoS mode.
+    for rep in a b; do
+        "$RPR" load --code 6,3 --mode qos --seed "$seed" --format chrome \
+            --out "$CHAOS_DIR/load_s${seed}_qos_${rep}.chrome.json" >/dev/null 2>&1
+    done
+    if ! cmp -s "$CHAOS_DIR/load_s${seed}_qos_a.chrome.json" \
+                "$CHAOS_DIR/load_s${seed}_qos_b.chrome.json"; then
+        echo "foreground soak FAILED: seed $seed (qos) Chrome traces differ" >&2
+        exit 1
+    fi
+    if ! jq -e '[.traceEvents[] | select(.cat == "load" and .tid == 2)] | length > 0' \
+            "$CHAOS_DIR/load_s${seed}_qos_a.chrome.json" >/dev/null; then
+        echo "foreground soak FAILED: seed $seed Chrome trace has no request lane" >&2
+        exit 1
+    fi
     P99_UNTH="$(extract_p99 "$CHAOS_DIR/load_s${seed}_unthrottled_a.json")"
     P99_QOS="$(extract_p99 "$CHAOS_DIR/load_s${seed}_qos_a.json")"
     if [ -z "$P99_UNTH" ] || [ -z "$P99_QOS" ]; then
