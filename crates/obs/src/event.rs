@@ -827,7 +827,7 @@ pub(crate) mod tests {
         assert_eq!(sampled, declared);
     }
 
-    pub(crate) const TRACING_MD: &str = include_str!("../../../docs/TRACING.md");
+    const TRACING_MD: &str = include_str!("../../../docs/TRACING.md");
 
     /// The `## <title>` section of docs/TRACING.md.
     pub(crate) fn tracing_md_section(title: &str) -> &'static str {

@@ -113,6 +113,7 @@ enum Lane {
     Pipeline(usize),
 }
 
+/// The Chrome phase (`ph`) an entry takes.
 enum Shape {
     /// A zero-width `i` entry at [`Event::time`] with this scope (`s`).
     Instant(&'static str),
