@@ -46,7 +46,8 @@ trace options (see docs/TRACING.md):
   --format F        chrome | jsonl                               (default chrome;
                                                                   inject, chaos: jsonl)
   --out FILE        write the trace to FILE instead of stdout
-inject: `chaos` with a one-fault storm (see docs/ROBUSTNESS.md):
+inject: `chaos` with a one-fault storm (see docs/ROBUSTNESS.md); takes
+every chaos option except --storm:
   --fault F         the storm's only fault, named as in --storm   (default crash)
 chaos options (supervised fault storms, see docs/ROBUSTNESS.md):
   --storm LIST      one fault per generation, comma-separated:
@@ -103,7 +104,8 @@ load options (foreground traffic under repair, see docs/FOREGROUND.md):
   --out FILE        write the request/QoS/transfer event stream
                     to FILE (--format chrome | jsonl)
 kernels (SIMD dispatch report, see docs/PERFORMANCE.md):
-  --json            machine-readable tier + throughput report";
+  --json            one JSON object: active and available tiers, dispatched
+                    rates, and each tier's own pinned GF fold rate";
 
 /// A parsed command.
 #[derive(Clone, Debug, PartialEq)]
@@ -442,23 +444,96 @@ pub(crate) fn parse_placement(s: &str) -> Result<PlacementPolicy, String> {
     }
 }
 
-/// A tiny flag-walker: `--key value` pairs plus boolean flags.
+/// A tiny flag-walker: `--key value` pairs plus boolean flags. It
+/// remembers every key a verb looked up, so [`Flags::finish`] can reject
+/// whatever the verb never asked about without a per-verb list of flags.
 struct Flags<'a> {
     rest: &'a [String],
+    /// Keys looked up so far, and whether each takes a value.
+    asked: std::cell::RefCell<Vec<(&'static str, bool)>>,
 }
 
 impl<'a> Flags<'a> {
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.rest
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.rest.get(i + 1))
-            .map(|s| s.as_str())
+    /// The value after `key`; `None` also when the value is missing (the
+    /// flag is last, or another `--flag` follows), which `finish` reports.
+    fn get(&self, key: &'static str) -> Option<&'a str> {
+        self.asked.borrow_mut().push((key, true));
+        let i = self.rest.iter().position(|a| a == key)?;
+        let value = self.rest.get(i + 1)?;
+        (!value.starts_with("--")).then_some(value.as_str())
     }
 
-    fn has(&self, key: &str) -> bool {
+    fn has(&self, key: &'static str) -> bool {
+        self.asked.borrow_mut().push((key, false));
         self.rest.iter().any(|a| a == key)
     }
+
+    /// A numeric flag, `None` when absent.
+    fn opt_num<T: std::str::FromStr>(&self, key: &'static str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| v.parse().map_err(|_| format!("bad {key}")))
+            .transpose()
+    }
+
+    /// A numeric flag with a default.
+    fn num<T: std::str::FromStr>(&self, key: &'static str, default: T) -> Result<T, String> {
+        Ok(self.opt_num(key)?.unwrap_or(default))
+    }
+
+    /// `--block-mib` as bytes.
+    fn block_bytes(&self, default_mib: u64) -> Result<u64, String> {
+        match self.num("--block-mib", default_mib)? {
+            0 => Err("--block-mib must be positive".into()),
+            mib => Ok(mib << 20),
+        }
+    }
+
+    /// `--ratio`, the inner:cross bandwidth ratio.
+    fn ratio(&self) -> Result<f64, String> {
+        let ratio: f64 = self.num("--ratio", 10.0)?;
+        if !(ratio >= 1.0 && ratio.is_finite()) {
+            return Err("--ratio must be >= 1".into());
+        }
+        Ok(ratio)
+    }
+
+    fn trace_format(&self, default: TraceFormat) -> Result<TraceFormat, String> {
+        match self.get("--format") {
+            None => Ok(default),
+            Some("chrome") => Ok(TraceFormat::Chrome),
+            Some("jsonl") => Ok(TraceFormat::Jsonl),
+            Some(other) => Err(format!("unknown trace format `{other}`")),
+        }
+    }
+
+    /// Reject what the lookups above would silently skip: a `--flag` the
+    /// verb never asked about, a value-taking flag without a value, and a
+    /// token that is neither a flag nor a flag's value.
+    fn finish(&self, verb: &str) -> Result<(), String> {
+        let asked = self.asked.borrow();
+        let mut args = self.rest.iter().peekable();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                return Err(format!("unexpected argument `{arg}` for `rpr {verb}`"));
+            }
+            match asked.iter().find(|(key, _)| key == arg) {
+                None => return Err(format!("unknown flag `{arg}` for `rpr {verb}`")),
+                Some((_, false)) => {}
+                Some((_, true)) => {
+                    if args.next_if(|v| !v.starts_with("--")).is_none() {
+                        return Err(format!("flag `{arg}` needs a value"));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+fn parse_storm(list: &str) -> Result<Vec<ChaosFault>, String> {
+    list.split(',')
+        .map(|s| ChaosFault::from_name(s.trim()))
+        .collect()
 }
 
 /// Parse argv into a [`Command`].
@@ -466,49 +541,36 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let Some(verb) = argv.first() else {
         return Err("missing command".into());
     };
-    let flags = Flags { rest: &argv[1..] };
+    let flags = Flags {
+        rest: &argv[1..],
+        asked: Default::default(),
+    };
 
-    match verb.as_str() {
-        "analyze" => Ok(Command::Analyze {
-            ti_ms: flags
-                .get("--ti-ms")
-                .map(|v| v.parse().map_err(|_| "bad --ti-ms"))
-                .transpose()?
-                .unwrap_or(1.0),
-            tc_ms: flags
-                .get("--tc-ms")
-                .map(|v| v.parse().map_err(|_| "bad --tc-ms"))
-                .transpose()?
-                .unwrap_or(10.0),
-        }),
-        "kernels" => Ok(Command::Kernels {
+    let cmd = match verb.as_str() {
+        "analyze" => Command::Analyze {
+            ti_ms: flags.num("--ti-ms", 1.0)?,
+            tc_ms: flags.num("--tc-ms", 10.0)?,
+        },
+        "kernels" => Command::Kernels {
             json: flags.has("--json"),
-        }),
-        "audit" => Ok(Command::Audit(AuditArgs {
+        },
+        "audit" => Command::Audit(AuditArgs {
             trace: flags.get("--trace").ok_or("missing --trace")?.to_string(),
             ledger: flags.get("--ledger").ok_or("missing --ledger")?.to_string(),
             json: flags.has("--json"),
-        })),
+        }),
         "topo" => {
             let params = parse_code(flags.get("--code").ok_or("missing --code")?)?;
             let placement = parse_placement(flags.get("--placement").unwrap_or("preplaced"))?;
-            Ok(Command::Topo { params, placement })
+            Command::Topo { params, placement }
         }
         "fleet" => {
             let params = parse_code(flags.get("--code").unwrap_or("6,3"))?;
-            let stripes: usize = flags
-                .get("--stripes")
-                .map(|v| v.parse().map_err(|_| "bad --stripes"))
-                .transpose()?
-                .unwrap_or(10_000);
+            let stripes: usize = flags.num("--stripes", 10_000)?;
             if stripes == 0 {
                 return Err("--stripes must be positive".into());
             }
-            let racks: usize = flags
-                .get("--racks")
-                .map(|v| v.parse().map_err(|_| "bad --racks"))
-                .transpose()?
-                .unwrap_or(25);
+            let racks: usize = flags.num("--racks", 25)?;
             if racks < params.rack_count() {
                 return Err(format!(
                     "--racks {racks} too small: RS({},{}) stripes span {} racks",
@@ -517,11 +579,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     params.rack_count()
                 ));
             }
-            let nodes_per_rack: usize = flags
-                .get("--nodes-per-rack")
-                .map(|v| v.parse().map_err(|_| "bad --nodes-per-rack"))
-                .transpose()?
-                .unwrap_or(16);
+            let nodes_per_rack: usize = flags.num("--nodes-per-rack", 16)?;
             if nodes_per_rack <= params.k || nodes_per_rack > 64 {
                 return Err(format!(
                     "--nodes-per-rack must be in {}..=64 (each rack hosts up to k = {} \
@@ -530,66 +588,26 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     params.k
                 ));
             }
-            let block_mib: u64 = flags
-                .get("--block-mib")
-                .map(|v| v.parse().map_err(|_| "bad --block-mib"))
-                .transpose()?
-                .unwrap_or(256);
-            if block_mib == 0 {
-                return Err("--block-mib must be positive".into());
-            }
-            let ratio: f64 = flags
-                .get("--ratio")
-                .map(|v| v.parse().map_err(|_| "bad --ratio"))
-                .transpose()?
-                .unwrap_or(10.0);
-            if !(ratio >= 1.0 && ratio.is_finite()) {
-                return Err("--ratio must be >= 1".into());
-            }
-            let storm = match flags.get("--storm") {
-                None => Vec::new(),
-                Some(list) => list
-                    .split(',')
-                    .map(|s| ChaosFault::from_name(s.trim()))
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            let agg_gbit: Option<f64> = flags
-                .get("--agg-gbit")
-                .map(|v| v.parse().map_err(|_| "bad --agg-gbit"))
-                .transpose()?;
+            let block_bytes = flags.block_bytes(256)?;
+            let ratio = flags.ratio()?;
+            let storm = flags.get("--storm").map_or(Ok(Vec::new()), parse_storm)?;
+            let agg_gbit: Option<f64> = flags.opt_num("--agg-gbit")?;
             if agg_gbit.is_some_and(|g| !(g > 0.0 && g.is_finite())) {
                 return Err("--agg-gbit must be positive".into());
             }
-            let threads: usize = flags
-                .get("--threads")
-                .map(|v| v.parse().map_err(|_| "bad --threads"))
-                .transpose()?
-                .unwrap_or(0);
-            let churn_rate: f64 = flags
-                .get("--churn-rate")
-                .map(|v| v.parse().map_err(|_| "bad --churn-rate"))
-                .transpose()?
-                .unwrap_or(0.0);
+            let threads: usize = flags.num("--threads", 0)?;
+            let churn_rate: f64 = flags.num("--churn-rate", 0.0)?;
             if !(churn_rate >= 0.0 && churn_rate.is_finite()) {
                 return Err("--churn-rate must be finite and >= 0".into());
             }
-            let format = match flags.get("--format") {
-                None | Some("jsonl") => TraceFormat::Jsonl,
-                Some("chrome") => TraceFormat::Chrome,
-                Some(other) => return Err(format!("unknown trace format `{other}`")),
-            };
-            Ok(Command::Fleet(FleetArgs {
+            Command::Fleet(FleetArgs {
                 params,
                 stripes,
                 racks,
                 nodes_per_rack,
-                block_bytes: block_mib << 20,
+                block_bytes,
                 ratio,
-                seed: flags
-                    .get("--seed")
-                    .map(|v| v.parse().map_err(|_| "bad --seed"))
-                    .transpose()?
-                    .unwrap_or(17),
+                seed: flags.num("--seed", 17)?,
                 storm,
                 agg_gbit,
                 arbitrate: !flags.has("--no-arbiter"),
@@ -599,9 +617,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 journal: flags.get("--journal").map(String::from),
                 resume: flags.get("--resume").map(String::from),
                 json: flags.has("--json"),
-                format,
+                format: flags.trace_format(TraceFormat::Jsonl)?,
                 out: flags.get("--out").map(String::from),
-            }))
+            })
         }
         "load" => {
             let params = parse_code(flags.get("--code").unwrap_or("6,3"))?;
@@ -611,127 +629,60 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 "qos" => LoadModeChoice::Qos,
                 other => return Err(format!("unknown load mode `{other}`")),
             };
-            let requests: usize = flags
-                .get("--requests")
-                .map(|v| v.parse().map_err(|_| "bad --requests"))
-                .transpose()?
-                .unwrap_or(240);
+            let requests: usize = flags.num("--requests", 240)?;
             if requests == 0 {
                 return Err("--requests must be positive".into());
             }
-            let rate: f64 = flags
-                .get("--rate")
-                .map(|v| v.parse().map_err(|_| "bad --rate"))
-                .transpose()?
-                .unwrap_or(40.0);
+            let rate: f64 = flags.num("--rate", 40.0)?;
             if !(rate > 0.0 && rate.is_finite()) {
                 return Err("--rate must be positive".into());
             }
-            let read_fraction: f64 = flags
-                .get("--read-fraction")
-                .map(|v| v.parse().map_err(|_| "bad --read-fraction"))
-                .transpose()?
-                .unwrap_or(0.9);
+            let read_fraction: f64 = flags.num("--read-fraction", 0.9)?;
             if !(0.0..=1.0).contains(&read_fraction) {
                 return Err("--read-fraction must be in [0, 1]".into());
             }
-            let zipf: f64 = flags
-                .get("--zipf")
-                .map(|v| v.parse().map_err(|_| "bad --zipf"))
-                .transpose()?
-                .unwrap_or(0.9);
+            let zipf: f64 = flags.num("--zipf", 0.9)?;
             if !(zipf >= 0.0 && zipf.is_finite()) {
                 return Err("--zipf must be non-negative".into());
             }
-            let objects: usize = flags
-                .get("--objects")
-                .map(|v| v.parse().map_err(|_| "bad --objects"))
-                .transpose()?
-                .unwrap_or(64);
+            let objects: usize = flags.num("--objects", 64)?;
             if objects == 0 {
                 return Err("--objects must be positive".into());
             }
-            let request_mib: u64 = flags
-                .get("--request-mib")
-                .map(|v| v.parse().map_err(|_| "bad --request-mib"))
-                .transpose()?
-                .unwrap_or(4);
+            let request_mib: u64 = flags.num("--request-mib", 4)?;
             if request_mib == 0 {
                 return Err("--request-mib must be positive".into());
             }
-            let block_mib: u64 = flags
-                .get("--block-mib")
-                .map(|v| v.parse().map_err(|_| "bad --block-mib"))
-                .transpose()?
-                .unwrap_or(64);
-            if block_mib == 0 {
-                return Err("--block-mib must be positive".into());
-            }
-            let chunk_mib: u64 = flags
-                .get("--chunk-size")
-                .map(|v| v.parse().map_err(|_| "bad --chunk-size"))
-                .transpose()?
-                .unwrap_or(8);
+            let block_bytes = flags.block_bytes(64)?;
+            let chunk_mib: u64 = flags.num("--chunk-size", 8)?;
             if chunk_mib == 0 {
                 return Err("--chunk-size must be positive".into());
             }
-            let ratio: f64 = flags
-                .get("--ratio")
-                .map(|v| v.parse().map_err(|_| "bad --ratio"))
-                .transpose()?
-                .unwrap_or(10.0);
-            if !(ratio >= 1.0 && ratio.is_finite()) {
-                return Err("--ratio must be >= 1".into());
-            }
-            let stripes: usize = flags
-                .get("--stripes")
-                .map(|v| v.parse().map_err(|_| "bad --stripes"))
-                .transpose()?
-                .unwrap_or(4);
-            let stagger: f64 = flags
-                .get("--stagger")
-                .map(|v| v.parse().map_err(|_| "bad --stagger"))
-                .transpose()?
-                .unwrap_or(0.25);
+            let ratio = flags.ratio()?;
+            let stripes: usize = flags.num("--stripes", 4)?;
+            let stagger: f64 = flags.num("--stagger", 0.25)?;
             if !(stagger >= 0.0 && stagger.is_finite()) {
                 return Err("--stagger must be non-negative".into());
             }
-            let share: f64 = flags
-                .get("--share")
-                .map(|v| v.parse().map_err(|_| "bad --share"))
-                .transpose()?
-                .unwrap_or(0.85);
+            let share: f64 = flags.num("--share", 0.85)?;
             if !(0.0..1.0).contains(&share) {
                 return Err("--share must be in [0, 1)".into());
             }
-            let floor: f64 = flags
-                .get("--floor")
-                .map(|v| v.parse().map_err(|_| "bad --floor"))
-                .transpose()?
-                .unwrap_or(0.1);
+            let floor: f64 = flags.num("--floor", 0.1)?;
             if !(floor > 0.0 && floor <= 1.0) {
                 return Err("--floor must be in (0, 1]".into());
             }
-            let format = match flags.get("--format") {
-                None | Some("jsonl") => TraceFormat::Jsonl,
-                Some("chrome") => TraceFormat::Chrome,
-                Some(other) => return Err(format!("unknown trace format `{other}`")),
-            };
-            Ok(Command::Load(LoadArgs {
+            Command::Load(LoadArgs {
                 params,
                 mode,
-                seed: flags
-                    .get("--seed")
-                    .map(|v| v.parse().map_err(|_| "bad --seed"))
-                    .transpose()?
-                    .unwrap_or(17),
+                seed: flags.num("--seed", 17)?,
                 requests,
                 rate,
                 read_fraction,
                 zipf,
                 objects,
                 request_bytes: request_mib << 20,
-                block_bytes: block_mib << 20,
+                block_bytes,
                 chunk_bytes: Some(chunk_mib << 20),
                 ratio,
                 stripes,
@@ -739,36 +690,19 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 share,
                 floor,
                 json: flags.has("--json"),
-                format,
+                format: flags.trace_format(TraceFormat::Jsonl)?,
                 out: flags.get("--out").map(String::from),
-            }))
+            })
         }
         "plan" | "compare" | "trace" | "inject" | "chaos" => {
             let params = parse_code(flags.get("--code").ok_or("missing --code")?)?;
             let failed = parse_failed(flags.get("--fail").ok_or("missing --fail")?, params)?;
-            let block_mib: u64 = flags
-                .get("--block-mib")
-                .map(|v| v.parse().map_err(|_| "bad --block-mib"))
-                .transpose()?
-                .unwrap_or(256);
-            if block_mib == 0 {
-                return Err("--block-mib must be positive".into());
-            }
-            let chunk_mib: Option<u64> = flags
-                .get("--chunk-size")
-                .map(|v| v.parse().map_err(|_| "bad --chunk-size"))
-                .transpose()?;
+            let block_bytes = flags.block_bytes(256)?;
+            let chunk_mib: Option<u64> = flags.opt_num("--chunk-size")?;
             if chunk_mib == Some(0) {
                 return Err("--chunk-size must be positive".into());
             }
-            let ratio: f64 = flags
-                .get("--ratio")
-                .map(|v| v.parse().map_err(|_| "bad --ratio"))
-                .transpose()?
-                .unwrap_or(10.0);
-            if !(ratio >= 1.0 && ratio.is_finite()) {
-                return Err("--ratio must be >= 1".into());
-            }
+            let ratio = flags.ratio()?;
             let scheme = flags.get("--scheme").unwrap_or("rpr").to_string();
             if !matches!(
                 scheme.as_str(),
@@ -791,64 +725,46 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 failed,
                 scheme,
                 placement: parse_placement(flags.get("--placement").unwrap_or("preplaced"))?,
-                block_bytes: block_mib << 20,
+                block_bytes,
                 chunk_bytes: chunk_mib.map(|m| m << 20),
                 ratio,
                 cost,
                 gantt: flags.has("--gantt"),
                 dot: flags.has("--dot"),
             };
-            let format = |default: TraceFormat| match flags.get("--format") {
-                None => Ok(default),
-                Some("chrome") => Ok(TraceFormat::Chrome),
-                Some("jsonl") => Ok(TraceFormat::Jsonl),
-                Some(other) => Err(format!("unknown trace format `{other}`")),
-            };
-            let backend = match flags.get("--backend").unwrap_or("sim") {
-                "sim" => Backend::Sim,
-                "exec" => Backend::Exec,
-                other => return Err(format!("unknown backend `{other}`")),
-            };
-            let seed = flags
-                .get("--seed")
-                .map(|v| v.parse().map_err(|_| "bad --seed"))
-                .transpose()?
-                .unwrap_or(17);
-            Ok(match verb.as_str() {
+            match verb.as_str() {
                 "plan" => Command::Plan(args),
                 "compare" => Command::Compare(args),
                 "trace" => Command::Trace(TraceArgs {
                     plan: args,
-                    format: format(TraceFormat::Chrome)?,
+                    format: flags.trace_format(TraceFormat::Chrome)?,
                     out: flags.get("--out").map(String::from),
                 }),
                 _ => {
+                    let backend = match flags.get("--backend").unwrap_or("sim") {
+                        "sim" => Backend::Sim,
+                        "exec" => Backend::Exec,
+                        other => return Err(format!("unknown backend `{other}`")),
+                    };
                     let storm = match verb.as_str() {
                         // `inject` is `chaos` with a one-fault storm.
                         "inject" => {
                             vec![ChaosFault::from_name(flags.get("--fault").unwrap_or("crash"))?]
                         }
-                        _ => flags
-                            .get("--storm")
-                            .unwrap_or("crash,replacement-crash,timeout")
-                            .split(',')
-                            .map(|s| ChaosFault::from_name(s.trim()))
-                            .collect::<Result<Vec<_>, _>>()?,
+                        _ => parse_storm(
+                            flags
+                                .get("--storm")
+                                .unwrap_or("crash,replacement-crash,timeout"),
+                        )?,
                     };
                     if storm.is_empty() {
                         return Err("--storm needs at least one fault".into());
                     }
-                    let hedge: Option<f64> = flags
-                        .get("--hedge")
-                        .map(|v| v.parse().map_err(|_| "bad --hedge"))
-                        .transpose()?;
+                    let hedge: Option<f64> = flags.opt_num("--hedge")?;
                     if hedge.is_some_and(|m| !(m > 1.0 && m.is_finite())) {
                         return Err("--hedge must be > 1".into());
                     }
-                    let deadline: Option<f64> = flags
-                        .get("--deadline")
-                        .map(|v| v.parse().map_err(|_| "bad --deadline"))
-                        .transpose()?;
+                    let deadline: Option<f64> = flags.opt_num("--deadline")?;
                     if deadline.is_some_and(|d| !(d > 0.0 && d.is_finite())) {
                         return Err("--deadline must be positive".into());
                     }
@@ -860,21 +776,23 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                         plan: args,
                         backend,
                         storm,
-                        seed,
+                        seed: flags.num("--seed", 17)?,
                         hedge,
                         deadline,
                         proof,
                         ledger_out: flags.get("--ledger-out").map(String::from),
                         // JSONL by default: degraded traces exist to be diffed.
-                        format: format(TraceFormat::Jsonl)?,
+                        format: flags.trace_format(TraceFormat::Jsonl)?,
                         out: flags.get("--out").map(String::from),
                         json: flags.has("--json"),
                     })
                 }
-            })
+            }
         }
-        other => Err(format!("unknown command `{other}`")),
-    }
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    flags.finish(verb)?;
+    Ok(cmd)
 }
 
 #[cfg(test)]
@@ -1308,6 +1226,58 @@ mod tests {
         assert!(parse(&argv("plan --code 4,2 --fail d0 --scheme nope")).is_err());
         assert!(parse(&argv("plan --code 4,2 --fail d0 --ratio 0.5")).is_err());
         assert!(parse(&argv("plan --code 4,2 --fail d0 --block-mib 0")).is_err());
+    }
+
+    /// Every line here parsed `Ok` before `Flags::finish` existed (the
+    /// typo'd flag was skipped, the default used), except `--seed --json`,
+    /// which failed as "bad --seed" for the wrong reason.
+    #[test]
+    fn parse_rejects_unknown_flags_and_missing_values() {
+        for (line, want) in [
+            ("fleet --strom crash --json", "unknown flag `--strom`"),
+            (
+                "plan --code 6,3 --fail d1 --chunk-sise 8",
+                "unknown flag `--chunk-sise`",
+            ),
+            ("fleet --stripes", "flag `--stripes` needs a value"),
+            (
+                "chaos --code 6,3 --fail d1 --seed",
+                "flag `--seed` needs a value",
+            ),
+            (
+                "chaos --code 6,3 --fail d1 --seed --json",
+                "flag `--seed` needs a value",
+            ),
+            (
+                "chaos --code 6,3 --fail d1 --out --json",
+                "flag `--out` needs a value",
+            ),
+            (
+                "audit --trace a --ledger b extra",
+                "unexpected argument `extra`",
+            ),
+            // A flag another verb owns is unknown to this one.
+            (
+                "plan --code 6,3 --fail d1 --seed 3",
+                "unknown flag `--seed`",
+            ),
+            (
+                "inject --code 6,3 --fail d1 --storm crash",
+                "unknown flag `--storm`",
+            ),
+            ("kernels --jsno", "unknown flag `--jsno`"),
+        ] {
+            let err = parse(&argv(line)).expect_err(line);
+            assert!(err.contains(want), "`{line}`: {err}");
+        }
+        // A negative number is a value, not a flag; a bad value keeps its
+        // own message.
+        assert_eq!(
+            parse(&argv("chaos --code 6,3 --fail d1 --seed -1")).unwrap_err(),
+            "bad --seed"
+        );
+        // The same flag twice is not this check's business.
+        assert!(parse(&argv("fleet --seed 1 --seed 2")).is_ok());
     }
 
     #[test]

@@ -39,29 +39,60 @@ fn cost_model(name: &str) -> CostModel {
     }
 }
 
+/// Fold rate of every tier this CPU offers, each pinned on the geometry
+/// [`CostModel::measured`] calibrates with (256 KiB x 16 rounds, `0x1D`).
+/// Best of eight windows: a SIMD window lasts ~0.2 ms, so one preemption
+/// in a single window reads as a kernel ten times slower than it is.
+fn tier_rates() -> Vec<(&'static str, f64)> {
+    const LEN: usize = 256 * 1024;
+    const ROUNDS: usize = 16;
+    let src: Vec<u8> = (0..LEN).map(|i| (i * 31 + 7) as u8).collect();
+    let mut dst = vec![0u8; LEN];
+    let mut window = |tier| {
+        let t = std::time::Instant::now();
+        for _ in 0..ROUNDS {
+            rpr_gf::kernels::mul_acc_slice_on(tier, 0x1D, &src, &mut dst);
+        }
+        std::hint::black_box(&dst);
+        t.elapsed().as_secs_f64()
+    };
+    rpr_gf::available_tiers()
+        .into_iter()
+        .map(|tier| {
+            let best = (0..8).map(|_| window(tier)).fold(f64::INFINITY, f64::min);
+            (tier.name(), (ROUNDS * LEN) as f64 / best)
+        })
+        .collect()
+}
+
 /// Report which GF(2^8) kernel tier this host dispatches to, every tier
-/// the hardware offers, and the measured fold throughput the `measured`
-/// cost model would use (see docs/PERFORMANCE.md).
+/// the hardware offers with its own pinned fold rate, and the dispatched
+/// throughput the `measured` cost model would use (docs/PERFORMANCE.md;
+/// `scripts/verify.sh` step 13 holds both to a floor over the scalar tier).
 fn kernels(json: bool) -> Result<(), String> {
     let active = rpr_gf::active_tier();
-    let available: Vec<String> = rpr_gf::available_tiers()
-        .iter()
-        .map(|t| t.name().to_string())
-        .collect();
+    let tiers = tier_rates();
+    let available: Vec<String> = tiers.iter().map(|(name, _)| name.to_string()).collect();
     let forced = std::env::var_os("RPR_FORCE_SCALAR")
         .is_some_and(|v| !v.is_empty() && v != "0");
     let m = CostModel::measured();
     if json {
+        let per_tier: Vec<String> = tiers
+            .iter()
+            .map(|(name, rate)| format!("{}:{rate:.0}", json_str(name)))
+            .collect();
         println!(
             "{{\"command\":\"kernels\",\"active\":{},\"available\":{},\
              \"forced_scalar\":{},\"gf_bytes_per_sec\":{:.0},\
-             \"xor_bytes_per_sec\":{:.0},\"matrix_build_seconds\":{:.9}}}",
+             \"xor_bytes_per_sec\":{:.0},\"matrix_build_seconds\":{:.9},\
+             \"tier_bytes_per_sec\":{{{}}}}}",
             json_str(active.name()),
             json_str_array(&available),
             forced,
             m.gf_rate,
             m.xor_rate,
             m.matrix_build_seconds,
+            per_tier.join(","),
         );
         return Ok(());
     }
@@ -80,6 +111,11 @@ fn kernels(json: bool) -> Result<(), String> {
         m.xor_rate / GIB,
         m.matrix_build_seconds * 1e6,
     );
+    let per_tier: Vec<String> = tiers
+        .iter()
+        .map(|(name, rate)| format!("{name} {:.2} GiB/s", rate / GIB))
+        .collect();
+    println!("  per tier    : gf fold {}", per_tier.join(", "));
     Ok(())
 }
 
@@ -231,18 +267,7 @@ fn trace(t: &TraceArgs) -> Result<(), String> {
     let outcome = rpr_core::simulate_traced(&plan, &ctx, &rec);
 
     let snap = rec.snapshot();
-    let events = rec.take_events();
-    let output = match t.format {
-        TraceFormat::Chrome => rpr_obs::export::to_chrome_trace(&events),
-        TraceFormat::Jsonl => rpr_obs::export::to_json_lines(&events),
-    };
-    match &t.out {
-        Some(path) => {
-            std::fs::write(path, &output).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("wrote {} events to {path}", events.len());
-        }
-        None => print!("{output}"),
-    }
+    emit_trace(&rec.take_events(), t.format, &t.out, false)?;
     let (_, waves) = plan.cross_waves(&w.topo);
     eprintln!(
         "# {} repair: {:.2} s | {} cross + {} inner transfers | \

@@ -141,3 +141,17 @@ fn inject_and_chaos_refuse_a_scheme_instead_of_ignoring_it() {
         );
     }
 }
+
+/// The binary itself: a misspelt flag is a usage error (exit 2, the flag
+/// named on stderr, nothing on stdout), not a silently clean drain.
+#[test]
+fn a_misspelt_flag_fails_the_process_and_is_named_on_stderr() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rpr"))
+        .args(["fleet", "--stripes", "50", "--strom", "crash", "--json"])
+        .output()
+        .expect("spawn rpr");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--strom`"), "{stderr}");
+}

@@ -45,9 +45,9 @@ pub use sim::{
     SimOutcome,
 };
 pub use supervise::{
-    check_retry_budget, crash_candidates, plan_with_pool, resolve_storm_bucket, supervise,
-    supervise_injected, AttemptFault, Banked, Baseline, CrashFault, Ending, Evidence, GenFaults,
-    Generation, GenerationRecord, GenerationRun, PoolKey, PoolReplan, RepairBackend,
+    check_retry_budget, crash_candidates, first_valid_plan, plan_with_pool, resolve_storm_bucket,
+    supervise, supervise_injected, AttemptFault, Banked, Baseline, CrashFault, Ending, Evidence,
+    GenFaults, Generation, GenerationRecord, GenerationRun, PoolKey, PoolReplan, RepairBackend,
     ResolvedFaults, SimBackend, Splice, SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
 };
 pub use trace::{combine_kernel, plan_built, simulate_traced};

@@ -518,8 +518,17 @@ pub fn crash_candidates(plan: &RepairPlan, ctx: &RepairContext<'_>) -> Vec<(usiz
     out
 }
 
-/// First validating plan along the RPR → CAR → traditional chain.
-fn fallback_plan(ctx: &RepairContext<'_>) -> Result<RepairPlan, String> {
+/// First validating plan along the RPR → CAR (single failures only) →
+/// traditional chain: what the supervisor runs as its first generation,
+/// and so what the fleet scheduler reserves bandwidth for (replans stay
+/// within the stripe's rack footprint, so the initial plan's demand
+/// remains the right reservation).
+///
+/// # Errors
+/// Every planner's validation failure, if none in the chain produces a
+/// valid plan (cannot happen for ≤ k failures on a single-rack-fault-
+/// tolerant placement).
+pub fn first_valid_plan(ctx: &RepairContext<'_>) -> Result<RepairPlan, String> {
     let mut errors = Vec::new();
     let rpr = RprPlanner::new().plan(ctx);
     match rpr.validate(ctx.codec, ctx.topo, ctx.placement) {
@@ -592,7 +601,7 @@ pub fn plan_with_pool<V>(
         ));
     }
     let plan = match tier {
-        Tier::Full => fallback_plan(ctx)?,
+        Tier::Full => first_valid_plan(ctx)?,
         Tier::Traditional | Tier::DegradedRead => {
             let p = TraditionalPlanner::new().plan(ctx);
             p.validate(ctx.codec, ctx.topo, ctx.placement)

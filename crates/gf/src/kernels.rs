@@ -72,7 +72,7 @@ pub enum KernelTier {
 }
 
 impl KernelTier {
-    /// Stable lowercase name, as written into `BENCH_*.json` snapshots.
+    /// Stable lowercase name, as printed by `rpr kernels --json`.
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Scalar => "scalar",

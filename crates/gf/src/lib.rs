@@ -22,8 +22,8 @@
 //! slower than an XOR fold — the physical origin of the paper's
 //! `t_wd ≈ 4 × t_nd` observation (§3.3), which folds in per-fold fixed
 //! costs. With the SIMD kernels active the gap nearly closes: measured on
-//! the AVX2 reference host (see `docs/PERFORMANCE.md` and the committed
-//! `BENCH_*.json` trajectory), `mul_acc_slice` reaches ≈ 21.5 GB/s on
+//! the AVX2 reference host (see `docs/PERFORMANCE.md`; `rpr kernels`
+//! reads your own), `mul_acc_slice` reaches ≈ 21.5 GB/s on
 //! 256 KiB buffers — ≈ 0.8× the 27.6 GB/s `xor_slice` rate and ≈ 10×
 //! the ≈ 2.1 GB/s scalar multiply path — so chunked repair pipelines
 //! stop being CPU-bound and the paper's ratio survives only as a

@@ -26,18 +26,15 @@
 //! seed-independent: with an empty fault storm and hedging disabled,
 //! `supervise_injected` is a pure function of the repair context. When a
 //! storm template is configured (or hedging is on), the fleet falls back
-//! to one full supervised sim per stripe — same per-stripe seed
-//! derivation as `Store::recover_supervised` — still pooled, but sized
-//! for thousands of stripes rather than millions.
+//! to one full supervised sim per stripe under its [`stripe_storm`] —
+//! still pooled, but sized for thousands of stripes rather than millions.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
 use rpr_codec::{BlockId, CodeParams, StripeCodec};
-use rpr_core::{
-    supervise_injected, CarPlanner, CostModel, RepairContext, RepairPlan, RepairPlanner,
-    RprPlanner, SuperviseConfig, Tier, TraditionalPlanner,
-};
+pub use rpr_core::first_valid_plan;
+use rpr_core::{supervise_injected, CostModel, RepairContext, SuperviseConfig, Tier};
 use rpr_faults::{ChurnProcess, FaultStorm, HealthTracker, SplitMix64, StormFault};
 use rpr_netsim::Network;
 use rpr_obs::Recorder;
@@ -250,30 +247,16 @@ enum Role {
     Free { rack_pos: usize, rank: usize },
 }
 
-/// The planner fallback chain the supervisor uses for its first
-/// generation (RPR, then CAR for single failures, then traditional) —
-/// reproduced here to derive the *initial* plan's bandwidth demand.
-/// Replans stay within the same stripe's rack footprint, so the initial
-/// demand remains the right reservation.
-///
-/// # Errors
-/// Returns the last validation failure if no planner in the chain
-/// produces a valid plan (cannot happen for ≤ k failures on a
-/// single-rack-fault-tolerant placement).
-pub fn first_valid_plan(ctx: &RepairContext<'_>) -> Result<RepairPlan, String> {
-    let plan = RprPlanner::new().plan(ctx);
-    if plan.validate(ctx.codec, ctx.topo, ctx.placement).is_ok() {
-        return Ok(plan);
+/// The fault storm one stripe of a fleet repairs under: `template`'s
+/// buckets, one per generation, under a seed mixed from the fleet seed and
+/// the stripe id. Every fleet path (`run_fleet_with`,
+/// `Store::recover_supervised`, `Store::recover_fleet`) derives it here,
+/// so the same stripe meets the same faults whichever path repairs it.
+pub fn stripe_storm(seed: u64, stripe: u64, template: &[Vec<StormFault>]) -> FaultStorm {
+    FaultStorm {
+        seed: SplitMix64::new(seed ^ stripe).next_u64(),
+        generations: template.to_vec(),
     }
-    if ctx.failed.len() == 1 {
-        let plan = CarPlanner::new().plan(ctx);
-        if plan.validate(ctx.codec, ctx.topo, ctx.placement).is_ok() {
-            return Ok(plan);
-        }
-    }
-    let plan = TraditionalPlanner::new().plan(ctx);
-    plan.validate(ctx.codec, ctx.topo, ctx.placement)?;
-    Ok(plan)
 }
 
 /// Draw an at-risk level from the spec's weight table (1-based,
@@ -459,7 +442,6 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
     // `demands` (cached path: shared per class; storm path: per stripe).
     let mut jobs: Vec<FleetJob> = Vec::with_capacity(spec.stripes);
     let mut kept: Vec<u32> = Vec::with_capacity(spec.stripes);
-    let job_demands: Vec<Demand>;
 
     // One supervised sim of `ctx` under `storm`, costed for the scheduler;
     // `None` when the storm makes the stripe unrepairable.
@@ -478,7 +460,7 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
         })
     };
 
-    if spec.cacheable() {
+    let job_demands: Vec<Demand> = if spec.cacheable() {
         // One canonical sim per distinct failed-block set.
         let infos: Vec<ClassInfo> = run_indexed(threads, class_failed.len(), |ci| {
             class_info(&make_ctx(&class_failed[ci]), &FaultStorm::new(0), &spec.cfg)
@@ -499,13 +481,12 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
             });
             kept.push(s as u32);
         }
-        job_demands = infos.into_iter().map(|i| i.demand).collect();
+        infos.into_iter().map(|i| i.demand).collect()
     } else {
-        // Storm path: every stripe runs its own supervised sim with the
-        // same per-stripe seed derivation as `Store::recover_supervised`
-        // — unless a resume journal already holds the stripe's cost
-        // record, in which case the sim (the expensive part of a
-        // restarted drain) is skipped and only the cheap plan-shaped
+        // Storm path: every stripe runs its own supervised sim under its
+        // `stripe_storm` — unless a resume journal already holds the
+        // stripe's cost record, in which case the sim (the expensive part
+        // of a restarted drain) is skipped and only the cheap plan-shaped
         // demand is rebuilt.
         let resume = io.resume;
         let outcomes: Vec<Option<(ClassInfo, bool)>> = run_indexed(threads, spec.stripes, |s| {
@@ -534,11 +515,7 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
                 }
             }
             let ctx = make_ctx(base);
-            let mut mix = SplitMix64::new(spec.seed ^ (s as u64));
-            let mut storm = FaultStorm::new(mix.next_u64());
-            for bucket in &spec.storm {
-                storm = storm.with_generation(bucket.clone());
-            }
+            let storm = stripe_storm(spec.seed, s as u64, &spec.storm);
             Some((class_info(&ctx, &storm, &spec.cfg)?, false))
         });
         let mut demands = Vec::new();
@@ -580,8 +557,8 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
             kept.push(s as u32);
             demands.push(info.demand);
         }
-        job_demands = demands;
-    }
+        demands
+    };
 
     // ---- Admission ----------------------------------------------------
     let phys_topo = Topology::uniform(spec.racks, npr);
@@ -818,7 +795,24 @@ mod tests {
     }
 
     #[test]
-    fn storm_path_matches_store_seed_derivation() {
+    fn stripe_storm_is_pinned() {
+        use rpr_faults::CrashSite;
+        let tmpl = vec![
+            vec![StormFault::Crash(CrashSite::SeedPick)],
+            vec![StormFault::Timeout, StormFault::Corrupt],
+        ];
+        // SplitMix64::new(17 ^ 5).next_u64(): journals and committed
+        // results depend on this derivation, so it is pinned literally.
+        let want = FaultStorm::new(0x3622_5990_4816_818C)
+            .with_generation(tmpl[0].clone())
+            .with_generation(tmpl[1].clone());
+        assert_eq!(stripe_storm(17, 5, &tmpl), want);
+        assert_eq!(stripe_storm(17, 5, &[]), FaultStorm::new(want.seed));
+        assert_ne!(stripe_storm(17, 6, &tmpl).seed, want.seed);
+    }
+
+    #[test]
+    fn storm_path_is_deterministic() {
         use rpr_faults::CrashSite;
         let spec = FleetSpec {
             stripes: 24,

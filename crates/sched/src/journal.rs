@@ -328,12 +328,15 @@ impl JournalReplay {
 fn parse_record(line: &str, replay: &mut JournalReplay) -> Result<(), String> {
     let rec = field_raw(line, "rec").ok_or("missing rec field")?;
     match rec {
-        "\"enqueue\"" | "\"admit\"" | "\"escalate\"" | "\"checkpoint\"" => {
-            // Progress records: informational on replay (resume
-            // re-derives them deterministically), but they must still be
-            // well-formed.
-            Ok(())
+        // Progress records: informational on replay (resume re-derives
+        // them deterministically), but they must still be well-formed.
+        "\"enqueue\"" => check_fields(line, "enqueue", &["stripe", "level"], &["t"]),
+        "\"admit\"" => check_fields(line, "admit", &["stripe", "level"], &["t", "waited"]),
+        "\"escalate\"" => {
+            field_bool(line, "in_flight").ok_or("escalate missing in_flight")?;
+            check_fields(line, "escalate", &["stripe", "from", "to"], &["t"])
         }
+        "\"checkpoint\"" => check_fields(line, "checkpoint", &["seq", "completed", "lost"], &["t"]),
         "\"cost\"" => {
             let stripe = field_u64(line, "stripe").ok_or("cost missing stripe")? as u32;
             let level = field_u64(line, "level").ok_or("cost missing level")? as usize;
@@ -377,6 +380,18 @@ fn parse_record(line: &str, replay: &mut JournalReplay) -> Result<(), String> {
         }
         other => Err(format!("unknown record kind {other}")),
     }
+}
+
+/// Require the unsigned-integer fields `ints` and the float fields
+/// `floats` of a `kind` record whose values replay does not keep.
+fn check_fields(line: &str, kind: &str, ints: &[&str], floats: &[&str]) -> Result<(), String> {
+    for key in ints {
+        field_u64(line, key).ok_or_else(|| format!("{kind} missing {key}"))?;
+    }
+    for key in floats {
+        field_f64(line, key).ok_or_else(|| format!("{kind} missing {key}"))?;
+    }
+    Ok(())
 }
 
 /// Raw text of `"key":<value>` in a one-line JSON object (value ends at
@@ -479,6 +494,45 @@ mod tests {
 
         assert!(JournalReplay::parse("").is_err());
         assert!(JournalReplay::parse("{\"journal\":\"other\"}").is_err());
+    }
+
+    #[test]
+    fn malformed_progress_records_are_rejected_mid_file() {
+        const HEADER: &str = "{\"journal\":\"rpr-fleet\",\"version\":1,\"seed\":1,\"stripes\":2}\n";
+        const GOOD: &str = "{\"rec\":\"enqueue\",\"stripe\":0,\"level\":1,\"t\":0}\n";
+        for (bad, want) in [
+            // Each kind once with a field missing, once with it non-numeric.
+            ("{\"rec\":\"enqueue\",\"stripe\":0,\"t\":0}", "enqueue missing level"),
+            ("{\"rec\":\"enqueue\",\"stripe\":0,\"level\":1,\"t\":\"soon\"}", "enqueue missing t"),
+            ("{\"rec\":\"admit\"}", "admit missing stripe"),
+            (
+                "{\"rec\":\"admit\",\"stripe\":0,\"level\":1,\"t\":0,\"waited\":x}",
+                "admit missing waited",
+            ),
+            (
+                "{\"rec\":\"escalate\",\"stripe\":0,\"from\":1,\"to\":2,\"t\":1.5}",
+                "escalate missing in_flight",
+            ),
+            (
+                "{\"rec\":\"escalate\",\"stripe\":0,\"from\":1,\"to\":-2,\"in_flight\":false,\"t\":1.5}",
+                "escalate missing to",
+            ),
+            ("{\"rec\":\"checkpoint\",\"seq\":4,\"completed\":2,\"t\":3}", "checkpoint missing lost"),
+            (
+                "{\"rec\":\"checkpoint\",\"seq\":\"x\",\"completed\":2,\"lost\":0,\"t\":3}",
+                "checkpoint missing seq",
+            ),
+        ] {
+            let err = JournalReplay::parse(&format!("{HEADER}{bad}\n{GOOD}")).expect_err(bad);
+            assert_eq!(err, format!("journal line 2: {want}"), "{bad}");
+            // A complete last line gets no torn-write benefit of the doubt.
+            let err = JournalReplay::parse(&format!("{HEADER}{GOOD}{bad}\n")).expect_err(bad);
+            assert_eq!(err, format!("journal line 3: {want}"), "{bad}");
+            // The same line as an unterminated tail is a torn write.
+            let replay = JournalReplay::parse(&format!("{HEADER}{GOOD}{bad}")).expect(bad);
+            assert!(replay.truncated);
+            assert_eq!(replay.records, 1);
+        }
     }
 
     #[test]

@@ -41,7 +41,10 @@ pub mod pool;
 pub mod sched;
 
 pub use arbiter::{plan_demand, BandwidthArbiter, Demand, QosClass};
-pub use fleet::{first_valid_plan, run_fleet_with, run_synthetic_fleet, FleetIo, FleetOutcome, FleetSpec};
+pub use fleet::{
+    first_valid_plan, run_fleet_with, run_synthetic_fleet, stripe_storm, FleetIo, FleetOutcome,
+    FleetSpec,
+};
 pub use index::StripeIndex;
 pub use journal::{Checkpoint, CompletedRec, CostRec, FleetJournal, JournalReplay};
 pub use pool::{default_threads, run_indexed};

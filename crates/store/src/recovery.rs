@@ -7,13 +7,13 @@ use rpr_core::{
     simulate_batch, supervise_injected, CarPlanner, CostModel, RepairContext, RepairPlan,
     RepairPlanner, RprPlanner, SuperviseConfig, Tier, TraditionalPlanner,
 };
-use rpr_faults::{FaultStorm, HealthTracker, SplitMix64, StormFault};
+use rpr_faults::{HealthTracker, StormFault};
 use rpr_netsim::Network;
 use rpr_proof::ProofLedger;
 use rpr_obs::Recorder;
 use rpr_sched::{
-    drain_fleet, first_valid_plan, plan_demand, BandwidthArbiter, Demand, DrainOptions, FleetIo,
-    FleetJob, FleetSummary, JobCost, StripeRecord,
+    drain_fleet, first_valid_plan, plan_demand, stripe_storm, BandwidthArbiter, Demand,
+    DrainOptions, FleetIo, FleetJob, FleetSummary, JobCost, StripeRecord,
 };
 use rpr_topology::{BandwidthProfile, NodeId, RackId};
 
@@ -502,11 +502,7 @@ impl Store {
                     cost,
                 );
                 // Per-stripe seed: same storm shape, independent sites.
-                let mut mix = SplitMix64::new(options.seed ^ (*stripe as u64));
-                let mut storm = FaultStorm::new(mix.next_u64());
-                for bucket in &options.storm {
-                    storm = storm.with_generation(bucket.clone());
-                }
+                let storm = stripe_storm(options.seed, *stripe as u64, &options.storm);
                 let Ok(out) = supervise_injected(
                     &ctx,
                     &storm,
@@ -598,10 +594,11 @@ impl Store {
     /// appends every scheduling decision to `io.journal`, and each
     /// stripe's costed sim lands there as a `cost` record **before** the
     /// drain starts, so a crash at any later point leaves them all
-    /// replayable. With `io.resume`, stripes whose cost records (or
-    /// `unrepairable` markers) the prior journal holds skip
-    /// [`supervise_injected`] entirely — counted in
-    /// [`FleetRecoveryOutcome::replayed`].
+    /// replayable. With `io.resume`, stripes whose cost records or
+    /// `unrepairable` markers the prior journal holds skip
+    /// [`supervise_injected`] entirely; [`FleetRecoveryOutcome::replayed`]
+    /// counts the cost records replayed (not the markers), as
+    /// `rpr_sched::FleetOutcome::replayed` does.
     ///
     /// Replay is disabled while proofs are active: a skipped sim has no
     /// ledger to audit, and proof-carrying runs must re-derive theirs.
@@ -646,7 +643,6 @@ impl Store {
             if let Some(r) = resume {
                 if r.unrepairable.contains(&(*stripe as u32)) {
                     unrepairable += 1;
-                    replayed += 1;
                     if let Some(j) = io.journal {
                         j.borrow_mut().unrepairable(*stripe as u32);
                     }
@@ -658,14 +654,7 @@ impl Store {
                     replayed += 1;
                     c
                 } else {
-                    // Same per-stripe seed derivation as
-                    // recover_supervised, so the two backends see
-                    // identical fault storms per stripe.
-                    let mut mix = SplitMix64::new(options.seed ^ (*stripe as u64));
-                    let mut storm = FaultStorm::new(mix.next_u64());
-                    for bucket in &options.storm {
-                        storm = storm.with_generation(bucket.clone());
-                    }
+                    let storm = stripe_storm(options.seed, *stripe as u64, &options.storm);
                     let mut tracker = HealthTracker::with_defaults();
                     let Ok(out) = supervise_injected(
                         &ctx,
@@ -1217,25 +1206,43 @@ mod tests {
             );
             assert_eq!(journaled.summary.to_json(), clean.summary.to_json());
         }
-        let replay = JournalReplay::load(&path).expect("parse journal");
+        let mut replay = JournalReplay::load(&path).expect("parse journal");
         std::fs::remove_file(&path).ok();
-        let resumed = s.recover_fleet_io(
-            Failure::Node(NodeId(2)),
-            &p,
-            CostModel::free(),
-            &opts,
-            FleetIo {
-                journal: None,
-                resume: Some(&replay),
-            },
-            rpr_obs::noop(),
+        let resume_from = |replay: &JournalReplay| {
+            s.recover_fleet_io(
+                Failure::Node(NodeId(2)),
+                &p,
+                CostModel::free(),
+                &opts,
+                FleetIo {
+                    journal: None,
+                    resume: Some(replay),
+                },
+                rpr_obs::noop(),
+            )
+        };
+        let resumed = resume_from(&replay);
+        assert_eq!(
+            resumed.replayed, clean.stripes_affected,
+            "resume skipped every sim"
         );
-        assert!(resumed.replayed > 0, "resume skipped sims");
         assert_eq!(resumed.summary.to_json(), clean.summary.to_json());
         assert_eq!(resumed.records, clean.records);
         assert_eq!(resumed.replans, clean.replans);
         assert_eq!(resumed.retries, clean.retries);
         assert_eq!(resumed.degraded, clean.degraded);
+
+        // The same journal with one stripe's cost record turned into an
+        // `unrepairable` marker: the marker is honoured (that stripe is
+        // not repaired), but `replayed` counts cost records only — the
+        // rule `run_fleet_with` applies.
+        let key = *replay.costs.keys().min().expect("storm runs journal costs");
+        replay.costs.remove(&key);
+        replay.unrepairable.insert(key.0);
+        let marked = resume_from(&replay);
+        assert_eq!(marked.unrepairable, 1);
+        assert_eq!(marked.summary.repaired, clean.stripes_affected - 1);
+        assert_eq!(marked.replayed, clean.stripes_affected - 1);
     }
 
     #[test]

@@ -48,13 +48,17 @@
 #      the torn journal, and the resumed run's `"summary":{...}` must be
 #      byte-identical to an uninterrupted same-seed run's, with zero
 #      stripes lost at a churn rate the drain outpaces (docs/FLEET.md,
-#      "Drains under churn" / "The journal")
-#  13. bench gate: a quick bench snapshot (scripts/bench_snapshot.sh
-#      --quick) must not regress the GF kernel throughput by more than
-#      15% against the newest committed BENCH_*.json, and the dispatched
-#      SIMD multiply must stay >= 4x the scalar tier (scripts/
-#      bench_gate.sh). Set RPR_BENCH_GATE=off to skip, e.g. on loaded
-#      machines. See docs/PERFORMANCE.md.
+#      "Drains under churn" / "The journal"); a journaled per-stripe
+#      storm drain (`--storm crash,timeout`, the only path that writes
+#      `cost` records) is then resumed and must replay those costs to
+#      the same unrepairable count and a byte-identical summary
+#  13. kernel floor: `rpr kernels --json` times every GF(2^8) tier this
+#      CPU offers, each pinned, in one process; every SIMD tier must fold
+#      >= 4x as fast as the scalar tier, and so must the dispatched rate
+#      (a broken dispatch is caught as well as a slow kernel). Host-
+#      independent: nothing is compared with another machine or another
+#      day. Three attempts; a note instead of a check on a scalar-only
+#      CPU. See docs/PERFORMANCE.md §5.
 #  14. benchmark smoke: `benchmark/` is a cargo workspace of its own, so
 #      steps 1-5 never compile it. `benchmark/run.sh --quick` (< 15 s
 #      after the build) builds the harness offline against the working
@@ -357,32 +361,64 @@ if ! grep -q '"lost":0' "$CHAOS_DIR/churn_clean.summary"; then
     exit 1
 fi
 echo "==> churn soak: killed -9 mid-drain, resumed bit-identically, 0 lost"
-
-# Step 13: performance must not silently rot. Take a quick snapshot and
-# gate it against the newest committed baseline; a transient miss (quick
-# windows on a shared box are noisy) gets two retries before it counts.
-if [ "${RPR_BENCH_GATE:-on}" = "off" ]; then
-    echo "==> bench gate skipped (RPR_BENCH_GATE=off)"
-else
-    BASELINE="$(ls BENCH_*.json 2>/dev/null | sort | tail -n 1)"
-    if [ -z "$BASELINE" ]; then
-        echo "==> bench gate skipped (no committed BENCH_*.json baseline)"
-    else
-        GATE_OK=0
-        for attempt in 1 2 3; do
-            echo "==> scripts/bench_snapshot.sh --quick (gate attempt $attempt)"
-            scripts/bench_snapshot.sh --quick $OFFLINE \
-                --out target/bench/BENCH_current.json >/dev/null
-            if scripts/bench_gate.sh "$BASELINE" target/bench/BENCH_current.json; then
-                GATE_OK=1
-                break
-            fi
-        done
-        if [ "$GATE_OK" != 1 ]; then
-            echo "bench gate FAILED on all attempts (baseline $BASELINE)" >&2
-            exit 1
-        fi
+# The drain above is storm-free, so its journal holds no `cost` record and
+# its resume re-derives every cost. A per-stripe storm is what `--resume`
+# exists to skip: journal one, resume from it, and demand that the second
+# run replays costs instead of simulating and prints the same object —
+# unrepairable count and summary included — but for `replayed`.
+STORM_FLAGS="--code 6,3 --stripes 2000 --seed 17 --storm crash,timeout"
+echo "==> $RPR fleet $STORM_FLAGS --journal, then --resume"
+"$RPR" fleet $STORM_FLAGS --journal "$CHAOS_DIR/storm_journal.jsonl" --json \
+    > "$CHAOS_DIR/storm_first.json" 2>/dev/null
+"$RPR" fleet $STORM_FLAGS --resume "$CHAOS_DIR/storm_journal.jsonl" --json \
+    > "$CHAOS_DIR/storm_resumed.json" 2>/dev/null
+for kind in cost unrepairable; do
+    if ! grep -q "\"rec\":\"$kind\"" "$CHAOS_DIR/storm_journal.jsonl"; then
+        echo "churn soak FAILED: the storm journal holds no $kind record" >&2
+        exit 1
     fi
+done
+if ! grep -q '"replayed":0,' "$CHAOS_DIR/storm_first.json" ||
+    ! grep -q '"replayed":[1-9]' "$CHAOS_DIR/storm_resumed.json"; then
+    echo "churn soak FAILED: the resumed storm drain did not replay journaled costs" >&2
+    exit 1
+fi
+for run in first resumed; do
+    sed 's/"replayed":[0-9]*,//' "$CHAOS_DIR/storm_$run.json" > "$CHAOS_DIR/storm_$run.rest"
+done
+if ! grep -q '"unrepairable":[1-9].*"summary":{' "$CHAOS_DIR/storm_first.rest" ||
+    ! cmp -s "$CHAOS_DIR/storm_first.rest" "$CHAOS_DIR/storm_resumed.rest"; then
+    echo "churn soak FAILED: resumed storm drain's unrepairable count or summary differs" >&2
+    exit 1
+fi
+echo "==> churn soak: storm drain resumed from journaled costs, summary byte-identical"
+
+# Step 13: the GF kernels must not silently rot, on whatever host this
+# runs. `rpr kernels --json` times every tier the CPU offers, pinned, in
+# one process; each SIMD tier must fold at least 4x as fast as the scalar
+# tier, and so must the dispatched rate unless RPR_FORCE_SCALAR pinned it
+# (a broken dispatch reads as scalar speed). The windows are well under a
+# millisecond, so a miss gets two retries before it counts.
+KERNEL_FLOOR='
+    def gbps: . / 1e7 | round / 100;
+    4 as $x | .tier_bytes_per_sec as $t | $t.scalar as $s
+    | ($t | to_entries[] | select(.key != "scalar")),
+      (select(.forced_scalar | not) | {key: "dispatched \(.active)", value: .gf_bytes_per_sec})
+    | select(.value < $x * $s)
+    | "\(.key) folds \(.value | gbps) GB/s, under \($x)x the scalar tier (\($s | gbps) GB/s)"'
+if [ "$("$RPR" kernels --json | jq -c .available)" = '["scalar"]' ]; then
+    echo "==> kernel floor: this CPU offers only the scalar tier, nothing to hold it against"
+else
+    for attempt in 1 2 3; do
+        echo "==> $RPR kernels --json (kernel floor, attempt $attempt)"
+        SLOW="$("$RPR" kernels --json | jq -r "$KERNEL_FLOOR")"
+        if [ -z "$SLOW" ]; then break; fi
+    done
+    if [ -n "$SLOW" ]; then
+        echo "kernel floor FAILED on three attempts: $SLOW" >&2
+        exit 1
+    fi
+    echo "==> kernel floor: every SIMD tier and the dispatch fold >= 4x the scalar tier"
 fi
 
 # Step 14: an API slip that breaks the benchmark harness must fail here,
