@@ -39,39 +39,74 @@ fn cost_model(name: &str) -> CostModel {
     }
 }
 
+/// Bytes per second of `work`, which touches `bytes` per call: the best of
+/// eight timed calls. A SIMD window lasts ~0.2 ms, so one preemption in a
+/// single window reads as a kernel ten times slower than it is.
+fn best_rate(bytes: usize, mut work: impl FnMut()) -> f64 {
+    let mut window = || {
+        let t = std::time::Instant::now();
+        work();
+        t.elapsed().as_secs_f64()
+    };
+    let best = (0..8).map(|_| window()).fold(f64::INFINITY, f64::min);
+    bytes as f64 / best
+}
+
 /// Fold rate of every tier this CPU offers, each pinned on the geometry
 /// [`CostModel::measured`] calibrates with (256 KiB x 16 rounds, `0x1D`).
-/// Best of eight windows: a SIMD window lasts ~0.2 ms, so one preemption
-/// in a single window reads as a kernel ten times slower than it is.
 fn tier_rates() -> Vec<(&'static str, f64)> {
     const LEN: usize = 256 * 1024;
     const ROUNDS: usize = 16;
     let src: Vec<u8> = (0..LEN).map(|i| (i * 31 + 7) as u8).collect();
     let mut dst = vec![0u8; LEN];
-    let mut window = |tier| {
-        let t = std::time::Instant::now();
-        for _ in 0..ROUNDS {
-            rpr_gf::kernels::mul_acc_slice_on(tier, 0x1D, &src, &mut dst);
-        }
-        std::hint::black_box(&dst);
-        t.elapsed().as_secs_f64()
-    };
     rpr_gf::available_tiers()
         .into_iter()
         .map(|tier| {
-            let best = (0..8).map(|_| window(tier)).fold(f64::INFINITY, f64::min);
-            (tier.name(), (ROUNDS * LEN) as f64 / best)
+            let rate = best_rate(ROUNDS * LEN, || {
+                for _ in 0..ROUNDS {
+                    rpr_gf::kernels::mul_acc_slice_on(tier, 0x1D, &src, &mut dst);
+                }
+                std::hint::black_box(&dst);
+            });
+            (tier.name(), rate)
         })
         .collect()
 }
 
+/// Read rate of the transport checksum the executor runs on every chunk
+/// (`rpr_faults::checksum64`) and of a byte-serial digest (FNV-1a) over
+/// the same 1 MiB chunk in the same process, each by [`best_rate`].
+fn checksum_rates() -> (f64, f64) {
+    const LEN: usize = 1 << 20;
+    const ROUNDS: usize = 16;
+    let chunk: Vec<u8> = (0..LEN).map(|i| (i * 31 + 7) as u8).collect();
+    let byte_serial = |data: &[u8]| {
+        data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    };
+    let chunk = std::hint::black_box(chunk.as_slice());
+    let word_wide = best_rate(ROUNDS * LEN, || {
+        for _ in 0..ROUNDS {
+            std::hint::black_box(rpr_faults::checksum64(std::hint::black_box(chunk)));
+        }
+    });
+    let serial = best_rate(LEN, || {
+        std::hint::black_box(byte_serial(std::hint::black_box(chunk)));
+    });
+    (word_wide, serial)
+}
+
 /// Report which GF(2^8) kernel tier this host dispatches to, every tier
-/// the hardware offers with its own pinned fold rate, and the dispatched
-/// throughput the `measured` cost model would use (docs/PERFORMANCE.md;
-/// `scripts/verify.sh` step 13 holds both to a floor over the scalar tier).
+/// the hardware offers with its own pinned fold rate, the dispatched
+/// throughput the `measured` cost model would use, and the transport
+/// checksum's read rate beside a byte-serial digest's (docs/PERFORMANCE.md;
+/// `scripts/verify.sh` step 13 holds the folds to a floor over the scalar
+/// tier and the checksum to one over the byte-serial digest).
 fn kernels(json: bool) -> Result<(), String> {
     let active = rpr_gf::active_tier();
     let tiers = tier_rates();
+    let (checksum, byte_serial) = checksum_rates();
     let available: Vec<String> = tiers.iter().map(|(name, _)| name.to_string()).collect();
     let forced = std::env::var_os("RPR_FORCE_SCALAR")
         .is_some_and(|v| !v.is_empty() && v != "0");
@@ -85,7 +120,8 @@ fn kernels(json: bool) -> Result<(), String> {
             "{{\"command\":\"kernels\",\"active\":{},\"available\":{},\
              \"forced_scalar\":{},\"gf_bytes_per_sec\":{:.0},\
              \"xor_bytes_per_sec\":{:.0},\"matrix_build_seconds\":{:.9},\
-             \"tier_bytes_per_sec\":{{{}}}}}",
+             \"tier_bytes_per_sec\":{{{}}},\"checksum_bytes_per_sec\":{checksum:.0},\
+             \"byte_serial_checksum_bytes_per_sec\":{byte_serial:.0}}}",
             json_str(active.name()),
             json_str_array(&available),
             forced,
@@ -116,6 +152,11 @@ fn kernels(json: bool) -> Result<(), String> {
         .map(|(name, rate)| format!("{name} {:.2} GiB/s", rate / GIB))
         .collect();
     println!("  per tier    : gf fold {}", per_tier.join(", "));
+    println!(
+        "  checksum    : transport {:.2} GiB/s, byte-serial {:.2} GiB/s",
+        checksum / GIB,
+        byte_serial / GIB,
+    );
     Ok(())
 }
 

@@ -252,7 +252,7 @@ pub struct ResolvedFaults {
     /// generation.
     pub slow: Vec<(NodeId, f64)>,
     /// Send ops whose helper turns Byzantine: the payload carries wrong
-    /// bytes under a valid FNV checksum. Only the proof plane
+    /// bytes under a valid transport checksum. Only the proof plane
     /// (`rpr-proof`, [`SuperviseConfig::proof`]) can detect these —
     /// transport-level retry never fires.
     pub lies: Vec<usize>,
@@ -420,7 +420,7 @@ pub fn resolve_storm_bucket(
             }
             StormFault::Lie => {
                 // A Byzantine helper: its send carries wrong bytes under
-                // a valid FNV checksum, so transport-level retry never
+                // a valid transport checksum, so transport-level retry never
                 // fires — only the proof plane can catch it. The target
                 // must be a helper send (the recovery node folds, it does
                 // not serve blocks) so there is a node to accuse.

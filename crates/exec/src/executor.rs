@@ -11,11 +11,17 @@
 //! which is what a context without [`RepairContext::with_chunk_size`]
 //! gets; every fault and every event is enacted once, for any chunk
 //! count.
+//!
+//! Payload bytes live in pooled chunks ([`crate::arena`]) from the moment
+//! a helper first sends them: a send of a stripe block copies it into the
+//! pool chunk by chunk, a combine folds into the chunk it forwards, and
+//! from there a chunk moves — down an edge, through a relaying send, into
+//! the op's value, into the supervisor's partial-result pool, back out as
+//! a later generation's prefill — by `Arc` bump. A hop costs one write of
+//! each byte and the two transport-checksum passes (sender, receiver).
 
-use crate::arena::{ArenaStats, BufferPool, Chunk};
+use crate::arena::{ArenaStats, BufferPool, Chunk, PoolBuf, Tally};
 use crate::ratelimit::TokenBucket;
-use crossbeam::channel::{unbounded as channel, Receiver, Sender};
-use parking_lot::Mutex;
 use rpr_codec::BlockId;
 use rpr_core::{
     chunk_sizes, combine_kernel, plan_built, Input, Op, Payload, RepairContext, RepairPlan,
@@ -25,7 +31,8 @@ use rpr_faults::{checksum64, reason, RetryPolicy};
 use rpr_obs::{Event, Recorder};
 use rpr_topology::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Rate-limiter granularity when the context does not configure a
@@ -62,14 +69,15 @@ pub struct ExecReport {
     pub verified: bool,
     /// Targets whose reconstruction mismatched (empty when `verified`).
     pub mismatches: Vec<BlockId>,
-    /// Chunk-buffer arena counters: how many delivery buffers were
-    /// allocated fresh vs recycled from the pool. Streaming runs settle
-    /// into recycling; one-chunk runs use neither (a chunk that is the
-    /// whole block is shared, not pooled).
+    /// Payload-buffer counters: how many of this execution's chunk
+    /// buffers were allocated fresh vs served from the process-wide
+    /// pool. The first repair of a geometry in a process allocates; the
+    /// next ones recycle. The blocks in `recovered` are not pooled and
+    /// not counted.
     pub arena: ArenaStats,
     /// The reconstructed output blocks, in plan-output order — the exact
-    /// bytes a degraded-read client receives. Shared (`Arc`) with the
-    /// executor's value store, never copied.
+    /// bytes a degraded-read client receives, each assembled once from
+    /// the output op's chunks.
     pub recovered: Vec<(BlockId, Arc<Vec<u8>>)>,
     /// Wall-clock seconds at which the **first decoded chunk** of any
     /// output op was available at its executing node — the
@@ -112,6 +120,25 @@ struct NodeLinks {
     cpu: Mutex<()>,
 }
 
+/// Lock a mutex shared by the op threads of one attempt.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("an op thread panicked holding this lock")
+}
+
+/// The value of an op: its output block, as the chunks it was produced
+/// and forwarded in. A one-chunk stream, a streamed block and a value
+/// re-served from an earlier generation are all this.
+pub(crate) type Value = Vec<Chunk>;
+
+/// The contiguous bytes of a value — assembled for plan outputs only.
+pub(crate) fn assemble(value: &[Chunk]) -> Arc<Vec<u8>> {
+    let mut block = Vec::with_capacity(value.iter().map(|c| c.len()).sum());
+    for chunk in value {
+        block.extend_from_slice(chunk);
+    }
+    Arc::new(block)
+}
+
 /// What flows through a dependency channel: the next chunk of the
 /// producer's output, or notice that the rest will never arrive (dead
 /// helper upstream).
@@ -129,7 +156,7 @@ pub(crate) struct AttemptCfg<'a> {
     /// Retry backoff schedule.
     pub(crate) policy: RetryPolicy,
     /// Per-op values already available from a previous attempt.
-    pub(crate) prefilled: &'a [Option<Arc<Vec<u8>>>],
+    pub(crate) prefilled: &'a [Option<&'a [Chunk]>],
     /// Which ops actually execute (false: skipped or reused).
     pub(crate) lowered: &'a [bool],
     /// Label tag (`p{tag}op{i}`): the supervision generation index.
@@ -139,6 +166,8 @@ pub(crate) struct AttemptCfg<'a> {
     /// downstream, unwinding the whole attempt. The supervisor's hedge
     /// watchdog uses this to cancel a straggling generation for real.
     pub(crate) cancel: Option<&'a AtomicBool>,
+    /// Where the attempt's buffer checkouts are counted.
+    pub(crate) tally: &'a Tally,
 }
 
 /// Immutable per-run state shared by every op thread.
@@ -160,10 +189,8 @@ struct RunEnv<'r, 'c> {
     /// `offsets[j]..offsets[j + 1]`. Without a streaming chunk size the
     /// block is its own single chunk.
     offsets: &'r [usize],
-    /// Shared chunk-buffer arena: deliveries of a chunk smaller than the
-    /// block check buffers out of this pool instead of allocating per
-    /// chunk.
-    pool: &'r Arc<BufferPool>,
+    /// Where this attempt's payload-buffer checkouts are counted.
+    tally: &'r Tally,
     /// `outputs[i]` — op `i` produces a plan output (a reconstructed
     /// block delivered to the recovery node / degraded-read client).
     outputs: &'r [bool],
@@ -178,25 +205,21 @@ impl RunEnv<'_, '_> {
         self.offsets[j]..self.offsets[j + 1]
     }
 
-    /// Deliver chunk `r` of `block` to every consumer in `to`. A chunk
-    /// that is the whole block goes out as the block itself — an `Arc`
-    /// bump, no second copy and nothing pooled; a smaller chunk is copied
-    /// into a pooled buffer, which returns to the pool when the last
-    /// consumer finishes with it, so the steady state allocates nothing
-    /// per chunk. A consumer may have aborted (failed input on another
-    /// edge) and dropped its receiver mid-stream; sends into a closed
-    /// channel are simply dropped.
-    fn forward(&self, to: &[Sender<Delivery>], block: &Arc<Vec<u8>>, r: std::ops::Range<usize>) {
-        let chunk = if r.len() as u64 == self.plan.block_bytes {
-            Chunk::shared(block.clone())
-        } else {
-            let mut c = self.pool.get(r.len());
-            c.copy_from_slice(&block[r]);
-            Chunk::pooled(c)
-        };
-        for tx in to {
-            let _ = tx.send(Delivery::Data(chunk.clone()));
+    /// A pooled buffer of `len` bytes, contents unspecified.
+    fn checkout(&self, len: usize) -> PoolBuf {
+        BufferPool::process().get(len, self.tally)
+    }
+
+    /// `src` in a pooled buffer of its own — the one copy a hop makes of
+    /// bytes that are not in the pool yet. A Byzantine sender's copy has
+    /// its first byte flipped: the one place a lie is told.
+    fn pooled_copy(&self, src: &[u8], lie: bool) -> Chunk {
+        let mut c = self.checkout(src.len());
+        c.copy_from_slice(src);
+        if lie {
+            c[0] ^= 0xA5;
         }
+        Arc::new(c)
     }
 
     /// Note that output op `i` just made its first chunk available at
@@ -205,23 +228,31 @@ impl RunEnv<'_, '_> {
         if !self.outputs[i] {
             return;
         }
-        let mut g = self.first_out.lock();
+        let mut g = lock(self.first_out);
         if g.is_none_or(|cur| t < cur) {
             *g = Some(t);
         }
     }
 }
 
+/// Deliver `chunk` to every consumer in `to` — an `Arc` bump each,
+/// whatever the chunk's size. A consumer may have aborted (failed input on
+/// another edge) and dropped its receiver mid-stream; sends into a closed
+/// channel are simply dropped.
+fn forward(to: &[Sender<Delivery>], chunk: &Chunk) {
+    for tx in to {
+        let _ = tx.send(Delivery::Data(chunk.clone()));
+    }
+}
+
 /// What one attempt produced.
 pub(crate) struct AttemptRun {
     /// Output value of every op that completed.
-    pub(crate) values: Vec<Option<Arc<Vec<u8>>>>,
+    pub(crate) values: Vec<Option<Value>>,
     /// Wall-clock timings (zero for ops that did not run).
     pub(crate) op_timings: Vec<OpTiming>,
     /// Failed-and-retried transfer attempts.
     pub(crate) retries: usize,
-    /// Chunk-buffer pool counters for this attempt.
-    pub(crate) arena: ArenaStats,
     /// Earliest wall time any output op delivered its first chunk (the
     /// degraded-read first byte); `None` if no output op ran.
     pub(crate) first_out: Option<f64>,
@@ -260,7 +291,8 @@ pub fn execute_recorded(
     rec.record(plan_built(plan, ctx.topo));
     let t0 = Instant::now();
     let lowered = vec![true; plan.ops.len()];
-    let prefilled: Vec<Option<Arc<Vec<u8>>>> = vec![None; plan.ops.len()];
+    let prefilled = vec![None; plan.ops.len()];
+    let tally = Tally::default();
     let cfg = AttemptCfg {
         faults: None,
         policy: RetryPolicy::default(),
@@ -268,10 +300,11 @@ pub fn execute_recorded(
         lowered: &lowered,
         tag: 0,
         cancel: None,
+        tally: &tally,
     };
     let run = run_attempt(plan, ctx, stripe, rec, t0, &cfg);
     let wall_seconds = t0.elapsed().as_secs_f64();
-    close_run(plan, ctx, stripe, rec, run, wall_seconds)
+    close_run(plan, ctx, stripe, rec, run, tally.stats(), wall_seconds)
 }
 
 pub(crate) fn check_stripe(plan: &RepairPlan, stripe: &[Vec<u8>]) {
@@ -310,7 +343,7 @@ fn node_links(ctx: &RepairContext<'_>, slow: &[(NodeId, f64)]) -> Vec<NodeLinks>
                 down: TokenBucket::new(nic),
                 xup: TokenBucket::new(cross),
                 xdown: TokenBucket::new(cross),
-                cpu: Mutex::new(()),
+                cpu: Mutex::default(),
             }
         })
         .collect()
@@ -377,7 +410,6 @@ pub(crate) fn run_attempt(
     }
     let first_out: Mutex<Option<f64>> = Mutex::new(None);
 
-    let pool = BufferPool::new();
     let env = RunEnv {
         plan,
         ctx,
@@ -393,7 +425,7 @@ pub(crate) fn run_attempt(
             .effective_chunk()
             .map_or(DEFAULT_SHAPER_CHUNK, |c| c as usize),
         offsets: &offsets,
-        pool: &pool,
+        tally: cfg.tally,
         outputs: &outputs,
         first_out: &first_out,
     };
@@ -430,8 +462,9 @@ pub(crate) fn run_attempt(
         values,
         op_timings,
         retries: retries.into_inner(),
-        arena: pool.stats(),
-        first_out: first_out.into_inner(),
+        first_out: first_out
+            .into_inner()
+            .expect("op threads are joined and did not panic"),
     }
 }
 
@@ -440,8 +473,8 @@ enum ChunkFeed<'f> {
     /// A local stripe block, fully in memory.
     Whole(&'f [u8]),
     /// An intermediate a previous generation finished (re-served from the
-    /// partial pool after a replan), held as the block it already is.
-    Prefilled(&'f Arc<Vec<u8>>),
+    /// partial pool after a replan): the chunks it was banked as.
+    Prefilled(&'f [Chunk]),
     /// A live upstream stream delivering one chunk per message.
     Edge(Receiver<Delivery>),
 }
@@ -462,7 +495,7 @@ enum FoldKind {
     Merge,
 }
 
-/// The sending side of one transfer: the block as it assembles at the
+/// The sending side of one transfer: the block as it arrives at the
 /// receiver, chunk by chunk, and how far it got.
 struct SendStream<'f> {
     env: &'f RunEnv<'f, 'f>,
@@ -473,12 +506,14 @@ struct SendStream<'f> {
     downstream: &'f [Sender<Delivery>],
     feed: ChunkFeed<'f>,
     /// Byzantine sender: perturb each chunk before digesting it, so the
-    /// per-chunk FNV checksum validates the lie end-to-end — only the
-    /// proof plane can catch it (see `StormFault::Lie`).
+    /// per-chunk transport checksum validates the lie end-to-end — only
+    /// the proof plane can catch it (see `StormFault::Lie`).
     lie: bool,
-    buf: Arc<Vec<u8>>,
-    /// Sender-side FNV-1a digest of every chunk materialized in `buf`;
-    /// each delivery is verified against it on arrival.
+    /// The chunks in hand so far, in order: the op's value once all are
+    /// delivered.
+    chunks: Value,
+    /// Sender-side transport checksum of every chunk in `chunks`; each
+    /// delivery is verified against it on arrival.
     sums: Vec<u64>,
     /// Chunks verified and forwarded downstream so far; a failed attempt
     /// never rewinds this — the retry re-streams from the first
@@ -488,36 +523,35 @@ struct SendStream<'f> {
 }
 
 impl SendStream<'_> {
-    /// Materialize the next undelivered chunk in `buf` and digest it.
-    /// Chunks arrive in order, so `buf` grows by appending; a chunk that
-    /// is the whole block (`Chunk::Shared`, or a prefilled value at one
-    /// chunk) is adopted as the block itself, not copied. `None` if the
+    /// Take the next undelivered chunk in hand and digest it. A stripe
+    /// block is copied into the pool here, chunk by chunk; an
+    /// intermediate already is a pooled chunk — upstream's, or a banked
+    /// one — and is sent on as that chunk, not copied. `None` if the
     /// upstream producer died.
     fn ensure(&mut self) -> Option<()> {
         if self.sums.len() > self.delivered {
             return Some(());
         }
         let r = self.env.range(self.delivered);
-        let total = self.env.plan.block_bytes as usize;
-        let append = |buf: &mut Arc<Vec<u8>>, chunk: &[u8]| {
-            let buf = Arc::get_mut(buf).expect("an unfinished block has one holder");
-            buf.reserve_exact(total - buf.len());
-            buf.extend_from_slice(chunk);
+        let chunk = match &self.feed {
+            ChunkFeed::Whole(w) => self.env.pooled_copy(&w[r.clone()], self.lie),
+            ChunkFeed::Prefilled(value) => self.relayed(value[self.delivered].clone()),
+            ChunkFeed::Edge(rx) => self.relayed(recv_chunk(rx)?),
         };
-        match &self.feed {
-            ChunkFeed::Whole(w) => append(&mut self.buf, &w[r.clone()]),
-            ChunkFeed::Prefilled(block) if r.len() == total => self.buf = Arc::clone(block),
-            ChunkFeed::Prefilled(block) => append(&mut self.buf, &block[r.clone()]),
-            ChunkFeed::Edge(rx) => match recv_chunk(rx)? {
-                Chunk::Shared(block) => self.buf = block,
-                Chunk::Pooled(chunk) => append(&mut self.buf, &chunk),
-            },
-        }
-        if self.lie {
-            Arc::make_mut(&mut self.buf)[r.start] ^= 0xA5;
-        }
-        self.sums.push(checksum64(&self.buf[r]));
+        assert_eq!(chunk.len(), r.len(), "op {}: chunk geometry", self.i);
+        self.sums.push(checksum64(&chunk));
+        self.chunks.push(chunk);
         Some(())
+    }
+
+    /// An upstream chunk as this sender puts it on the wire: itself,
+    /// unless the sender lies — other holders keep the honest bytes.
+    fn relayed(&self, chunk: Chunk) -> Chunk {
+        if self.lie {
+            self.env.pooled_copy(&chunk, true)
+        } else {
+            chunk
+        }
     }
 
     /// Move `bytes` of the next undelivered chunk through the shapers,
@@ -542,14 +576,14 @@ impl SendStream<'_> {
     /// Send the next undelivered chunk whole: shaped, verified against its
     /// sender-side digest, and forwarded downstream the moment it is intact.
     fn deliver_next(&mut self) -> Option<f64> {
-        let r = self.env.range(self.delivered);
-        let wait = self.shape(r.len())?;
+        let wait = self.shape(self.env.range(self.delivered).len())?;
+        let chunk = &self.chunks[self.delivered];
         assert_eq!(
-            checksum64(&self.buf[r.clone()]),
+            checksum64(chunk),
             self.sums[self.delivered],
             "delivered chunk failed verification"
         );
-        self.env.forward(self.downstream, &self.buf, r);
+        forward(self.downstream, chunk);
         self.delivered += 1;
         if self.first_delivered_t.is_none() {
             let now = self.env.t0.elapsed().as_secs_f64();
@@ -572,7 +606,7 @@ fn run_op(
     consumers: Vec<(usize, Receiver<Delivery>)>,
     producers: &[Sender<Delivery>],
     retries: &AtomicUsize,
-) -> Option<(Arc<Vec<u8>>, OpTiming)> {
+) -> Option<(Value, OpTiming)> {
     let done = try_op(env, cfg, i, op, consumers, producers, retries);
     if done.is_none() {
         for tx in producers {
@@ -586,7 +620,7 @@ fn run_op(
 
 /// One op, as a stream. Payloads move hop-to-hop in the chunks `env.range`
 /// delimits — one chunk, the whole block, unless the context configures a
-/// smaller streaming chunk: a send verifies each chunk against its FNV-1a
+/// smaller streaming chunk: a send verifies each chunk against its transport
 /// checksum and forwards it downstream the moment it is intact, so a
 /// retry resumes from the first unverified chunk instead of re-streaming
 /// the whole block; a combine folds chunk `j` with the GF kernels as soon
@@ -603,7 +637,7 @@ fn try_op(
     consumers: Vec<(usize, Receiver<Delivery>)>,
     producers: &[Sender<Delivery>],
     retries: &AtomicUsize,
-) -> Option<(Arc<Vec<u8>>, OpTiming)> {
+) -> Option<(Value, OpTiming)> {
     let (plan, ctx, rec) = (env.plan, env.ctx, env.rec);
     let now = || env.t0.elapsed().as_secs_f64();
     let m = env.offsets.len() - 1;
@@ -677,7 +711,7 @@ fn try_op(
                     Payload::Intermediate(o) => feed_for(cfg, &mut edges, o.0),
                 },
                 lie: cfg.faults.is_some_and(|f| f.lies.contains(&i)),
-                buf: Arc::default(),
+                chunks: Vec::with_capacity(m),
                 sums: Vec::with_capacity(m),
                 delivered: 0,
                 first_delivered_t: None,
@@ -720,7 +754,8 @@ fn try_op(
                     admitted.get_or_insert(wait);
                 }
                 if corrupt {
-                    let mut bad = s.buf[r].to_vec();
+                    let mut bad = env.checkout(r.len());
+                    bad.copy_from_slice(&s.chunks[s.delivered]);
                     bad[0] ^= 0x01;
                     assert_ne!(
                         checksum64(&bad),
@@ -791,7 +826,7 @@ fn try_op(
                 });
             }
             Some((
-                s.buf,
+                s.chunks,
                 OpTiming {
                     start: started,
                     end,
@@ -842,9 +877,9 @@ fn try_op(
                     .iter()
                     .any(|i| matches!(i, Input::Block { coeff, .. } if *coeff != 1));
             if env.needs_matrix && uses_matrix {
-                let _cpu = env.links[node.0].cpu.lock();
+                let _cpu = lock(&env.links[node.0].cpu);
                 let held = Instant::now();
-                let mut done = env.matrix_done[node.0].lock();
+                let mut done = lock(&env.matrix_done[node.0]);
                 if !*done {
                     *done = true;
                     build_decoding_matrix(ctx);
@@ -852,38 +887,40 @@ fn try_op(
                 }
                 spent += held.elapsed().as_secs_f64();
             }
-            let mut out = Arc::new(vec![0u8; total]);
+            let mut out: Value = Vec::with_capacity(m);
             for j in 0..m {
                 if j > 0 {
                     gather(&mut arrived)?;
                 }
                 let r = env.range(j);
                 let clen = r.len() as u64;
-                let _cpu = env.links[node.0].cpu.lock();
+                let _cpu = lock(&env.links[node.0].cpu);
                 let held = Instant::now();
-                // Fold every input directly into this chunk's slice of
-                // the output block: `out[r]` starts zeroed and serves as
-                // the accumulator itself.
-                let block = Arc::get_mut(&mut out).expect("an unfinished block has one holder");
-                let dst = &mut block[r.clone()];
+                // Fold every input straight into the pooled chunk that is
+                // forwarded: the first input overwrites whatever the
+                // buffer held, the rest accumulate.
+                let mut dst = env.checkout(r.len());
                 for (f, (feed, kind)) in feeds.iter().enumerate() {
                     let chunk: &[u8] = match feed {
                         ChunkFeed::Whole(w) => &w[r.clone()],
-                        ChunkFeed::Prefilled(block) => &block[r.clone()],
+                        ChunkFeed::Prefilled(value) => &value[j],
                         ChunkFeed::Edge(_) => arrived[f].as_ref().expect("gathered above"),
                     };
-                    match kind {
-                        FoldKind::Coeff(coeff) => {
-                            // Zero terms are filtered at equation build;
-                            // folding one here would hide a plan bug.
-                            assert_ne!(*coeff, 0, "combine: zero coefficient");
-                            rpr_gf::mul_acc_slice(*coeff, chunk, dst);
+                    match (kind, f) {
+                        // Zero terms are filtered at equation build;
+                        // folding one here would hide a plan bug.
+                        (FoldKind::Coeff(0), _) => panic!("combine: zero coefficient"),
+                        (FoldKind::Coeff(coeff), 0) => rpr_gf::mul_slice(*coeff, chunk, &mut dst),
+                        (FoldKind::Coeff(coeff), _) => {
+                            rpr_gf::mul_acc_slice(*coeff, chunk, &mut dst)
                         }
-                        FoldKind::Merge => rpr_gf::xor_slice(dst, chunk),
+                        (FoldKind::Merge, 0) => dst.copy_from_slice(chunk),
+                        (FoldKind::Merge, _) => rpr_gf::xor_slice(&mut dst, chunk),
                     }
                     modeled += chunk_fold_cost(plan, ctx, kind, clen);
                 }
                 arrived.iter_mut().for_each(|a| *a = None);
+                let chunk: Chunk = Arc::new(dst);
                 // Pace the stream to the modeled decode rate before
                 // forwarding, so downstream sees chunks at the pace the
                 // target machine would produce them.
@@ -891,7 +928,8 @@ fn try_op(
                 if behind.is_finite() && behind > 0.0 {
                     std::thread::sleep(std::time::Duration::from_secs_f64(behind));
                 }
-                env.forward(producers, &out, r);
+                forward(producers, &chunk);
+                out.push(chunk);
                 spent += held.elapsed().as_secs_f64();
                 if j == 0 {
                     // The degraded-read cut-through moment: the first
@@ -929,8 +967,8 @@ fn feed_for<'f>(
     edges: &mut Vec<(usize, Receiver<Delivery>)>,
     dep: usize,
 ) -> ChunkFeed<'f> {
-    match &cfg.prefilled[dep] {
-        Some(block) => ChunkFeed::Prefilled(block),
+    match cfg.prefilled[dep] {
+        Some(value) => ChunkFeed::Prefilled(value),
         None => {
             let at = edges.iter().position(|(d, _)| *d == dep);
             let (_, rx) = edges.swap_remove(at.expect("lowered dependency has an edge"));
@@ -978,14 +1016,17 @@ fn close_run(
     stripe: &[Vec<u8>],
     rec: &dyn Recorder,
     run: AttemptRun,
+    arena: ArenaStats,
     wall_seconds: f64,
 ) -> ExecReport {
     let mut mismatches = Vec::new();
+    let mut recovered = Vec::with_capacity(plan.outputs.len());
     for &(target, op) in &plan.outputs {
-        let got = run.values[op.0].as_ref().expect("output never produced");
+        let got = assemble(run.values[op.0].as_ref().expect("output never produced"));
         if got.as_slice() != stripe[target.0].as_slice() {
             mismatches.push(target);
         }
+        recovered.push((target, got));
     }
 
     // Traffic accounting from the plan structure.
@@ -1012,18 +1053,9 @@ fn close_run(
         inner_bytes,
     });
 
-    let recovered = plan
-        .outputs
-        .iter()
-        .map(|&(target, op)| {
-            let v = run.values[op.0].clone().expect("output never produced");
-            (target, v)
-        })
-        .collect();
-
     ExecReport {
         wall_seconds,
-        arena: run.arena,
+        arena,
         op_timings: run.op_timings,
         cross_bytes,
         inner_bytes,
@@ -1413,11 +1445,7 @@ pub(crate) mod tests {
             !plain_names.contains(&"stream_summary"),
             "a one-chunk stream is no cut-through"
         );
-        assert_eq!(
-            plain.arena,
-            ArenaStats::default(),
-            "a whole block is shared, not pooled"
-        );
+        let checkouts = |r: &ExecReport| r.arena.fresh + r.arena.recycled;
         for chunk in [fx.block, fx.block + 1, fx.block * 8] {
             let ctx = fx.ctx_chunked(vec![BlockId(1)], chunk);
             let (report, names) = run(&ctx);
@@ -1425,7 +1453,77 @@ pub(crate) mod tests {
             assert_eq!(report.cross_bytes, plain.cross_bytes);
             assert_eq!(report.inner_bytes, plain.inner_bytes);
             assert_eq!(names, plain_names, "chunk {chunk}");
-            assert_eq!(report.arena, plain.arena, "chunk {chunk}");
+            assert_eq!(checkouts(&report), checkouts(&plain), "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn a_relaying_send_and_a_replan_forward_the_chunks_they_were_given() {
+        // A send of an intermediate puts its producer's chunks on the
+        // wire, and a later generation that finds the producer's value
+        // banked (a replan around a crash elsewhere) puts the banked
+        // chunks on the wire: the same buffers by address, in block mode
+        // and streamed, with a ragged tail.
+        let fx = Fx::new(6, 3, 16 * 1024 + 5);
+        let stripe = stripe_for(&fx.codec, fx.block as usize, 71);
+        for (mode, ctx) in [
+            ("block", fx.ctx(vec![BlockId(1)])),
+            ("streamed", fx.ctx_chunked(vec![BlockId(1)], 4 * 1024)),
+        ] {
+            let plan = RprPlanner::new().plan(&ctx);
+            let (relay, producer) = plan
+                .ops
+                .iter()
+                .enumerate()
+                .find_map(|(i, op)| match op {
+                    Op::Send {
+                        what: Payload::Intermediate(o),
+                        ..
+                    } => Some((i, o.0)),
+                    _ => None,
+                })
+                .expect("the plan forwards an intermediate");
+            let tally = Tally::default();
+            let attempt = |lowered: &[bool], prefilled: &[Option<&[Chunk]>]| {
+                let cfg = AttemptCfg {
+                    faults: None,
+                    policy: fast_policy(),
+                    prefilled,
+                    lowered,
+                    tag: 0,
+                    cancel: None,
+                    tally: &tally,
+                };
+                run_attempt(&plan, &ctx, &stripe, rpr_obs::noop(), Instant::now(), &cfg)
+            };
+            let same = |a: &[Chunk], b: &[Chunk]| {
+                a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b))
+            };
+
+            let mut lowered = vec![true; plan.ops.len()];
+            let mut prefilled = vec![None; plan.ops.len()];
+            let first = attempt(&lowered, &prefilled);
+            let banked = first.values[producer].as_deref().expect("producer ran");
+            assert_eq!(banked.len(), ctx.chunk_count(), "{mode}");
+            let relayed = first.values[relay].as_deref().expect("relay ran");
+            assert!(same(relayed, banked), "{mode}: a live relay copied");
+
+            lowered[producer] = false;
+            prefilled[producer] = Some(banked);
+            let second = attempt(&lowered, &prefilled);
+            assert!(second.values[producer].is_none(), "{mode}: served, not run");
+            let reserved = second.values[relay].as_deref().expect("relay ran again");
+            assert!(same(reserved, banked), "{mode}: a re-serve copied");
+            let report = close_run(
+                &plan,
+                &ctx,
+                &stripe,
+                rpr_obs::noop(),
+                second,
+                tally.stats(),
+                0.0,
+            );
+            assert!(report.verified, "{mode}: {:?}", report.mismatches);
         }
     }
 
@@ -1471,6 +1569,7 @@ pub(crate) mod tests {
             };
             let lowered = vec![true; plan.ops.len()];
             let prefilled = vec![None; plan.ops.len()];
+            let tally = Tally::default();
             let cfg = AttemptCfg {
                 faults: Some(&faults),
                 policy: fast_policy(),
@@ -1478,12 +1577,14 @@ pub(crate) mod tests {
                 lowered: &lowered,
                 tag: 0,
                 cancel: None,
+                tally: &tally,
             };
             let rec = rpr_obs::TraceRecorder::default();
             let t0 = Instant::now();
             let run = run_attempt(&plan, &ctx, &stripe, &rec, t0, &cfg);
             assert_eq!(run.retries, 1, "{mode}");
-            let report = close_run(&plan, &ctx, &stripe, &rec, run, t0.elapsed().as_secs_f64());
+            let wall = t0.elapsed().as_secs_f64();
+            let report = close_run(&plan, &ctx, &stripe, &rec, run, tally.stats(), wall);
             assert!(report.verified, "{mode}: {:?}", report.mismatches);
 
             let label = format!("p0op{op}:send");

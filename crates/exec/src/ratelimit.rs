@@ -1,6 +1,6 @@
 //! A blocking token bucket — the wondershaper of this repository.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 struct State {
@@ -38,6 +38,10 @@ impl TokenBucket {
         }
     }
 
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("a taker panicked mid-update")
+    }
+
     /// The configured rate, units/sec.
     pub fn rate(&self) -> f64 {
         self.rate
@@ -53,7 +57,7 @@ impl TokenBucket {
     /// call this before starting their clock; see
     /// `measure_path_throughput`.
     pub fn drain_burst(&self) {
-        let mut s = self.state.lock();
+        let mut s = self.state();
         s.tokens = 0.0;
         s.last = Instant::now();
     }
@@ -69,7 +73,7 @@ impl TokenBucket {
         }
         loop {
             let wait = {
-                let mut s = self.state.lock();
+                let mut s = self.state();
                 let now = Instant::now();
                 let elapsed = now.duration_since(s.last).as_secs_f64();
                 s.tokens = (s.tokens + elapsed * self.rate).min(self.burst.max(amount));

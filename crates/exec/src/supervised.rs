@@ -3,8 +3,8 @@
 //! The loop itself — storm resolution, pool, replans, tier ladder,
 //! accusations — is [`rpr_core::supervise()`], shared with the simulator.
 
-use crate::arena::ArenaStats;
-use crate::executor::{check_stripe, run_attempt, AttemptCfg, AttemptRun};
+use crate::arena::{BufferPool, Chunk, Tally};
+use crate::executor::{assemble, check_stripe, run_attempt, AttemptCfg, AttemptRun, Value};
 use crate::{ExecError, ExecReport, OpTiming};
 use rpr_codec::BlockId;
 use rpr_core::{
@@ -14,9 +14,8 @@ use rpr_core::{
 };
 use rpr_faults::{FaultStorm, HealthTracker};
 use rpr_obs::Recorder;
-use rpr_proof::{hash_bytes, ProofKey, ProofLedger, ProofSource, RepairProof};
+use rpr_proof::{hash_bytes, ProofHasher, ProofKey, ProofLedger, ProofSource, RepairProof};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The result of a supervised execution under a fault storm.
@@ -111,20 +110,56 @@ struct LastRun {
     /// The plan's outputs, and whatever value (executed or pool-served)
     /// the generation had for each.
     outputs: Vec<(BlockId, OpId)>,
-    values: Vec<Option<Arc<Vec<u8>>>>,
+    values: Vec<Option<Value>>,
+}
+
+/// The proof hash of a value — its chunks through the streaming hasher,
+/// which is [`hash_bytes`] of the block they make up.
+fn hash_value(key: ProofKey, value: &[Chunk]) -> u128 {
+    let mut h = ProofHasher::new(key);
+    value.iter().for_each(|chunk| h.update(chunk));
+    h.finish()
+}
+
+/// The proof hash of the ground-truth block `Σ coeffs[b] · stripe[b]`,
+/// folded into `scratch` and hashed one chunk of `sizes` at a time.
+fn hash_truth(
+    key: ProofKey,
+    coeffs: &[u8],
+    stripe: &[Vec<u8>],
+    sizes: &[u64],
+    scratch: &mut [u8],
+) -> u128 {
+    let (coeffs, blocks): (Vec<u8>, Vec<&Vec<u8>>) =
+        (coeffs.iter().zip(stripe)).filter(|(&c, _)| c != 0).unzip();
+    let mut h = ProofHasher::new(key);
+    let mut at = 0;
+    for &size in sizes {
+        let r = at..at + size as usize;
+        let spans: Vec<&[u8]> = blocks.iter().map(|b| &b[r.clone()]).collect();
+        let truth = &mut scratch[..r.len()];
+        rpr_gf::lin_comb(&coeffs, &spans, truth);
+        h.update(truth);
+        at = r.end;
+    }
+    h.finish()
 }
 
 /// [`RepairBackend`] on OS threads, token-bucket shapers, real bytes.
 struct ExecBackend<'a> {
     stripe: &'a [Vec<u8>],
     t0: Instant,
-    arena: ArenaStats,
+    /// Buffer checkouts of the whole repair, every generation and proof.
+    tally: Tally,
+    /// Proof hash of every stripe block, taken once per repair (the
+    /// ledger key does not change between generations).
+    block_hashes: Option<Vec<u128>>,
     first_byte: Option<f64>,
     last: Option<LastRun>,
 }
 
 impl RepairBackend for ExecBackend<'_> {
-    type Partial = Arc<Vec<u8>>;
+    type Partial = Value;
 
     /// No fault-free dry run on real bytes: the wall clock starts here.
     fn begin(&mut self, plan: &RepairPlan, _: &RepairContext<'_>) -> Baseline {
@@ -144,10 +179,10 @@ impl RepairBackend for ExecBackend<'_> {
         rec: &dyn Recorder,
     ) -> GenerationRun<Self::Partial> {
         let (plan, ctx) = (gen.plan, gen.ctx);
-        let prefilled: Vec<Option<Arc<Vec<u8>>>> = gen
+        let prefilled: Vec<Option<&[_]>> = gen
             .reused
             .iter()
-            .map(|b| b.map(|b| b.partial.clone()))
+            .map(|b| b.map(|b| b.partial.as_slice()))
             .collect();
         let budget = gen
             .hedge
@@ -160,11 +195,11 @@ impl RepairBackend for ExecBackend<'_> {
             lowered: gen.lowered,
             tag: gen.index,
             cancel: Some(&cancel),
+            tally: &self.tally,
         };
         let attempt = || run_attempt(plan, ctx, self.stripe, rec, self.t0, &cfg);
         let (run, fired) = run_watched(attempt, budget, &cancel);
         let now = self.t0.elapsed().as_secs_f64();
-        self.arena = self.arena.plus(run.arena);
         self.first_byte = match (self.first_byte, run.first_out) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -187,7 +222,10 @@ impl RepairBackend for ExecBackend<'_> {
             values: plan
                 .outputs
                 .iter()
-                .map(|&(_, op)| run.values[op.0].clone().or_else(|| prefilled[op.0].clone()))
+                .map(|&(_, op)| {
+                    let served = || prefilled[op.0].map(<[_]>::to_vec);
+                    run.values[op.0].clone().or_else(served)
+                })
                 .collect(),
             op_timings: run.op_timings,
         });
@@ -221,9 +259,13 @@ impl RepairBackend for ExecBackend<'_> {
         key: ProofKey,
     ) -> Evidence {
         let (plan, stripe) = (gen.plan, self.stripe);
-        let block_hashes: Vec<u128> = stripe.iter().map(|b| hash_bytes(key, b)).collect();
+        let block_hashes = self
+            .block_hashes
+            .get_or_insert_with(|| stripe.iter().map(|b| hash_bytes(key, b)).collect());
         let sizes = chunk_sizes(plan.block_bytes, gen.ctx.effective_chunk());
         let (chunks, chunk_bytes) = (sizes.len(), sizes[0]);
+        // One chunk of scratch for every op's ground truth.
+        let mut scratch = BufferPool::process().get(chunk_bytes as usize, &self.tally);
         let mut out_hash: Vec<Option<u128>> = vec![None; plan.ops.len()];
         let mut exp_hash: Vec<Option<u128>> = vec![None; plan.ops.len()];
         let mut evidence = Evidence::default();
@@ -232,14 +274,8 @@ impl RepairBackend for ExecBackend<'_> {
             let Some(v) = banked.map(|b| &b.partial).or(run.partials[i].as_ref()) else {
                 continue;
             };
-            let mut expected = vec![0u8; plan.block_bytes as usize];
-            for (b, &c) in gen.vecs[i].iter().enumerate() {
-                if c != 0 {
-                    rpr_gf::mul_acc_slice(c, &stripe[b], &mut expected);
-                }
-            }
-            let oh = hash_bytes(key, v);
-            let eh = hash_bytes(key, &expected);
+            let oh = hash_value(key, v);
+            let eh = hash_truth(key, &gen.vecs[i], stripe, &sizes, &mut scratch);
             out_hash[i] = Some(oh);
             exp_hash[i] = Some(eh);
             let op_input = |s: usize| {
@@ -330,6 +366,7 @@ impl ExecBackend<'_> {
         for ((target, op), got) in last.outputs.into_iter().zip(last.values) {
             let got = got
                 .ok_or_else(|| ExecError::Unrecoverable(format!("output {op:?} never produced")))?;
+            let got = assemble(&got);
             if got.as_slice() != self.stripe[target.0].as_slice() {
                 mismatches.push(target);
             }
@@ -338,7 +375,7 @@ impl ExecBackend<'_> {
         Ok(SupervisedReport {
             report: ExecReport {
                 wall_seconds: out.repair_time,
-                arena: self.arena,
+                arena: self.tally.stats(),
                 op_timings: last.op_timings,
                 cross_bytes: out.cross_bytes,
                 inner_bytes: out.inner_bytes,
@@ -395,7 +432,8 @@ pub fn execute_supervised(
     let mut backend = ExecBackend {
         stripe,
         t0: Instant::now(),
-        arena: ArenaStats::default(),
+        tally: Tally::default(),
+        block_hashes: None,
         first_byte: None,
         last: None,
     };
@@ -449,6 +487,50 @@ mod tests {
             ("block", fx.ctx(vec![BlockId(1)])),
             ("streamed", fx.ctx_chunked(vec![BlockId(1)], chunk)),
         ]
+    }
+
+    #[test]
+    fn chunked_proof_hashes_equal_the_hash_of_the_contiguous_block() {
+        // Ledgers must not depend on how a value is held: a ragged chunk
+        // list hashes like the block it spells, and the ground truth
+        // folded chunk by chunk like the ground truth folded whole.
+        let fx = Fx::new(4, 2, 4099);
+        let stripe = stripe_for(&fx.codec, fx.block as usize, 3);
+        let key = ProofKey::from_seed(7);
+        let coeffs = [0u8, 1, 0x1D, 0, 0xF3, 7];
+        let mut whole = vec![0u8; fx.block as usize];
+        for (b, &c) in coeffs.iter().enumerate() {
+            rpr_gf::mul_acc_slice(c, &stripe[b], &mut whole);
+        }
+        let (pool, tally) = (BufferPool::process(), Tally::default());
+        for sizes in [
+            vec![4099u64],
+            vec![1024, 1024, 1024, 1024, 3],
+            vec![5, 8, 1, 31, 4054],
+        ] {
+            let mut at = 0;
+            let value: Vec<Chunk> = sizes
+                .iter()
+                .map(|&size| {
+                    let mut c = pool.get(size as usize, &tally);
+                    c.copy_from_slice(&whole[at..at + size as usize]);
+                    at += size as usize;
+                    std::sync::Arc::new(c)
+                })
+                .collect();
+            assert_eq!(
+                hash_value(key, &value),
+                hash_bytes(key, &whole),
+                "{sizes:?}"
+            );
+            let mut scratch = pool.get(*sizes.iter().max().unwrap() as usize, &tally);
+            assert_eq!(
+                hash_truth(key, &coeffs, &stripe, &sizes, &mut scratch),
+                hash_bytes(key, &whole),
+                "{sizes:?}"
+            );
+            assert_eq!(*assemble(&value), whole, "{sizes:?}");
+        }
     }
 
     #[test]
@@ -646,7 +728,7 @@ mod tests {
     #[test]
     fn supervised_lie_is_convicted_on_evidence_not_timeout() {
         // The acceptance storm for the proof plane: a Byzantine helper
-        // sends wrong bytes under a valid FNV checksum at (6,3). The
+        // sends wrong bytes under a valid transport checksum at (6,3). The
         // transport never retries; the generation completes, proofs
         // reject, and the liar is accused and replanned around.
         let fx = Fx::new(6, 3, 32 * 1024);

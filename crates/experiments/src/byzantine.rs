@@ -2,7 +2,7 @@
 //! and the cost of integrity.
 //!
 //! For every single-failure configuration of the paper, inject a seeded
-//! `StormFault::Lie` — wrong bytes under a valid FNV checksum — and run
+//! `StormFault::Lie` — wrong bytes under a valid transport checksum — and run
 //! the supervised repair at each proof mode. Off misses the lie
 //! entirely; Advisory records the rejected proofs without touching
 //! control flow; Mandatory convicts the liar, replans around it, and the

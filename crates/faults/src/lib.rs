@@ -5,8 +5,8 @@
 //! [`FaultStorm`]) and *how the system reacts* ([`RetryPolicy`],
 //! [`HealthTracker`]), plus two small utilities the recovery machinery
 //! needs — a seeded [`SplitMix64`] PRNG so every injected fault is
-//! reproducible, and a [`checksum64`] digest used to verify intermediate
-//! blocks in flight.
+//! reproducible, and the [`checksum64`] transport digest that verifies
+//! intermediate blocks in flight.
 //!
 //! Faults are described independently of any repair plan (a fault kind
 //! per supervision generation, sites left symbolic); `rpr-core`'s
@@ -81,19 +81,57 @@ impl SplitMix64 {
     }
 }
 
-/// FNV-1a 64-bit digest of a byte slice.
+/// The transport checksum: a 64-bit digest of a byte slice, read one
+/// little-endian 64-bit word at a time into four independent lanes (a
+/// byte-serial hash is one multiply per byte on a single dependency
+/// chain, a fiftieth of memory speed), with the length mixed in so
+/// trailing zero bytes count.
 ///
-/// Fast, dependency-free, and good enough to detect the single- and
-/// multi-byte corruptions the fault plane injects; not cryptographic.
+/// Every step is a bijection of the word it absorbs and of the state it
+/// updates, so two inputs of one length that differ inside a single word
+/// — any bit flip, any corrupted byte — never collide; wider damage is
+/// caught with probability `1 − 2⁻⁶⁴`. The value depends on the bytes
+/// alone (not on alignment or endianness) but is not a stable format:
+/// it is computed and verified within one process. Not cryptographic —
+/// a lying helper checksums its lie; that is what `rpr-proof` is for.
 pub fn checksum64(data: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    // The rotation carries the top bits of the state back under the next
+    // multiply; without it a flipped bit 63 stays in bit 63 and a second
+    // one in the same lane cancels it.
+    let absorb = |h: u64, w: u64| (h.rotate_left(29) ^ w).wrapping_mul(P1);
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
+
+    let mut lanes = [P2, P3, P4, P5];
+    let mut stripes = data.chunks_exact(32);
+    for s in &mut stripes {
+        for (lane, w) in lanes.iter_mut().zip(s.chunks_exact(8)) {
+            *lane = absorb(*lane, word(w));
+        }
     }
-    h
+    let mut h = (data.len() as u64).wrapping_mul(P5) ^ P4;
+    for lane in lanes {
+        h = absorb(h, lane);
+    }
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = absorb(h, word(w));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = absorb(h, u64::from_le_bytes(last));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Bounded-retry policy for failed transfers and crash recovery.
@@ -259,7 +297,7 @@ pub enum StormFault {
     /// the generation executes out of that rack fails once.
     RackOutage,
     /// A seed-picked helper turns Byzantine for the generation: its send
-    /// carries wrong bytes under a *valid* FNV checksum, so only proof
+    /// carries wrong bytes under a *valid* transport checksum, so only proof
     /// verification (`rpr-proof`) can catch it. Invisible when the
     /// repair runs with proofs off.
     Lie,
@@ -756,16 +794,66 @@ mod tests {
         SplitMix64::new(0).pick(0);
     }
 
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = SplitMix64::new(seed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
     #[test]
-    fn checksum_detects_single_byte_flips() {
-        let data = vec![0xABu8; 4096];
-        let base = checksum64(&data);
-        for i in [0usize, 1, 100, 4095] {
-            let mut copy = data.clone();
-            copy[i] ^= 0x01;
-            assert_ne!(checksum64(&copy), base, "flip at {i} undetected");
+    fn checksum_detects_every_single_bit_flip() {
+        // Lengths on both sides of every boundary in the digest: empty,
+        // sub-word, one word, one byte short of a stripe, one stripe, one
+        // byte over, and many stripes with a word tail and a byte tail.
+        for len in [0usize, 1, 7, 8, 31, 32, 33, 4099] {
+            let mut data = noise(len, len as u64);
+            let base = checksum64(&data);
+            for bit in 0..len * 8 {
+                data[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum64(&data), base, "len {len}: flip of bit {bit}");
+                data[bit / 8] ^= 1 << (bit % 8);
+            }
+            assert_eq!(checksum64(&data), base, "len {len}");
         }
-        assert_eq!(checksum64(&data), base);
+        // A chunk-sized input: every bit of the first and last 16 bytes,
+        // and one bit at every 16411th offset between (all of them would
+        // be eight million megabyte digests).
+        let len = (1 << 20) + 5;
+        let mut data = noise(len, 5);
+        let base = checksum64(&data);
+        let edges = (0..16 * 8).chain((len - 16) * 8..len * 8);
+        let strided = (16..len - 16).step_by(16411).map(|at| at * 8 + at % 8);
+        for bit in edges.chain(strided) {
+            data[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum64(&data), base, "len {len}: flip of bit {bit}");
+            data[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn checksum_counts_trailing_zero_bytes() {
+        for len in [0usize, 3, 8, 29, 32, 64, 100] {
+            let mut data = noise(len, 77);
+            let mut seen = vec![checksum64(&data)];
+            for _ in 0..40 {
+                data.push(0);
+                let sum = checksum64(&data);
+                assert!(!seen.contains(&sum), "len {len} + zeros to {}", data.len());
+                seen.push(sum);
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_ignores_where_the_slice_sits_in_memory() {
+        let data = noise(4099 + 8, 13);
+        for len in [0usize, 5, 32, 33, 4099] {
+            let base = checksum64(&data[..len]);
+            for shift in 0..8 {
+                let mut moved = vec![0xEEu8; shift];
+                moved.extend_from_slice(&data[..len]);
+                assert_eq!(checksum64(&moved[shift..]), base, "len {len} at +{shift}");
+            }
+        }
     }
 
     #[test]

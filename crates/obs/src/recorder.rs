@@ -1,9 +1,9 @@
 //! The [`Recorder`] trait, the no-op recorder, and the default
 //! [`TraceRecorder`] (atomic counters + bounded event ring).
 
-use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, RwLock};
 
 use crate::event::Event;
 use crate::metrics::{Histogram, HistogramSnapshot, RackCounters, RackTotals};
@@ -34,6 +34,11 @@ pub fn noop() -> &'static NoopRecorder {
 
 /// Default number of events a [`TraceRecorder`] ring retains.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
+
+// Why a lock of the recorder can only be poisoned by a bug in it: its
+// holders push, pop and index, nothing else.
+const RING: &str = "a recording thread panicked holding the event ring";
+const RACKS: &str = "a recording thread panicked holding the rack table";
 
 /// The default [`Recorder`]: lock-cheap aggregate metrics (relaxed
 /// atomics), per-rack counters, latency histograms, and a bounded
@@ -122,13 +127,13 @@ impl TraceRecorder {
     /// lock plus relaxed atomic updates.
     fn with_rack(&self, rack: usize, f: impl Fn(&RackCounters)) {
         {
-            let racks = self.racks.read();
+            let racks = self.racks.read().expect(RACKS);
             if let Some(c) = racks.get(rack) {
                 f(c);
                 return;
             }
         }
-        let mut racks = self.racks.write();
+        let mut racks = self.racks.write().expect(RACKS);
         while racks.len() <= rack {
             racks.push(RackCounters::default());
         }
@@ -242,12 +247,12 @@ impl TraceRecorder {
 
     /// Drain and return the retained events in arrival order.
     pub fn take_events(&self) -> Vec<Event> {
-        self.ring.lock().drain(..).collect()
+        self.ring.lock().expect(RING).drain(..).collect()
     }
 
     /// Copy out the aggregate metrics.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let racks = self.racks.read();
+        let racks = self.racks.read().expect(RACKS);
         MetricsSnapshot {
             recorded_events: self.recorded.load(Ordering::Relaxed),
             dropped_events: self.dropped.load(Ordering::Relaxed),
@@ -288,7 +293,7 @@ impl Recorder for TraceRecorder {
     fn record(&self, event: Event) {
         self.update_metrics(&event);
         self.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring.lock().expect(RING);
         if ring.len() >= self.ring_capacity {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);

@@ -5,8 +5,8 @@
 //! symbolic GF coefficient vector it claims to have applied, the
 //! algorithm/kernel tier that ran, and the chunking geometry — all bound
 //! to the hash of its output with a *keyed* 128-bit hash ([`ProofHasher`],
-//! SipHash-2-4 with 128-bit output). FNV-1a stays as the fast per-chunk
-//! transport checksum; the keyed proof hash is what resists an
+//! SipHash-2-4 with 128-bit output). `rpr_faults::checksum64` stays as the
+//! fast per-chunk transport checksum; the keyed proof hash is what resists an
 //! adversarial helper that fabricates checksum-consistent garbage.
 //!
 //! Proofs accumulate in a [`ProofLedger`] keyed off the repair seed

@@ -55,10 +55,12 @@
 #  13. kernel floor: `rpr kernels --json` times every GF(2^8) tier this
 #      CPU offers, each pinned, in one process; every SIMD tier must fold
 #      >= 4x as fast as the scalar tier, and so must the dispatched rate
-#      (a broken dispatch is caught as well as a slow kernel). Host-
-#      independent: nothing is compared with another machine or another
-#      day. Three attempts; a note instead of a check on a scalar-only
-#      CPU. See docs/PERFORMANCE.md §5.
+#      (a broken dispatch is caught as well as a slow kernel). The same
+#      process times the transport checksum (`checksum64`) and a
+#      byte-serial digest over one chunk: the checksum must read >= 8x as
+#      fast. Host-independent: nothing is compared with another machine
+#      or another day. Three attempts; on a scalar-only CPU a note instead
+#      of the fold check. See docs/PERFORMANCE.md §5.
 #  14. benchmark smoke: `benchmark/` is a cargo workspace of its own, so
 #      steps 1-5 never compile it. `benchmark/run.sh --quick` (< 15 s
 #      after the build) builds the harness offline against the working
@@ -189,7 +191,7 @@ done
 echo "==> supervised storm on real bytes verified, store-and-forward and cut-through"
 
 # Step 9: the proof plane must convict a Byzantine helper. A seeded lie
-# storm — wrong bytes under a valid FNV checksum — must complete in
+# storm — wrong bytes under a valid transport checksum — must complete in
 # Mandatory mode with the liar accused and quarantined on proof evidence
 # (never a transport retry), the trace and ledger must be byte-identical
 # across two same-seed runs, and the offline auditor must independently
@@ -393,33 +395,43 @@ if ! grep -q '"unrepairable":[1-9].*"summary":{' "$CHAOS_DIR/storm_first.rest" |
 fi
 echo "==> churn soak: storm drain resumed from journaled costs, summary byte-identical"
 
-# Step 13: the GF kernels must not silently rot, on whatever host this
-# runs. `rpr kernels --json` times every tier the CPU offers, pinned, in
-# one process; each SIMD tier must fold at least 4x as fast as the scalar
-# tier, and so must the dispatched rate unless RPR_FORCE_SCALAR pinned it
-# (a broken dispatch reads as scalar speed). The windows are well under a
-# millisecond, so a miss gets two retries before it counts.
+# Step 13: the GF kernels and the transport checksum must not silently
+# rot, on whatever host this runs. `rpr kernels --json` times every tier
+# the CPU offers, pinned, in one process; each SIMD tier must fold at least
+# 4x as fast as the scalar tier, and so must the dispatched rate unless
+# RPR_FORCE_SCALAR pinned it (a broken dispatch reads as scalar speed). The
+# same process times `checksum64` and a byte-serial digest over one chunk:
+# the word-wide checksum must read at least 8x as fast (readings 22-26).
+# The windows are well under a millisecond, so a miss gets two retries
+# before it counts. A scalar-only CPU has no tier to hold the folds
+# against; the checksum is held either way.
 KERNEL_FLOOR='
     def gbps: . / 1e7 | round / 100;
-    4 as $x | .tier_bytes_per_sec as $t | $t.scalar as $s
-    | ($t | to_entries[] | select(.key != "scalar")),
-      (select(.forced_scalar | not) | {key: "dispatched \(.active)", value: .gf_bytes_per_sec})
-    | select(.value < $x * $s)
-    | "\(.key) folds \(.value | gbps) GB/s, under \($x)x the scalar tier (\($s | gbps) GB/s)"'
-if [ "$("$RPR" kernels --json | jq -c .available)" = '["scalar"]' ]; then
-    echo "==> kernel floor: this CPU offers only the scalar tier, nothing to hold it against"
+    ( select(.available != ["scalar"])
+      | 4 as $x | .tier_bytes_per_sec as $t | $t.scalar as $s
+      | ($t | to_entries[] | select(.key != "scalar")),
+        (select(.forced_scalar | not) | {key: "dispatched \(.active)", value: .gf_bytes_per_sec})
+      | select(.value < $x * $s)
+      | "\(.key) folds \(.value | gbps) GB/s, under \($x)x the scalar tier (\($s | gbps) GB/s)" ),
+    ( 8 as $x | .checksum_bytes_per_sec as $c | .byte_serial_checksum_bytes_per_sec as $b
+      | select($c < $x * $b)
+      | "the transport checksum reads \($c | gbps) GB/s, under \($x)x the byte-serial digest (\($b | gbps) GB/s)" )'
+for attempt in 1 2 3; do
+    echo "==> $RPR kernels --json (kernel floor, attempt $attempt)"
+    KERNELS="$("$RPR" kernels --json)"
+    SLOW="$(echo "$KERNELS" | jq -r "$KERNEL_FLOOR")"
+    if [ -z "$SLOW" ]; then break; fi
+done
+if [ -n "$SLOW" ]; then
+    echo "kernel floor FAILED on three attempts: $SLOW" >&2
+    exit 1
+fi
+if [ "$(echo "$KERNELS" | jq -c .available)" = '["scalar"]' ]; then
+    echo "==> kernel floor: this CPU offers only the scalar tier, no fold to hold it against"
 else
-    for attempt in 1 2 3; do
-        echo "==> $RPR kernels --json (kernel floor, attempt $attempt)"
-        SLOW="$("$RPR" kernels --json | jq -r "$KERNEL_FLOOR")"
-        if [ -z "$SLOW" ]; then break; fi
-    done
-    if [ -n "$SLOW" ]; then
-        echo "kernel floor FAILED on three attempts: $SLOW" >&2
-        exit 1
-    fi
     echo "==> kernel floor: every SIMD tier and the dispatch fold >= 4x the scalar tier"
 fi
+echo "==> checksum floor: the transport checksum reads >= 8x a byte-serial digest"
 
 # Step 14: an API slip that breaks the benchmark harness must fail here,
 # not in the PR driver. The harness always builds offline.

@@ -1,11 +1,26 @@
-//! The streaming executor's chunk-buffer arena must recycle delivery
-//! buffers on the hot path — and recycling must never change a single
-//! byte of the repair.
+//! The executor's payload buffers outlive the repair that allocated
+//! them: a second repair of a geometry is served from the process-wide
+//! pool — and where a buffer came from must never change a single byte
+//! of the repair.
 
 use rpr::codec::{BlockId, CodeParams, StripeCodec};
-use rpr::core::{CostModel, RepairContext, RepairPlanner, RprPlanner};
-use rpr::exec::execute;
+use rpr::core::{CostModel, RepairContext, RepairPlanner, RprPlanner, SuperviseConfig};
+use rpr::exec::{execute, execute_supervised, ExecReport};
+use rpr::faults::{CrashSite, FaultStorm, HealthTracker, StormFault};
 use rpr::topology::{cluster_for, BandwidthProfile, Placement, PlacementPolicy};
+use rpr_proof::ProofMode;
+use std::sync::{Mutex, MutexGuard};
+
+/// The tests below read counters of the one pool their process shares,
+/// so they take turns.
+fn pool_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|failed| failed.into_inner())
+}
+
+fn checkouts(r: &ExecReport) -> usize {
+    r.arena.fresh + r.arena.recycled
+}
 
 struct Fx {
     codec: StripeCodec,
@@ -68,38 +83,78 @@ impl Fx {
 
 #[test]
 fn chunked_repair_recycles_buffers_and_stays_byte_identical() {
-    // 24 chunks of 8 KiB plus a ragged 11-byte tail; the (6,3) RPR plan
-    // has enough edges that the pool's steady state must kick in.
+    let _turn = pool_turn();
+    // 24 chunks of 8 KiB plus a ragged 11-byte tail over the (6,3) RPR
+    // plan. Every chunk of every op's value is a pooled buffer held until
+    // the repair ends, so the first repair allocates and the second finds
+    // all of it idle in the pool.
     let fx = Fx::new(6, 3, 192 * 1024 + 11);
     let stripe = fx.stripe(0xA11E);
+    let plan = RprPlanner::new().plan(&fx.ctx(None));
 
-    let streamed = execute(&RprPlanner::new().plan(&fx.ctx(None)), &fx.ctx(Some(8 * 1024)), &stripe);
-    assert!(
-        streamed.verified,
-        "chunked repair must be byte-identical to the lost block: {:?}",
-        streamed.mismatches
-    );
-    assert!(
-        streamed.arena.recycled > 0,
-        "streaming must reuse pooled chunk buffers, got {:?}",
-        streamed.arena
-    );
-    assert!(
-        streamed.arena.recycled > streamed.arena.fresh,
-        "after warm-up the pool should serve most checkouts: {:?}",
-        streamed.arena
-    );
+    for (mode, chunk) in [("streamed", Some(8 * 1024)), ("block", None)] {
+        let first = execute(&plan, &fx.ctx(chunk), &stripe);
+        assert!(first.verified, "{mode}: {:?}", first.mismatches);
+        assert!(
+            first.arena.fresh > 0,
+            "{mode}: nothing this size was pooled yet"
+        );
+        let second = execute(&plan, &fx.ctx(chunk), &stripe);
+        assert!(second.verified, "{mode}: {:?}", second.mismatches);
+        assert_eq!(second.arena.fresh, 0, "{mode}: {:?}", second.arena);
+        assert_eq!(second.arena.recycled, checkouts(&first), "{mode}");
+        assert_eq!(second.recovered, first.recovered, "{mode}");
+    }
+}
 
-    // The same plan in block mode: identical reconstruction, no pool
-    // traffic at all (whole-block values are shared, never pooled).
-    let block = execute(&RprPlanner::new().plan(&fx.ctx(None)), &fx.ctx(None), &stripe);
-    assert!(block.verified, "block-mode baseline must verify");
-    assert_eq!(block.arena.fresh, 0, "block mode allocates no pooled buffers");
-    assert_eq!(block.arena.recycled, 0);
+#[test]
+fn back_to_back_supervised_repairs_allocate_nothing_the_second_time() {
+    let _turn = pool_turn();
+    // Clean, and under a crash storm whose replan re-serves banked
+    // values; proofs on, so the proof plane's scratch is counted too.
+    // Only the blocks handed back in `recovered` are new memory.
+    let fx = Fx::new(6, 3, 96 * 1024 + 7);
+    let stripe = fx.stripe(0x5EED);
+    let cfg = SuperviseConfig {
+        proof: ProofMode::Advisory,
+        ..SuperviseConfig::default()
+    };
+    let crash = FaultStorm::new(17).with_generation(vec![StormFault::Crash(CrashSite::SeedPick)]);
+    for (name, storm) in [("clean", FaultStorm::new(0)), ("crash", crash)] {
+        for chunk in [None, Some(16 * 1024)] {
+            let ctx = fx.ctx(chunk);
+            let repair = || {
+                let mut tracker = HealthTracker::with_defaults();
+                execute_supervised(&ctx, &stripe, rpr::obs::noop(), &storm, &cfg, &mut tracker)
+                    .expect("repair completes")
+            };
+            let (first, second) = (repair(), repair());
+            assert!(
+                first.report.verified && second.report.verified,
+                "{name} {chunk:?}"
+            );
+            assert_eq!(second.replans, first.replans, "{name} {chunk:?}");
+            assert_eq!(
+                second.report.arena.fresh, 0,
+                "{name} {chunk:?}: {:?}",
+                second.report.arena
+            );
+            assert_eq!(
+                second.report.recovered, first.report.recovered,
+                "{name} {chunk:?}"
+            );
+            assert_eq!(
+                second.report.recovered[0].1.as_slice(),
+                stripe[1].as_slice()
+            );
+            assert_eq!(second.ledger.to_json_lines(), first.ledger.to_json_lines());
+        }
+    }
 }
 
 #[test]
 fn arena_reuse_is_invisible_across_chunk_sizes() {
+    let _turn = pool_turn();
     // Different chunk sizes exercise different reuse patterns; all must
     // reconstruct the identical block (verified == byte equality with
     // the original).
