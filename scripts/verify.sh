@@ -67,6 +67,11 @@
 #      tree and runs every workload at a tenth of its size; it must exit
 #      zero (every operation and invariant of every workload passed) and
 #      leave `benchmark/` and BENCHMARK.json exactly as committed.
+#  15. pinned tables: `rpr-experiments` regenerates the 17 simulator
+#      tables (fig6-fig11, fleet, churn, ablation, foreground; < 1 s) and
+#      every CSV it writes must be byte-identical to the committed one in
+#      `results/`. Tables with wall-clock columns (fleet-scale, table1,
+#      fig12-fig14) are left out.
 #
 # Note: `cargo doc` prints a filename-collision warning for the `rpr` CLI
 # binary vs the `rpr` facade lib (cargo#6313); it is cargo's, not
@@ -446,5 +451,27 @@ if [ -n "$(git status --porcelain benchmark BENCHMARK.json)" ]; then
     exit 1
 fi
 echo "==> benchmark harness builds, runs, and leaves its files untouched"
+
+# Step 15: the committed simulator tables are a behaviour pin. Regenerate
+# every table with no wall-clock column and demand byte identity.
+RESULTS_DIR="$CHAOS_DIR/results"
+rm -rf "$RESULTS_DIR"
+mkdir -p "$RESULTS_DIR"
+echo "==> rpr-experiments fig6 .. fig11 fleet churn ablation foreground --out $RESULTS_DIR"
+target/release/rpr-experiments fig6 fig7 fig8 fig9 fig10 fig11 fleet churn ablation foreground \
+    --out "$RESULTS_DIR" >/dev/null
+TABLES=0
+for csv in "$RESULTS_DIR"/*.csv; do
+    if ! cmp -s "$csv" "results/$(basename "$csv")"; then
+        echo "pinned tables FAILED: $(basename "$csv") differs from results/" >&2
+        exit 1
+    fi
+    TABLES=$((TABLES + 1))
+done
+if [ "$TABLES" -ne 17 ]; then
+    echo "pinned tables FAILED: expected 17 tables, rpr-experiments wrote $TABLES" >&2
+    exit 1
+fi
+echo "==> pinned tables: all $TABLES regenerated CSVs match results/ byte for byte"
 
 echo "==> verify OK"
