@@ -252,15 +252,14 @@ fn agg_switch() {
             agg_capacity: agg_gbit.is_finite().then_some(agg_gbit * GBIT),
             ..Default::default()
         };
-        let tra = store.recover_with_options(
+        let tra = store.recover(
             Failure::Node(node),
             Scheme::Traditional,
             &profile,
             cost,
-            opts,
+            &opts,
         );
-        let rpr =
-            store.recover_with_options(Failure::Node(node), Scheme::Rpr, &profile, cost, opts);
+        let rpr = store.recover(Failure::Node(node), Scheme::Rpr, &profile, cost, &opts);
         rows.push(vec![
             if agg_gbit.is_finite() {
                 format!("{agg_gbit} Gb/s")

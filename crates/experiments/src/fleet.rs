@@ -6,11 +6,13 @@
 //! single-stripe numbers translate to when every affected stripe repairs
 //! concurrently on shared links.
 
+use std::num::NonZeroUsize;
+
 use crate::util::{fmt_pct, fmt_s, print_table};
 use rpr_codec::CodeParams;
 use rpr_core::{CostModel, SuperviseConfig};
 use rpr_faults::{CrashSite, StormFault};
-use rpr_store::{Failure, Scheme, Store, StoreConfig, SupervisedRecoveryOptions};
+use rpr_store::{Failure, RecoveryOptions, Scheme, Store, StoreConfig, SupervisedRecoveryOptions};
 use rpr_topology::{BandwidthProfile, NodeId, RackId};
 
 /// Node- and rack-failure recovery across schemes.
@@ -27,6 +29,7 @@ pub fn fleet(fast: bool) {
     });
     let profile = BandwidthProfile::simics_default(store.topology().rack_count());
     let cost = CostModel::simics().scaled_for_block(store.config().block_bytes);
+    let opts = RecoveryOptions::default();
 
     // --- Node failure -----------------------------------------------------
     // Fail the busiest node, as production incident reports do.
@@ -39,7 +42,7 @@ pub fn fleet(fast: bool) {
     let mut rows = Vec::new();
     let mut tra_makespan = f64::NAN;
     for scheme in [Scheme::Traditional, Scheme::Car, Scheme::Rpr] {
-        let out = store.recover(Failure::Node(node), scheme, &profile, cost);
+        let out = store.recover(Failure::Node(node), scheme, &profile, cost, &opts);
         if scheme == Scheme::Traditional {
             tra_makespan = out.makespan;
         }
@@ -80,7 +83,7 @@ pub fn fleet(fast: bool) {
     let mut rows = Vec::new();
     let mut tra_makespan = f64::NAN;
     for scheme in [Scheme::Traditional, Scheme::Rpr] {
-        let out = store.recover(Failure::Rack(rack), scheme, &profile, cost);
+        let out = store.recover(Failure::Rack(rack), scheme, &profile, cost, &opts);
         if scheme == Scheme::Traditional {
             tra_makespan = out.makespan;
         }
@@ -131,7 +134,7 @@ pub fn fleet(fast: bool) {
             ],
         ),
     ] {
-        for max_concurrent in [None, Some(8)] {
+        for max_concurrent in [None, NonZeroUsize::new(8)] {
             let opts = SupervisedRecoveryOptions {
                 max_concurrent,
                 storm: storm.clone(),
@@ -146,8 +149,8 @@ pub fn fleet(fast: bool) {
                 fmt_s(out.makespan),
                 fmt_s(out.mttr),
                 fmt_s(out.p99_stripe_seconds),
-                out.replans.to_string(),
-                out.degraded.to_string(),
+                out.tally.replans.to_string(),
+                out.tally.degraded.to_string(),
                 out.quarantined_nodes.len().to_string(),
             ]);
         }

@@ -33,15 +33,17 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use rpr_codec::{BlockId, CodeParams, StripeCodec};
-pub use rpr_core::first_valid_plan;
-use rpr_core::{supervise_injected, CostModel, RepairContext, SuperviseConfig, Tier};
+use rpr_core::{
+    first_valid_plan, supervise_injected, CostModel, RepairContext, SuperviseConfig,
+    SuperviseOutcome, Tier,
+};
 use rpr_faults::{ChurnProcess, FaultStorm, HealthTracker, SplitMix64, StormFault};
 use rpr_netsim::Network;
 use rpr_obs::Recorder;
 use rpr_topology::{BandwidthProfile, NodeId, Placement, Topology, GBIT};
 
 use crate::arbiter::{plan_demand, BandwidthArbiter, Demand, QosClass};
-use crate::journal::{FleetJournal, JournalReplay};
+use crate::journal::{CostRec, FleetJournal, JournalReplay};
 use crate::pool::{default_threads, run_indexed};
 use crate::sched::{
     drain_fleet, ChurnOptions, DrainOptions, FleetJob, FleetSummary, JobCost, LostStripe,
@@ -78,8 +80,9 @@ pub struct FleetSpec {
     /// skews heavily toward single failures, as real fleets do.
     pub level_weights: Vec<f64>,
     /// Fault-storm template applied to every stripe (empty = clean
-    /// repairs, enabling class caching). Same shape as
-    /// `SupervisedRecoveryOptions::storm`.
+    /// repairs, enabling class caching). Same shape as the Store's
+    /// `SupervisedRecoveryOptions::storm` and `FleetRecoveryOptions::storm`;
+    /// each stripe meets it through [`stripe_storm`].
     pub storm: Vec<Vec<StormFault>>,
     /// Supervisor configuration shared by every stripe.
     pub cfg: SuperviseConfig,
@@ -179,6 +182,9 @@ impl FleetSpec {
 /// External plumbing for a fleet run: the write-ahead journal the drain
 /// appends to, and a parsed prior journal whose cost records short-cut
 /// re-simulation on resume. `FleetIo::default()` runs unplumbed.
+/// [`run_fleet_with`] (`rpr fleet --journal / --resume`) is the only
+/// crash-restartable fleet path; the Store's recovery entry points do not
+/// journal.
 ///
 /// Resume works by deterministic re-derivation: the virtual-clock drain
 /// is pure arithmetic, so replaying the same spec reconstructs the index
@@ -226,19 +232,6 @@ pub struct FleetOutcome {
     pub replayed: usize,
 }
 
-/// What one repair class costs: the outcome of its canonical sim plus
-/// its bandwidth demand in canonical node ids.
-#[derive(Clone)]
-struct ClassInfo {
-    duration: f64,
-    cross_bytes: u64,
-    inner_bytes: u64,
-    demand: Demand,
-    replans: usize,
-    retries: usize,
-    degraded: bool,
-}
-
 /// Where a canonical node sits in the per-stripe translation: hosting
 /// block `b`, or the `rank`-th spare of canonical rack `rack_pos`.
 #[derive(Clone, Copy)]
@@ -249,13 +242,83 @@ enum Role {
 
 /// The fault storm one stripe of a fleet repairs under: `template`'s
 /// buckets, one per generation, under a seed mixed from the fleet seed and
-/// the stripe id. Every fleet path (`run_fleet_with`,
+/// the stripe id. Every fleet path ([`run_fleet_with`],
 /// `Store::recover_supervised`, `Store::recover_fleet`) derives it here,
 /// so the same stripe meets the same faults whichever path repairs it.
 pub fn stripe_storm(seed: u64, stripe: u64, template: &[Vec<StormFault>]) -> FaultStorm {
     FaultStorm {
         seed: SplitMix64::new(seed ^ stripe).next_u64(),
         generations: template.to_vec(),
+    }
+}
+
+/// One stripe's supervised repair, costed for the fleet: run the
+/// supervisor on `ctx` under `storm`, reading and updating `tracker`, and
+/// fold the outcome into the journal's [`CostRec`]. `None` when the storm
+/// leaves the stripe unrepairable. The outcome rides along for the proof
+/// counters and ledger. Every fleet path costs its stripes here.
+pub fn cost_repair(
+    ctx: &RepairContext<'_>,
+    storm: &FaultStorm,
+    cfg: &SuperviseConfig,
+    tracker: &mut HealthTracker,
+) -> Option<(CostRec, SuperviseOutcome)> {
+    let out = supervise_injected(ctx, storm, cfg, tracker, rpr_obs::noop()).ok()?;
+    let cost = CostRec {
+        dur: out.repair_time,
+        cross: out.cross_bytes,
+        inner: out.inner_bytes,
+        replans: out.replans,
+        retries: out.retries,
+        degraded: out.final_tier > Tier::Full,
+    };
+    Some((cost, out))
+}
+
+/// What the arbiter reserves for `ctx`'s stripe: the peak per-link rates
+/// of its first valid plan on `net`.
+pub fn stripe_demand(ctx: &RepairContext<'_>, net: &Network) -> Demand {
+    let plan = first_valid_plan(ctx).expect("a valid plan exists for <=k failures");
+    plan_demand(&plan, ctx.topo, net)
+}
+
+/// Fleet-wide sums of the per-stripe supervision counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RepairTally {
+    /// Replan generations.
+    pub replans: usize,
+    /// Transfer retries.
+    pub retries: usize,
+    /// Stripes that finished below [`Tier::Full`].
+    pub degraded: usize,
+    /// Hedges launched.
+    pub hedges: usize,
+    /// Hedges whose speculative alternative won.
+    pub hedge_wins: usize,
+    /// Repair proofs recorded (zero with the proof plane off).
+    pub proofs_emitted: usize,
+    /// Proofs whose output hash disagreed with the expectation.
+    pub proofs_rejected: usize,
+    /// Helpers quarantined on proof evidence (Mandatory mode only).
+    pub accusations: usize,
+}
+
+impl RepairTally {
+    /// Count one costed stripe. `out` is its supervised outcome when this
+    /// run simulated it, and `None` when its cost was replayed from a
+    /// journal or shared with its repair class: those carry only the
+    /// [`CostRec`] counters.
+    pub fn add(&mut self, cost: &CostRec, out: Option<&SuperviseOutcome>) {
+        self.replans += cost.replans;
+        self.retries += cost.retries;
+        self.degraded += usize::from(cost.degraded);
+        if let Some(out) = out {
+            self.hedges += out.hedges;
+            self.hedge_wins += out.hedge_wins;
+            self.proofs_emitted += out.proofs_emitted;
+            self.proofs_rejected += out.proofs_rejected;
+            self.accusations += out.accusations;
+        }
     }
 }
 
@@ -432,9 +495,17 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
         )
     };
 
-    let mut replans = 0usize;
-    let mut retries = 0usize;
-    let mut degraded = 0usize;
+    // One clean supervised sim of a canonical failed-block set, with the
+    // demand of its plan.
+    let clean = |failed: &[usize], cfg: &SuperviseConfig| -> (CostRec, Demand) {
+        let ctx = make_ctx(failed);
+        let mut tracker = HealthTracker::with_defaults();
+        let (c, _) = cost_repair(&ctx, &FaultStorm::new(0), cfg, &mut tracker)
+            .expect("clean supervised repair cannot fail");
+        (c, stripe_demand(&ctx, &canon_net))
+    };
+
+    let mut tally = RepairTally::default();
     let mut unrepairable = 0usize;
     let mut replayed = 0usize;
 
@@ -443,45 +514,22 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
     let mut jobs: Vec<FleetJob> = Vec::with_capacity(spec.stripes);
     let mut kept: Vec<u32> = Vec::with_capacity(spec.stripes);
 
-    // One supervised sim of `ctx` under `storm`, costed for the scheduler;
-    // `None` when the storm makes the stripe unrepairable.
-    let class_info = |ctx: &RepairContext<'_>, storm: &FaultStorm, cfg: &SuperviseConfig| {
-        let mut tracker = HealthTracker::with_defaults();
-        let out = supervise_injected(ctx, storm, cfg, &mut tracker, rpr_obs::noop()).ok()?;
-        let plan = first_valid_plan(ctx).expect("a valid plan exists for <=k failures");
-        Some(ClassInfo {
-            duration: out.repair_time,
-            cross_bytes: out.cross_bytes,
-            inner_bytes: out.inner_bytes,
-            demand: plan_demand(&plan, &canon_topo, &canon_net),
-            replans: out.replans,
-            retries: out.retries,
-            degraded: out.final_tier > Tier::Full,
-        })
-    };
-
     let job_demands: Vec<Demand> = if spec.cacheable() {
         // One canonical sim per distinct failed-block set.
-        let infos: Vec<ClassInfo> = run_indexed(threads, class_failed.len(), |ci| {
-            class_info(&make_ctx(&class_failed[ci]), &FaultStorm::new(0), &spec.cfg)
-                .expect("clean supervised repair cannot fail")
+        let classes: Vec<(CostRec, Demand)> = run_indexed(threads, class_failed.len(), |ci| {
+            clean(&class_failed[ci], &spec.cfg)
         });
         for (s, gen) in stripes.iter().enumerate() {
-            let info = &infos[gen.class as usize];
-            replans += info.replans;
-            retries += info.retries;
-            degraded += usize::from(info.degraded);
-            jobs.push(FleetJob {
-                stripe: s as u32,
-                level: class_failed[gen.class as usize].len(),
-                duration: info.duration,
-                arrival: 0.0,
-                cross_bytes: info.cross_bytes,
-                inner_bytes: info.inner_bytes,
-            });
+            let (c, _) = &classes[gen.class as usize];
+            tally.add(c, None);
+            jobs.push(FleetJob::costed(
+                s as u32,
+                class_failed[gen.class as usize].len(),
+                c,
+            ));
             kept.push(s as u32);
         }
-        infos.into_iter().map(|i| i.demand).collect()
+        classes.into_iter().map(|(_, d)| d).collect()
     } else {
         // Storm path: every stripe runs its own supervised sim under its
         // `stripe_storm` — unless a resume journal already holds the
@@ -489,38 +537,28 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
         // of a restarted drain) is skipped and only the cheap plan-shaped
         // demand is rebuilt.
         let resume = io.resume;
-        let outcomes: Vec<Option<(ClassInfo, bool)>> = run_indexed(threads, spec.stripes, |s| {
-            let gen = &stripes[s];
-            let base = &class_failed[gen.class as usize];
-            if let Some(r) = resume {
-                if r.unrepairable.contains(&(s as u32)) {
-                    return None;
-                }
-                if let Some(c) = r.cost(s as u32, base.len()) {
-                    let ctx = make_ctx(base);
-                    let plan =
-                        first_valid_plan(&ctx).expect("a valid plan exists for <=k failures");
-                    return Some((
-                        ClassInfo {
-                            duration: c.dur,
-                            cross_bytes: c.cross,
-                            inner_bytes: c.inner,
-                            demand: plan_demand(&plan, &canon_topo, &canon_net),
-                            replans: c.replans,
-                            retries: c.retries,
-                            degraded: c.degraded,
-                        },
-                        true,
-                    ));
-                }
-            }
-            let ctx = make_ctx(base);
-            let storm = stripe_storm(spec.seed, s as u64, &spec.storm);
-            Some((class_info(&ctx, &storm, &spec.cfg)?, false))
-        });
+        let outcomes: Vec<Option<(CostRec, Demand, bool)>> =
+            run_indexed(threads, spec.stripes, |s| {
+                let base = &class_failed[stripes[s].class as usize];
+                let replay = match resume {
+                    Some(r) if r.unrepairable.contains(&(s as u32)) => return None,
+                    Some(r) => r.cost(s as u32, base.len()),
+                    None => None,
+                };
+                let ctx = make_ctx(base);
+                let (c, was_replay) = match replay {
+                    Some(c) => (c, true),
+                    None => {
+                        let storm = stripe_storm(spec.seed, s as u64, &spec.storm);
+                        let mut tracker = HealthTracker::with_defaults();
+                        (cost_repair(&ctx, &storm, &spec.cfg, &mut tracker)?.0, false)
+                    }
+                };
+                Some((c, stripe_demand(&ctx, &canon_net), was_replay))
+            });
         let mut demands = Vec::new();
-        for (s, info) in outcomes.into_iter().enumerate() {
-            let Some((info, was_replay)) = info else {
+        for (s, outcome) in outcomes.into_iter().enumerate() {
+            let Some((c, demand, was_replay)) = outcome else {
                 unrepairable += 1;
                 if let Some(j) = io.journal {
                     j.borrow_mut().unrepairable(s as u32);
@@ -528,34 +566,16 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
                 continue;
             };
             replayed += usize::from(was_replay);
-            replans += info.replans;
-            retries += info.retries;
-            degraded += usize::from(info.degraded);
+            tally.add(&c, None);
             let level = class_failed[stripes[s].class as usize].len();
             if let Some(j) = io.journal {
                 // Cost records land before the drain starts, so a crash
                 // at any later point leaves them all replayable.
-                j.borrow_mut().cost(
-                    s as u32,
-                    level,
-                    info.duration,
-                    info.cross_bytes,
-                    info.inner_bytes,
-                    info.replans,
-                    info.retries,
-                    info.degraded,
-                );
+                j.borrow_mut().cost(s as u32, level, &c);
             }
-            jobs.push(FleetJob {
-                stripe: s as u32,
-                level,
-                duration: info.duration,
-                arrival: 0.0,
-                cross_bytes: info.cross_bytes,
-                inner_bytes: info.inner_bytes,
-            });
+            jobs.push(FleetJob::costed(s as u32, level, &c));
             kept.push(s as u32);
-            demands.push(info.demand);
+            demands.push(demand);
         }
         demands
     };
@@ -580,19 +600,18 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
     // already priced the stripe's own turbulence into its base cost, and
     // a seed-independent sim keeps `cost_of(stripe, level)` a pure
     // function — the property journal resume relies on.
-    let esc_classes: RefCell<HashMap<Vec<usize>, ClassInfo>> = RefCell::new(HashMap::new());
+    let esc_classes: RefCell<HashMap<Vec<usize>, (CostRec, Demand)>> = RefCell::new(HashMap::new());
     let mut esc_cfg = spec.cfg.clone();
     esc_cfg.hedge = None;
-    let escalated = |s: usize, lvl: usize| -> ClassInfo {
+    let escalated = |s: usize, lvl: usize| -> (CostRec, Demand) {
         let base = &class_failed[stripes[s].class as usize];
         let failed = escalated_failed(base, total, spec.seed ^ (s as u64) ^ ESCALATION_SALT, lvl);
-        if let Some(info) = esc_classes.borrow().get(&failed) {
-            return info.clone();
+        if let Some(costed) = esc_classes.borrow().get(&failed) {
+            return costed.clone();
         }
-        let info = class_info(&make_ctx(&failed), &FaultStorm::new(0), &esc_cfg)
-            .expect("clean supervised repair cannot fail");
-        esc_classes.borrow_mut().insert(failed, info.clone());
-        info
+        let costed = clean(&failed, &esc_cfg);
+        esc_classes.borrow_mut().insert(failed, costed.clone());
+        costed
     };
     let mut cost_of = |job: usize, lvl: usize| -> JobCost {
         let gen = &stripes[kept[job] as usize];
@@ -623,12 +642,12 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
                 demand: translate(canon),
             }
         } else {
-            let info = escalated(kept[job] as usize, lvl);
+            let (c, demand) = escalated(kept[job] as usize, lvl);
             JobCost {
-                duration: info.duration,
-                cross_bytes: info.cross_bytes,
-                inner_bytes: info.inner_bytes,
-                demand: translate(&info.demand),
+                duration: c.dur,
+                cross_bytes: c.cross,
+                inner_bytes: c.inner,
+                demand: translate(&demand),
             }
         }
     };
@@ -648,9 +667,9 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
         records: outcome.records,
         lost: outcome.lost,
         classes: class_failed.len() + escalated_classes,
-        replans,
-        retries,
-        degraded,
+        replans: tally.replans,
+        retries: tally.retries,
+        degraded: tally.degraded,
         unrepairable,
         max_utilization: arbiter.max_utilization(),
         replayed,

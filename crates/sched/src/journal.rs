@@ -136,18 +136,15 @@ impl FleetJournal {
     /// Record the costed repair of `stripe` at `level`: stand-alone
     /// duration, bytes moved, and supervision counters. Resume uses
     /// these to skip re-simulating already-priced repairs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn cost(
-        &mut self,
-        stripe: u32,
-        level: usize,
-        dur: f64,
-        cross: u64,
-        inner: u64,
-        replans: usize,
-        retries: usize,
-        degraded: bool,
-    ) {
+    pub fn cost(&mut self, stripe: u32, level: usize, c: &CostRec) {
+        let CostRec {
+            dur,
+            cross,
+            inner,
+            replans,
+            retries,
+            degraded,
+        } = c;
         self.write_line(&format!(
             "{{\"rec\":\"cost\",\"stripe\":{stripe},\"level\":{level},\"dur\":{dur},\
              \"cross\":{cross},\"inner\":{inner},\"replans\":{replans},\
@@ -446,8 +443,16 @@ mod tests {
             j.set_checkpoint_every(2);
             j.enqueue(0, 1, 0.0);
             j.enqueue(1, 2, 0.0);
-            j.cost(0, 1, 2.5, 100, 50, 1, 2, false);
-            j.cost(1, 2, 4.25, 200, 80, 0, 0, true);
+            let cost = |dur, cross, inner, replans, retries, degraded| CostRec {
+                dur,
+                cross,
+                inner,
+                replans,
+                retries,
+                degraded,
+            };
+            j.cost(0, 1, &cost(2.5, 100, 50, 1, 2, false));
+            j.cost(1, 2, &cost(4.25, 200, 80, 0, 0, true));
             j.admit(1, 2, 0.0, 0.0);
             assert!(j.complete(1, 2, 0.0, 4.25, 0.0).is_none());
             j.escalate(0, 1, 2, false, 1.5);

@@ -42,8 +42,8 @@ pub mod sched;
 
 pub use arbiter::{plan_demand, BandwidthArbiter, Demand, QosClass};
 pub use fleet::{
-    first_valid_plan, run_fleet_with, run_synthetic_fleet, stripe_storm, FleetIo, FleetOutcome,
-    FleetSpec,
+    cost_repair, run_fleet_with, run_synthetic_fleet, stripe_demand, stripe_storm, FleetIo,
+    FleetOutcome, FleetSpec, RepairTally,
 };
 pub use index::StripeIndex;
 pub use journal::{Checkpoint, CompletedRec, CostRec, FleetJournal, JournalReplay};

@@ -35,7 +35,7 @@ use rpr_obs::{Event, Recorder};
 
 use crate::arbiter::{BandwidthArbiter, Demand};
 use crate::index::StripeIndex;
-use crate::journal::FleetJournal;
+use crate::journal::{CostRec, FleetJournal};
 
 /// One schedulable unit of fleet work: a stripe whose repair plan has
 /// been built and costed.
@@ -55,6 +55,20 @@ pub struct FleetJob {
     /// the pre-existing backlog, later for failures that arrive while
     /// the drain is already running.
     pub arrival: f64,
+}
+
+impl FleetJob {
+    /// A backlog stripe (arrival 0) priced by its cost record.
+    pub fn costed(stripe: u32, level: usize, cost: &CostRec) -> FleetJob {
+        FleetJob {
+            stripe,
+            level,
+            duration: cost.dur,
+            cross_bytes: cost.cross,
+            inner_bytes: cost.inner,
+            arrival: 0.0,
+        }
+    }
 }
 
 /// Per-stripe outcome of a fleet run.
@@ -324,11 +338,11 @@ pub fn drain_fleet(
     for (i, job) in jobs.iter().enumerate() {
         assert!(
             job.duration >= 0.0,
-            "schedule_fleet: job {i} has invalid duration"
+            "drain_fleet: job {i} has invalid duration"
         );
         assert!(
             job.arrival >= 0.0 && job.arrival.is_finite(),
-            "schedule_fleet: job {i} has invalid arrival"
+            "drain_fleet: job {i} has invalid arrival"
         );
     }
     let mut next_due = 0usize;

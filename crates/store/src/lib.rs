@@ -27,6 +27,12 @@
 //!   fleet scheduler: stripes are served in at-risk-level priority order
 //!   under link-level bandwidth arbitration instead of fixed waves, with
 //!   per-stripe trackers so the schedule never changes repair outcomes.
+//!
+//! These three are the Store's only recovery entry points. Both
+//! supervised ones cost each stripe with `rpr_sched::cost_repair` and sum
+//! its counters in an `rpr_sched::RepairTally`, as `rpr fleet` does. None
+//! of them journals: crash-restart goes through
+//! `rpr_sched::run_fleet_with` (`rpr fleet --journal / --resume`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

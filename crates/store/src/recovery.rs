@@ -1,19 +1,21 @@
 //! Whole-node and whole-rack failure recovery: plan every affected stripe,
 //! simulate all repairs concurrently on the shared cluster.
 
+use std::num::NonZeroUsize;
+
 use crate::store::Store;
 use rpr_codec::BlockId;
 use rpr_core::{
-    simulate_batch, supervise_injected, CarPlanner, CostModel, RepairContext, RepairPlan,
-    RepairPlanner, RprPlanner, SuperviseConfig, Tier, TraditionalPlanner,
+    simulate_batch, CarPlanner, CostModel, RepairContext, RepairPlan, RepairPlanner, RprPlanner,
+    SuperviseConfig, TraditionalPlanner,
 };
 use rpr_faults::{HealthTracker, StormFault};
 use rpr_netsim::Network;
 use rpr_proof::ProofLedger;
 use rpr_obs::Recorder;
 use rpr_sched::{
-    drain_fleet, first_valid_plan, plan_demand, stripe_storm, BandwidthArbiter, Demand,
-    DrainOptions, FleetIo, FleetJob, FleetSummary, JobCost, StripeRecord,
+    cost_repair, schedule_fleet, stripe_demand, stripe_storm, BandwidthArbiter, Demand, FleetJob,
+    FleetSummary, RepairTally, StripeRecord,
 };
 use rpr_topology::{BandwidthProfile, NodeId, RackId};
 
@@ -58,7 +60,7 @@ pub struct RecoveryOptions {
     /// Maximum number of stripes repairing concurrently (`None` = all at
     /// once). Production systems throttle repair to protect foreground
     /// traffic; excess stripes wait for the next wave.
-    pub max_concurrent: Option<usize>,
+    pub max_concurrent: Option<NonZeroUsize>,
     /// Total aggregation-switch capacity in bytes/sec shared by all
     /// cross-rack repair traffic (`None` = unconstrained fabric).
     pub agg_capacity: Option<f64>,
@@ -135,7 +137,7 @@ pub struct SupervisedRecoveryOptions {
     /// Maximum stripes repairing concurrently per admission wave
     /// (`None` = all at once). Same meaning as
     /// [`RecoveryOptions::max_concurrent`].
-    pub max_concurrent: Option<usize>,
+    pub max_concurrent: Option<NonZeroUsize>,
     /// Storm template applied to **every** stripe's repair; each stripe
     /// draws its own fault sites from a per-stripe seed, so the same
     /// fault *pattern* hits different helpers per stripe.
@@ -174,25 +176,10 @@ pub struct SupervisedRecoveryOutcome {
     pub mttr: f64,
     /// 99th-percentile stripe repair time.
     pub p99_stripe_seconds: f64,
-    /// Total replans across the fleet.
-    pub replans: usize,
-    /// Total transfer retries across the fleet.
-    pub retries: usize,
-    /// Total hedges launched / won across the fleet.
-    pub hedges: usize,
-    /// Hedges whose speculative alternative won.
-    pub hedge_wins: usize,
-    /// Stripes that finished below [`Tier::Full`].
-    pub degraded: usize,
+    /// Supervision counters summed over the completed stripes.
+    pub tally: RepairTally,
     /// Nodes the fleet-shared health tracker had quarantined by the end.
     pub quarantined_nodes: Vec<usize>,
-    /// Total repair proofs recorded across the fleet (zero when the
-    /// supervisor runs with proofs off).
-    pub proofs_emitted: usize,
-    /// Proofs whose output hash disagreed with the expectation.
-    pub proofs_rejected: usize,
-    /// Helpers quarantined on proof evidence (Mandatory mode only).
-    pub accusations: usize,
     /// Per-stripe proof ledgers `(stripe id, ledger)` for completed
     /// stripes, in admission order — each independently auditable
     /// offline against that stripe's trace.
@@ -245,28 +232,14 @@ pub struct FleetRecoveryOutcome {
     /// Per-stripe admission records in ascending stripe order;
     /// [`StripeRecord::stripe`] is the store stripe id.
     pub records: Vec<StripeRecord>,
-    /// Total replan generations across the fleet.
-    pub replans: usize,
-    /// Total transfer retries across the fleet.
-    pub retries: usize,
-    /// Stripes that finished below [`Tier::Full`].
-    pub degraded: usize,
+    /// Supervision counters summed over the repaired stripes.
+    pub tally: RepairTally,
     /// Peak reservation on the most loaded arbitrated link as a fraction
     /// of its capacity (≤ 1 unless arbitration was disabled).
     pub max_utilization: f64,
-    /// Total repair proofs recorded across the fleet (zero when the
-    /// supervisor runs with proofs off).
-    pub proofs_emitted: usize,
-    /// Proofs whose output hash disagreed with the expectation.
-    pub proofs_rejected: usize,
-    /// Helpers quarantined on proof evidence (Mandatory mode only).
-    pub accusations: usize,
     /// Per-stripe proof ledgers `(stripe id, ledger)` for repaired
     /// stripes, in backlog order.
     pub ledgers: Vec<(usize, ProofLedger)>,
-    /// Per-stripe simulations skipped because a resume journal already
-    /// held their cost records (0 without [`FleetIo::resume`]).
-    pub replayed: usize,
 }
 
 impl Store {
@@ -292,7 +265,9 @@ impl Store {
 
     /// Recover from a failure with the given scheme: plan each affected
     /// stripe, then simulate every repair concurrently on the shared
-    /// cluster.
+    /// cluster. `options.max_concurrent` throttles how many stripes repair
+    /// at once (production repair schedulers cap recovery traffic to
+    /// protect foreground I/O); the remaining stripes run in later waves.
     ///
     /// # Panics
     /// Panics if the scheme is [`Scheme::Car`] and the failure is a rack
@@ -304,29 +279,8 @@ impl Store {
         scheme: Scheme,
         profile: &BandwidthProfile,
         cost: CostModel,
+        options: &RecoveryOptions,
     ) -> RecoveryOutcome {
-        self.recover_with_options(failure, scheme, profile, cost, RecoveryOptions::default())
-    }
-
-    /// [`Store::recover`] with explicit [`RecoveryOptions`] — in
-    /// particular, `max_concurrent` throttles how many stripes repair at
-    /// once (production repair schedulers cap recovery traffic to protect
-    /// foreground I/O); the remaining stripes run in subsequent waves.
-    ///
-    /// # Panics
-    /// As for [`Store::recover`]; additionally panics if
-    /// `max_concurrent == Some(0)`.
-    pub fn recover_with_options(
-        &self,
-        failure: Failure,
-        scheme: Scheme,
-        profile: &BandwidthProfile,
-        cost: CostModel,
-        options: RecoveryOptions,
-    ) -> RecoveryOutcome {
-        if let Some(limit) = options.max_concurrent {
-            assert!(limit > 0, "recover: max_concurrent must be positive");
-        }
         let affected = self.affected_stripes(failure);
         if affected.is_empty() {
             return RecoveryOutcome {
@@ -365,15 +319,7 @@ impl Store {
         let mut contexts: Vec<RepairContext<'_>> = Vec::with_capacity(affected.len());
         for (stripe, failed) in &affected {
             let placement = self.placement(*stripe);
-            let mut ctx = RepairContext::new(
-                self.codec(),
-                self.topology(),
-                placement,
-                failed.clone(),
-                self.config().block_bytes,
-                profile,
-                cost,
-            );
+            let mut ctx = self.repair_context(*stripe, failed, profile, cost);
             if let Some(cap) = options.agg_capacity {
                 ctx = ctx.with_agg_capacity(cap);
             }
@@ -414,7 +360,9 @@ impl Store {
         // within a wave, repairs contend for the same links; waves
         // serialize (the scheduler starts the next batch once the previous
         // finished).
-        let wave_size = options.max_concurrent.unwrap_or(plans.len()).max(1);
+        let wave_size = options
+            .max_concurrent
+            .map_or(plans.len(), NonZeroUsize::get);
         let mut offset = 0.0f64;
         let mut stripe_finish = Vec::with_capacity(plans.len());
         let mut cross_rack_bytes = 0u64;
@@ -458,7 +406,7 @@ impl Store {
     /// that straggled or died in one stripe's repair is avoided by every
     /// later stripe's planning.
     ///
-    /// Admission control mirrors [`Store::recover_with_options`]: at most
+    /// Admission control mirrors [`Store::recover`]: at most
     /// `max_concurrent` stripes repair per wave and waves serialize. A
     /// wave lasts as long as its slowest supervised repair; unlike the
     /// fault-free path this does **not** model link contention inside a
@@ -475,56 +423,27 @@ impl Store {
         cost: CostModel,
         options: &SupervisedRecoveryOptions,
     ) -> SupervisedRecoveryOutcome {
-        if let Some(limit) = options.max_concurrent {
-            assert!(limit > 0, "recover_supervised: max_concurrent must be positive");
-        }
         let affected = self.affected_stripes(failure);
         let mut tracker = HealthTracker::with_defaults();
         let mut stripe_seconds = Vec::with_capacity(affected.len());
-        let mut completed = 0usize;
-        let (mut replans, mut retries, mut hedges, mut hedge_wins, mut degraded) =
-            (0usize, 0usize, 0usize, 0usize, 0usize);
-        let (mut proofs_emitted, mut proofs_rejected, mut accusations) = (0usize, 0usize, 0usize);
+        let mut tally = RepairTally::default();
         let mut ledgers: Vec<(usize, ProofLedger)> = Vec::new();
 
-        let wave_size = options.max_concurrent.unwrap_or(affected.len().max(1)).max(1);
+        let wave_size = options
+            .max_concurrent
+            .map_or(affected.len().max(1), NonZeroUsize::get);
         let mut makespan = 0.0f64;
         for wave in affected.chunks(wave_size) {
             let mut wave_wall = 0.0f64;
             for (stripe, failed) in wave {
-                let ctx = RepairContext::new(
-                    self.codec(),
-                    self.topology(),
-                    self.placement(*stripe),
-                    failed.clone(),
-                    self.config().block_bytes,
-                    profile,
-                    cost,
-                );
-                // Per-stripe seed: same storm shape, independent sites.
+                let ctx = self.repair_context(*stripe, failed, profile, cost);
                 let storm = stripe_storm(options.seed, *stripe as u64, &options.storm);
-                let Ok(out) = supervise_injected(
-                    &ctx,
-                    &storm,
-                    &options.cfg,
-                    &mut tracker,
-                    rpr_obs::noop(),
-                ) else {
+                let Some((c, out)) = cost_repair(&ctx, &storm, &options.cfg, &mut tracker) else {
                     continue;
                 };
-                completed += 1;
-                stripe_seconds.push(out.repair_time);
-                wave_wall = wave_wall.max(out.repair_time);
-                replans += out.replans;
-                retries += out.retries;
-                hedges += out.hedges;
-                hedge_wins += out.hedge_wins;
-                if out.final_tier > Tier::Full {
-                    degraded += 1;
-                }
-                proofs_emitted += out.proofs_emitted;
-                proofs_rejected += out.proofs_rejected;
-                accusations += out.accusations;
+                stripe_seconds.push(c.dur);
+                wave_wall = wave_wall.max(c.dur);
+                tally.add(&c, Some(&out));
                 if options.cfg.proof.active() {
                     ledgers.push((*stripe, out.ledger));
                 }
@@ -541,20 +460,13 @@ impl Store {
         };
         SupervisedRecoveryOutcome {
             stripes_affected: affected.len(),
-            completed,
+            completed: stripe_seconds.len(),
             makespan,
             p99_stripe_seconds: rpr_sched::quantile(&sorted_seconds, 0.99),
             stripe_seconds,
             mttr,
-            replans,
-            retries,
-            hedges,
-            hedge_wins,
-            degraded,
+            tally,
             quarantined_nodes: tracker.quarantined(),
-            proofs_emitted,
-            proofs_rejected,
-            accusations,
             ledgers,
         }
     }
@@ -574,11 +486,13 @@ impl Store {
     /// order cannot change any repair's outcome, which is what makes
     /// the run order-independent and, with `arbitrate: false`, the
     /// schedule bit-identical to per-stripe
-    /// [`supervise_injected`] runs.
+    /// [`rpr_core::supervise_injected`] runs.
     ///
     /// Stripes whose storm is unrecoverable are counted in
     /// [`FleetRecoveryOutcome::unrepairable`] and excluded from the
-    /// backlog, never panicked on.
+    /// backlog, never panicked on. Nothing is journaled: a
+    /// crash-restartable drain is `rpr_sched::run_fleet_with`
+    /// (`rpr fleet --journal / --resume`).
     pub fn recover_fleet(
         &self,
         failure: Failure,
@@ -587,163 +501,66 @@ impl Store {
         options: &FleetRecoveryOptions,
         rec: &dyn Recorder,
     ) -> FleetRecoveryOutcome {
-        self.recover_fleet_io(failure, profile, cost, options, FleetIo::default(), rec)
-    }
-
-    /// [`Store::recover_fleet`] with journal/resume plumbing. The drain
-    /// appends every scheduling decision to `io.journal`, and each
-    /// stripe's costed sim lands there as a `cost` record **before** the
-    /// drain starts, so a crash at any later point leaves them all
-    /// replayable. With `io.resume`, stripes whose cost records or
-    /// `unrepairable` markers the prior journal holds skip
-    /// [`supervise_injected`] entirely; [`FleetRecoveryOutcome::replayed`]
-    /// counts the cost records replayed (not the markers), as
-    /// `rpr_sched::FleetOutcome::replayed` does.
-    ///
-    /// Replay is disabled while proofs are active: a skipped sim has no
-    /// ledger to audit, and proof-carrying runs must re-derive theirs.
-    pub fn recover_fleet_io(
-        &self,
-        failure: Failure,
-        profile: &BandwidthProfile,
-        cost: CostModel,
-        options: &FleetRecoveryOptions,
-        io: FleetIo<'_>,
-        rec: &dyn Recorder,
-    ) -> FleetRecoveryOutcome {
         let affected = self.affected_stripes(failure);
         let mut net = Network::new(self.topology().clone(), profile.clone());
         if let Some(cap) = options.agg_capacity {
             net = net.with_agg_capacity(cap);
         }
 
-        let resume = if options.cfg.proof.active() {
-            None
-        } else {
-            io.resume
-        };
         let mut jobs: Vec<FleetJob> = Vec::with_capacity(affected.len());
         let mut demands: Vec<Demand> = Vec::with_capacity(affected.len());
-        let mut unrepairable = 0usize;
-        let mut replayed = 0usize;
-        let (mut replans, mut retries, mut degraded) = (0usize, 0usize, 0usize);
-        let (mut proofs_emitted, mut proofs_rejected, mut accusations) = (0usize, 0usize, 0usize);
+        let mut tally = RepairTally::default();
         let mut ledgers: Vec<(usize, ProofLedger)> = Vec::new();
         for (stripe, failed) in &affected {
-            let ctx = RepairContext::new(
-                self.codec(),
-                self.topology(),
-                self.placement(*stripe),
-                failed.clone(),
-                self.config().block_bytes,
-                profile,
-                cost,
-            );
-            let level = failed.len();
-            if let Some(r) = resume {
-                if r.unrepairable.contains(&(*stripe as u32)) {
-                    unrepairable += 1;
-                    if let Some(j) = io.journal {
-                        j.borrow_mut().unrepairable(*stripe as u32);
-                    }
-                    continue;
-                }
-            }
-            let rec_of =
-                if let Some(c) = resume.and_then(|r| r.cost(*stripe as u32, level)) {
-                    replayed += 1;
-                    c
-                } else {
-                    let storm = stripe_storm(options.seed, *stripe as u64, &options.storm);
-                    let mut tracker = HealthTracker::with_defaults();
-                    let Ok(out) = supervise_injected(
-                        &ctx,
-                        &storm,
-                        &options.cfg,
-                        &mut tracker,
-                        rpr_obs::noop(),
-                    ) else {
-                        unrepairable += 1;
-                        if let Some(j) = io.journal {
-                            j.borrow_mut().unrepairable(*stripe as u32);
-                        }
-                        continue;
-                    };
-                    proofs_emitted += out.proofs_emitted;
-                    proofs_rejected += out.proofs_rejected;
-                    accusations += out.accusations;
-                    if options.cfg.proof.active() {
-                        ledgers.push((*stripe, out.ledger));
-                    }
-                    rpr_sched::CostRec {
-                        dur: out.repair_time,
-                        cross: out.cross_bytes,
-                        inner: out.inner_bytes,
-                        replans: out.replans,
-                        retries: out.retries,
-                        degraded: out.final_tier > Tier::Full,
-                    }
-                };
-            replans += rec_of.replans;
-            retries += rec_of.retries;
-            degraded += usize::from(rec_of.degraded);
-            let (duration, cross_bytes, inner_bytes) = (rec_of.dur, rec_of.cross, rec_of.inner);
-            if let Some(j) = io.journal {
-                j.borrow_mut().cost(
-                    *stripe as u32,
-                    level,
-                    duration,
-                    cross_bytes,
-                    inner_bytes,
-                    rec_of.replans,
-                    rec_of.retries,
-                    rec_of.degraded,
-                );
+            let ctx = self.repair_context(*stripe, failed, profile, cost);
+            let storm = stripe_storm(options.seed, *stripe as u64, &options.storm);
+            let mut tracker = HealthTracker::with_defaults();
+            let Some((c, out)) = cost_repair(&ctx, &storm, &options.cfg, &mut tracker) else {
+                continue;
+            };
+            tally.add(&c, Some(&out));
+            if options.cfg.proof.active() {
+                ledgers.push((*stripe, out.ledger));
             }
             demands.push(if options.arbitrate {
-                let plan = first_valid_plan(&ctx).expect("a valid plan exists for <=k failures");
-                plan_demand(&plan, self.topology(), &net)
+                stripe_demand(&ctx, &net)
             } else {
                 Demand::default()
             });
-            jobs.push(FleetJob {
-                stripe: *stripe as u32,
-                level,
-                duration,
-                arrival: 0.0,
-                cross_bytes,
-                inner_bytes,
-            });
+            jobs.push(FleetJob::costed(*stripe as u32, failed.len(), &c));
         }
 
         let mut arbiter = BandwidthArbiter::new(&net);
         arbiter.set_enabled(options.arbitrate);
-        let mut cost_of = |j: usize, _lvl: usize| JobCost {
-            duration: jobs[j].duration,
-            cross_bytes: jobs[j].cross_bytes,
-            inner_bytes: jobs[j].inner_bytes,
-            demand: demands[j].clone(),
-        };
-        let opts = DrainOptions {
-            churn: None,
-            journal: io.journal,
-        };
-        let outcome = drain_fleet(&jobs, &mut cost_of, &mut arbiter, opts, rec);
+        let outcome = schedule_fleet(&jobs, &mut |j| demands[j].clone(), &mut arbiter, rec);
         FleetRecoveryOutcome {
             stripes_affected: affected.len(),
-            unrepairable,
+            unrepairable: affected.len() - jobs.len(),
             summary: outcome.summary,
             records: outcome.records,
-            replans,
-            retries,
-            degraded,
+            tally,
             max_utilization: arbiter.max_utilization(),
-            proofs_emitted,
-            proofs_rejected,
-            accusations,
             ledgers,
-            replayed,
         }
+    }
+
+    /// The repair context of one affected stripe on this store.
+    fn repair_context<'a>(
+        &'a self,
+        stripe: usize,
+        failed: &[BlockId],
+        profile: &'a BandwidthProfile,
+        cost: CostModel,
+    ) -> RepairContext<'a> {
+        RepairContext::new(
+            self.codec(),
+            self.topology(),
+            self.placement(stripe),
+            failed.to_vec(),
+            self.config().block_bytes,
+            profile,
+            cost,
+        )
     }
 }
 
@@ -801,7 +618,13 @@ mod tests {
         let p = profile(&s);
         let mut times = Vec::new();
         for scheme in [Scheme::Traditional, Scheme::Car, Scheme::Rpr] {
-            let out = s.recover(Failure::Node(NodeId(2)), scheme, &p, CostModel::free());
+            let out = s.recover(
+                Failure::Node(NodeId(2)),
+                scheme,
+                &p,
+                CostModel::free(),
+                &RecoveryOptions::default(),
+            );
             assert!(out.stripes_repaired > 0);
             assert!(out.makespan > 0.0 && out.makespan.is_finite());
             assert_eq!(out.stripe_finish.len(), out.stripes_repaired);
@@ -820,7 +643,13 @@ mod tests {
         let s = small_store();
         let p = profile(&s);
         for scheme in [Scheme::Traditional, Scheme::Rpr] {
-            let out = s.recover(Failure::Rack(RackId(0)), scheme, &p, CostModel::free());
+            let out = s.recover(
+                Failure::Rack(RackId(0)),
+                scheme,
+                &p,
+                CostModel::free(),
+                &RecoveryOptions::default(),
+            );
             assert!(out.stripes_repaired > 0, "{scheme:?}");
             assert!(out.makespan.is_finite());
         }
@@ -840,7 +669,13 @@ mod tests {
             seed: 5,
         });
         let p = profile(&s);
-        let car = s.recover(Failure::Node(NodeId(0)), Scheme::Car, &p, CostModel::free());
+        let car = s.recover(
+            Failure::Node(NodeId(0)),
+            Scheme::Car,
+            &p,
+            CostModel::free(),
+            &RecoveryOptions::default(),
+        );
         assert!(car.rack_upload_imbalance() >= 1.0);
         assert!(
             car.rack_upload_imbalance() < 3.0,
@@ -889,7 +724,13 @@ mod tests {
     fn recovery_marks_participating_racks() {
         let s = small_store();
         let p = profile(&s);
-        let out = s.recover(Failure::Node(NodeId(2)), Scheme::Rpr, &p, CostModel::free());
+        let out = s.recover(
+            Failure::Node(NodeId(2)),
+            Scheme::Rpr,
+            &p,
+            CostModel::free(),
+            &RecoveryOptions::default(),
+        );
         assert_eq!(out.rack_participants.len(), s.topology().rack_count());
         // Every rack that uploaded is a participant.
         for (r, (&bytes, &part)) in out
@@ -912,14 +753,20 @@ mod tests {
             .nodes()
             .max_by_key(|&n| s.blocks_on_node(n).len())
             .unwrap();
-        let unthrottled = s.recover(Failure::Node(node), Scheme::Rpr, &p, CostModel::free());
-        let throttled = s.recover_with_options(
+        let unthrottled = s.recover(
             Failure::Node(node),
             Scheme::Rpr,
             &p,
             CostModel::free(),
-            RecoveryOptions {
-                max_concurrent: Some(1),
+            &RecoveryOptions::default(),
+        );
+        let throttled = s.recover(
+            Failure::Node(node),
+            Scheme::Rpr,
+            &p,
+            CostModel::free(),
+            &RecoveryOptions {
+                max_concurrent: NonZeroUsize::new(1),
                 ..Default::default()
             },
         );
@@ -951,23 +798,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "max_concurrent must be positive")]
-    fn zero_concurrency_rejected() {
-        let s = small_store();
-        let p = profile(&s);
-        s.recover_with_options(
-            Failure::Node(NodeId(0)),
-            Scheme::Rpr,
-            &p,
-            CostModel::free(),
-            RecoveryOptions {
-                max_concurrent: Some(0),
-                ..Default::default()
-            },
-        );
-    }
-
-    #[test]
     fn supervised_recovery_completes_a_fleet_under_crash_storms() {
         use rpr_faults::CrashSite;
         let s = small_store();
@@ -981,7 +811,10 @@ mod tests {
         assert!(out.stripes_affected > 0);
         assert_eq!(out.completed, out.stripes_affected, "crash storms are survivable");
         assert_eq!(out.stripe_seconds.len(), out.completed);
-        assert!(out.replans >= out.completed, "every stripe crashed at least once");
+        assert!(
+            out.tally.replans >= out.completed,
+            "every stripe crashed at least once"
+        );
         assert!(out.mttr > 0.0 && out.mttr.is_finite());
         assert!(out.p99_stripe_seconds >= out.mttr);
         assert!(out.makespan >= out.p99_stripe_seconds - 1e-9);
@@ -999,7 +832,7 @@ mod tests {
             ..SupervisedRecoveryOptions::default()
         };
         let narrow = SupervisedRecoveryOptions {
-            max_concurrent: Some(1),
+            max_concurrent: NonZeroUsize::new(1),
             ..wide.clone()
         };
         let node = s
@@ -1099,7 +932,10 @@ mod tests {
         assert!(out.stripes_affected > 0);
         assert_eq!(out.unrepairable, 0, "crash storms are survivable");
         assert_eq!(out.summary.repaired, out.stripes_affected);
-        assert!(out.replans >= out.summary.repaired, "every stripe crashed at least once");
+        assert!(
+            out.tally.replans >= out.summary.repaired,
+            "every stripe crashed at least once"
+        );
     }
 
     #[test]
@@ -1119,9 +955,9 @@ mod tests {
         let out = s.recover_supervised(Failure::Node(NodeId(2)), &p, CostModel::free(), &opts);
         assert!(out.stripes_affected > 0);
         assert_eq!(out.completed, out.stripes_affected, "lie storms are survivable");
-        assert!(out.proofs_emitted > 0, "mandatory mode records proofs");
-        assert!(out.proofs_rejected > 0, "every stripe's lie is caught");
-        assert!(out.accusations > 0, "liars are convicted, not timed out");
+        assert!(out.tally.proofs_emitted > 0, "mandatory mode records proofs");
+        assert!(out.tally.proofs_rejected > 0, "every stripe's lie is caught");
+        assert!(out.tally.accusations > 0, "liars are convicted, not timed out");
         assert_eq!(out.ledgers.len(), out.completed, "one ledger per stripe");
         for (stripe, ledger) in &out.ledgers {
             let report = ledger.audit();
@@ -1136,8 +972,8 @@ mod tests {
             ..opts.clone()
         };
         let base = s.recover_supervised(Failure::Node(NodeId(2)), &p, CostModel::free(), &off);
-        assert_eq!(base.proofs_emitted, 0);
-        assert_eq!(base.accusations, 0);
+        assert_eq!(base.tally.proofs_emitted, 0);
+        assert_eq!(base.tally.accusations, 0);
         assert!(base.ledgers.is_empty());
     }
 
@@ -1158,91 +994,9 @@ mod tests {
         let out =
             s.recover_fleet(Failure::Node(NodeId(2)), &p, CostModel::free(), &opts, rpr_obs::noop());
         assert_eq!(out.unrepairable, 0, "lie storms are survivable");
-        assert!(out.proofs_emitted > 0);
-        assert!(out.accusations > 0, "liars are convicted across the fleet");
+        assert!(out.tally.proofs_emitted > 0);
+        assert!(out.tally.accusations > 0, "liars are convicted across the fleet");
         assert_eq!(out.ledgers.len(), out.summary.repaired);
-    }
-
-    #[test]
-    fn fleet_resume_replays_costs_and_matches_uninterrupted_run() {
-        use rpr_faults::CrashSite;
-        use rpr_sched::{FleetJournal, JournalReplay};
-        use std::cell::RefCell;
-        let s = small_store();
-        let p = profile(&s);
-        // A storm makes costing per-stripe (the expensive path resume is
-        // built to skip).
-        let opts = FleetRecoveryOptions {
-            storm: vec![vec![StormFault::Crash(CrashSite::SeedPick)]],
-            ..FleetRecoveryOptions::default()
-        };
-        let clean = s.recover_fleet(
-            Failure::Node(NodeId(2)),
-            &p,
-            CostModel::free(),
-            &opts,
-            rpr_obs::noop(),
-        );
-        assert_eq!(clean.replayed, 0);
-
-        let path = std::env::temp_dir().join(format!(
-            "rpr-store-resume-{}.jsonl",
-            std::process::id()
-        ));
-        {
-            let j = RefCell::new(
-                FleetJournal::create(&path, opts.seed, clean.stripes_affected).expect("create"),
-            );
-            let journaled = s.recover_fleet_io(
-                Failure::Node(NodeId(2)),
-                &p,
-                CostModel::free(),
-                &opts,
-                FleetIo {
-                    journal: Some(&j),
-                    resume: None,
-                },
-                rpr_obs::noop(),
-            );
-            assert_eq!(journaled.summary.to_json(), clean.summary.to_json());
-        }
-        let mut replay = JournalReplay::load(&path).expect("parse journal");
-        std::fs::remove_file(&path).ok();
-        let resume_from = |replay: &JournalReplay| {
-            s.recover_fleet_io(
-                Failure::Node(NodeId(2)),
-                &p,
-                CostModel::free(),
-                &opts,
-                FleetIo {
-                    journal: None,
-                    resume: Some(replay),
-                },
-                rpr_obs::noop(),
-            )
-        };
-        let resumed = resume_from(&replay);
-        assert_eq!(
-            resumed.replayed, clean.stripes_affected,
-            "resume skipped every sim"
-        );
-        assert_eq!(resumed.summary.to_json(), clean.summary.to_json());
-        assert_eq!(resumed.records, clean.records);
-        assert_eq!(resumed.replans, clean.replans);
-        assert_eq!(resumed.retries, clean.retries);
-        assert_eq!(resumed.degraded, clean.degraded);
-
-        // The same journal with one stripe's cost record turned into an
-        // `unrepairable` marker: the marker is honoured (that stripe is
-        // not repaired), but `replayed` counts cost records only — the
-        // rule `run_fleet_with` applies.
-        let key = *replay.costs.keys().min().expect("storm runs journal costs");
-        replay.costs.remove(&key);
-        replay.unrepairable.insert(key.0);
-        let marked = resume_from(&replay);
-        assert_eq!(marked.unrepairable, 1);
-        assert_eq!(marked.summary.repaired, clean.stripes_affected - 1);
-        assert_eq!(marked.replayed, clean.stripes_affected - 1);
     }
 
     #[test]
@@ -1263,7 +1017,13 @@ mod tests {
             .find(|&n| s.blocks_on_node(n).is_empty())
             .expect("64 nodes, 6 blocks: most are empty");
         let p = profile(&s);
-        let out = s.recover(Failure::Node(empty), Scheme::Rpr, &p, CostModel::free());
+        let out = s.recover(
+            Failure::Node(empty),
+            Scheme::Rpr,
+            &p,
+            CostModel::free(),
+            &RecoveryOptions::default(),
+        );
         assert_eq!(out.stripes_repaired, 0);
         assert_eq!(out.makespan, 0.0);
     }

@@ -44,7 +44,7 @@ impl StoreConfig {
 /// A populated store: a cluster plus one [`Placement`] per stripe.
 ///
 /// ```
-/// use rpr_store::{Failure, Scheme, Store, StoreConfig};
+/// use rpr_store::{Failure, RecoveryOptions, Scheme, Store, StoreConfig};
 /// use rpr_topology::{BandwidthProfile, NodeId};
 /// use rpr_core::CostModel;
 ///
@@ -59,7 +59,13 @@ impl StoreConfig {
 ///     .max_by_key(|&n| store.blocks_on_node(n).len())
 ///     .unwrap();
 /// let profile = BandwidthProfile::simics_default(store.topology().rack_count());
-/// let out = store.recover(Failure::Node(node), Scheme::Rpr, &profile, CostModel::free());
+/// let out = store.recover(
+///     Failure::Node(node),
+///     Scheme::Rpr,
+///     &profile,
+///     CostModel::free(),
+///     &RecoveryOptions::default(),
+/// );
 /// assert!(out.stripes_repaired >= 1);
 /// assert!(out.makespan.is_finite());
 /// ```

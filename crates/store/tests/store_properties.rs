@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rpr_codec::CodeParams;
 use rpr_core::CostModel;
-use rpr_store::{Failure, Scheme, Store, StoreConfig};
+use rpr_store::{Failure, RecoveryOptions, Scheme, Store, StoreConfig};
 use rpr_topology::{BandwidthProfile, RackId};
 
 #[derive(Debug, Clone)]
@@ -79,7 +79,13 @@ proptest! {
             .max_by_key(|&n| s.blocks_on_node(n).len())
             .unwrap();
         let affected = s.affected_stripes(Failure::Node(node)).len();
-        let out = s.recover(Failure::Node(node), Scheme::Rpr, &profile, CostModel::free());
+        let out = s.recover(
+            Failure::Node(node),
+            Scheme::Rpr,
+            &profile,
+            CostModel::free(),
+            &RecoveryOptions::default(),
+        );
         prop_assert_eq!(out.stripes_repaired, affected);
         prop_assert_eq!(out.stripe_finish.len(), affected);
         if affected > 0 {
@@ -100,7 +106,13 @@ proptest! {
         for (stripe, blocks) in &affected {
             prop_assert!(blocks.len() <= c.k, "stripe {stripe}");
         }
-        let out = s.recover(Failure::Rack(rack), Scheme::Rpr, &profile, CostModel::free());
+        let out = s.recover(
+            Failure::Rack(rack),
+            Scheme::Rpr,
+            &profile,
+            CostModel::free(),
+            &RecoveryOptions::default(),
+        );
         prop_assert_eq!(out.stripes_repaired, affected.len());
         prop_assert!(out.makespan.is_finite());
     }

@@ -6,6 +6,8 @@
 //! cargo run --release --example fleet_recovery
 //! ```
 
+use std::num::NonZeroUsize;
+
 use rpr::codec::CodeParams;
 use rpr::core::CostModel;
 use rpr::store::{Failure, RecoveryOptions, Scheme, Store, StoreConfig};
@@ -43,7 +45,13 @@ fn main() {
         "scheme", "makespan(s)", "mean stripe(s)", "cross GiB", "imbalance"
     );
     for scheme in [Scheme::Traditional, Scheme::Car, Scheme::Rpr] {
-        let out = store.recover(Failure::Node(node), scheme, &profile, cost);
+        let out = store.recover(
+            Failure::Node(node),
+            scheme,
+            &profile,
+            cost,
+            &RecoveryOptions::default(),
+        );
         println!(
             "{:<14} {:>12.1} {:>14.1} {:>10.1} {:>11.2}x",
             scheme.name(),
@@ -56,13 +64,13 @@ fn main() {
 
     // Throttled RPR: at most 4 stripes repair at once (protecting
     // foreground traffic); the rest queue in waves.
-    let throttled = store.recover_with_options(
+    let throttled = store.recover(
         Failure::Node(node),
         Scheme::Rpr,
         &profile,
         cost,
-        RecoveryOptions {
-            max_concurrent: Some(4),
+        &RecoveryOptions {
+            max_concurrent: NonZeroUsize::new(4),
             ..Default::default()
         },
     );
