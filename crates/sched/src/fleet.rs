@@ -509,12 +509,12 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
     let mut unrepairable = 0usize;
     let mut replayed = 0usize;
 
-    // jobs[i] schedules stripes[kept[i]]; per-job demand comes from
-    // `demands` (cached path: shared per class; storm path: per stripe).
+    // jobs[i] schedules stripes[kept[i]]; its base cost and demand come
+    // from `priced` (cached path: shared per class; storm path: per job).
     let mut jobs: Vec<FleetJob> = Vec::with_capacity(spec.stripes);
     let mut kept: Vec<u32> = Vec::with_capacity(spec.stripes);
 
-    let job_demands: Vec<Demand> = if spec.cacheable() {
+    let priced: Vec<(CostRec, Demand)> = if spec.cacheable() {
         // One canonical sim per distinct failed-block set.
         let classes: Vec<(CostRec, Demand)> = run_indexed(threads, class_failed.len(), |ci| {
             clean(&class_failed[ci], &spec.cfg)
@@ -529,7 +529,7 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
             ));
             kept.push(s as u32);
         }
-        classes.into_iter().map(|(_, d)| d).collect()
+        classes
     } else {
         // Storm path: every stripe runs its own supervised sim under its
         // `stripe_storm` — unless a resume journal already holds the
@@ -569,16 +569,19 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
             tally.add(&c, None);
             let level = class_failed[stripes[s].class as usize].len();
             if let Some(j) = io.journal {
-                // Cost records land before the drain starts, so a crash
-                // at any later point leaves them all replayable.
+                // Cost records land (and the flush below makes them durable)
+                // before the drain starts: a later crash leaves them replayable.
                 j.borrow_mut().cost(s as u32, level, &c);
             }
             jobs.push(FleetJob::costed(s as u32, level, &c));
             kept.push(s as u32);
-            demands.push(demand);
+            demands.push((c, demand));
         }
         demands
     };
+    if let Some(j) = io.journal {
+        j.borrow_mut().flush();
+    }
 
     // ---- Admission ----------------------------------------------------
     let phys_topo = Topology::uniform(spec.racks, npr);
@@ -606,6 +609,10 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
     let escalated = |s: usize, lvl: usize| -> (CostRec, Demand) {
         let base = &class_failed[stripes[s].class as usize];
         let failed = escalated_failed(base, total, spec.seed ^ (s as u64) ^ ESCALATION_SALT, lvl);
+        // On the cached path a base class ran this very (hedge-free) sim.
+        if let Some(&ci) = class_keys.get(&failed).filter(|_| cacheable) {
+            return priced[ci as usize].clone();
+        }
         if let Some(costed) = esc_classes.borrow().get(&failed) {
             return costed.clone();
         }
@@ -631,9 +638,9 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
         };
         if lvl == jobs[job].level {
             let canon = if cacheable {
-                &job_demands[gen.class as usize]
+                &priced[gen.class as usize].1
             } else {
-                &job_demands[job]
+                &priced[job].1
             };
             JobCost {
                 duration: jobs[job].duration,
@@ -660,13 +667,13 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
         journal: io.journal,
     };
     let outcome = drain_fleet(&jobs, &mut cost_of, &mut arbiter, opts, rec);
-    let escalated_classes = esc_classes.borrow().len();
+    let esc = esc_classes.borrow();
 
     FleetOutcome {
         summary: outcome.summary,
         records: outcome.records,
         lost: outcome.lost,
-        classes: class_failed.len() + escalated_classes,
+        classes: class_failed.len() + esc.keys().filter(|f| !class_keys.contains_key(*f)).count(),
         replans: tally.replans,
         retries: tally.retries,
         degraded: tally.degraded,

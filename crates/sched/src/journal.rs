@@ -3,9 +3,11 @@
 //! A drain that dies (OOM-kill, node reboot, `kill -9`) must not forget
 //! what it already repaired. [`FleetJournal`] appends one self-contained
 //! JSON record per scheduling decision — enqueue, admit, per-stripe cost,
-//! complete, escalate, lost — plus periodic checkpoints, flushing every
-//! line so the log is valid up to the crash instant (a torn final line is
-//! expected and ignored on replay).
+//! complete, escalate, lost — plus periodic checkpoints, group-committed:
+//! flushed after costing (before the first admission), at every
+//! checkpoint and when the drain returns. A `kill -9` loses at most the
+//! records since the last flush (a torn final line is ignored on replay);
+//! resume still re-derives the drain bit-identically.
 //!
 //! [`JournalReplay`] parses a journal back into lookup maps. Resume
 //! (`rpr fleet --resume F`) re-drives the *deterministic* admission loop
@@ -59,9 +61,9 @@ pub struct Checkpoint {
 
 /// Append-only JSON-lines write-ahead log of one fleet drain.
 ///
-/// Every appended record is flushed before the method returns, so the
-/// log never lags the decisions it records by more than the line being
-/// written when the process dies.
+/// Records are buffered and reach the file at the module's flush points;
+/// every flush panics on error. A `kill -9` loses at most the records
+/// since the last flush; resume still re-derives the drain bit-identically.
 #[derive(Debug)]
 pub struct FleetJournal {
     out: BufWriter<File>,
@@ -86,7 +88,7 @@ impl FleetJournal {
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             stall: None,
         };
-        j.write_line(&format!(
+        j.write_line(format_args!(
             "{{\"journal\":\"rpr-fleet\",\"version\":1,\"seed\":{seed},\"stripes\":{stripes}}}"
         ));
         Ok(j)
@@ -109,26 +111,27 @@ impl FleetJournal {
         self.stall = Some(stall);
     }
 
-    fn write_line(&mut self, line: &str) {
-        // A journal that cannot persist is worse than no journal: fail
-        // loudly rather than silently dropping the crash guarantee.
-        let io = self
-            .out
-            .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"))
-            .and_then(|()| self.out.flush());
-        if let Err(e) = io {
-            panic!("fleet journal write to {} failed: {e}", self.path.display());
-        }
+    fn write_line(&mut self, record: std::fmt::Arguments<'_>) {
+        writeln!(self.out, "{record}").unwrap_or_else(|e| self.fail(e));
         self.seq += 1;
         if let Some(d) = self.stall {
             std::thread::sleep(d);
         }
     }
 
+    /// Push every buffered record to the file (the module's flush points).
+    pub fn flush(&mut self) {
+        self.out.flush().unwrap_or_else(|e| self.fail(e));
+    }
+
+    /// A journal that cannot persist is worse than none: fail loudly.
+    fn fail(&self, e: std::io::Error) -> ! {
+        panic!("fleet journal write to {} failed: {e}", self.path.display());
+    }
+
     /// Record a stripe entering the at-risk index.
     pub fn enqueue(&mut self, stripe: u32, level: usize, t: f64) {
-        self.write_line(&format!(
+        self.write_line(format_args!(
             "{{\"rec\":\"enqueue\",\"stripe\":{stripe},\"level\":{level},\"t\":{t}}}"
         ));
     }
@@ -145,7 +148,7 @@ impl FleetJournal {
             retries,
             degraded,
         } = c;
-        self.write_line(&format!(
+        self.write_line(format_args!(
             "{{\"rec\":\"cost\",\"stripe\":{stripe},\"level\":{level},\"dur\":{dur},\
              \"cross\":{cross},\"inner\":{inner},\"replans\":{replans},\
              \"retries\":{retries},\"degraded\":{degraded}}}"
@@ -154,7 +157,7 @@ impl FleetJournal {
 
     /// Record an admission.
     pub fn admit(&mut self, stripe: u32, level: usize, t: f64, waited: f64) {
-        self.write_line(&format!(
+        self.write_line(format_args!(
             "{{\"rec\":\"admit\",\"stripe\":{stripe},\"level\":{level},\"t\":{t},\
              \"waited\":{waited}}}"
         ));
@@ -170,7 +173,7 @@ impl FleetJournal {
         finish: f64,
         waited: f64,
     ) -> Option<Checkpoint> {
-        self.write_line(&format!(
+        self.write_line(format_args!(
             "{{\"rec\":\"complete\",\"stripe\":{stripe},\"level\":{level},\
              \"admitted\":{admitted},\"finish\":{finish},\"waited\":{waited}}}"
         ));
@@ -184,7 +187,7 @@ impl FleetJournal {
 
     /// Record a risk escalation.
     pub fn escalate(&mut self, stripe: u32, from: usize, to: usize, in_flight: bool, t: f64) {
-        self.write_line(&format!(
+        self.write_line(format_args!(
             "{{\"rec\":\"escalate\",\"stripe\":{stripe},\"from\":{from},\"to\":{to},\
              \"in_flight\":{in_flight},\"t\":{t}}}"
         ));
@@ -192,7 +195,7 @@ impl FleetJournal {
 
     /// Record a permanent loss (the stripe crossed `z > r`).
     pub fn lost(&mut self, stripe: u32, level: usize, t: f64) {
-        self.write_line(&format!(
+        self.write_line(format_args!(
             "{{\"rec\":\"lost\",\"stripe\":{stripe},\"level\":{level},\"t\":{t}}}"
         ));
         self.lost += 1;
@@ -201,7 +204,9 @@ impl FleetJournal {
     /// Record a stripe that was unrepairable at costing time (too many
     /// failures for the code before the drain even started).
     pub fn unrepairable(&mut self, stripe: u32) {
-        self.write_line(&format!("{{\"rec\":\"unrepairable\",\"stripe\":{stripe}}}"));
+        self.write_line(format_args!(
+            "{{\"rec\":\"unrepairable\",\"stripe\":{stripe}}}"
+        ));
     }
 
     /// Append a checkpoint record now and return it.
@@ -211,10 +216,11 @@ impl FleetJournal {
             completed: self.completed,
             lost: self.lost,
         };
-        self.write_line(&format!(
+        self.write_line(format_args!(
             "{{\"rec\":\"checkpoint\",\"seq\":{},\"completed\":{},\"lost\":{},\"t\":{t}}}",
             cp.seq, cp.completed, cp.lost
         ));
+        self.flush();
         cp
     }
 }
@@ -463,6 +469,7 @@ mod tests {
             assert_eq!(cp.lost, 0);
             j.lost(2, 4, 7.0);
             j.unrepairable(9);
+            j.flush();
         }
         let replay = JournalReplay::load(&path).expect("parse");
         std::fs::remove_file(&path).ok();

@@ -2,9 +2,8 @@
 //! driving the stripe index and the bandwidth arbiter.
 //!
 //! Jobs enter the index at their [`FleetJob::arrival`] time (0 for the
-//! pre-existing backlog; later for stripes whose failures are detected
-//! mid-drain — they are enqueued into the live index when the clock
-//! reaches them, never dropped until a next run). The loop then
+//! backlog; later for failures detected mid-drain, enqueued when the
+//! clock reaches them, never deferred to a next run). The loop then
 //! alternates between two moves:
 //!
 //! 1. **Admit** — while the index head's (clamped) demand fits under the
@@ -24,6 +23,9 @@
 //! *when* a repair starts, never how long it takes or which plan it
 //! uses. MTTR under contention = admission wait + idle-cluster repair
 //! time.
+//!
+//! Under churn ([`drain_fleet`]) each hit draws its victims from an
+//! order-statistic live set: O(log n) per victim, never a backlog scan.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -360,7 +362,8 @@ pub fn drain_fleet(
         .iter()
         .map(|j| (j.cross_bytes, j.inner_bytes))
         .collect();
-    let mut arrived: Vec<bool> = vec![false; jobs.len()];
+    // The live jobs churn hits; without churn it stays a one-slot tree.
+    let mut live = LiveSet(vec![0; if churn.is_some() { jobs.len() + 1 } else { 1 }]);
     let mut lost_flag: Vec<bool> = vec![false; jobs.len()];
     let mut lost: Vec<LostStripe> = Vec::new();
     let mut escalations = 0usize;
@@ -382,7 +385,7 @@ pub fn drain_fleet(
             let i = due[next_due];
             next_due += 1;
             let job = &jobs[i as usize];
-            arrived[i as usize] = true;
+            live.update(i as usize, 1);
             index.enqueue(i, job.level);
             rec.record(Event::StripeEnqueued {
                 stripe: job.stripe as u64,
@@ -465,6 +468,7 @@ pub fn drain_fleet(
                 let demand = holding[i].take().expect("in-flight demand");
                 arbiter.release(&demand);
                 finish_at[i] = f64::NAN;
+                live.update(i, -1);
                 // Refresh level/finish: an in-flight escalation may have
                 // raised both since admission.
                 let r = records[i].as_mut().expect("admitted record");
@@ -510,7 +514,7 @@ pub fn drain_fleet(
                         finish_at: &mut finish_at,
                         dur_standalone: &mut dur_standalone,
                         bytes: &mut bytes,
-                        arrived: &arrived,
+                        live: &mut live,
                         lost_flag: &mut lost_flag,
                         lost: &mut lost,
                         holding: &mut holding,
@@ -525,6 +529,9 @@ pub fn drain_fleet(
                 }
             }
         }
+    }
+    if let Some(j) = journal {
+        j.borrow_mut().flush();
     }
 
     let mut repaired: Vec<StripeRecord> = Vec::with_capacity(jobs.len() - lost.len());
@@ -583,7 +590,7 @@ struct ChurnHit<'a, 'b> {
     finish_at: &'a mut [f64],
     dur_standalone: &'a mut [f64],
     bytes: &'a mut [(u64, u64)],
-    arrived: &'a [bool],
+    live: &'a mut LiveSet,
     lost_flag: &'a mut [bool],
     lost: &'a mut Vec<LostStripe>,
     holding: &'a mut [Option<Demand>],
@@ -596,20 +603,8 @@ struct ChurnHit<'a, 'b> {
 /// victims, raise their levels, escalate or lose them.
 fn apply_churn_hit(h: ChurnHit<'_, '_>) {
     let t = h.ev.t;
-    // Live = arrived, not lost, not completed (queued or in-flight).
-    let mut live: Vec<u32> = (0..h.jobs.len() as u32)
-        .filter(|&i| {
-            let i = i as usize;
-            h.arrived[i]
-                && !h.lost_flag[i]
-                && (h.records[i].is_none() || h.holding[i].is_some())
-        })
-        .collect();
-    let mut vrng = SplitMix64::new(h.ev.draw);
-    let nvict = h.ev.kind.victims().min(live.len());
-    for _ in 0..nvict {
-        let vi = vrng.pick(live.len());
-        let idx = live.swap_remove(vi);
+    // Every victim is drawn before the first loss leaves the live set.
+    for idx in h.live.draw(h.ev.draw, h.ev.kind.victims()) {
         let i = idx as usize;
         let stripe = h.jobs[i].stripe;
         *h.churn_failures += 1;
@@ -624,6 +619,7 @@ fn apply_churn_hit(h: ChurnHit<'_, '_>) {
             // Permanent loss: past the parity count no plan can rebuild
             // the stripe. Ledger it and stop spending repair bandwidth.
             h.lost_flag[i] = true;
+            h.live.update(i, -1);
             h.lost.push(LostStripe {
                 stripe,
                 level: to,
@@ -682,6 +678,56 @@ fn apply_churn_hit(h: ChurnHit<'_, '_>) {
             // ordering is preserved by the index.
             h.index.requeue(idx, to);
         }
+    }
+}
+
+/// The live jobs (arrived, not lost, not completed) as an order-statistic
+/// set: a Fenwick tree of 0/1 counts over job indices, slot `p` summing
+/// the `p & -p` jobs below `p` and slot 0 counting all.
+struct LiveSet(Vec<i32>);
+
+impl LiveSet {
+    /// Add job `i` (`delta = 1`) or remove it (`delta = -1`).
+    fn update(&mut self, i: usize, delta: i32) {
+        self.0[0] += delta;
+        let mut p = i + 1;
+        while p < self.0.len() {
+            self.0[p] += delta;
+            p += p & p.wrapping_neg();
+        }
+    }
+
+    /// The member of 0-based `rank` in ascending job order.
+    fn select(&self, mut rank: i32) -> u32 {
+        let mut pos = 0;
+        for step in (0..=self.0.len().ilog2()).rev().map(|b| 1 << b) {
+            if pos + step < self.0.len() && self.0[pos + step] <= rank {
+                pos += step;
+                rank -= self.0[pos];
+            }
+        }
+        pos as u32
+    }
+
+    /// Up to `n` distinct members drawn from `SplitMix64::new(seed)`: the
+    /// same ones, in the same order, as `pick` then `swap_remove` on the
+    /// ascending member vector, whose refilled slots overlay `select`.
+    fn draw(&self, seed: u64, n: usize) -> Vec<u32> {
+        let (mut rng, mut len) = (SplitMix64::new(seed), self.0[0] as usize);
+        let mut refilled: Vec<(usize, u32)> = Vec::new();
+        (0..n.min(len))
+            .map(|_| {
+                let slot = rng.pick(len);
+                len -= 1;
+                let at = |s: usize| match refilled.iter().rev().find(|r| r.0 == s) {
+                    Some(&(_, job)) => job,
+                    None => self.select(s as i32),
+                };
+                let (victim, last) = (at(slot), at(len));
+                refilled.push((slot, last));
+                victim
+            })
+            .collect()
     }
 }
 
@@ -1018,6 +1064,86 @@ mod tests {
             esc.records.iter().any(|r| r.level > 2),
             "some stripe was served above its base level"
         );
+    }
+
+    /// The victim draw the live set replaced: scan every job for the live
+    /// ones, then `pick` + `swap_remove` on that ascending vector.
+    fn reference_victims(
+        arrived: &[bool],
+        lost_flag: &[bool],
+        records: &[Option<()>],
+        holding: &[Option<()>],
+        draw: u64,
+        victims: usize,
+    ) -> Vec<u32> {
+        // Live = arrived, not lost, not completed (queued or in-flight).
+        let mut live: Vec<u32> = (0..arrived.len() as u32)
+            .filter(|&i| {
+                let i = i as usize;
+                arrived[i] && !lost_flag[i] && (records[i].is_none() || holding[i].is_some())
+            })
+            .collect();
+        let mut vrng = SplitMix64::new(draw);
+        let nvict = victims.min(live.len());
+        (0..nvict)
+            .map(|_| {
+                let vi = vrng.pick(live.len());
+                live.swap_remove(vi)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn live_set_draws_the_victims_the_full_scan_drew() {
+        // Seeded random histories of arrivals, admissions, completions,
+        // losses and 1–4-victim hits, including hits on an empty live set
+        // and hits wanting more victims than there are live jobs. The
+        // per-job flags move as the drain moves them.
+        let (mut hits, mut short_hits, mut empty_hits) = (0, 0, 0);
+        for history in 0..4000u64 {
+            let mut rng = SplitMix64::new(history);
+            let n = rng.pick(48);
+            let mut arrived = vec![false; n];
+            let mut lost_flag = vec![false; n];
+            let mut records: Vec<Option<()>> = vec![None; n];
+            let mut holding: Vec<Option<()>> = vec![None; n];
+            let mut live = LiveSet(vec![0; n + 1]);
+            for _ in 0..rng.pick(160) {
+                let i = rng.pick(n.max(1));
+                match rng.pick(6) {
+                    0 | 1 if n > 0 && !arrived[i] => {
+                        arrived[i] = true;
+                        live.update(i, 1);
+                    }
+                    2 if n > 0 && arrived[i] && !lost_flag[i] && records[i].is_none() => {
+                        (records[i], holding[i]) = (Some(()), Some(()));
+                    }
+                    3 if n > 0 && holding[i].is_some() => {
+                        holding[i] = None;
+                        live.update(i, -1);
+                    }
+                    4 | 5 => {
+                        let (victims, draw) = (1 + rng.pick(4), rng.next_u64());
+                        let want = reference_victims(
+                            &arrived, &lost_flag, &records, &holding, draw, victims,
+                        );
+                        hits += 1;
+                        short_hits += usize::from(want.len() < victims);
+                        empty_hits += usize::from(live.0[0] == 0);
+                        assert_eq!(live.draw(draw, victims), want, "history {history}");
+                        for v in want.into_iter().map(|v| v as usize) {
+                            if rng.pick(3) == 0 {
+                                lost_flag[v] = true;
+                                (records[v], holding[v]) = (None, None);
+                                live.update(v, -1);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(hits > 100_000 && short_hits > 10_000 && empty_hits > 1_000);
     }
 
     #[test]

@@ -47,7 +47,8 @@
 #      (RPR_JOURNAL_STALL_US stretches the write window), resumed from
 #      the torn journal, and the resumed run's `"summary":{...}` must be
 #      byte-identical to an uninterrupted same-seed run's, with zero
-#      stripes lost at a churn rate the drain outpaces (docs/FLEET.md,
+#      stripes lost at a churn rate the drain outpaces; the uninterrupted
+#      run's own journal must match a pinned sha256 (docs/FLEET.md,
 #      "Drains under churn" / "The journal"); a journaled per-stripe
 #      storm drain (`--storm crash,timeout`, the only path that writes
 #      `cost` records) is then resumed and must replay those costs to
@@ -71,7 +72,8 @@
 #      tables (fig6-fig11, fleet, churn, ablation, foreground; < 1 s) and
 #      every CSV it writes must be byte-identical to the committed one in
 #      `results/`. Tables with wall-clock columns (fleet-scale, table1,
-#      fig12-fig14) are left out.
+#      fig12-fig14) are left out; the foreground table's one wall-clock
+#      column, `wall (s)`, is dropped on both sides before the compare.
 #
 # Note: `cargo doc` prints a filename-collision warning for the `rpr` CLI
 # binary vs the `rpr` facade lib (cargo#6313); it is cargo's, not
@@ -344,8 +346,17 @@ if [ ! -s "$CHAOS_DIR/churn_journal.jsonl" ]; then
     echo "churn soak FAILED: killed drain left no journal" >&2
     exit 1
 fi
-echo "==> $RPR fleet $CHURN_FLAGS (uninterrupted reference run)"
-"$RPR" fleet $CHURN_FLAGS --json > "$CHAOS_DIR/churn_clean.json" 2>/dev/null
+echo "==> $RPR fleet $CHURN_FLAGS --journal (uninterrupted reference run)"
+"$RPR" fleet $CHURN_FLAGS --journal "$CHAOS_DIR/churn_clean.jsonl" --json \
+    > "$CHAOS_DIR/churn_clean.json" 2>/dev/null
+# Group commit moves when journal bytes reach the file, never which
+# bytes: the complete journal is pinned to its digest.
+CHURN_JOURNAL_SHA256=d237e9a8e77fe66e8b20f95162e2e2ac073c249ef15fc24394e4b973f5556dc4
+CHURN_JOURNAL_GOT=$(sha256sum "$CHAOS_DIR/churn_clean.jsonl" | cut -d' ' -f1)
+if [ "$CHURN_JOURNAL_GOT" != "$CHURN_JOURNAL_SHA256" ]; then
+    echo "churn soak FAILED: reference journal sha256 $CHURN_JOURNAL_GOT, want $CHURN_JOURNAL_SHA256" >&2
+    exit 1
+fi
 echo "==> $RPR fleet $CHURN_FLAGS --resume churn_journal.jsonl"
 "$RPR" fleet $CHURN_FLAGS --resume "$CHAOS_DIR/churn_journal.jsonl" --json \
     > "$CHAOS_DIR/churn_resumed.json" 2>/dev/null
@@ -460,9 +471,17 @@ mkdir -p "$RESULTS_DIR"
 echo "==> rpr-experiments fig6 .. fig11 fleet churn ablation foreground --out $RESULTS_DIR"
 target/release/rpr-experiments fig6 fig7 fig8 fig9 fig10 fig11 fleet churn ablation foreground \
     --out "$RESULTS_DIR" >/dev/null
+# The foreground table ends in a wall-clock column, `wall (s)`, which
+# varies with the host: every other column of it is pinned.
+without_wall() {
+    awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) if ($i == "wall (s)") w = i }
+        { s = ""; for (i = 1; i <= NF; i++) if (i != w) s = s (s == "" ? "" : ",") $i; print s }' "$1"
+}
 TABLES=0
 for csv in "$RESULTS_DIR"/*.csv; do
-    if ! cmp -s "$csv" "results/$(basename "$csv")"; then
+    without_wall "$csv" > "$CHAOS_DIR/table.regenerated"
+    without_wall "results/$(basename "$csv")" > "$CHAOS_DIR/table.committed"
+    if ! cmp -s "$CHAOS_DIR/table.regenerated" "$CHAOS_DIR/table.committed"; then
         echo "pinned tables FAILED: $(basename "$csv") differs from results/" >&2
         exit 1
     fi
