@@ -1,9 +1,10 @@
-//! Property-based tests: round-trips, repair-equation soundness, and the
-//! grouping-independence of partial decoding — the algebraic fact the whole
-//! RPR pipeline rests on.
+//! Codec properties: an exhaustive decode sweep over every paper code,
+//! sampled repair-equation soundness, and the grouping-independence of
+//! partial decoding — the algebraic fact the whole RPR pipeline rests on.
 
 use proptest::prelude::*;
 use rpr_codec::{BlockId, CodeParams, PartialDecoder, StripeCodec};
+use rpr_linalg::{for_each_combination, vandermonde_systematic};
 
 /// The six RS configurations evaluated in the paper.
 const PAPER_CODES: [(usize, usize); 6] = [(4, 2), (6, 2), (8, 2), (6, 3), (8, 4), (12, 4)];
@@ -12,41 +13,66 @@ fn code_strategy() -> impl Strategy<Value = (usize, usize)> {
     proptest::sample::select(PAPER_CODES.to_vec())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn any_n_survivors_decode_every_loss_pattern(
-        (n, k) in code_strategy(),
-        seed: u64,
-        len in 8usize..64,
-    ) {
-        let codec = StripeCodec::new(CodeParams::new(n, k));
-        let data: Vec<Vec<u8>> = (0..n).map(|i| {
-            let mut s = seed.wrapping_add(i as u64) | 1;
-            (0..len).map(|_| { s = s.wrapping_mul(0x5DEECE66D).wrapping_add(11); (s >> 24) as u8 }).collect()
-        }).collect();
-        let refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
-        let stripe = codec.encode_stripe(&refs);
-
-        // Choose a random loss pattern of size 1..=k from the seed.
-        let z = 1 + (seed as usize) % k;
-        let mut ids: Vec<usize> = (0..n + k).collect();
-        let mut s = seed;
-        for i in (1..ids.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ids.swap(i, (s >> 33) as usize % (i + 1));
-        }
-        let lost: Vec<BlockId> = ids[..z].iter().map(|&i| BlockId(i)).collect();
-        let survivors: Vec<(BlockId, &[u8])> = (0..n + k)
-            .filter(|i| !lost.iter().any(|l| l.0 == *i))
-            .map(|i| (BlockId(i), stripe[i].as_slice()))
+/// Exhaustive, not sampled: every paper code × every loss pattern of
+/// `1..=k` blocks × both the default (Cauchy) and the Vandermonde coding
+/// matrix — 7100 cases. `decode` from the first `n` survivors must return
+/// each lost block's original bytes, and the repair equations over those
+/// same `n` helpers must pass the symbolic validator.
+#[test]
+fn every_loss_pattern_decodes_on_every_paper_code() {
+    const LEN: usize = 37;
+    let mut cases = 0usize;
+    for (n, k) in PAPER_CODES {
+        let params = CodeParams::new(n, k);
+        let codecs = [
+            StripeCodec::new(params),
+            StripeCodec::with_coding_matrix(params, vandermonde_systematic(n, k)),
+        ];
+        let mut s = (n * 31 + k) as u64;
+        let data: Vec<Vec<u8>> = (0..n)
+            .map(|_| {
+                (0..LEN)
+                    .map(|_| {
+                        s = s
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (s >> 33) as u8
+                    })
+                    .collect()
+            })
             .collect();
-        let rec = codec.decode(&survivors, &lost);
-        for (r, l) in rec.iter().zip(&lost) {
-            prop_assert_eq!(r, &stripe[l.0]);
+        let refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
+        for codec in &codecs {
+            let stripe = codec.encode_stripe(&refs);
+            for z in 1..=k {
+                for_each_combination(n + k, z, |ids| {
+                    let lost: Vec<BlockId> = ids.iter().map(|&i| BlockId(i)).collect();
+                    let survivors: Vec<(BlockId, &[u8])> = (0..n + k)
+                        .filter(|i| !ids.contains(i))
+                        .map(|i| (BlockId(i), stripe[i].as_slice()))
+                        .collect();
+                    let rec = codec.decode(&survivors, &lost);
+                    assert_eq!(rec.len(), z);
+                    for (r, l) in rec.iter().zip(&lost) {
+                        assert_eq!(r, &stripe[l.0], "RS({n},{k}) lost {ids:?}: block {l:?}");
+                    }
+                    let helpers: Vec<BlockId> = survivors[..n].iter().map(|(id, _)| *id).collect();
+                    for eq in codec.repair_equations(&lost, &helpers) {
+                        assert!(
+                            codec.equation_is_valid(&eq),
+                            "RS({n},{k}) lost {ids:?}: {eq:?}"
+                        );
+                    }
+                    cases += 1;
+                });
+            }
         }
     }
+    assert_eq!(cases, 7100);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn repair_equations_are_symbolically_valid_and_byte_exact(
