@@ -640,9 +640,9 @@ fn fleet(f: &FleetArgs) -> Result<(), String> {
             ),
             out.classes,
             out.unrepairable,
-            out.replans,
-            out.retries,
-            out.degraded,
+            out.tally.replans,
+            out.tally.retries,
+            out.tally.degraded,
             out.max_utilization,
             f.churn_rate,
             f.escalate,
@@ -664,7 +664,7 @@ fn fleet(f: &FleetArgs) -> Result<(), String> {
         );
         println!(
             "  repaired {} / {} | {} repair classes | unrepairable {} | degraded {}",
-            s.repaired, s.stripes, out.classes, out.unrepairable, out.degraded,
+            s.repaired, s.stripes, out.classes, out.unrepairable, out.tally.degraded,
         );
         println!(
             "  makespan {:.1} s | {:.1} stripes/s | {:.3} GB/s | peak link util {:.1}%",

@@ -9,11 +9,11 @@
 //! Three layers:
 //!
 //! * [`CodeParams`] / [`BlockId`] — stripe geometry;
-//! * [`StripeCodec`] — encode, full decode, and the derivation of
-//!   [`RepairEquation`]s: for a set of `z` lost blocks and `n` chosen helper
-//!   blocks, the equation set expresses each lost block as a linear
-//!   combination of helpers (paper eq. 8). A repair equation is what the
-//!   planners distribute across racks;
+//! * [`StripeCodec`] — encode, and the derivation of [`RepairEquation`]s:
+//!   for a set of `z` lost blocks and `n` chosen helper blocks, the
+//!   equation set expresses each lost block as a linear combination of
+//!   helpers (paper eq. 8). A repair equation is what the planners
+//!   distribute across racks; `decode` applies the same equations to bytes;
 //! * [`PartialDecoder`] — an incremental accumulator implementing partial
 //!   decoding (paper §2.1.2 / eq. 4): coefficient-scaled blocks can be folded
 //!   in any grouping or order, so racks can combine locally and merge

@@ -1,5 +1,6 @@
-//! The [`StripeCodec`]: encoding, full decoding, and repair-equation
-//! derivation for one RS `(n, k)` configuration.
+//! The [`StripeCodec`]: encoding, decoding, and repair-equation
+//! derivation for one RS `(n, k)` configuration. Decoding and the repair
+//! equations share one coefficient derivation (paper eq. 8–9).
 
 use crate::{generator_from_coding, BlockId, CodeParams, RepairEquation};
 use rpr_gf as gf;
@@ -118,16 +119,15 @@ impl StripeCodec {
         stripe
     }
 
-    /// Full ("traditional") decode: reconstruct the listed `lost` blocks
-    /// from exactly `n` surviving blocks.
-    ///
-    /// This is the paper's traditional repair math (§2.1.1): build `M'` from
-    /// the survivors' generator rows, invert it, recover the data, re-encode
-    /// any lost parity.
+    /// Decode: reconstruct the listed `lost` blocks from the first `n`
+    /// surviving blocks, folding each lost block's eq.-8 coefficients (the
+    /// ones [`StripeCodec::repair_equations`] derives) over them in one
+    /// cache-blocked pass: one fold per survivor per output byte.
     ///
     /// # Panics
     /// Panics if fewer than `n` survivors are supplied, block lengths are
-    /// unequal, survivors overlap `lost`, or ids are out of range.
+    /// unequal, survivors overlap `lost`, the first `n` survivors repeat an
+    /// id, or ids are out of range.
     pub fn decode(&self, survivors: &[(BlockId, &[u8])], lost: &[BlockId]) -> Vec<Vec<u8>> {
         let p = &self.params;
         assert!(
@@ -146,37 +146,19 @@ impl StripeCodec {
             chosen.iter().all(|(_, b)| b.len() == len),
             "decode: unequal block lengths"
         );
-
-        let rows: Vec<usize> = chosen.iter().map(|(id, _)| id.0).collect();
-        let sub = self.generator.select_rows(&rows);
-        let inv = sub
-            .inverse()
-            .expect("any n rows of an MDS generator are invertible");
-
-        // data_j = Σ_i inv[j][i] * chosen_i — all n recovered rows in one
-        // cache-blocked multi-row pass over the survivors.
-        let blocks: Vec<&[u8]> = chosen.iter().map(|(_, b)| *b).collect();
-        let inv_rows: Vec<&[u8]> = (0..p.n).map(|j| inv.row(j)).collect();
-        let mut data: Vec<Vec<u8>> = (0..p.n).map(|_| vec![0u8; len]).collect();
-        {
-            let mut outs: Vec<&mut [u8]> = data.iter_mut().map(|b| b.as_mut_slice()).collect();
-            gf::lin_comb_multi(&inv_rows, &blocks, &mut outs);
+        let helpers: Vec<BlockId> = chosen.iter().map(|(id, _)| *id).collect();
+        if lost.is_empty() {
+            self.check_ids(lost, &helpers);
+            return Vec::new();
         }
 
-        let data_refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
-        lost.iter()
-            .map(|id| {
-                assert!(id.0 < p.total(), "decode: lost id out of range");
-                if id.is_data(p) {
-                    data[id.0].clone()
-                } else {
-                    let i = id.0 - p.n;
-                    let mut parity = vec![0u8; len];
-                    gf::lin_comb(self.coding.row(i), &data_refs, &mut parity);
-                    parity
-                }
-            })
-            .collect()
+        let coeffs = self.coefficients(lost, &helpers);
+        let rows: Vec<&[u8]> = (0..lost.len()).map(|t| coeffs.row(t)).collect();
+        let blocks: Vec<&[u8]> = chosen.iter().map(|(_, b)| *b).collect();
+        let mut out: Vec<Vec<u8>> = lost.iter().map(|_| vec![0u8; len]).collect();
+        let mut outs: Vec<&mut [u8]> = out.iter_mut().map(|b| b.as_mut_slice()).collect();
+        gf::lin_comb_multi(&rows, &blocks, &mut outs);
+        out
     }
 
     /// Derive the repair equations (paper eq. 8): for each lost block, the
@@ -191,49 +173,56 @@ impl StripeCodec {
     /// Panics unless exactly `n` distinct helpers are given, helpers and
     /// lost are disjoint, and all ids are in range.
     pub fn repair_equations(&self, lost: &[BlockId], helpers: &[BlockId]) -> Vec<RepairEquation> {
-        let p = &self.params;
-        assert_eq!(
-            helpers.len(),
-            p.n,
-            "repair_equations: need exactly n helpers"
-        );
         assert!(!lost.is_empty(), "repair_equations: nothing lost");
         assert!(
-            lost.len() <= p.k,
+            lost.len() <= self.params.k,
             "repair_equations: more than k losses are unrecoverable"
         );
-        let mut seen = vec![false; p.total()];
-        for h in helpers {
-            assert!(h.0 < p.total(), "repair_equations: helper out of range");
-            assert!(!seen[h.0], "repair_equations: duplicate helper");
-            seen[h.0] = true;
-            assert!(!lost.contains(h), "repair_equations: helper listed as lost");
-        }
-
-        let rows: Vec<usize> = helpers.iter().map(|h| h.0).collect();
-        let sub = self.generator.select_rows(&rows);
-        let inv = sub
-            .inverse()
-            .expect("any n rows of an MDS generator are invertible");
-
+        let coeffs = self.coefficients(lost, helpers);
         lost.iter()
-            .map(|&target| {
-                assert!(target.0 < p.total(), "repair_equations: lost id range");
-                // coeff vector c = g_target · inv, where g_target is the
-                // target's generator row (so that c · helpers = target).
-                let g = self.generator.row(target.0);
-                let coeffs: Vec<u8> = (0..p.n)
-                    .map(|i| (0..p.n).fold(0u8, |acc, j| acc ^ gf::mul(g[j], inv[(j, i)])))
-                    .collect();
+            .enumerate()
+            .map(|(t, &target)| {
                 let terms: Vec<(BlockId, u8)> = helpers
                     .iter()
-                    .zip(&coeffs)
+                    .zip(coeffs.row(t))
                     .filter(|(_, &c)| c != 0)
                     .map(|(&h, &c)| (h, c))
                     .collect();
                 RepairEquation::new(target, terms)
             })
             .collect()
+    }
+
+    /// The one coefficient derivation (paper eq. 8–9): the `z × n` matrix
+    /// whose row `t` rebuilds `lost[t]` from `helpers` — the lost blocks'
+    /// generator rows times the inverse of the helpers' generator rows.
+    ///
+    /// # Panics
+    /// Panics if `lost` is empty, or as [`StripeCodec::check_ids`] does.
+    fn coefficients(&self, lost: &[BlockId], helpers: &[BlockId]) -> Matrix {
+        self.check_ids(lost, helpers);
+        let rows = |ids: &[BlockId]| ids.iter().map(|b| b.0).collect::<Vec<_>>();
+        #[allow(clippy::disallowed_methods, reason = "the one decoding inversion")]
+        let inv = self.generator.select_rows(&rows(helpers)).inverse();
+        let inv = inv.expect("n distinct rows of an MDS generator are invertible");
+        self.generator.select_rows(&rows(lost)).mul(&inv)
+    }
+
+    /// Panics unless exactly `n` distinct in-range helpers are given, none
+    /// of them lost, and every lost id is in range.
+    fn check_ids(&self, lost: &[BlockId], helpers: &[BlockId]) {
+        let p = &self.params;
+        assert_eq!(helpers.len(), p.n, "coefficients: need exactly n helpers");
+        let mut seen = vec![false; p.total()];
+        for h in helpers {
+            assert!(h.0 < p.total(), "coefficients: helper out of range");
+            assert!(!seen[h.0], "coefficients: duplicate helper");
+            seen[h.0] = true;
+            assert!(!lost.contains(h), "coefficients: helper listed as lost");
+        }
+        for l in lost {
+            assert!(l.0 < p.total(), "coefficients: lost id out of range");
+        }
     }
 
     /// Verify a repair equation symbolically: the weighted sum of the
@@ -404,6 +393,33 @@ mod tests {
         assert_eq!(rec[0], stripe[0]);
         assert_eq!(rec[1], stripe[1]);
         assert_eq!(rec[2], stripe[2]);
+    }
+
+    #[test]
+    fn decode_with_nothing_lost_returns_nothing() {
+        let c = codec(4, 2);
+        let block = [0u8; 8];
+        let survivors: Vec<(BlockId, &[u8])> = (0..4).map(|i| (BlockId(i), &block[..])).collect();
+        assert!(c.decode(&survivors, &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficients: duplicate helper")]
+    fn decode_rejects_a_repeated_survivor() {
+        let c = codec(4, 2);
+        let block = [0u8; 8];
+        let survivors: Vec<(BlockId, &[u8])> =
+            [1, 2, 2, 3].map(|i| (BlockId(i), &block[..])).to_vec();
+        c.decode(&survivors, &[BlockId(0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficients: lost id out of range")]
+    fn decode_rejects_an_out_of_range_lost_id() {
+        let c = codec(4, 2);
+        let block = [0u8; 8];
+        let survivors: Vec<(BlockId, &[u8])> = (0..4).map(|i| (BlockId(i), &block[..])).collect();
+        c.decode(&survivors, &[BlockId(6)]);
     }
 
     #[test]

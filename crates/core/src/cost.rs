@@ -53,7 +53,7 @@ impl CostModel {
     /// Costs measured on *this* machine, by timing the real `rpr-gf`
     /// kernels the executor's combines run on — the dispatched SIMD
     /// multiply-accumulate for `gf_rate`, the XOR fold for `xor_rate`,
-    /// and a genuine survivor-row Gauss–Jordan inversion for
+    /// and the planners' own `StripeCodec::repair_equations` for
     /// `matrix_build_seconds`. Where [`CostModel::simics`] and
     /// [`CostModel::ec2_t2micro`] model the *paper's* machines, this one
     /// makes the simulator agree with what `rpr-exec` would actually
@@ -71,6 +71,7 @@ impl CostModel {
 
     /// One calibration pass for [`CostModel::measured`].
     fn calibrate() -> CostModel {
+        use rpr_codec::{BlockId, CodeParams, StripeCodec};
         use std::time::Instant;
         // Big enough to amortize dispatch and loop overhead, small
         // enough to stay cache-warm like the executor's streamed chunks.
@@ -97,14 +98,13 @@ impl CostModel {
         // loop isn't auto-vectorized but the SIMD multiply still is.
         let xor_rate = time_rate(&mut |s, d| rpr_gf::xor_slice(d, s)).max(gf_rate);
 
-        // A real decoding-matrix build at the paper's (6,3) shape:
-        // survivor-row selection plus Gauss–Jordan inversion.
-        let coding = rpr_linalg::rs_coding_matrix(6, 3);
-        let gen = rpr_linalg::Matrix::identity(6).vstack(&coding);
+        // A real decoding-matrix build at the paper's (6,3) shape, on the
+        // planners' own derivation: d5 from d0..d4 and p0.
+        let codec = StripeCodec::new(CodeParams::new(6, 3));
+        let helpers = [0, 1, 2, 3, 4, 6].map(BlockId);
         let t = Instant::now();
         for _ in 0..ROUNDS {
-            let sub = gen.select_rows(&[0, 1, 2, 3, 4, 6]);
-            std::hint::black_box(sub.inverse().expect("survivor rows invertible"));
+            std::hint::black_box(codec.repair_equations(&[BlockId(5)], &helpers));
         }
         let matrix_build_seconds = t.elapsed().as_secs_f64() / f64::from(ROUNDS);
 

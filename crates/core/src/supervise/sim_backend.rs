@@ -266,7 +266,7 @@ impl RepairBackend for SimBackend {
             0,
             ctx.effective_chunk(),
         );
-        let report = sim.run_recorded(rpr_obs::noop());
+        let report = sim.run();
         let wave_spans = wave_spans(plan, ctx.topo, &all, &op_spans(&report, &jobs));
         Baseline {
             clean_time: report.makespan,

@@ -1127,16 +1127,14 @@ fn shaped_transfer(
     Some(first_admit)
 }
 
-/// Perform a genuine decoding-matrix construction (survivor-row selection
-/// plus Gauss-Jordan inversion), the work Jerasure does before a
-/// matrix-based decode.
+/// Perform a genuine decoding-matrix construction, the work Jerasure does
+/// before a matrix-based decode: the planners' own coefficient derivation
+/// ([`StripeCodec::repair_equations`](rpr_codec::StripeCodec::repair_equations))
+/// over the first `n` survivors.
 fn build_decoding_matrix(ctx: &RepairContext<'_>) {
-    let n = ctx.params().n;
-    let rows: Vec<usize> = ctx.survivors().iter().take(n).map(|b| b.0).collect();
-    let sub = ctx.codec.generator().select_rows(&rows);
-    let inv = sub.inverse().expect("survivor rows are invertible");
+    let helpers: Vec<_> = ctx.survivors().into_iter().take(ctx.params().n).collect();
     // Keep the optimizer honest.
-    std::hint::black_box(inv);
+    std::hint::black_box(ctx.codec.repair_equations(&ctx.failed, &helpers));
 }
 
 #[cfg(test)]

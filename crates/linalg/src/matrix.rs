@@ -351,6 +351,7 @@ impl Matrix {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests of Matrix::inverse itself")]
 mod tests {
     use super::*;
 

@@ -1,5 +1,9 @@
 //! Property-based tests for matrix algebra over GF(2^8) and the MDS
 //! constructions used by the codec.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "properties of Matrix::inverse itself"
+)]
 
 use proptest::prelude::*;
 use rpr_linalg::{cauchy, is_superregular, rs_coding_matrix, vandermonde, Matrix};

@@ -215,12 +215,8 @@ pub struct FleetOutcome {
     /// Distinct repair classes the fleet decomposed into (1 sim each on
     /// the cached path).
     pub classes: usize,
-    /// Total replan generations across the fleet.
-    pub replans: usize,
-    /// Total transfer retries across the fleet.
-    pub retries: usize,
-    /// Stripes that completed below [`Tier::Full`].
-    pub degraded: usize,
+    /// Fleet-wide sums of the per-stripe supervision counters.
+    pub tally: RepairTally,
     /// Stripes whose storm was unrecoverable (excluded from the
     /// backlog; 0 on the cached path).
     pub unrepairable: usize,
@@ -674,9 +670,7 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
         records: outcome.records,
         lost: outcome.lost,
         classes: class_failed.len() + esc.keys().filter(|f| !class_keys.contains_key(*f)).count(),
-        replans: tally.replans,
-        retries: tally.retries,
-        degraded: tally.degraded,
+        tally,
         unrepairable,
         max_utilization: arbiter.max_utilization(),
         replayed,
@@ -847,7 +841,7 @@ mod tests {
         };
         let out = run_synthetic_fleet(&spec, &NoopRecorder);
         assert_eq!(out.summary.repaired + out.unrepairable, 24);
-        assert!(out.replans > 0, "every stripe crashed at least once");
+        assert!(out.tally.replans > 0, "every stripe crashed at least once");
         let again = run_synthetic_fleet(&spec, &NoopRecorder);
         assert_eq!(out.records, again.records, "storm path is deterministic");
     }

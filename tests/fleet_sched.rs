@@ -105,8 +105,8 @@ fn same_seed_runs_are_byte_identical() {
     assert_eq!(a.summary.to_json(), b.summary.to_json());
     assert_eq!(a.records, b.records);
     assert_eq!(
-        (a.classes, a.replans, a.retries, a.degraded, a.unrepairable),
-        (b.classes, b.replans, b.retries, b.degraded, b.unrepairable)
+        (a.classes, a.tally, a.unrepairable),
+        (b.classes, b.tally, b.unrepairable)
     );
 }
 
