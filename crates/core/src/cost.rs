@@ -11,6 +11,8 @@
 //! * a node pays a one-time `matrix_build_seconds` surcharge the first time
 //!   it executes a combine whose coefficients come from a decoding matrix.
 
+use crate::plan::Input;
+
 /// Throughput and fixed-cost parameters for decode work.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
@@ -138,29 +140,36 @@ impl CostModel {
         }
     }
 
-    /// Seconds to fold `bytes` with coefficient `coeff` using the
-    /// *optimized* decode path (RPR's): coefficient-1 folds run at XOR
-    /// speed.
-    pub fn fold_seconds(&self, coeff: u8, bytes: u64) -> f64 {
-        let rate = if coeff == 1 {
-            self.xor_rate
-        } else {
-            self.gf_rate
-        };
-        bytes as f64 / rate
-    }
-
-    /// Seconds to fold `bytes` through the *unoptimized* (traditional /
-    /// CAR) decode function, which multiplies by the decoding-matrix entry
-    /// regardless of its value — this is Jerasure's `matrix_decode` and the
-    /// origin of the paper's 20 s vs 2.5 s measurement (§5.2.1).
-    pub fn forced_fold_seconds(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.gf_rate
-    }
-
-    /// Seconds to XOR-merge an intermediate of `bytes`.
-    pub fn merge_seconds(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.xor_rate
+    /// Seconds a combine spends on one `bytes`-long chunk: each input's
+    /// fold in input order, plus the one-time decoding-matrix surcharge
+    /// when `build` (a node's first chunk of a GF combine, once per node
+    /// per plan). The optimized decode path (RPR's) folds coefficient-1
+    /// blocks and merges intermediates at XOR speed and the rest at GF
+    /// speed; a `force_matrix` scheme (traditional, CAR) runs every fold
+    /// through the matrix-decode function, which multiplies by the
+    /// decoding-matrix entry whatever its value — Jerasure's
+    /// `matrix_decode`, and the origin of the paper's 20 s vs 2.5 s
+    /// measurement (§5.2.1). The rule both backends pace combines by.
+    pub fn combine_chunk_seconds(
+        &self,
+        force_matrix: bool,
+        inputs: &[Input],
+        bytes: u64,
+        build: bool,
+    ) -> f64 {
+        let mut seconds = 0.0;
+        for input in inputs {
+            seconds += bytes as f64
+                / match input {
+                    _ if force_matrix => self.gf_rate,
+                    Input::Block { coeff: 1, .. } | Input::Intermediate(_) => self.xor_rate,
+                    Input::Block { .. } => self.gf_rate,
+                };
+        }
+        if build {
+            seconds += self.matrix_build_seconds;
+        }
+        seconds
     }
 
     /// `t_wd / t_nd` for a decode that folds `n` blocks of `bytes` each —
@@ -182,8 +191,15 @@ mod tests {
     fn ec2_model_matches_paper_decode_times() {
         let m = CostModel::ec2_t2micro();
         // Traditional decode of one 256 MB block from 4 helpers.
-        let wd = m.matrix_build_seconds + (0..4).map(|_| m.fold_seconds(7, MB256)).sum::<f64>();
-        let nd: f64 = (0..4).map(|_| m.fold_seconds(1, MB256)).sum();
+        let helpers: Vec<Input> = (0..4)
+            .map(|b| Input::Block {
+                block: rpr_codec::BlockId(b),
+                coeff: 1,
+                via: None,
+            })
+            .collect();
+        let wd = m.combine_chunk_seconds(true, &helpers, MB256, true);
+        let nd = m.combine_chunk_seconds(false, &helpers, MB256, false);
         assert!((wd - 20.0).abs() < 1.5, "t_wd = {wd}");
         assert!((nd - 2.5).abs() < 0.3, "t_nd = {nd}");
     }
@@ -197,9 +213,9 @@ mod tests {
     #[test]
     fn free_model_costs_nothing() {
         let m = CostModel::free();
-        assert_eq!(m.fold_seconds(9, MB256), 0.0);
-        assert_eq!(m.merge_seconds(MB256), 0.0);
-        assert_eq!(m.matrix_build_seconds, 0.0);
+        let inputs = [Input::Intermediate(crate::plan::OpId(0)), block(9)];
+        assert_eq!(m.combine_chunk_seconds(false, &inputs, MB256, true), 0.0);
+        assert_eq!(m.combine_chunk_seconds(true, &inputs, MB256, true), 0.0);
     }
 
     #[test]
@@ -216,10 +232,22 @@ mod tests {
         assert_eq!(m, CostModel::measured());
     }
 
+    fn block(coeff: u8) -> Input {
+        Input::Block {
+            block: rpr_codec::BlockId(0),
+            coeff,
+            via: None,
+        }
+    }
+
     #[test]
     fn xor_fold_is_faster_than_gf_fold() {
         for m in [CostModel::simics(), CostModel::ec2_t2micro()] {
-            assert!(m.fold_seconds(1, MB256) < m.fold_seconds(2, MB256));
+            let fold =
+                |coeff, forced| m.combine_chunk_seconds(forced, &[block(coeff)], MB256, false);
+            assert!(fold(1, false) < fold(2, false));
+            // A forced matrix decode folds a coefficient-1 block at GF speed.
+            assert_eq!(fold(1, true), fold(2, false));
         }
     }
 }

@@ -30,7 +30,6 @@ pub mod scenario;
 pub mod schemes;
 pub mod sim;
 pub mod supervise;
-pub mod timestep;
 pub mod trace;
 pub mod viz;
 
@@ -41,8 +40,7 @@ pub use schemes::{
     CarPlanner, ChainPlanner, RecoverySite, RepairPlanner, RprPlanner, TraditionalPlanner,
 };
 pub use sim::{
-    chunk_sizes, lower_plan_into, network_for_ctx, simulate, simulate_batch, BatchOutcome,
-    SimOutcome,
+    chunk_sizes, lower_plan_into, network_for, simulate, simulate_batch, BatchOutcome, SimOutcome,
 };
 pub use supervise::{
     check_retry_budget, crash_candidates, first_valid_plan, plan_with_pool, resolve_storm_bucket,
@@ -50,4 +48,7 @@ pub use supervise::{
     GenFaults, Generation, GenerationRecord, GenerationRun, PoolKey, PoolReplan, RepairBackend,
     ResolvedFaults, SimBackend, Splice, SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
 };
-pub use trace::{combine_kernel, plan_built, simulate_traced};
+pub use trace::{
+    combine_kernel, op_label, plan_built, record_wave_spans, send_transfer, simulate_traced,
+    stream_summary,
+};

@@ -2,8 +2,10 @@
 //! transfers and partial-decoding combines, plus a symbolic validator that
 //! proves the plan reconstructs exactly the failed blocks.
 
+use crate::trace::combine_kernel;
 use rpr_codec::{BlockId, CodeParams, StripeCodec};
 use rpr_gf as gf;
+use rpr_obs::Kernel;
 use rpr_topology::{NodeId, Placement, Topology};
 
 /// Identifies an operation within one [`RepairPlan`].
@@ -155,13 +157,22 @@ impl RepairPlan {
         deps
     }
 
+    /// The scheduling dependencies of op `i` that carry no data: the
+    /// ordering edges targeting it, minus its data dependencies. Both
+    /// backends let such an op start only once these finished whole.
+    pub fn ordering_deps(&self, i: usize) -> Vec<OpId> {
+        let mut deps = self.deps_of(i);
+        deps.drain(..self.ops[i].dependencies().len());
+        deps
+    }
+
     /// Compute traffic statistics against a topology.
     pub fn stats(&self, topo: &Topology) -> PlanStats {
         let mut cross = 0usize;
         let mut inner = 0usize;
         let mut combines = 0usize;
         let mut any_gf = false;
-        for op in &self.ops {
+        for (i, op) in self.ops.iter().enumerate() {
             match op {
                 Op::Send { from, to, .. } => {
                     if topo.same_rack(*from, *to) {
@@ -170,14 +181,9 @@ impl RepairPlan {
                         cross += 1;
                     }
                 }
-                Op::Combine { inputs, .. } => {
+                Op::Combine { .. } => {
                     combines += 1;
-                    if inputs
-                        .iter()
-                        .any(|i| matches!(i, Input::Block { coeff, .. } if *coeff != 1))
-                    {
-                        any_gf = true;
-                    }
+                    any_gf |= combine_kernel(self, i) == Some(Kernel::Gf);
                 }
             }
         }

@@ -14,9 +14,11 @@
 //! `waves × t_block` to `t_block + (waves − 1) × t_chunk` — the ECPipe
 //! slice-pipelining model applied to RPR's §3.2 wave schedule.
 
-use crate::plan::{Input, Op, RepairPlan};
+use crate::plan::{Op, OpId, RepairPlan};
 use crate::scenario::RepairContext;
+use crate::trace::{combine_kernel, op_label};
 use rpr_netsim::{JobId, Network, SimReport, Simulator};
+use rpr_obs::Kernel;
 
 /// The result of simulating one repair plan.
 #[derive(Clone, Debug)]
@@ -36,18 +38,9 @@ pub struct SimOutcome {
 /// malformed plan; run [`RepairPlan::validate`] first for a readable
 /// error).
 pub fn simulate(plan: &RepairPlan, ctx: &RepairContext<'_>) -> SimOutcome {
-    let net = network_for(ctx);
-    let mut sim = Simulator::new(net);
+    let mut sim = Simulator::new(network_for(ctx));
     let stats = plan.stats(ctx.topo);
-    let mut matrix_paid = vec![false; ctx.topo.node_count()];
-    lower_plan(
-        &mut sim,
-        plan,
-        &ctx.cost,
-        &mut matrix_paid,
-        0,
-        ctx.effective_chunk(),
-    );
+    lower_plan_into(&mut sim, plan, ctx, 0);
     let report = sim.run();
     SimOutcome {
         repair_time: report.makespan,
@@ -80,21 +73,10 @@ pub struct BatchOutcome {
 /// topology.
 pub fn simulate_batch(plans: &[&RepairPlan], ctx: &RepairContext<'_>) -> BatchOutcome {
     assert!(!plans.is_empty(), "simulate_batch: no plans");
-    let net = network_for(ctx);
-    let mut sim = Simulator::new(net);
+    let mut sim = Simulator::new(network_for(ctx));
     let mut last_jobs: Vec<Vec<JobId>> = Vec::with_capacity(plans.len());
     for (pi, plan) in plans.iter().enumerate() {
-        // Each stripe has its own decoding matrix, so the per-node
-        // surcharge bookkeeping is per plan.
-        let mut matrix_paid = vec![false; ctx.topo.node_count()];
-        let jobs = lower_plan(
-            &mut sim,
-            plan,
-            &ctx.cost,
-            &mut matrix_paid,
-            pi,
-            ctx.effective_chunk(),
-        );
+        let jobs = lower_plan_into(&mut sim, plan, ctx, pi);
         let outputs: Vec<JobId> = plan
             .outputs
             .iter()
@@ -130,7 +112,7 @@ pub fn simulate_batch(plans: &[&RepairPlan], ctx: &RepairContext<'_>) -> BatchOu
 /// jobs to enforce a repair-bandwidth QoS cap.
 ///
 /// The simulator must target the same topology as `ctx` (build it over
-/// [`network_for_ctx`]); `tag` namespaces job labels (`p{tag}op{i}`)
+/// [`network_for`]); `tag` namespaces job labels (`p{tag}op{i}`)
 /// when several plans share one simulator.
 ///
 /// # Panics
@@ -141,27 +123,13 @@ pub fn lower_plan_into(
     ctx: &RepairContext<'_>,
     tag: usize,
 ) -> Vec<Vec<JobId>> {
-    let mut matrix_paid = vec![false; ctx.topo.node_count()];
-    lower_plan(
-        sim,
-        plan,
-        &ctx.cost,
-        &mut matrix_paid,
-        tag,
-        ctx.effective_chunk(),
-    )
+    lower(sim, plan, &vec![true; plan.ops.len()], ctx, tag)
 }
 
 /// The simulated network of a context — topology, bandwidth profile and
 /// the optional aggregation-switch constraint — for callers that drive
 /// a [`Simulator`] directly (co-simulation via [`lower_plan_into`]).
-pub fn network_for_ctx(ctx: &RepairContext<'_>) -> Network {
-    network_for(ctx)
-}
-
-/// Build the simulated network for a context, honoring its optional
-/// aggregation-switch constraint.
-pub(crate) fn network_for(ctx: &RepairContext<'_>) -> Network {
+pub fn network_for(ctx: &RepairContext<'_>) -> Network {
     let net = Network::new(ctx.topo.clone(), ctx.profile.clone());
     match ctx.agg_capacity {
         Some(cap) => net.with_agg_capacity(cap),
@@ -193,120 +161,67 @@ pub fn chunk_sizes(block_bytes: u64, chunk: Option<u64>) -> Vec<u64> {
     }
 }
 
-/// The lowering label of chunk `j` of op `i`: the classic
-/// `p{tag}op{i}:{kind}` for single-chunk (block-level) lowering,
-/// `p{tag}op{i}c{j}:{kind}` when streaming splits the op.
-fn chunk_label(tag: usize, i: usize, j: usize, m: usize, kind: &str) -> String {
-    if m == 1 {
-        format!("p{tag}op{i}:{kind}")
-    } else {
-        format!("p{tag}op{i}c{j}:{kind}")
-    }
-}
-
-/// Lower one plan's ops into an existing simulator. Returns the netsim
-/// jobs of each op — one per chunk (a singleton without streaming).
-/// `matrix_paid` tracks which nodes already built this plan's decoding
-/// matrix (one surcharge per node per stripe).
-pub(crate) fn lower_plan(
-    sim: &mut Simulator,
-    plan: &RepairPlan,
-    cost: &crate::cost::CostModel,
-    matrix_paid: &mut [bool],
-    tag: usize,
-    chunk: Option<u64>,
-) -> Vec<Vec<JobId>> {
-    let mut job_of: Vec<Vec<JobId>> = Vec::with_capacity(plan.ops.len());
-    for i in 0..plan.ops.len() {
-        let data = plan.ops[i].dependencies();
-        let data_jobs: Vec<Vec<JobId>> = data.iter().map(|d| job_of[d.0].clone()).collect();
-        let ordering_jobs: Vec<Vec<JobId>> = plan
-            .deps_of(i)
-            .iter()
-            .filter(|d| !data.contains(d))
-            .map(|d| job_of[d.0].clone())
-            .collect();
-        job_of.push(lower_op(
-            sim,
-            plan,
-            i,
-            cost,
-            matrix_paid,
-            tag,
-            &data_jobs,
-            &ordering_jobs,
-            chunk,
-        ));
-    }
-    job_of
-}
-
-/// Lower only the `lowered` ops of a plan, wiring dependencies through
-/// whatever subset exists (reused deps vanish — their payloads are
-/// already at hand).
-pub(crate) fn lower_partial(
+/// Lower the `lowered` ops of a plan into the simulator under the
+/// context's cost model and chunk size. Returns the netsim jobs of each
+/// op — one per chunk (a singleton without streaming), none for an op
+/// that is not lowered: dependencies on such ops vanish (their payloads
+/// are already at hand, as after a replan). Each node pays the
+/// decoding-matrix surcharge once for the plan.
+pub(crate) fn lower(
     sim: &mut Simulator,
     plan: &RepairPlan,
     lowered: &[bool],
-    cost: &crate::cost::CostModel,
-    node_count: usize,
+    ctx: &RepairContext<'_>,
     tag: usize,
-    chunk: Option<u64>,
-) -> Vec<Option<Vec<JobId>>> {
-    let mut matrix_paid = vec![false; node_count];
-    let mut jobs: Vec<Option<Vec<JobId>>> = Vec::with_capacity(plan.ops.len());
+) -> Vec<Vec<JobId>> {
+    let sizes = chunk_sizes(plan.block_bytes, ctx.effective_chunk());
+    let mut matrix_paid = vec![false; ctx.topo.node_count()];
+    let mut jobs: Vec<Vec<JobId>> = Vec::with_capacity(plan.ops.len());
     for (i, op) in plan.ops.iter().enumerate() {
         if !lowered[i] {
-            jobs.push(None);
+            jobs.push(Vec::new());
             continue;
         }
-        let data = op.dependencies();
-        let data_jobs: Vec<Vec<JobId>> = data.iter().filter_map(|d| jobs[d.0].clone()).collect();
-        let ordering_jobs: Vec<Vec<JobId>> = plan
-            .deps_of(i)
-            .iter()
-            .filter(|d| !data.contains(d))
-            .filter_map(|d| jobs[d.0].clone())
-            .collect();
-        jobs.push(Some(lower_op(
+        let of = |deps: Vec<OpId>| -> Vec<&[JobId]> {
+            deps.iter().map(|d| jobs[d.0].as_slice()).collect()
+        };
+        let (data, ordering) = (of(op.dependencies()), of(plan.ordering_deps(i)));
+        let op_jobs = lower_op(
             sim,
             plan,
             i,
-            cost,
+            &ctx.cost,
             &mut matrix_paid,
             tag,
-            &data_jobs,
-            &ordering_jobs,
-            chunk,
-        )));
+            &data,
+            &ordering,
+            &sizes,
+        );
+        jobs.push(op_jobs);
     }
     jobs
 }
 
-/// Lower one op of a plan into the simulator, with explicit dependency
-/// jobs (partial lowering after a replan filters out prefilled deps).
-///
-/// Block-level lowering (`chunk = None`) emits one transfer/compute job
-/// per op. Chunked lowering emits one job per chunk: chunk `j` waits on
-/// chunk `j` of every *data* dependency (cut-through — the payload flows
-/// as soon as each sub-block is ready), on its own chunk `j - 1` (chunks
-/// of one op are in-order on the wire / CPU), and — for chunk 0 only —
-/// on the **last** chunk of every *ordering* dependency (link-FIFO edges
-/// serialize whole ops, exactly as at block level).
+/// Lower op `i` into the simulator, one job per chunk of `sizes`: chunk
+/// `j` waits on chunk `j` of every *data* dependency (cut-through — the
+/// payload flows as soon as each sub-block is ready), on its own chunk
+/// `j - 1` (chunks of one op are in-order on the wire / CPU), and — for
+/// chunk 0 only — on the **last** chunk of every *ordering* dependency
+/// (link-FIFO edges serialize whole ops, exactly as at block level).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn lower_op(
+fn lower_op(
     sim: &mut Simulator,
     plan: &RepairPlan,
     i: usize,
     cost: &crate::cost::CostModel,
     matrix_paid: &mut [bool],
     tag: usize,
-    data_deps: &[Vec<JobId>],
-    ordering_deps: &[Vec<JobId>],
-    chunk: Option<u64>,
+    data_deps: &[&[JobId]],
+    ordering_deps: &[&[JobId]],
+    sizes: &[u64],
 ) -> Vec<JobId> {
-    let sizes = chunk_sizes(plan.block_bytes, chunk);
     let m = sizes.len();
+    let gf = combine_kernel(plan, i) == Some(Kernel::Gf);
     let mut jobs: Vec<JobId> = Vec::with_capacity(m);
     for (j, &bytes) in sizes.iter().enumerate() {
         let mut deps: Vec<JobId> = Vec::new();
@@ -327,50 +242,38 @@ pub(crate) fn lower_op(
                 }
             }
         }
+        let label = op_label(plan, tag, i, (m > 1).then_some(j));
         let job = match &plan.ops[i] {
-            Op::Send { from, to, .. } => {
-                sim.transfer(chunk_label(tag, i, j, m, "send"), *from, *to, bytes, &deps)
-            }
+            Op::Send { from, to, .. } => sim.transfer(label, *from, *to, bytes, &deps),
             Op::Combine { node, inputs, .. } => {
-                // force_matrix schemes (traditional, CAR) run every fold
-                // through the unoptimized matrix-decode function; RPR's
-                // optimized path exploits coefficient-1 XOR folds.
-                let forced = plan.force_matrix;
-                let mut seconds = 0.0;
-                let mut uses_matrix_coeffs = forced;
-                for inp in inputs {
-                    match inp {
-                        Input::Block { coeff, .. } => {
-                            seconds += if forced {
-                                cost.forced_fold_seconds(bytes)
-                            } else {
-                                cost.fold_seconds(*coeff, bytes)
-                            };
-                            if *coeff != 1 {
-                                uses_matrix_coeffs = true;
-                            }
-                        }
-                        Input::Intermediate(_) => {
-                            seconds += if forced {
-                                cost.forced_fold_seconds(bytes)
-                            } else {
-                                cost.merge_seconds(bytes)
-                            };
-                        }
-                    }
-                }
-                // The decoding matrix is built once, before the first
-                // chunk is folded.
-                if j == 0 && uses_matrix_coeffs && !matrix_paid[node.0] {
-                    matrix_paid[node.0] = true;
-                    seconds += cost.matrix_build_seconds;
-                }
-                sim.compute(chunk_label(tag, i, j, m, "combine"), *node, seconds, &deps)
+                // The decoding matrix is built once, before the node's
+                // first chunk is folded.
+                let build = j == 0 && gf && !std::mem::replace(&mut matrix_paid[node.0], true);
+                let seconds = cost.combine_chunk_seconds(plan.force_matrix, inputs, bytes, build);
+                sim.compute(label, *node, seconds, &deps)
             }
         };
         jobs.push(job);
     }
     jobs
+}
+
+/// First activation instant of a job (the start of its first attempt).
+fn first_start(report: &SimReport, job: JobId) -> f64 {
+    let r = report.record(job);
+    r.failures.first().map(|f| f.start).unwrap_or(r.start)
+}
+
+/// Per-op `(first start, last finish)` off the jobs [`lower`] made: the
+/// first attempt of the first chunk to the end of the last chunk;
+/// `(0, 0)` for an op that was not lowered.
+pub(crate) fn op_spans(report: &SimReport, jobs: &[Vec<JobId>]) -> Vec<(f64, f64)> {
+    jobs.iter()
+        .map(|js| match (js.first(), js.last()) {
+            (Some(&first), Some(&last)) => (first_start(report, first), report.record(last).finish),
+            _ => (0.0, 0.0),
+        })
+        .collect()
 }
 
 #[cfg(test)]

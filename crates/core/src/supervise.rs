@@ -45,7 +45,7 @@ pub use sim_backend::{SimBackend, Taint};
 use crate::plan::{Op, OpId, RepairPlan};
 use crate::scenario::RepairContext;
 use crate::schemes::{CarPlanner, RepairPlanner, RprPlanner, TraditionalPlanner};
-use crate::trace::plan_built;
+use crate::trace::{op_label, plan_built, wave_spans};
 use rpr_faults::{
     reason, CrashSite, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault,
 };
@@ -299,31 +299,16 @@ pub fn resolve_storm_bucket(
         deferred: Vec::new(),
     };
 
-    // Executed sends (timeout/corrupt targets), cross sends, and crash
-    // candidates (node, wave, op) — helpers that host a live block.
-    let mut send_ops: Vec<usize> = Vec::new();
-    let mut cross_ops: Vec<usize> = Vec::new();
-    let mut candidates: Vec<(usize, usize, usize)> = Vec::new();
-    for (i, op) in plan.ops.iter().enumerate() {
-        if !lowered[i] {
-            continue;
-        }
-        if let Op::Send { from, .. } = op {
-            send_ops.push(i);
-            if let Some(w) = waves[i] {
-                cross_ops.push(i);
-                if *from != plan.recovery {
-                    if let Some(b) = ctx.placement.block_on(*from) {
-                        if !ctx.failed.contains(&b) {
-                            candidates.push((from.0, w, i));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    candidates.sort_unstable();
-    candidates.sort_by_key(|&(n, w, _)| (w, n));
+    // Executed sends (timeout/corrupt targets) and cross sends.
+    let send_ops: Vec<usize> = (0..plan.ops.len())
+        .filter(|&i| lowered[i] && matches!(plan.ops[i], Op::Send { .. }))
+        .collect();
+    let cross_ops: Vec<usize> = send_ops
+        .iter()
+        .copied()
+        .filter(|&i| waves[i].is_some())
+        .collect();
+    let candidates = crash_sites(plan, lowered, &waves, ctx);
     let mut nodes: Vec<usize> = candidates.iter().map(|&(n, _, _)| n).collect();
     nodes.dedup();
     let sender_nodes: Vec<usize> = {
@@ -497,25 +482,47 @@ pub fn check_retry_budget(
 }
 
 /// Every `(node, timestep)` pair at which a helper crash can fire for this
-/// plan: block-hosting helpers (not the recovery node) at the wave of each
-/// of their cross-rack sends, sorted by `(timestep, node)` and
+/// plan: the sites [`resolve_storm_bucket`] picks crashes from, over all
+/// ops — live-block-hosting helpers (not the recovery node) at the wave
+/// of each of their cross-rack sends — sorted by `(timestep, node)` and
 /// deduplicated. A [`CrashSite::Node`] naming one of these nodes crashes
 /// it at its first listed timestep; tests and the benchmark enumerate
 /// them to aim crashes.
 pub fn crash_candidates(plan: &RepairPlan, ctx: &RepairContext<'_>) -> Vec<(usize, usize)> {
     let (waves, _) = plan.cross_waves(ctx.topo);
-    let rec = ctx.recovery_node();
-    let mut out: Vec<(usize, usize)> = Vec::new();
+    let all = vec![true; plan.ops.len()];
+    let mut out: Vec<(usize, usize)> = crash_sites(plan, &all, &waves, ctx)
+        .into_iter()
+        .map(|(n, w, _)| (n, w))
+        .collect();
+    out.dedup();
+    out
+}
+
+/// Where a helper crash can land in the `lowered` ops of a plan, as
+/// `(node, wave, op)`: every cross-rack send from a node other than the
+/// plan's recovery node that hosts a live (not failed) block of the
+/// stripe, sorted by `(wave, node, op)`.
+fn crash_sites(
+    plan: &RepairPlan,
+    lowered: &[bool],
+    waves: &[Option<usize>],
+    ctx: &RepairContext<'_>,
+) -> Vec<(usize, usize, usize)> {
+    let mut sites: Vec<(usize, usize, usize)> = Vec::new();
     for (i, op) in plan.ops.iter().enumerate() {
-        if let (Op::Send { from, .. }, Some(w)) = (op, waves[i]) {
-            if *from != rec && ctx.placement.block_on(*from).is_some() {
-                out.push((from.0, w));
+        if let (true, Op::Send { from, .. }, Some(w)) = (lowered[i], op, waves[i]) {
+            let live = ctx
+                .placement
+                .block_on(*from)
+                .is_some_and(|b| !ctx.failed.contains(&b));
+            if *from != plan.recovery && live {
+                sites.push((from.0, w, i));
             }
         }
     }
-    out.sort_by_key(|&(n, w)| (w, n));
-    out.dedup();
-    out
+    sites.sort_unstable_by_key(|&(n, w, i)| (w, n, i));
+    sites
 }
 
 /// First validating plan along the RPR → CAR (single failures only) →
@@ -852,25 +859,6 @@ fn feed_health<P>(
         .filter(|n| !before.contains(n))
         .map(|n| (n, tracker.score(n)))
         .collect()
-}
-
-/// Per-wave `(start, finish)` over the cross sends flagged in `ran`, from
-/// per-op spans; a wave none of whose sends ran starts at infinity.
-fn wave_spans(
-    plan: &RepairPlan,
-    topo: &Topology,
-    ran: &[bool],
-    spans: &[(f64, f64)],
-) -> Vec<(f64, f64)> {
-    let (waves, wave_count) = plan.cross_waves(topo);
-    let mut out = vec![(f64::INFINITY, 0.0f64); wave_count];
-    for (i, wave) in waves.iter().enumerate() {
-        if let (Some(w), true) = (wave, ran[i]) {
-            out[*w].0 = out[*w].0.min(spans[i].0);
-            out[*w].1 = out[*w].1.max(spans[i].1);
-        }
-    }
-    out
 }
 
 /// Pick the degraded-read client: the lowest-index live spare node (no
@@ -1257,7 +1245,7 @@ pub fn supervise<B: RepairBackend>(
                 let Ending::Cancelled { straggler: op } = run.ending else {
                     unreachable!("stragglers come from cancelled generations");
                 };
-                let label = format!("p{g}op{op}:send");
+                let label = op_label(plan, g, op, None);
                 let hedge_node = hedge_node(&next.plan, ctx.topo, slow_node);
                 rec.record(Event::HedgeLaunched {
                     label: label.clone(),

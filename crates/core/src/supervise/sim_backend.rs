@@ -3,16 +3,16 @@
 //! timeline at `t_base`.
 
 use super::{
-    hedge_node, median_of, wave_spans, Baseline, Ending, Evidence, Generation, GenerationRun, RepairBackend,
+    hedge_node, median_of, Baseline, Ending, Evidence, Generation, GenerationRun, RepairBackend,
     ResolvedFaults, Splice,
 };
 use crate::plan::{Input, Op, Payload, RepairPlan};
 use crate::scenario::RepairContext;
-use crate::sim::{lower_partial, network_for};
-use crate::trace::PlanTagger;
+use crate::sim::{chunk_sizes, lower, lower_plan_into, network_for, op_spans};
+use crate::trace::{op_label, send_transfer, wave_spans, PlanTagger};
 use rpr_faults::{reason, RetryPolicy};
-use rpr_netsim::{FailSpec, JobId, SimReport, Simulator};
-use rpr_obs::{Event, Recorder, Transfer};
+use rpr_netsim::{FailSpec, JobId, Simulator};
+use rpr_obs::{Event, Recorder};
 use rpr_proof::{symbolic_block_hash, symbolic_output_hash, ProofKey, ProofSource, RepairProof};
 
 /// Time tolerance when comparing simulation instants.
@@ -82,25 +82,6 @@ fn arm_simulator(
     }
 }
 
-/// First activation instant of a job (the start of its first attempt).
-fn first_start(report: &SimReport, job: JobId) -> f64 {
-    let r = report.record(job);
-    r.failures.first().map(|f| f.start).unwrap_or(r.start)
-}
-
-/// Per-op `(first start, last finish)` of the executed ops.
-fn op_spans(report: &SimReport, jobs: &[Option<Vec<JobId>>]) -> Vec<(f64, f64)> {
-    jobs.iter()
-        .map(|js| match js {
-            Some(js) => {
-                let last = *js.last().expect("ops lower to >= 1 job");
-                (first_start(report, js[0]), report.record(last).finish)
-            }
-            None => (0.0, 0.0),
-        })
-        .collect()
-}
-
 /// Which executed ops finished at or before `t`.
 fn finished_by(spans: &[(f64, f64)], lowered: &[bool], t: f64) -> Vec<bool> {
     spans
@@ -165,30 +146,6 @@ fn find_straggler(
         }
     }
     best.map(|(_, i, detect)| (i, detect))
-}
-
-/// The transfer descriptor of send op `i` under `tag`, for the
-/// `node_down` failure a crash emits.
-fn send_xfer(
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
-    waves: &[Option<usize>],
-    tag: usize,
-    i: usize,
-) -> Transfer {
-    let Op::Send { from, to, .. } = &plan.ops[i] else {
-        unreachable!("crash triggers are sends");
-    };
-    Transfer {
-        label: format!("p{tag}op{i}:send"),
-        src_node: from.0,
-        src_rack: ctx.topo.rack_of(*from).0,
-        dst_node: to.0,
-        dst_rack: ctx.topo.rack_of(*to).0,
-        bytes: plan.block_bytes,
-        cross: !ctx.topo.same_rack(*from, *to),
-        timestep: waves[i],
-    }
 }
 
 /// Per-op taint for one generation (see [`Taint`]).
@@ -256,16 +213,7 @@ impl RepairBackend for SimBackend {
     fn begin(&mut self, plan: &RepairPlan, ctx: &RepairContext<'_>) -> Baseline {
         let all = vec![true; plan.ops.len()];
         let mut sim = Simulator::new(network_for(ctx));
-        let nodes = ctx.topo.node_count();
-        let jobs = lower_partial(
-            &mut sim,
-            plan,
-            &all,
-            &ctx.cost,
-            nodes,
-            0,
-            ctx.effective_chunk(),
-        );
+        let jobs = lower_plan_into(&mut sim, plan, ctx, 0);
         let report = sim.run();
         let wave_spans = wave_spans(plan, ctx.topo, &all, &op_spans(&report, &jobs));
         Baseline {
@@ -281,11 +229,10 @@ impl RepairBackend for SimBackend {
     ) -> GenerationRun<Taint> {
         let (plan, ctx, g, t_base) = (gen.plan, gen.ctx, gen.index, self.t_base);
         let chunk = ctx.effective_chunk();
-        let nodes = ctx.topo.node_count();
         let (waves, _) = plan.cross_waves(ctx.topo);
         let mut sim = Simulator::new(network_for(ctx));
-        let jobs = lower_partial(&mut sim, plan, gen.lowered, &ctx.cost, nodes, g, chunk);
-        let first_job = |i: usize| jobs[i].as_ref().map(|js| js[0]);
+        let jobs = lower(&mut sim, plan, gen.lowered, ctx, g);
+        let first_job = |i: usize| jobs[i].first().copied();
         arm_simulator(&mut sim, first_job, gen.faults, gen.policy);
         let buffer = Collect::default();
         let report = sim.run_recorded(&PlanTagger::new(plan, &waves, chunk, &buffer));
@@ -312,7 +259,7 @@ impl RepairBackend for SimBackend {
             }
             let now = t_base + t_star;
             rec.record(Event::TransferFailed {
-                xfer: send_xfer(plan, ctx, &waves, g, crash.trigger.0),
+                xfer: send_transfer(plan, ctx.topo, &waves, g, crash.trigger.0),
                 attempt: 0,
                 reason: reason::NODE_DOWN.to_string(),
                 t: now,
@@ -363,15 +310,7 @@ impl RepairBackend for SimBackend {
             if let Some(alt) = gen.alternative(slow_node, &done_at_detect) {
                 let winner_node = hedge_node(&alt.plan, ctx.topo, slow_node);
                 let mut hsim = Simulator::new(network_for(ctx));
-                lower_partial(
-                    &mut hsim,
-                    &alt.plan,
-                    &alt.lowered,
-                    &ctx.cost,
-                    nodes,
-                    g + 1,
-                    chunk,
-                );
+                lower(&mut hsim, &alt.plan, &alt.lowered, ctx, g + 1);
                 for &(node, factor) in &gen.faults.slow {
                     hsim.derate_node(node, factor);
                 }
@@ -379,7 +318,7 @@ impl RepairBackend for SimBackend {
                 let hbuffer = Collect::default();
                 let hreport =
                     hsim.run_recorded(&PlanTagger::new(&alt.plan, &hwaves, chunk, &hbuffer));
-                let label = format!("p{g}op{slow_i}:send");
+                let label = op_label(plan, g, slow_i, None);
                 rec.record(Event::HedgeLaunched {
                     label: label.clone(),
                     slow_node: slow_node.0,
@@ -446,11 +385,8 @@ impl RepairBackend for SimBackend {
         key: ProofKey,
     ) -> Evidence {
         let (plan, vecs) = (gen.plan, gen.vecs);
-        let chunk = gen.ctx.effective_chunk();
-        let (chunks, chunk_bytes) = match chunk {
-            Some(c) if c > 0 && c < plan.block_bytes => (plan.block_bytes.div_ceil(c) as usize, c),
-            _ => (1, plan.block_bytes),
-        };
+        let sizes = chunk_sizes(plan.block_bytes, gen.ctx.effective_chunk());
+        let (chunks, chunk_bytes) = (sizes.len(), sizes[0]);
         let honest = Taint::new();
         let taints: Vec<&Taint> = (0..plan.ops.len())
             .map(|i| match (gen.reused[i], &run.partials[i]) {

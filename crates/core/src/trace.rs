@@ -11,10 +11,11 @@
 
 use crate::plan::{Input, Op, RepairPlan};
 use crate::scenario::RepairContext;
-use crate::sim::{chunk_sizes, lower_plan, network_for, SimOutcome};
+use crate::sim::{chunk_sizes, lower_plan_into, network_for, op_spans, SimOutcome};
 use rpr_netsim::Simulator;
 use rpr_obs::{Event, Kernel, Recorder, Transfer};
 use rpr_topology::Topology;
+use std::fmt;
 
 /// The decode kernel combine op `i` runs: [`Kernel::Xor`] when the scheme
 /// doesn't force matrix decoding and every block coefficient is 1 (the
@@ -48,9 +49,119 @@ pub fn plan_built(plan: &RepairPlan, topo: &Topology) -> Event {
     }
 }
 
+/// The label of op `i` under `tag` (the plan's index in a shared
+/// simulator, or the supervision generation): `p{tag}op{i}:send` or
+/// `p{tag}op{i}:combine`, with a `c{j}` suffix (`p{tag}op{i}c{j}:send`)
+/// for chunk `j` of an op the simulator lowers as several chunk jobs.
+/// Both backends name ops by it; `parse_label` inverts it.
+pub fn op_label(plan: &RepairPlan, tag: usize, i: usize, chunk: Option<usize>) -> String {
+    /// `c{j}` for chunk `j`, nothing for a whole op.
+    struct Suffix(Option<usize>);
+    impl fmt::Display for Suffix {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.0.map_or(Ok(()), |j| write!(f, "c{j}"))
+        }
+    }
+    let kind = match plan.ops[i] {
+        Op::Send { .. } => "send",
+        Op::Combine { .. } => "combine",
+    };
+    format!("p{tag}op{i}{}:{kind}", Suffix(chunk))
+}
+
+/// The transfer descriptor of send op `i` under `tag`: its [`op_label`],
+/// endpoints, one block of payload, and its cross-rack wave from
+/// `waves` ([`RepairPlan::cross_waves`]).
+///
+/// # Panics
+/// Panics if op `i` is not a send.
+pub fn send_transfer(
+    plan: &RepairPlan,
+    topo: &Topology,
+    waves: &[Option<usize>],
+    tag: usize,
+    i: usize,
+) -> Transfer {
+    let Op::Send { from, to, .. } = plan.ops[i] else {
+        panic!("op {i} is not a send");
+    };
+    Transfer {
+        label: op_label(plan, tag, i, None),
+        src_node: from.0,
+        src_rack: topo.rack_of(from).0,
+        dst_node: to.0,
+        dst_rack: topo.rack_of(to).0,
+        bytes: plan.block_bytes,
+        cross: !topo.same_rack(from, to),
+        timestep: waves[i],
+    }
+}
+
+/// The `stream_summary` of a send streamed as `chunks` chunks of
+/// `chunk_bytes`: started at `start`, first chunk through at `first`,
+/// last at `end` — cut-through latency and whole-stream throughput.
+pub fn stream_summary(
+    xfer: Transfer,
+    chunks: usize,
+    chunk_bytes: u64,
+    start: f64,
+    first: f64,
+    end: f64,
+) -> Event {
+    let span = end - start;
+    let throughput = if span > 0.0 {
+        xfer.bytes as f64 / span
+    } else {
+        f64::INFINITY
+    };
+    Event::StreamSummary {
+        xfer,
+        chunks,
+        chunk_bytes,
+        first_chunk_latency: first - start,
+        throughput,
+        t: end,
+    }
+}
+
+/// Per-wave `(start, finish)` over the cross sends flagged in `ran`, from
+/// per-op spans; a wave none of whose sends ran starts at infinity.
+pub(crate) fn wave_spans(
+    plan: &RepairPlan,
+    topo: &Topology,
+    ran: &[bool],
+    spans: &[(f64, f64)],
+) -> Vec<(f64, f64)> {
+    let (waves, wave_count) = plan.cross_waves(topo);
+    let mut out = vec![(f64::INFINITY, 0.0f64); wave_count];
+    for (i, wave) in waves.iter().enumerate() {
+        if let (Some(w), true) = (wave, ran[i]) {
+            out[*w].0 = out[*w].0.min(spans[i].0);
+            out[*w].1 = out[*w].1.max(spans[i].1);
+        }
+    }
+    out
+}
+
+/// Record the `timestep_started`/`timestep_finished` pair of every
+/// cross-rack wave of a run in which every op ran, given per-op
+/// `(start, end)` spans: a wave spans its cross sends' earliest start to
+/// their latest finish.
+pub fn record_wave_spans(
+    rec: &dyn Recorder,
+    plan: &RepairPlan,
+    topo: &Topology,
+    spans: &[(f64, f64)],
+) {
+    let all = vec![true; plan.ops.len()];
+    for (step, (start, finish)) in wave_spans(plan, topo, &all, spans).into_iter().enumerate() {
+        rec.record(Event::TimestepStarted { step, t: start });
+        rec.record(Event::TimestepFinished { step, t: finish });
+    }
+}
+
 /// Extract the op index — and, for chunked lowering, the chunk index —
-/// from a `p{tag}op{i}:send`, `p{tag}op{i}c{j}:send`, or corresponding
-/// `:combine` label produced by plan lowering.
+/// from an [`op_label`].
 pub(crate) fn parse_label(label: &str) -> Option<(usize, Option<usize>)> {
     let rest = label.split("op").nth(1)?;
     let body = rest.split(':').next()?;
@@ -140,8 +251,9 @@ impl Recorder for PlanTagger<'_> {
 ///
 /// The event stream contains, in order: `plan_built`; every transfer
 /// (queued/started/done) and combine in chronological replay order, with
-/// cross sends tagged by timestep; `timestep_started`/`timestep_finished`
-/// per cross-rack wave; and `repair_done`.
+/// cross sends tagged by timestep; one `stream_summary` per streamed
+/// send; `timestep_started`/`timestep_finished` per cross-rack wave; and
+/// `repair_done`.
 ///
 /// # Panics
 /// Panics under the same conditions as `simulate` (malformed plans; run
@@ -151,18 +263,30 @@ pub fn simulate_traced(
     ctx: &RepairContext<'_>,
     rec: &dyn Recorder,
 ) -> SimOutcome {
-    let (waves, wave_count) = plan.cross_waves(ctx.topo);
+    let (waves, _) = plan.cross_waves(ctx.topo);
     rec.record(plan_built(plan, ctx.topo));
 
     let chunk = ctx.effective_chunk();
     let mut sim = Simulator::new(network_for(ctx));
-    let mut matrix_paid = vec![false; ctx.topo.node_count()];
-    let jobs = lower_plan(&mut sim, plan, &ctx.cost, &mut matrix_paid, 0, chunk);
+    let jobs = lower_plan_into(&mut sim, plan, ctx, 0);
     let tagger = PlanTagger::new(plan, &waves, chunk, rec);
     let report = sim.run_recorded(&tagger);
 
-    emit_stream_summaries(rec, plan, ctx, &waves, &jobs, &report);
-    emit_wave_boundaries(rec, &waves, wave_count, &jobs, &report);
+    // One bounded stream_summary per streamed send, off its chunk jobs.
+    let spans = op_spans(&report, &jobs);
+    for (i, js) in jobs.iter().enumerate() {
+        if let (Some(chunk), Op::Send { .. }, 2..) = (chunk, &plan.ops[i], js.len()) {
+            rec.record(stream_summary(
+                send_transfer(plan, ctx.topo, &waves, 0, i),
+                js.len(),
+                chunk,
+                spans[i].0,
+                report.record(js[0]).finish,
+                spans[i].1,
+            ));
+        }
+    }
+    record_wave_spans(rec, plan, ctx.topo, &spans);
     rec.record(Event::RepairDone {
         t: report.makespan,
         cross_bytes: report.cross_rack_bytes,
@@ -173,86 +297,6 @@ pub fn simulate_traced(
         repair_time: report.makespan,
         report,
         stats: plan.stats(ctx.topo),
-    }
-}
-
-/// Emit one bounded `stream_summary` per streamed send once the replay
-/// finished: first-chunk (cut-through) latency and whole-stream
-/// throughput, measured off the per-chunk job records. A no-op for
-/// block-level (single-chunk) lowerings.
-pub(crate) fn emit_stream_summaries(
-    rec: &dyn Recorder,
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
-    waves: &[Option<usize>],
-    jobs: &[Vec<rpr_netsim::JobId>],
-    report: &rpr_netsim::SimReport,
-) {
-    let Some(chunk) = ctx.effective_chunk() else {
-        return;
-    };
-    for (i, op) in plan.ops.iter().enumerate() {
-        let Op::Send { from, to, .. } = op else {
-            continue;
-        };
-        let chunks = jobs[i].len();
-        if chunks < 2 {
-            continue;
-        }
-        let first = report.record(jobs[i][0]);
-        let start = first.failures.first().map(|f| f.start).unwrap_or(first.start);
-        let end = report.record(*jobs[i].last().expect("chunks >= 2")).finish;
-        let span = end - start;
-        rec.record(Event::StreamSummary {
-            xfer: Transfer {
-                label: format!("p0op{i}:send"),
-                src_node: from.0,
-                src_rack: ctx.topo.rack_of(*from).0,
-                dst_node: to.0,
-                dst_rack: ctx.topo.rack_of(*to).0,
-                bytes: plan.block_bytes,
-                cross: !ctx.topo.same_rack(*from, *to),
-                timestep: waves.get(i).copied().flatten(),
-            },
-            chunks,
-            chunk_bytes: chunk,
-            first_chunk_latency: first.finish - start,
-            throughput: if span > 0.0 {
-                plan.block_bytes as f64 / span
-            } else {
-                f64::INFINITY
-            },
-            t: end,
-        });
-    }
-}
-
-/// Emit `timestep_started`/`timestep_finished` boundaries: the span of
-/// each cross-rack wave is the earliest activation (first attempt, for
-/// retried transfers; first chunk, for streamed ones) to the latest
-/// finish among its cross sends.
-pub(crate) fn emit_wave_boundaries(
-    rec: &dyn Recorder,
-    waves: &[Option<usize>],
-    wave_count: usize,
-    jobs: &[Vec<rpr_netsim::JobId>],
-    report: &rpr_netsim::SimReport,
-) {
-    for w in 0..wave_count {
-        let mut start = f64::INFINITY;
-        let mut finish = 0.0f64;
-        for (i, wave) in waves.iter().enumerate() {
-            if *wave == Some(w) {
-                let first_job = jobs[i].first().expect("ops lower to >= 1 job");
-                let r = report.record(*first_job);
-                let first = r.failures.first().map(|f| f.start).unwrap_or(r.start);
-                start = start.min(first);
-                let last = report.record(*jobs[i].last().expect("non-empty"));
-                finish = finish.max(last.finish);
-            }
-        }
-        rec.record(Event::TimestepStarted { step: w, t: start });
-        rec.record(Event::TimestepFinished { step: w, t: finish });
     }
 }
 

@@ -229,3 +229,158 @@ fn preplacement_ablation_on_slow_cpus() {
          ({total_pre} vs {total_compact})"
     );
 }
+
+// §4's timestep claims, checked on the simulator. Under a uniform
+// 1e9 / 1e8 B/s profile and the free cost model a 1 MiB block crosses a
+// rack in `t_c` = 10 `t_i` and decoding costs nothing, as §4.1 assumes.
+
+const STEP_BLOCK: u64 = 1 << 20;
+const T_I: f64 = STEP_BLOCK as f64 / 1e9;
+const T_C: f64 = STEP_BLOCK as f64 / 1e8;
+
+/// Simulate `planner` on RS(n,k) under the §4 setting: `(makespan,
+/// outcome)`.
+fn timestep_run(
+    n: usize,
+    k: usize,
+    policy: PlacementPolicy,
+    failed: Vec<BlockId>,
+    planner: &dyn RepairPlanner,
+) -> rpr_core::SimOutcome {
+    let params = CodeParams::new(n, k);
+    let codec = StripeCodec::new(params);
+    let topo = cluster_for(params, 1, 1);
+    let placement = Placement::by_policy(policy, params, &topo);
+    let profile = BandwidthProfile::uniform(topo.rack_count(), 1e9, 1e8);
+    let ctx = RepairContext::new(
+        &codec,
+        &topo,
+        &placement,
+        failed,
+        STEP_BLOCK,
+        &profile,
+        CostModel::free(),
+    );
+    let plan = planner.plan(&ctx);
+    plan.validate(&codec, &topo, &placement).expect("valid");
+    simulate(&plan, &ctx)
+}
+
+/// [`timestep_run`]'s makespan, on the pre-placed layout.
+fn timesteps(n: usize, k: usize, failed: Vec<BlockId>, planner: &dyn RepairPlanner) -> f64 {
+    timestep_run(n, k, PlacementPolicy::RprPreplaced, failed, planner).repair_time
+}
+
+/// `a == b` up to float noise on the scale of the makespans here.
+fn same_time(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * b.abs().max(T_C)
+}
+
+#[test]
+fn traditional_takes_exactly_n_cross_timesteps() {
+    // Eq. 10: with the recovery node in a spare rack, the n helper
+    // transfers serialize on its cross downlink: n * t_c.
+    for (n, k) in PAPER_CODES {
+        let out = timestep_run(
+            n,
+            k,
+            PlacementPolicy::RprPreplaced,
+            vec![BlockId(0)],
+            &TraditionalPlanner::new(),
+        );
+        assert_eq!(out.stats.cross_transfers, n, "({n},{k})");
+        assert!(
+            same_time(out.repair_time, n as f64 * T_C),
+            "({n},{k}): got {} want {}",
+            out.repair_time,
+            n as f64 * T_C
+        );
+    }
+}
+
+#[test]
+fn rpr_single_failure_respects_eq11_eq12_bounds() {
+    // Eqs. 11-13 are the worst-case, unpipelined bound; the greedy
+    // schedule must never exceed it.
+    let a = rpr_core::analysis::AnalysisParams { t_i: T_I, t_c: T_C };
+    for (n, k) in PAPER_CODES {
+        let bound = rpr_core::analysis::rpr_repair_time(CodeParams::new(n, k), a);
+        for fail in 0..n {
+            let t = timesteps(n, k, vec![BlockId(fail)], &RprPlanner::new());
+            assert!(
+                t <= bound + 1e-9,
+                "({n},{k}) fail {fail}: {t} exceeds eq.13 bound {bound}"
+            );
+        }
+    }
+}
+
+#[test]
+fn figure5_timestep_counts_match_the_paper() {
+    // RS(6,2), d1 fails: the paper's schedule 2 takes 1 inner + 2 cross
+    // timesteps (2.1 t_c); the CAR-style schedule 1 serializes 3 cross
+    // transfers (3.0 t_c).
+    let rpr = timesteps(6, 2, vec![BlockId(1)], &RprPlanner::new());
+    let car = timesteps(6, 2, vec![BlockId(1)], &CarPlanner::new());
+    assert!(
+        same_time(rpr, 2.0 * T_C + T_I),
+        "RPR(6,2): {} t_c",
+        rpr / T_C
+    );
+    assert!(same_time(car, 3.0 * T_C), "CAR(6,2): {} t_c", car / T_C);
+    assert!(rpr < car);
+}
+
+#[test]
+fn rpr_never_exceeds_car_in_timesteps() {
+    for (n, k) in PAPER_CODES {
+        for fail in 0..n {
+            let rpr = timesteps(n, k, vec![BlockId(fail)], &RprPlanner::new());
+            let car = timesteps(n, k, vec![BlockId(fail)], &CarPlanner::new());
+            assert!(
+                rpr <= car + 1e-9,
+                "({n},{k}) fail {fail}: rpr {rpr} > car {car}"
+            );
+        }
+    }
+}
+
+#[test]
+fn multi_failure_worst_case_stays_within_4_3_1_analysis() {
+    // §4.3.1: the worst case needs at most ceil(log2 q) * k cross
+    // timesteps, plus an inner phase bounded by (k + 1) * t_i.
+    for (n, k) in [(6usize, 2usize), (8, 2), (12, 4)] {
+        let failed: Vec<BlockId> = (0..k).map(BlockId).collect();
+        let t = timesteps(n, k, failed, &RprPlanner::new());
+        let cross = rpr_core::analysis::rpr_multi_worst_cross_timesteps(CodeParams::new(n, k));
+        let bound = cross as f64 * T_C + (k + 1) as f64 * T_I;
+        eprintln!(
+            "worst ({n},{k}): {:.1} t_c <= {:.1} t_c",
+            t / T_C,
+            bound / T_C
+        );
+        assert!(
+            t <= bound + 1e-9,
+            "({n},{k}) worst case: {} t_c exceeds the §4.3.1 bound {} t_c",
+            t / T_C,
+            bound / T_C
+        );
+    }
+}
+
+#[test]
+fn traffic_counts_match_plan_stats() {
+    let out = timestep_run(
+        8,
+        4,
+        PlacementPolicy::Compact,
+        vec![BlockId(2)],
+        &RprPlanner::new(),
+    );
+    assert_eq!(
+        out.report.cross_rack_bytes,
+        out.stats.cross_transfers as u64 * STEP_BLOCK
+    );
+    let inner = out.stats.inner_transfers as u64 * STEP_BLOCK;
+    assert_eq!(out.report.inner_rack_bytes, inner);
+}

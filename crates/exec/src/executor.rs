@@ -24,11 +24,11 @@ use crate::arena::{ArenaStats, BufferPool, Chunk, PoolBuf, Tally};
 use crate::ratelimit::TokenBucket;
 use rpr_codec::BlockId;
 use rpr_core::{
-    chunk_sizes, combine_kernel, plan_built, Input, Op, Payload, RepairContext, RepairPlan,
-    ResolvedFaults,
+    chunk_sizes, combine_kernel, op_label, plan_built, record_wave_spans, send_transfer,
+    stream_summary, Input, Op, OpId, Payload, RepairContext, RepairPlan, ResolvedFaults,
 };
 use rpr_faults::{checksum64, reason, RetryPolicy};
-use rpr_obs::{Event, Recorder};
+use rpr_obs::{Event, Kernel, Recorder};
 use rpr_topology::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -180,7 +180,6 @@ struct RunEnv<'r, 'c> {
     links: &'r [NodeLinks],
     agg: Option<&'r TokenBucket>,
     waves: &'r [Option<usize>],
-    needs_matrix: bool,
     matrix_done: &'r [Mutex<bool>],
     /// Rate-limiter granularity in bytes (the streaming chunk size, or
     /// [`DEFAULT_SHAPER_CHUNK`] when streaming is off).
@@ -395,9 +394,8 @@ pub(crate) fn run_attempt(
     // Optional shared aggregation-switch shaper for all cross traffic.
     let agg: Option<TokenBucket> = ctx.agg_capacity.map(TokenBucket::new);
 
-    // Matrix-build bookkeeping: one real inversion per combining node for
-    // matrix-based plans, mirroring the cost model's surcharge.
-    let needs_matrix = plan.stats(ctx.topo).needs_matrix;
+    // Matrix-build bookkeeping: one real derivation per node that runs a
+    // GF combine, mirroring the cost model's surcharge.
     let nodes = ctx.topo.node_count();
     let matrix_done: Vec<Mutex<bool>> = (0..nodes).map(|_| Mutex::new(false)).collect();
 
@@ -419,7 +417,6 @@ pub(crate) fn run_attempt(
         links: &links,
         agg: agg.as_ref(),
         waves: &waves,
-        needs_matrix,
         matrix_done: &matrix_done,
         chunk: ctx
             .effective_chunk()
@@ -485,14 +482,6 @@ fn recv_chunk(rx: &Receiver<Delivery>) -> Option<Chunk> {
         Delivery::Data(c) => Some(c),
         Delivery::Failed => None,
     }
-}
-
-/// How a combine folds one input.
-enum FoldKind {
-    /// `dst ^= coeff · src` (coefficient-scaled raw block).
-    Coeff(u8),
-    /// `dst ^= src` (intermediate merge).
-    Merge,
 }
 
 /// The sending side of one transfer: the block as it arrives at the
@@ -647,11 +636,11 @@ fn try_op(
     // FIFO, used by slice-pipelined plans) must drain completely before
     // this op may start — they serialize whole ops, exactly as the
     // analytical lowering does.
-    let data = op.dependencies();
+    let ordering = plan.ordering_deps(i);
     let mut edges = consumers;
     let mut ordered = Some(());
     edges.retain(|(dep, rx)| {
-        let is_data = data.iter().any(|d| d.0 == *dep);
+        let is_data = !ordering.contains(&OpId(*dep));
         if !is_data && (0..m).any(|_| recv_chunk(rx).is_none()) {
             ordered = None;
         }
@@ -675,8 +664,8 @@ fn try_op(
         }
         if let Some(c) = crash.filter(|c| c.trigger.0 == i) {
             let t = now();
-            if let Op::Send { from, to, .. } = op {
-                let xfer = transfer_descr(plan, ctx, cfg.tag, i, from, to, env.waves);
+            if let Op::Send { .. } = op {
+                let xfer = send_transfer(plan, ctx.topo, env.waves, cfg.tag, i);
                 rec.record(Event::TransferQueued {
                     xfer: xfer.clone(),
                     t,
@@ -717,7 +706,7 @@ fn try_op(
                 first_delivered_t: None,
             };
             let started = begin(ordered.and_then(|()| s.ensure()))?;
-            let xfer = transfer_descr(plan, ctx, cfg.tag, i, from, to, env.waves);
+            let xfer = send_transfer(plan, ctx.topo, env.waves, cfg.tag, i);
             let no_faults: &[rpr_core::AttemptFault] = &[];
             let injected = cfg.faults.map_or(no_faults, |f| f.op_faults[i].as_slice());
 
@@ -811,19 +800,14 @@ fn try_op(
             });
             if m > 1 {
                 // Cut-through only: a one-chunk stream is the transfer.
-                rec.record(Event::StreamSummary {
+                rec.record(stream_summary(
                     xfer,
-                    chunks: m,
-                    chunk_bytes: env.range(0).len() as u64,
-                    first_chunk_latency: s.first_delivered_t.expect("streamed >= 1 chunk")
-                        - started,
-                    throughput: if end > started {
-                        total as f64 / (end - started)
-                    } else {
-                        f64::INFINITY
-                    },
-                    t: end,
-                });
+                    m,
+                    env.range(0).len() as u64,
+                    started,
+                    s.first_delivered_t.expect("streamed >= 1 chunk"),
+                    end,
+                ));
             }
             Some((
                 s.chunks,
@@ -834,17 +818,15 @@ fn try_op(
             ))
         }
         Op::Combine { node, inputs, .. } => {
-            let feeds: Vec<(ChunkFeed<'_>, FoldKind)> = inputs
+            let feeds: Vec<ChunkFeed<'_>> = inputs
                 .iter()
                 .map(|inp| match inp {
-                    Input::Block { block, coeff, via } => {
-                        let feed = match via {
-                            None => ChunkFeed::Whole(env.stripe[block.0].as_slice()),
-                            Some(s) => feed_for(cfg, &mut edges, s.0),
-                        };
-                        (feed, FoldKind::Coeff(*coeff))
+                    Input::Block {
+                        block, via: None, ..
+                    } => ChunkFeed::Whole(env.stripe[block.0].as_slice()),
+                    Input::Block { via: Some(o), .. } | Input::Intermediate(o) => {
+                        feed_for(cfg, &mut edges, o.0)
                     }
-                    Input::Intermediate(o) => (feed_for(cfg, &mut edges, o.0), FoldKind::Merge),
                 })
                 .collect();
             // Gather the next chunk's upstream deliveries — always BEFORE
@@ -853,7 +835,7 @@ fn try_op(
             // lock across recv would deadlock the pair.
             let mut arrived: Vec<Option<Chunk>> = vec![None; feeds.len()];
             let gather = |arrived: &mut [Option<Chunk>]| -> Option<()> {
-                for (slot, (feed, _)) in arrived.iter_mut().zip(&feeds) {
+                for (slot, feed) in arrived.iter_mut().zip(&feeds) {
                     if let ChunkFeed::Edge(rx) = feed {
                         *slot = Some(recv_chunk(rx)?);
                     }
@@ -872,18 +854,16 @@ fn try_op(
             // their modeled times, as on the simulator's CPU resource.
             let mut modeled = 0.0f64;
             let mut spent = 0.0f64;
-            let uses_matrix = plan.force_matrix
-                || inputs
-                    .iter()
-                    .any(|i| matches!(i, Input::Block { coeff, .. } if *coeff != 1));
-            if env.needs_matrix && uses_matrix {
+            let kernel = combine_kernel(plan, i).expect("op is a combine");
+            let mut built = false;
+            if kernel == Kernel::Gf {
                 let _cpu = lock(&env.links[node.0].cpu);
                 let held = Instant::now();
                 let mut done = lock(&env.matrix_done[node.0]);
                 if !*done {
                     *done = true;
                     build_decoding_matrix(ctx);
-                    modeled += ctx.cost.matrix_build_seconds;
+                    built = true;
                 }
                 spent += held.elapsed().as_secs_f64();
             }
@@ -893,32 +873,39 @@ fn try_op(
                     gather(&mut arrived)?;
                 }
                 let r = env.range(j);
-                let clen = r.len() as u64;
                 let _cpu = lock(&env.links[node.0].cpu);
                 let held = Instant::now();
                 // Fold every input straight into the pooled chunk that is
                 // forwarded: the first input overwrites whatever the
                 // buffer held, the rest accumulate.
                 let mut dst = env.checkout(r.len());
-                for (f, (feed, kind)) in feeds.iter().enumerate() {
+                for (f, (feed, input)) in feeds.iter().zip(inputs).enumerate() {
                     let chunk: &[u8] = match feed {
                         ChunkFeed::Whole(w) => &w[r.clone()],
                         ChunkFeed::Prefilled(value) => &value[j],
                         ChunkFeed::Edge(_) => arrived[f].as_ref().expect("gathered above"),
                     };
-                    match (kind, f) {
+                    match (input, f) {
                         // Zero terms are filtered at equation build;
                         // folding one here would hide a plan bug.
-                        (FoldKind::Coeff(0), _) => panic!("combine: zero coefficient"),
-                        (FoldKind::Coeff(coeff), 0) => rpr_gf::mul_slice(*coeff, chunk, &mut dst),
-                        (FoldKind::Coeff(coeff), _) => {
+                        (Input::Block { coeff: 0, .. }, _) => panic!("combine: zero coefficient"),
+                        (Input::Block { coeff, .. }, 0) => {
+                            rpr_gf::mul_slice(*coeff, chunk, &mut dst)
+                        }
+                        (Input::Block { coeff, .. }, _) => {
                             rpr_gf::mul_acc_slice(*coeff, chunk, &mut dst)
                         }
-                        (FoldKind::Merge, 0) => dst.copy_from_slice(chunk),
-                        (FoldKind::Merge, _) => rpr_gf::xor_slice(&mut dst, chunk),
+                        (Input::Intermediate(_), 0) => dst.copy_from_slice(chunk),
+                        (Input::Intermediate(_), _) => rpr_gf::xor_slice(&mut dst, chunk),
                     }
-                    modeled += chunk_fold_cost(plan, ctx, kind, clen);
                 }
+                let clen = r.len() as u64;
+                modeled += ctx.cost.combine_chunk_seconds(
+                    plan.force_matrix,
+                    inputs,
+                    clen,
+                    j == 0 && built,
+                );
                 arrived.iter_mut().for_each(|a| *a = None);
                 let chunk: Chunk = Arc::new(dst);
                 // Pace the stream to the modeled decode rate before
@@ -940,10 +927,10 @@ fn try_op(
             }
             let end = now();
             rec.record(Event::CombineDone {
-                label: format!("p{}op{i}:combine", cfg.tag),
+                label: op_label(plan, cfg.tag, i, None),
                 node: node.0,
                 rack: ctx.topo.rack_of(*node).0,
-                kernel: combine_kernel(plan, i).expect("op is a combine"),
+                kernel,
                 inputs: inputs.len(),
                 bytes: plan.block_bytes,
                 start: started,
@@ -977,37 +964,6 @@ fn feed_for<'f>(
     }
 }
 
-/// The modeled CPU seconds of folding one `bytes`-sized chunk.
-fn chunk_fold_cost(plan: &RepairPlan, ctx: &RepairContext<'_>, kind: &FoldKind, bytes: u64) -> f64 {
-    match kind {
-        _ if plan.force_matrix => ctx.cost.forced_fold_seconds(bytes),
-        FoldKind::Coeff(coeff) => ctx.cost.fold_seconds(*coeff, bytes),
-        FoldKind::Merge => ctx.cost.merge_seconds(bytes),
-    }
-}
-
-/// The shared transfer descriptor of op `i`.
-fn transfer_descr(
-    plan: &RepairPlan,
-    ctx: &RepairContext<'_>,
-    tag: usize,
-    i: usize,
-    from: &NodeId,
-    to: &NodeId,
-    waves: &[Option<usize>],
-) -> rpr_obs::Transfer {
-    rpr_obs::Transfer {
-        label: format!("p{tag}op{i}:send"),
-        src_node: from.0,
-        src_rack: ctx.topo.rack_of(*from).0,
-        dst_node: to.0,
-        dst_rack: ctx.topo.rack_of(*to).0,
-        bytes: plan.block_bytes,
-        cross: !ctx.topo.same_rack(*from, *to),
-        timestep: waves[i],
-    }
-}
-
 /// Verify outputs, account traffic, emit the closing timestep/repair_done
 /// events, and assemble the report for a fully completed run.
 fn close_run(
@@ -1019,34 +975,19 @@ fn close_run(
     arena: ArenaStats,
     wall_seconds: f64,
 ) -> ExecReport {
-    let mut mismatches = Vec::new();
-    let mut recovered = Vec::with_capacity(plan.outputs.len());
-    for &(target, op) in &plan.outputs {
-        let got = assemble(run.values[op.0].as_ref().expect("output never produced"));
-        if got.as_slice() != stripe[target.0].as_slice() {
-            mismatches.push(target);
-        }
-        recovered.push((target, got));
-    }
+    let values = plan
+        .outputs
+        .iter()
+        .map(|&out| (out, run.values[out.1 .0].as_deref()));
+    let (mismatches, recovered) = verify_outputs(stripe, values).expect("a clean run finishes");
 
     // Traffic accounting from the plan structure.
     let (cross_bytes, inner_bytes) = plan.traffic(ctx.topo, &vec![true; plan.ops.len()]);
 
     // Timestep boundaries from the recorded wall-clock timings, then the
     // closing repair_done.
-    let (waves, wave_count) = plan.cross_waves(ctx.topo);
-    for w in 0..wave_count {
-        let mut start = f64::INFINITY;
-        let mut finish = 0.0f64;
-        for (i, wave) in waves.iter().enumerate() {
-            if *wave == Some(w) {
-                start = start.min(run.op_timings[i].start);
-                finish = finish.max(run.op_timings[i].end);
-            }
-        }
-        rec.record(Event::TimestepStarted { step: w, t: start });
-        rec.record(Event::TimestepFinished { step: w, t: finish });
-    }
+    let spans: Vec<(f64, f64)> = run.op_timings.iter().map(|t| (t.start, t.end)).collect();
+    record_wave_spans(rec, plan, ctx.topo, &spans);
     rec.record(Event::RepairDone {
         t: wall_seconds,
         cross_bytes,
@@ -1064,6 +1005,34 @@ fn close_run(
         recovered,
         first_byte_seconds: run.first_out,
     }
+}
+
+/// Reconstructed blocks, in plan-output order ([`ExecReport::recovered`]).
+type Recovered = Vec<(BlockId, Arc<Vec<u8>>)>;
+
+/// The byte-for-byte check of a repair: each plan output `(target, op)`
+/// with the value its op produced, assembled and compared with the lost
+/// original. Returns the mismatching targets and every reconstructed
+/// block.
+///
+/// # Errors
+/// [`ExecError::Unrecoverable`] when an output has no value.
+pub(crate) fn verify_outputs<'v>(
+    stripe: &[Vec<u8>],
+    outputs: impl Iterator<Item = ((BlockId, OpId), Option<&'v [Chunk]>)>,
+) -> Result<(Vec<BlockId>, Recovered), ExecError> {
+    let mut mismatches = Vec::new();
+    let mut recovered = Vec::new();
+    for ((target, op), value) in outputs {
+        let value = value
+            .ok_or_else(|| ExecError::Unrecoverable(format!("output {op:?} never produced")))?;
+        let got = assemble(value);
+        if got.as_slice() != stripe[target.0].as_slice() {
+            mismatches.push(target);
+        }
+        recovered.push((target, got));
+    }
+    Ok((mismatches, recovered))
 }
 
 /// The shaped cross-traffic class of a node (same rule as the simulator).

@@ -4,7 +4,7 @@
 //! accusations — is [`rpr_core::supervise()`], shared with the simulator.
 
 use crate::arena::{BufferPool, Chunk, Tally};
-use crate::executor::{assemble, check_stripe, run_attempt, AttemptCfg, AttemptRun, Value};
+use crate::executor::{check_stripe, run_attempt, verify_outputs, AttemptCfg, AttemptRun, Value};
 use crate::{ExecError, ExecReport, OpTiming};
 use rpr_codec::BlockId;
 use rpr_core::{
@@ -361,17 +361,11 @@ impl ExecBackend<'_> {
     /// lost originals and assemble the report.
     fn into_report(self, out: SuperviseOutcome) -> Result<SupervisedReport, ExecError> {
         let last = self.last.expect("a completed repair ran a generation");
-        let mut mismatches = Vec::new();
-        let mut recovered = Vec::with_capacity(last.outputs.len());
-        for ((target, op), got) in last.outputs.into_iter().zip(last.values) {
-            let got = got
-                .ok_or_else(|| ExecError::Unrecoverable(format!("output {op:?} never produced")))?;
-            let got = assemble(&got);
-            if got.as_slice() != self.stripe[target.0].as_slice() {
-                mismatches.push(target);
-            }
-            recovered.push((target, got));
-        }
+        let values = last
+            .outputs
+            .into_iter()
+            .zip(last.values.iter().map(Option::as_deref));
+        let (mismatches, recovered) = verify_outputs(self.stripe, values)?;
         Ok(SupervisedReport {
             report: ExecReport {
                 wall_seconds: out.repair_time,
@@ -444,6 +438,7 @@ pub fn execute_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::assemble;
     use crate::executor::tests::{fast_policy, stripe_for, Fx};
     use rpr_core::RepairPlanner;
     use rpr_faults::{CrashSite, StormFault};

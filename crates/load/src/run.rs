@@ -3,7 +3,7 @@
 
 use rpr_codec::{BlockId, StripeCodec};
 use rpr_core::{
-    lower_plan_into, network_for_ctx, CostModel, Op, RepairContext, RepairPlanner, RprPlanner,
+    lower_plan_into, network_for, CostModel, Op, RepairContext, RepairPlanner, RprPlanner,
 };
 use rpr_netsim::{JobId, Simulator};
 use rpr_obs::{Event, Recorder};
@@ -120,7 +120,7 @@ pub fn run_load_recorded(spec: &LoadSpec, rec: &dyn Recorder) -> LoadSummary {
     let recovery = ctx.recovery_node();
     let requests = generate(spec, &topo, &placement, recovery);
 
-    let mut sim = Simulator::new(network_for_ctx(&ctx));
+    let mut sim = Simulator::new(network_for(&ctx));
     let repair_active = spec.mode != RepairMode::Off && spec.repair_stripes > 0;
     // Chunk jobs of the output op of the stripe serving degraded reads.
     let mut out_chunks: Vec<JobId> = Vec::new();
