@@ -307,8 +307,8 @@ fn trace(t: &TraceArgs) -> Result<(), String> {
     let rec = rpr_obs::TraceRecorder::default();
     let outcome = rpr_core::simulate_traced(&plan, &ctx, &rec);
 
-    let snap = rec.snapshot();
-    emit_trace(&rec.take_events(), t.format, &t.out, false)?;
+    let events = rec.take_events();
+    emit_trace(&events, t.format, &t.out, false)?;
     let (_, waves) = plan.cross_waves(&w.topo);
     eprintln!(
         "# {} repair: {:.2} s | {} cross + {} inner transfers | \
@@ -317,8 +317,8 @@ fn trace(t: &TraceArgs) -> Result<(), String> {
         outcome.repair_time,
         outcome.stats.cross_transfers,
         outcome.stats.inner_transfers,
-        snap.recorded_events,
-        snap.dropped_events,
+        events.len() as u64 + rec.dropped(),
+        rec.dropped(),
     );
     Ok(())
 }

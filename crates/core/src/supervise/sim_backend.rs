@@ -12,7 +12,7 @@ use crate::sim::{chunk_sizes, lower, lower_plan_into, network_for, op_spans};
 use crate::trace::{op_label, send_transfer, wave_spans, PlanTagger};
 use rpr_faults::{reason, RetryPolicy};
 use rpr_netsim::{FailSpec, JobId, Simulator};
-use rpr_obs::{Event, Recorder};
+use rpr_obs::{Event, Recorder, TraceRecorder};
 use rpr_proof::{symbolic_block_hash, symbolic_output_hash, ProofKey, ProofSource, RepairProof};
 
 /// Time tolerance when comparing simulation instants.
@@ -31,22 +31,6 @@ pub type Taint = Vec<(usize, usize)>;
 pub struct SimBackend {
     /// Where the next generation's clock starts on the repair timeline.
     t_base: f64,
-}
-
-/// A recorder adapter collecting events into a buffer for replay.
-#[derive(Default)]
-struct Collect(std::sync::Mutex<Vec<Event>>);
-
-impl Collect {
-    fn into_events(self) -> Vec<Event> {
-        self.0.into_inner().expect("collector poisoned")
-    }
-}
-
-impl Recorder for Collect {
-    fn record(&self, event: Event) {
-        self.0.lock().expect("collector poisoned").push(event);
-    }
 }
 
 /// Apply resolved derates and per-op attempt failures to a fresh
@@ -234,9 +218,11 @@ impl RepairBackend for SimBackend {
         let jobs = lower(&mut sim, plan, gen.lowered, ctx, g);
         let first_job = |i: usize| jobs[i].first().copied();
         arm_simulator(&mut sim, first_job, gen.faults, gen.policy);
-        let buffer = Collect::default();
+        // Unbounded: the generation's events are replayed (cut and
+        // shifted) into `rec`, never exported from here.
+        let buffer = TraceRecorder::with_capacity(usize::MAX);
         let report = sim.run_recorded(&PlanTagger::new(plan, &waves, chunk, &buffer));
-        let events = buffer.into_events();
+        let events = buffer.take_events();
         let spans = op_spans(&report, &jobs);
         let taints = gen_taints(gen);
         let partials_of = |taints: Vec<Taint>, done: &[bool]| -> Vec<Option<Taint>> {
@@ -315,7 +301,7 @@ impl RepairBackend for SimBackend {
                     hsim.derate_node(node, factor);
                 }
                 let (hwaves, _) = alt.plan.cross_waves(ctx.topo);
-                let hbuffer = Collect::default();
+                let hbuffer = TraceRecorder::with_capacity(usize::MAX);
                 let hreport =
                     hsim.run_recorded(&PlanTagger::new(&alt.plan, &hwaves, chunk, &hbuffer));
                 let label = op_label(plan, g, slow_i, None);
@@ -333,7 +319,7 @@ impl RepairBackend for SimBackend {
                     // detection, then the alternative's.
                     cut = detect;
                     adopted = hbuffer
-                        .into_events()
+                        .take_events()
                         .into_iter()
                         .map(|e| e.shifted(t_base + detect))
                         .collect();

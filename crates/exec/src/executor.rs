@@ -1138,7 +1138,6 @@ pub(crate) mod tests {
             max_attempts: 4,
             backoff: 0.01,
             multiplier: 2.0,
-            ..RetryPolicy::default()
         }
     }
 
@@ -1197,12 +1196,20 @@ pub(crate) mod tests {
         let report = execute_recorded(&plan, &ctx, &stripe, &rec);
         assert!(report.verified, "mismatches: {:?}", report.mismatches);
 
-        // Aggregate metrics agree with the executor's own accounting.
-        let snap = rec.snapshot();
-        assert_eq!(snap.cross_bytes, report.cross_bytes);
-        assert_eq!(snap.inner_bytes, report.inner_bytes);
-
         let events = rec.take_events();
+        // Traffic folded from the trace agrees with the executor's own
+        // accounting.
+        let bytes = |cross: bool| -> u64 {
+            events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::TransferDone { xfer, .. } if xfer.cross == cross => Some(xfer.bytes),
+                    _ => None,
+                })
+                .sum()
+        };
+        assert_eq!(bytes(true), report.cross_bytes);
+        assert_eq!(bytes(false), report.inner_bytes);
         assert!(matches!(events[0], Event::PlanBuilt { .. }));
         assert!(matches!(events.last().unwrap(), Event::RepairDone { .. }));
         let stats = plan.stats(&topo);

@@ -21,7 +21,6 @@ pub fn traces(fast: bool) {
 
         let rec = rpr_obs::TraceRecorder::default();
         let out = simulate_traced(&plan, &ctx, &rec);
-        let snap = rec.snapshot();
         let events = rec.take_events();
 
         let stats = plan.stats(&fx.topo);
@@ -41,7 +40,11 @@ pub fn traces(fast: bool) {
             expected.to_string(),
             timesteps.to_string(),
             util::fmt_s(out.repair_time),
-            format!("{} ({} dropped)", snap.recorded_events, snap.dropped_events),
+            format!(
+                "{} ({} dropped)",
+                events.len() as u64 + rec.dropped(),
+                rec.dropped()
+            ),
             file,
         ]);
         assert_eq!(

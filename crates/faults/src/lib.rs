@@ -145,29 +145,6 @@ pub struct RetryPolicy {
     pub backoff: f64,
     /// Multiplier applied to the backoff after each failed attempt.
     pub multiplier: f64,
-    /// Upper clamp on the exponential term, in seconds. The geometric
-    /// growth `backoff * multiplier^attempt` never exceeds this, so deep
-    /// retry chains don't sleep unboundedly. `f64::INFINITY` disables the
-    /// clamp.
-    pub cap: f64,
-    /// Jitter fraction in `[0, 1]`: a seeded uniform share of the clamped
-    /// delay added on top, de-synchronizing retries that would otherwise
-    /// stampede in lockstep. `0.0` (the default) keeps [`delay`] a pure
-    /// geometric series, bit-identical to the un-jittered policy.
-    ///
-    /// [`delay`]: RetryPolicy::delay
-    pub jitter: f64,
-    /// Seed for the jitter stream. Jitter is a pure function of
-    /// `(seed, attempt)`, so identically configured policies delay
-    /// identically — determinism survives jitter.
-    pub jitter_seed: u64,
-    /// Quantile of observed per-helper slowdowns that anchors the
-    /// adaptive transfer deadline (see
-    /// [`straggler_multiple`](RetryPolicy::straggler_multiple)).
-    pub timeout_quantile: f64,
-    /// Headroom multiplier applied on top of the observed slowdown
-    /// quantile before it becomes a deadline multiple.
-    pub timeout_headroom: f64,
 }
 
 impl Default for RetryPolicy {
@@ -176,77 +153,15 @@ impl Default for RetryPolicy {
             max_attempts: 4,
             backoff: 0.05,
             multiplier: 2.0,
-            cap: f64::INFINITY,
-            jitter: 0.0,
-            jitter_seed: 0,
-            timeout_quantile: 0.9,
-            timeout_headroom: 2.0,
         }
     }
 }
 
 impl RetryPolicy {
     /// Delay in seconds before the retry following failed attempt
-    /// `attempt` (zero-based):
-    /// `min(backoff * multiplier^attempt, cap) * (1 + jitter * u)` with
-    /// `u` drawn deterministically from `(jitter_seed, attempt)`.
+    /// `attempt` (zero-based): `backoff * multiplier^attempt`.
     pub fn delay(&self, attempt: usize) -> f64 {
-        let base = (self.backoff * self.multiplier.powi(attempt as i32)).min(self.cap);
-        if self.jitter <= 0.0 {
-            return base;
-        }
-        let mut rng = SplitMix64::new(
-            self.jitter_seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        base * (1.0 + self.jitter * rng.next_f64())
-    }
-
-    /// Builder-style: clamp the exponential term at `cap` seconds.
-    pub fn with_cap(mut self, cap: f64) -> RetryPolicy {
-        self.cap = cap;
-        self
-    }
-
-    /// Adaptive straggler/timeout multiple: the threshold (as a multiple
-    /// of the expected transfer time) past which a transfer is treated
-    /// as timed out or straggling.
-    ///
-    /// `fixed` is the static constant the caller would otherwise use;
-    /// `observed` are per-helper slowdown estimates (actual/expected
-    /// duration ratios, ≥ 1) — in practice
-    /// [`HealthTracker::observed_slowdowns`], which derives them from
-    /// the same EWMA state that drives quarantine. The adaptive multiple
-    /// is `timeout_headroom ×` the `timeout_quantile`-quantile of the
-    /// observations, floored at `fixed`: when the fleet is healthy
-    /// (slowdowns ≈ 1) the threshold stays exactly the fixed constant,
-    /// and when churn degrades links broadly the threshold rises with
-    /// them, so a merely-typical helper on a slow day is not spuriously
-    /// timed out. With no observations the fixed constant is returned
-    /// unchanged.
-    pub fn straggler_multiple(&self, fixed: f64, observed: &[f64]) -> f64 {
-        if observed.is_empty() {
-            return fixed;
-        }
-        let mut sorted: Vec<f64> = observed.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        // Nearest-rank quantile (matches `rpr_sched::quantile`).
-        let q = self.timeout_quantile.clamp(0.0, 1.0);
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        let quant = sorted[rank - 1].max(1.0);
-        (quant * self.timeout_headroom).max(fixed)
-    }
-
-    /// Adaptive transfer deadline in seconds for a transfer expected to
-    /// take `baseline`: `baseline × straggler_multiple(fixed, observed)`.
-    pub fn transfer_deadline(&self, baseline: f64, fixed: f64, observed: &[f64]) -> f64 {
-        baseline * self.straggler_multiple(fixed, observed)
-    }
-
-    /// Builder-style: add seeded jitter (fraction in `[0, 1]`).
-    pub fn with_jitter(mut self, jitter: f64, seed: u64) -> RetryPolicy {
-        self.jitter = jitter;
-        self.jitter_seed = seed;
-        self
+        self.backoff * self.multiplier.powi(attempt as i32)
     }
 }
 
@@ -622,10 +537,6 @@ pub struct HealthTracker {
     scores: Vec<f64>,
     // generation at which the node was quarantined, if currently out.
     quarantined_at: Vec<Option<usize>>,
-    // nodes with at least one real observation (scores default to 1.0,
-    // so the score vector alone cannot distinguish "healthy" from
-    // "never seen" — the adaptive-deadline quantile needs to).
-    observed: Vec<bool>,
 }
 
 impl HealthTracker {
@@ -639,7 +550,6 @@ impl HealthTracker {
             generation: 0,
             scores: Vec::new(),
             quarantined_at: Vec::new(),
-            observed: Vec::new(),
         }
     }
 
@@ -653,7 +563,6 @@ impl HealthTracker {
         if node >= self.scores.len() {
             self.scores.resize(node + 1, 1.0);
             self.quarantined_at.resize(node + 1, None);
-            self.observed.resize(node + 1, false);
         }
     }
 
@@ -662,7 +571,6 @@ impl HealthTracker {
     /// May quarantine the node.
     pub fn observe(&mut self, node: usize, score: f64) {
         self.ensure(node);
-        self.observed[node] = true;
         let s = score.clamp(0.0, 1.0);
         self.scores[node] = self.alpha * s + (1.0 - self.alpha) * self.scores[node];
         if self.scores[node] < self.threshold && self.quarantined_at[node].is_none() {
@@ -733,20 +641,6 @@ impl HealthTracker {
     pub fn quarantined(&self) -> Vec<usize> {
         (0..self.quarantined_at.len())
             .filter(|&n| self.quarantined_at[n].is_some())
-            .collect()
-    }
-
-    /// Slowdown estimates (actual/expected duration ratio, ≥ 1) for
-    /// every node with at least one observation that is not currently
-    /// quarantined. The EWMA score is `expected/actual` clamped to
-    /// `[0, 1]`, so the estimate is its reciprocal, clamped to keep a
-    /// near-dead-but-unquarantined node from blowing the quantile out.
-    /// This is the `observed` input
-    /// [`RetryPolicy::straggler_multiple`] expects.
-    pub fn observed_slowdowns(&self) -> Vec<f64> {
-        (0..self.scores.len())
-            .filter(|&n| self.observed[n] && self.quarantined_at[n].is_none())
-            .map(|n| (1.0 / self.scores[n].max(0.01)).max(1.0))
             .collect()
     }
 }
@@ -862,57 +756,10 @@ mod tests {
             max_attempts: 4,
             backoff: 0.1,
             multiplier: 2.0,
-            ..RetryPolicy::default()
         };
         assert!((p.delay(0) - 0.1).abs() < 1e-12);
         assert!((p.delay(1) - 0.2).abs() < 1e-12);
         assert!((p.delay(3) - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn retry_policy_cap_clamps_deep_attempts() {
-        let p = RetryPolicy {
-            backoff: 0.1,
-            multiplier: 2.0,
-            ..RetryPolicy::default()
-        }
-        .with_cap(0.25);
-        assert!((p.delay(0) - 0.1).abs() < 1e-12);
-        assert!((p.delay(1) - 0.2).abs() < 1e-12);
-        // 0.4 and 0.8 clamp to the cap.
-        assert!((p.delay(2) - 0.25).abs() < 1e-12);
-        assert!((p.delay(3) - 0.25).abs() < 1e-12);
-        assert!((p.delay(30) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn retry_policy_jitter_is_seeded_bounded_and_deterministic() {
-        let base = RetryPolicy {
-            backoff: 0.1,
-            multiplier: 2.0,
-            ..RetryPolicy::default()
-        };
-        let a = base.with_jitter(0.5, 99);
-        let b = base.with_jitter(0.5, 99);
-        let c = base.with_jitter(0.5, 100);
-        let mut some_differ = false;
-        for attempt in 0..6 {
-            let clean = base.delay(attempt);
-            let d = a.delay(attempt);
-            // Same (seed, attempt) => identical jittered delay.
-            assert_eq!(d.to_bits(), b.delay(attempt).to_bits());
-            // Jitter only ever adds, within the configured fraction.
-            assert!(d >= clean && d <= clean * 1.5 + 1e-12, "attempt {attempt}");
-            if (d - c.delay(attempt)).abs() > 1e-15 {
-                some_differ = true;
-            }
-        }
-        assert!(some_differ, "different seeds should jitter differently");
-        // Zero jitter stays bit-identical to the plain geometric series.
-        assert_eq!(
-            base.delay(3).to_bits(),
-            base.with_jitter(0.0, 7).delay(3).to_bits()
-        );
     }
 
     #[test]
@@ -987,44 +834,6 @@ mod tests {
         assert_eq!(ChurnKind::Rack { victims: 3 }.victims(), 3);
         assert_eq!(ChurnKind::Batch { victims: 2 }.name(), "batch");
         assert_eq!(ChurnKind::Batch { victims: 2 }.victims(), 2);
-    }
-
-    #[test]
-    fn adaptive_deadline_floors_at_fixed_and_tracks_slow_fleets() {
-        let p = RetryPolicy::default(); // q = 0.9, headroom = 2.0
-        // No observations: the fixed constant is used unchanged.
-        assert!((p.straggler_multiple(4.0, &[]) - 4.0).abs() < 1e-12);
-        // Healthy fleet (slowdowns ≈ 1): 2.0 × 1.0 < 4.0 → floor wins,
-        // so clean runs keep the exact fixed-constant behavior.
-        let healthy = vec![1.0; 20];
-        assert!((p.straggler_multiple(4.0, &healthy) - 4.0).abs() < 1e-12);
-        // Broadly slow fleet: the p90 slowdown is 3.0 → 2 × 3 = 6 > 4,
-        // so a typical helper is no longer flagged as a straggler.
-        let slow = vec![3.0; 20];
-        assert!((p.straggler_multiple(4.0, &slow) - 6.0).abs() < 1e-12);
-        // One outlier among healthy peers does not move the p90.
-        let mut one_bad = vec![1.0; 19];
-        one_bad.push(50.0);
-        assert!((p.straggler_multiple(4.0, &one_bad) - 4.0).abs() < 1e-12);
-        // The deadline scales the baseline by the multiple.
-        assert!((p.transfer_deadline(2.0, 4.0, &slow) - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn health_tracker_exposes_observed_slowdowns() {
-        let mut h = HealthTracker::with_defaults();
-        assert!(h.observed_slowdowns().is_empty(), "no history yet");
-        h.record_success(0, 1.0, 1.0); // on time → slowdown 1
-        h.record_success(3, 2.0, 1.0); // 2× late → EWMA 0.75 → 4/3
-        let slowdowns = h.observed_slowdowns();
-        assert_eq!(slowdowns.len(), 2);
-        assert!((slowdowns[0] - 1.0).abs() < 1e-12);
-        assert!((slowdowns[1] - 1.0 / 0.75).abs() < 1e-12);
-        // Quarantined nodes drop out of the estimate entirely.
-        h.record_failure(3);
-        h.record_failure(3);
-        assert!(h.is_quarantined(3));
-        assert_eq!(h.observed_slowdowns().len(), 1);
     }
 
     #[test]

@@ -375,11 +375,26 @@ mod tests {
             },
         );
         let summary = run_load_recorded(&spec, &rec);
-        let snap = rec.snapshot();
-        assert_eq!(snap.requests as usize, summary.requests);
-        assert_eq!(snap.degraded_reads as usize, summary.degraded);
-        assert_eq!(snap.qos_throttles, 1);
-        assert_eq!(snap.request_latency.count() as usize, summary.requests);
-        assert!(snap.transfers > 0);
+        let events = rec.take_events();
+        assert_eq!(rec.dropped(), 0);
+        let dones: Vec<(bool, f64)> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::RequestDone {
+                    degraded,
+                    issued,
+                    end,
+                    ..
+                } => Some((*degraded, end - issued)),
+                _ => None,
+            })
+            .collect();
+        let count = |kind: &str| events.iter().filter(|e| e.name() == kind).count();
+        assert_eq!(dones.len(), summary.requests);
+        assert_eq!(dones.iter().filter(|(d, _)| *d).count(), summary.degraded);
+        assert_eq!(count("qos_throttled"), 1);
+        // One finite, non-negative latency per completed request.
+        assert!(dones.iter().all(|(_, lat)| lat.is_finite() && *lat >= 0.0));
+        assert!(count("transfer_done") > 0);
     }
 }

@@ -951,11 +951,25 @@ mod tests {
             }
             other => panic!("expected combine last, got {other:?}"),
         }
-        let snap = rec.snapshot();
-        assert_eq!(snap.inner_bytes, 500);
-        assert_eq!(snap.cross_bytes, 100);
-        assert_eq!(snap.racks[0].inner_bytes_out, 500);
-        assert_eq!(snap.racks[0].cross_bytes_out, 100);
+        // Bytes by class, overall and sent from rack 0, folded from the
+        // completed transfers.
+        let bytes = |cross: bool, rack: Option<usize>| -> u64 {
+            events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::TransferDone { xfer, .. }
+                        if xfer.cross == cross && rack.is_none_or(|r| r == xfer.src_rack) =>
+                    {
+                        Some(xfer.bytes)
+                    }
+                    _ => None,
+                })
+                .sum()
+        };
+        assert_eq!(bytes(false, None), 500);
+        assert_eq!(bytes(true, None), 100);
+        assert_eq!(bytes(false, Some(0)), 500);
+        assert_eq!(bytes(true, Some(0)), 100);
     }
 
     fn fail(fraction: f64, delay: f64) -> crate::FailSpec {
@@ -1098,10 +1112,14 @@ mod tests {
             }
             other => panic!("expected retry_scheduled, got {other:?}"),
         }
-        let snap = rec.snapshot();
-        assert_eq!(snap.transfer_failures, 1);
-        assert_eq!(snap.retries, 1);
-        assert_eq!(snap.racks[0].retries, 1);
+        let count = |kind: &str| events.iter().filter(|e| e.name() == kind).count();
+        assert_eq!(count("transfer_failed"), 1);
+        assert_eq!(count("retry_scheduled"), 1);
+        let rack0_retries = events
+            .iter()
+            .filter(|e| matches!(e, Event::RetryScheduled { rack: 0, .. }))
+            .count();
+        assert_eq!(rack0_retries, 1);
     }
 
     #[test]

@@ -86,13 +86,6 @@ fn push_event(out: &mut String, event: &Event) {
     o.close();
 }
 
-/// Serialize one event as a single-line JSON object (no trailing newline).
-pub fn event_to_json(event: &Event) -> String {
-    let mut out = String::new();
-    push_event(&mut out, event);
-    out
-}
-
 /// Serialize events as JSON-lines: one JSON object per line.
 pub fn to_json_lines(events: &[Event]) -> String {
     let mut out = String::new();
@@ -1112,8 +1105,9 @@ mod tests {
             cross_bytes: 0,
             inner_bytes: 0,
         };
-        let line = event_to_json(&e);
-        assert_structurally_valid_json(&line);
+        let lines = to_json_lines(&[e]);
+        let line = lines.trim_end();
+        assert_structurally_valid_json(line);
         assert!(line.contains("\"t\":null"));
     }
 }

@@ -1,6 +1,6 @@
 //! # rpr-obs — repair observability
 //!
-//! Structured trace events, per-rack metrics, and exporters for the
+//! Structured trace events, a bounded recorder, and exporters for the
 //! rack-aware pipeline repair (RPR) reproduction. The paper's central
 //! claims are measurements — cross-rack timesteps (`⌈log2(sources+1)⌉`),
 //! per-rack upload imbalance, the wide-/narrow-decode gap — and this
@@ -11,8 +11,10 @@
 //!
 //! - [`Recorder`]: the sink trait. [`NoopRecorder`] (via [`noop()`])
 //!   keeps untraced call sites free; [`TraceRecorder`] is the default
-//!   real implementation — relaxed atomic counters, per-rack totals,
-//!   log2 latency histograms, and a bounded drop-oldest event ring.
+//!   real implementation — a bounded drop-oldest event ring that counts
+//!   what it evicts ([`TraceRecorder::dropped`]). Totals — bytes,
+//!   transfers, retries, per-rack splits — are folds over the events
+//!   it hands back, never a second copy kept beside them.
 //! - [`Event`]: the structured event vocabulary (plan built, timestep
 //!   started/finished, transfer queued/started/done, combine done with
 //!   XOR-vs-GF kernel kind, repair done, and the fault, supervisor, proof,
@@ -47,9 +49,17 @@
 //!     start: 0.0,
 //!     end: 0.5,
 //! });
-//! let snapshot = rec.snapshot();
-//! assert_eq!(snapshot.cross_bytes, 4096);
-//! let jsonl = rpr_obs::export::to_json_lines(&rec.take_events());
+//! let events = rec.take_events();
+//! let cross_bytes: u64 = events
+//!     .iter()
+//!     .map(|e| match e {
+//!         Event::TransferDone { xfer, .. } if xfer.cross => xfer.bytes,
+//!         _ => 0,
+//!     })
+//!     .sum();
+//! assert_eq!(cross_bytes, 4096);
+//! assert_eq!(rec.dropped(), 0);
+//! let jsonl = rpr_obs::export::to_json_lines(&events);
 //! assert!(jsonl.contains("\"type\":\"transfer_done\""));
 //! ```
 
@@ -58,11 +68,7 @@
 
 mod event;
 pub mod export;
-mod metrics;
 mod recorder;
 
 pub use event::{Event, Kernel, Transfer};
-pub use metrics::{Histogram, HistogramSnapshot, RackCounters, RackTotals, HISTOGRAM_BUCKETS};
-pub use recorder::{
-    noop, MetricsSnapshot, NoopRecorder, Recorder, TraceRecorder, DEFAULT_RING_CAPACITY,
-};
+pub use recorder::{noop, NoopRecorder, Recorder, TraceRecorder, DEFAULT_RING_CAPACITY};

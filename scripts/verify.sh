@@ -20,7 +20,11 @@
 #      with and without cut-through streaming (--chunk-size); the seed-17
 #      block-mode storm is also written as `--format chrome`, which must
 #      be byte-identical across runs and parse (jq) to a non-empty
-#      `traceEvents` array (docs/TRACING.md)
+#      `traceEvents` array (docs/TRACING.md); `rpr trace --format jsonl`
+#      at (6,3), block mode and `--chunk-size 8`, must print byte-identical
+#      stdout and stderr across runs, and the stderr summary's `N events
+#      (0 dropped)` must equal the stdout line count (the recorder counts
+#      only what it drops, so N is the ring's length plus that count)
 #   8. exec soak: the same 3-fault storm on the real-bytes backend
 #      (`rpr chaos --backend exec --block-mib 4`), once as a one-chunk
 #      stream and once cut-through (`--chunk-size 1`), must verify byte
@@ -181,6 +185,29 @@ if ! jq -e '.traceEvents | length > 0' "$CHAOS_DIR/storm_s17_block_a.chrome.json
     exit 1
 fi
 echo "==> supervised storm for seed 17 (block) renders a byte-stable Chrome trace"
+# The clean trace's event count: derived from the ring, not mirrored.
+for mode in block chunk; do
+    if [ "$mode" = chunk ]; then CHUNK="--chunk-size 8"; else CHUNK=""; fi
+    OUT="$CHAOS_DIR/trace_${mode}"
+    for rep in a b; do
+        echo "==> $RPR trace --code 6,3 --fail d1 --format jsonl $CHUNK (run $rep)"
+        "$RPR" trace --code 6,3 --fail d1 --format jsonl $CHUNK \
+            > "${OUT}_${rep}.jsonl" 2> "${OUT}_${rep}.err"
+    done
+    for stream in jsonl err; do
+        if ! cmp -s "${OUT}_a.$stream" "${OUT}_b.$stream"; then
+            echo "trace count FAILED: $mode trace $stream differs across runs" >&2
+            exit 1
+        fi
+    done
+    LINES="$(wc -l < "${OUT}_a.jsonl" | tr -d ' ')"
+    COUNTED="$(sed -n 's/.*| \([0-9]*\) events (0 dropped)$/\1/p' "${OUT}_a.err")"
+    if [ -z "$COUNTED" ] || [ "$COUNTED" != "$LINES" ]; then
+        echo "trace count FAILED: $mode summary says '${COUNTED:-?} events (0 dropped)', stdout has $LINES lines" >&2
+        exit 1
+    fi
+    echo "==> clean $mode trace: $LINES events, 0 dropped, byte-stable on both streams"
+done
 
 # Step 8: the executor runs every op through one streamed runner; drive it
 # under the same storm on real bytes in both of its regimes.

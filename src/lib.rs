@@ -50,7 +50,7 @@
 //! | [`store`] | multi-stripe store and fleet-failure recovery |
 //! | [`sched`] | fleet-scale repair scheduler: stripe index, bandwidth arbiter |
 //! | [`load`] | foreground workload generator, repair QoS co-simulation |
-//! | [`obs`] | structured repair traces and per-rack metrics |
+//! | [`obs`] | structured repair traces: a bounded event ring and its exporters |
 //! | [`faults`] | deterministic fault injection: fault storms, helper health, retry policies |
 //!
 //! To capture a structured trace of a repair, attach an [`obs::TraceRecorder`]

@@ -79,7 +79,6 @@ fn fast_cfg() -> SuperviseConfig {
             max_attempts: 4,
             backoff: 0.01,
             multiplier: 2.0,
-            ..RetryPolicy::default()
         },
         ..SuperviseConfig::default()
     }
