@@ -789,15 +789,17 @@ fn load(l: &LoadArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Pull one unsigned integer field out of a hand-rolled JSON line.
+/// Pull one unsigned integer field out of a hand-rolled JSON line: the
+/// value ends at the next `,` or `}` and must be digits only.
 fn json_usize_field(line: &str, key: &str) -> Option<usize> {
     let pat = format!("\"{key}\":");
     let i = line.find(&pat)? + pat.len();
     let rest = &line[i..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let value = &rest[..rest.find([',', '}']).unwrap_or(rest.len())];
+    if !value.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    value.parse().ok()
 }
 
 /// Verify a recorded repair offline from its artifacts alone: parse the

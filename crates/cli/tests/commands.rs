@@ -108,6 +108,33 @@ fn chaos_runs_the_acceptance_storm_and_the_proof_plane() {
 }
 
 #[test]
+fn audit_ignores_a_proof_event_with_junk_after_its_op() {
+    let (out, ledger) = (scratch("audit_junk.jsonl"), scratch("audit_junk.ledger"));
+    run(&format!(
+        "chaos --code 6,3 --fail d1 --block-mib 16 --storm lie --proof mandatory --seed 21 \
+         --out {out} --ledger-out {ledger}"
+    ))
+    .expect("lie storm");
+    run(&format!("audit --trace {out} --ledger {ledger}")).expect("clean evidence audits");
+
+    // `"op":7x` is not op 7: the announcement must not count, so the
+    // ledger entry it claims to announce goes unannounced.
+    let trace = std::fs::read_to_string(&out).expect("trace written");
+    let line = trace
+        .lines()
+        .find(|l| l.contains("\"type\":\"proof_emitted\""))
+        .expect("a proof_emitted event");
+    let at = line.find("\"op\":").expect("an op field") + "\"op\":".len();
+    let digits = line[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let hostile_line = format!("{}x{}", &line[..at + digits], &line[at + digits..]);
+    let hostile = scratch("audit_junk_hostile.jsonl");
+    std::fs::write(&hostile, trace.replacen(line, &hostile_line, 1)).unwrap();
+    let err = run(&format!("audit --trace {hostile} --ledger {ledger}"))
+        .expect_err("an unparseable announcement must not count");
+    assert!(err.contains("announces"), "{err}");
+}
+
+#[test]
 fn inject_is_chaos_with_a_one_fault_storm() {
     for (mode, chunk) in [("block", ""), ("chunk", "--chunk-size 8")] {
         let (a, b) = (

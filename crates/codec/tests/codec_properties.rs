@@ -1,16 +1,23 @@
 //! Codec properties: an exhaustive decode sweep over every paper code,
 //! sampled repair-equation soundness, and the grouping-independence of
 //! partial decoding — the algebraic fact the whole RPR pipeline rests on.
+//!
+//! The decode sweep and the XOR-equation property enumerate their whole
+//! spaces; the other two run [`CASES`] cases each, drawn from
+//! [`SplitMix64`] seeded with [`SEED`], and a failure names the case.
 
-use proptest::prelude::*;
 use rpr_codec::{BlockId, CodeParams, PartialDecoder, StripeCodec};
+use rpr_faults::SplitMix64;
 use rpr_linalg::{for_each_combination, vandermonde_systematic};
 
 /// The six RS configurations evaluated in the paper.
 const PAPER_CODES: [(usize, usize); 6] = [(4, 2), (6, 2), (8, 2), (6, 3), (8, 4), (12, 4)];
 
-fn code_strategy() -> impl Strategy<Value = (usize, usize)> {
-    proptest::sample::select(PAPER_CODES.to_vec())
+const SEED: u64 = 0xA54F_F53A_5F1D_36F1;
+const CASES: usize = 48;
+
+fn bytes(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.next_u64() as u8).collect()
 }
 
 /// Exhaustive, not sampled: every paper code × every loss pattern of
@@ -21,6 +28,7 @@ fn code_strategy() -> impl Strategy<Value = (usize, usize)> {
 #[test]
 fn every_loss_pattern_decodes_on_every_paper_code() {
     const LEN: usize = 37;
+    let mut rng = SplitMix64::new(SEED);
     let mut cases = 0usize;
     for (n, k) in PAPER_CODES {
         let params = CodeParams::new(n, k);
@@ -28,19 +36,7 @@ fn every_loss_pattern_decodes_on_every_paper_code() {
             StripeCodec::new(params),
             StripeCodec::with_coding_matrix(params, vandermonde_systematic(n, k)),
         ];
-        let mut s = (n * 31 + k) as u64;
-        let data: Vec<Vec<u8>> = (0..n)
-            .map(|_| {
-                (0..LEN)
-                    .map(|_| {
-                        s = s
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        (s >> 33) as u8
-                    })
-                    .collect()
-            })
-            .collect();
+        let data: Vec<Vec<u8>> = (0..n).map(|_| bytes(&mut rng, LEN)).collect();
         let refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
         for codec in &codecs {
             let stripe = codec.encode_stripe(&refs);
@@ -71,48 +67,46 @@ fn every_loss_pattern_decodes_on_every_paper_code() {
     assert_eq!(cases, 7100);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn repair_equations_are_symbolically_valid_and_byte_exact(
-        (n, k) in code_strategy(),
-        seed: u64,
-    ) {
+/// Random `1..=k` lost blocks and a random `n` of the survivors as
+/// helpers, on each paper code in turn.
+#[test]
+fn repair_equations_are_symbolically_valid_and_byte_exact() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let (n, k) = PAPER_CODES[case % PAPER_CODES.len()];
         let codec = StripeCodec::new(CodeParams::new(n, k));
         let len = 32;
-        let data: Vec<Vec<u8>> = (0..n).map(|i| {
-            let mut s = seed.wrapping_add(1 + i as u64);
-            (0..len).map(|_| { s = s.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1); (s >> 40) as u8 }).collect()
-        }).collect();
+        let data: Vec<Vec<u8>> = (0..n).map(|_| bytes(&mut rng, len)).collect();
         let refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
         let stripe = codec.encode_stripe(&refs);
 
-        let z = 1 + (seed as usize) % k;
+        let z = 1 + rng.pick(k);
         let mut ids: Vec<usize> = (0..n + k).collect();
-        let mut s = seed ^ 0xABCD;
         for i in (1..ids.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ids.swap(i, (s >> 33) as usize % (i + 1));
+            ids.swap(i, rng.pick(i + 1));
         }
         let lost: Vec<BlockId> = ids[..z].iter().map(|&i| BlockId(i)).collect();
         let helpers: Vec<BlockId> = ids[z..z + n].iter().map(|&i| BlockId(i)).collect();
 
         for (eq, l) in codec.repair_equations(&lost, &helpers).iter().zip(&lost) {
-            prop_assert!(codec.equation_is_valid(eq));
+            assert!(codec.equation_is_valid(eq), "case {case}: {eq:?}");
             let mut pd = PartialDecoder::new(len);
             for &(h, c) in &eq.terms {
                 pd.fold(c, &stripe[h.0]);
             }
-            prop_assert_eq!(pd.finish(), stripe[l.0].clone());
+            assert_eq!(pd.finish(), stripe[l.0].clone(), "case {case}: {eq:?}");
         }
     }
+}
 
-    #[test]
-    fn partial_decoding_is_grouping_independent(
-        terms in proptest::collection::vec((1u8.., proptest::collection::vec(any::<u8>(), 16..=16)), 2..8),
-        split in any::<u64>(),
-    ) {
+#[test]
+fn partial_decoding_is_grouping_independent() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let terms: Vec<(u8, Vec<u8>)> = (0..2 + rng.pick(6))
+            .map(|_| (1 + rng.pick(255) as u8, bytes(&mut rng, 16)))
+            .collect();
+
         // Direct fold of everything.
         let mut direct = PartialDecoder::new(16);
         for (c, b) in &terms {
@@ -122,33 +116,34 @@ proptest! {
         // Random 2-way partition, folded separately and merged.
         let mut left = PartialDecoder::new(16);
         let mut right = PartialDecoder::new(16);
-        let mut left_used = false;
-        for (i, (c, b)) in terms.iter().enumerate() {
-            if (split >> (i % 64)) & 1 == 0 {
+        for (c, b) in &terms {
+            if rng.next_u64() & 1 == 0 {
                 left.fold(*c, b);
-                left_used = true;
             } else {
                 right.fold(*c, b);
             }
         }
-        let _ = left_used;
         left.merge(&right);
-        prop_assert_eq!(direct.as_bytes(), left.as_bytes());
+        assert_eq!(direct.as_bytes(), left.as_bytes(), "case {case}");
     }
+}
 
-    #[test]
-    fn single_data_loss_with_p0_has_xor_equation_for_all_codes(
-        (n, k) in code_strategy(),
-        which in any::<usize>(),
-    ) {
+/// Exhaustive: every data block of every paper code.
+#[test]
+fn single_data_loss_with_p0_has_xor_equation_for_all_codes() {
+    for (n, k) in PAPER_CODES {
         let params = CodeParams::new(n, k);
         let codec = StripeCodec::new(params);
-        let lost = BlockId(which % n);
-        let mut helpers: Vec<BlockId> = (0..n).filter(|&i| i != lost.0).map(BlockId).collect();
-        helpers.push(BlockId::p0(&params));
-        let eqs = codec.repair_equations(&[lost], &helpers);
-        prop_assert!(eqs[0].is_xor_only(),
-            "pre-placement XOR path must exist for every data block of every paper code");
-        prop_assert_eq!(eqs[0].terms.len(), n);
+        for lost in (0..n).map(BlockId) {
+            let mut helpers: Vec<BlockId> = (0..n).filter(|&i| i != lost.0).map(BlockId).collect();
+            helpers.push(BlockId::p0(&params));
+            let eqs = codec.repair_equations(&[lost], &helpers);
+            assert!(
+                eqs[0].is_xor_only(),
+                "pre-placement XOR path must exist for every data block of every paper code: \
+                 RS({n},{k}) lost {lost:?}"
+            );
+            assert_eq!(eqs[0].terms.len(), n, "RS({n},{k}) lost {lost:?}");
+        }
     }
 }

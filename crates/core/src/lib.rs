@@ -35,6 +35,9 @@ pub mod viz;
 
 pub use cost::CostModel;
 pub use plan::{Input, Op, OpId, Payload, PlanStats, RepairPlan};
+/// The cluster [`network_for`] builds: the one source of link rates for
+/// the simulator and the real-bytes executor alike.
+pub use rpr_netsim::Network;
 pub use scenario::RepairContext;
 pub use schemes::{
     CarPlanner, ChainPlanner, RecoverySite, RepairPlanner, RprPlanner, TraditionalPlanner,

@@ -24,8 +24,9 @@ use crate::arena::{ArenaStats, BufferPool, Chunk, PoolBuf, Tally};
 use crate::ratelimit::TokenBucket;
 use rpr_codec::BlockId;
 use rpr_core::{
-    chunk_sizes, combine_kernel, op_label, plan_built, record_wave_spans, send_transfer,
-    stream_summary, Input, Op, OpId, Payload, RepairContext, RepairPlan, ResolvedFaults,
+    chunk_sizes, combine_kernel, network_for, op_label, plan_built, record_wave_spans,
+    send_transfer, stream_summary, Input, Network, Op, OpId, Payload, RepairContext, RepairPlan,
+    ResolvedFaults,
 };
 use rpr_faults::{checksum64, reason, RetryPolicy};
 use rpr_obs::{Event, Kernel, Recorder};
@@ -177,6 +178,8 @@ struct RunEnv<'r, 'c> {
     stripe: &'r [Vec<u8>],
     rec: &'r dyn Recorder,
     t0: Instant,
+    /// The simulator's view of the cluster: every shaper rate comes from it.
+    net: &'r Network,
     links: &'r [NodeLinks],
     agg: Option<&'r TokenBucket>,
     waves: &'r [Option<usize>],
@@ -323,20 +326,20 @@ pub(crate) fn check_stripe(plan: &RepairPlan, stripe: &[Vec<u8>]) {
     );
 }
 
-/// Per-node link shapers, mirroring rpr-netsim's resource layout, with
-/// optional per-node derates from injected slow-link faults.
-fn node_links(ctx: &RepairContext<'_>, slow: &[(NodeId, f64)]) -> Vec<NodeLinks> {
-    (0..ctx.topo.node_count())
+/// Per-node link shapers at the simulator's own rates (rpr-netsim's
+/// resource layout), with optional per-node derates from injected
+/// slow-link faults.
+fn node_links(net: &Network, slow: &[(NodeId, f64)]) -> Vec<NodeLinks> {
+    (0..net.topology().node_count())
         .map(|i| {
             let node = NodeId(i);
-            let rack = ctx.topo.rack_of(node);
             let factor: f64 = slow
                 .iter()
                 .filter(|(n, _)| *n == node)
                 .map(|&(_, f)| f)
                 .product();
-            let nic = ctx.profile.rate(rack, rack) * factor;
-            let cross = cross_class_rate(ctx, node) * factor;
+            let nic = net.nic_rate(node) * factor;
+            let cross = net.cross_class_rate(node) * factor;
             NodeLinks {
                 up: TokenBucket::new(nic),
                 down: TokenBucket::new(nic),
@@ -362,7 +365,8 @@ pub(crate) fn run_attempt(
 ) -> AttemptRun {
     let empty_slow: &[(NodeId, f64)] = &[];
     let slow = cfg.faults.map_or(empty_slow, |f| f.slow.as_slice());
-    let links = node_links(ctx, slow);
+    let net = network_for(ctx);
+    let links = node_links(&net, slow);
     let mut offsets = vec![0usize];
     for size in chunk_sizes(plan.block_bytes, ctx.effective_chunk()) {
         offsets.push(offsets[offsets.len() - 1] + size as usize);
@@ -414,6 +418,7 @@ pub(crate) fn run_attempt(
         stripe,
         rec,
         t0,
+        net: &net,
         links: &links,
         agg: agg.as_ref(),
         waves: &waves,
@@ -551,7 +556,7 @@ impl SendStream<'_> {
         self.ensure()?;
         let env = self.env;
         shaped_transfer(
-            env.ctx,
+            env.net,
             env.links,
             env.agg,
             self.from,
@@ -1035,19 +1040,6 @@ pub(crate) fn verify_outputs<'v>(
     Ok((mismatches, recovered))
 }
 
-/// The shaped cross-traffic class of a node (same rule as the simulator).
-fn cross_class_rate(ctx: &RepairContext<'_>, node: NodeId) -> f64 {
-    let r = ctx.topo.rack_of(node);
-    let q = ctx.topo.rack_count();
-    if q == 1 {
-        return ctx.profile.rate(r, r);
-    }
-    (0..q)
-        .filter(|&b| b != r.0)
-        .map(|b| ctx.profile.rate(r, rpr_topology::RackId(b)))
-        .fold(f64::NEG_INFINITY, f64::max)
-}
-
 /// Move `len` bytes from `from` to `to` through the shapers: the private
 /// pair-rate bucket plus the shared per-node (and, cross-rack, cross-class)
 /// buckets. Returns the seconds spent waiting for the shapers to admit the
@@ -1056,7 +1048,7 @@ fn cross_class_rate(ctx: &RepairContext<'_>, node: NodeId) -> f64 {
 /// abandoned mid-stream by the hedge watchdog).
 #[allow(clippy::too_many_arguments)]
 fn shaped_transfer(
-    ctx: &RepairContext<'_>,
+    net: &Network,
     links: &[NodeLinks],
     agg: Option<&TokenBucket>,
     from: NodeId,
@@ -1065,11 +1057,8 @@ fn shaped_transfer(
     granularity: usize,
     cancel: Option<&AtomicBool>,
 ) -> Option<f64> {
-    let pair_rate = ctx
-        .profile
-        .rate(ctx.topo.rack_of(from), ctx.topo.rack_of(to));
-    let flow = TokenBucket::new(pair_rate);
-    let cross = !ctx.topo.same_rack(from, to);
+    let flow = TokenBucket::new(net.pair_rate(from, to));
+    let cross = net.is_cross(from, to);
     let entered = Instant::now();
     let mut first_admit = 0.0f64;
     let mut left = len;

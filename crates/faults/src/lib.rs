@@ -40,8 +40,8 @@ pub mod reason {
 /// "Fast splittable pseudorandom number generators", OOPSLA '14).
 ///
 /// Used everywhere the robustness layer needs reproducible randomness:
-/// fault-site selection, failure fractions, and the seeded property-test
-/// harness in `tests/`. Identical seeds yield identical streams on every
+/// fault-site selection, failure fractions, and every property test in
+/// the workspace. Identical seeds yield identical streams on every
 /// platform.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {

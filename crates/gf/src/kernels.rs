@@ -28,7 +28,8 @@
 //! # Bit identity
 //!
 //! Every tier computes the *same function* — results are guaranteed (and
-//! property-tested, see `crates/gf/tests/kernel_equivalence.rs`) to be
+//! tested for every coefficient on every tier, see
+//! `crates/gf/tests/kernel_equivalence.rs`) to be
 //! byte-for-byte identical to [`crate::mul_reference`] applied pointwise,
 //! for every coefficient, length, and alignment. Picking a tier changes
 //! throughput only, never output.

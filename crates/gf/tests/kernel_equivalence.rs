@@ -1,47 +1,47 @@
 //! Cross-kernel equivalence: every runtime-dispatchable SIMD tier must be
 //! byte-for-byte identical to the scalar table path — and the scalar path
-//! to the bit-level reference multiplier — for every coefficient class,
-//! ragged length, and misalignment the repair pipeline can produce.
+//! to the bit-level reference multiplier — for every coefficient, ragged
+//! length, and misalignment the repair pipeline can produce. The ragged
+//! length and alignment sweeps are exhaustive (every coefficient × every
+//! available tier); the dispatched-entry check runs 256 seeded cases.
 //!
 //! This is the bit-identity guarantee `rpr_gf::kernels` documents: tier
 //! choice changes throughput, never output.
 
-use proptest::prelude::*;
+use rpr_faults::SplitMix64;
 use rpr_gf::kernels::{available_tiers, mul_acc_slice_on, mul_slice_on, xor_slice_on, KernelTier};
 
-/// Deterministic pseudo-random fill so failures reproduce exactly.
+/// Seed of every pseudo-random buffer and of the dispatched-kernel cases.
+const SEED: u64 = 0xBB67_AE85_84CA_A73B;
+
+/// Seeded pseudo-random fill so failures reproduce exactly.
 fn fill(len: usize, seed: u64) -> Vec<u8> {
-    let mut s = seed | 1;
-    (0..len)
-        .map(|_| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) as u8
-        })
-        .collect()
+    let mut rng = SplitMix64::new(SEED ^ seed);
+    (0..len).map(|_| rng.next_u64() as u8).collect()
 }
 
-/// Reference product computed pointwise from the bit-level multiplier.
-fn reference_mul(c: u8, src: &[u8]) -> Vec<u8> {
-    src.iter().map(|&s| rpr_gf::mul_reference(c, s)).collect()
+/// The bit-level reference multiplier tabulated once: `table[c][s]`.
+fn reference_table() -> Vec<[u8; 256]> {
+    (0..=255u8)
+        .map(|c| std::array::from_fn(|s| rpr_gf::mul_reference(c, s as u8)))
+        .collect()
 }
 
 /// Every length in 0..=257 crosses each kernel's vector-width boundary
 /// (16 and 32) several times and exercises the empty, sub-vector, exact,
-/// and ragged-tail cases.
+/// and ragged-tail cases; every coefficient runs on every available tier
+/// at every one of them.
 #[test]
 fn all_tiers_match_reference_for_ragged_lengths() {
     let tiers = available_tiers();
     assert!(tiers.contains(&KernelTier::Scalar));
+    let table = reference_table();
     for len in 0..=257usize {
         let src = fill(len, 0x9E37 + len as u64);
         let init = fill(len, 0x7F4A + len as u64);
-        for &c in &[0u8, 1, 2, 3, 0x1D, 0x53, 0x80, 0xFE, 0xFF] {
-            let want_mul = reference_mul(c, &src);
-            let want_acc: Vec<u8> = init
-                .iter()
-                .zip(&want_mul)
-                .map(|(&d, &p)| d ^ p)
-                .collect();
+        for c in 0..=255u8 {
+            let want_mul: Vec<u8> = src.iter().map(|&s| table[c as usize][s as usize]).collect();
+            let want_acc: Vec<u8> = init.iter().zip(&want_mul).map(|(&d, &p)| d ^ p).collect();
             for &tier in &tiers {
                 let mut dst = vec![0xA5u8; len];
                 mul_slice_on(tier, c, &src, &mut dst);
@@ -65,20 +65,21 @@ fn all_tiers_match_reference_for_ragged_lengths() {
 /// Unaligned offsets: carve sub-slices at every offset 0..32 out of an
 /// over-allocated buffer so the vector kernels see pointers at every
 /// possible alignment class (they use unaligned loads — this must never
-/// matter).
+/// matter), for every coefficient on every available tier.
 #[test]
 fn all_tiers_match_at_every_alignment_offset() {
     const LEN: usize = 97; // prime: never a multiple of any vector width
+    let table = reference_table();
     let backing_src = fill(LEN + 64, 0xDEAD);
     let backing_dst = fill(LEN + 64, 0xBEEF);
     for off in 0..32usize {
         let src = &backing_src[off..off + LEN];
         let init = &backing_dst[off..off + LEN];
-        for &c in &[2u8, 0x53, 0xE1] {
+        for c in 0..=255u8 {
             let want: Vec<u8> = init
                 .iter()
-                .zip(reference_mul(c, src))
-                .map(|(&d, p)| d ^ p)
+                .zip(src)
+                .map(|(&d, &s)| d ^ table[c as usize][s as usize])
                 .collect();
             for &tier in &available_tiers() {
                 // Rebuild an offset destination each round so the kernel
@@ -99,19 +100,18 @@ fn all_tiers_match_at_every_alignment_offset() {
     }
 }
 
-proptest! {
-    /// The dispatched entry points (whatever tier this host selected)
-    /// agree with the scalar tier on randomized slices — coefficient,
-    /// contents, length, and an arbitrary sub-slice offset all fuzzed.
-    #[test]
-    fn dispatched_kernels_match_scalar_on_random_slices(
-        c: u8,
-        a in proptest::collection::vec(any::<u8>(), 0..300),
-        b in proptest::collection::vec(any::<u8>(), 0..300),
-        off in 0usize..64,
-    ) {
-        let len = a.len().min(b.len());
-        let off = off.min(len);
+/// The dispatched entry points (whatever tier this host selected) agree
+/// with the scalar tier on seeded slices: every coefficient once, with
+/// contents, length (< 300) and sub-slice offset (< 64) drawn from
+/// [`SplitMix64`] seeded with [`SEED`].
+#[test]
+fn dispatched_kernels_match_scalar_on_random_slices() {
+    let mut rng = SplitMix64::new(SEED);
+    for c in 0..=255u8 {
+        let len = rng.pick(300);
+        let off = rng.pick(64).min(len);
+        let a = fill(len, rng.next_u64());
+        let b = fill(len, rng.next_u64());
         let src = &a[off..len];
         let init = &b[off..len];
 
@@ -119,19 +119,19 @@ proptest! {
         mul_acc_slice_on(KernelTier::Scalar, c, src, &mut scalar_acc);
         let mut fast_acc = init.to_vec();
         rpr_gf::mul_acc_slice(c, src, &mut fast_acc);
-        prop_assert_eq!(&scalar_acc, &fast_acc, "acc c={:#04x}", c);
+        assert_eq!(&scalar_acc, &fast_acc, "acc c={c:#04x} len={len} off={off}");
 
         let mut scalar_mul = vec![0u8; src.len()];
         mul_slice_on(KernelTier::Scalar, c, src, &mut scalar_mul);
         let mut fast_mul = vec![0xFFu8; src.len()];
         rpr_gf::mul_slice(c, src, &mut fast_mul);
-        prop_assert_eq!(&scalar_mul, &fast_mul, "mul c={:#04x}", c);
+        assert_eq!(&scalar_mul, &fast_mul, "mul c={c:#04x} len={len} off={off}");
 
         let mut scalar_xor = init.to_vec();
         xor_slice_on(KernelTier::Scalar, &mut scalar_xor, src);
         let mut fast_xor = init.to_vec();
         rpr_gf::xor_slice(&mut fast_xor, src);
-        prop_assert_eq!(&scalar_xor, &fast_xor, "xor");
+        assert_eq!(&scalar_xor, &fast_xor, "xor c={c:#04x} len={len} off={off}");
     }
 }
 

@@ -1,109 +1,104 @@
-//! Property-based tests for matrix algebra over GF(2^8) and the MDS
-//! constructions used by the codec.
+//! Properties of matrix algebra over GF(2^8) and of the MDS constructions
+//! used by the codec.
+//!
+//! The algebraic laws run [`CASES`] seeded cases each on square matrices
+//! of every dimension 1..=6 (the dimension cycles with the case index),
+//! drawn from [`SplitMix64`] seeded with [`SEED`]; a failure names the
+//! case index. The RS survivor-set property is exhaustive: every `n`-row
+//! subset of each generator.
 #![allow(
     clippy::disallowed_methods,
     reason = "properties of Matrix::inverse itself"
 )]
 
-use proptest::prelude::*;
-use rpr_linalg::{cauchy, is_superregular, rs_coding_matrix, vandermonde, Matrix};
+use rpr_faults::SplitMix64;
+use rpr_linalg::{
+    cauchy, for_each_combination, is_superregular, rs_coding_matrix, vandermonde, Matrix,
+};
 
-/// Strategy: a random square matrix with dimension 1..=6.
-fn square_matrix() -> impl Strategy<Value = Matrix> {
-    (1usize..=6).prop_flat_map(|n| {
-        proptest::collection::vec(any::<u8>(), n * n).prop_map(move |data| {
-            let mut m = Matrix::zero(n, n);
-            for i in 0..n {
-                for j in 0..n {
-                    m[(i, j)] = data[i * n + j];
-                }
-            }
-            m
-        })
-    })
+const SEED: u64 = 0x3C6E_F372_FE94_F82B;
+const CASES: usize = 64;
+
+/// A seeded random `n × n` matrix.
+fn square_matrix(rng: &mut SplitMix64, n: usize) -> Matrix {
+    let mut m = Matrix::zero(n, n);
+    for i in 0..n {
+        for j in 0..n {
+            m[(i, j)] = rng.next_u64() as u8;
+        }
+    }
+    m
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn inverse_roundtrip(m in square_matrix()) {
-        if let Some(inv) = m.inverse() {
-            let n = m.rows();
-            prop_assert_eq!(m.mul(&inv), Matrix::identity(n));
-            prop_assert_eq!(inv.mul(&m), Matrix::identity(n));
-            prop_assert!(m.determinant() != 0);
-            prop_assert_eq!(m.rank(), n);
-        } else {
-            prop_assert_eq!(m.determinant(), 0);
-            prop_assert!(m.rank() < m.rows());
-        }
+/// Run `check(case, rng, n)` for every case, `n` cycling through 1..=6.
+fn for_each_case(mut check: impl FnMut(usize, &mut SplitMix64, usize)) {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        check(case, &mut rng, 1 + case % 6);
     }
+}
 
-    #[test]
-    fn determinant_is_multiplicative(a in square_matrix(), seed: u64) {
-        // Build b with the same dimension as a from the seed.
-        let n = a.rows();
-        let mut b = Matrix::zero(n, n);
-        let mut s = seed;
-        for i in 0..n {
-            for j in 0..n {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                b[(i, j)] = (s >> 33) as u8;
-            }
+#[test]
+fn inverse_roundtrip() {
+    for_each_case(|case, rng, n| {
+        let m = square_matrix(rng, n);
+        if let Some(inv) = m.inverse() {
+            assert_eq!(m.mul(&inv), Matrix::identity(n), "case {case}");
+            assert_eq!(inv.mul(&m), Matrix::identity(n), "case {case}");
+            assert!(m.determinant() != 0, "case {case}");
+            assert_eq!(m.rank(), n, "case {case}");
+        } else {
+            assert_eq!(m.determinant(), 0, "case {case}");
+            assert!(m.rank() < m.rows(), "case {case}");
         }
+    });
+}
+
+#[test]
+fn determinant_is_multiplicative() {
+    for_each_case(|case, rng, n| {
+        let a = square_matrix(rng, n);
+        let b = square_matrix(rng, n);
         let lhs = a.mul(&b).determinant();
         let rhs = rpr_gf::mul(a.determinant(), b.determinant());
-        prop_assert_eq!(lhs, rhs);
-    }
+        assert_eq!(lhs, rhs, "case {case}");
+    });
+}
 
-    #[test]
-    fn matrix_multiplication_is_associative(a in square_matrix(), s1: u64, s2: u64) {
-        let n = a.rows();
-        let gen = |seed: u64| {
-            let mut m = Matrix::zero(n, n);
-            let mut s = seed | 1;
-            for i in 0..n {
-                for j in 0..n {
-                    s = s.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(i as u64 + j as u64);
-                    m[(i, j)] = (s >> 40) as u8;
-                }
-            }
-            m
-        };
-        let b = gen(s1);
-        let c = gen(s2);
-        prop_assert_eq!(a.mul(&b).mul(&c), a.mul(&b.mul(&c)));
-    }
+#[test]
+fn matrix_multiplication_is_associative() {
+    for_each_case(|case, rng, n| {
+        let a = square_matrix(rng, n);
+        let b = square_matrix(rng, n);
+        let c = square_matrix(rng, n);
+        assert_eq!(a.mul(&b).mul(&c), a.mul(&b.mul(&c)), "case {case}");
+    });
+}
 
-    #[test]
-    fn any_n_rows_of_rs_generator_are_invertible(
-        (n, k) in prop_oneof![Just((4usize, 2usize)), Just((6, 2)), Just((6, 3)), Just((8, 4))],
-        seed: u64,
-    ) {
-        // Draw a random survivor set of size n from the n+k generator rows
-        // and check invertibility — the operational MDS property used by
-        // every decode in the repository.
+#[test]
+fn any_n_rows_of_rs_generator_are_invertible() {
+    // Every survivor set of size n from the n+k generator rows is
+    // invertible — the operational MDS property used by every decode in
+    // the repository.
+    let mut cases = 0usize;
+    for (n, k) in [(4usize, 2usize), (6, 2), (6, 3), (8, 4)] {
         let generator = Matrix::identity(n).vstack(&rs_coding_matrix(n, k));
-        let mut rows: Vec<usize> = (0..n + k).collect();
-        let mut s = seed;
-        // Fisher-Yates with an inline LCG for determinism under proptest.
-        for i in (1..rows.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            rows.swap(i, (s >> 33) as usize % (i + 1));
-        }
-        rows.truncate(n);
-        rows.sort_unstable();
-        prop_assert!(generator.select_rows(&rows).is_invertible(),
-            "survivor rows {:?} of RS({},{}) must decode", rows, n, k);
+        for_each_combination(n + k, n, |rows| {
+            assert!(
+                generator.select_rows(rows).is_invertible(),
+                "survivor rows {rows:?} of RS({n},{k}) must decode"
+            );
+            cases += 1;
+        });
     }
+    assert_eq!(cases, 622, "C(6,4) + C(8,6) + C(9,6) + C(12,8)");
 }
 
 #[test]
 fn vandermonde_any_rows_invertible_small() {
     // For the 8x4 Vandermonde matrix, every 4-row selection is invertible.
     let v = vandermonde(8, 4);
-    rpr_linalg::for_each_combination(8, 4, |sel| {
+    for_each_combination(8, 4, |sel| {
         assert!(
             v.select_rows(sel).is_invertible(),
             "vandermonde rows {sel:?}"

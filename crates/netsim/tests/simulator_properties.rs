@@ -1,9 +1,15 @@
-//! Property-based tests of the flow simulator: conservation, monotonicity,
-//! and lower bounds that must hold for any random job set.
+//! Properties of the flow simulator: conservation, monotonicity, and lower
+//! bounds that must hold for any random job set.
+//!
+//! Each property runs [`CASES`] job sets drawn from [`SplitMix64`] seeded
+//! with [`SEED`]; a failure names the case index that reproduces it.
 
-use proptest::prelude::*;
+use rpr_faults::SplitMix64;
 use rpr_netsim::{JobId, Network, Simulator};
 use rpr_topology::{BandwidthProfile, NodeId, Topology};
+
+const SEED: u64 = 0x510E_527F_ADE6_82D1;
+const CASES: usize = 64;
 
 #[derive(Clone, Debug)]
 enum JobSpec {
@@ -11,43 +17,48 @@ enum JobSpec {
     Compute { node: usize, millis: u32 },
 }
 
-fn job_strategy(nodes: usize) -> impl Strategy<Value = JobSpec> {
-    prop_oneof![
-        (0..nodes, 0..nodes, 1u64..200_000).prop_filter_map("no loopback", |(f, t, b)| {
-            (f != t).then_some(JobSpec::Transfer {
-                from: f,
-                to: t,
-                bytes: b,
-            })
-        }),
-        (0..nodes, 1u32..500).prop_map(|(n, ms)| JobSpec::Compute {
-            node: n,
-            millis: ms
-        }),
-    ]
+/// Between `min` and `max - 1` random jobs on `nodes` nodes; a transfer
+/// never loops back to its source.
+fn job_specs(rng: &mut SplitMix64, nodes: usize, min: usize, max: usize) -> Vec<JobSpec> {
+    (0..min + rng.pick(max - min))
+        .map(|_| {
+            if rng.next_u64() & 1 == 0 {
+                let from = rng.pick(nodes);
+                JobSpec::Transfer {
+                    from,
+                    to: (from + 1 + rng.pick(nodes - 1)) % nodes,
+                    bytes: 1 + rng.pick(199_999) as u64,
+                }
+            } else {
+                JobSpec::Compute {
+                    node: rng.pick(nodes),
+                    millis: 1 + rng.pick(499) as u32,
+                }
+            }
+        })
+        .collect()
 }
 
-/// Build a simulator with random jobs; dependencies only point backwards
-/// (acyclic by construction), each job depending on an arbitrary subset of
-/// up to 2 earlier jobs derived from `dep_seed`.
+/// Build a simulator over the jobs; dependencies only point backwards
+/// (acyclic by construction), each job depending on up to 2 earlier jobs.
+/// Returns the job ids and each job's dependency list.
 fn build(
+    rng: &mut SplitMix64,
     racks: usize,
     per_rack: usize,
     specs: &[JobSpec],
-    dep_seed: u64,
-) -> (Simulator, Vec<JobId>) {
+) -> (Simulator, Vec<JobId>, Vec<Vec<JobId>>) {
     let topo = Topology::uniform(racks, per_rack);
     let profile = BandwidthProfile::uniform(racks, 1_000_000.0, 100_000.0);
     let mut sim = Simulator::new(Network::new(topo, profile));
     let mut ids = Vec::new();
-    let mut seed = dep_seed | 1;
+    let mut deps_of = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let mut deps = Vec::new();
         if i > 0 {
             for _ in 0..2 {
-                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-                if seed & 4 == 0 {
-                    deps.push(ids[(seed >> 33) as usize % i]);
+                if rng.next_u64() & 1 == 0 {
+                    deps.push(ids[rng.pick(i)]);
                 }
             }
             deps.dedup();
@@ -61,27 +72,25 @@ fn build(
             }
         };
         ids.push(id);
+        deps_of.push(deps);
     }
-    (sim, ids)
+    (sim, ids, deps_of)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn traffic_is_conserved_and_times_are_sane(
-        specs in proptest::collection::vec(job_strategy(6), 1..25),
-        dep_seed: u64,
-    ) {
-        let (sim, ids) = build(3, 2, &specs, dep_seed);
+#[test]
+fn traffic_is_conserved_and_times_are_sane() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let specs = job_specs(&mut rng, 6, 1, 25);
+        let (sim, ids, _) = build(&mut rng, 3, 2, &specs);
         let report = sim.run();
 
         // Every job has start <= finish <= makespan.
         for &id in &ids {
             let r = report.record(id);
-            prop_assert!(r.start >= 0.0);
-            prop_assert!(r.finish >= r.start - 1e-12);
-            prop_assert!(r.finish <= report.makespan + 1e-9);
+            assert!(r.start >= 0.0, "case {case} {id:?}");
+            assert!(r.finish >= r.start - 1e-12, "case {case} {id:?}");
+            assert!(r.finish <= report.makespan + 1e-9, "case {case} {id:?}");
         }
 
         // Byte conservation: per-node uploads == per-node downloads ==
@@ -93,17 +102,26 @@ proptest! {
                 _ => None,
             })
             .sum();
-        prop_assert_eq!(report.total_transfer_bytes(), total);
-        prop_assert_eq!(report.node_upload_bytes.iter().sum::<u64>(), total);
-        prop_assert_eq!(report.node_download_bytes.iter().sum::<u64>(), total);
+        assert_eq!(report.total_transfer_bytes(), total, "case {case}");
+        assert_eq!(
+            report.node_upload_bytes.iter().sum::<u64>(),
+            total,
+            "case {case}"
+        );
+        assert_eq!(
+            report.node_download_bytes.iter().sum::<u64>(),
+            total,
+            "case {case}"
+        );
     }
+}
 
-    #[test]
-    fn makespan_respects_physical_lower_bounds(
-        specs in proptest::collection::vec(job_strategy(6), 1..20),
-        dep_seed: u64,
-    ) {
-        let (sim, ids) = build(3, 2, &specs, dep_seed);
+#[test]
+fn makespan_respects_physical_lower_bounds() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let specs = job_specs(&mut rng, 6, 1, 20);
+        let (sim, ids, _) = build(&mut rng, 3, 2, &specs);
         let report = sim.run();
 
         // No single job can beat its own best-case duration.
@@ -111,63 +129,55 @@ proptest! {
             let r = report.record(id);
             let min = match *spec {
                 JobSpec::Transfer { from, to, bytes } => {
-                    let rate = if from / 2 == to / 2 { 1_000_000.0 } else { 100_000.0 };
+                    let rate = if from / 2 == to / 2 {
+                        1_000_000.0
+                    } else {
+                        100_000.0
+                    };
                     bytes as f64 / rate
                 }
                 JobSpec::Compute { millis, .. } => millis as f64 / 1000.0,
             };
-            prop_assert!(
+            assert!(
                 r.duration() >= min - 1e-9,
-                "job {:?} ran faster than its link/CPU allows: {} < {}",
-                id, r.duration(), min
+                "case {case}: job {id:?} ran faster than its link/CPU allows: {} < {min}",
+                r.duration()
             );
         }
 
         // Aggregate bound: each node's uplink cannot push bytes faster
         // than its NIC for the whole makespan.
         for (node, &up) in report.node_upload_bytes.iter().enumerate() {
-            let _ = node;
-            prop_assert!(up as f64 / 1_000_000.0 <= report.makespan + 1e-6);
+            assert!(
+                up as f64 / 1_000_000.0 <= report.makespan + 1e-6,
+                "case {case}: node {node}"
+            );
         }
     }
+}
 
-    #[test]
-    fn dependencies_are_honoured(
-        specs in proptest::collection::vec(job_strategy(4), 2..20),
-        dep_seed: u64,
-    ) {
-        let (sim, ids) = build(2, 2, &specs, dep_seed);
-        // Recover the dependency lists the builder generated.
-        let mut seed = dep_seed | 1;
-        let mut deps_of: Vec<Vec<JobId>> = Vec::new();
-        for i in 0..specs.len() {
-            let mut deps = Vec::new();
-            if i > 0 {
-                for _ in 0..2 {
-                    seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    if seed & 4 == 0 {
-                        deps.push(ids[(seed >> 33) as usize % i]);
-                    }
-                }
-                deps.dedup();
-            }
-            deps_of.push(deps);
-        }
+#[test]
+fn dependencies_are_honoured() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let specs = job_specs(&mut rng, 4, 2, 20);
+        let (sim, ids, deps_of) = build(&mut rng, 2, 2, &specs);
         let report = sim.run();
         for (i, deps) in deps_of.iter().enumerate() {
             for d in deps {
-                prop_assert!(
+                assert!(
                     report.record(*d).finish <= report.record(ids[i]).start + 1e-9,
-                    "job {} started before its dependency {:?} finished", i, d
+                    "case {case}: job {i} started before its dependency {d:?} finished"
                 );
             }
         }
     }
+}
 
-    #[test]
-    fn compute_only_workloads_equal_sum_per_node(
-        millis in proptest::collection::vec((0usize..4, 1u32..200), 1..12),
-    ) {
+#[test]
+fn compute_only_workloads_equal_sum_per_node() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
         // All jobs independent on 4 separate nodes: makespan = max over
         // nodes of that node's total work (processor sharing conserves
         // total CPU time).
@@ -175,14 +185,18 @@ proptest! {
         let profile = BandwidthProfile::uniform(2, 1e6, 1e5);
         let mut sim = Simulator::new(Network::new(topo, profile));
         let mut per_node = [0.0f64; 4];
-        for (i, &(node, ms)) in millis.iter().enumerate() {
-            let secs = ms as f64 / 1000.0;
+        for i in 0..1 + rng.pick(11) {
+            let node = rng.pick(4);
+            let secs = (1 + rng.pick(199)) as f64 / 1000.0;
             per_node[node] += secs;
             sim.compute(format!("c{i}"), NodeId(node), secs, &[]);
         }
         let report = sim.run();
         let want = per_node.iter().cloned().fold(0.0, f64::max);
-        prop_assert!((report.makespan - want).abs() < 1e-6,
-            "makespan {} vs per-node max {}", report.makespan, want);
+        assert!(
+            (report.makespan - want).abs() < 1e-6,
+            "case {case}: makespan {} vs per-node max {want}",
+            report.makespan
+        );
     }
 }

@@ -641,18 +641,20 @@ impl AuditReport {
 // Hand-rolled JSON field extraction (the workspace avoids serde)
 // ---------------------------------------------------------------------------
 
+/// The value of `"key":<value>` must be a whole `u64`: it ends at the
+/// next `,` or `}`, and anything but digits up to there is an error.
 fn field_u64(line: &str, key: &str) -> Result<u64, String> {
     let pat = format!("\"{key}\":");
     let at = line
         .find(&pat)
         .ok_or_else(|| format!("missing field '{key}'"))?;
     let rest = &line[at + pat.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .map_err(|_| format!("bad number in field '{key}'"))
+    let value = &rest[..rest.find([',', '}']).unwrap_or(rest.len())];
+    let bad = || format!("bad number in field '{key}'");
+    if !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(bad());
+    }
+    value.parse().map_err(|_| bad())
 }
 
 fn field_str(line: &str, key: &str) -> Result<String, String> {
@@ -880,5 +882,16 @@ mod tests {
         let text = ledger.to_json_lines();
         let broken = text.replace("\"op\":0", "\"op\":x");
         assert!(ProofLedger::parse(&broken).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_trailing_junk_after_a_number() {
+        let mut ledger = ProofLedger::new(1, ProofMode::Off);
+        ledger.push(0, proof(12, 1, Vec::new(), 1, 1));
+        let text = ledger.to_json_lines();
+        assert!(ProofLedger::parse(&text).is_ok());
+        let hostile = text.replace("\"op\":12", "\"op\":12abc");
+        assert_ne!(hostile, text);
+        assert!(ProofLedger::parse(&hostile).is_err());
     }
 }

@@ -1,91 +1,111 @@
-//! Property-based tests for placements and bandwidth profiles.
+//! Properties of placements and bandwidth profiles.
+//!
+//! The placement properties are exhaustive over their whole range: every
+//! code `1 <= k <= n <= 16, k <= 6` (81 codes), under every policy each
+//! property names. The profile property runs [`CASES`] cases drawn from
+//! [`SplitMix64`] seeded with [`SEED`]; a failure names the case.
 
-use proptest::prelude::*;
 use rpr_codec::CodeParams;
+use rpr_faults::SplitMix64;
 use rpr_topology::{cluster_for, BandwidthProfile, Placement, PlacementPolicy, RackId, Topology};
 
-fn code_strategy() -> impl Strategy<Value = CodeParams> {
-    (1usize..=16, 1usize..=6)
-        .prop_filter("k <= n", |&(n, k)| k <= n)
-        .prop_map(|(n, k)| CodeParams::new(n, k))
+const SEED: u64 = 0x1F83_D9AB_FB41_BD6B;
+const CASES: usize = 96;
+
+/// Every code the placement properties range over.
+fn all_codes() -> impl Iterator<Item = CodeParams> {
+    (1usize..=16).flat_map(|n| (1..=n.min(6)).map(move |k| CodeParams::new(n, k)))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn compact_and_preplaced_are_always_fault_tolerant(params in code_strategy()) {
+#[test]
+fn compact_and_preplaced_are_always_fault_tolerant() {
+    assert_eq!(all_codes().count(), 81);
+    for params in all_codes() {
         let topo = cluster_for(params, 1, 0);
         for policy in [PlacementPolicy::Compact, PlacementPolicy::RprPreplaced] {
+            let tag = format!("{params:?} {policy:?}");
             let p = Placement::by_policy(policy, params, &topo);
-            prop_assert!(p.is_single_rack_fault_tolerant(&topo), "{policy:?}");
+            assert!(p.is_single_rack_fault_tolerant(&topo), "{tag}");
             // Bijectivity: every block on a distinct node, round-trips.
             for b in params.all_blocks() {
-                prop_assert_eq!(p.block_on(p.node_of(b)), Some(b));
+                assert_eq!(p.block_on(p.node_of(b)), Some(b), "{tag}");
             }
             // Rack counts: each rack holds at most k blocks.
             for rack in topo.racks() {
-                prop_assert!(p.blocks_in_rack(rack, &topo).len() <= params.k);
+                assert!(p.blocks_in_rack(rack, &topo).len() <= params.k, "{tag}");
             }
         }
     }
+}
 
-    #[test]
-    fn preplacement_colocates_p0_when_possible(params in code_strategy()) {
-        // k = 1 places one block per rack, so no parity can ever share a
-        // rack with data; for k >= 2 the swap must land P0 with data.
-        prop_assume!(params.k >= 2);
-        prop_assume!(params.rack_count() >= 2);
-        prop_assume!(params.n >= 2);
+#[test]
+fn preplacement_colocates_p0_when_possible() {
+    // k = 1 places one block per rack, so no parity can ever share a
+    // rack with data; for k >= 2 the swap must land P0 with data.
+    for params in all_codes().filter(|p| p.k >= 2 && p.rack_count() >= 2 && p.n >= 2) {
         let topo = cluster_for(params, 1, 0);
         let p = Placement::rpr_preplaced(params, &topo);
-        prop_assert!(p.p0_colocated_with_data(&topo));
+        assert!(p.p0_colocated_with_data(&topo), "{params:?}");
     }
+}
 
-    #[test]
-    fn flat_placement_spreads_one_block_per_rack(params in code_strategy()) {
+#[test]
+fn flat_placement_spreads_one_block_per_rack() {
+    for params in all_codes() {
         let topo = Topology::uniform(params.total(), 2);
         let p = Placement::flat(params, &topo);
         for rack in topo.racks() {
-            prop_assert!(p.blocks_in_rack(rack, &topo).len() <= 1);
+            assert!(p.blocks_in_rack(rack, &topo).len() <= 1, "{params:?}");
         }
-        prop_assert!(p.is_single_rack_fault_tolerant(&topo));
+        assert!(p.is_single_rack_fault_tolerant(&topo), "{params:?}");
     }
+}
 
-    #[test]
-    fn uniform_profile_statistics(
-        racks in 1usize..8,
-        inner in 1.0f64..1e9,
-        ratio in 1.0f64..100.0,
-    ) {
+#[test]
+fn uniform_profile_statistics() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let racks = 1 + case % 7;
+        let inner = 1.0 + rng.next_f64() * (1e9 - 1.0);
+        let ratio = 1.0 + rng.next_f64() * 99.0;
+        let tag = format!("case {case}: racks {racks} inner {inner} ratio {ratio}");
         let profile = BandwidthProfile::uniform(racks, inner, inner / ratio);
-        prop_assert!((profile.mean_inner() - inner).abs() < inner * 1e-12);
+        assert!(
+            (profile.mean_inner() - inner).abs() < inner * 1e-12,
+            "{tag}"
+        );
         if racks > 1 {
-            prop_assert!((profile.cross_to_inner_ratio() - ratio).abs() < ratio * 1e-9);
+            assert!(
+                (profile.cross_to_inner_ratio() - ratio).abs() < ratio * 1e-9,
+                "{tag}"
+            );
         }
         // Scaling preserves the ratio exactly.
         let scaled = profile.scaled(0.125);
-        prop_assert!(
-            (scaled.cross_to_inner_ratio() - profile.cross_to_inner_ratio()).abs() < 1e-9
+        assert!(
+            (scaled.cross_to_inner_ratio() - profile.cross_to_inner_ratio()).abs() < 1e-9,
+            "{tag}"
         );
         // Transfer time is inversely proportional to rate.
         if racks > 1 {
             let t1 = profile.transfer_time(RackId(0), RackId(1), 1_000_000);
             let t2 = scaled.transfer_time(RackId(0), RackId(1), 1_000_000);
-            prop_assert!((t2 / t1 - 8.0).abs() < 1e-9);
+            assert!((t2 / t1 - 8.0).abs() < 1e-9, "{tag}");
         }
     }
+}
 
-    #[test]
-    fn replacement_nodes_exist_with_spares(params in code_strategy()) {
+#[test]
+fn replacement_nodes_exist_with_spares() {
+    for params in all_codes() {
         let topo = cluster_for(params, 2, 0);
         let p = Placement::compact(params, &topo);
         for rack in topo.racks() {
             let r = p.replacement_in(rack, &topo);
-            prop_assert!(r.is_some(), "rack {rack:?} must have a spare");
+            assert!(r.is_some(), "{params:?}: rack {rack:?} must have a spare");
             let node = r.unwrap();
-            prop_assert_eq!(topo.rack_of(node), rack);
-            prop_assert_eq!(p.block_on(node), None);
+            assert_eq!(topo.rack_of(node), rack, "{params:?}");
+            assert_eq!(p.block_on(node), None, "{params:?}");
         }
     }
 }
