@@ -35,8 +35,9 @@ options:
                     inject / chaos: rpr only, the supervisor picks the plan
   --placement P     compact | preplaced | flat                   (default preplaced)
   --block-mib M     block size in MiB                            (default 256)
-  --chunk-size M    streaming chunk in MiB; payloads cut through
-                    hop-to-hop in M-MiB chunks                   (default off:
+  --chunk-size M    streaming chunk in MiB, or with a K / M suffix
+                    (768K, 1M); payloads cut through hop-to-hop
+                    in chunks of that size                       (default off:
                                                                   store-and-forward)
   --ratio R         inner:cross bandwidth ratio                  (default 10)
   --cost C          simics | ec2 | free | measured               (default simics)
@@ -480,12 +481,31 @@ impl<'a> Flags<'a> {
         Ok(self.opt_num(key)?.unwrap_or(default))
     }
 
+    /// A size flag in bytes, `None` when absent: a count of MiB, or —
+    /// where `suffixed` — of KiB or MiB with a `K` or `M` suffix (`768K`,
+    /// `1M`). Zero, and a size past `u64`, are errors.
+    fn opt_bytes(&self, key: &'static str, suffixed: bool) -> Result<Option<u64>, String> {
+        let Some(v) = self.get(key) else {
+            return Ok(None);
+        };
+        let (count, shift) = match (v.strip_suffix('K'), v.strip_suffix('M')) {
+            (Some(kib), _) if suffixed => (kib, 10),
+            (_, Some(mib)) if suffixed => (mib, 20),
+            _ => (v, 20),
+        };
+        let count: u64 = count.parse().map_err(|_| format!("bad {key}"))?;
+        match count.checked_mul(1 << shift) {
+            Some(0) => Err(format!("{key} must be positive")),
+            Some(bytes) => Ok(Some(bytes)),
+            None => Err(format!("{key} {v} is more bytes than a u64 holds")),
+        }
+    }
+
     /// `--block-mib` as bytes.
     fn block_bytes(&self, default_mib: u64) -> Result<u64, String> {
-        match self.num("--block-mib", default_mib)? {
-            0 => Err("--block-mib must be positive".into()),
-            mib => Ok(mib << 20),
-        }
+        Ok(self
+            .opt_bytes("--block-mib", false)?
+            .unwrap_or(default_mib << 20))
     }
 
     /// `--ratio`, the inner:cross bandwidth ratio.
@@ -649,15 +669,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if objects == 0 {
                 return Err("--objects must be positive".into());
             }
-            let request_mib: u64 = flags.num("--request-mib", 4)?;
-            if request_mib == 0 {
-                return Err("--request-mib must be positive".into());
-            }
+            let request_bytes = flags.opt_bytes("--request-mib", false)?.unwrap_or(4 << 20);
             let block_bytes = flags.block_bytes(64)?;
-            let chunk_mib: u64 = flags.num("--chunk-size", 8)?;
-            if chunk_mib == 0 {
-                return Err("--chunk-size must be positive".into());
-            }
+            let chunk_bytes = flags.opt_bytes("--chunk-size", true)?.unwrap_or(8 << 20);
             let ratio = flags.ratio()?;
             let stripes: usize = flags.num("--stripes", 4)?;
             let stagger: f64 = flags.num("--stagger", 0.25)?;
@@ -681,9 +695,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 read_fraction,
                 zipf,
                 objects,
-                request_bytes: request_mib << 20,
+                request_bytes,
                 block_bytes,
-                chunk_bytes: Some(chunk_mib << 20),
+                chunk_bytes: Some(chunk_bytes),
                 ratio,
                 stripes,
                 stagger,
@@ -698,10 +712,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let params = parse_code(flags.get("--code").ok_or("missing --code")?)?;
             let failed = parse_failed(flags.get("--fail").ok_or("missing --fail")?, params)?;
             let block_bytes = flags.block_bytes(256)?;
-            let chunk_mib: Option<u64> = flags.opt_num("--chunk-size")?;
-            if chunk_mib == Some(0) {
-                return Err("--chunk-size must be positive".into());
-            }
+            let chunk_bytes = flags.opt_bytes("--chunk-size", true)?;
             let ratio = flags.ratio()?;
             let scheme = flags.get("--scheme").unwrap_or("rpr").to_string();
             if !matches!(
@@ -726,7 +737,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 scheme,
                 placement: parse_placement(flags.get("--placement").unwrap_or("preplaced"))?,
                 block_bytes,
-                chunk_bytes: chunk_mib.map(|m| m << 20),
+                chunk_bytes,
                 ratio,
                 cost,
                 gantt: flags.has("--gantt"),
@@ -1194,6 +1205,41 @@ mod tests {
         }
         assert!(parse(&argv("plan --code 6,3 --fail d1 --chunk-size 0")).is_err());
         assert!(parse(&argv("plan --code 6,3 --fail d1 --chunk-size lots")).is_err());
+        // A K or M suffix counts KiB or MiB; a bare integer stays MiB.
+        let chunk = |v: &str| parse(&argv(&format!("plan --code 6,3 --fail 1 --chunk-size {v}")));
+        for (flag, bytes) in [
+            ("32K", 32 << 10),
+            ("768K", 768 << 10),
+            ("1M", 1 << 20),
+            ("8M", 8 << 20),
+            ("17592186044415", u64::MAX - (1 << 20) + 1),
+        ] {
+            match chunk(flag) {
+                Ok(Command::Plan(a)) => assert_eq!(a.chunk_bytes, Some(bytes), "{flag}"),
+                other => panic!("--chunk-size {flag}: {other:?}"),
+            }
+        }
+        match parse(&argv("load --chunk-size 768K")).unwrap() {
+            Command::Load(l) => assert_eq!(l.chunk_bytes, Some(768 << 10)),
+            other => panic!("wrong command {other:?}"),
+        }
+        // Past u64 (2^44 MiB = 2^64 bytes), zero with a suffix, and a
+        // bare or foreign suffix are errors, never a wrapped size.
+        for flag in [
+            "17592186044416",
+            "17592186044417",
+            "18014398509481984K",
+            "0K",
+            "0M",
+            "K",
+            "M",
+            "1G",
+            "1k",
+            "1KM",
+            "-1K",
+        ] {
+            assert!(chunk(flag).is_err(), "{flag}");
+        }
     }
 
     #[test]
@@ -1226,6 +1272,21 @@ mod tests {
         assert!(parse(&argv("plan --code 4,2 --fail d0 --scheme nope")).is_err());
         assert!(parse(&argv("plan --code 4,2 --fail d0 --ratio 0.5")).is_err());
         assert!(parse(&argv("plan --code 4,2 --fail d0 --block-mib 0")).is_err());
+        // 2^44 MiB is 2^64 bytes: an overflow is an error, not a zero or
+        // a wrapped block, and the size flags without a suffix take none.
+        for flag in ["--block-mib", "--request-mib"] {
+            for value in ["17592186044416", "17592186044417", "1K", "1M"] {
+                let line = format!("load {flag} {value}");
+                assert!(parse(&argv(&line)).is_err(), "{line}");
+            }
+        }
+        let block = |v: &str| parse(&argv(&format!("plan --code 6,3 --fail 1 --block-mib {v}")));
+        assert!(block("17592186044416").is_err());
+        assert!(block("17592186044417").is_err());
+        match block("17592186044415").unwrap() {
+            Command::Plan(a) => assert_eq!(a.block_bytes, 17592186044415 << 20),
+            other => panic!("wrong command {other:?}"),
+        }
     }
 
     /// Every line here parsed `Ok` before `Flags::finish` existed (the

@@ -229,7 +229,8 @@ fn plan(a: &PlanArgs) -> Result<(), String> {
         a.block_bytes >> 20,
         a.ratio,
         match a.chunk_bytes {
-            Some(c) => format!(", cut-through chunk {} MiB", c >> 20),
+            Some(c) if c % (1 << 20) == 0 => format!(", cut-through chunk {} MiB", c >> 20),
+            Some(c) => format!(", cut-through chunk {} KiB", c >> 10),
             None => String::new(),
         }
     );

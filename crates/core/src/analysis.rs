@@ -24,14 +24,6 @@ impl AnalysisParams {
             t_c: 10e-3,
         }
     }
-
-    /// Derive `t_i`/`t_c` from a bandwidth profile and block size.
-    pub fn from_profile(profile: &rpr_topology::BandwidthProfile, block_bytes: u64) -> Self {
-        AnalysisParams {
-            t_i: block_bytes as f64 / profile.mean_inner(),
-            t_c: block_bytes as f64 / profile.mean_cross(),
-        }
-    }
 }
 
 /// Eq. 10: traditional repair time, `n · t_c`.
@@ -62,26 +54,6 @@ pub fn rpr_repair_time(params: CodeParams, a: AnalysisParams) -> f64 {
 /// timesteps: `⌈log2 q⌉ · k` (capped below by the single-equation depth).
 pub fn rpr_multi_worst_cross_timesteps(params: CodeParams) -> usize {
     ceil_log2(params.rack_count()) as usize * params.k
-}
-
-/// §4.3.1: the predicted improvement of RPR over traditional repair for
-/// the worst case, `1 - (⌈log2 q⌉ · k) / n`. Non-positive means RPR cannot
-/// beat traditional repair for this configuration (codes with
-/// `(n+k)/k ≤ 3`).
-pub fn rpr_multi_worst_improvement(params: CodeParams) -> f64 {
-    1.0 - (rpr_multi_worst_cross_timesteps(params) as f64) / params.n as f64
-}
-
-/// §4.3.2: cross-rack traffic (in blocks) of the worst case — `(n/k)·k`,
-/// i.e. exactly traditional repair's `n` blocks.
-pub fn rpr_multi_worst_traffic_blocks(params: CodeParams) -> usize {
-    (params.n / params.k) * params.k
-}
-
-/// §4.3.3: cross-rack traffic for an `l`-failure (`2 ≤ l ≤ k-1`) repair,
-/// `(n/k) · l` blocks.
-pub fn rpr_multi_traffic_blocks(params: CodeParams, l: usize) -> usize {
-    (params.n as f64 / params.k as f64 * l as f64).ceil() as usize
 }
 
 /// Floor of log2 (for `x ≥ 1`).
@@ -137,43 +109,5 @@ mod tests {
         let p = CodeParams::new(12, 4);
         assert!((traditional_repair_time(p, a) - 0.120).abs() < 1e-9);
         assert!((rpr_repair_time(p, a) - 0.033).abs() < 1e-9); // 3 t_i + 3 t_c
-    }
-
-    #[test]
-    fn worst_case_improvement_rules_follow_4_3_1() {
-        // Codes with (n+k)/k <= 3 gain nothing in the worst case.
-        for (n, k) in [(4, 2), (6, 3), (8, 4)] {
-            let p = CodeParams::new(n, k);
-            assert!(
-                rpr_multi_worst_improvement(p) <= 0.0 + 1e-9,
-                "({n},{k}) has (n+k)/k <= 3"
-            );
-        }
-        // Codes with (n+k)/k > 3 do gain.
-        for (n, k) in [(6, 2), (8, 2), (12, 4)] {
-            let p = CodeParams::new(n, k);
-            assert!(
-                rpr_multi_worst_improvement(p) > 0.0,
-                "({n},{k}) has (n+k)/k > 3"
-            );
-        }
-    }
-
-    #[test]
-    fn traffic_formulas() {
-        let p = CodeParams::new(8, 4);
-        assert_eq!(rpr_multi_worst_traffic_blocks(p), 8, "worst case equals n");
-        assert_eq!(rpr_multi_traffic_blocks(p, 2), 4, "(n/k)*l");
-        assert_eq!(rpr_multi_traffic_blocks(p, 3), 6);
-        let p = CodeParams::new(12, 4);
-        assert_eq!(rpr_multi_traffic_blocks(p, 2), 6);
-    }
-
-    #[test]
-    fn from_profile_derives_ti_tc() {
-        let profile = rpr_topology::BandwidthProfile::uniform(3, 100.0, 10.0);
-        let a = AnalysisParams::from_profile(&profile, 1000);
-        assert!((a.t_i - 10.0).abs() < 1e-9);
-        assert!((a.t_c - 100.0).abs() < 1e-9);
     }
 }

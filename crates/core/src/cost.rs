@@ -171,14 +171,6 @@ impl CostModel {
         }
         seconds
     }
-
-    /// `t_wd / t_nd` for a decode that folds `n` blocks of `bytes` each —
-    /// the ratio the paper reports as ≈ 4.
-    pub fn wd_over_nd(&self, n: usize, bytes: u64) -> f64 {
-        let nd = n as f64 * bytes as f64 / self.xor_rate;
-        let wd = self.matrix_build_seconds + n as f64 * bytes as f64 / self.gf_rate;
-        wd / nd
-    }
 }
 
 #[cfg(test)]
@@ -187,10 +179,9 @@ mod tests {
 
     const MB256: u64 = 256 * 1024 * 1024;
 
-    #[test]
-    fn ec2_model_matches_paper_decode_times() {
-        let m = CostModel::ec2_t2micro();
-        // Traditional decode of one 256 MB block from 4 helpers.
+    /// `(t_wd, t_nd)`: the with-matrix and no-matrix decode of one
+    /// 256 MB block from four coefficient-1 helpers.
+    fn wd_nd(m: CostModel) -> (f64, f64) {
         let helpers: Vec<Input> = (0..4)
             .map(|b| Input::Block {
                 block: rpr_codec::BlockId(b),
@@ -200,13 +191,20 @@ mod tests {
             .collect();
         let wd = m.combine_chunk_seconds(true, &helpers, MB256, true);
         let nd = m.combine_chunk_seconds(false, &helpers, MB256, false);
+        (wd, nd)
+    }
+
+    #[test]
+    fn ec2_model_matches_paper_decode_times() {
+        let (wd, nd) = wd_nd(CostModel::ec2_t2micro());
         assert!((wd - 20.0).abs() < 1.5, "t_wd = {wd}");
         assert!((nd - 2.5).abs() < 0.3, "t_nd = {nd}");
     }
 
     #[test]
     fn simics_model_keeps_twd_about_4x_tnd() {
-        let r = CostModel::simics().wd_over_nd(4, MB256);
+        let (wd, nd) = wd_nd(CostModel::simics());
+        let r = wd / nd;
         assert!((2.0..8.0).contains(&r), "t_wd/t_nd = {r}");
     }
 

@@ -15,10 +15,10 @@
 //!   scheduling (Algorithm 2), the §3.3 pre-placement XOR fast path, and the
 //!   §3.4 multi-failure extension (Algorithms 3/4).
 //!
-//! Plans are backend-independent: [`simulate`] lowers a plan
-//! onto the `rpr-netsim` flow simulator (the "Simics" experiments), while
-//! `rpr-exec` executes the same plan on real bytes with rate-limited
-//! threads (the "EC2" experiments).
+//! Plans are backend-independent. [`JobGraph::new`] lowers a plan to chunk
+//! jobs once; [`simulate`] runs that graph on the `rpr-netsim` flow
+//! simulator (the "Simics" experiments), while `rpr-exec` runs the same
+//! graph on real bytes with rate-limited threads (the "EC2" experiments).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +43,7 @@ pub use schemes::{
     CarPlanner, ChainPlanner, RecoverySite, RepairPlanner, RprPlanner, TraditionalPlanner,
 };
 pub use sim::{
-    chunk_sizes, lower_plan_into, network_for, simulate, simulate_batch, BatchOutcome, SimOutcome,
+    network_for, simulate, simulate_batch, BatchOutcome, Job, JobGraph, OpJobs, SimOutcome,
 };
 pub use supervise::{
     check_retry_budget, crash_candidates, first_valid_plan, plan_with_pool, resolve_storm_bucket,

@@ -159,8 +159,9 @@ impl RepairPlan {
 
     /// The scheduling dependencies of op `i` that carry no data: the
     /// ordering edges targeting it, minus its data dependencies. Both
-    /// backends let such an op start only once these finished whole.
-    pub fn ordering_deps(&self, i: usize) -> Vec<OpId> {
+    /// backends let such an op start only once these finished whole
+    /// ([`JobGraph`](crate::JobGraph) records them per op).
+    pub(crate) fn ordering_deps(&self, i: usize) -> Vec<OpId> {
         let mut deps = self.deps_of(i);
         deps.drain(..self.ops[i].dependencies().len());
         deps

@@ -188,15 +188,6 @@ impl<'a> RepairContext<'a> {
         self.chunk_bytes.map(|c| c.min(self.block_bytes))
     }
 
-    /// How many chunks one block splits into under the effective chunk
-    /// size (1 when streaming is off).
-    pub fn chunk_count(&self) -> usize {
-        match self.effective_chunk() {
-            Some(c) => self.block_bytes.div_ceil(c) as usize,
-            None => 1,
-        }
-    }
-
     /// The code geometry.
     pub fn params(&self) -> CodeParams {
         self.codec.params()

@@ -22,6 +22,7 @@ pub use traditional::{RecoverySite, TraditionalPlanner};
 
 use crate::plan::{Input, Op, OpId, Payload, RepairPlan};
 use crate::scenario::RepairContext;
+use crate::sim::chunk_sizes;
 use rpr_codec::{BlockId, RepairEquation};
 use rpr_topology::{NodeId, RackId};
 
@@ -350,7 +351,7 @@ pub fn cross_pipeline(
     t_c: f64,
 ) -> Vec<(usize, OpId)> {
     assert!(!items.is_empty(), "cross_pipeline: nothing to merge");
-    let streaming = ctx.chunk_count() > 1;
+    let streaming = chunk_sizes(ctx.block_bytes, ctx.effective_chunk()).len() > 1;
     let eq_count = 1 + items.iter().map(|i| i.eq).max().unwrap();
     // Per-rack half-duplex cross-link availability.
     let mut link_free = vec![0.0f64; ctx.topo.rack_count()];

@@ -8,7 +8,7 @@ use super::{
 };
 use crate::plan::{Input, Op, Payload, RepairPlan};
 use crate::scenario::RepairContext;
-use crate::sim::{chunk_sizes, lower, lower_plan_into, network_for, op_spans};
+use crate::sim::{chunk_sizes, network_for, op_spans, JobGraph};
 use crate::trace::{op_label, send_transfer, wave_spans, PlanTagger};
 use rpr_faults::{reason, RetryPolicy};
 use rpr_netsim::{FailSpec, JobId, Simulator};
@@ -197,9 +197,10 @@ impl RepairBackend for SimBackend {
     fn begin(&mut self, plan: &RepairPlan, ctx: &RepairContext<'_>) -> Baseline {
         let all = vec![true; plan.ops.len()];
         let mut sim = Simulator::new(network_for(ctx));
-        let jobs = lower_plan_into(&mut sim, plan, ctx, 0);
+        let graph = JobGraph::new(plan, &all, ctx);
+        let ids = graph.add_to(&mut sim, 0);
         let report = sim.run();
-        let wave_spans = wave_spans(plan, ctx.topo, &all, &op_spans(&report, &jobs));
+        let wave_spans = wave_spans(plan, ctx.topo, &all, &op_spans(&report, &graph, &ids));
         Baseline {
             clean_time: report.makespan,
             wave_spans,
@@ -212,18 +213,22 @@ impl RepairBackend for SimBackend {
         rec: &dyn Recorder,
     ) -> GenerationRun<Taint> {
         let (plan, ctx, g, t_base) = (gen.plan, gen.ctx, gen.index, self.t_base);
-        let chunk = ctx.effective_chunk();
         let (waves, _) = plan.cross_waves(ctx.topo);
         let mut sim = Simulator::new(network_for(ctx));
-        let jobs = lower(&mut sim, plan, gen.lowered, ctx, g);
-        let first_job = |i: usize| jobs[i].first().copied();
+        let graph = JobGraph::new(plan, gen.lowered, ctx);
+        let ids = graph.add_to(&mut sim, g);
+        let first_job = |i: usize| graph.lowered(i).then(|| ids[graph.ops[i].jobs.start]);
         arm_simulator(&mut sim, first_job, gen.faults, gen.policy);
         // Unbounded: the generation's events are replayed (cut and
         // shifted) into `rec`, never exported from here.
         let buffer = TraceRecorder::with_capacity(usize::MAX);
-        let report = sim.run_recorded(&PlanTagger::new(plan, &waves, chunk, &buffer));
+        let report = sim.run_recorded(&PlanTagger {
+            graph: &graph,
+            waves: &waves,
+            inner: &buffer,
+        });
         let events = buffer.take_events();
-        let spans = op_spans(&report, &jobs);
+        let spans = op_spans(&report, &graph, &ids);
         let taints = gen_taints(gen);
         let partials_of = |taints: Vec<Taint>, done: &[bool]| -> Vec<Option<Taint>> {
             taints
@@ -296,14 +301,18 @@ impl RepairBackend for SimBackend {
             if let Some(alt) = gen.alternative(slow_node, &done_at_detect) {
                 let winner_node = hedge_node(&alt.plan, ctx.topo, slow_node);
                 let mut hsim = Simulator::new(network_for(ctx));
-                lower(&mut hsim, &alt.plan, &alt.lowered, ctx, g + 1);
+                let hgraph = JobGraph::new(&alt.plan, &alt.lowered, ctx);
+                hgraph.add_to(&mut hsim, g + 1);
                 for &(node, factor) in &gen.faults.slow {
                     hsim.derate_node(node, factor);
                 }
                 let (hwaves, _) = alt.plan.cross_waves(ctx.topo);
                 let hbuffer = TraceRecorder::with_capacity(usize::MAX);
-                let hreport =
-                    hsim.run_recorded(&PlanTagger::new(&alt.plan, &hwaves, chunk, &hbuffer));
+                let hreport = hsim.run_recorded(&PlanTagger {
+                    graph: &hgraph,
+                    waves: &hwaves,
+                    inner: &hbuffer,
+                });
                 let label = op_label(plan, g, slow_i, None);
                 rec.record(Event::HedgeLaunched {
                     label: label.clone(),

@@ -11,7 +11,7 @@
 
 use crate::plan::{Input, Op, RepairPlan};
 use crate::scenario::RepairContext;
-use crate::sim::{chunk_sizes, lower_plan_into, network_for, op_spans, SimOutcome};
+use crate::sim::{network_for, op_spans, JobGraph, SimOutcome};
 use rpr_netsim::Simulator;
 use rpr_obs::{Event, Kernel, Recorder, Transfer};
 use rpr_topology::Topology;
@@ -181,28 +181,12 @@ pub(crate) fn op_index(label: &str) -> Option<usize> {
 /// netsim's untagged replay with plan knowledge: the pipeline timestep of
 /// each cross-rack send and the kernel/inputs/bytes of each combine.
 pub(crate) struct PlanTagger<'a> {
-    pub(crate) plan: &'a RepairPlan,
+    pub(crate) graph: &'a JobGraph<'a>,
     pub(crate) waves: &'a [Option<usize>],
-    /// Per-chunk byte sizes of one block (a singleton at block level).
-    pub(crate) sizes: Vec<u64>,
     pub(crate) inner: &'a dyn Recorder,
 }
 
-impl<'a> PlanTagger<'a> {
-    pub(crate) fn new(
-        plan: &'a RepairPlan,
-        waves: &'a [Option<usize>],
-        chunk: Option<u64>,
-        inner: &'a dyn Recorder,
-    ) -> PlanTagger<'a> {
-        PlanTagger {
-            plan,
-            waves,
-            sizes: chunk_sizes(plan.block_bytes, chunk),
-            inner,
-        }
-    }
-
+impl PlanTagger<'_> {
     fn tag(&self, mut event: Event) -> Event {
         match &mut event {
             Event::TransferQueued { xfer, .. }
@@ -221,17 +205,14 @@ impl<'a> PlanTagger<'a> {
                 ..
             } => {
                 if let Some((i, chunk)) = parse_label(label) {
-                    if let Some(k) = combine_kernel(self.plan, i) {
+                    let plan = self.graph.plan;
+                    if let Some(k) = combine_kernel(plan, i) {
                         *kernel = k;
                     }
-                    if let Op::Combine { inputs: ins, .. } = &self.plan.ops[i] {
+                    if let Op::Combine { inputs: ins, .. } = &plan.ops[i] {
                         *inputs = ins.len();
                     }
-                    *bytes = self
-                        .sizes
-                        .get(chunk.unwrap_or(0))
-                        .copied()
-                        .unwrap_or(self.plan.block_bytes);
+                    *bytes = self.graph.chunks[chunk.unwrap_or(0)];
                 }
             }
             _ => {}
@@ -266,22 +247,27 @@ pub fn simulate_traced(
     let (waves, _) = plan.cross_waves(ctx.topo);
     rec.record(plan_built(plan, ctx.topo));
 
-    let chunk = ctx.effective_chunk();
     let mut sim = Simulator::new(network_for(ctx));
-    let jobs = lower_plan_into(&mut sim, plan, ctx, 0);
-    let tagger = PlanTagger::new(plan, &waves, chunk, rec);
+    let graph = JobGraph::new(plan, &vec![true; plan.ops.len()], ctx);
+    let ids = graph.add_to(&mut sim, 0);
+    let tagger = PlanTagger {
+        graph: &graph,
+        waves: &waves,
+        inner: rec,
+    };
     let report = sim.run_recorded(&tagger);
 
     // One bounded stream_summary per streamed send, off its chunk jobs.
-    let spans = op_spans(&report, &jobs);
-    for (i, js) in jobs.iter().enumerate() {
-        if let (Some(chunk), Op::Send { .. }, 2..) = (chunk, &plan.ops[i], js.len()) {
+    let spans = op_spans(&report, &graph, &ids);
+    let m = graph.chunks.len();
+    for (i, op) in plan.ops.iter().enumerate() {
+        if let (Op::Send { .. }, 2..) = (op, m) {
             rec.record(stream_summary(
                 send_transfer(plan, ctx.topo, &waves, 0, i),
-                js.len(),
-                chunk,
+                m,
+                graph.chunks[0],
                 spans[i].0,
-                report.record(js[0]).finish,
+                report.record(ids[graph.ops[i].jobs.start]).finish,
                 spans[i].1,
             ));
         }

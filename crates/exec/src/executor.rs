@@ -5,12 +5,15 @@
 //! Replanning around what an attempt lost is the supervision loop's
 //! ([`crate::execute_supervised`], `docs/ROBUSTNESS.md`).
 //!
-//! There is one way to run an op: as a stream of chunks
-//! (`rpr_core::chunk_sizes`, the same split the simulator lowers over).
-//! Store-and-forward is the stream with one chunk — the whole block —
-//! which is what a context without [`RepairContext::with_chunk_size`]
-//! gets; every fault and every event is enacted once, for any chunk
-//! count.
+//! An attempt runs the plan's [`JobGraph`] — the value the simulator runs
+//! — with one thread per lowered op. The graph fixes the chunk split, the
+//! dependency edges and which of them only order, each fold's modeled
+//! seconds, and the one combine per node that derives the decoding
+//! matrix. There is one way to run an op: as a stream of the graph's
+//! chunks. Store-and-forward is the stream with one chunk — the whole
+//! block — which is what a context without
+//! [`RepairContext::with_chunk_size`] gets; every fault and every event
+//! is enacted once, for any chunk count.
 //!
 //! Payload bytes live in pooled chunks ([`crate::arena`]) from the moment
 //! a helper first sends them: a send of a stripe block copies it into the
@@ -24,12 +27,12 @@ use crate::arena::{ArenaStats, BufferPool, Chunk, PoolBuf, Tally};
 use crate::ratelimit::TokenBucket;
 use rpr_codec::BlockId;
 use rpr_core::{
-    chunk_sizes, combine_kernel, network_for, op_label, plan_built, record_wave_spans,
-    send_transfer, stream_summary, Input, Network, Op, OpId, Payload, RepairContext, RepairPlan,
+    combine_kernel, network_for, op_label, plan_built, record_wave_spans, send_transfer,
+    stream_summary, Input, JobGraph, Network, Op, OpId, Payload, RepairContext, RepairPlan,
     ResolvedFaults,
 };
 use rpr_faults::{checksum64, reason, RetryPolicy};
-use rpr_obs::{Event, Kernel, Recorder};
+use rpr_obs::{Event, Recorder};
 use rpr_topology::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -100,6 +103,10 @@ pub enum ExecError {
     Unrecoverable(String),
     /// A transfer's injected failures exhaust the retry budget.
     RetriesExhausted(String),
+    /// The stripe does not match the repair: a block count other than
+    /// `n + k`, blocks of unequal length, or blocks of another size than
+    /// the context's.
+    MalformedStripe(String),
 }
 
 impl std::fmt::Display for ExecError {
@@ -107,6 +114,7 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::Unrecoverable(m) => write!(f, "unrecoverable: {m}"),
             ExecError::RetriesExhausted(m) => write!(f, "retries exhausted: {m}"),
+            ExecError::MalformedStripe(m) => write!(f, "malformed stripe: {m}"),
         }
     }
 }
@@ -158,8 +166,9 @@ pub(crate) struct AttemptCfg<'a> {
     pub(crate) policy: RetryPolicy,
     /// Per-op values already available from a previous attempt.
     pub(crate) prefilled: &'a [Option<&'a [Chunk]>],
-    /// Which ops actually execute (false: skipped or reused).
-    pub(crate) lowered: &'a [bool],
+    /// The lowered plan: which ops execute (the rest are skipped or
+    /// reused), over which chunks and edges, at which modeled pace.
+    pub(crate) graph: &'a JobGraph<'a>,
     /// Label tag (`p{tag}op{i}`): the supervision generation index.
     pub(crate) tag: usize,
     /// Cooperative cancellation: when set, in-flight transfers abandon
@@ -173,7 +182,7 @@ pub(crate) struct AttemptCfg<'a> {
 
 /// Immutable per-run state shared by every op thread.
 struct RunEnv<'r, 'c> {
-    plan: &'r RepairPlan,
+    graph: &'r JobGraph<'r>,
     ctx: &'r RepairContext<'c>,
     stripe: &'r [Vec<u8>],
     rec: &'r dyn Recorder,
@@ -183,14 +192,9 @@ struct RunEnv<'r, 'c> {
     links: &'r [NodeLinks],
     agg: Option<&'r TokenBucket>,
     waves: &'r [Option<usize>],
-    matrix_done: &'r [Mutex<bool>],
     /// Rate-limiter granularity in bytes (the streaming chunk size, or
     /// [`DEFAULT_SHAPER_CHUNK`] when streaming is off).
     chunk: usize,
-    /// Chunk boundaries within one block: chunk `j` is bytes
-    /// `offsets[j]..offsets[j + 1]`. Without a streaming chunk size the
-    /// block is its own single chunk.
-    offsets: &'r [usize],
     /// Where this attempt's payload-buffer checkouts are counted.
     tally: &'r Tally,
     /// `outputs[i]` — op `i` produces a plan output (a reconstructed
@@ -202,11 +206,6 @@ struct RunEnv<'r, 'c> {
 }
 
 impl RunEnv<'_, '_> {
-    /// Byte range of chunk `j` within a block.
-    fn range(&self, j: usize) -> std::ops::Range<usize> {
-        self.offsets[j]..self.offsets[j + 1]
-    }
-
     /// A pooled buffer of `len` bytes, contents unspecified.
     fn checkout(&self, len: usize) -> PoolBuf {
         BufferPool::process().get(len, self.tally)
@@ -289,41 +288,47 @@ pub fn execute_recorded(
     stripe: &[Vec<u8>],
     rec: &dyn Recorder,
 ) -> ExecReport {
-    check_stripe(plan, stripe);
+    check_stripe(plan.params.total(), plan.block_bytes, stripe)
+        .unwrap_or_else(|e| panic!("execute: {e}"));
     rec.record(plan_built(plan, ctx.topo));
     let t0 = Instant::now();
-    let lowered = vec![true; plan.ops.len()];
+    let graph = JobGraph::new(plan, &vec![true; plan.ops.len()], ctx);
     let prefilled = vec![None; plan.ops.len()];
     let tally = Tally::default();
     let cfg = AttemptCfg {
         faults: None,
         policy: RetryPolicy::default(),
         prefilled: &prefilled,
-        lowered: &lowered,
+        graph: &graph,
         tag: 0,
         cancel: None,
         tally: &tally,
     };
-    let run = run_attempt(plan, ctx, stripe, rec, t0, &cfg);
+    let run = run_attempt(ctx, stripe, rec, t0, &cfg);
     let wall_seconds = t0.elapsed().as_secs_f64();
     close_run(plan, ctx, stripe, rec, run, tally.stats(), wall_seconds)
 }
 
-pub(crate) fn check_stripe(plan: &RepairPlan, stripe: &[Vec<u8>]) {
-    assert_eq!(
-        stripe.len(),
-        plan.params.total(),
-        "execute: stripe must hold n+k blocks"
-    );
-    let block_len = stripe[0].len();
-    assert!(
-        stripe.iter().all(|b| b.len() == block_len),
-        "execute: unequal block lengths"
-    );
-    assert_eq!(
-        block_len as u64, plan.block_bytes,
-        "execute: stripe block size must match the plan"
-    );
+/// Check that `stripe` holds `blocks` blocks of `block_bytes` each.
+///
+/// # Errors
+/// [`ExecError::MalformedStripe`], naming the first mismatch.
+pub(crate) fn check_stripe(
+    blocks: usize,
+    block_bytes: u64,
+    stripe: &[Vec<u8>],
+) -> Result<(), ExecError> {
+    let bad = |m: String| Err(ExecError::MalformedStripe(m));
+    if stripe.len() != blocks {
+        return bad(format!("{} blocks, want n + k = {blocks}", stripe.len()));
+    }
+    if let Some(b) = stripe.iter().position(|b| b.len() as u64 != block_bytes) {
+        return bad(format!(
+            "block {b} holds {} bytes, want {block_bytes}",
+            stripe[b].len()
+        ));
+    }
+    Ok(())
 }
 
 /// Per-node link shapers at the simulator's own rates (rpr-netsim's
@@ -351,57 +356,42 @@ fn node_links(net: &Network, slow: &[(NodeId, f64)]) -> Vec<NodeLinks> {
         .collect()
 }
 
-/// Run every lowered op of a plan once, enacting the configured faults.
-/// Transfers with injected attempt failures retry in place; a helper
-/// crash poisons the dead node's remaining ops and propagates `Failed`
-/// through the DAG, while independent branches run to completion.
+/// Run every lowered op of the graph once, enacting the configured
+/// faults. Transfers with injected attempt failures retry in place; a
+/// helper crash poisons the dead node's remaining ops and propagates
+/// `Failed` through the DAG, while independent branches run to completion.
 pub(crate) fn run_attempt(
-    plan: &RepairPlan,
     ctx: &RepairContext<'_>,
     stripe: &[Vec<u8>],
     rec: &dyn Recorder,
     t0: Instant,
     cfg: &AttemptCfg<'_>,
 ) -> AttemptRun {
+    let (graph, plan) = (cfg.graph, cfg.graph.plan);
     let empty_slow: &[(NodeId, f64)] = &[];
     let slow = cfg.faults.map_or(empty_slow, |f| f.slow.as_slice());
     let net = network_for(ctx);
     let links = node_links(&net, slow);
-    let mut offsets = vec![0usize];
-    for size in chunk_sizes(plan.block_bytes, ctx.effective_chunk()) {
-        offsets.push(offsets[offsets.len() - 1] + size as usize);
-    }
 
-    // Wire one channel per (producer, consumer) dependency edge between
-    // executing ops; dependencies on reused ops read the prefilled value.
-    // An edge carries one delivery per chunk and is unbounded — the
-    // shapers pace the producers, and cut-through must never let a slow
-    // fan-out branch stall the stream.
+    // Wire one channel per edge of the graph, data and ordering alike;
+    // dependencies on reused ops read the prefilled value. An edge
+    // carries one delivery per chunk and is unbounded — the shapers pace
+    // the producers, and cut-through must never let a slow fan-out
+    // branch stall the stream.
     let mut producers: Vec<Vec<Sender<Delivery>>> =
         (0..plan.ops.len()).map(|_| Vec::new()).collect();
     type Edge = (usize, Receiver<Delivery>);
     let mut consumers: Vec<Vec<Edge>> = (0..plan.ops.len()).map(|_| Vec::new()).collect();
-    #[allow(clippy::needless_range_loop)] // deps_of takes an index
-    for i in 0..plan.ops.len() {
-        if !cfg.lowered[i] {
-            continue;
-        }
-        for dep in plan.deps_of(i) {
-            if cfg.lowered[dep.0] {
-                let (tx, rx) = channel();
-                producers[dep.0].push(tx);
-                consumers[i].push((dep.0, rx));
-            }
+    for (i, op) in graph.ops.iter().enumerate() {
+        for dep in op.data.iter().chain(&op.ordering) {
+            let (tx, rx) = channel();
+            producers[dep.0].push(tx);
+            consumers[i].push((dep.0, rx));
         }
     }
 
     // Optional shared aggregation-switch shaper for all cross traffic.
     let agg: Option<TokenBucket> = ctx.agg_capacity.map(TokenBucket::new);
-
-    // Matrix-build bookkeeping: one real derivation per node that runs a
-    // GF combine, mirroring the cost model's surcharge.
-    let nodes = ctx.topo.node_count();
-    let matrix_done: Vec<Mutex<bool>> = (0..nodes).map(|_| Mutex::new(false)).collect();
 
     let (waves, _) = plan.cross_waves(ctx.topo);
     let retries = AtomicUsize::new(0);
@@ -413,7 +403,7 @@ pub(crate) fn run_attempt(
     let first_out: Mutex<Option<f64>> = Mutex::new(None);
 
     let env = RunEnv {
-        plan,
+        graph,
         ctx,
         stripe,
         rec,
@@ -422,11 +412,9 @@ pub(crate) fn run_attempt(
         links: &links,
         agg: agg.as_ref(),
         waves: &waves,
-        matrix_done: &matrix_done,
         chunk: ctx
             .effective_chunk()
             .map_or(DEFAULT_SHAPER_CHUNK, |c| c as usize),
-        offsets: &offsets,
         tally: cfg.tally,
         outputs: &outputs,
         first_out: &first_out,
@@ -441,7 +429,7 @@ pub(crate) fn run_attempt(
     let (values, op_timings) = std::thread::scope(|scope| {
         let threads: Vec<_> = (0..plan.ops.len())
             .map(|i| {
-                cfg.lowered[i].then(|| {
+                graph.lowered(i).then(|| {
                     let my_consumers = std::mem::take(&mut consumers[i]);
                     let my_producers = std::mem::take(&mut producers[i]);
                     let (env, op, retries) = (&env, &plan.ops[i], &retries);
@@ -526,7 +514,7 @@ impl SendStream<'_> {
         if self.sums.len() > self.delivered {
             return Some(());
         }
-        let r = self.env.range(self.delivered);
+        let r = self.env.graph.chunk_range(self.delivered);
         let chunk = match &self.feed {
             ChunkFeed::Whole(w) => self.env.pooled_copy(&w[r.clone()], self.lie),
             ChunkFeed::Prefilled(value) => self.relayed(value[self.delivered].clone()),
@@ -570,7 +558,7 @@ impl SendStream<'_> {
     /// Send the next undelivered chunk whole: shaped, verified against its
     /// sender-side digest, and forwarded downstream the moment it is intact.
     fn deliver_next(&mut self) -> Option<f64> {
-        let wait = self.shape(self.env.range(self.delivered).len())?;
+        let wait = self.shape(self.env.graph.chunk_range(self.delivered).len())?;
         let chunk = &self.chunks[self.delivered];
         assert_eq!(
             checksum64(chunk),
@@ -632,29 +620,27 @@ fn try_op(
     producers: &[Sender<Delivery>],
     retries: &AtomicUsize,
 ) -> Option<(Value, OpTiming)> {
-    let (plan, ctx, rec) = (env.plan, env.ctx, env.rec);
+    let (graph, ctx, rec) = (env.graph, env.ctx, env.rec);
+    let plan = graph.plan;
     let now = || env.t0.elapsed().as_secs_f64();
-    let m = env.offsets.len() - 1;
+    let m = graph.chunks.len();
     let total = plan.block_bytes as usize;
 
-    // Split edges: data edges feed payload chunks; ordering edges (link
-    // FIFO, used by slice-pipelined plans) must drain completely before
-    // this op may start — they serialize whole ops, exactly as the
-    // analytical lowering does.
-    let ordering = plan.ordering_deps(i);
+    // The graph's data edges feed payload chunks and come first; its
+    // ordering edges (link FIFO, used by slice-pipelined plans) must drain
+    // completely before this op may start — they serialize whole ops, as
+    // the simulator's chunk-0 dependency on their last chunk does.
     let mut edges = consumers;
     let mut ordered = Some(());
-    edges.retain(|(dep, rx)| {
-        let is_data = !ordering.contains(&OpId(*dep));
-        if !is_data && (0..m).any(|_| recv_chunk(rx).is_none()) {
+    for (_, rx) in edges.split_off(graph.ops[i].data.len()) {
+        if (0..m).any(|_| recv_chunk(&rx).is_none()) {
             ordered = None;
         }
-        is_data
-    });
+    }
 
     // An op begins when chunk 0 of every data input is in hand (`ready`).
-    // That instant is its start stamp — the simulator's rule, `first_start`
-    // of the chunk-0 job — and the instant a crashing helper is found
+    // That instant is its start stamp — the simulator's rule, the first
+    // attempt of the chunk-0 job — and the instant a crashing helper is found
     // dead: the crash trigger's node dies as that send begins, so the
     // failure is observed here.
     let begin = |ready: Option<()>| -> Option<f64> {
@@ -729,7 +715,8 @@ fn try_op(
                 // prefix get through intact and stay verified and forwarded;
                 // the last chunk never does.
                 let part = (total as f64 * fault.fraction) as usize;
-                while !corrupt && s.delivered + 1 < m && env.range(s.delivered).end <= part {
+                while !corrupt && s.delivered + 1 < m && graph.chunk_range(s.delivered).end <= part
+                {
                     let wait = s.deliver_next()?;
                     admitted.get_or_insert(wait);
                 }
@@ -737,7 +724,7 @@ fn try_op(
                 // the prefix, a partial chunk; on corruption the whole next
                 // chunk, which arrives with a flipped byte, fails its
                 // checksum, and is neither forwarded nor counted as verified.
-                let r = env.range(s.delivered);
+                let r = graph.chunk_range(s.delivered);
                 let lost = if corrupt {
                     r.len()
                 } else {
@@ -808,7 +795,7 @@ fn try_op(
                 rec.record(stream_summary(
                     xfer,
                     m,
-                    env.range(0).len() as u64,
+                    graph.chunks[0],
                     started,
                     s.first_delivered_t.expect("streamed >= 1 chunk"),
                     end,
@@ -851,25 +838,22 @@ fn try_op(
 
             // Model the decode pace of the target machine: the real folds
             // run first (verifying the bytes), then the thread is paced up
-            // to the CostModel's time so scaled-down experiments keep the
-            // paper's decode-to-transfer proportions. CostModel::free()
-            // disables pacing entirely. Only time holding the node's CPU
-            // counts as `spent`: a combine that waited for the lock has not
-            // computed yet, so two combines on one node take the sum of
-            // their modeled times, as on the simulator's CPU resource.
+            // to the graph's modeled seconds so scaled-down experiments
+            // keep the paper's decode-to-transfer proportions.
+            // CostModel::free() disables pacing entirely. Only time holding
+            // the node's CPU counts as `spent`: a combine that waited for
+            // the lock has not computed yet, so two combines on one node
+            // take the sum of their modeled times, as on the simulator's
+            // CPU resource. The job the graph marks derives the decoding
+            // matrix, and its modeled seconds carry the surcharge.
+            let jobs = graph.op_jobs(i);
             let mut modeled = 0.0f64;
             let mut spent = 0.0f64;
             let kernel = combine_kernel(plan, i).expect("op is a combine");
-            let mut built = false;
-            if kernel == Kernel::Gf {
+            if jobs[0].builds_matrix {
                 let _cpu = lock(&env.links[node.0].cpu);
                 let held = Instant::now();
-                let mut done = lock(&env.matrix_done[node.0]);
-                if !*done {
-                    *done = true;
-                    build_decoding_matrix(ctx);
-                    built = true;
-                }
+                build_decoding_matrix(ctx);
                 spent += held.elapsed().as_secs_f64();
             }
             let mut out: Value = Vec::with_capacity(m);
@@ -877,7 +861,7 @@ fn try_op(
                 if j > 0 {
                     gather(&mut arrived)?;
                 }
-                let r = env.range(j);
+                let r = graph.chunk_range(j);
                 let _cpu = lock(&env.links[node.0].cpu);
                 let held = Instant::now();
                 // Fold every input straight into the pooled chunk that is
@@ -904,13 +888,7 @@ fn try_op(
                         (Input::Intermediate(_), _) => rpr_gf::xor_slice(&mut dst, chunk),
                     }
                 }
-                let clen = r.len() as u64;
-                modeled += ctx.cost.combine_chunk_seconds(
-                    plan.force_matrix,
-                    inputs,
-                    clen,
-                    j == 0 && built,
-                );
+                modeled += jobs[j].seconds;
                 arrived.iter_mut().for_each(|a| *a = None);
                 let chunk: Chunk = Arc::new(dst);
                 // Pace the stream to the modeled decode rate before
@@ -1452,12 +1430,12 @@ pub(crate) mod tests {
                     faults: None,
                     policy: fast_policy(),
                     prefilled,
-                    lowered,
+                    graph: &JobGraph::new(&plan, lowered, &ctx),
                     tag: 0,
                     cancel: None,
                     tally: &tally,
                 };
-                run_attempt(&plan, &ctx, &stripe, rpr_obs::noop(), Instant::now(), &cfg)
+                run_attempt(&ctx, &stripe, rpr_obs::noop(), Instant::now(), &cfg)
             };
             let same = |a: &[Chunk], b: &[Chunk]| {
                 a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b))
@@ -1467,7 +1445,8 @@ pub(crate) mod tests {
             let mut prefilled = vec![None; plan.ops.len()];
             let first = attempt(&lowered, &prefilled);
             let banked = first.values[producer].as_deref().expect("producer ran");
-            assert_eq!(banked.len(), ctx.chunk_count(), "{mode}");
+            let graph = JobGraph::new(&plan, &lowered, &ctx);
+            assert_eq!(banked.len(), graph.chunks.len(), "{mode}");
             let relayed = first.values[relay].as_deref().expect("relay ran");
             assert!(same(relayed, banked), "{mode}: a live relay copied");
 
@@ -1530,21 +1509,21 @@ pub(crate) mod tests {
                 slow: Vec::new(),
                 lies: Vec::new(),
             };
-            let lowered = vec![true; plan.ops.len()];
+            let graph = JobGraph::new(&plan, &vec![true; plan.ops.len()], &ctx);
             let prefilled = vec![None; plan.ops.len()];
             let tally = Tally::default();
             let cfg = AttemptCfg {
                 faults: Some(&faults),
                 policy: fast_policy(),
                 prefilled: &prefilled,
-                lowered: &lowered,
+                graph: &graph,
                 tag: 0,
                 cancel: None,
                 tally: &tally,
             };
             let rec = rpr_obs::TraceRecorder::default();
             let t0 = Instant::now();
-            let run = run_attempt(&plan, &ctx, &stripe, &rec, t0, &cfg);
+            let run = run_attempt(&ctx, &stripe, &rec, t0, &cfg);
             assert_eq!(run.retries, 1, "{mode}");
             let wall = t0.elapsed().as_secs_f64();
             let report = close_run(&plan, &ctx, &stripe, &rec, run, tally.stats(), wall);
@@ -1639,6 +1618,55 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn the_matrix_surcharge_is_paid_once_per_node() {
+        // The exec twin of the simulator's test: two failures, traditional
+        // repair, both decodes GF combines at the recovery node, folds
+        // free. The graph marks one of them to derive the decoding matrix,
+        // so the pair spans the 0.5 s surcharge once, not twice.
+        let fx = Fx::new(4, 2, 64 * 1024);
+        let cost = CostModel {
+            xor_rate: f64::INFINITY,
+            gf_rate: f64::INFINITY,
+            matrix_build_seconds: 0.5,
+        };
+        let stripe = stripe_for(&fx.codec, fx.block as usize, 73);
+        for (mode, chunk) in [("block", None), ("streamed", Some(16 * 1024))] {
+            let ctx = RepairContext::new(
+                &fx.codec,
+                &fx.topo,
+                &fx.placement,
+                vec![BlockId(0), BlockId(3)],
+                fx.block,
+                &fx.profile,
+                cost,
+            );
+            let ctx = match chunk {
+                Some(c) => ctx.with_chunk_size(c),
+                None => ctx,
+            };
+            let plan = TraditionalPlanner::new().plan(&ctx);
+            let report = execute(&plan, &ctx, &stripe);
+            assert!(report.verified, "{mode}: {:?}", report.mismatches);
+
+            let (mut first_start, mut last_end) = (f64::INFINITY, 0.0f64);
+            let mut combines = 0;
+            for (op, t) in plan.ops.iter().zip(&report.op_timings) {
+                if let Op::Combine { .. } = op {
+                    combines += 1;
+                    first_start = first_start.min(t.start);
+                    last_end = last_end.max(t.end);
+                }
+            }
+            assert_eq!(combines, 2, "{mode}: two decodes");
+            let span = last_end - first_start;
+            assert!(
+                (0.5..0.9).contains(&span),
+                "{mode}: combines with one 0.5 s surcharge took {span} s"
+            );
+        }
+    }
+
+    #[test]
     fn streamed_trace_has_consistent_event_counts_and_summaries() {
         let fx = Fx::new(6, 2, 64 * 1024);
         let ctx = fx.ctx_chunked(vec![BlockId(1)], 8 * 1024);
@@ -1657,7 +1685,7 @@ pub(crate) mod tests {
             .filter(|e| matches!(e, Event::TransferDone { .. }))
             .count();
         assert_eq!(dones, stats.cross_transfers + stats.inner_transfers);
-        let m = ctx.chunk_count();
+        let m = fx.block.div_ceil(8 * 1024) as usize;
         assert!(m > 1, "test must actually stream");
         for e in &events {
             if let Event::StreamSummary {

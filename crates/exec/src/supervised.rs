@@ -8,9 +8,9 @@ use crate::executor::{check_stripe, run_attempt, verify_outputs, AttemptCfg, Att
 use crate::{ExecError, ExecReport, OpTiming};
 use rpr_codec::BlockId;
 use rpr_core::{
-    chunk_sizes, combine_kernel, supervise, Baseline, Ending, Evidence, Generation,
-    GenerationRecord, GenerationRun, Input, Op, OpId, Payload, RepairBackend, RepairContext,
-    RepairPlan, SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
+    combine_kernel, supervise, Baseline, Ending, Evidence, Generation, GenerationRecord,
+    GenerationRun, Input, JobGraph, Op, OpId, Payload, RepairBackend, RepairContext, RepairPlan,
+    SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
 };
 use rpr_faults::{FaultStorm, HealthTracker};
 use rpr_obs::Recorder;
@@ -111,6 +111,9 @@ struct LastRun {
     /// the generation had for each.
     outputs: Vec<(BlockId, OpId)>,
     values: Vec<Option<Value>>,
+    /// The generation's chunk split ([`JobGraph::chunks`]), which its
+    /// proofs record and hash the ground truth over.
+    chunks: Vec<u64>,
 }
 
 /// The proof hash of a value — its chunks through the streaming hasher,
@@ -162,8 +165,7 @@ impl RepairBackend for ExecBackend<'_> {
     type Partial = Value;
 
     /// No fault-free dry run on real bytes: the wall clock starts here.
-    fn begin(&mut self, plan: &RepairPlan, _: &RepairContext<'_>) -> Baseline {
-        check_stripe(plan, self.stripe);
+    fn begin(&mut self, _: &RepairPlan, _: &RepairContext<'_>) -> Baseline {
         self.t0 = Instant::now();
         Baseline::default()
     }
@@ -188,16 +190,17 @@ impl RepairBackend for ExecBackend<'_> {
             .hedge
             .map(|m| m * rpr_core::simulate(plan, ctx).repair_time);
         let cancel = AtomicBool::new(false);
+        let graph = JobGraph::new(plan, gen.lowered, ctx);
         let cfg = AttemptCfg {
             faults: Some(gen.faults),
             policy: *gen.policy,
             prefilled: &prefilled,
-            lowered: gen.lowered,
+            graph: &graph,
             tag: gen.index,
             cancel: Some(&cancel),
             tally: &self.tally,
         };
-        let attempt = || run_attempt(plan, ctx, self.stripe, rec, self.t0, &cfg);
+        let attempt = || run_attempt(ctx, self.stripe, rec, self.t0, &cfg);
         let (run, fired) = run_watched(attempt, budget, &cancel);
         let now = self.t0.elapsed().as_secs_f64();
         self.first_byte = match (self.first_byte, run.first_out) {
@@ -228,6 +231,7 @@ impl RepairBackend for ExecBackend<'_> {
                 })
                 .collect(),
             op_timings: run.op_timings,
+            chunks: graph.chunks,
         });
         GenerationRun {
             ending,
@@ -262,7 +266,7 @@ impl RepairBackend for ExecBackend<'_> {
         let block_hashes = self
             .block_hashes
             .get_or_insert_with(|| stripe.iter().map(|b| hash_bytes(key, b)).collect());
-        let sizes = chunk_sizes(plan.block_bytes, gen.ctx.effective_chunk());
+        let sizes = &self.last.as_ref().expect("a generation ran").chunks;
         let (chunks, chunk_bytes) = (sizes.len(), sizes[0]);
         // One chunk of scratch for every op's ground truth.
         let mut scratch = BufferPool::process().get(chunk_bytes as usize, &self.tally);
@@ -275,7 +279,7 @@ impl RepairBackend for ExecBackend<'_> {
                 continue;
             };
             let oh = hash_value(key, v);
-            let eh = hash_truth(key, &gen.vecs[i], stripe, &sizes, &mut scratch);
+            let eh = hash_truth(key, &gen.vecs[i], stripe, sizes, &mut scratch);
             out_hash[i] = Some(oh);
             exp_hash[i] = Some(eh);
             let op_input = |s: usize| {
@@ -413,8 +417,11 @@ impl ExecBackend<'_> {
 /// The reconstruction is verified byte-for-byte against the lost
 /// originals regardless of how many faults fired.
 ///
-/// # Panics
-/// Panics if the stripe has the wrong shape (see [`execute`](crate::execute)).
+/// # Errors
+/// [`ExecError::MalformedStripe`] before anything runs if the stripe does
+/// not hold `n + k` blocks of the context's block size; otherwise the
+/// supervision loop's [`ExecError::Unrecoverable`] or
+/// [`ExecError::RetriesExhausted`].
 pub fn execute_supervised(
     ctx: &RepairContext<'_>,
     stripe: &[Vec<u8>],
@@ -423,6 +430,7 @@ pub fn execute_supervised(
     cfg: &SuperviseConfig,
     tracker: &mut HealthTracker,
 ) -> Result<SupervisedReport, ExecError> {
+    check_stripe(ctx.params().total(), ctx.block_bytes, stripe)?;
     let mut backend = ExecBackend {
         stripe,
         t0: Instant::now(),
@@ -627,6 +635,44 @@ mod tests {
         assert_eq!(out.report.cross_bytes, plain.cross_bytes);
         assert_eq!(out.report.inner_bytes, plain.inner_bytes);
         assert_eq!(out.report.recovered, plain.recovered);
+    }
+
+    /// A supervised repair of `stripe` under a crash storm, which must be
+    /// refused before any generation runs: nothing is recorded.
+    fn refused(fx: &Fx, stripe: &[Vec<u8>]) -> ExecError {
+        let storm =
+            FaultStorm::new(5).with_generation(vec![StormFault::Crash(CrashSite::SeedPick)]);
+        let rec = rpr_obs::TraceRecorder::default();
+        let mut tracker = HealthTracker::with_defaults();
+        let ctx = fx.ctx(vec![BlockId(1)]);
+        let err = execute_supervised(&ctx, stripe, &rec, &storm, &fast_cfg(), &mut tracker)
+            .expect_err("a malformed stripe is refused");
+        assert!(rec.take_events().is_empty(), "{err}: the loop ran");
+        err
+    }
+
+    #[test]
+    fn a_stripe_with_the_wrong_block_count_is_an_error() {
+        let fx = Fx::new(4, 2, 4096);
+        let mut stripe = stripe_for(&fx.codec, fx.block as usize, 5);
+        stripe.pop();
+        let err = refused(&fx, &stripe);
+        assert_eq!(
+            err,
+            ExecError::MalformedStripe("5 blocks, want n + k = 6".into())
+        );
+    }
+
+    #[test]
+    fn a_stripe_with_unequal_block_lengths_is_an_error() {
+        let fx = Fx::new(4, 2, 4096);
+        let mut stripe = stripe_for(&fx.codec, fx.block as usize, 5);
+        stripe[3].truncate(4000);
+        let err = refused(&fx, &stripe);
+        assert_eq!(
+            err,
+            ExecError::MalformedStripe("block 3 holds 4000 bytes, want 4096".into())
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! a seeded open-loop request generator ([`LoadSpec`]) emits reads and
 //! writes with Poisson arrivals and zipfian object popularity, lowers
 //! them as transfer flows into the **same** `rpr-netsim` simulator as a
-//! staggered stream of RPR repair plans ([`rpr_core::lower_plan_into`]),
+//! staggered stream of RPR repair plans (each a [`rpr_core::JobGraph`]),
 //! and reports exact per-request latency quantiles ([`LoadSummary`]).
 //!
 //! Three repair tenancy modes ([`RepairMode`]) are co-simulated against

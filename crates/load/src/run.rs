@@ -2,9 +2,7 @@
 //! network simulation and summarize per-request latency.
 
 use rpr_codec::{BlockId, StripeCodec};
-use rpr_core::{
-    lower_plan_into, network_for, CostModel, Op, RepairContext, RepairPlanner, RprPlanner,
-};
+use rpr_core::{network_for, CostModel, JobGraph, Op, RepairContext, RepairPlanner, RprPlanner};
 use rpr_netsim::{JobId, Simulator};
 use rpr_obs::{Event, Recorder};
 use rpr_sched::quantile;
@@ -126,19 +124,19 @@ pub fn run_load_recorded(spec: &LoadSpec, rec: &dyn Recorder) -> LoadSummary {
     let mut out_chunks: Vec<JobId> = Vec::new();
     if repair_active {
         let plan = RprPlanner::new().plan(&ctx);
+        let graph = JobGraph::new(&plan, &vec![true; plan.ops.len()], &ctx);
         let (_, out_op) = plan.outputs[0];
         let fraction = spec.mode.repair_fraction();
         let mut throttled = 0u64;
         for stripe in 0..spec.repair_stripes {
-            let op_jobs = lower_plan_into(&mut sim, &plan, &ctx, stripe);
+            let ids = graph.add_to(&mut sim, stripe);
+            let op_jobs = |i: usize| &ids[graph.ops[i].jobs.clone()];
             // A fleet drain trickles admissions; model stripe `s`
             // entering the network `s * stagger` seconds in.
             let start = stripe as f64 * spec.repair_stagger;
-            for jobs in &op_jobs {
-                for &job in jobs {
-                    if start > 0.0 {
-                        sim.release_at(job, start);
-                    }
+            if start > 0.0 {
+                for &job in &ids {
+                    sim.release_at(job, start);
                 }
             }
             // QoS classes: stripe 0 serves live degraded reads, so its
@@ -147,7 +145,7 @@ pub fn run_load_recorded(spec: &LoadSpec, rec: &dyn Recorder) -> LoadSummary {
             if fraction < 1.0 && stripe > 0 {
                 for (i, op) in plan.ops.iter().enumerate() {
                     if matches!(op, Op::Send { .. }) {
-                        for &job in &op_jobs[i] {
+                        for &job in op_jobs(i) {
                             sim.throttle(job, fraction);
                             throttled += 1;
                         }
@@ -155,7 +153,7 @@ pub fn run_load_recorded(spec: &LoadSpec, rec: &dyn Recorder) -> LoadSummary {
                 }
             }
             if stripe == 0 {
-                out_chunks = op_jobs[out_op.0].clone();
+                out_chunks = op_jobs(out_op.0).to_vec();
             }
         }
         if fraction < 1.0 {

@@ -27,8 +27,10 @@
 #      only what it drops, so N is the ring's length plus that count)
 #   8. exec soak: the same 3-fault storm on the real-bytes backend
 #      (`rpr chaos --backend exec --block-mib 4`), once as a one-chunk
-#      stream and once cut-through (`--chunk-size 1`), must verify byte
-#      for byte and replan twice. Traces are wall-clock, so no `cmp`.
+#      stream, once cut-through in 1 MiB chunks (`--chunk-size 1`) and
+#      once in 768 KiB chunks (`--chunk-size 768K`: five full chunks and a
+#      256 KiB tail), must verify byte for byte and replan twice. Traces
+#      are wall-clock, so no `cmp`.
 #   9. Byzantine soak: a seeded `StormFault::Lie` storm under
 #      `--proof mandatory` must complete with the liar accused (not
 #      timed out), produce byte-identical traces and proof ledgers
@@ -210,8 +212,9 @@ for mode in block chunk; do
 done
 
 # Step 8: the executor runs every op through one streamed runner; drive it
-# under the same storm on real bytes in both of its regimes.
-for CHUNK in "" "--chunk-size 1"; do
+# under the same storm on real bytes in both of its regimes, and over a
+# ragged sub-MiB chunk split whose tail is shorter than the rest.
+for CHUNK in "" "--chunk-size 1" "--chunk-size 768K"; do
     echo "==> $RPR chaos --code 6,3 --fail d1 --storm crash,replacement-crash,timeout --seed 17 --backend exec --block-mib 4 $CHUNK"
     "$RPR" chaos --code 6,3 --fail d1 --storm crash,replacement-crash,timeout --seed 17 \
         --backend exec --block-mib 4 $CHUNK --json > "$CHAOS_DIR/exec_storm.json" 2>/dev/null
