@@ -182,3 +182,56 @@ fn a_misspelt_flag_fails_the_process_and_is_named_on_stderr() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag `--strom`"), "{stderr}");
 }
+
+/// A tampered fleet journal is rejected on `--resume` (exit 1, the bad
+/// line named on stderr), never a panic in the drain: a `cost` record's
+/// duration, once NaN and once negative.
+#[test]
+fn resume_rejects_a_journal_with_a_bad_duration() {
+    let rpr = env!("CARGO_BIN_EXE_rpr");
+    let flags = ["fleet", "--code", "6,3", "--stripes", "200", "--seed", "17"];
+    let storm = ["--storm", "crash,timeout", "--json"];
+    let journal = scratch("tampered_journal.jsonl");
+    let first = std::process::Command::new(rpr)
+        .args(flags)
+        .args(storm)
+        .args(["--journal", &journal])
+        .output()
+        .expect("spawn rpr");
+    assert!(
+        first.status.success(),
+        "{}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    let text = std::fs::read_to_string(&journal).expect("journal written");
+    let (line, record) = (text.lines().enumerate())
+        .find(|(_, l)| l.contains("\"rec\":\"cost\""))
+        .expect("a storm drain journals cost records");
+    let dur = record
+        .split("\"dur\":")
+        .nth(1)
+        .and_then(|r| r.split(',').next());
+    let dur = format!("\"dur\":{}", dur.expect("cost records carry dur"));
+    for bad in ["NaN", "-5"] {
+        let tampered = text.replacen(
+            record,
+            &record.replacen(&dur, &format!("\"dur\":{bad}"), 1),
+            1,
+        );
+        let path = scratch(&format!("tampered_journal_{bad}.jsonl"));
+        std::fs::write(&path, tampered).expect("write tampered journal");
+        let out = std::process::Command::new(rpr)
+            .args(flags)
+            .args(storm)
+            .args(["--resume", &path])
+            .output()
+            .expect("spawn rpr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bad}: {stderr}");
+        assert!(
+            stderr.contains(&format!("journal line {}: cost has invalid dur", line + 1)),
+            "{bad}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{bad}: {stderr}");
+    }
+}

@@ -54,25 +54,6 @@ impl RepairEquation {
             .find(|&&(b, _)| b == helper)
             .map(|&(_, c)| c)
     }
-
-    /// Restrict the equation to a subset of helpers (e.g. the blocks hosted
-    /// by one rack). Returns `None` if no term survives.
-    pub fn restrict_to(&self, helpers: &[BlockId]) -> Option<RepairEquation> {
-        let terms: Vec<(BlockId, u8)> = self
-            .terms
-            .iter()
-            .filter(|(b, _)| helpers.contains(b))
-            .copied()
-            .collect();
-        if terms.is_empty() {
-            None
-        } else {
-            Some(RepairEquation {
-                target: self.target,
-                terms,
-            })
-        }
-    }
 }
 
 /// Incremental partial decoder: an accumulator over coefficient-scaled
@@ -125,15 +106,6 @@ impl PartialDecoder {
         gf::xor_slice(&mut self.acc, &other.acc);
         self.blocks_folded += other.blocks_folded;
         self.gf_mults += other.gf_mults;
-    }
-
-    /// Merge a raw intermediate buffer (as received from the network).
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn merge_bytes(&mut self, other: &[u8]) {
-        assert_eq!(other.len(), self.acc.len(), "PartialDecoder: length");
-        gf::xor_slice(&mut self.acc, other);
     }
 
     /// Number of leaf blocks folded so far.
@@ -198,17 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn restrict_to_splits_by_rack() {
-        let eq = RepairEquation::new(
-            BlockId(0),
-            vec![(BlockId(1), 3), (BlockId(2), 4), (BlockId(5), 7)],
-        );
-        let local = eq.restrict_to(&[BlockId(1), BlockId(5)]).unwrap();
-        assert_eq!(local.terms, vec![(BlockId(1), 3), (BlockId(5), 7)]);
-        assert!(eq.restrict_to(&[BlockId(9)]).is_none());
-    }
-
-    #[test]
     fn fold_then_merge_equals_direct_combination() {
         let b1 = vec![1u8; 8];
         let b2: Vec<u8> = (0..8).collect();
@@ -232,21 +193,6 @@ mod tests {
         assert_eq!(direct.gf_mults(), 2, "coefficient 1 must not count");
     }
 
-    #[test]
-    fn merge_bytes_matches_merge() {
-        let b: Vec<u8> = (0..16).collect();
-        let mut a1 = PartialDecoder::new(16);
-        a1.fold(5, &b);
-        let mut a2 = a1.clone();
-
-        let mut other = PartialDecoder::new(16);
-        other.fold(9, &b);
-
-        a1.merge(&other);
-        a2.merge_bytes(other.as_bytes());
-        assert_eq!(a1.as_bytes(), a2.as_bytes());
-        assert_eq!(a1.finish(), a2.finish());
-    }
 
     #[test]
     #[should_panic(expected = "zero coefficient")]

@@ -68,11 +68,6 @@ impl CodeParams {
         (0..self.n).map(BlockId)
     }
 
-    /// Iterator over all parity block ids.
-    pub fn parity_blocks(&self) -> impl Iterator<Item = BlockId> {
-        (self.n..self.total()).map(BlockId)
-    }
-
     /// Iterator over every block id in the stripe.
     pub fn all_blocks(&self) -> impl Iterator<Item = BlockId> {
         (0..self.total()).map(BlockId)
@@ -89,12 +84,6 @@ impl BlockId {
     #[inline]
     pub fn is_data(&self, params: &CodeParams) -> bool {
         self.0 < params.n
-    }
-
-    /// True if this id is a parity block under `params`.
-    #[inline]
-    pub fn is_parity(&self, params: &CodeParams) -> bool {
-        self.0 >= params.n && self.0 < params.total()
     }
 
     /// The id of the first parity block, `p0` — the block whose coding row
@@ -137,7 +126,6 @@ mod tests {
         assert_eq!(p.total(), 8);
         assert_eq!(p.rack_count(), 4);
         assert_eq!(p.data_blocks().count(), 6);
-        assert_eq!(p.parity_blocks().count(), 2);
         assert_eq!(p.all_blocks().count(), 8);
         // Paper configs and their rack counts (§2.3: q = (n+k)/k).
         for ((n, k), q) in [
@@ -158,9 +146,6 @@ mod tests {
         assert!(BlockId(0).is_data(&p));
         assert!(BlockId(3).is_data(&p));
         assert!(!BlockId(4).is_data(&p));
-        assert!(BlockId(4).is_parity(&p));
-        assert!(BlockId(5).is_parity(&p));
-        assert!(!BlockId(6).is_parity(&p), "out of stripe");
         assert_eq!(BlockId::p0(&p), BlockId(4));
         assert_eq!(BlockId(2).name(&p), "d2");
         assert_eq!(BlockId(5).name(&p), "p1");

@@ -82,12 +82,6 @@ impl StripeCodec {
         &self.generator
     }
 
-    /// True if the first parity row is all ones, enabling the eq.-6 XOR
-    /// repair path for single data-block failures.
-    pub fn p0_is_xor_row(&self) -> bool {
-        (0..self.params.n).all(|j| self.coding[(0, j)] == 1)
-    }
-
     /// Encode: produce the `k` parity blocks from the `n` data blocks.
     ///
     /// All `k` parity rows are computed in one cache-blocked multi-row
@@ -310,7 +304,6 @@ mod tests {
     #[test]
     fn p0_equals_xor_of_data() {
         let c = codec(5, 3);
-        assert!(c.p0_is_xor_row());
         let data = rand_blocks(5, 16, 3);
         let refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
         let parities = c.encode(&refs);

@@ -42,14 +42,13 @@ pub use scenario::RepairContext;
 pub use schemes::{
     CarPlanner, ChainPlanner, RecoverySite, RepairPlanner, RprPlanner, TraditionalPlanner,
 };
-pub use sim::{
-    network_for, simulate, simulate_batch, BatchOutcome, Job, JobGraph, OpJobs, SimOutcome,
-};
+pub use sim::{network_for, simulate, Job, JobGraph, OpJobs, SimOutcome};
 pub use supervise::{
-    check_retry_budget, crash_candidates, first_valid_plan, plan_with_pool, resolve_storm_bucket,
-    supervise, supervise_injected, AttemptFault, Banked, Baseline, CrashFault, Ending, Evidence,
-    GenFaults, Generation, GenerationRecord, GenerationRun, PoolKey, PoolReplan, RepairBackend,
-    ResolvedFaults, SimBackend, Splice, SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
+    build_evidence, check_retry_budget, crash_candidates, first_valid_plan, plan_with_pool,
+    resolve_storm_bucket, supervise, supervise_injected, AttemptFault, Banked, Baseline,
+    CrashFault, Ending, Evidence, GenFaults, Generation, GenerationRecord, GenerationRun, PoolKey,
+    PoolReplan, RepairBackend, ResolvedFaults, SimBackend, Splice, SuperviseConfig, SuperviseError,
+    SuperviseOutcome, Tier,
 };
 pub use trace::{
     combine_kernel, op_label, plan_built, record_wave_spans, send_transfer, simulate_traced,

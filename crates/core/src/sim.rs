@@ -53,58 +53,6 @@ pub fn simulate(plan: &RepairPlan, ctx: &RepairContext<'_>) -> SimOutcome {
     }
 }
 
-/// The outcome of simulating several plans concurrently (e.g. every stripe
-/// touched by a whole-node failure repairing at once).
-#[derive(Clone, Debug)]
-pub struct BatchOutcome {
-    /// Time at which the *last* plan finished — the full recovery time.
-    pub makespan: f64,
-    /// Per-plan completion times, in input order.
-    pub plan_finish: Vec<f64>,
-    /// The combined simulator report (aggregate traffic, load balance).
-    pub report: SimReport,
-}
-
-/// Simulate many plans sharing one cluster: all their operations contend
-/// for the same links and CPUs, which is exactly what happens when a node
-/// or rack failure triggers repairs of every stripe it hosted.
-///
-/// All plans must target the same topology/profile (they share `ctx`'s);
-/// per-plan block sizes may differ.
-///
-/// # Panics
-/// Panics if `plans` is empty or a plan references nodes outside the
-/// topology.
-pub fn simulate_batch(plans: &[&RepairPlan], ctx: &RepairContext<'_>) -> BatchOutcome {
-    assert!(!plans.is_empty(), "simulate_batch: no plans");
-    let mut sim = Simulator::new(network_for(ctx));
-    let mut last_jobs: Vec<Vec<JobId>> = Vec::with_capacity(plans.len());
-    for (pi, plan) in plans.iter().enumerate() {
-        let graph = JobGraph::new(plan, &vec![true; plan.ops.len()], ctx);
-        let ids = graph.add_to(&mut sim, pi);
-        let outputs: Vec<JobId> = plan
-            .outputs
-            .iter()
-            .map(|&(_, op)| ids[graph.ops[op.0].jobs.end - 1])
-            .collect();
-        last_jobs.push(outputs);
-    }
-    let report = sim.run();
-    let plan_finish = last_jobs
-        .iter()
-        .map(|outs| {
-            outs.iter()
-                .map(|j| report.record(*j).finish)
-                .fold(0.0f64, f64::max)
-        })
-        .collect();
-    BatchOutcome {
-        makespan: report.makespan,
-        plan_finish,
-        report,
-    }
-}
-
 /// The simulated network of a context — topology, bandwidth profile and
 /// the optional aggregation-switch constraint — for callers that drive
 /// a [`Simulator`] directly (co-simulation via [`JobGraph::add_to`]).
@@ -350,42 +298,6 @@ mod tests {
         );
         assert_eq!(out.report.cross_rack_bytes, 4 * block);
         assert!(out.stats.needs_matrix);
-    }
-
-    #[test]
-    fn batch_simulation_contends_on_shared_links() {
-        // Two identical single-failure repairs of two stripes that share
-        // the recovery rack: together they must be slower than one alone,
-        // and per-plan finishes bracket the makespan.
-        let params = CodeParams::new(4, 2);
-        let codec = StripeCodec::new(params);
-        let topo = cluster_for(params, 2, 1);
-        let placement = Placement::compact(params, &topo);
-        let profile = BandwidthProfile::simics_default(topo.rack_count());
-        let block: u64 = 64 << 20;
-        let ctx = RepairContext::new(
-            &codec,
-            &topo,
-            &placement,
-            vec![BlockId(1)],
-            block,
-            &profile,
-            crate::cost::CostModel::free(),
-        );
-        let plan = crate::schemes::RprPlanner::new().plan(&ctx);
-        let solo = simulate(&plan, &ctx).repair_time;
-        let batch = simulate_batch(&[&plan, &plan], &ctx);
-        assert_eq!(batch.plan_finish.len(), 2);
-        assert!(batch.makespan >= solo - 1e-9);
-        assert!(batch.makespan > solo * 1.2, "shared links must contend");
-        for f in &batch.plan_finish {
-            assert!(*f <= batch.makespan + 1e-9);
-        }
-        // Total traffic doubles exactly.
-        assert_eq!(
-            batch.report.cross_rack_bytes,
-            2 * plan.stats(&topo).cross_bytes
-        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`RepairBackend`], and the only fault path: a single injected fault is
 //! a one-bucket [`FaultStorm`]. Each iteration is one *generation*: the
 //! backend runs a plan (the original, or a replan) until it completes, a
-//! storm fault kills one of its helpers, or the backend's hedge watchdog
+//! storm fault kills one of its helpers, or the backend's hedge deadline
 //! cancels it, and the loop
 //!
 //! 1. resolves the storm's next bucket against the plan
@@ -26,8 +26,12 @@
 //!    replan budget or the repair deadline is blown.
 //!
 //! A backend owns only what genuinely differs between substrates: running
-//! one generation under resolved faults, the clock, the form proof
-//! evidence takes, and *how* it hedges. Two exist: [`SimBackend`]
+//! one generation under resolved faults, the clock, the hashes of what it
+//! holds (symbolic on the simulator, keyed hashes of real bytes on the
+//! executor), and *how* it hedges. Every proof is built once, by
+//! [`build_evidence`], and a helper is convicted by
+//! [`rpr_proof::convicts`], the rule `rpr audit` applies offline. Two
+//! backends exist: [`SimBackend`]
 //! (`rpr-netsim` on the virtual clock, behind [`supervise_injected`];
 //! bit-deterministic for a fixed seed, which is what `scripts/verify.sh`'s
 //! chaos soak checks) and `rpr-exec`'s threaded executor on real bytes.
@@ -42,15 +46,16 @@ mod sim_backend;
 
 pub use sim_backend::{SimBackend, Taint};
 
-use crate::plan::{Op, OpId, RepairPlan};
+use crate::plan::{Input, Op, OpId, Payload, RepairPlan};
 use crate::scenario::RepairContext;
 use crate::schemes::{CarPlanner, RepairPlanner, RprPlanner, TraditionalPlanner};
+use crate::sim::JobGraph;
 use crate::trace::{op_label, plan_built, wave_spans};
 use rpr_faults::{
     reason, CrashSite, FaultStorm, HealthTracker, RetryPolicy, SplitMix64, StormFault,
 };
 use rpr_obs::{Event, Recorder};
-use rpr_proof::{ProofKey, ProofLedger, ProofMode, RepairProof};
+use rpr_proof::{convicts, ProofKey, ProofLedger, ProofMode, ProofSource, RepairProof};
 use rpr_topology::{NodeId, Topology};
 use std::collections::HashMap;
 
@@ -666,6 +671,9 @@ pub struct Generation<'a, 'c, P> {
     pub plan: &'a RepairPlan,
     /// [`RepairPlan::symbolic_vectors`] of `plan`.
     pub vecs: &'a [Vec<u8>],
+    /// `plan` lowered over [`lowered`](Generation::lowered): the one job
+    /// graph the backend runs, and the chunk split its proofs record.
+    pub graph: &'a JobGraph<'a>,
     /// Per-op: whether it executes (false: pruned, or served by the pool).
     pub lowered: &'a [bool],
     /// Per-op: the banked partial serving it instead of execution.
@@ -710,7 +718,7 @@ pub enum Ending {
     Completed,
     /// This helper died mid-generation.
     Crashed(NodeId),
-    /// The backend's hedge watchdog cancelled the generation while send
+    /// The backend's hedge deadline cancelled the generation while send
     /// op `straggler` was still in flight.
     Cancelled {
         /// The unfinished send whose source is the straggling helper.
@@ -755,9 +763,107 @@ pub struct Evidence {
     pub proofs: Vec<RepairProof>,
     /// Ops whose output disagrees with its expected witness.
     pub tainted: Vec<usize>,
-    /// Nodes the evidence convicts (sorted, deduplicated): wrong output
-    /// from honest inputs.
+    /// Nodes the evidence convicts (sorted, deduplicated) by
+    /// [`rpr_proof::convicts`]: wrong output from honest inputs.
     pub dishonest: Vec<usize>,
+}
+
+/// Build one generation's proof evidence: the one proof builder both
+/// backends call from [`RepairBackend::prove`]. It walks every available
+/// value — executed, or re-served from the pool — in op order and derives
+/// the suspect node (the sender of a transfer, the folding node of a
+/// combine, the host of a re-serve), the inputs in consumption order, a
+/// re-serve's `Pooled` provenance and `"pool"` algorithm, the chunk
+/// geometry from [`Generation::graph`], taint (output ≠ expected) and
+/// conviction by [`rpr_proof::convicts`], the rule `rpr audit` applies
+/// offline.
+///
+/// The backend supplies only what it holds: `block(b)` hashes stripe
+/// block `b` as stored; `value(coeffs, v)` returns the `(output,
+/// expected)` hashes of an available value `v` whose symbolic vector is
+/// `coeffs` — its own bytes, and the ground truth it should equal;
+/// `label(i)` names the algorithm executed op `i` ran.
+pub fn build_evidence<P>(
+    gen: &Generation<'_, '_, P>,
+    run: &GenerationRun<P>,
+    block: impl Fn(usize) -> u128,
+    mut value: impl FnMut(&[u8], &P) -> (u128, u128),
+    label: impl Fn(usize) -> String,
+) -> Evidence {
+    let (plan, chunks) = (gen.plan, &gen.graph.chunks);
+    // Per op: the (output, expected) hashes of its available value.
+    let mut hashes: Vec<Option<(u128, u128)>> = vec![None; plan.ops.len()];
+    let mut evidence = Evidence::default();
+    for (i, op) in plan.ops.iter().enumerate() {
+        let banked = gen.reused[i];
+        let Some(v) = banked.map(|b| &b.partial).or(run.partials[i].as_ref()) else {
+            continue;
+        };
+        let (output_hash, expected_hash) = value(&gen.vecs[i], v);
+        hashes[i] = Some((output_hash, expected_hash));
+        let op_input = |s: OpId| {
+            let (h, _) = hashes[s.0].expect("producers precede consumers");
+            (ProofSource::Op(s.0), h)
+        };
+        let block_input = |b: usize| (ProofSource::Block(b), block(b));
+        let (node, algorithm, inputs) = match (banked, op) {
+            // A re-serve forwards the banked bytes: its one input is the
+            // partial's original producer, hash equal to its own output,
+            // so audits chase taint back to the liar across generations.
+            (Some(b), _) => {
+                let (gen, origin_op) = b.origin;
+                let source = ProofSource::Pooled { gen, op: origin_op };
+                let host = op.output_location().0;
+                (host, "pool".to_string(), vec![(source, output_hash)])
+            }
+            (None, Op::Send { what, from, .. }) => {
+                let input = match what {
+                    Payload::Block(b) => block_input(b.0),
+                    Payload::Intermediate(src) => op_input(*src),
+                };
+                (from.0, label(i), vec![input])
+            }
+            (None, Op::Combine { node, inputs, .. }) => {
+                let inputs = inputs
+                    .iter()
+                    .map(|inp| match inp {
+                        Input::Block { via: Some(v), .. } => op_input(*v),
+                        Input::Block { block, .. } => block_input(block.0),
+                        Input::Intermediate(src) => op_input(*src),
+                    })
+                    .collect();
+                (node.0, label(i), inputs)
+            }
+        };
+        let proof = RepairProof {
+            op: i,
+            node,
+            coeffs: gen.vecs[i].clone(),
+            inputs,
+            output_hash,
+            expected_hash,
+            algorithm,
+            chunks: chunks.len(),
+            chunk_bytes: chunks[0],
+        };
+        if !proof.honest_output() {
+            evidence.tainted.push(i);
+        }
+        // A re-serve's producer banked this very coefficient vector, so
+        // its expected hash is this op's.
+        let producer_expected = |src| match src {
+            ProofSource::Op(s) => hashes[s].map(|(_, e)| e),
+            ProofSource::Pooled { .. } => Some(expected_hash),
+            ProofSource::Block(_) => None,
+        };
+        if convicts(&proof, producer_expected) {
+            evidence.dishonest.push(node);
+        }
+        evidence.proofs.push(proof);
+    }
+    evidence.dishonest.sort_unstable();
+    evidence.dishonest.dedup();
+    evidence
 }
 
 /// The fault-free reference a backend measured for the original plan.
@@ -790,7 +896,8 @@ pub trait RepairBackend {
         rec: &dyn Recorder,
     ) -> GenerationRun<Self::Partial>;
 
-    /// Evidence for every value `run` made available.
+    /// Evidence for every value `run` made available: [`build_evidence`]
+    /// over the backend's hashes of what it holds.
     fn prove(
         &mut self,
         gen: &Generation<'_, '_, Self::Partial>,
@@ -995,7 +1102,7 @@ pub fn supervise<B: RepairBackend>(
     let mut carry: Vec<StormFault> = Vec::new();
     let mut slow: Vec<(NodeId, f64)> = Vec::new();
     // A cancelled straggler: (label, hedge node) until the alternative
-    // completes; one watchdog hedge per repair.
+    // completes; one cancelling hedge per repair.
     let mut hedge_pending: Option<(String, usize)> = None;
     let mut hedge_spent = false;
 
@@ -1028,11 +1135,13 @@ pub fn supervise<B: RepairBackend>(
         let doomed = resolved.crash.is_some() || (mandatory && !resolved.lies.is_empty());
         let hedge = cfg.hedge.filter(|_| !doomed && !hedge_spent);
         let vecs = plan.symbolic_vectors();
+        let graph = JobGraph::new(plan, &rep.lowered, &ctx_g);
         let gen = Generation {
             index: g,
             ctx: &ctx_g,
             plan,
             vecs: &vecs,
+            graph: &graph,
             lowered: &rep.lowered,
             reused: rep.reused.iter().map(|k| k.as_ref().map(|k| &pool[k])).collect(),
             faults: &resolved,

@@ -3,17 +3,17 @@
 //! timeline at `t_base`.
 
 use super::{
-    hedge_node, median_of, Baseline, Ending, Evidence, Generation, GenerationRun, RepairBackend,
-    ResolvedFaults, Splice,
+    build_evidence, hedge_node, median_of, Baseline, Ending, Evidence, Generation, GenerationRun,
+    RepairBackend, ResolvedFaults, Splice,
 };
-use crate::plan::{Input, Op, Payload, RepairPlan};
+use crate::plan::{Op, RepairPlan};
 use crate::scenario::RepairContext;
-use crate::sim::{chunk_sizes, network_for, op_spans, JobGraph};
+use crate::sim::{network_for, op_spans, JobGraph};
 use crate::trace::{op_label, send_transfer, wave_spans, PlanTagger};
 use rpr_faults::{reason, RetryPolicy};
 use rpr_netsim::{FailSpec, JobId, Simulator};
 use rpr_obs::{Event, Recorder, TraceRecorder};
-use rpr_proof::{symbolic_block_hash, symbolic_output_hash, ProofKey, ProofSource, RepairProof};
+use rpr_proof::{symbolic_block_hash, symbolic_output_hash, ProofKey};
 
 /// Time tolerance when comparing simulation instants.
 const EPS: f64 = 1e-9;
@@ -156,39 +156,6 @@ fn gen_taints(gen: &Generation<'_, '_, Taint>) -> Vec<Taint> {
     taints
 }
 
-/// The proof inputs of op `i`: one `(source, hash)` pair per consumed
-/// value, in consumption order. Blocks that arrive via a send reference
-/// the send op (its output is what was actually consumed); locally-read
-/// blocks reference the stripe block itself.
-fn proof_inputs(
-    key: ProofKey,
-    plan: &RepairPlan,
-    i: usize,
-    vecs: &[Vec<u8>],
-    taints: &[&Taint],
-) -> Vec<(ProofSource, u128)> {
-    let op_hash = |s: usize| symbolic_output_hash(key, &vecs[s], taints[s]);
-    match &plan.ops[i] {
-        Op::Send { what, .. } => match what {
-            Payload::Block(b) => vec![(ProofSource::Block(b.0), symbolic_block_hash(key, b.0))],
-            Payload::Intermediate(src) => vec![(ProofSource::Op(src.0), op_hash(src.0))],
-        },
-        Op::Combine { inputs, .. } => inputs
-            .iter()
-            .map(|inp| match inp {
-                Input::Block { via: Some(v), .. } => (ProofSource::Op(v.0), op_hash(v.0)),
-                Input::Block {
-                    block, via: None, ..
-                } => (
-                    ProofSource::Block(block.0),
-                    symbolic_block_hash(key, block.0),
-                ),
-                Input::Intermediate(src) => (ProofSource::Op(src.0), op_hash(src.0)),
-            })
-            .collect(),
-    }
-}
-
 impl RepairBackend for SimBackend {
     type Partial = Taint;
 
@@ -215,7 +182,7 @@ impl RepairBackend for SimBackend {
         let (plan, ctx, g, t_base) = (gen.plan, gen.ctx, gen.index, self.t_base);
         let (waves, _) = plan.cross_waves(ctx.topo);
         let mut sim = Simulator::new(network_for(ctx));
-        let graph = JobGraph::new(plan, gen.lowered, ctx);
+        let graph = gen.graph;
         let ids = graph.add_to(&mut sim, g);
         let first_job = |i: usize| graph.lowered(i).then(|| ids[graph.ops[i].jobs.start]);
         arm_simulator(&mut sim, first_job, gen.faults, gen.policy);
@@ -223,12 +190,12 @@ impl RepairBackend for SimBackend {
         // shifted) into `rec`, never exported from here.
         let buffer = TraceRecorder::with_capacity(usize::MAX);
         let report = sim.run_recorded(&PlanTagger {
-            graph: &graph,
+            graph,
             waves: &waves,
             inner: &buffer,
         });
         let events = buffer.take_events();
-        let spans = op_spans(&report, &graph, &ids);
+        let spans = op_spans(&report, graph, &ids);
         let taints = gen_taints(gen);
         let partials_of = |taints: Vec<Taint>, done: &[bool]| -> Vec<Option<Taint>> {
             taints
@@ -370,77 +337,24 @@ impl RepairBackend for SimBackend {
     }
 
     /// Symbolic evidence: an op's output hash covers its coefficient
-    /// vector and taint, its expected hash the vector alone. The
-    /// simulator knows ground truth, so the nodes it convicts are exactly
-    /// the senders whose lies completed.
+    /// vector and taint, its expected hash the vector alone, and a block's
+    /// hash its index.
     fn prove(
         &mut self,
         gen: &Generation<'_, '_, Taint>,
         run: &GenerationRun<Taint>,
         key: ProofKey,
     ) -> Evidence {
-        let (plan, vecs) = (gen.plan, gen.vecs);
-        let sizes = chunk_sizes(plan.block_bytes, gen.ctx.effective_chunk());
-        let (chunks, chunk_bytes) = (sizes.len(), sizes[0]);
-        let honest = Taint::new();
-        let taints: Vec<&Taint> = (0..plan.ops.len())
-            .map(|i| match (gen.reused[i], &run.partials[i]) {
-                (Some(banked), _) => &banked.partial,
-                (None, Some(taint)) => taint,
-                (None, None) => &honest,
-            })
-            .collect();
-        let mut evidence = Evidence::default();
-        for (i, op) in plan.ops.iter().enumerate() {
-            if gen.reused[i].is_none() && run.partials[i].is_none() {
-                continue;
-            }
-            let output_hash = symbolic_output_hash(key, &vecs[i], taints[i]);
-            // The node under suspicion: the sender for transfers (it
-            // produced the bytes on the wire), the folding node for
-            // combines, the hosting node for pool re-serves. A re-serve's
-            // single input is the banked partial: the provenance edge
-            // points at its original producer, and the hash equals this
-            // op's own output (a re-serve forwards the banked bytes, taint
-            // and all), so audits chase taint back to the liar across
-            // generations.
-            let (node, algorithm, inputs) = match (gen.reused[i], op) {
-                (Some(banked), _) => {
-                    let (src_gen, src_op) = banked.origin;
-                    let source = ProofSource::Pooled {
-                        gen: src_gen,
-                        op: src_op,
-                    };
-                    (op.output_location().0, "pool", vec![(source, output_hash)])
-                }
-                (None, Op::Send { from, .. }) => {
-                    (from.0, "sim", proof_inputs(key, plan, i, vecs, &taints))
-                }
-                (None, Op::Combine { node, .. }) => {
-                    (node.0, "sim", proof_inputs(key, plan, i, vecs, &taints))
-                }
-            };
-            if !taints[i].is_empty() {
-                evidence.tainted.push(i);
-            }
-            if gen.faults.lies.contains(&i) && gen.reused[i].is_none() {
-                evidence.dishonest.push(node);
-            }
-            evidence.proofs.push(RepairProof {
-                op: i,
-                node,
-                coeffs: vecs[i].clone(),
-                inputs,
-                output_hash,
-                expected_hash: symbolic_output_hash(key, &vecs[i], &[]),
-                algorithm: algorithm.to_string(),
-                chunks,
-                chunk_bytes,
-            });
-        }
-        evidence.dishonest.sort_unstable();
-        evidence.dishonest.dedup();
-        evidence
+        build_evidence(
+            gen,
+            run,
+            |b| symbolic_block_hash(key, b),
+            |coeffs, taint| {
+                let expected = symbolic_output_hash(key, coeffs, &[]);
+                (symbolic_output_hash(key, coeffs, taint), expected)
+            },
+            |_| "sim".to_string(),
+        )
     }
 
     fn pause(&mut self, delay: f64) {

@@ -34,7 +34,7 @@ use rpr_core::{
 use rpr_faults::{checksum64, reason, RetryPolicy};
 use rpr_obs::{Event, Recorder};
 use rpr_topology::NodeId;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -171,11 +171,11 @@ pub(crate) struct AttemptCfg<'a> {
     pub(crate) graph: &'a JobGraph<'a>,
     /// Label tag (`p{tag}op{i}`): the supervision generation index.
     pub(crate) tag: usize,
-    /// Cooperative cancellation: when set, in-flight transfers abandon
-    /// the stream between shaper admissions and propagate `Failed`
+    /// Cooperative cancellation: past this instant, in-flight transfers
+    /// abandon the stream between shaper admissions and propagate `Failed`
     /// downstream, unwinding the whole attempt. The supervisor's hedge
-    /// watchdog uses this to cancel a straggling generation for real.
-    pub(crate) cancel: Option<&'a AtomicBool>,
+    /// deadline cancels a straggling generation for real this way.
+    pub(crate) deadline: Option<Instant>,
     /// Where the attempt's buffer checkouts are counted.
     pub(crate) tally: &'a Tally,
 }
@@ -301,7 +301,7 @@ pub fn execute_recorded(
         prefilled: &prefilled,
         graph: &graph,
         tag: 0,
-        cancel: None,
+        deadline: None,
         tally: &tally,
     };
     let run = run_attempt(ctx, stripe, rec, t0, &cfg);
@@ -481,7 +481,7 @@ fn recv_chunk(rx: &Receiver<Delivery>) -> Option<Chunk> {
 /// receiver, chunk by chunk, and how far it got.
 struct SendStream<'f> {
     env: &'f RunEnv<'f, 'f>,
-    cancel: Option<&'f AtomicBool>,
+    deadline: Option<Instant>,
     i: usize,
     from: NodeId,
     to: NodeId,
@@ -551,7 +551,7 @@ impl SendStream<'_> {
             self.to,
             bytes,
             env.chunk,
-            self.cancel,
+            self.deadline,
         )
     }
 
@@ -681,7 +681,7 @@ fn try_op(
         Op::Send { what, from, to } => {
             let mut s = SendStream {
                 env,
-                cancel: cfg.cancel,
+                deadline: cfg.deadline,
                 i,
                 from: *from,
                 to: *to,
@@ -1022,8 +1022,8 @@ pub(crate) fn verify_outputs<'v>(
 /// pair-rate bucket plus the shared per-node (and, cross-rack, cross-class)
 /// buckets. Returns the seconds spent waiting for the shapers to admit the
 /// *first* chunk — the transfer's queue wait under link contention — or
-/// `None` when `cancel` fired between shaper admissions (the transfer was
-/// abandoned mid-stream by the hedge watchdog).
+/// `None` when `deadline` passed between shaper admissions (the transfer
+/// was abandoned mid-stream by a hedge).
 #[allow(clippy::too_many_arguments)]
 fn shaped_transfer(
     net: &Network,
@@ -1033,7 +1033,7 @@ fn shaped_transfer(
     to: NodeId,
     len: usize,
     granularity: usize,
-    cancel: Option<&AtomicBool>,
+    deadline: Option<Instant>,
 ) -> Option<f64> {
     let flow = TokenBucket::new(net.pair_rate(from, to));
     let cross = net.is_cross(from, to);
@@ -1041,7 +1041,7 @@ fn shaped_transfer(
     let mut first_admit = 0.0f64;
     let mut left = len;
     while left > 0 {
-        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
             return None;
         }
         let take = left.min(granularity) as f64;
@@ -1432,7 +1432,7 @@ pub(crate) mod tests {
                     prefilled,
                     graph: &JobGraph::new(&plan, lowered, &ctx),
                     tag: 0,
-                    cancel: None,
+                    deadline: None,
                     tally: &tally,
                 };
                 run_attempt(&ctx, &stripe, rpr_obs::noop(), Instant::now(), &cfg)
@@ -1518,7 +1518,7 @@ pub(crate) mod tests {
                 prefilled: &prefilled,
                 graph: &graph,
                 tag: 0,
-                cancel: None,
+                deadline: None,
                 tally: &tally,
             };
             let rec = rpr_obs::TraceRecorder::default();

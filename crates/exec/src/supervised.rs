@@ -4,18 +4,17 @@
 //! accusations — is [`rpr_core::supervise()`], shared with the simulator.
 
 use crate::arena::{BufferPool, Chunk, Tally};
-use crate::executor::{check_stripe, run_attempt, verify_outputs, AttemptCfg, AttemptRun, Value};
+use crate::executor::{check_stripe, run_attempt, verify_outputs, AttemptCfg, Value};
 use crate::{ExecError, ExecReport, OpTiming};
 use rpr_codec::BlockId;
 use rpr_core::{
-    combine_kernel, supervise, Baseline, Ending, Evidence, Generation, GenerationRecord,
-    GenerationRun, Input, JobGraph, Op, OpId, Payload, RepairBackend, RepairContext, RepairPlan,
+    build_evidence, combine_kernel, supervise, Baseline, Ending, Evidence, Generation,
+    GenerationRecord, GenerationRun, Op, OpId, RepairBackend, RepairContext, RepairPlan,
     SuperviseConfig, SuperviseError, SuperviseOutcome, Tier,
 };
 use rpr_faults::{FaultStorm, HealthTracker};
 use rpr_obs::Recorder;
-use rpr_proof::{hash_bytes, ProofHasher, ProofKey, ProofLedger, ProofSource, RepairProof};
-use std::sync::atomic::{AtomicBool, Ordering};
+use rpr_proof::{hash_bytes, ProofHasher, ProofKey, ProofLedger};
 use std::time::{Duration, Instant};
 
 /// The result of a supervised execution under a fault storm.
@@ -64,45 +63,6 @@ impl From<SuperviseError> for ExecError {
     }
 }
 
-/// Run one attempt under an optional hedge watchdog: a timer thread arms
-/// at `budget` seconds from now and, if the attempt is still running,
-/// flips `cancel` — every in-flight transfer aborts between shaper
-/// admissions and the attempt unwinds through its `Delivery` channels.
-/// Returns the attempt plus whether the watchdog fired.
-fn run_watched(
-    run: impl FnOnce() -> AttemptRun,
-    budget: Option<f64>,
-    cancel: &AtomicBool,
-) -> (AttemptRun, bool) {
-    let Some(budget) = budget else {
-        return (run(), false);
-    };
-    let done = std::sync::Mutex::new(false);
-    let cv = std::sync::Condvar::new();
-    let fired = AtomicBool::new(false);
-    let run = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let armed = Instant::now();
-            let mut finished = done.lock().expect("watchdog lock");
-            while !*finished {
-                let Some(left) =
-                    Duration::from_secs_f64(budget.max(1e-3)).checked_sub(armed.elapsed())
-                else {
-                    fired.store(true, Ordering::SeqCst);
-                    cancel.store(true, Ordering::SeqCst);
-                    return;
-                };
-                finished = cv.wait_timeout(finished, left).expect("watchdog lock").0;
-            }
-        });
-        let run = run();
-        *done.lock().expect("watchdog lock") = true;
-        cv.notify_all();
-        run
-    });
-    (run, fired.load(Ordering::SeqCst))
-}
-
 /// What the most recent generation left behind, for the final report.
 struct LastRun {
     scheme: &'static str,
@@ -111,9 +71,6 @@ struct LastRun {
     /// the generation had for each.
     outputs: Vec<(BlockId, OpId)>,
     values: Vec<Option<Value>>,
-    /// The generation's chunk split ([`JobGraph::chunks`]), which its
-    /// proofs record and hash the ground truth over.
-    chunks: Vec<u64>,
 }
 
 /// The proof hash of a value — its chunks through the streaming hasher,
@@ -170,11 +127,11 @@ impl RepairBackend for ExecBackend<'_> {
         Baseline::default()
     }
 
-    /// Real time cannot be rewound, so hedging here is a watchdog armed at
-    /// `hedge ×` the plan's analytical makespan: when it fires the
-    /// straggling generation is *actually cancelled* — in-flight transfers
-    /// abort between shaper admissions — and the loop launches the
-    /// alternative as the next generation.
+    /// Real time cannot be rewound, so hedging here is a deadline at
+    /// `hedge ×` the plan's analytical makespan: past it the straggling
+    /// generation is *actually cancelled* — in-flight transfers abort
+    /// between shaper admissions — and the loop launches the alternative
+    /// as the next generation.
     fn run_generation(
         &mut self,
         gen: &Generation<'_, '_, Self::Partial>,
@@ -186,37 +143,36 @@ impl RepairBackend for ExecBackend<'_> {
             .iter()
             .map(|b| b.map(|b| b.partial.as_slice()))
             .collect();
-        let budget = gen
-            .hedge
-            .map(|m| m * rpr_core::simulate(plan, ctx).repair_time);
-        let cancel = AtomicBool::new(false);
-        let graph = JobGraph::new(plan, gen.lowered, ctx);
+        let deadline = gen.hedge.map(|m| {
+            let budget = m * rpr_core::simulate(plan, ctx).repair_time;
+            Instant::now() + Duration::from_secs_f64(budget.max(1e-3))
+        });
         let cfg = AttemptCfg {
             faults: Some(gen.faults),
             policy: *gen.policy,
             prefilled: &prefilled,
-            graph: &graph,
+            graph: gen.graph,
             tag: gen.index,
-            cancel: Some(&cancel),
+            deadline,
             tally: &self.tally,
         };
-        let attempt = || run_attempt(ctx, self.stripe, rec, self.t0, &cfg);
-        let (run, fired) = run_watched(attempt, budget, &cancel);
+        let run = run_attempt(ctx, self.stripe, rec, self.t0, &cfg);
         let now = self.t0.elapsed().as_secs_f64();
         self.first_byte = match (self.first_byte, run.first_out) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
         let completed: Vec<bool> = run.values.iter().map(|v| v.is_some()).collect();
-        // A watchdog that raced a clean finish cancelled nothing.
+        // Without a crash, only the hedge deadline stops a send early; a
+        // deadline that passed after every send finished cancelled nothing.
         let unfinished_send = (0..plan.ops.len())
             .find(|&i| gen.lowered[i] && !completed[i] && matches!(&plan.ops[i], Op::Send { .. }));
         let ending = match (gen.faults.crash, unfinished_send) {
             // run_attempt already emitted the node_down transfer failure
             // and helper_crashed events at the moment the node died.
             (Some(crash), _) => Ending::Crashed(crash.node),
-            (None, Some(straggler)) if fired => Ending::Cancelled { straggler },
-            _ => Ending::Completed,
+            (None, Some(straggler)) => Ending::Cancelled { straggler },
+            (None, None) => Ending::Completed,
         };
         let spans = run.op_timings.iter().map(|t| (t.start, t.end)).collect();
         self.last = Some(LastRun {
@@ -231,7 +187,6 @@ impl RepairBackend for ExecBackend<'_> {
                 })
                 .collect(),
             op_timings: run.op_timings,
-            chunks: graph.chunks,
         });
         GenerationRun {
             ending,
@@ -245,114 +200,37 @@ impl RepairBackend for ExecBackend<'_> {
         }
     }
 
-    /// Evidence from the real bytes the generation produced. Every op
-    /// with an available value (executed, or re-served from the pool)
-    /// gets an entry: the output hash is taken over the actual bytes, the
-    /// expected hash over the ground-truth GF linear combination of the
-    /// op's symbolic coefficient vector applied to the original stripe,
-    /// and the inputs bind each consumed edge to its producer's recorded
-    /// output — for a re-serve, the `(generation, op)` that banked it. A
-    /// node is convicted only when its op's output is wrong *and* every
-    /// recorded input matches the producer's expected value — exactly the
-    /// localization rule the offline auditor applies, so online
-    /// accusations and `rpr audit` agree.
+    /// Evidence from the real bytes: an op's output hash is taken over
+    /// the bytes it holds, its expected hash over the ground-truth GF
+    /// linear combination of its symbolic vector applied to the original
+    /// stripe, in the generation's chunk split; a block's hash is cached
+    /// for the repair (the ledger key does not change between
+    /// generations).
     fn prove(
         &mut self,
         gen: &Generation<'_, '_, Self::Partial>,
         run: &GenerationRun<Self::Partial>,
         key: ProofKey,
     ) -> Evidence {
-        let (plan, stripe) = (gen.plan, self.stripe);
+        let (plan, stripe, sizes) = (gen.plan, self.stripe, &gen.graph.chunks);
         let block_hashes = self
             .block_hashes
             .get_or_insert_with(|| stripe.iter().map(|b| hash_bytes(key, b)).collect());
-        let sizes = &self.last.as_ref().expect("a generation ran").chunks;
-        let (chunks, chunk_bytes) = (sizes.len(), sizes[0]);
         // One chunk of scratch for every op's ground truth.
-        let mut scratch = BufferPool::process().get(chunk_bytes as usize, &self.tally);
-        let mut out_hash: Vec<Option<u128>> = vec![None; plan.ops.len()];
-        let mut exp_hash: Vec<Option<u128>> = vec![None; plan.ops.len()];
-        let mut evidence = Evidence::default();
-        for (i, op) in plan.ops.iter().enumerate() {
-            let banked = gen.reused[i];
-            let Some(v) = banked.map(|b| &b.partial).or(run.partials[i].as_ref()) else {
-                continue;
-            };
-            let oh = hash_value(key, v);
-            let eh = hash_truth(key, &gen.vecs[i], stripe, sizes, &mut scratch);
-            out_hash[i] = Some(oh);
-            exp_hash[i] = Some(eh);
-            let op_input = |s: usize| {
-                let h = out_hash[s].expect("producers precede consumers");
-                (ProofSource::Op(s), h)
-            };
-            let (node, algorithm, inputs) = match (banked, op) {
-                // A re-serve forwards the banked bytes: its one input is
-                // the partial's original producer, hash equal to its own
-                // output, so audits chase taint back across generations.
-                (Some(b), _) => {
-                    let source = ProofSource::Pooled {
-                        gen: b.origin.0,
-                        op: b.origin.1,
-                    };
-                    (
-                        op.output_location().0,
-                        "pool".to_string(),
-                        vec![(source, oh)],
-                    )
-                }
-                (None, Op::Send { what, from, .. }) => {
-                    let input = match what {
-                        Payload::Block(b) => (ProofSource::Block(b.0), block_hashes[b.0]),
-                        Payload::Intermediate(src) => op_input(src.0),
-                    };
-                    (from.0, "wire".to_string(), vec![input])
-                }
-                (None, Op::Combine { node, inputs, .. }) => {
-                    let kernel = combine_kernel(plan, i)
-                        .expect("combine ops always have a kernel")
-                        .name();
-                    let alg = format!("{kernel}/{}", rpr_gf::active_tier().name());
-                    let ins = inputs
-                        .iter()
-                        .map(|inp| match inp {
-                            Input::Block { via: Some(v), .. } => op_input(v.0),
-                            Input::Block {
-                                block, via: None, ..
-                            } => (ProofSource::Block(block.0), block_hashes[block.0]),
-                            Input::Intermediate(o) => op_input(o.0),
-                        })
-                        .collect();
-                    (node.0, alg, ins)
-                }
-            };
-            if oh != eh {
-                evidence.tainted.push(i);
-                let inputs_honest = inputs.iter().all(|(src, h)| match src {
-                    ProofSource::Op(s) => exp_hash[*s] == Some(*h),
-                    ProofSource::Block(_) => true,
-                    // The banked bytes are this op's output: as wrong as it.
-                    ProofSource::Pooled { .. } => false,
-                });
-                if inputs_honest {
-                    evidence.dishonest.push(node);
-                }
-            }
-            evidence.proofs.push(RepairProof {
-                op: i,
-                node,
-                coeffs: gen.vecs[i].clone(),
-                inputs,
-                output_hash: oh,
-                expected_hash: eh,
-                algorithm,
-                chunks,
-                chunk_bytes,
-            });
-        }
-        evidence.dishonest.sort_unstable();
-        evidence.dishonest.dedup();
-        evidence
+        let mut scratch = BufferPool::process().get(sizes[0] as usize, &self.tally);
+        build_evidence(
+            gen,
+            run,
+            |b| block_hashes[b],
+            |coeffs, v| {
+                let expected = hash_truth(key, coeffs, stripe, sizes, &mut scratch);
+                (hash_value(key, v), expected)
+            },
+            |i| match combine_kernel(plan, i) {
+                Some(kernel) => format!("{}/{}", kernel.name(), rpr_gf::active_tier().name()),
+                None => "wire".to_string(),
+            },
+        )
     }
 
     fn pause(&mut self, delay: f64) {

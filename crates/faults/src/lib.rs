@@ -640,7 +640,7 @@ impl HealthTracker {
     /// Sorted list of currently quarantined nodes.
     pub fn quarantined(&self) -> Vec<usize> {
         (0..self.quarantined_at.len())
-            .filter(|&n| self.quarantined_at[n].is_some())
+            .filter(|&n| self.is_quarantined(n))
             .collect()
     }
 }

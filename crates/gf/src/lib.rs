@@ -137,12 +137,6 @@ impl Gf8 {
     pub fn pow(self, e: usize) -> Gf8 {
         Gf8(pow(self.0, e))
     }
-
-    /// True if this is the zero element.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl core::ops::Add for Gf8 {
@@ -501,7 +495,7 @@ mod tests {
         assert_eq!((a / b).0, div(0x53, 0xCA));
         assert_eq!(a.inv() * a, Gf8::ONE);
         assert_eq!(a.pow(0), Gf8::ONE);
-        assert!(!a.is_zero() && Gf8::ZERO.is_zero());
+        assert_ne!(a, Gf8::ZERO);
         assert_eq!(u8::from(a), 0x53);
         assert_eq!(Gf8::from(0x53u8), a);
         assert_eq!(format!("{a}"), "0x53");

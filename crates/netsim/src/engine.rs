@@ -114,11 +114,6 @@ impl Simulator {
         }
     }
 
-    /// The network being simulated.
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
     /// Add a transfer job. Returns its id.
     ///
     /// # Panics

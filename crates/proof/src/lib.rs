@@ -17,7 +17,8 @@
 //! dishonest hop** — the earliest op whose output hash disagrees with its
 //! expected hash while all of its op-inputs match their producers'
 //! *expected* hashes (downstream ops that merely folded a lie are
-//! tainted, not dishonest).
+//! tainted, not dishonest). That rule is [`convicts`], the one the
+//! supervisor also applies online when it accuses a helper.
 //!
 //! The trust model is symmetric-key: the supervisor and the auditor share
 //! the repair seed, from which the ledger key derives deterministically.
@@ -542,7 +543,8 @@ impl ProofLedger {
     /// Verify the whole ledger offline and localize dishonesty. Holding
     /// only this ledger (whose header carries the seed), the auditor
     /// re-derives the key, re-checks every binding, every wire hop, and
-    /// every output-vs-expected witness.
+    /// every output-vs-expected witness, and convicts by [`convicts`] —
+    /// the rule the supervisor applies online.
     pub fn audit(&self) -> AuditReport {
         let key = self.key();
         let mut report = AuditReport {
@@ -559,46 +561,53 @@ impl ProofLedger {
             if !e.proof.honest_output() {
                 report.mismatches.push(i);
             }
-            // Wire consistency + dishonesty: compare each op-input hash
-            // against its producer's recorded output and expected hashes.
-            let mut inputs_honest = true;
-            for (src, h) in &e.proof.inputs {
-                // Pool re-serves resolve across generations to the op
-                // that originally banked the partial; plain op inputs
-                // resolve within the entry's own generation. Block reads
-                // have no upstream producer to check against.
-                let (src_gen, src_op) = match src {
-                    ProofSource::Block(_) => continue,
-                    ProofSource::Op(o) => (e.gen, *o),
-                    ProofSource::Pooled { gen, op } => (*gen, *op),
+            // Pool re-serves resolve across generations to the op that
+            // originally banked the partial; plain op inputs resolve
+            // within the entry's own generation. Block reads have no
+            // upstream producer to check against.
+            let producer = |src: ProofSource| {
+                let (gen, op) = match src {
+                    ProofSource::Block(_) => return None,
+                    ProofSource::Op(o) => (e.gen, o),
+                    ProofSource::Pooled { gen, op } => (gen, op),
                 };
-                let producer = self.entries[..i]
+                self.entries[..i]
                     .iter()
                     .rev()
-                    .find(|p| p.gen == src_gen && p.proof.op == src_op);
-                match producer {
-                    Some(p) => {
-                        if *h != p.proof.output_hash {
-                            report.wire_failures.push(i);
-                        }
-                        if *h != p.proof.expected_hash {
-                            inputs_honest = false;
-                        }
-                    }
-                    None => {
-                        // No producer recorded: the input hash cannot be
-                        // cross-checked against anything.
-                        report.wire_failures.push(i);
-                        inputs_honest = false;
-                    }
+                    .find(|p| p.gen == gen && p.proof.op == op)
+            };
+            // Wire consistency: each op-input hash against its producer's
+            // recorded output (a missing producer cannot be cross-checked).
+            for &(src, h) in &e.proof.inputs {
+                if !matches!(src, ProofSource::Block(_))
+                    && producer(src).is_none_or(|p| p.proof.output_hash != h)
+                {
+                    report.wire_failures.push(i);
                 }
             }
-            if !e.proof.honest_output() && inputs_honest {
+            if convicts(&e.proof, |src| producer(src).map(|p| p.proof.expected_hash)) {
                 report.dishonest.push(i);
             }
         }
         report
     }
+}
+
+/// The one conviction rule, applied online by the supervisor's evidence
+/// builder and offline by [`ProofLedger::audit`]: `proof`'s output
+/// disagrees with its expected hash while every `Op` and `Pooled` input
+/// equals its producer's expected hash (`producer_expected`; `None` when
+/// no producer is known). A `Block` input has no upstream producer and
+/// counts as honest. An op that merely folded a lie fails the input test:
+/// tainted, not dishonest.
+pub fn convicts(
+    proof: &RepairProof,
+    producer_expected: impl Fn(ProofSource) -> Option<u128>,
+) -> bool {
+    !proof.honest_output()
+        && proof.inputs.iter().all(|&(src, h)| {
+            matches!(src, ProofSource::Block(_)) || producer_expected(src) == Some(h)
+        })
 }
 
 /// What [`ProofLedger::audit`] found. All index vectors point into

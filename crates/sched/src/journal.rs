@@ -100,7 +100,8 @@ impl FleetJournal {
     }
 
     /// Override the checkpoint cadence (completions per checkpoint).
-    pub fn set_checkpoint_every(&mut self, every: u64) {
+    #[cfg(test)]
+    fn set_checkpoint_every(&mut self, every: u64) {
         self.checkpoint_every = every.max(1);
     }
 
@@ -346,7 +347,7 @@ fn parse_record(line: &str, replay: &mut JournalReplay) -> Result<(), String> {
             replay.costs.insert(
                 (stripe, level),
                 CostRec {
-                    dur: field_f64(line, "dur").ok_or("cost missing dur")?,
+                    dur: field_time(line, "cost", "dur")?,
                     cross: field_u64(line, "cross").ok_or("cost missing cross")?,
                     inner: field_u64(line, "inner").ok_or("cost missing inner")?,
                     replans: field_u64(line, "replans").ok_or("cost missing replans")? as usize,
@@ -362,9 +363,9 @@ fn parse_record(line: &str, replay: &mut JournalReplay) -> Result<(), String> {
                 stripe,
                 CompletedRec {
                     level: field_u64(line, "level").ok_or("complete missing level")? as usize,
-                    admitted: field_f64(line, "admitted").ok_or("complete missing admitted")?,
-                    finish: field_f64(line, "finish").ok_or("complete missing finish")?,
-                    waited: field_f64(line, "waited").ok_or("complete missing waited")?,
+                    admitted: field_time(line, "complete", "admitted")?,
+                    finish: field_time(line, "complete", "finish")?,
+                    waited: field_time(line, "complete", "waited")?,
                 },
             );
             Ok(())
@@ -372,7 +373,7 @@ fn parse_record(line: &str, replay: &mut JournalReplay) -> Result<(), String> {
         "\"lost\"" => {
             let stripe = field_u64(line, "stripe").ok_or("lost missing stripe")? as u32;
             let level = field_u64(line, "level").ok_or("lost missing level")? as usize;
-            let t = field_f64(line, "t").ok_or("lost missing t")?;
+            let t = field_time(line, "lost", "t")?;
             replay.lost.insert(stripe, (level, t));
             Ok(())
         }
@@ -385,14 +386,14 @@ fn parse_record(line: &str, replay: &mut JournalReplay) -> Result<(), String> {
     }
 }
 
-/// Require the unsigned-integer fields `ints` and the float fields
-/// `floats` of a `kind` record whose values replay does not keep.
-fn check_fields(line: &str, kind: &str, ints: &[&str], floats: &[&str]) -> Result<(), String> {
+/// Require the unsigned-integer fields `ints` and the time fields
+/// `times` of a `kind` record whose values replay does not keep.
+fn check_fields(line: &str, kind: &str, ints: &[&str], times: &[&str]) -> Result<(), String> {
     for key in ints {
         field_u64(line, key).ok_or_else(|| format!("{kind} missing {key}"))?;
     }
-    for key in floats {
-        field_f64(line, key).ok_or_else(|| format!("{kind} missing {key}"))?;
+    for key in times {
+        field_time(line, kind, key)?;
     }
     Ok(())
 }
@@ -423,8 +424,18 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
     field_raw(line, key)?.parse().ok()
 }
 
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    field_raw(line, key)?.parse().ok()
+/// A time or duration field of a `kind` record: every float the journal
+/// writes is one, so anything but a finite, non-negative number is
+/// corrupt (the drain would panic on it, or order jobs by garbage).
+fn field_time(line: &str, kind: &str, key: &str) -> Result<f64, String> {
+    let v: f64 = field_raw(line, key)
+        .and_then(|raw| raw.parse().ok())
+        .ok_or_else(|| format!("{kind} missing {key}"))?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(format!("{kind} has invalid {key} {v}"))
+    }
 }
 
 fn field_bool(line: &str, key: &str) -> Option<bool> {
@@ -545,6 +556,81 @@ mod tests {
             assert!(replay.truncated);
             assert_eq!(replay.records, 1);
         }
+    }
+
+    /// A `kind` record with its integer and flag fields `fixed` and its
+    /// time fields `times` is accepted with every time at 1.5 and
+    /// rejected — naming the line, kind and field — with any one of them
+    /// non-finite or negative, unless it is the torn tail.
+    fn times_are_checked(kind: &str, fixed: &str, times: &[&str]) {
+        const HEADER: &str = "{\"journal\":\"rpr-fleet\",\"version\":1,\"seed\":1,\"stripes\":2}\n";
+        const GOOD: &str = "{\"rec\":\"enqueue\",\"stripe\":0,\"level\":1,\"t\":0}\n";
+        let record = |bad: Option<(&str, &str)>| {
+            let times: Vec<String> = times
+                .iter()
+                .map(|key| match bad {
+                    Some((k, v)) if k == *key => format!("\"{key}\":{v}"),
+                    _ => format!("\"{key}\":1.5"),
+                })
+                .collect();
+            format!("{{\"rec\":\"{kind}\",{fixed},{}}}", times.join(","))
+        };
+        let ok = format!("{HEADER}{}\n{GOOD}", record(None));
+        assert!(JournalReplay::parse(&ok).is_ok(), "{ok}");
+        for key in times {
+            for bad in ["NaN", "inf", "-inf", "-5", "-0.5"] {
+                let line = record(Some((key, bad)));
+                let err =
+                    JournalReplay::parse(&format!("{HEADER}{line}\n{GOOD}")).expect_err(&line);
+                assert!(
+                    err.starts_with(&format!("journal line 2: {kind} has invalid {key} ")),
+                    "{line}: {err}"
+                );
+                let torn = JournalReplay::parse(&format!("{HEADER}{GOOD}{line}")).expect(&line);
+                assert!(torn.truncated, "{line}");
+            }
+        }
+    }
+
+    #[test]
+    fn enqueue_rejects_a_bad_time() {
+        times_are_checked("enqueue", "\"stripe\":0,\"level\":1", &["t"]);
+    }
+
+    #[test]
+    fn cost_rejects_a_bad_duration() {
+        let fixed = "\"stripe\":0,\"level\":1,\"cross\":5,\"inner\":6,\"replans\":0,\"retries\":0,\"degraded\":false";
+        times_are_checked("cost", fixed, &["dur"]);
+    }
+
+    #[test]
+    fn admit_rejects_a_bad_time() {
+        times_are_checked("admit", "\"stripe\":0,\"level\":1", &["t", "waited"]);
+    }
+
+    #[test]
+    fn complete_rejects_a_bad_time() {
+        times_are_checked(
+            "complete",
+            "\"stripe\":0,\"level\":1",
+            &["admitted", "finish", "waited"],
+        );
+    }
+
+    #[test]
+    fn escalate_rejects_a_bad_time() {
+        let fixed = "\"stripe\":0,\"from\":1,\"to\":2,\"in_flight\":false";
+        times_are_checked("escalate", fixed, &["t"]);
+    }
+
+    #[test]
+    fn lost_rejects_a_bad_time() {
+        times_are_checked("lost", "\"stripe\":0,\"level\":1", &["t"]);
+    }
+
+    #[test]
+    fn checkpoint_rejects_a_bad_time() {
+        times_are_checked("checkpoint", "\"seq\":4,\"completed\":2,\"lost\":0", &["t"]);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   and lost blocks;
 //! * [`Store::recover`] plans every affected stripe with the chosen
 //!   [`Scheme`] and simulates all repairs **concurrently** on the shared
-//!   cluster (`rpr_core::simulate_batch`), so plans contend for the same
-//!   links exactly as they would in production;
+//!   cluster (each admission wave adds every stripe's `rpr_core::JobGraph`
+//!   to one simulator), so plans contend for the same links exactly as
+//!   they would in production;
 //! * the CAR scheme applies its multi-stripe balancing here: helper racks
 //!   are chosen against the cross-rack load already assigned to them by
 //!   the other stripes' repairs;

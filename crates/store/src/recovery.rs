@@ -6,11 +6,11 @@ use std::num::NonZeroUsize;
 use crate::store::Store;
 use rpr_codec::BlockId;
 use rpr_core::{
-    simulate_batch, CarPlanner, CostModel, RepairContext, RepairPlan, RepairPlanner, RprPlanner,
-    SuperviseConfig, TraditionalPlanner,
+    network_for, CarPlanner, CostModel, JobGraph, OpId, RepairContext, RepairPlan, RepairPlanner,
+    RprPlanner, SuperviseConfig, TraditionalPlanner,
 };
 use rpr_faults::{HealthTracker, StormFault};
-use rpr_netsim::Network;
+use rpr_netsim::{JobId, Network, Simulator};
 use rpr_proof::ProofLedger;
 use rpr_obs::Recorder;
 use rpr_sched::{
@@ -357,9 +357,9 @@ impl Store {
         }
 
         // Shared simulation, in waves of at most `max_concurrent` stripes:
-        // within a wave, repairs contend for the same links; waves
-        // serialize (the scheduler starts the next batch once the previous
-        // finished).
+        // a wave is one simulator running every stripe's job graph, so its
+        // repairs contend for the same links; waves serialize (the
+        // scheduler starts the next batch once the previous finished).
         let wave_size = options
             .max_concurrent
             .map_or(plans.len(), NonZeroUsize::get);
@@ -369,15 +369,27 @@ impl Store {
         let mut inner_rack_bytes = 0u64;
         let mut upload = vec![0u64; self.topology().node_count()];
         for wave in plans.chunks(wave_size) {
-            let plan_refs: Vec<&RepairPlan> = wave.iter().collect();
-            let batch = simulate_batch(&plan_refs, &contexts[0]);
-            stripe_finish.extend(batch.plan_finish.iter().map(|f| f + offset));
-            cross_rack_bytes += batch.report.cross_rack_bytes;
-            inner_rack_bytes += batch.report.inner_rack_bytes;
-            for (u, b) in upload.iter_mut().zip(&batch.report.node_upload_bytes) {
+            let mut sim = Simulator::new(network_for(&contexts[0]));
+            // Per stripe: the last job of each of its outputs.
+            let outputs: Vec<Vec<JobId>> = (wave.iter().enumerate())
+                .map(|(tag, plan)| {
+                    let graph = JobGraph::new(plan, &vec![true; plan.ops.len()], &contexts[0]);
+                    let ids = graph.add_to(&mut sim, tag);
+                    let last = |op: OpId| ids[graph.ops[op.0].jobs.end - 1];
+                    plan.outputs.iter().map(|&(_, op)| last(op)).collect()
+                })
+                .collect();
+            let report = sim.run();
+            stripe_finish.extend(outputs.iter().map(|outs| {
+                let finish = outs.iter().map(|&j| report.record(j).finish);
+                finish.fold(0.0f64, f64::max) + offset
+            }));
+            cross_rack_bytes += report.cross_rack_bytes;
+            inner_rack_bytes += report.inner_rack_bytes;
+            for (u, b) in upload.iter_mut().zip(&report.node_upload_bytes) {
                 *u += b;
             }
-            offset += batch.makespan;
+            offset += report.makespan;
         }
         let makespan = offset;
         let participating_uploads: Vec<u64> = upload
@@ -742,6 +754,68 @@ mod tests {
             assert!(part || bytes == 0, "rack {r} uploaded but not marked");
         }
         assert!(out.rack_participants.iter().any(|&p| p));
+    }
+
+    #[test]
+    fn one_wave_contends_on_shared_links() {
+        // (4,2) on the smallest cluster a store accepts (four racks of
+        // three nodes): the stripes' blocks overlap on most nodes, so the
+        // repairs of one node failure share links in one wave.
+        let s = Store::build(StoreConfig {
+            params: CodeParams::new(4, 2),
+            racks: 4,
+            nodes_per_rack: 3,
+            stripes: 6,
+            block_bytes: 64 << 20,
+            preplace_p0: true,
+            seed: 7,
+        });
+        let p = profile(&s);
+        let node = s
+            .topology()
+            .nodes()
+            .max_by_key(|&n| s.blocks_on_node(n).len())
+            .unwrap();
+        let recover = |max| {
+            let options = RecoveryOptions {
+                max_concurrent: NonZeroUsize::new(max),
+                ..Default::default()
+            };
+            s.recover(
+                Failure::Node(node),
+                Scheme::Rpr,
+                &p,
+                CostModel::free(),
+                &options,
+            )
+        };
+        // One stripe per wave: each wave is that stripe's repair alone.
+        let solo = recover(1);
+        let m = solo.stripes_repaired;
+        assert!(m >= 2, "need >=2 stripes in one wave");
+        let slowest = (0..m)
+            .map(|i| {
+                solo.stripe_finish[i]
+                    - if i == 0 {
+                        0.0
+                    } else {
+                        solo.stripe_finish[i - 1]
+                    }
+            })
+            .fold(0.0f64, f64::max);
+        let batch = recover(m);
+        assert_eq!(batch.stripe_finish.len(), m);
+        assert!(
+            batch.makespan > 1.2 * slowest,
+            "shared links must contend: {} vs slowest solo {slowest}",
+            batch.makespan
+        );
+        for f in &batch.stripe_finish {
+            assert!(*f <= batch.makespan + 1e-9);
+        }
+        // Contention moves no extra bytes.
+        assert_eq!(batch.cross_rack_bytes, solo.cross_rack_bytes);
+        assert_eq!(batch.inner_rack_bytes, solo.inner_rack_bytes);
     }
 
     #[test]

@@ -187,11 +187,6 @@ impl Store {
             .flat_map(|&n| self.blocks_on_node(n))
             .collect()
     }
-
-    /// Mean number of stripes hosted per node (storage load).
-    pub fn mean_stripes_per_node(&self) -> f64 {
-        (self.placements.len() * self.config.params.total()) as f64 / self.topo.node_count() as f64
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +273,8 @@ mod tests {
             stripes: 96,
             ..StoreConfig::example()
         });
-        let mean = s.mean_stripes_per_node();
+        let blocks = s.stripe_count() * s.config().params.total();
+        let mean = blocks as f64 / s.topology().node_count() as f64;
         assert!(mean > 10.0, "example config should load nodes meaningfully");
         // No node should be wildly overloaded (> 3x mean).
         for node in s.topology().nodes() {

@@ -51,11 +51,6 @@ impl BandwidthProfile {
         BandwidthProfile::uniform(racks, GBIT, 0.1 * GBIT)
     }
 
-    /// The paper's production assumption: inner 10 Gb/s, cross 1 Gb/s (§1).
-    pub fn production_default(racks: usize) -> BandwidthProfile {
-        BandwidthProfile::uniform(racks, 10.0 * GBIT, GBIT)
-    }
-
     /// An arbitrary symmetric rack-pair rate matrix (bytes/sec).
     ///
     /// # Panics
@@ -222,13 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn simics_and_production_defaults_are_ten_to_one() {
-        for p in [
-            BandwidthProfile::simics_default(4),
-            BandwidthProfile::production_default(4),
-        ] {
-            assert!((p.cross_to_inner_ratio() - 10.0).abs() < 1e-9);
-        }
+    fn simics_default_is_ten_to_one() {
+        let p = BandwidthProfile::simics_default(4);
+        assert!((p.cross_to_inner_ratio() - 10.0).abs() < 1e-9);
         assert_eq!(
             BandwidthProfile::simics_default(2).rate(RackId(0), RackId(0)),
             GBIT

@@ -83,7 +83,7 @@ fn main() {
         throttled.upload_imbalance,
     );
     println!(
-        "\nEvery repair contends for the same links (simulate_batch); the \
+        "\nEvery repair contends for the same links (one simulator per wave); the \
          single-stripe gains of\nRPR compound because partial decoding also \
          removes the per-stripe recovery bottleneck."
     );

@@ -36,7 +36,10 @@
 #      timed out), produce byte-identical traces and proof ledgers
 #      across two same-seed runs, and `rpr audit` must verify the
 #      captured ledger against the trace offline and localize the
-#      dishonest hop (docs/ROBUSTNESS.md, "The proof plane")
+#      dishonest hop (docs/ROBUSTNESS.md, "The proof plane"); the same
+#      storm on the real-bytes backend (`--backend exec --block-mib 4`)
+#      must verify with one accusation, and `rpr audit` of its trace and
+#      ledger must localize the dishonest hop too
 #  10. fleet soak: the fleet scheduler (`rpr fleet`, 10k stripes) must
 #      drain a 10k-stripe backlog per seed and emit byte-identical JSON
 #      summaries across two same-seed runs with zero arbiter
@@ -278,6 +281,26 @@ for seed in 21 77; do
     fi
     echo "==> byzantine storm for seed $seed: convicted, deterministic, audited offline"
 done
+# The executor builds its proofs with the same builder and convicts by the
+# same rule over keyed hashes of real bytes: its ledger must audit alike.
+echo "==> $RPR chaos --backend exec --block-mib 4 --code 6,3 --fail d1 --storm lie --proof mandatory"
+"$RPR" chaos --backend exec --block-mib 4 --code 6,3 --fail d1 --storm lie \
+    --proof mandatory --json --out "$CHAOS_DIR/lie_exec.jsonl" \
+    --ledger-out "$CHAOS_DIR/lie_exec.ledger.jsonl" > "$CHAOS_DIR/lie_exec.json" 2>/dev/null
+for want in '"accusations":1' '"verified":true'; do
+    if ! grep -q "$want" "$CHAOS_DIR/lie_exec.json"; then
+        echo "byzantine soak FAILED: exec lie storm summary lacks $want" >&2
+        exit 1
+    fi
+done
+if ! "$RPR" audit --trace "$CHAOS_DIR/lie_exec.jsonl" \
+        --ledger "$CHAOS_DIR/lie_exec.ledger.jsonl" --json \
+        > "$CHAOS_DIR/lie_exec_audit.json" 2>/dev/null ||
+    ! grep -q '"verdict":"dishonesty-localized"' "$CHAOS_DIR/lie_exec_audit.json"; then
+    echo "byzantine soak FAILED: the exec ledger did not audit to a localized liar" >&2
+    exit 1
+fi
+echo "==> byzantine storm on real bytes: convicted, verified, audited offline"
 
 # Step 10: the fleet scheduler must drain a bounded 10k-stripe backlog to
 # completion and do so bit-deterministically — two same-seed runs of

@@ -410,3 +410,76 @@ fn exec_pool_reserves_carry_provenance_back_to_the_liar() {
         assert_eq!(out.ledger.entries[i].proof.node, liar, "entry {i} blames the wrong node");
     }
 }
+
+#[test]
+fn chained_lies_are_accused_alike_on_both_backends_and_by_the_audit() {
+    // Two lies in one Mandatory generation, at seeds where the second
+    // liar forwards or folds the first liar's output. Its input is already
+    // wrong, so nothing it holds shows that it lied too: the executor,
+    // the simulator and the offline audit of either ledger all convict
+    // the first liar alone.
+    let cfg = SuperviseConfig {
+        policy: fast_policy(),
+        proof: ProofMode::Mandatory,
+        ..SuperviseConfig::default()
+    };
+    let localized = |ledger: &rpr_proof::ProofLedger| {
+        let audit = ledger.audit();
+        let mut nodes: Vec<usize> = audit
+            .dishonest
+            .iter()
+            .map(|&i| ledger.entries[i].proof.node)
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes.len()
+    };
+    for ((n, k), seed) in [((6, 3), 6), ((8, 4), 0)] {
+        let mut world = World::new(n, k, 64 << 10);
+        world.profile = BandwidthProfile::uniform(world.topo.rack_count(), 4.0e9, 4.0e9);
+        let ctx = world.ctx(vec![BlockId(1)]);
+        let storm = FaultStorm::new(seed).with_generation(vec![StormFault::Lie, StormFault::Lie]);
+        let sim = supervise_injected(
+            &ctx,
+            &storm,
+            &cfg,
+            &mut HealthTracker::with_defaults(),
+            rpr::obs::noop(),
+        )
+        .expect("sim completes");
+        let exec = execute_supervised(
+            &ctx,
+            &world.stripe(),
+            rpr::obs::noop(),
+            &storm,
+            &cfg,
+            &mut HealthTracker::with_defaults(),
+        )
+        .expect("exec completes");
+        let case = format!("({n},{k}) seed {seed}: {:?}", sim.fault_sites);
+        assert!(exec.report.verified, "{case}");
+        assert_eq!(exec.fault_sites, sim.fault_sites, "{case}");
+        let liars: std::collections::BTreeSet<_> = sim
+            .fault_sites
+            .iter()
+            .filter_map(|s| s.strip_prefix("lie "))
+            .map(|s| s.rsplit("node ").next())
+            .collect();
+        assert_eq!(liars.len(), 2, "two different helpers lie: {case}");
+        assert_eq!(sim.accusations, exec.accusations, "{case}");
+        assert_eq!(
+            sim.accusations,
+            localized(&sim.ledger),
+            "sim vs its audit, {case}"
+        );
+        assert_eq!(
+            exec.accusations,
+            localized(&exec.ledger),
+            "exec vs its audit, {case}"
+        );
+        assert_eq!(
+            sim.accusations, 1,
+            "only the first liar is provable, {case}"
+        );
+    }
+}
