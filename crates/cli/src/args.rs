@@ -760,7 +760,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     let storm = match verb.as_str() {
                         // `inject` is `chaos` with a one-fault storm.
                         "inject" => {
-                            vec![ChaosFault::from_name(flags.get("--fault").unwrap_or("crash"))?]
+                            vec![ChaosFault::from_name(
+                                flags.get("--fault").unwrap_or("crash"),
+                            )?]
                         }
                         _ => parse_storm(
                             flags
@@ -1037,8 +1039,14 @@ mod tests {
                 json: true,
             })
         );
-        assert!(parse(&argv("audit --ledger l.jsonl")).is_err(), "missing --trace");
-        assert!(parse(&argv("audit --trace t.jsonl")).is_err(), "missing --ledger");
+        assert!(
+            parse(&argv("audit --ledger l.jsonl")).is_err(),
+            "missing --trace"
+        );
+        assert!(
+            parse(&argv("audit --trace t.jsonl")).is_err(),
+            "missing --ledger"
+        );
     }
 
     #[test]
@@ -1104,7 +1112,10 @@ mod tests {
     #[test]
     fn parse_fleet_rejects_bad_input() {
         assert!(parse(&argv("fleet --stripes 0")).is_err());
-        assert!(parse(&argv("fleet --racks 2")).is_err(), "fewer than q racks");
+        assert!(
+            parse(&argv("fleet --racks 2")).is_err(),
+            "fewer than q racks"
+        );
         assert!(
             parse(&argv("fleet --code 4,2 --nodes-per-rack 2")).is_err(),
             "no spare node beyond k blocks"

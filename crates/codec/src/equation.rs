@@ -193,7 +193,6 @@ mod tests {
         assert_eq!(direct.gf_mults(), 2, "coefficient 1 must not count");
     }
 
-
     #[test]
     #[should_panic(expected = "zero coefficient")]
     fn fold_rejects_zero_coefficient() {

@@ -437,7 +437,14 @@ pub fn cross_pipeline(
         }
         let (done, s_idx, r_idx) = best.expect("pending equations always admit a merge");
         merge_items(
-            b, &mut items, &mut link_free, done, s_idx, r_idx, sink_rack, sink_node,
+            b,
+            &mut items,
+            &mut link_free,
+            done,
+            s_idx,
+            r_idx,
+            sink_rack,
+            sink_node,
         );
     }
 
@@ -536,8 +543,8 @@ fn chain_equations(
 
         // Final hop into the sink: fold into the sink rack's own item if
         // this equation has one, the bare sink node otherwise.
-        let sink_item = (0..items.len())
-            .find(|&i| items[i].eq == e && items[i].rack == sink_rack && i != acc);
+        let sink_item =
+            (0..items.len()).find(|&i| items[i].eq == e && items[i].rack == sink_rack && i != acc);
         let start = match sink_item {
             Some(r) => items[acc]
                 .ready

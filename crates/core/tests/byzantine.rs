@@ -75,14 +75,26 @@ fn mandatory_mode_convicts_the_liar_on_evidence_not_timeout() {
     let fx = Fx::new(6, 3);
     let mut tracker = HealthTracker::new(0.5, 0.4, 100);
     let rec = TraceRecorder::default();
-    let out = supervise_injected(&fx.ctx(), &lie_storm(9), &cfg(ProofMode::Mandatory), &mut tracker, &rec)
-        .expect("mandatory repair completes past the liar");
+    let out = supervise_injected(
+        &fx.ctx(),
+        &lie_storm(9),
+        &cfg(ProofMode::Mandatory),
+        &mut tracker,
+        &rec,
+    )
+    .expect("mandatory repair completes past the liar");
 
     let liar = liar_node(&out);
     assert!(out.proofs_emitted > 0);
-    assert!(out.proofs_rejected > 0, "the lie must fail proof verification");
+    assert!(
+        out.proofs_rejected > 0,
+        "the lie must fail proof verification"
+    );
     assert_eq!(out.accusations, 1, "exactly one helper convicted");
-    assert_eq!(out.retries, 0, "valid checksums: transport never retries a lie");
+    assert_eq!(
+        out.retries, 0,
+        "valid checksums: transport never retries a lie"
+    );
     assert_eq!(out.replans, 1, "conviction forces one replan");
     assert!(
         tracker.is_quarantined(liar),
@@ -295,8 +307,8 @@ fn pool_reserves_carry_provenance_and_audit_clean() {
             );
         }
         // The ledger round-trips through JSON with provenance intact.
-        let reparsed = rpr_proof::ProofLedger::parse(&out.ledger.to_json_lines())
-            .expect("ledger reparses");
+        let reparsed =
+            rpr_proof::ProofLedger::parse(&out.ledger.to_json_lines()).expect("ledger reparses");
         assert_eq!(reparsed, out.ledger);
     }
     assert!(reserves_seen > 0, "no seed re-served a banked partial");

@@ -125,7 +125,10 @@ pub fn fleet(fast: bool) {
     let mut rows = Vec::new();
     for (label, storm) in [
         ("clean", vec![]),
-        ("crash/stripe", vec![vec![StormFault::Crash(CrashSite::SeedPick)]]),
+        (
+            "crash/stripe",
+            vec![vec![StormFault::Crash(CrashSite::SeedPick)]],
+        ),
         (
             "crash+replacement",
             vec![

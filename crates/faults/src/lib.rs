@@ -630,11 +630,7 @@ impl HealthTracker {
 
     /// True while `node` is quarantined (helper re-selection avoids it).
     pub fn is_quarantined(&self, node: usize) -> bool {
-        self.quarantined_at
-            .get(node)
-            .copied()
-            .flatten()
-            .is_some()
+        self.quarantined_at.get(node).copied().flatten().is_some()
     }
 
     /// Sorted list of currently quarantined nodes.
@@ -839,12 +835,18 @@ mod tests {
     #[test]
     fn fault_storm_builder_counts_faults() {
         let storm = FaultStorm::new(3)
-            .with_generation(vec![StormFault::Timeout, StormFault::Crash(CrashSite::SeedPick)])
+            .with_generation(vec![
+                StormFault::Timeout,
+                StormFault::Crash(CrashSite::SeedPick),
+            ])
             .with_generation(vec![StormFault::Crash(CrashSite::NewHelper)]);
         assert_eq!(storm.fault_count(), 3);
         assert!(!storm.is_empty());
         assert!(FaultStorm::new(0).is_empty());
-        assert_eq!(StormFault::Crash(CrashSite::NewHelper).name(), "replacement-crash");
+        assert_eq!(
+            StormFault::Crash(CrashSite::NewHelper).name(),
+            "replacement-crash"
+        );
         assert_eq!(StormFault::Timeout.name(), "timeout");
         assert_eq!(StormFault::Lie.name(), "lie");
     }

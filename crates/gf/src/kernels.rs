@@ -123,7 +123,9 @@ fn detect() -> KernelTier {
     if force_scalar() {
         return KernelTier::Scalar;
     }
-    *available_tiers().last().expect("scalar is always available")
+    *available_tiers()
+        .last()
+        .expect("scalar is always available")
 }
 
 /// The kernel tier the dispatcher is using, detecting (and caching) it on
@@ -434,8 +436,7 @@ mod x86 {
             unsafe {
                 let s = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
                 let lo = _mm256_shuffle_epi8(lo_t, _mm256_and_si256(s, mask));
-                let hi =
-                    _mm256_shuffle_epi8(hi_t, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
+                let hi = _mm256_shuffle_epi8(hi_t, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
                 let mut prod = _mm256_xor_si256(lo, hi);
                 let d = dst.as_mut_ptr().add(i) as *mut __m256i;
                 if ACC {

@@ -596,8 +596,7 @@ mod tests {
         let rows: [&[u8]; 3] = [&[1, 1, 1, 1], &[3, 0, 7, 200], &[0, 0, 0, 5]];
         let mut outs: Vec<Vec<u8>> = vec![vec![0xEE; len]; 3];
         {
-            let mut out_refs: Vec<&mut [u8]> =
-                outs.iter_mut().map(|o| o.as_mut_slice()).collect();
+            let mut out_refs: Vec<&mut [u8]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
             lin_comb_multi(&rows, &refs, &mut out_refs);
         }
         for (r, row) in rows.iter().enumerate() {

@@ -41,7 +41,8 @@ impl Job {
     /// True when this job is waiting only on the clock (deps done, retry
     /// backoff not yet elapsed).
     fn runnable(&self, jobs: &[Job]) -> bool {
-        self.state == JobState::Pending && self.deps.iter().all(|d| jobs[d.0].state == JobState::Done)
+        self.state == JobState::Pending
+            && self.deps.iter().all(|d| jobs[d.0].state == JobState::Done)
     }
 }
 
@@ -502,9 +503,7 @@ impl Simulator {
                 let failing = {
                     let job = &self.jobs[i];
                     match job.fails.get(job.next_fail) {
-                        Some(spec) => {
-                            job.total - job.remaining >= spec.fraction * job.total - tol
-                        }
+                        Some(spec) => job.total - job.remaining >= spec.fraction * job.total - tol,
                         None => false,
                     }
                 };
@@ -772,7 +771,11 @@ mod tests {
         let a = sim.transfer("a", NodeId(0), NodeId(1), 100, &[]);
         sim.release_at(a, 7.0);
         let r = sim.run();
-        assert!((r.records[a.0].start - 7.0).abs() < 1e-9, "{}", r.records[a.0].start);
+        assert!(
+            (r.records[a.0].start - 7.0).abs() < 1e-9,
+            "{}",
+            r.records[a.0].start
+        );
         assert!((r.makespan - 8.0).abs() < 1e-6);
     }
 
@@ -940,7 +943,9 @@ mod tests {
             other => panic!("expected queued first, got {other:?}"),
         }
         match events.last().unwrap() {
-            Event::CombineDone { node, rack, end, .. } => {
+            Event::CombineDone {
+                node, rack, end, ..
+            } => {
                 assert_eq!((*node, *rack), (2, 1));
                 assert!((end - 16.0).abs() < 1e-6);
             }
@@ -1053,7 +1058,11 @@ mod tests {
         let b = sim.transfer("b", NodeId(2), NodeId(3), 1000, &[]);
         let r = sim.run();
         // Node 0 uplink halved to 50 B/s → 20 s; node 2 untouched → 10 s.
-        assert!((r.record(a).finish - 20.0).abs() < 1e-6, "{}", r.record(a).finish);
+        assert!(
+            (r.record(a).finish - 20.0).abs() < 1e-6,
+            "{}",
+            r.record(a).finish
+        );
         assert!((r.record(b).finish - 10.0).abs() < 1e-6);
     }
 

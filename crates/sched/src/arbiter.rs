@@ -281,7 +281,10 @@ impl BandwidthArbiter {
             }
         }
         self.in_flight += 1;
-        *self.outstanding.entry(Self::fingerprint(demand)).or_insert(0) += 1;
+        *self
+            .outstanding
+            .entry(Self::fingerprint(demand))
+            .or_insert(0) += 1;
         true
     }
 
@@ -385,8 +388,12 @@ pub fn plan_demand(plan: &RepairPlan, topo: &Topology, net: &Network) -> Demand 
             continue;
         };
         let rate = net.pair_rate(*from, *to);
-        *load.entry((w, BandwidthArbiter::uplink(from.0))).or_insert(0.0) += rate;
-        *load.entry((w, BandwidthArbiter::downlink(to.0))).or_insert(0.0) += rate;
+        *load
+            .entry((w, BandwidthArbiter::uplink(from.0)))
+            .or_insert(0.0) += rate;
+        *load
+            .entry((w, BandwidthArbiter::downlink(to.0)))
+            .or_insert(0.0) += rate;
         agg[w] += rate;
     }
     let mut peak: BTreeMap<u32, f64> = BTreeMap::new();
@@ -487,11 +494,8 @@ mod tests {
 
     #[test]
     fn agg_capacity_is_arbitrated_when_finite() {
-        let network = Network::new(
-            Topology::uniform(3, 2),
-            BandwidthProfile::simics_default(3),
-        )
-        .with_agg_capacity(0.15 * GBIT);
+        let network = Network::new(Topology::uniform(3, 2), BandwidthProfile::simics_default(3))
+            .with_agg_capacity(0.15 * GBIT);
         let mut arb = BandwidthArbiter::new(&network);
         let d = Demand {
             entries: vec![(BandwidthArbiter::agg(6), 0.1 * GBIT)],

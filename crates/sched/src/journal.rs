@@ -448,7 +448,10 @@ mod tests {
 
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
-        p.push(format!("rpr-journal-test-{}-{name}.jsonl", std::process::id()));
+        p.push(format!(
+            "rpr-journal-test-{}-{name}.jsonl",
+            std::process::id()
+        ));
         p
     }
 
@@ -513,7 +516,10 @@ mod tests {
         let bad = "{\"journal\":\"rpr-fleet\",\"version\":1,\"seed\":1,\"stripes\":2}\n\
                    {\"rec\":\"garbage\"}\n\
                    {\"rec\":\"enqueue\",\"stripe\":0,\"level\":1,\"t\":0}\n";
-        assert!(JournalReplay::parse(bad).is_err(), "corrupt middle rejected");
+        assert!(
+            JournalReplay::parse(bad).is_err(),
+            "corrupt middle rejected"
+        );
 
         assert!(JournalReplay::parse("").is_err());
         assert!(JournalReplay::parse("{\"journal\":\"other\"}").is_err());

@@ -959,7 +959,10 @@ mod tests {
         let a = schedule_fleet(&jobs, &mut |_| Demand::default(), &mut arb1, &NoopRecorder);
         let b = schedule_fleet(&jobs, &mut |_| Demand::default(), &mut arb2, &NoopRecorder);
         assert_eq!(a.summary.to_json(), b.summary.to_json());
-        assert!(a.summary.to_json().starts_with("{\"stripes\":1,\"repaired\":1,"));
+        assert!(a
+            .summary
+            .to_json()
+            .starts_with("{\"stripes\":1,\"repaired\":1,"));
         // Churn counters are surfaced last so the established field
         // order stays a stable prefix.
         assert!(a.summary.to_json().ends_with(",\"churn_failures\":0}"));

@@ -42,7 +42,7 @@ mod recovery;
 mod store;
 
 pub use recovery::{
-    Failure, FleetRecoveryOptions, FleetRecoveryOutcome, RecoveryOptions,
-    RecoveryOutcome, Scheme, SupervisedRecoveryOptions, SupervisedRecoveryOutcome,
+    Failure, FleetRecoveryOptions, FleetRecoveryOutcome, RecoveryOptions, RecoveryOutcome, Scheme,
+    SupervisedRecoveryOptions, SupervisedRecoveryOutcome,
 };
 pub use store::{Store, StoreConfig};

@@ -11,8 +11,8 @@ use rpr_core::{
 };
 use rpr_faults::{HealthTracker, StormFault};
 use rpr_netsim::{JobId, Network, Simulator};
-use rpr_proof::ProofLedger;
 use rpr_obs::Recorder;
+use rpr_proof::ProofLedger;
 use rpr_sched::{
     cost_repair, schedule_fleet, stripe_demand, stripe_storm, BandwidthArbiter, Demand, FleetJob,
     FleetSummary, RepairTally, StripeRecord,
@@ -883,7 +883,10 @@ mod tests {
         };
         let out = s.recover_supervised(Failure::Node(NodeId(2)), &p, CostModel::free(), &opts);
         assert!(out.stripes_affected > 0);
-        assert_eq!(out.completed, out.stripes_affected, "crash storms are survivable");
+        assert_eq!(
+            out.completed, out.stripes_affected,
+            "crash storms are survivable"
+        );
         assert_eq!(out.stripe_seconds.len(), out.completed);
         assert!(
             out.tally.replans >= out.completed,
@@ -934,7 +937,13 @@ mod tests {
         let s = small_store();
         let p = profile(&s);
         let opts = FleetRecoveryOptions::default();
-        let out = s.recover_fleet(Failure::Node(NodeId(2)), &p, CostModel::free(), &opts, rpr_obs::noop());
+        let out = s.recover_fleet(
+            Failure::Node(NodeId(2)),
+            &p,
+            CostModel::free(),
+            &opts,
+            rpr_obs::noop(),
+        );
         let affected = s.affected_stripes(Failure::Node(NodeId(2)));
         assert_eq!(out.stripes_affected, affected.len());
         assert_eq!(out.unrepairable, 0);
@@ -945,10 +954,18 @@ mod tests {
             assert_eq!(rec.level, failed.len());
             assert!(rec.finish > rec.admitted);
         }
-        assert!(out.max_utilization <= 1.0 + 1e-6, "arbiter never oversubscribes");
+        assert!(
+            out.max_utilization <= 1.0 + 1e-6,
+            "arbiter never oversubscribes"
+        );
         // Determinism: a replay is bit-identical.
-        let again =
-            s.recover_fleet(Failure::Node(NodeId(2)), &p, CostModel::free(), &opts, rpr_obs::noop());
+        let again = s.recover_fleet(
+            Failure::Node(NodeId(2)),
+            &p,
+            CostModel::free(),
+            &opts,
+            rpr_obs::noop(),
+        );
         assert_eq!(out.records, again.records);
         assert_eq!(out.summary.to_json(), again.summary.to_json());
     }
@@ -986,7 +1003,12 @@ mod tests {
             assert_eq!(b.waited, 0.0);
             // Contention only delays starts; stand-alone durations match.
             let da = a.finish - a.admitted;
-            assert!((da - b.finish).abs() < 1e-12, "stripe {}: {da} vs {}", a.stripe, b.finish);
+            assert!(
+                (da - b.finish).abs() < 1e-12,
+                "stripe {}: {da} vs {}",
+                a.stripe,
+                b.finish
+            );
         }
         assert!(arbitrated.summary.makespan >= free.summary.makespan - 1e-12);
     }
@@ -1001,8 +1023,13 @@ mod tests {
             seed: 7,
             ..FleetRecoveryOptions::default()
         };
-        let out =
-            s.recover_fleet(Failure::Node(NodeId(2)), &p, CostModel::free(), &opts, rpr_obs::noop());
+        let out = s.recover_fleet(
+            Failure::Node(NodeId(2)),
+            &p,
+            CostModel::free(),
+            &opts,
+            rpr_obs::noop(),
+        );
         assert!(out.stripes_affected > 0);
         assert_eq!(out.unrepairable, 0, "crash storms are survivable");
         assert_eq!(out.summary.repaired, out.stripes_affected);
@@ -1028,10 +1055,22 @@ mod tests {
         };
         let out = s.recover_supervised(Failure::Node(NodeId(2)), &p, CostModel::free(), &opts);
         assert!(out.stripes_affected > 0);
-        assert_eq!(out.completed, out.stripes_affected, "lie storms are survivable");
-        assert!(out.tally.proofs_emitted > 0, "mandatory mode records proofs");
-        assert!(out.tally.proofs_rejected > 0, "every stripe's lie is caught");
-        assert!(out.tally.accusations > 0, "liars are convicted, not timed out");
+        assert_eq!(
+            out.completed, out.stripes_affected,
+            "lie storms are survivable"
+        );
+        assert!(
+            out.tally.proofs_emitted > 0,
+            "mandatory mode records proofs"
+        );
+        assert!(
+            out.tally.proofs_rejected > 0,
+            "every stripe's lie is caught"
+        );
+        assert!(
+            out.tally.accusations > 0,
+            "liars are convicted, not timed out"
+        );
         assert_eq!(out.ledgers.len(), out.completed, "one ledger per stripe");
         for (stripe, ledger) in &out.ledgers {
             let report = ledger.audit();
@@ -1065,11 +1104,19 @@ mod tests {
             },
             ..FleetRecoveryOptions::default()
         };
-        let out =
-            s.recover_fleet(Failure::Node(NodeId(2)), &p, CostModel::free(), &opts, rpr_obs::noop());
+        let out = s.recover_fleet(
+            Failure::Node(NodeId(2)),
+            &p,
+            CostModel::free(),
+            &opts,
+            rpr_obs::noop(),
+        );
         assert_eq!(out.unrepairable, 0, "lie storms are survivable");
         assert!(out.tally.proofs_emitted > 0);
-        assert!(out.tally.accusations > 0, "liars are convicted across the fleet");
+        assert!(
+            out.tally.accusations > 0,
+            "liars are convicted across the fleet"
+        );
         assert_eq!(out.ledgers.len(), out.summary.repaired);
     }
 

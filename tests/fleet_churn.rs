@@ -160,7 +160,10 @@ fn resume_from_a_truncated_journal_is_bit_identical() {
 
     let dir = std::env::temp_dir();
     let full = dir.join(format!("rpr-churn-journal-{}.jsonl", std::process::id()));
-    let cut = dir.join(format!("rpr-churn-journal-cut-{}.jsonl", std::process::id()));
+    let cut = dir.join(format!(
+        "rpr-churn-journal-cut-{}.jsonl",
+        std::process::id()
+    ));
 
     let clean = journaled_run(&spec, &full);
     assert!(clean.summary.lost > 0, "churn must cost the fleet stripes");

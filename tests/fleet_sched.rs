@@ -143,12 +143,7 @@ fn randomized_backlog_conserves_reservations() {
             }
         })
         .collect();
-    let out = schedule_fleet(
-        &jobs,
-        &mut |i| demands[i].clone(),
-        &mut arb,
-        &NoopRecorder,
-    );
+    let out = schedule_fleet(&jobs, &mut |i| demands[i].clone(), &mut arb, &NoopRecorder);
     assert_eq!(out.records.len(), jobs.len(), "total repaired == enqueued");
     assert!(
         arb.total_reserved().abs() < 1e-6,

@@ -80,8 +80,7 @@ fn cross_waves_keep_racks_exclusive_on_random_cases() {
 
         // 1. Exactly the cross sends carry a wave tag.
         for (i, op) in plan.ops.iter().enumerate() {
-            let is_cross =
-                matches!(op, Op::Send { from, to, .. } if !w.topo.same_rack(*from, *to));
+            let is_cross = matches!(op, Op::Send { from, to, .. } if !w.topo.same_rack(*from, *to));
             assert_eq!(waves[i].is_some(), is_cross, "{tag}: op {i}");
         }
 
@@ -117,7 +116,11 @@ fn cross_waves_keep_racks_exclusive_on_random_cases() {
             let Some(wi) = waves[i] else { continue };
             for d in plan.deps_of(i) {
                 if let Some(wd) = waves[d.0] {
-                    assert!(wd < wi, "{tag}: op {i} (wave {wi}) depends on {} (wave {wd})", d.0);
+                    assert!(
+                        wd < wi,
+                        "{tag}: op {i} (wave {wi}) depends on {} (wave {wd})",
+                        d.0
+                    );
                 }
             }
         }
@@ -125,7 +128,10 @@ fn cross_waves_keep_racks_exclusive_on_random_cases() {
         // 5. The schedule can never beat the binary-merge lower bound,
         //    and single-failure plans meet it exactly (§3.2).
         let s = waves.iter().flatten().count();
-        assert!(count >= ceil_log2(s + 1), "{tag}: {count} waves for {s} sends");
+        assert!(
+            count >= ceil_log2(s + 1),
+            "{tag}: {count} waves for {s} sends"
+        );
         if failed.len() == 1 {
             assert_eq!(count, ceil_log2(s + 1), "{tag}: single failure is optimal");
         }

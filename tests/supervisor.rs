@@ -18,8 +18,8 @@ use rpr::core::{
     plan_with_pool, supervise_injected, CostModel, RepairContext, RepairPlanner, RprPlanner,
     SuperviseConfig, Tier,
 };
-use rpr::faults::{ChaosProcess, CrashSite, FaultStorm, HealthTracker, RetryPolicy, StormFault};
 use rpr::exec::execute_supervised;
+use rpr::faults::{ChaosProcess, CrashSite, FaultStorm, HealthTracker, RetryPolicy, StormFault};
 use rpr::obs::{export, Event, TraceRecorder};
 use rpr::topology::{cluster_for, BandwidthProfile, Placement, RackId};
 use rpr_proof::{ProofMode, ProofSource};
@@ -151,7 +151,10 @@ fn identical_seed_replays_bit_deterministically() {
             let mut tracker = HealthTracker::with_defaults();
             let outcome =
                 supervise_injected(&ctx, storm, &cfg, &mut tracker, &rec).expect("completes");
-            (outcome.repair_time, export::to_json_lines(&rec.take_events()))
+            (
+                outcome.repair_time,
+                export::to_json_lines(&rec.take_events()),
+            )
         };
         let (t1, trace1) = run(&storm);
         let (t2, trace2) = run(&storm);
@@ -288,7 +291,11 @@ fn generation_1_cross_sends(events: &[Event], slow: usize) -> (Vec<f64>, Vec<f64
     for e in events {
         if let Event::TransferDone { xfer, start, end } = e {
             if xfer.cross && xfer.label.starts_with("p1op") {
-                let side = if xfer.src_node == slow { &mut sends.0 } else { &mut sends.1 };
+                let side = if xfer.src_node == slow {
+                    &mut sends.0
+                } else {
+                    &mut sends.1
+                };
                 side.push(end - start);
             }
         }
@@ -312,18 +319,36 @@ fn slow_links_stay_slow_across_a_replan_on_both_backends() {
         ..SuperviseConfig::default()
     };
     let slow_node = |sites: &[String]| -> usize {
-        let site = sites.iter().find(|s| s.starts_with("slow node ")).expect("slow resolved");
-        site.split_whitespace().nth(2).and_then(|n| n.parse().ok()).expect("node index")
+        let site = sites
+            .iter()
+            .find(|s| s.starts_with("slow node "))
+            .expect("slow resolved");
+        site.split_whitespace()
+            .nth(2)
+            .and_then(|n| n.parse().ok())
+            .expect("node index")
     };
 
     // On the virtual clock durations are exact: compare against a peer.
     let ctx = world.ctx(vec![BlockId(1)]);
     let rec = TraceRecorder::with_capacity(16384);
-    let sim = supervise_injected(&ctx, &storm, &cfg, &mut HealthTracker::with_defaults(), &rec)
-        .expect("sim completes");
+    let sim = supervise_injected(
+        &ctx,
+        &storm,
+        &cfg,
+        &mut HealthTracker::with_defaults(),
+        &rec,
+    )
+    .expect("sim completes");
     let (slow, peers) = generation_1_cross_sends(&rec.take_events(), slow_node(&sim.fault_sites));
-    assert!(!slow.is_empty(), "sim: the derated helper must serve generation 1");
-    assert!(!peers.is_empty(), "sim: generation 1 needs a full-rate peer");
+    assert!(
+        !slow.is_empty(),
+        "sim: the derated helper must serve generation 1"
+    );
+    assert!(
+        !peers.is_empty(),
+        "sim: generation 1 needs a full-rate peer"
+    );
     let fastest_slow = slow.iter().copied().fold(f64::INFINITY, f64::min);
     let slowest_peer = peers.iter().copied().fold(0.0, f64::max);
     assert!(
@@ -340,12 +365,25 @@ fn slow_links_stay_slow_across_a_replan_on_both_backends() {
     // full-rate link undercuts this floor; scheduler noise only exceeds it.
     let stripe = world.stripe();
     let rec = TraceRecorder::with_capacity(16384);
-    let exec = execute_supervised(&ctx, &stripe, &rec, &storm, &cfg, &mut HealthTracker::with_defaults())
-        .expect("exec completes");
+    let exec = execute_supervised(
+        &ctx,
+        &stripe,
+        &rec,
+        &storm,
+        &cfg,
+        &mut HealthTracker::with_defaults(),
+    )
+    .expect("exec completes");
     assert!(exec.report.verified);
-    assert_eq!(exec.fault_sites, sim.fault_sites, "both backends resolve the same sites");
+    assert_eq!(
+        exec.fault_sites, sim.fault_sites,
+        "both backends resolve the same sites"
+    );
     let (slow, _) = generation_1_cross_sends(&rec.take_events(), slow_node(&exec.fault_sites));
-    assert!(!slow.is_empty(), "exec: the derated helper must serve generation 1");
+    assert!(
+        !slow.is_empty(),
+        "exec: the derated helper must serve generation 1"
+    );
     let rate = 0.25 * world.profile.rate(RackId(0), RackId(1));
     let granule = (64 << 10) as f64;
     let held = rpr::exec::TokenBucket::new(rate).burst().max(granule);
@@ -374,11 +412,20 @@ fn exec_pool_reserves_carry_provenance_back_to_the_liar() {
     };
     let stripe = world.stripe();
     let ctx = world.ctx(vec![BlockId(1)]);
-    let storm = FaultStorm::new(0)
-        .with_generation(vec![StormFault::Lie, StormFault::Crash(CrashSite::SeedPick)]);
+    let storm = FaultStorm::new(0).with_generation(vec![
+        StormFault::Lie,
+        StormFault::Crash(CrashSite::SeedPick),
+    ]);
     let rec = rpr::obs::noop();
-    let out = execute_supervised(&ctx, &stripe, rec, &storm, &cfg, &mut HealthTracker::with_defaults())
-        .expect("advisory repair completes");
+    let out = execute_supervised(
+        &ctx,
+        &stripe,
+        rec,
+        &storm,
+        &cfg,
+        &mut HealthTracker::with_defaults(),
+    )
+    .expect("advisory repair completes");
     assert_eq!(out.accusations, 0, "Advisory never accuses online");
 
     let liar: usize = out
@@ -394,20 +441,32 @@ fn exec_pool_reserves_carry_provenance_back_to_the_liar() {
         .iter()
         .filter(|e| e.proof.algorithm == "pool" && !e.proof.honest_output())
         .collect();
-    assert!(!tainted_reserves.is_empty(), "a tainted partial must be re-served");
+    assert!(
+        !tainted_reserves.is_empty(),
+        "a tainted partial must be re-served"
+    );
     for e in &tainted_reserves {
         assert_ne!(e.proof.node, liar, "the pool host is not the liar");
         assert!(
-            matches!(e.proof.inputs[..], [(ProofSource::Pooled { gen: 0, .. }, _)]),
+            matches!(
+                e.proof.inputs[..],
+                [(ProofSource::Pooled { gen: 0, .. }, _)]
+            ),
             "re-serve names its generation-0 producer: {:?}",
             e.proof.inputs
         );
     }
     let audit = out.ledger.audit();
-    assert!(audit.wire_failures.is_empty(), "every provenance edge resolves");
+    assert!(
+        audit.wire_failures.is_empty(),
+        "every provenance edge resolves"
+    );
     assert!(!audit.dishonest.is_empty(), "the lie is localized");
     for &i in &audit.dishonest {
-        assert_eq!(out.ledger.entries[i].proof.node, liar, "entry {i} blames the wrong node");
+        assert_eq!(
+            out.ledger.entries[i].proof.node, liar,
+            "entry {i} blames the wrong node"
+        );
     }
 }
 

@@ -29,7 +29,8 @@ fn traced_repair(n: usize, k: usize) -> Vec<Event> {
         CostModel::simics().scaled_for_block(64 << 20),
     );
     let plan = RprPlanner::new().plan(&ctx);
-    plan.validate(&codec, &topo, &placement).expect("valid plan");
+    plan.validate(&codec, &topo, &placement)
+        .expect("valid plan");
     let rec = TraceRecorder::default();
     simulate_traced(&plan, &ctx, &rec);
     rec.take_events()
@@ -133,7 +134,8 @@ fn rpr_8_4_z2_trace_pins_per_subequation_waves() {
         CostModel::simics().scaled_for_block(64 << 20),
     );
     let plan = RprPlanner::new().plan(&ctx);
-    plan.validate(&codec, &topo, &placement).expect("valid plan");
+    plan.validate(&codec, &topo, &placement)
+        .expect("valid plan");
     assert_eq!(plan.outputs.len(), 2, "one sub-equation per failed block");
 
     // Map every op to its sub-equation by walking dependencies backwards
