@@ -50,7 +50,4 @@ pub use supervise::{
     PoolReplan, RepairBackend, ResolvedFaults, SimBackend, Splice, SuperviseConfig, SuperviseError,
     SuperviseOutcome, Tier,
 };
-pub use trace::{
-    combine_kernel, op_label, plan_built, record_wave_spans, send_transfer, simulate_traced,
-    stream_summary,
-};
+pub use trace::{combine_kernel, op_label, send_transfer, simulate_traced, stream_summary};

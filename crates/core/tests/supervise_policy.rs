@@ -154,6 +154,7 @@ fn run(
     let out = supervise(
         &mut backend,
         &ctx,
+        None,
         &storm,
         cfg,
         &mut tracker,

@@ -6,6 +6,8 @@
 #               CARGO_NET_OFFLINE=true); required in registry-less builds.
 #
 # Steps:
+#   0. cargo fmt --all --check (formatting; `benchmark/` is a workspace
+#      of its own and is not checked)
 #   1. cargo build --release --workspace
 #   2. cargo build --release --examples
 #   3. cargo test -q --workspace
@@ -106,6 +108,7 @@ run() {
     "$@"
 }
 
+run cargo fmt --all --check
 run cargo build $OFFLINE --release --workspace
 run cargo build $OFFLINE --release --examples
 run cargo test $OFFLINE -q --workspace

@@ -93,8 +93,8 @@ fn sim_digest(n: usize, k: usize, failed: &[usize], scheme: &str, chunked: bool)
     text.push_str(&format!(
         "{:016x} {} {}",
         out.repair_time.to_bits(),
-        out.report.cross_rack_bytes,
-        out.report.inner_rack_bytes
+        out.cross_bytes,
+        out.inner_bytes
     ));
     fnv1a(text.as_bytes())
 }
