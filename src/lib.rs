@@ -54,8 +54,10 @@
 //! | [`faults`] | deterministic fault injection: fault storms, helper health, retry policies |
 //!
 //! To capture a structured trace of a repair, attach an [`obs::TraceRecorder`]
-//! via [`core::simulate_traced`] (or `exec::execute_recorded`) and export the
-//! events with [`obs::export`] — schema in `docs/TRACING.md`.
+//! via [`core::simulate_traced`] or [`exec::execute_recorded`] — both the
+//! supervision loop ([`core::supervise()`]) run fault-free with your plan,
+//! so the two backends write one event vocabulary — and export the events
+//! with [`obs::export`]; schema in `docs/TRACING.md`.
 
 pub use rpr_codec as codec;
 pub use rpr_core as core;
