@@ -6,8 +6,9 @@
 //! [`simulate_traced`] is the clean simulated repair: a fault-free
 //! [`supervise`] on the [`SimBackend`] with the caller's plan, so its
 //! trace is what the supervision loop records for any generation — one
-//! `plan_built`; the netsim replay of every transfer and combine (tagged
-//! here with cross-rack timesteps and XOR-vs-GF kernel kinds, which the
+//! `plan_built`; the events of every transfer and combine job, read off
+//! the [`JobGraph`] and the simulator's job records by [`graph_events`]
+//! (with cross-rack timesteps and XOR-vs-GF kernel kinds, which the
 //! network layer cannot know); one `stream_summary` per streamed send;
 //! per-wave `timestep_started`/`timestep_finished` brackets; and a final
 //! `repair_done`.
@@ -17,6 +18,7 @@ use crate::scenario::RepairContext;
 use crate::sim::JobGraph;
 use crate::supervise::{supervise, SimBackend, SuperviseConfig, SuperviseOutcome};
 use rpr_faults::{FaultStorm, HealthTracker};
+use rpr_netsim::{JobId, JobKind, JobRecord, SimReport};
 use rpr_obs::{Event, Kernel, Recorder, Transfer};
 use rpr_topology::Topology;
 use std::fmt;
@@ -57,7 +59,7 @@ pub(crate) fn plan_built(plan: &RepairPlan, topo: &Topology) -> Event {
 /// simulator, or the supervision generation): `p{tag}op{i}:send` or
 /// `p{tag}op{i}:combine`, with a `c{j}` suffix (`p{tag}op{i}c{j}:send`)
 /// for chunk `j` of an op the simulator lowers as several chunk jobs.
-/// Both backends name ops by it; `parse_label` inverts it.
+/// Both backends name ops by it.
 pub fn op_label(plan: &RepairPlan, tag: usize, i: usize, chunk: Option<usize>) -> String {
     /// `c{j}` for chunk `j`, nothing for a whole op.
     struct Suffix(Option<usize>);
@@ -98,6 +100,27 @@ pub fn send_transfer(
         bytes: plan.block_bytes,
         cross: !topo.same_rack(from, to),
         timestep: waves[i],
+    }
+}
+
+/// The descriptor of simulated transfer job `r`: its label, endpoints and
+/// bytes, in cross-rack wave `timestep` (`None` off the wave schedule).
+///
+/// # Panics
+/// Panics if `r` is a compute job.
+pub fn job_transfer(topo: &Topology, r: &JobRecord, timestep: Option<usize>) -> Transfer {
+    let JobKind::Transfer { from, to, bytes } = r.kind else {
+        panic!("job {} is not a transfer", r.label);
+    };
+    Transfer {
+        label: r.label.clone(),
+        src_node: from.0,
+        src_rack: topo.rack_of(from).0,
+        dst_node: to.0,
+        dst_rack: topo.rack_of(to).0,
+        bytes,
+        cross: !topo.same_rack(from, to),
+        timestep,
     }
 }
 
@@ -148,71 +171,94 @@ pub(crate) fn wave_spans(
     out
 }
 
-/// Extract the op index — and, for chunked lowering, the chunk index —
-/// from an [`op_label`].
-pub(crate) fn parse_label(label: &str) -> Option<(usize, Option<usize>)> {
-    let rest = label.split("op").nth(1)?;
-    let body = rest.split(':').next()?;
-    match body.split_once('c') {
-        Some((op, chunk)) => Some((op.parse().ok()?, Some(chunk.parse().ok()?))),
-        None => Some((body.parse().ok()?, None)),
+/// Append the events of one simulated transfer job to `out` as
+/// `(instant, event)` pairs: each failed attempt is queued and started at
+/// its start, then failed and its retry scheduled at its abort; the final
+/// attempt is queued and started at its start and done at its finish. The
+/// engine starts a job the instant it may run, so every queue wait is
+/// zero (`rpr-exec` measures real ones).
+pub fn transfer_events(xfer: Transfer, r: &JobRecord, out: &mut Vec<(f64, Event)>) {
+    let begin = |t: f64| {
+        let queued = Event::TransferQueued {
+            xfer: xfer.clone(),
+            t,
+        };
+        let started = Event::TransferStarted {
+            xfer: xfer.clone(),
+            queue_wait: 0.0,
+            t,
+        };
+        [(t, queued), (t, started)]
+    };
+    for (attempt, f) in r.failures.iter().enumerate() {
+        out.extend(begin(f.start));
+        let (reason, t) = (f.reason.clone(), f.at);
+        let failed = Event::TransferFailed {
+            xfer: xfer.clone(),
+            attempt,
+            reason,
+            t,
+        };
+        let retry = Event::RetryScheduled {
+            label: xfer.label.clone(),
+            rack: xfer.src_rack,
+            attempt,
+            delay: f.delay,
+            t,
+        };
+        out.extend([(t, failed), (t, retry)]);
     }
+    out.extend(begin(r.start));
+    let (start, end) = (r.start, r.finish);
+    out.push((end, Event::TransferDone { xfer, start, end }));
 }
 
-/// Extract the op index from a lowering label, chunked or not.
-#[cfg(test)]
-pub(crate) fn op_index(label: &str) -> Option<usize> {
-    parse_label(label).map(|(i, _)| i)
-}
-
-/// A [`Recorder`] adapter that rewrites the placeholder fields of
-/// netsim's untagged replay with plan knowledge: the pipeline timestep of
-/// each cross-rack send and the kernel/inputs/bytes of each combine.
-pub(crate) struct PlanTagger<'a> {
-    pub(crate) graph: &'a JobGraph<'a>,
-    pub(crate) waves: &'a [Option<usize>],
-    pub(crate) inner: &'a dyn Recorder,
-}
-
-impl PlanTagger<'_> {
-    fn tag(&self, mut event: Event) -> Event {
-        match &mut event {
-            Event::TransferQueued { xfer, .. }
-            | Event::TransferStarted { xfer, .. }
-            | Event::TransferDone { xfer, .. }
-            | Event::TransferFailed { xfer, .. } => {
-                if let Some((i, _)) = parse_label(&xfer.label) {
-                    xfer.timestep = self.waves.get(i).copied().flatten();
+/// The events of `graph`'s simulated run as `(instant, event)` pairs in
+/// time order ([`sort_by_instant`]). It walks the graph's jobs in order
+/// and reads each job's record from `report` through `ids`
+/// ([`JobGraph::add_to`]'s return): each chunk job of send op `i` is one
+/// [`transfer_events`] sequence tagged with the op's cross-rack wave, and
+/// chunk `j` of a combine one `combine_done` with the op's
+/// [`combine_kernel`], input count and [`JobGraph::chunks`]`[j]` bytes.
+/// Each event keeps its job's label.
+pub fn graph_events(
+    graph: &JobGraph<'_>,
+    topo: &Topology,
+    report: &SimReport,
+    ids: &[JobId],
+) -> Vec<(f64, Event)> {
+    let plan = graph.plan;
+    let (waves, _) = plan.cross_waves(topo);
+    let mut out = Vec::new();
+    for (i, op) in plan.ops.iter().enumerate() {
+        for (j, id) in ids[graph.ops[i].jobs.clone()].iter().enumerate() {
+            let r = report.record(*id);
+            match op {
+                Op::Send { .. } => transfer_events(job_transfer(topo, r, waves[i]), r, &mut out),
+                Op::Combine { node, inputs, .. } => {
+                    let done = Event::CombineDone {
+                        label: r.label.clone(),
+                        node: node.0,
+                        rack: topo.rack_of(*node).0,
+                        kernel: combine_kernel(plan, i).expect("a combine has a kernel"),
+                        inputs: inputs.len(),
+                        bytes: graph.chunks[j],
+                        start: r.start,
+                        end: r.finish,
+                    };
+                    out.push((r.finish, done));
                 }
             }
-            Event::CombineDone {
-                label,
-                kernel,
-                inputs,
-                bytes,
-                ..
-            } => {
-                if let Some((i, chunk)) = parse_label(label) {
-                    let plan = self.graph.plan;
-                    if let Some(k) = combine_kernel(plan, i) {
-                        *kernel = k;
-                    }
-                    if let Op::Combine { inputs: ins, .. } = &plan.ops[i] {
-                        *inputs = ins.len();
-                    }
-                    *bytes = self.graph.chunks[chunk.unwrap_or(0)];
-                }
-            }
-            _ => {}
         }
-        event
     }
+    sort_by_instant(&mut out);
+    out
 }
 
-impl Recorder for PlanTagger<'_> {
-    fn record(&self, event: Event) {
-        self.inner.record(self.tag(event));
-    }
+/// Sort `(instant, event)` pairs by instant, stably: same-instant events
+/// keep the order they were built in (queued and started before done).
+pub fn sort_by_instant(events: &mut [(f64, Event)]) {
+    events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite job times"));
 }
 
 /// Simulate a plan fault-free, recording structured events into `rec`:
@@ -241,6 +287,7 @@ mod tests {
     use crate::cost::CostModel;
     use crate::schemes::{RepairPlanner, RprPlanner};
     use rpr_codec::{BlockId, CodeParams, StripeCodec};
+    use rpr_netsim::Simulator;
     use rpr_topology::{cluster_for, BandwidthProfile, Placement};
 
     fn traced_rpr(n: usize, k: usize) -> (RepairPlan, rpr_obs::TraceRecorder, SuperviseOutcome) {
@@ -415,9 +462,8 @@ mod tests {
             assert!(t <= out.repair_time + 1e-9);
         }
         // Cross sends stay wave-tagged under streaming: every chunk of a
-        // cross send carries its op's timestep, and the distinct tagged
-        // ops are exactly the plan's cross transfers.
-        let mut cross_ops = std::collections::BTreeSet::new();
+        // cross send carries its op's timestep, one chunk per transfer.
+        let mut cross_chunks = 0;
         for e in &events {
             if let Event::TransferDone { xfer, .. } = e {
                 if xfer.cross {
@@ -426,11 +472,11 @@ mod tests {
                         "untagged cross chunk {}",
                         xfer.label
                     );
-                    cross_ops.insert(op_index(&xfer.label).expect("lowering label"));
+                    cross_chunks += 1;
                 }
             }
         }
-        assert_eq!(cross_ops.len(), plan.stats(&topo).cross_transfers);
+        assert_eq!(cross_chunks, plan.stats(&topo).cross_transfers * m);
     }
 
     #[test]
@@ -442,7 +488,7 @@ mod tests {
             .iter()
             .filter_map(|e| match e {
                 Event::CombineDone { kernel, inputs, .. } => {
-                    assert!(*inputs > 0, "tagger must fill combine inputs");
+                    assert!(*inputs > 0, "combines name their inputs");
                     Some(*kernel)
                 }
                 _ => None,
@@ -452,5 +498,187 @@ mod tests {
         if all_ones {
             assert!(kernels.iter().all(|k| *k == Kernel::Xor));
         }
+    }
+
+    /// A (6,3) RPR repair in 16 MiB chunks of a 64 MiB block, lowered
+    /// and added to a fresh simulator.
+    fn chunked_graph<'p>(
+        plan: &'p RepairPlan,
+        ctx: &RepairContext<'_>,
+    ) -> (JobGraph<'p>, Simulator, Vec<JobId>) {
+        let mut sim = Simulator::new(crate::sim::network_for(ctx));
+        let graph = JobGraph::new(plan, &vec![true; plan.ops.len()], ctx);
+        let ids = graph.add_to(&mut sim, 0);
+        (graph, sim, ids)
+    }
+
+    fn with_chunks<T>(f: impl FnOnce(&RepairPlan, &RepairContext<'_>) -> T) -> T {
+        let params = CodeParams::new(6, 3);
+        let codec = StripeCodec::new(params);
+        let topo = cluster_for(params, 1, 1);
+        let placement = Placement::rpr_preplaced(params, &topo);
+        let profile = BandwidthProfile::simics_default(topo.rack_count());
+        let ctx = RepairContext::new(
+            &codec,
+            &topo,
+            &placement,
+            vec![BlockId(1)],
+            64 << 20,
+            &profile,
+            CostModel::simics(),
+        )
+        .with_chunk_size(16 << 20);
+        let plan = RprPlanner::new().plan(&ctx);
+        f(&plan, &ctx)
+    }
+
+    #[test]
+    fn graph_events_are_in_time_order_and_fold_to_the_report() {
+        with_chunks(|plan, ctx| {
+            let (graph, sim, ids) = chunked_graph(plan, ctx);
+            let report = sim.run();
+            let events = graph_events(&graph, ctx.topo, &report, &ids);
+            // Three events per send chunk, one per combine chunk.
+            let sends = (plan.ops.iter())
+                .filter(|op| matches!(op, Op::Send { .. }))
+                .count();
+            let m = graph.chunks.len();
+            assert_eq!(events.len(), m * (3 * sends + plan.ops.len() - sends));
+            let mut last = 0.0;
+            for (at, e) in &events {
+                assert_eq!(*at, e.time());
+                assert!(*at >= last, "events out of order");
+                last = *at;
+            }
+            // Bytes by class, overall and per sending rack, fold from the
+            // completed transfers to the report and the plan.
+            let topo = ctx.topo;
+            let bytes = |cross: bool, rack: Option<usize>| -> u64 {
+                (events.iter())
+                    .filter_map(|(_, e)| match e {
+                        Event::TransferDone { xfer, .. }
+                            if xfer.cross == cross && rack.is_none_or(|r| r == xfer.src_rack) =>
+                        {
+                            Some(xfer.bytes)
+                        }
+                        _ => None,
+                    })
+                    .sum()
+            };
+            assert_eq!(bytes(true, None), report.cross_rack_bytes);
+            assert_eq!(bytes(false, None), report.inner_rack_bytes);
+            for rack in 0..topo.rack_count() {
+                for cross in [false, true] {
+                    let want: u64 = (plan.ops.iter())
+                        .filter_map(|op| match op {
+                            Op::Send { from, to, .. }
+                                if topo.rack_of(*from).0 == rack
+                                    && topo.same_rack(*from, *to) != cross =>
+                            {
+                                Some(plan.block_bytes)
+                            }
+                            _ => None,
+                        })
+                        .sum();
+                    assert_eq!(bytes(cross, Some(rack)), want, "rack {rack} cross {cross}");
+                }
+            }
+            // Every combine chunk names its op's kernel, inputs and bytes.
+            for (_, e) in &events {
+                if let Event::CombineDone {
+                    kernel,
+                    inputs,
+                    bytes,
+                    ..
+                } = e
+                {
+                    assert!(*inputs > 0);
+                    assert!(matches!(kernel, Kernel::Xor | Kernel::Gf));
+                    assert_eq!(*bytes, 16 << 20);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn graph_events_replay_a_failed_attempt_and_its_retry() {
+        with_chunks(|plan, ctx| {
+            let (waves, _) = plan.cross_waves(ctx.topo);
+            let i = (0..plan.ops.len())
+                .find(|&i| waves[i].is_some())
+                .expect("a cross send");
+            let Op::Send { from, .. } = plan.ops[i] else {
+                unreachable!("cross waves tag sends");
+            };
+            let (graph, mut sim, ids) = chunked_graph(plan, ctx);
+            let job = ids[graph.ops[i].jobs.start];
+            let spec = rpr_netsim::FailSpec {
+                fraction: 0.5,
+                delay: 5.0,
+                reason: "timeout".into(),
+            };
+            sim.fail_attempts(job, vec![spec]);
+            let report = sim.run();
+            let events = graph_events(&graph, ctx.topo, &report, &ids);
+            let label = &report.record(job).label;
+            let mine: Vec<&Event> = (events.iter())
+                .map(|(_, e)| e)
+                .filter(|e| match e {
+                    Event::TransferQueued { xfer, .. }
+                    | Event::TransferStarted { xfer, .. }
+                    | Event::TransferFailed { xfer, .. }
+                    | Event::TransferDone { xfer, .. } => {
+                        let this = &xfer.label == label;
+                        assert!(!this || xfer.timestep == waves[i], "untagged {label}");
+                        this
+                    }
+                    Event::RetryScheduled { label: l, .. } => l == label,
+                    _ => false,
+                })
+                .collect();
+            let names: Vec<&str> = mine.iter().map(|e| e.name()).collect();
+            assert_eq!(
+                names,
+                [
+                    "transfer_queued",
+                    "transfer_started",
+                    "transfer_failed",
+                    "retry_scheduled",
+                    "transfer_queued",
+                    "transfer_started",
+                    "transfer_done",
+                ]
+            );
+            let failure = &report.record(job).failures[0];
+            match mine[2] {
+                Event::TransferFailed {
+                    attempt, reason, t, ..
+                } => {
+                    assert_eq!(*attempt, 0);
+                    assert_eq!(reason, "timeout");
+                    assert_eq!(*t, failure.at);
+                }
+                other => panic!("expected transfer_failed, got {other:?}"),
+            }
+            match mine[3] {
+                Event::RetryScheduled {
+                    attempt,
+                    delay,
+                    rack,
+                    t,
+                    ..
+                } => {
+                    assert_eq!(*attempt, 0);
+                    assert_eq!(*delay, 5.0);
+                    assert_eq!(*rack, ctx.topo.rack_of(from).0);
+                    assert_eq!(*t, failure.at);
+                }
+                other => panic!("expected retry_scheduled, got {other:?}"),
+            }
+            match mine[4] {
+                Event::TransferQueued { t, .. } => assert_eq!(*t, failure.at + 5.0),
+                other => panic!("expected transfer_queued, got {other:?}"),
+            }
+        });
     }
 }

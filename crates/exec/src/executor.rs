@@ -592,8 +592,8 @@ fn try_op(
     // An op begins when chunk 0 of every data input is in hand (`ready`).
     // That instant is its start stamp — the simulator's rule, the first
     // attempt of the chunk-0 job — and the instant a crashing helper is found
-    // dead: the crash trigger's node dies as that send begins, so the
-    // failure is observed here.
+    // dead: the crash trigger's node dies just after that send begins, so
+    // the send is queued, started and failed here, as on the simulator.
     let begin = |ready: Option<()>| -> Option<f64> {
         let exec_node = match op {
             Op::Send { from, .. } => *from,
@@ -610,6 +610,11 @@ fn try_op(
                 let xfer = send_transfer(plan, ctx.topo, env.waves, cfg.tag, i);
                 rec.record(Event::TransferQueued {
                     xfer: xfer.clone(),
+                    t,
+                });
+                rec.record(Event::TransferStarted {
+                    xfer: xfer.clone(),
+                    queue_wait: 0.0,
                     t,
                 });
                 rec.record(Event::TransferFailed {

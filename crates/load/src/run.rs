@@ -2,6 +2,7 @@
 //! network simulation and summarize per-request latency.
 
 use rpr_codec::{BlockId, StripeCodec};
+use rpr_core::trace::{graph_events, job_transfer, sort_by_instant, transfer_events};
 use rpr_core::{network_for, CostModel, JobGraph, Op, RepairContext, RepairPlanner, RprPlanner};
 use rpr_netsim::{JobId, Simulator};
 use rpr_obs::{Event, Recorder};
@@ -122,9 +123,14 @@ pub fn run_load_recorded(spec: &LoadSpec, rec: &dyn Recorder) -> LoadSummary {
     let repair_active = spec.mode != RepairMode::Off && spec.repair_stripes > 0;
     // Chunk jobs of the output op of the stripe serving degraded reads.
     let mut out_chunks: Vec<JobId> = Vec::new();
-    if repair_active {
-        let plan = RprPlanner::new().plan(&ctx);
-        let graph = JobGraph::new(&plan, &vec![true; plan.ops.len()], &ctx);
+    let plan = repair_active.then(|| RprPlanner::new().plan(&ctx));
+    let graph = plan
+        .as_ref()
+        .map(|plan| JobGraph::new(plan, &vec![true; plan.ops.len()], &ctx));
+    // Each repair stripe's job ids in `graph`.
+    let mut stripes = Vec::new();
+    if let Some(graph) = &graph {
+        let plan = graph.plan;
         let (_, out_op) = plan.outputs[0];
         let fraction = spec.mode.repair_fraction();
         let mut throttled = 0u64;
@@ -155,6 +161,7 @@ pub fn run_load_recorded(spec: &LoadSpec, rec: &dyn Recorder) -> LoadSummary {
             if stripe == 0 {
                 out_chunks = op_jobs(out_op.0).to_vec();
             }
+            stripes.push(ids);
         }
         if fraction < 1.0 {
             rec.record(Event::QosThrottled {
@@ -222,7 +229,22 @@ pub fn run_load_recorded(spec: &LoadSpec, rec: &dyn Recorder) -> LoadSummary {
         req_jobs.push((jobs, degraded));
     }
 
-    let report = sim.run_recorded(rec);
+    let report = sim.run();
+    // The run's transfer and combine events in time order: the repair
+    // stripes' off their graph, then the requests' (job id order).
+    let mut events = Vec::new();
+    if let Some(graph) = &graph {
+        for ids in &stripes {
+            events.extend(graph_events(graph, &topo, &report, ids));
+        }
+    }
+    for r in &report.records[repair_job_count..] {
+        transfer_events(job_transfer(&topo, r, None), r, &mut events);
+    }
+    sort_by_instant(&mut events);
+    for (_, e) in events {
+        rec.record(e);
+    }
 
     let mut latencies = Vec::with_capacity(requests.len());
     let mut first_bytes = Vec::with_capacity(requests.len());
@@ -284,6 +306,7 @@ pub fn run_load_recorded(spec: &LoadSpec, rec: &dyn Recorder) -> LoadSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpr_core::{combine_kernel, op_label};
 
     fn small(seed: u64, mode: RepairMode) -> LoadSpec {
         let mut spec = LoadSpec::paper_config(seed, mode);
@@ -394,5 +417,73 @@ mod tests {
         // One finite, non-negative latency per completed request.
         assert!(dones.iter().all(|(_, lat)| lat.is_finite() && *lat >= 0.0));
         assert!(count("transfer_done") > 0);
+    }
+
+    #[test]
+    fn repair_events_name_their_ops() {
+        // Every event of every chunk job of every repair stripe carries
+        // what its op says: a send its cross-rack wave, a combine its
+        // kernel, input count and chunk bytes.
+        let spec = small(17, RepairMode::Unthrottled);
+        let chunk = spec.chunk_bytes.expect("a chunked repair");
+        let rec = rpr_obs::TraceRecorder::default();
+        run_load_recorded(&spec, &rec);
+        let codec = StripeCodec::new(spec.params);
+        let topo = cluster_for(spec.params, 1, 1);
+        let placement = Placement::by_policy(PlacementPolicy::RprPreplaced, spec.params, &topo);
+        let profile = BandwidthProfile::uniform(topo.rack_count(), spec.inner_bps, spec.cross_bps);
+        let ctx = RepairContext::new(
+            &codec,
+            &topo,
+            &placement,
+            vec![BlockId(0)],
+            spec.block_bytes,
+            &profile,
+            CostModel::free(),
+        )
+        .with_chunk_size(chunk);
+        let plan = RprPlanner::new().plan(&ctx);
+        let (waves, _) = plan.cross_waves(&topo);
+        let m = spec.block_bytes.div_ceil(chunk) as usize;
+        assert!(m > 1 && spec.repair_stripes > 0);
+        // Each repair job's label, and the op it runs.
+        let mut ops = std::collections::BTreeMap::new();
+        for stripe in 0..spec.repair_stripes {
+            for i in 0..plan.ops.len() {
+                for j in 0..m {
+                    ops.insert(op_label(&plan, stripe, i, Some(j)), i);
+                }
+            }
+        }
+        let (mut sends, mut combines) = (0, 0);
+        for e in rec.take_events() {
+            match e {
+                Event::TransferDone { xfer, .. } => {
+                    if let Some(&i) = ops.get(&xfer.label) {
+                        assert_eq!(xfer.timestep, waves[i], "{}", xfer.label);
+                        sends += 1;
+                    }
+                }
+                Event::CombineDone {
+                    label,
+                    kernel,
+                    inputs,
+                    bytes,
+                    ..
+                } => {
+                    let i = ops[&label];
+                    let Op::Combine { inputs: ins, .. } = &plan.ops[i] else {
+                        panic!("{label} is not a combine");
+                    };
+                    assert_eq!(Some(kernel), combine_kernel(&plan, i), "{label}");
+                    assert_eq!(inputs, ins.len(), "{label}");
+                    assert_eq!(bytes, chunk, "{label}");
+                    combines += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(sends + combines, ops.len());
+        assert!(waves.iter().any(Option::is_some));
     }
 }

@@ -26,7 +26,7 @@ struct Job {
     next_fail: usize,
     /// Earliest time a retry may start (0 until a failure fires).
     resume_at: f64,
-    /// Failed attempts so far, for the report and trace replay.
+    /// Failed attempts so far, for the report.
     failures: Vec<FailureRecord>,
     state: JobState,
     start: f64,
@@ -290,123 +290,6 @@ impl Simulator {
     /// Number of jobs added so far.
     pub fn job_count(&self) -> usize {
         self.jobs.len()
-    }
-
-    /// Like [`Simulator::run`], but also replay every job into `rec` as
-    /// structured [`rpr_obs`] trace events, in chronological order.
-    ///
-    /// The engine activates a job the instant its dependencies finish, so
-    /// `TransferQueued` and `TransferStarted` coincide and the reported
-    /// queue wait is zero (the real-bytes executor in `rpr-exec` measures
-    /// genuine waits). Compute jobs become [`rpr_obs::Event::CombineDone`]
-    /// events with placeholder kernel/input/byte fields — this layer sees
-    /// only opaque labeled jobs; callers that know the plan (see
-    /// `rpr-core`'s traced simulation) rewrite those fields.
-    pub fn run_recorded(self, rec: &dyn rpr_obs::Recorder) -> SimReport {
-        let topo = self.net.topology().clone();
-        let report = self.run();
-        let rack = |n: rpr_topology::NodeId| topo.rack_of(n).0;
-        // (time, event) in record order; stable sort puts same-time events
-        // in insertion order (queued/started before done).
-        let mut events: Vec<(f64, rpr_obs::Event)> = Vec::new();
-        for r in &report.records {
-            match r.kind {
-                JobKind::Transfer { from, to, bytes } => {
-                    let xfer = rpr_obs::Transfer {
-                        label: r.label.clone(),
-                        src_node: from.0,
-                        src_rack: rack(from),
-                        dst_node: to.0,
-                        dst_rack: rack(to),
-                        bytes,
-                        cross: !topo.same_rack(from, to),
-                        timestep: None,
-                    };
-                    // Failed attempts first: each one queued/started at its
-                    // attempt start, failed at its abort time, retried
-                    // after the backoff.
-                    for (attempt, f) in r.failures.iter().enumerate() {
-                        events.push((
-                            f.start,
-                            rpr_obs::Event::TransferQueued {
-                                xfer: xfer.clone(),
-                                t: f.start,
-                            },
-                        ));
-                        events.push((
-                            f.start,
-                            rpr_obs::Event::TransferStarted {
-                                xfer: xfer.clone(),
-                                queue_wait: 0.0,
-                                t: f.start,
-                            },
-                        ));
-                        events.push((
-                            f.at,
-                            rpr_obs::Event::TransferFailed {
-                                xfer: xfer.clone(),
-                                attempt,
-                                reason: f.reason.clone(),
-                                t: f.at,
-                            },
-                        ));
-                        events.push((
-                            f.at,
-                            rpr_obs::Event::RetryScheduled {
-                                label: r.label.clone(),
-                                rack: xfer.src_rack,
-                                attempt,
-                                delay: f.delay,
-                                t: f.at,
-                            },
-                        ));
-                    }
-                    events.push((
-                        r.start,
-                        rpr_obs::Event::TransferQueued {
-                            xfer: xfer.clone(),
-                            t: r.start,
-                        },
-                    ));
-                    events.push((
-                        r.start,
-                        rpr_obs::Event::TransferStarted {
-                            xfer: xfer.clone(),
-                            queue_wait: 0.0,
-                            t: r.start,
-                        },
-                    ));
-                    events.push((
-                        r.finish,
-                        rpr_obs::Event::TransferDone {
-                            xfer,
-                            start: r.start,
-                            end: r.finish,
-                        },
-                    ));
-                }
-                JobKind::Compute { node, .. } => {
-                    events.push((
-                        r.finish,
-                        rpr_obs::Event::CombineDone {
-                            label: r.label.clone(),
-                            node: node.0,
-                            rack: rack(node),
-                            kernel: rpr_obs::Kernel::Gf,
-                            inputs: 0,
-                            bytes: 0,
-                            start: r.start,
-                            end: r.finish,
-                        },
-                    ));
-                }
-            }
-        }
-        events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite job times"));
-        for (_, e) in events {
-            rec.record(e);
-        }
-        report
     }
 
     /// Run the DAG to completion and produce a report.
@@ -914,64 +797,6 @@ mod tests {
         assert_eq!(r.node_download_bytes[2], 900);
     }
 
-    #[test]
-    fn run_recorded_replays_jobs_in_time_order() {
-        use rpr_obs::{Event, TraceRecorder};
-        let rec = TraceRecorder::default();
-        let mut sim = Simulator::new(net());
-        let a = sim.transfer("inner", NodeId(0), NodeId(1), 500, &[]); // 5 s
-        let b = sim.transfer("cross", NodeId(1), NodeId(2), 100, &[a]); // 10 s
-        let _c = sim.compute("decode", NodeId(2), 1.0, &[b]);
-        let report = sim.run_recorded(&rec);
-        assert!((report.makespan - 16.0).abs() < 1e-6);
-
-        let events = rec.take_events();
-        // Two transfers at three events each, plus one combine.
-        assert_eq!(events.len(), 7);
-        let mut last = 0.0;
-        for e in &events {
-            assert!(e.time() >= last, "events out of order");
-            last = e.time();
-        }
-        match &events[0] {
-            Event::TransferQueued { xfer, t } => {
-                assert_eq!(xfer.label, "inner");
-                assert!(!xfer.cross);
-                assert_eq!((xfer.src_rack, xfer.dst_rack), (0, 0));
-                assert_eq!(*t, 0.0);
-            }
-            other => panic!("expected queued first, got {other:?}"),
-        }
-        match events.last().unwrap() {
-            Event::CombineDone {
-                node, rack, end, ..
-            } => {
-                assert_eq!((*node, *rack), (2, 1));
-                assert!((end - 16.0).abs() < 1e-6);
-            }
-            other => panic!("expected combine last, got {other:?}"),
-        }
-        // Bytes by class, overall and sent from rack 0, folded from the
-        // completed transfers.
-        let bytes = |cross: bool, rack: Option<usize>| -> u64 {
-            events
-                .iter()
-                .filter_map(|e| match e {
-                    Event::TransferDone { xfer, .. }
-                        if xfer.cross == cross && rack.is_none_or(|r| r == xfer.src_rack) =>
-                    {
-                        Some(xfer.bytes)
-                    }
-                    _ => None,
-                })
-                .sum()
-        };
-        assert_eq!(bytes(false, None), 500);
-        assert_eq!(bytes(true, None), 100);
-        assert_eq!(bytes(false, Some(0)), 500);
-        assert_eq!(bytes(true, Some(0)), 100);
-    }
-
     fn fail(fraction: f64, delay: f64) -> crate::FailSpec {
         crate::FailSpec {
             fraction,
@@ -1072,58 +897,6 @@ mod tests {
         let mut sim = Simulator::new(net());
         let j = sim.transfer("t", NodeId(0), NodeId(1), 100, &[]);
         sim.fail_attempts(j, vec![fail(1.5, 0.0)]);
-    }
-
-    #[test]
-    fn run_recorded_replays_failures_and_retries() {
-        use rpr_obs::{Event, TraceRecorder};
-        let rec = TraceRecorder::default();
-        let mut sim = Simulator::new(net());
-        let j = sim.transfer("p0op0:send", NodeId(0), NodeId(2), 1000, &[]);
-        sim.fail_attempts(j, vec![fail(0.5, 5.0)]);
-        let report = sim.run_recorded(&rec);
-        assert!((report.makespan - 155.0).abs() < 1e-6);
-        let events = rec.take_events();
-        // queued/started (failed attempt), failed, retry_scheduled,
-        // queued/started (retry), done.
-        let names: Vec<&str> = events.iter().map(|e| e.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "transfer_queued",
-                "transfer_started",
-                "transfer_failed",
-                "retry_scheduled",
-                "transfer_queued",
-                "transfer_started",
-                "transfer_done",
-            ]
-        );
-        match &events[2] {
-            Event::TransferFailed {
-                attempt, reason, t, ..
-            } => {
-                assert_eq!(*attempt, 0);
-                assert_eq!(reason, "timeout");
-                assert!((t - 50.0).abs() < 1e-6);
-            }
-            other => panic!("expected transfer_failed, got {other:?}"),
-        }
-        match &events[3] {
-            Event::RetryScheduled { delay, rack, .. } => {
-                assert!((delay - 5.0).abs() < 1e-6);
-                assert_eq!(*rack, 0);
-            }
-            other => panic!("expected retry_scheduled, got {other:?}"),
-        }
-        let count = |kind: &str| events.iter().filter(|e| e.name() == kind).count();
-        assert_eq!(count("transfer_failed"), 1);
-        assert_eq!(count("retry_scheduled"), 1);
-        let rack0_retries = events
-            .iter()
-            .filter(|e| matches!(e, Event::RetryScheduled { rack: 0, .. }))
-            .count();
-        assert_eq!(rack0_retries, 1);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * one `(6,3)` crash storm on each backend: every generation's finished
 //!   cross-rack waves are bracketed by `timestep_started` /
 //!   `timestep_finished`, and no other wave is — nor, on the simulator,
-//!   a wave a won hedge cut short;
+//!   a wave a won hedge cut short; the crash trigger's send is queued,
+//!   started and failed (`node_down`) at one instant;
 //! * 1 MiB chunk mode under supervision: each backend writes one
 //!   `stream_summary` per streamed send.
 
@@ -20,7 +21,7 @@ use rpr::core::{
     CostModel, Op, RepairContext, RepairPlanner, RprPlanner, SuperviseConfig, TraditionalPlanner,
 };
 use rpr::exec::{execute_recorded, execute_supervised};
-use rpr::faults::{CrashSite, FaultStorm, HealthTracker, StormFault};
+use rpr::faults::{reason, CrashSite, FaultStorm, HealthTracker, StormFault};
 use rpr::obs::{Event, TraceRecorder};
 use rpr::topology::{cluster_for, BandwidthProfile, Placement, Topology};
 use std::collections::BTreeSet;
@@ -198,14 +199,54 @@ fn a_crash_storm_brackets_every_generation_on_both_backends() {
     )
     .expect("the simulated storm completes");
     assert_eq!(sim.replans, 1);
-    assert!(check_brackets(&rec.take_events(), "sim") >= 1);
+    let events = rec.take_events();
+    assert!(check_brackets(&events, "sim") >= 1);
+    check_crash_trigger(&events, "sim");
 
     let rec = TraceRecorder::default();
     let tracker = &mut HealthTracker::with_defaults();
     let exec = execute_supervised(&ctx, &world.stripe, &rec, &storm, &cfg, tracker)
         .expect("the real-bytes storm completes");
     assert!(exec.report.verified && exec.replans == 1);
-    assert!(check_brackets(&rec.take_events(), "exec") >= 1);
+    let events = rec.take_events();
+    assert!(check_brackets(&events, "exec") >= 1);
+    check_crash_trigger(&events, "exec");
+}
+
+/// The crash trigger's node dies just after beginning its send: the
+/// send's label names exactly a queued, a started and a `node_down`
+/// failed event, at one instant.
+fn check_crash_trigger(events: &[Event], backend: &str) {
+    let trigger = events
+        .iter()
+        .find_map(|e| match e {
+            Event::TransferFailed { xfer, reason, .. } if reason == reason::NODE_DOWN => {
+                Some(xfer.label.clone())
+            }
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("{backend}: no node_down failure"));
+    let sends: Vec<(&str, f64)> = events
+        .iter()
+        .filter(|e| match e {
+            Event::TransferQueued { xfer, .. }
+            | Event::TransferStarted { xfer, .. }
+            | Event::TransferFailed { xfer, .. }
+            | Event::TransferDone { xfer, .. } => xfer.label == trigger,
+            _ => false,
+        })
+        .map(|e| (e.name(), e.time()))
+        .collect();
+    let names: Vec<&str> = sends.iter().map(|s| s.0).collect();
+    assert_eq!(
+        names,
+        ["transfer_queued", "transfer_started", "transfer_failed"],
+        "{backend}: {trigger}"
+    );
+    assert!(
+        sends.iter().all(|s| s.1 == sends[0].1),
+        "{backend}: {sends:?}"
+    );
 }
 
 #[test]
