@@ -11,7 +11,7 @@ use crate::scenario::RepairContext;
 use crate::sim::{network_for, op_spans, JobGraph};
 use crate::trace::{graph_events, op_label, send_transfer, stream_summary, wave_spans};
 use rpr_faults::{reason, RetryPolicy};
-use rpr_netsim::{FailSpec, JobId, Simulator};
+use rpr_netsim::{FailSpec, JobId, SimReport, Simulator};
 use rpr_obs::{Event, Recorder};
 use rpr_proof::{symbolic_block_hash, symbolic_output_hash, ProofKey};
 
@@ -31,6 +31,10 @@ pub type Taint = Vec<(usize, usize)>;
 pub struct SimBackend {
     /// Where the next generation's clock starts on the repair timeline.
     t_base: f64,
+    /// `begin`'s fault-free report of the first plan and its job ids,
+    /// until the first generation: when that generation runs the same
+    /// graph unarmed, it is this run.
+    clean: Option<(SimReport, Vec<JobId>)>,
 }
 
 /// Apply resolved derates and per-op attempt failures to a fresh
@@ -168,8 +172,10 @@ impl RepairBackend for SimBackend {
         let ids = graph.add_to(&mut sim, 0);
         let report = sim.run();
         let wave_spans = wave_spans(plan, ctx.topo, &all, &op_spans(&report, &graph, &ids));
+        let clean_time = report.makespan;
+        self.clean = Some((report, ids));
         Baseline {
-            clean_time: report.makespan,
+            clean_time,
             wave_spans,
         }
     }
@@ -181,12 +187,21 @@ impl RepairBackend for SimBackend {
     ) -> GenerationRun<Taint> {
         let (plan, ctx, g, t_base) = (gen.plan, gen.ctx, gen.index, self.t_base);
         let (waves, _) = plan.cross_waves(ctx.topo);
-        let mut sim = Simulator::new(network_for(ctx));
         let graph = gen.graph;
-        let ids = graph.add_to(&mut sim, g);
-        let first_job = |i: usize| graph.lowered(i).then(|| ids[graph.ops[i].jobs.start]);
-        arm_simulator(&mut sim, first_job, gen.faults, gen.policy);
-        let report = sim.run();
+        // Generation 0 runs `begin`'s plan: unarmed and fully lowered, it
+        // is the run `begin` already simulated.
+        let unarmed = gen.faults.slow.is_empty() && gen.faults.op_faults.iter().all(Vec::is_empty);
+        let clean = self.clean.take();
+        let (report, ids) = match clean {
+            Some(clean) if g == 0 && unarmed && gen.lowered.iter().all(|&l| l) => clean,
+            _ => {
+                let mut sim = Simulator::new(network_for(ctx));
+                let ids = graph.add_to(&mut sim, g);
+                let first_job = |i: usize| graph.lowered(i).then(|| ids[graph.ops[i].jobs.start]);
+                arm_simulator(&mut sim, first_job, gen.faults, gen.policy);
+                (sim.run(), ids)
+            }
+        };
         let events = graph_events(graph, ctx.topo, &report, &ids);
         let spans = op_spans(&report, graph, &ids);
         let taints = gen_taints(gen);
@@ -357,5 +372,104 @@ impl RepairBackend for SimBackend {
 
     fn pause(&mut self, delay: f64) {
         self.t_base += delay;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{Banked, PoolKey, Tier};
+    use super::*;
+    use crate::cost::CostModel;
+    use crate::schemes::{RepairPlanner, RprPlanner};
+    use rpr_codec::{BlockId, CodeParams, StripeCodec};
+    use rpr_faults::HealthTracker;
+    use rpr_obs::TraceRecorder;
+    use rpr_topology::{cluster_for, BandwidthProfile, NodeId, Placement};
+    use std::collections::HashMap;
+
+    /// Generation 0 of `plan` under `faults`, with the events it records.
+    fn first_generation(
+        backend: &mut SimBackend,
+        ctx: &RepairContext<'_>,
+        plan: &RepairPlan,
+        faults: &ResolvedFaults,
+    ) -> (GenerationRun<Taint>, Vec<Event>) {
+        let lowered = vec![true; plan.ops.len()];
+        let vecs = plan.symbolic_vectors();
+        let graph = JobGraph::new(plan, &lowered, ctx);
+        let pool: HashMap<PoolKey, Banked<Taint>> = HashMap::new();
+        let tracker = HealthTracker::with_defaults();
+        let policy = RetryPolicy::default();
+        let gen = Generation {
+            index: 0,
+            ctx,
+            plan,
+            vecs: &vecs,
+            graph: &graph,
+            lowered: &lowered,
+            reused: vec![None; plan.ops.len()],
+            faults,
+            policy: &policy,
+            hedge: None,
+            tier: Tier::Full,
+            pool: &pool,
+            dead: &[],
+            tracker: &tracker,
+        };
+        let rec = TraceRecorder::default();
+        let run = backend.run_generation(&gen, &rec);
+        (run, rec.take_events())
+    }
+
+    #[test]
+    fn a_clean_first_generation_reuses_begins_simulation() {
+        let params = CodeParams::new(6, 3);
+        let codec = StripeCodec::new(params);
+        let topo = cluster_for(params, 1, 1);
+        let placement = Placement::rpr_preplaced(params, &topo);
+        let profile = BandwidthProfile::simics_default(topo.rack_count());
+        let ctx = RepairContext::new(
+            &codec,
+            &topo,
+            &placement,
+            vec![BlockId(1)],
+            8 << 20,
+            &profile,
+            CostModel::simics(),
+        )
+        .with_chunk_size(1 << 20);
+        let plan = RprPlanner::new().plan(&ctx);
+        let clean = ResolvedFaults {
+            op_faults: vec![Vec::new(); plan.ops.len()],
+            crash: None,
+            slow: Vec::new(),
+            lies: Vec::new(),
+        };
+
+        let mut warm = SimBackend::default();
+        let baseline = warm.begin(&plan, &ctx);
+        assert!(warm.clean.is_some(), "begin keeps its report");
+        let (run, events) = first_generation(&mut warm, &ctx, &plan, &clean);
+        assert!(warm.clean.is_none(), "generation 0 took begin's report");
+        assert_eq!(run.now.to_bits(), baseline.clean_time.to_bits());
+
+        // Without a baseline the same generation simulates afresh, and
+        // comes out the same.
+        let (fresh, fresh_events) =
+            first_generation(&mut SimBackend::default(), &ctx, &plan, &clean);
+        assert_eq!(run.now.to_bits(), fresh.now.to_bits());
+        assert_eq!(run.spans, fresh.spans);
+        assert_eq!((run.retries, run.traffic), (fresh.retries, fresh.traffic));
+        assert_eq!(events, fresh_events);
+
+        // An armed generation 0 cannot be the clean run: derated links
+        // slow it down.
+        let mut slowed = clean.clone();
+        slowed.slow = (0..topo.node_count()).map(|n| (NodeId(n), 0.25)).collect();
+        let mut armed = SimBackend::default();
+        armed.begin(&plan, &ctx);
+        let (run, _) = first_generation(&mut armed, &ctx, &plan, &slowed);
+        assert!(armed.clean.is_none(), "the baseline is dropped either way");
+        assert!(run.now > baseline.clean_time + EPS, "{}", run.now);
     }
 }

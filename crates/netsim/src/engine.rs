@@ -1,5 +1,11 @@
 //! The discrete-event engine: dependency scheduling plus max-min fair rate
 //! allocation (progressive filling) over link and CPU resources.
+//!
+//! [`Simulator::run`] is event-driven (see the crate docs), and bit-identical
+//! to the rescanning engine that `tests/differential.rs` keeps as reference.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::report::{FailSpec, FailureRecord, JobRecord, SimReport};
 use crate::{JobId, JobKind, Network};
@@ -28,7 +34,6 @@ struct Job {
     resume_at: f64,
     /// Failed attempts so far, for the report.
     failures: Vec<FailureRecord>,
-    state: JobState,
     start: f64,
     finish: f64,
 }
@@ -37,20 +42,6 @@ impl Job {
     fn has_pending_fail(&self) -> bool {
         self.next_fail < self.fails.len()
     }
-
-    /// True when this job is waiting only on the clock (deps done, retry
-    /// backoff not yet elapsed).
-    fn runnable(&self, jobs: &[Job]) -> bool {
-        self.state == JobState::Pending
-            && self.deps.iter().all(|d| jobs[d.0].state == JobState::Done)
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum JobState {
-    Pending,
-    Active,
-    Done,
 }
 
 /// A dependency-DAG simulator over a [`Network`].
@@ -85,6 +76,26 @@ pub struct Simulator {
 /// Resource layout per node: uplink, downlink, cross-class uplink,
 /// cross-class downlink, CPU.
 const RES_PER_NODE: usize = 5;
+
+/// Per-run state: unfinished dependencies per job, dependents in CSR form,
+/// the active set (in id order once sorted), and `allocate`'s buffers.
+struct Run {
+    waiting_on: Vec<u32>,
+    /// Job `i`'s dependents are `dependents[first_dependent[i]..first_dependent[i + 1]]`.
+    first_dependent: Vec<u32>,
+    dependents: Vec<u32>,
+    active: Vec<usize>,
+    /// Readied jobs waiting for `resume_at`, earliest first: `(resume_at bits, id)`.
+    wake: BinaryHeap<Reverse<(u64, usize)>>,
+    /// One rate per active job: `allocate`'s result.
+    rate: Vec<f64>,
+    frozen: Vec<bool>,
+    /// Per resource; valid for the `touched` ones, which the active jobs use.
+    cap_left: Vec<f64>,
+    /// Unfrozen users per resource; all zero between calls.
+    users: Vec<usize>,
+    touched: Vec<usize>,
+}
 
 impl Simulator {
     /// Create an empty simulator over a network.
@@ -156,7 +167,6 @@ impl Simulator {
             next_fail: 0,
             resume_at: 0.0,
             failures: Vec::new(),
-            state: JobState::Pending,
             start: f64::NAN,
             finish: f64::NAN,
         })
@@ -188,7 +198,6 @@ impl Simulator {
             next_fail: 0,
             resume_at: 0.0,
             failures: Vec::new(),
-            state: JobState::Pending,
             start: f64::NAN,
             finish: f64::NAN,
         })
@@ -298,64 +307,97 @@ impl Simulator {
     /// Panics if the dependency graph deadlocks (a cycle), which indicates
     /// a malformed plan.
     pub fn run(mut self) -> SimReport {
+        let total = self.jobs.len();
+        // Dependents in CSR form: count, prefix-sum, fill segments from the end.
+        let mut first_dependent = vec![0u32; total + 1];
+        for d in self.jobs.iter().flat_map(|j| &j.deps) {
+            first_dependent[d.0] += 1;
+        }
+        for i in 1..=total {
+            first_dependent[i] += first_dependent[i - 1];
+        }
+        let mut dependents = vec![0; first_dependent[total] as usize];
+        for (i, job) in self.jobs.iter().enumerate() {
+            for d in &job.deps {
+                first_dependent[d.0] -= 1;
+                dependents[first_dependent[d.0] as usize] = i as u32;
+            }
+        }
+        let mut run = Run {
+            waiting_on: self.jobs.iter().map(|j| j.deps.len() as u32).collect(),
+            first_dependent,
+            dependents,
+            active: Vec::new(),
+            wake: BinaryHeap::new(),
+            rate: Vec::new(),
+            frozen: Vec::new(),
+            cap_left: self.capacity.clone(),
+            users: vec![0; self.capacity.len()],
+            touched: Vec::new(),
+        };
+
         let mut now = 0.0f64;
         let mut done = 0usize;
-        let total = self.jobs.len();
-
-        while done < total {
-            // Activate every pending job whose dependencies are all done
-            // and whose retry backoff (if any) has elapsed.
-            for i in 0..self.jobs.len() {
-                if self.jobs[i].runnable(&self.jobs) && self.jobs[i].resume_at <= now {
-                    self.jobs[i].state = JobState::Active;
-                    self.jobs[i].start = now;
-                }
+        for i in 0..total {
+            if run.waiting_on[i] == 0 {
+                self.ready(i, now, &mut run);
             }
-
-            let active: Vec<usize> = (0..self.jobs.len())
-                .filter(|&i| self.jobs[i].state == JobState::Active)
-                .collect();
-            if active.is_empty() {
-                // Everything runnable is backing off after a failure:
-                // advance the clock to the earliest retry.
-                let next = (0..self.jobs.len())
-                    .filter(|&i| self.jobs[i].runnable(&self.jobs))
-                    .map(|i| self.jobs[i].resume_at)
-                    .fold(f64::INFINITY, f64::min);
-                assert!(
-                    next.is_finite(),
-                    "simulator deadlock: {} pending jobs form a cycle",
-                    total - done
-                );
-                now = next;
+        }
+        while done < total {
+            // Activate every job whose release or retry backoff has
+            // elapsed; the active set runs in id order.
+            while let Some(&Reverse((at, i))) = run.wake.peek() {
+                if f64::from_bits(at) > now {
+                    break;
+                }
+                run.wake.pop();
+                self.jobs[i].start = now;
+                run.active.push(i);
+            }
+            run.active.sort_unstable();
+            if run.active.is_empty() {
+                // Everything runnable is waiting on the clock: advance it
+                // to the earliest release or retry.
+                let Some(&Reverse((at, _))) = run.wake.peek() else {
+                    panic!(
+                        "simulator deadlock: {} pending jobs form a cycle",
+                        total - done
+                    );
+                };
+                now = f64::from_bits(at);
                 continue;
             }
 
-            // Zero-work jobs complete (or fail) instantly.
+            // Zero-work jobs complete (or fail) instantly. Jobs this pass
+            // readies are appended past `n` and wait for the next pass.
+            let n = run.active.len();
             let mut instant = false;
-            for &i in &active {
+            for a in 0..n {
+                let i = run.active[a];
                 if self.jobs[i].remaining <= EPS {
                     if self.jobs[i].has_pending_fail() {
-                        self.fail_job(i, now);
+                        self.fail_job(i, now, &mut run);
                     } else {
-                        self.jobs[i].state = JobState::Done;
                         self.jobs[i].finish = now;
                         done += 1;
+                        self.release_dependents(i, now, &mut run);
                     }
+                    run.active[a] = usize::MAX;
                     instant = true;
                 }
             }
             if instant {
+                run.active.retain(|&i| i != usize::MAX);
                 continue;
             }
 
-            let rates = self.allocate(&active);
+            self.allocate(&mut run);
 
             // Find the earliest event among active jobs: a completion or
             // an injected attempt failure.
             let mut dt = f64::INFINITY;
-            for (idx, &i) in active.iter().enumerate() {
-                let r = rates[idx];
+            for (idx, &i) in run.active.iter().enumerate() {
+                let r = run.rate[idx];
                 assert!(
                     r > 0.0,
                     "job {:?} ({}) starved: zero allocated rate",
@@ -370,19 +412,19 @@ impl Simulator {
                 }
                 dt = dt.min(t);
             }
-            // Don't step past a pending retry: the retrying job must
-            // re-enter the bandwidth competition exactly at resume time.
-            for i in 0..self.jobs.len() {
-                if self.jobs[i].runnable(&self.jobs) && self.jobs[i].resume_at > now {
-                    dt = dt.min(self.jobs[i].resume_at - now);
-                }
+            // Don't step past a pending release or retry (rounding is
+            // monotone, so the earliest one gives the smallest step).
+            if let Some(&Reverse((at, _))) = run.wake.peek() {
+                dt = dt.min(f64::from_bits(at) - now);
             }
             assert!(dt.is_finite(), "no progress possible");
 
             now += dt;
-            for (idx, &i) in active.iter().enumerate() {
-                self.jobs[i].remaining -= rates[idx] * dt;
-                let tol = EPS * (1.0 + rates[idx] * dt);
+            for a in 0..n {
+                let i = run.active[a];
+                let rate = run.rate[a];
+                self.jobs[i].remaining -= rate * dt;
+                let tol = EPS * (1.0 + rate * dt);
                 let failing = {
                     let job = &self.jobs[i];
                     match job.fails.get(job.next_fail) {
@@ -391,22 +433,49 @@ impl Simulator {
                     }
                 };
                 if failing {
-                    self.fail_job(i, now);
+                    self.fail_job(i, now, &mut run);
+                    run.active[a] = usize::MAX;
                 } else if self.jobs[i].remaining <= tol {
                     self.jobs[i].remaining = 0.0;
-                    self.jobs[i].state = JobState::Done;
                     self.jobs[i].finish = now;
                     done += 1;
+                    self.release_dependents(i, now, &mut run);
+                    run.active[a] = usize::MAX;
                 }
             }
+            run.active.retain(|&i| i != usize::MAX);
         }
 
         self.into_report(now)
     }
 
+    /// Job `i`'s dependencies are done: start it now, or park it until `resume_at`.
+    fn ready(&mut self, i: usize, now: f64, run: &mut Run) {
+        let job = &mut self.jobs[i];
+        if job.resume_at <= now {
+            job.start = now;
+            run.active.push(i);
+        } else {
+            // `resume_at > now >= 0`, so bit order is time order.
+            run.wake.push(Reverse((job.resume_at.to_bits(), i)));
+        }
+    }
+
+    /// Job `i` finished: count it off each dependent and ready those it
+    /// was the last dependency of.
+    fn release_dependents(&mut self, i: usize, now: f64, run: &mut Run) {
+        for k in run.first_dependent[i]..run.first_dependent[i + 1] {
+            let d = run.dependents[k as usize] as usize;
+            run.waiting_on[d] -= 1;
+            if run.waiting_on[d] == 0 {
+                self.ready(d, now, run);
+            }
+        }
+    }
+
     /// Fire the next injected failure of job `i` at time `now`: record it,
-    /// reset the job's work, and schedule the retry after the backoff.
-    fn fail_job(&mut self, i: usize, now: f64) {
+    /// reset the job's work, and ready the retry after the backoff.
+    fn fail_job(&mut self, i: usize, now: f64, run: &mut Run) {
         let job = &mut self.jobs[i];
         let spec = job.fails[job.next_fail].clone();
         job.next_fail += 1;
@@ -418,22 +487,45 @@ impl Simulator {
             reason: spec.reason,
         });
         job.remaining = job.total;
-        job.state = JobState::Pending;
         job.resume_at = now + spec.delay;
         job.start = f64::NAN;
+        self.ready(i, now, run);
     }
 
     /// Max-min fair allocation (progressive filling with per-job caps) for
-    /// the given active job indices. Returns one rate per active job.
-    fn allocate(&self, active: &[usize]) -> Vec<f64> {
-        let m = active.len();
-        let mut rate = vec![0.0f64; m];
-        let mut frozen = vec![false; m];
-        let mut cap_left = self.capacity.clone();
+    /// the active jobs: one rate per active job, left in `run.rate`. Only
+    /// the resources the active jobs draw from are reset and scanned; the
+    /// minimum increment is the same in any order.
+    fn allocate(&self, run: &mut Run) {
+        let Run {
+            active,
+            rate,
+            frozen,
+            cap_left,
+            users,
+            touched,
+            ..
+        } = run;
+        rate.clear();
+        rate.resize(active.len(), 0.0);
+        frozen.clear();
+        frozen.resize(active.len(), false);
+        touched.clear();
+        for &i in active.iter() {
+            for &r in &self.jobs[i].resources {
+                if users[r] == 0 {
+                    users[r] = 1;
+                    touched.push(r);
+                    cap_left[r] = self.capacity[r];
+                }
+            }
+        }
 
         loop {
             // Count unfrozen users per resource.
-            let mut users = vec![0usize; cap_left.len()];
+            for &r in touched.iter() {
+                users[r] = 0;
+            }
             let mut any = false;
             for (idx, &i) in active.iter().enumerate() {
                 if frozen[idx] {
@@ -445,12 +537,14 @@ impl Simulator {
                 }
             }
             if !any {
+                // `users` is all zero again, as the next call expects.
                 break;
             }
 
             // The uniform increment every unfrozen job can still take.
             let mut inc = f64::INFINITY;
-            for (r, &u) in users.iter().enumerate() {
+            for &r in touched.iter() {
+                let u = users[r];
                 if u > 0 {
                     inc = inc.min(cap_left[r] / u as f64);
                 }
@@ -497,7 +591,6 @@ impl Simulator {
                 "progressive filling failed to converge"
             );
         }
-        rate
     }
 
     fn into_report(self, makespan: f64) -> SimReport {

@@ -19,6 +19,13 @@
 //! The simulator reports makespan, per-job timing, and traffic statistics
 //! (cross-rack bytes, per-node upload/download) — the quantities plotted in
 //! the paper's Figures 7–14.
+//!
+//! The engine is event-driven. Each job counts its unfinished dependencies;
+//! a finished job counts itself off its dependents, and those it readies
+//! start at once or wait in a heap for their release or retry time. Each
+//! event re-runs the global progressive filling over the active set in id
+//! order, so every report is bit-identical to the earlier engine's, which
+//! rescanned every job on every event.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

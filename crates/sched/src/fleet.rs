@@ -336,14 +336,6 @@ fn draw_level(rng: &mut SplitMix64, weights: &[f64], k: usize) -> usize {
     1
 }
 
-/// One stripe of the synthetic fleet: its repair class and where its
-/// blocks physically live.
-struct StripeGen {
-    class: u32,
-    /// Global node id of each block, indexed by block id.
-    hosts: Box<[u32]>,
-}
-
 /// Run a synthetic fleet: generate the stripe population, cost every
 /// repair class (or every stripe, under a storm), then drain the
 /// backlog through the bandwidth arbiter — under churn and journaling
@@ -429,7 +421,10 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
     let mut class_keys: std::collections::HashMap<Vec<usize>, u32> =
         std::collections::HashMap::new();
     let mut class_failed: Vec<Vec<usize>> = Vec::new();
-    let mut stripes: Vec<StripeGen> = Vec::with_capacity(spec.stripes);
+    // Per stripe: its repair class, and the global node id of each of its
+    // blocks (`hosts[s * total + b]` hosts stripe `s`'s block `b`).
+    let mut class_of: Vec<u32> = Vec::with_capacity(spec.stripes);
+    let mut hosts = vec![0u32; spec.stripes * total];
     for s in 0..spec.stripes {
         let mut rng = SplitMix64::new(
             (spec.seed ^ (s as u64))
@@ -445,11 +440,16 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
             }
         }
         failed.sort_unstable();
-        let next_id = class_failed.len() as u32;
-        let class = *class_keys.entry(failed.clone()).or_insert_with(|| {
-            class_failed.push(failed.clone());
-            next_id
-        });
+        let class = match class_keys.get(&failed) {
+            Some(&class) => class,
+            None => {
+                let class = class_failed.len() as u32;
+                class_keys.insert(failed.clone(), class);
+                class_failed.push(failed);
+                class
+            }
+        };
+        class_of.push(class);
 
         // Physical placement: q distinct racks, then a distinct slot per
         // block within its rack.
@@ -460,21 +460,19 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
                 racks.push(r);
             }
         }
-        let mut hosts = vec![0u32; total].into_boxed_slice();
         let mut used_slots = vec![0u64; q];
-        for b in 0..total {
+        for (b, host) in hosts[s * total..(s + 1) * total].iter_mut().enumerate() {
             let c = canon_placement.node_of(BlockId(b)).0;
             let rack_pos = c / npr;
             loop {
                 let slot = rng.pick(npr);
                 if used_slots[rack_pos] & (1 << slot) == 0 {
                     used_slots[rack_pos] |= 1 << slot;
-                    hosts[b] = (racks[rack_pos] * npr + slot) as u32;
+                    *host = (racks[rack_pos] * npr + slot) as u32;
                     break;
                 }
             }
         }
-        stripes.push(StripeGen { class, hosts });
     }
 
     // ---- Repair costing ----------------------------------------------
@@ -505,7 +503,7 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
     let mut unrepairable = 0usize;
     let mut replayed = 0usize;
 
-    // jobs[i] schedules stripes[kept[i]]; its base cost and demand come
+    // jobs[i] schedules stripe kept[i]; its base cost and demand come
     // from `priced` (cached path: shared per class; storm path: per job).
     let mut jobs: Vec<FleetJob> = Vec::with_capacity(spec.stripes);
     let mut kept: Vec<u32> = Vec::with_capacity(spec.stripes);
@@ -515,12 +513,12 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
         let classes: Vec<(CostRec, Demand)> = run_indexed(threads, class_failed.len(), |ci| {
             clean(&class_failed[ci], &spec.cfg)
         });
-        for (s, gen) in stripes.iter().enumerate() {
-            let (c, _) = &classes[gen.class as usize];
+        for (s, &class) in class_of.iter().enumerate() {
+            let (c, _) = &classes[class as usize];
             tally.add(c, None);
             jobs.push(FleetJob::costed(
                 s as u32,
-                class_failed[gen.class as usize].len(),
+                class_failed[class as usize].len(),
                 c,
             ));
             kept.push(s as u32);
@@ -535,7 +533,7 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
         let resume = io.resume;
         let outcomes: Vec<Option<(CostRec, Demand, bool)>> =
             run_indexed(threads, spec.stripes, |s| {
-                let base = &class_failed[stripes[s].class as usize];
+                let base = &class_failed[class_of[s] as usize];
                 let replay = match resume {
                     Some(r) if r.unrepairable.contains(&(s as u32)) => return None,
                     Some(r) => r.cost(s as u32, base.len()),
@@ -563,7 +561,7 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
             };
             replayed += usize::from(was_replay);
             tally.add(&c, None);
-            let level = class_failed[stripes[s].class as usize].len();
+            let level = class_failed[class_of[s] as usize].len();
             if let Some(j) = io.journal {
                 // Cost records land (and the flush below makes them durable)
                 // before the drain starts: a later crash leaves them replayable.
@@ -603,7 +601,7 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
     let mut esc_cfg = spec.cfg.clone();
     esc_cfg.hedge = None;
     let escalated = |s: usize, lvl: usize| -> (CostRec, Demand) {
-        let base = &class_failed[stripes[s].class as usize];
+        let base = &class_failed[class_of[s] as usize];
         let failed = escalated_failed(base, total, spec.seed ^ (s as u64) ^ ESCALATION_SALT, lvl);
         // On the cached path a base class ran this very (hedge-free) sim.
         if let Some(&ci) = class_keys.get(&failed).filter(|_| cacheable) {
@@ -617,7 +615,7 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
         costed
     };
     let mut cost_of = |job: usize, lvl: usize| -> JobCost {
-        let gen = &stripes[kept[job] as usize];
+        let s = kept[job] as usize;
         let translate = |canon: &Demand| -> Demand {
             if !spec.arbitrate {
                 return Demand::default();
@@ -629,12 +627,12 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
                 npr,
                 &roles,
                 &first_block_in_rack,
-                &gen.hosts,
+                &hosts[s * total..(s + 1) * total],
             )
         };
         if lvl == jobs[job].level {
             let canon = if cacheable {
-                &priced[gen.class as usize].1
+                &priced[class_of[s] as usize].1
             } else {
                 &priced[job].1
             };
@@ -645,7 +643,7 @@ pub fn run_fleet_with(spec: &FleetSpec, io: FleetIo<'_>, rec: &dyn Recorder) -> 
                 demand: translate(canon),
             }
         } else {
-            let (c, demand) = escalated(kept[job] as usize, lvl);
+            let (c, demand) = escalated(s, lvl);
             JobCost {
                 duration: c.dur,
                 cross_bytes: c.cross,

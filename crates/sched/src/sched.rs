@@ -377,6 +377,11 @@ pub fn drain_fleet(
     let mut holding: Vec<Option<Demand>> = vec![None; jobs.len()];
     let mut records: Vec<Option<StripeRecord>> = vec![None; jobs.len()];
     let mut makespan = 0.0f64;
+    // The clamped cost of the queue head `try_admit` last turned away,
+    // keyed by `(job, level)`: it stays the head until bandwidth frees
+    // up, and `cost_of` is pure. An escalation changes the level and a
+    // loss tombstones the head, so neither can reuse a stale cost.
+    let mut blocked: Option<(usize, usize, JobCost)> = None;
 
     loop {
         // Re-scan arrivals: failures detected by now enter the live
@@ -405,16 +410,22 @@ pub fn drain_fleet(
                 continue;
             }
             let lvl = level[i];
-            let cost = cost_of(i, lvl);
-            let mut demand = cost.demand;
-            arbiter.clamp(&mut demand);
-            if !arbiter.try_admit(&demand) {
+            let cost = match blocked.take() {
+                Some((j, l, cost)) if (j, l) == (i, lvl) => cost,
+                _ => {
+                    let mut cost = cost_of(i, lvl);
+                    arbiter.clamp(&mut cost.demand);
+                    cost
+                }
+            };
+            if !arbiter.try_admit(&cost.demand) {
                 if !has_running(&mut running, &finish_at, &holding) {
                     panic!(
                         "drain_fleet: job {i} inadmissible on an idle arbiter \
                          (demand exceeds clamped capacity)"
                     );
                 }
+                blocked = Some((i, lvl, cost));
                 break;
             }
             index.pop();
@@ -446,7 +457,7 @@ pub fn drain_fleet(
                 finish,
                 waited,
             });
-            holding[i] = Some(demand);
+            holding[i] = Some(cost.demand);
             finish_at[i] = finish;
             running.push(Reverse((TimeKey(finish), head)));
         }
@@ -891,6 +902,40 @@ mod tests {
         assert_eq!(out.summary.waited, 2);
         assert_eq!(out.summary.max_wait, 2.0);
         assert!(arb.total_reserved() < 1e-6, "all reservations released");
+    }
+
+    #[test]
+    fn contended_drain_costs_each_admission_once() {
+        // Two of these repairs fill node 0's cross uplink, so the queue
+        // head is turned away after every completion but the last few;
+        // its cost must be taken once, not once per attempt.
+        let half = 0.05 * GBIT;
+        let jobs: Vec<FleetJob> = (0..12)
+            .map(|s| job(s, 1 + usize::from(s % 3 == 0), 1.0 + f64::from(s) / 4.0))
+            .collect();
+        let mut arb = arb();
+        let mut calls = 0usize;
+        let mut cost_of = |i: usize, lvl: usize| {
+            calls += 1;
+            JobCost {
+                duration: jobs[i].duration,
+                cross_bytes: jobs[i].cross_bytes * lvl as u64,
+                inner_bytes: jobs[i].inner_bytes,
+                demand: Demand {
+                    entries: vec![(BandwidthArbiter::uplink(0), half)],
+                },
+            }
+        };
+        let out = drain_fleet(
+            &jobs,
+            &mut cost_of,
+            &mut arb,
+            DrainOptions::default(),
+            &NoopRecorder,
+        );
+        assert_eq!(out.summary.repaired, 12);
+        assert_eq!(out.summary.waited, 10, "all but the first two waited");
+        assert_eq!(calls, out.records.len(), "one cost per admission");
     }
 
     #[test]

@@ -10,7 +10,11 @@
 #      of its own and is not checked)
 #   1. cargo build --release --workspace
 #   2. cargo build --release --examples
-#   3. cargo test -q --workspace
+#   3. cargo test -q --workspace, then the netsim differential harness
+#      once more in release (`cargo test --release -p rpr-netsim --test
+#      differential`): the event-driven engine against the rescanning
+#      reference on 20,000 seeded random graphs, 2,000 in the debug run
+#      (the count follows `cfg!(debug_assertions)`)
 #   4. cargo clippy --workspace --all-targets -- -D warnings
 #   5. cargo doc --no-deps --workspace   (rustdoc warnings are errors)
 #   6. streaming collapse: at (6,3) the chunked `rpr plan` makespan must
@@ -112,6 +116,7 @@ run cargo fmt --all --check
 run cargo build $OFFLINE --release --workspace
 run cargo build $OFFLINE --release --examples
 run cargo test $OFFLINE -q --workspace
+run cargo test $OFFLINE -q --release -p rpr-netsim --test differential
 run cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc $OFFLINE --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc $OFFLINE --no-deps --workspace
