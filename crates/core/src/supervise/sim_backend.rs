@@ -191,8 +191,7 @@ impl RepairBackend for SimBackend {
         // Generation 0 runs `begin`'s plan: unarmed and fully lowered, it
         // is the run `begin` already simulated.
         let unarmed = gen.faults.slow.is_empty() && gen.faults.op_faults.iter().all(Vec::is_empty);
-        let clean = self.clean.take();
-        let (report, ids) = match clean {
+        let (report, ids) = match self.clean.take() {
             Some(clean) if g == 0 && unarmed && gen.lowered.iter().all(|&l| l) => clean,
             _ => {
                 let mut sim = Simulator::new(network_for(ctx));
