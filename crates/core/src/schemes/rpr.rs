@@ -7,6 +7,11 @@
 //! pre-placement, a data-block failure gets the all-ones XOR equation of
 //! eq. 6 whenever the distribution allows it — no decoding matrix at all.
 //!
+//! The search simulates a *probe* first (the local-first,
+//! leave-one-remote-rack-single heuristic's pick), then abandons every
+//! other candidate once its makespan floor passes the probe's time. The
+//! plan chosen is the one full simulation of every candidate would choose.
+//!
 //! Multi-block failures (§3.4): one repair sub-equation per failed block
 //! (eq. 9); each rack runs Inner-multi (one raw-block delivery per node,
 //! one intermediate per sub-equation), and Cross-multi multiplexes the
@@ -17,11 +22,15 @@ use crate::scenario::RepairContext;
 use crate::schemes::{
     cross_pipeline, inner_star, inner_tree, PlanBuilder, RackInterm, RepairPlanner,
 };
-use crate::sim::simulate;
+use crate::sim::simulate_within;
 use rpr_codec::BlockId;
 use rpr_topology::RackId;
 
-/// The RPR planner.
+/// Two repair times closer than this tie (fewer cross transfers win).
+const TIE: f64 = 1e-9;
+
+/// The RPR planner. Its search runs a probe candidate in full and each
+/// other one only until it provably loses, choosing as full runs would.
 #[derive(Clone, Copy, Debug)]
 pub struct RprPlanner {
     /// Exhaustively search helper distributions for single-block failures
@@ -54,34 +63,80 @@ impl RepairPlanner for RprPlanner {
     }
 
     fn plan(&self, ctx: &RepairContext<'_>) -> RepairPlan {
-        let candidates = self.candidate_selections(ctx);
-        debug_assert!(!candidates.is_empty());
-        let mut best: Option<(f64, usize, RepairPlan)> = None;
-        for sel in &candidates {
-            let plan = build_plan(ctx, sel);
-            let outcome = simulate(&plan, ctx);
-            let (time, cross) = (outcome.repair_time, outcome.stats.cross_transfers);
-            let better = match &best {
-                None => true,
-                Some((bt, bc, _)) => {
-                    // Minimize repair time; break ties on cross-rack traffic.
-                    time < bt - 1e-9 || (time < bt + 1e-9 && cross < *bc)
-                }
-            };
-            if better {
-                best = Some((time, cross, plan));
-            }
+        let (candidates, probe) = self.candidate_selections(ctx);
+        let mut plans: Vec<RepairPlan> = candidates.iter().map(|s| build_plan(ctx, s)).collect();
+        if plans.len() == 1 {
+            return plans.pop().expect("one candidate");
         }
-        best.expect("at least one candidate").2
+        let cross: Vec<usize> = plans
+            .iter()
+            .map(|p| p.stats(ctx.topo).cross_transfers)
+            .collect();
+        let best = pick(probe, &cross, |i, limit| {
+            simulate_within(&plans[i], ctx, limit).map(|o| o.repair_time)
+        });
+        plans.swap_remove(best)
     }
+}
+
+/// The first best `(time, cross)` candidate in order, where a `None` time
+/// only exceeds `limit`; `None` if that leaves a comparison undecided. An
+/// exact time at most `limit - TIE` loses to every `None` time and one
+/// below it beats every one, so decided comparisons match exact ones.
+fn first_best(candidates: &[(Option<f64>, usize)], limit: f64) -> Option<usize> {
+    enum Held {
+        Nothing,
+        SomeOver,
+        Best(usize, f64, usize),
+    }
+    let mut held = Held::Nothing;
+    for (i, &(time, cross)) in candidates.iter().enumerate() {
+        held = match (held, time) {
+            (Held::Nothing | Held::SomeOver, None) => Held::SomeOver,
+            (Held::Nothing, Some(t)) => Held::Best(i, t, cross),
+            (Held::SomeOver, Some(t)) if t < limit - TIE => Held::Best(i, t, cross),
+            (Held::Best(_, bt, bc), Some(t)) if t < bt - TIE || (t < bt + TIE && cross < bc) => {
+                Held::Best(i, t, cross)
+            }
+            (held @ Held::Best(..), Some(_)) => held,
+            (held @ Held::Best(_, bt, _), None) if bt + TIE <= limit => held,
+            _ => return None,
+        };
+    }
+    match held {
+        Held::Best(best, ..) => Some(best),
+        _ => None,
+    }
+}
+
+/// The candidate full simulation would choose, given cross counts and
+/// `run(i, limit)` (candidate `i`'s time if at most `limit`): the others
+/// run within the probe's time × (1 + 1e-6), all unbounded if undecided.
+fn pick(probe: usize, cross: &[usize], run: impl Fn(usize, f64) -> Option<f64>) -> usize {
+    let probe_time = run(probe, f64::INFINITY);
+    let timed = |limit: f64| -> Vec<(Option<f64>, usize)> {
+        let time = |i: usize| {
+            if i == probe {
+                probe_time
+            } else {
+                run(i, limit)
+            }
+        };
+        (0..cross.len()).map(|i| (time(i), cross[i])).collect()
+    };
+    let limit = probe_time.expect("an unbounded run always completes") * (1.0 + 1e-6);
+    first_best(&timed(limit), limit)
+        .or_else(|| first_best(&timed(f64::INFINITY), f64::INFINITY))
+        .expect("exact times always decide")
 }
 
 /// A helper selection: for each involved rack, the chosen helper blocks.
 type Selection = Vec<(RackId, Vec<BlockId>)>;
 
 impl RprPlanner {
-    /// Enumerate candidate helper selections.
-    fn candidate_selections(&self, ctx: &RepairContext<'_>) -> Vec<Selection> {
+    /// Enumerate candidate helper selections, with the index of the probe:
+    /// heuristic (b)'s pick below when it is a candidate, else 0.
+    fn candidate_selections(&self, ctx: &RepairContext<'_>) -> (Vec<Selection>, usize) {
         let params = ctx.params();
         let n = params.n;
         let by_rack = ctx.survivors_by_rack();
@@ -108,21 +163,20 @@ impl RprPlanner {
         let caps: Vec<usize> = racks.iter().map(|(_, b)| b.len()).collect();
 
         let mut selections: Vec<Selection> = Vec::new();
-        let push_counts = |counts: &[usize], selections: &mut Vec<Selection>| {
-            let sel: Selection = racks
+        let select = |counts: &[usize]| -> Selection {
+            racks
                 .iter()
                 .zip(counts)
                 .filter(|(_, &c)| c > 0)
                 .map(|((rack, blocks), &c)| (*rack, blocks[..c].to_vec()))
-                .collect();
-            selections.push(sel);
+                .collect()
         };
 
         if self.search && ctx.failed.len() == 1 {
             // Exhaustive composition enumeration (tiny for paper codes).
             let mut counts = vec![0usize; caps.len()];
             enumerate_compositions(&caps, n, 0, &mut counts, &mut |c| {
-                push_counts(c, &mut selections)
+                selections.push(select(c))
             });
         } else {
             // Heuristics: (a) local-first + fullest remote racks,
@@ -130,13 +184,16 @@ impl RprPlanner {
             // (c) no locals + fullest remote racks.
             for (use_local, leave_single) in [(true, false), (true, true), (false, false)] {
                 if let Some(counts) = heuristic_counts(&caps, n, use_local, leave_single) {
-                    push_counts(&counts, &mut selections);
+                    selections.push(select(&counts));
                 }
             }
         }
         selections.sort();
         selections.dedup();
-        selections
+        let probe = heuristic_counts(&caps, n, true, true)
+            .and_then(|counts| selections.iter().position(|s| *s == select(&counts)))
+            .unwrap_or(0);
+        (selections, probe)
     }
 }
 
@@ -301,8 +358,14 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::plan::PlanStats;
+    use crate::sim::simulate;
     use rpr_codec::{CodeParams, StripeCodec};
+    use rpr_faults::SplitMix64;
     use rpr_topology::{cluster_for, BandwidthProfile, Placement, PlacementPolicy};
+    use std::cell::Cell;
+
+    const SEED: u64 = 0x243F_6A88_85A3_08D3;
+    const PAPER_CODES: [(usize, usize); 6] = [(4, 2), (6, 2), (8, 2), (6, 3), (8, 4), (12, 4)];
 
     fn setup(
         n: usize,
@@ -458,5 +521,217 @@ mod tests {
         assert_eq!(seen.len(), 6);
         assert!(seen.iter().all(|c| c.iter().sum::<usize>() == 4));
         assert!(seen.iter().all(|c| c.iter().all(|&x| x <= 2)));
+    }
+
+    /// The search as it was before pruning, kept as the reference: every
+    /// candidate simulated in full and folded in candidate order.
+    fn plan_exhaustively(planner: &RprPlanner, ctx: &RepairContext<'_>) -> RepairPlan {
+        let (candidates, _) = planner.candidate_selections(ctx);
+        let mut best: Option<(f64, usize, RepairPlan)> = None;
+        for sel in &candidates {
+            let plan = build_plan(ctx, sel);
+            let outcome = simulate(&plan, ctx);
+            let (time, cross) = (outcome.repair_time, outcome.stats.cross_transfers);
+            let better = match &best {
+                None => true,
+                Some((bt, bc, _)) => {
+                    // Minimize repair time; break ties on cross-rack traffic.
+                    time < bt - 1e-9 || (time < bt + 1e-9 && cross < *bc)
+                }
+            };
+            if better {
+                best = Some((time, cross, plan));
+            }
+        }
+        best.expect("at least one candidate").2
+    }
+
+    #[test]
+    fn pruned_search_chooses_the_exhaustive_plan() {
+        // Every single failure of the six paper codes plus sampled doubles,
+        // on both placements, block mode and chunked, free and Simics
+        // costs; a 4 KiB block too, whose bound sits inside the tie window
+        // and sends the planner to its fallback.
+        let (block, chunk, doubles) = if cfg!(debug_assertions) {
+            (16 << 20, 4 << 20, 2)
+        } else {
+            (64 << 20, 1 << 20, 6)
+        };
+        let mut rng = SplitMix64::new(SEED);
+        let mut plans = 0;
+        for (n, k) in PAPER_CODES {
+            for policy in [PlacementPolicy::Compact, PlacementPolicy::RprPreplaced] {
+                let (codec, topo, placement, profile) = setup(n, k, policy);
+                let mut failures: Vec<Vec<BlockId>> =
+                    (0..n + k).map(|f| vec![BlockId(f)]).collect();
+                for _ in 0..doubles {
+                    let a = rng.pick(n + k);
+                    let b = (a + 1 + rng.pick(n + k - 1)) % (n + k);
+                    failures.push(vec![BlockId(a), BlockId(b)]);
+                }
+                for failed in &failures {
+                    for cost in [CostModel::free(), CostModel::simics()] {
+                        for (bytes, chunk) in [(block, None), (block, Some(chunk)), (4096, None)] {
+                            let base = RepairContext::new(
+                                &codec,
+                                &topo,
+                                &placement,
+                                failed.clone(),
+                                bytes,
+                                &profile,
+                                cost,
+                            );
+                            let ctx = chunk.map_or(base.clone(), |c| base.with_chunk_size(c));
+                            for planner in [RprPlanner::new(), RprPlanner::without_search()] {
+                                let want = plan_exhaustively(&planner, &ctx);
+                                let got = planner.plan(&ctx);
+                                assert_eq!(
+                                    format!("{got:?}"),
+                                    format!("{want:?}"),
+                                    "({n},{k}) {policy:?} {failed:?} {bytes} B chunk {chunk:?} \
+                                     search {}",
+                                    planner.search
+                                );
+                                plans += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(plans > 1000, "{plans} plans compared");
+    }
+
+    #[test]
+    fn losing_candidates_are_abandoned() {
+        // (12,4) d1 chunked: most candidates cross the probe's bound, and
+        // the bounded fold decides without rerunning anything.
+        let (codec, topo, placement, profile) = setup(12, 4, PlacementPolicy::RprPreplaced);
+        let ctx = RepairContext::new(
+            &codec,
+            &topo,
+            &placement,
+            vec![BlockId(1)],
+            16 << 20,
+            &profile,
+            CostModel::simics(),
+        )
+        .with_chunk_size(1 << 20);
+        let planner = RprPlanner::new();
+        let (candidates, probe) = planner.candidate_selections(&ctx);
+        let plans: Vec<RepairPlan> = candidates.iter().map(|s| build_plan(&ctx, s)).collect();
+        let cross: Vec<usize> = plans
+            .iter()
+            .map(|p| p.stats(ctx.topo).cross_transfers)
+            .collect();
+        let (pruned, full) = (Cell::new(0), Cell::new(0));
+        let best = pick(probe, &cross, |i, limit| {
+            let out = simulate_within(&plans[i], &ctx, limit);
+            pruned.set(pruned.get() + usize::from(out.is_none()));
+            full.set(full.get() + usize::from(limit.is_infinite()));
+            out.map(|o| o.repair_time)
+        });
+        assert_eq!(full.get(), 1, "only the probe runs unbounded");
+        assert!(
+            pruned.get() * 2 > plans.len(),
+            "{} of {} candidates pruned",
+            pruned.get(),
+            plans.len()
+        );
+        assert_eq!(
+            format!("{:?}", plans[best]),
+            format!("{:?}", plan_exhaustively(&planner, &ctx))
+        );
+    }
+
+    /// The planner's fold before pruning, kept as the reference: the first
+    /// shortest time, ties within 1e-9 going to fewer cross transfers.
+    fn exact_pick(candidates: &[(f64, usize)]) -> usize {
+        let mut best = 0;
+        for (i, &(time, cross)) in candidates.iter().enumerate() {
+            let (bt, bc) = candidates[best];
+            if time < bt - 1e-9 || (time < bt + 1e-9 && cross < bc) {
+                best = i;
+            }
+        }
+        best
+    }
+
+    /// What bounded runs report for candidates of these exact times: a
+    /// time over `limit` is only known to be over it.
+    fn bounded(exact: &[(f64, usize)], limit: f64) -> Vec<(Option<f64>, usize)> {
+        exact
+            .iter()
+            .map(|&(t, c)| ((t <= limit).then_some(t), c))
+            .collect()
+    }
+
+    #[test]
+    fn bounded_fold_agrees_with_the_exact_fold_or_defers() {
+        // Seeded cases: times on a grid around 10 s with offsets at and
+        // inside the tie window, cross counts 0..4, a limit near one of
+        // the times.
+        const CASES: usize = 20_000;
+        let offsets = [0.0, 0.4e-9, 0.5e-9, 1e-9, 1.5e-9, 2e-9, 1e-6, 1e-3, 0.5];
+        let time = |rng: &mut SplitMix64| {
+            10.0 + offsets[rng.pick(offsets.len())] * [1.0, -1.0][rng.pick(2)]
+        };
+        let mut rng = SplitMix64::new(SEED);
+        let (mut decided, mut deferred) = (0, 0);
+        for case in 0..CASES {
+            let exact: Vec<(f64, usize)> = (0..1 + rng.pick(8))
+                .map(|_| (time(&mut rng), rng.pick(4)))
+                .collect();
+            let limit = time(&mut rng);
+            match first_best(&bounded(&exact, limit), limit) {
+                Some(i) => {
+                    let want = exact_pick(&exact);
+                    assert_eq!(i, want, "case {case}: {exact:?} limit {limit}");
+                    decided += 1;
+                }
+                None => deferred += 1,
+            }
+        }
+        assert!(
+            decided * 4 > CASES && deferred * 20 > CASES,
+            "{decided} decided, {deferred} deferred"
+        );
+
+        // At the boundary the fold defers: a time over the limit but inside
+        // the tie window of the best wins on cross transfers, and an exact
+        // time inside the window of the limit loses to the one over it
+        // held before it.
+        let limit = 10.0 + 0.5e-9;
+        let over = 10.0 + 0.8e-9;
+        for exact in [
+            vec![(10.0, 2), (over, 1)],
+            vec![(over, 1), (10.0 + 0.3e-9, 2)],
+        ] {
+            let winner = exact.iter().position(|&(t, _)| t == over);
+            assert_eq!(Some(exact_pick(&exact)), winner, "{exact:?}");
+            assert_eq!(first_best(&bounded(&exact, limit), limit), None);
+        }
+    }
+
+    #[test]
+    fn an_undecided_fold_reruns_every_candidate_in_full() {
+        // A probe so short that 1e-6 of it is inside the tie window: the
+        // candidate over the bound may tie the probe, and here it does and
+        // wins on cross transfers. A 20 s probe's bound clears the window.
+        let cross = [3, 2, 1];
+        for (times, reruns) in [
+            ([2e-4, 2e-4 + 5e-10, 3e-4], true),
+            ([20.0, 20.00005, 30.0], false),
+        ] {
+            let full = Cell::new(0);
+            let best = pick(0, &cross, |i, limit| {
+                full.set(full.get() + usize::from(limit.is_infinite()));
+                (times[i] <= limit).then_some(times[i])
+            });
+            let exact: Vec<(f64, usize)> = times.iter().copied().zip(cross).collect();
+            assert_eq!(best, exact_pick(&exact), "{times:?}");
+            let want = if reruns { times.len() } else { 1 };
+            assert_eq!(full.get(), want, "{times:?}: unbounded runs");
+        }
     }
 }

@@ -42,15 +42,24 @@ pub struct SimOutcome {
 /// malformed plan; run [`RepairPlan::validate`] first for a readable
 /// error).
 pub fn simulate(plan: &RepairPlan, ctx: &RepairContext<'_>) -> SimOutcome {
+    simulate_within(plan, ctx, f64::INFINITY).expect("an unbounded run always completes")
+}
+
+/// [`simulate`], or `None` as soon as the repair time provably exceeds
+/// `limit` ([`Simulator::run_within`]).
+pub(crate) fn simulate_within(
+    plan: &RepairPlan,
+    ctx: &RepairContext<'_>,
+    limit: f64,
+) -> Option<SimOutcome> {
     let mut sim = Simulator::new(network_for(ctx));
-    let stats = plan.stats(ctx.topo);
     JobGraph::new(plan, &vec![true; plan.ops.len()], ctx).add_to(&mut sim, 0);
-    let report = sim.run();
-    SimOutcome {
+    let report = sim.run_within(limit)?;
+    Some(SimOutcome {
         repair_time: report.makespan,
         report,
-        stats,
-    }
+        stats: plan.stats(ctx.topo),
+    })
 }
 
 /// The simulated network of a context — topology, bandwidth profile and
@@ -228,9 +237,11 @@ impl<'p> JobGraph<'p> {
     pub fn add_to(&self, sim: &mut Simulator, tag: usize) -> Vec<JobId> {
         let streamed = self.chunks.len() > 1;
         let mut ids: Vec<JobId> = Vec::with_capacity(self.jobs.len());
+        let mut deps: Vec<JobId> = Vec::new();
         for (i, op) in self.plan.ops.iter().enumerate() {
             for (j, job) in self.op_jobs(i).iter().enumerate() {
-                let deps: Vec<JobId> = self.deps(i, j).map(|d| ids[d]).collect();
+                deps.clear();
+                deps.extend(self.deps(i, j).map(|d| ids[d]));
                 let label = op_label(self.plan, tag, i, streamed.then_some(j));
                 ids.push(match op {
                     Op::Send { from, to, .. } => {

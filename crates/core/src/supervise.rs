@@ -1035,7 +1035,7 @@ fn replan<V>(
 fn check_deadline(cfg: &SuperviseConfig, now: f64, out: &mut SuperviseOutcome, rec: &dyn Recorder) {
     if let Some(d) = cfg.deadline.filter(|&d| now > d && !out.deadline_hit) {
         out.deadline_hit = true;
-        rec.record(Event::DeadlineExceeded {
+        rec.emit(|| Event::DeadlineExceeded {
             scope: "repair".to_string(),
             budget: d,
             elapsed: now,
@@ -1058,10 +1058,10 @@ fn record_proofs(
         let (op, node, honest) = (proof.op, proof.node, proof.honest_output());
         out.ledger.push(gen, proof);
         out.proofs_emitted += 1;
-        rec.record(Event::ProofEmitted { op, node, gen, t });
+        rec.emit(|| Event::ProofEmitted { op, node, gen, t });
         if !honest {
             out.proofs_rejected += 1;
-            rec.record(Event::ProofRejected { op, node, gen, t });
+            rec.emit(|| Event::ProofRejected { op, node, gen, t });
         }
     }
 }
@@ -1103,7 +1103,7 @@ pub fn supervise<B: RepairBackend>(
         None => replan(&ctx_g, tracker, &dead, None, &pool, Tier::Full)?,
     };
     let baseline = backend.begin(&rep.plan, ctx);
-    rec.record(plan_built(&rep.plan, ctx.topo));
+    rec.emit(|| plan_built(&rep.plan, ctx.topo));
 
     // The ledger key derives from the storm seed, so the offline auditor
     // re-derives it without any side channel.
@@ -1197,9 +1197,9 @@ pub fn supervise<B: RepairBackend>(
         let waves = wave_spans(plan, ctx.topo, &finished, &run.spans);
         for (step, &(start, finish)) in waves.iter().enumerate().filter(|(_, w)| w.0.is_finite()) {
             let t = run.started + start;
-            rec.record(Event::TimestepStarted { step, t });
+            rec.emit(|| Event::TimestepStarted { step, t });
             let t = run.started + finish;
-            rec.record(Event::TimestepFinished { step, t });
+            rec.emit(|| Event::TimestepFinished { step, t });
         }
         let evidence = if cfg.proof.active() {
             backend.prove(&gen, &run, key)
@@ -1232,7 +1232,7 @@ pub fn supervise<B: RepairBackend>(
             tracker.record_failure(node.0);
         }
         for (node, score) in feed_health(tracker, plan, ctx.topo, &run) {
-            rec.record(Event::HelperQuarantined {
+            rec.emit(|| Event::HelperQuarantined {
                 node,
                 score,
                 t: now,
@@ -1262,7 +1262,7 @@ pub fn supervise<B: RepairBackend>(
                 // The cancelled original never ran to completion, so the
                 // true saving is unknown on a cancelling backend.
                 out.hedge_wins += 1;
-                rec.record(Event::HedgeWon {
+                rec.emit(|| Event::HedgeWon {
                     label,
                     winner_node,
                     saved: 0.0,
@@ -1280,7 +1280,7 @@ pub fn supervise<B: RepairBackend>(
                     let budget = d * (cf - cs) / clean_total;
                     let actual = finish - start;
                     if actual > budget + EPS {
-                        rec.record(Event::DeadlineExceeded {
+                        rec.emit(|| Event::DeadlineExceeded {
                             scope: "wave".to_string(),
                             budget,
                             elapsed: actual,
@@ -1291,7 +1291,7 @@ pub fn supervise<B: RepairBackend>(
             }
             check_deadline(cfg, now, &mut out, rec);
             record_proofs(evidence.proofs, g, now, &mut out, rec);
-            rec.record(Event::RepairDone {
+            rec.emit(|| Event::RepairDone {
                 t: now,
                 cross_bytes: out.cross_bytes,
                 inner_bytes: out.inner_bytes,
@@ -1321,7 +1321,7 @@ pub fn supervise<B: RepairBackend>(
             pool.retain(|(host, _), _| *host != node.0);
         }
         for &node in &accused {
-            rec.record(Event::HelperAccused {
+            rec.emit(|| Event::HelperAccused {
                 node,
                 gen: g,
                 t: now,
@@ -1363,7 +1363,7 @@ pub fn supervise<B: RepairBackend>(
                 next_tier = Tier::Traditional;
             }
             if next_tier > out.final_tier {
-                rec.record(Event::DegradedFallback {
+                rec.emit(|| Event::DegradedFallback {
                     tier: next_tier.name().to_string(),
                     reason: if out.deadline_hit && excess == 0 {
                         "deadline exceeded".to_string()
@@ -1400,7 +1400,7 @@ pub fn supervise<B: RepairBackend>(
                 };
                 let label = op_label(plan, g, op, None);
                 let hedge_node = hedge_node(&next.plan, ctx.topo, slow_node);
-                rec.record(Event::HedgeLaunched {
+                rec.emit(|| Event::HedgeLaunched {
                     label: label.clone(),
                     slow_node: slow_node.0,
                     hedge_node,
@@ -1410,7 +1410,7 @@ pub fn supervise<B: RepairBackend>(
                 hedge_pending = Some((label, hedge_node));
             }
             None => {
-                rec.record(Event::Replanned {
+                rec.emit(|| Event::Replanned {
                     scheme: next.plan.scheme.to_string(),
                     failed: failed.len(),
                     reused_ops: next.reused_count(),

@@ -201,7 +201,6 @@ impl RepairBackend for SimBackend {
                 (sim.run(), ids)
             }
         };
-        let events = graph_events(graph, ctx.topo, &report, &ids);
         let spans = op_spans(&report, graph, &ids);
         let taints = gen_taints(gen);
         let partials_of = |taints: Vec<Taint>, done: &[bool]| -> Vec<Option<Taint>> {
@@ -225,9 +224,12 @@ impl RepairBackend for SimBackend {
                     let xfer = send_transfer(plan, ctx.topo, &waves, g, i);
                     stream_summary(xfer, m, graph.chunks[0], spans[i].0, first, spans[i].1)
                 });
-            let replayed = events.into_iter().filter(|&(at, _)| at <= cut + EPS);
-            for e in replayed.map(|(_, e)| e).chain(summaries) {
-                rec.record(e.shifted(t_base));
+            if rec.enabled() {
+                let events = graph_events(graph, ctx.topo, &report, &ids).into_iter();
+                let replayed = events.filter(|&(at, _)| at <= cut + EPS);
+                for e in replayed.map(|(_, e)| e).chain(summaries) {
+                    rec.record(e.shifted(t_base));
+                }
             }
             done
         };
@@ -238,13 +240,13 @@ impl RepairBackend for SimBackend {
             let t_star = spans[crash.trigger.0].0;
             let completed = replay(t_star);
             let now = t_base + t_star;
-            rec.record(Event::TransferFailed {
+            rec.emit(|| Event::TransferFailed {
                 xfer: send_transfer(plan, ctx.topo, &waves, g, crash.trigger.0),
                 attempt: 0,
                 reason: reason::NODE_DOWN.to_string(),
                 t: now,
             });
-            rec.record(Event::HelperCrashed {
+            rec.emit(|| Event::HelperCrashed {
                 node: crash.node.0,
                 rack: ctx.topo.rack_of(crash.node).0,
                 t: now,
@@ -297,7 +299,7 @@ impl RepairBackend for SimBackend {
                 }
                 let hreport = hsim.run();
                 let label = op_label(plan, g, slow_i, None);
-                rec.record(Event::HedgeLaunched {
+                rec.emit(|| Event::HedgeLaunched {
                     label: label.clone(),
                     slow_node: slow_node.0,
                     hedge_node: winner_node,
@@ -333,7 +335,7 @@ impl RepairBackend for SimBackend {
         }
         replay(cut);
         for e in adopted {
-            rec.record(e);
+            rec.emit(|| e);
         }
         self.t_base = t_base + makespan;
         GenerationRun {

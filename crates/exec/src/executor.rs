@@ -608,23 +608,23 @@ fn try_op(
             let t = now();
             if let Op::Send { .. } = op {
                 let xfer = send_transfer(plan, ctx.topo, env.waves, cfg.tag, i);
-                rec.record(Event::TransferQueued {
+                rec.emit(|| Event::TransferQueued {
                     xfer: xfer.clone(),
                     t,
                 });
-                rec.record(Event::TransferStarted {
+                rec.emit(|| Event::TransferStarted {
                     xfer: xfer.clone(),
                     queue_wait: 0.0,
                     t,
                 });
-                rec.record(Event::TransferFailed {
+                rec.emit(|| Event::TransferFailed {
                     xfer,
                     attempt: 0,
                     reason: reason::NODE_DOWN.to_string(),
                     t,
                 });
             }
-            rec.record(Event::HelperCrashed {
+            rec.emit(|| Event::HelperCrashed {
                 node: c.node.0,
                 rack: ctx.topo.rack_of(c.node).0,
                 t,
@@ -658,7 +658,7 @@ fn try_op(
 
             for (a, fault) in injected.iter().enumerate() {
                 let queued = now();
-                rec.record(Event::TransferQueued {
+                rec.emit(|| Event::TransferQueued {
                     xfer: xfer.clone(),
                     t: queued,
                 });
@@ -700,20 +700,20 @@ fn try_op(
                     );
                 }
                 let admitted = admitted.unwrap_or(0.0);
-                rec.record(Event::TransferStarted {
+                rec.emit(|| Event::TransferStarted {
                     xfer: xfer.clone(),
                     queue_wait: admitted,
                     t: queued + admitted,
                 });
                 let failed = now();
-                rec.record(Event::TransferFailed {
+                rec.emit(|| Event::TransferFailed {
                     xfer: xfer.clone(),
                     attempt: a,
                     reason: fault.reason.to_string(),
                     t: failed,
                 });
                 let delay = cfg.policy.delay(a);
-                rec.record(Event::RetryScheduled {
+                rec.emit(|| Event::RetryScheduled {
                     label: xfer.label.clone(),
                     rack: xfer.src_rack,
                     attempt: a,
@@ -726,12 +726,12 @@ fn try_op(
 
             // The (final) successful attempt streams the rest.
             let queued = now();
-            rec.record(Event::TransferQueued {
+            rec.emit(|| Event::TransferQueued {
                 xfer: xfer.clone(),
                 t: queued,
             });
             let admitted = s.deliver_next()?;
-            rec.record(Event::TransferStarted {
+            rec.emit(|| Event::TransferStarted {
                 xfer: xfer.clone(),
                 queue_wait: admitted,
                 t: queued + admitted,
@@ -740,21 +740,23 @@ fn try_op(
                 s.deliver_next()?;
             }
             let end = now();
-            rec.record(Event::TransferDone {
+            rec.emit(|| Event::TransferDone {
                 xfer: xfer.clone(),
                 start: queued + admitted,
                 end,
             });
             if m > 1 {
                 // Cut-through only: a one-chunk stream is the transfer.
-                rec.record(stream_summary(
-                    xfer,
-                    m,
-                    graph.chunks[0],
-                    started,
-                    s.first_delivered_t.expect("streamed >= 1 chunk"),
-                    end,
-                ));
+                rec.emit(|| {
+                    stream_summary(
+                        xfer,
+                        m,
+                        graph.chunks[0],
+                        started,
+                        s.first_delivered_t.expect("streamed >= 1 chunk"),
+                        end,
+                    )
+                });
             }
             Some((
                 s.chunks,
@@ -864,7 +866,7 @@ fn try_op(
                 }
             }
             let end = now();
-            rec.record(Event::CombineDone {
+            rec.emit(|| Event::CombineDone {
                 label: op_label(plan, cfg.tag, i, None),
                 node: node.0,
                 rack: ctx.topo.rack_of(*node).0,

@@ -164,7 +164,7 @@ pub fn run_load_recorded(spec: &LoadSpec, rec: &dyn Recorder) -> LoadSummary {
             stripes.push(ids);
         }
         if fraction < 1.0 {
-            rec.record(Event::QosThrottled {
+            rec.emit(|| Event::QosThrottled {
                 flows: throttled,
                 fraction,
                 t: 0.0,
@@ -220,7 +220,7 @@ pub fn run_load_recorded(spec: &LoadSpec, rec: &dyn Recorder) -> LoadSummary {
             sim.release_at(job, r.arrival);
             jobs.push(job);
         }
-        rec.record(Event::RequestIssued {
+        rec.emit(|| Event::RequestIssued {
             request: r.id,
             read: r.kind == RequestKind::Read,
             degraded,
@@ -232,18 +232,20 @@ pub fn run_load_recorded(spec: &LoadSpec, rec: &dyn Recorder) -> LoadSummary {
     let report = sim.run();
     // The run's transfer and combine events in time order: the repair
     // stripes' off their graph, then the requests' (job id order).
-    let mut events = Vec::new();
-    if let Some(graph) = &graph {
-        for ids in &stripes {
-            events.extend(graph_events(graph, &topo, &report, ids));
+    if rec.enabled() {
+        let mut events = Vec::new();
+        if let Some(graph) = &graph {
+            for ids in &stripes {
+                events.extend(graph_events(graph, &topo, &report, ids));
+            }
         }
-    }
-    for r in &report.records[repair_job_count..] {
-        transfer_events(job_transfer(&topo, r, None), r, &mut events);
-    }
-    sort_by_instant(&mut events);
-    for (_, e) in events {
-        rec.record(e);
+        for r in &report.records[repair_job_count..] {
+            transfer_events(job_transfer(&topo, r, None), r, &mut events);
+        }
+        sort_by_instant(&mut events);
+        for (_, e) in events {
+            rec.record(e);
+        }
     }
 
     let mut latencies = Vec::with_capacity(requests.len());
@@ -267,7 +269,7 @@ pub fn run_load_recorded(spec: &LoadSpec, rec: &dyn Recorder) -> LoadSummary {
         if *degraded {
             degraded_count += 1;
         }
-        rec.record(Event::RequestDone {
+        rec.emit(|| Event::RequestDone {
             request: r.id,
             read: r.kind == RequestKind::Read,
             degraded: *degraded,

@@ -3,9 +3,11 @@
 //!
 //! [`Simulator::run`] is event-driven (see the crate docs), and bit-identical
 //! to the rescanning engine that `tests/differential.rs` keeps as reference.
+//! [`Simulator::run_within`] is the same loop with an early exit.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use crate::report::{FailSpec, FailureRecord, JobRecord, SimReport};
 use crate::{JobId, JobKind, Network};
@@ -13,13 +15,21 @@ use crate::{JobId, JobKind, Network};
 /// Relative tolerance for "work finished" comparisons.
 const EPS: f64 = 1e-9;
 
+/// Relative margin by which a bounded run's floor must pass its limit.
+const BOUND_SLACK: f64 = 1e-6;
+
+/// The most resources one job draws from (a cross-rack transfer's).
+const MAX_RESOURCES: usize = 5;
+
 #[derive(Clone, Debug)]
 struct Job {
     kind: JobKind,
     label: String,
-    deps: Vec<JobId>,
-    /// Resource indices this job draws from while active.
-    resources: Vec<usize>,
+    /// Its dependencies: `Simulator::deps[deps]`.
+    deps: Range<u32>,
+    /// Resource indices this job draws from while active (the first `resource_count`).
+    resources: [u32; MAX_RESOURCES],
+    resource_count: u8,
     /// Per-job rate ceiling (pair rate for transfers, 1.0 for computes).
     rate_cap: f64,
     /// Remaining work: bytes for transfers, CPU-seconds for computes.
@@ -41,6 +51,10 @@ struct Job {
 impl Job {
     fn has_pending_fail(&self) -> bool {
         self.next_fail < self.fails.len()
+    }
+
+    fn resources(&self) -> &[u32] {
+        &self.resources[..usize::from(self.resource_count)]
     }
 }
 
@@ -69,6 +83,8 @@ impl Job {
 pub struct Simulator {
     net: Network,
     jobs: Vec<Job>,
+    /// Every job's dependencies, job by job (each job keeps its range).
+    deps: Vec<u32>,
     /// capacity per resource (bytes/sec for links, 1.0 for CPUs).
     capacity: Vec<f64>,
 }
@@ -89,12 +105,26 @@ struct Run {
     wake: BinaryHeap<Reverse<(u64, usize)>>,
     /// One rate per active job: `allocate`'s result.
     rate: Vec<f64>,
-    frozen: Vec<bool>,
+    /// Positions in `active` of the jobs `allocate` has not frozen yet.
+    unfrozen: Vec<usize>,
     /// Per resource; valid for the `touched` ones, which the active jobs use.
     cap_left: Vec<f64>,
     /// Unfrozen users per resource; all zero between calls.
     users: Vec<usize>,
     touched: Vec<usize>,
+    /// Outstanding work per resource (crate docs); empty when unbounded.
+    work: Vec<f64>,
+}
+
+impl Run {
+    /// A job's remaining work changed by `delta`: so did its resources'.
+    fn charge(&mut self, job: &Job, delta: f64) {
+        if !self.work.is_empty() {
+            for &r in job.resources() {
+                self.work[r as usize] += delta;
+            }
+        }
+    }
 }
 
 impl Simulator {
@@ -122,6 +152,7 @@ impl Simulator {
         Simulator {
             net,
             jobs: Vec::new(),
+            deps: Vec::new(),
             capacity,
         }
     }
@@ -142,34 +173,24 @@ impl Simulator {
         let nodes = self.net.topology().node_count();
         assert!(from.0 < nodes && to.0 < nodes, "transfer: node range");
         assert_ne!(from, to, "transfer: loopback transfers are meaningless");
-        let cross = self.net.is_cross(from, to);
-        let mut resources = vec![
-            from.0 * RES_PER_NODE,   // uplink
-            to.0 * RES_PER_NODE + 1, // downlink
-        ];
-        if cross {
-            resources.push(from.0 * RES_PER_NODE + 2); // cross-class up
-            resources.push(to.0 * RES_PER_NODE + 3); // cross-class down
-            if self.net.agg_capacity().is_finite() {
-                resources.push(nodes * RES_PER_NODE); // aggregation switch
-            }
-        }
+        let res = |node: rpr_topology::NodeId, slot: usize| (node.0 * RES_PER_NODE + slot) as u32;
+        let agg = (nodes * RES_PER_NODE) as u32;
+        // Uplink, downlink; across racks also both cross classes and, when
+        // finite, the aggregation switch.
+        let resources = [res(from, 0), res(to, 1), res(from, 2), res(to, 3), agg];
+        let used = match self.net.is_cross(from, to) {
+            false => 2,
+            true => 4 + usize::from(self.net.agg_capacity().is_finite()),
+        };
         let rate_cap = self.net.pair_rate(from, to);
-        self.push(Job {
-            kind: JobKind::Transfer { from, to, bytes },
-            label: label.into(),
-            deps: deps.to_vec(),
-            resources,
+        self.push(
+            JobKind::Transfer { from, to, bytes },
+            label.into(),
+            deps,
+            &resources[..used],
             rate_cap,
-            remaining: bytes as f64,
-            total: bytes as f64,
-            fails: Vec::new(),
-            next_fail: 0,
-            resume_at: 0.0,
-            failures: Vec::new(),
-            start: f64::NAN,
-            finish: f64::NAN,
-        })
+            bytes as f64,
+        )
     }
 
     /// Add a compute job (`seconds` of CPU work on `node`). Returns its id.
@@ -186,21 +207,14 @@ impl Simulator {
     ) -> JobId {
         assert!(node.0 < self.net.topology().node_count(), "compute: node");
         assert!(seconds >= 0.0 && seconds.is_finite(), "compute: seconds");
-        self.push(Job {
-            kind: JobKind::Compute { node, seconds },
-            label: label.into(),
-            deps: deps.to_vec(),
-            resources: vec![node.0 * RES_PER_NODE + 4],
-            rate_cap: 1.0,
-            remaining: seconds,
-            total: seconds,
-            fails: Vec::new(),
-            next_fail: 0,
-            resume_at: 0.0,
-            failures: Vec::new(),
-            start: f64::NAN,
-            finish: f64::NAN,
-        })
+        self.push(
+            JobKind::Compute { node, seconds },
+            label.into(),
+            deps,
+            &[(node.0 * RES_PER_NODE + 4) as u32],
+            1.0,
+            seconds,
+        )
     }
 
     /// Inject one-shot attempt failures into a job, consumed in order: the
@@ -288,12 +302,40 @@ impl Simulator {
         j.rate_cap *= factor;
     }
 
-    fn push(&mut self, job: Job) -> JobId {
-        for d in &job.deps {
-            assert!(d.0 < self.jobs.len(), "unknown dependency {:?}", d);
+    fn push(
+        &mut self,
+        kind: JobKind,
+        label: String,
+        deps: &[JobId],
+        resources: &[u32],
+        rate_cap: f64,
+        work: f64,
+    ) -> JobId {
+        let id = self.jobs.len();
+        for d in deps {
+            assert!(d.0 < id, "unknown dependency {:?}", d);
         }
-        self.jobs.push(job);
-        JobId(self.jobs.len() - 1)
+        let first = self.deps.len() as u32;
+        self.deps.extend(deps.iter().map(|d| d.0 as u32));
+        let mut inline = [0; MAX_RESOURCES];
+        inline[..resources.len()].copy_from_slice(resources);
+        self.jobs.push(Job {
+            kind,
+            label,
+            deps: first..self.deps.len() as u32,
+            resources: inline,
+            resource_count: resources.len() as u8,
+            rate_cap,
+            remaining: work,
+            total: work,
+            fails: Vec::new(),
+            next_fail: 0,
+            resume_at: 0.0,
+            failures: Vec::new(),
+            start: f64::NAN,
+            finish: f64::NAN,
+        });
+        JobId(id)
     }
 
     /// Number of jobs added so far.
@@ -306,21 +348,34 @@ impl Simulator {
     /// # Panics
     /// Panics if the dependency graph deadlocks (a cycle), which indicates
     /// a malformed plan.
-    pub fn run(mut self) -> SimReport {
+    pub fn run(self) -> SimReport {
+        self.run_within(f64::INFINITY)
+            .expect("an unbounded run always completes")
+    }
+
+    /// Run the DAG, giving up once its makespan provably exceeds `limit`
+    /// (the bound is in the crate docs). Returns `Some(report)` exactly
+    /// when the makespan is at most `limit`, bit-identical to
+    /// [`Simulator::run`]'s report.
+    ///
+    /// # Panics
+    /// Panics if `limit` is NaN, or as [`Simulator::run`] does.
+    pub fn run_within(mut self, limit: f64) -> Option<SimReport> {
+        assert!(!limit.is_nan(), "run_within: NaN limit");
         let total = self.jobs.len();
         // Dependents in CSR form: count, prefix-sum, fill segments from the end.
         let mut first_dependent = vec![0u32; total + 1];
-        for d in self.jobs.iter().flat_map(|j| &j.deps) {
-            first_dependent[d.0] += 1;
+        for &d in &self.deps {
+            first_dependent[d as usize] += 1;
         }
         for i in 1..=total {
             first_dependent[i] += first_dependent[i - 1];
         }
         let mut dependents = vec![0; first_dependent[total] as usize];
         for (i, job) in self.jobs.iter().enumerate() {
-            for d in &job.deps {
-                first_dependent[d.0] -= 1;
-                dependents[first_dependent[d.0] as usize] = i as u32;
+            for &d in &self.deps[job.deps.start as usize..job.deps.end as usize] {
+                first_dependent[d as usize] -= 1;
+                dependents[first_dependent[d as usize] as usize] = i as u32;
             }
         }
         let mut run = Run {
@@ -330,11 +385,18 @@ impl Simulator {
             active: Vec::new(),
             wake: BinaryHeap::new(),
             rate: Vec::new(),
-            frozen: Vec::new(),
+            unfrozen: Vec::new(),
             cap_left: self.capacity.clone(),
             users: vec![0; self.capacity.len()],
             touched: Vec::new(),
+            work: Vec::new(),
         };
+        if limit.is_finite() {
+            run.work = vec![0.0; self.capacity.len()];
+            for job in &self.jobs {
+                run.charge(job, job.remaining);
+            }
+        }
 
         let mut now = 0.0f64;
         let mut done = 0usize;
@@ -378,9 +440,8 @@ impl Simulator {
                     if self.jobs[i].has_pending_fail() {
                         self.fail_job(i, now, &mut run);
                     } else {
-                        self.jobs[i].finish = now;
+                        self.finish_job(i, now, &mut run);
                         done += 1;
-                        self.release_dependents(i, now, &mut run);
                     }
                     run.active[a] = usize::MAX;
                     instant = true;
@@ -423,7 +484,9 @@ impl Simulator {
             for a in 0..n {
                 let i = run.active[a];
                 let rate = run.rate[a];
+                let before = self.jobs[i].remaining;
                 self.jobs[i].remaining -= rate * dt;
+                run.charge(&self.jobs[i], self.jobs[i].remaining - before);
                 let tol = EPS * (1.0 + rate * dt);
                 let failing = {
                     let job = &self.jobs[i];
@@ -436,17 +499,26 @@ impl Simulator {
                     self.fail_job(i, now, &mut run);
                     run.active[a] = usize::MAX;
                 } else if self.jobs[i].remaining <= tol {
-                    self.jobs[i].remaining = 0.0;
-                    self.jobs[i].finish = now;
+                    self.finish_job(i, now, &mut run);
                     done += 1;
-                    self.release_dependents(i, now, &mut run);
                     run.active[a] = usize::MAX;
                 }
             }
             run.active.retain(|&i| i != usize::MAX);
+
+            if !run.work.is_empty() {
+                let floor = run
+                    .work
+                    .iter()
+                    .zip(&self.capacity)
+                    .fold(0.0f64, |m, (w, c)| m.max(w / c));
+                if now + floor > limit * (1.0 + BOUND_SLACK) {
+                    return None;
+                }
+            }
         }
 
-        self.into_report(now)
+        (now <= limit).then(|| self.into_report(now))
     }
 
     /// Job `i`'s dependencies are done: start it now, or park it until `resume_at`.
@@ -461,9 +533,13 @@ impl Simulator {
         }
     }
 
-    /// Job `i` finished: count it off each dependent and ready those it
-    /// was the last dependency of.
-    fn release_dependents(&mut self, i: usize, now: f64, run: &mut Run) {
+    /// Job `i` finished at `now`: count it off each dependent and ready
+    /// those it was the last dependency of.
+    fn finish_job(&mut self, i: usize, now: f64, run: &mut Run) {
+        let job = &mut self.jobs[i];
+        job.finish = now;
+        run.charge(job, -job.remaining);
+        job.remaining = 0.0;
         for k in run.first_dependent[i]..run.first_dependent[i + 1] {
             let d = run.dependents[k as usize] as usize;
             run.waiting_on[d] -= 1;
@@ -486,6 +562,7 @@ impl Simulator {
             fraction: spec.fraction,
             reason: spec.reason,
         });
+        run.charge(job, job.total - job.remaining);
         job.remaining = job.total;
         job.resume_at = now + spec.delay;
         job.start = f64::NAN;
@@ -495,12 +572,15 @@ impl Simulator {
     /// Max-min fair allocation (progressive filling with per-job caps) for
     /// the active jobs: one rate per active job, left in `run.rate`. Only
     /// the resources the active jobs draw from are reset and scanned; the
-    /// minimum increment is the same in any order.
+    /// minimum increment is the same in any order. Every unfrozen job has
+    /// taken the same increments from zero, so one `level` is all their
+    /// rates, and each round takes `inc` off a resource once per unfrozen
+    /// user: the float operations of a per-job loop, in the same order.
     fn allocate(&self, run: &mut Run) {
         let Run {
             active,
             rate,
-            frozen,
+            unfrozen,
             cap_left,
             users,
             touched,
@@ -508,40 +588,29 @@ impl Simulator {
         } = run;
         rate.clear();
         rate.resize(active.len(), 0.0);
-        frozen.clear();
-        frozen.resize(active.len(), false);
         touched.clear();
+        // The smallest rate cap among the unfrozen jobs.
+        let mut min_cap = f64::INFINITY;
         for &i in active.iter() {
-            for &r in &self.jobs[i].resources {
+            let job = &self.jobs[i];
+            min_cap = min_cap.min(job.rate_cap);
+            for &r in job.resources() {
+                let r = r as usize;
                 if users[r] == 0 {
-                    users[r] = 1;
                     touched.push(r);
                     cap_left[r] = self.capacity[r];
                 }
+                users[r] += 1;
             }
         }
+        unfrozen.clear();
+        unfrozen.extend(0..active.len());
 
-        loop {
-            // Count unfrozen users per resource.
-            for &r in touched.iter() {
-                users[r] = 0;
-            }
-            let mut any = false;
-            for (idx, &i) in active.iter().enumerate() {
-                if frozen[idx] {
-                    continue;
-                }
-                any = true;
-                for &r in &self.jobs[i].resources {
-                    users[r] += 1;
-                }
-            }
-            if !any {
-                // `users` is all zero again, as the next call expects.
-                break;
-            }
-
+        let mut level = 0.0f64;
+        while !unfrozen.is_empty() {
             // The uniform increment every unfrozen job can still take.
+            // Rounding is monotone, so `min_cap - level` is the least of
+            // the unfrozen jobs' `rate_cap - level`.
             let mut inc = f64::INFINITY;
             for &r in touched.iter() {
                 let u = users[r];
@@ -549,45 +618,43 @@ impl Simulator {
                     inc = inc.min(cap_left[r] / u as f64);
                 }
             }
-            for (idx, &i) in active.iter().enumerate() {
-                if !frozen[idx] {
-                    inc = inc.min(self.jobs[i].rate_cap - rate[idx]);
-                }
-            }
+            inc = inc.min(min_cap - level);
             debug_assert!(inc >= 0.0 && inc.is_finite());
 
-            // Apply the increment and subtract from the resources.
-            for (idx, &i) in active.iter().enumerate() {
-                if frozen[idx] {
-                    continue;
-                }
-                rate[idx] += inc;
-                for &r in &self.jobs[i].resources {
+            // Apply the increment and subtract it from the resources.
+            level += inc;
+            for &r in touched.iter() {
+                for _ in 0..users[r] {
                     cap_left[r] -= inc;
                 }
             }
 
             // Freeze jobs at their personal cap or on an exhausted resource.
-            let mut progressed = false;
-            for (idx, &i) in active.iter().enumerate() {
-                if frozen[idx] {
-                    continue;
-                }
-                let at_cap = rate[idx] >= self.jobs[i].rate_cap * (1.0 - EPS);
-                let exhausted = self.jobs[i]
-                    .resources
+            let before = unfrozen.len();
+            min_cap = f64::INFINITY;
+            unfrozen.retain(|&idx| {
+                let job = &self.jobs[active[idx]];
+                let at_cap = level >= job.rate_cap * (1.0 - EPS);
+                let exhausted = job
+                    .resources()
                     .iter()
-                    .any(|&r| cap_left[r] <= self.capacity[r] * EPS);
+                    .any(|&r| cap_left[r as usize] <= self.capacity[r as usize] * EPS);
                 if at_cap || exhausted {
-                    frozen[idx] = true;
-                    progressed = true;
+                    rate[idx] = level;
+                    for &r in job.resources() {
+                        users[r as usize] -= 1;
+                    }
+                    false
+                } else {
+                    min_cap = min_cap.min(job.rate_cap);
+                    true
                 }
-            }
+            });
             // inc == 0 without any freeze would loop forever; freezing at
             // least one job per round is guaranteed because inc is limited
             // by some binding constraint.
             assert!(
-                progressed || inc > 0.0,
+                unfrozen.len() < before || inc > 0.0,
                 "progressive filling failed to converge"
             );
         }
@@ -603,7 +670,7 @@ impl Simulator {
         let mut compute_seconds = vec![0.0f64; nodes];
         let mut retransmitted = 0u64;
 
-        for (i, job) in self.jobs.iter().enumerate() {
+        for (i, job) in self.jobs.into_iter().enumerate() {
             match job.kind {
                 JobKind::Transfer { from, to, bytes } => {
                     if self.net.is_cross(from, to) {
@@ -623,11 +690,11 @@ impl Simulator {
             }
             records.push(JobRecord {
                 id: JobId(i),
-                kind: job.kind.clone(),
-                label: job.label.clone(),
+                kind: job.kind,
+                label: job.label,
                 start: job.start,
                 finish: job.finish,
-                failures: job.failures.clone(),
+                failures: job.failures,
             });
         }
 

@@ -26,6 +26,13 @@
 //! event re-runs the global progressive filling over the active set in id
 //! order, so every report is bit-identical to the earlier engine's, which
 //! rescanned every job on every event.
+//!
+//! [`Simulator::run_within`] runs against a time limit, keeping each
+//! resource's outstanding work: the remaining bytes or CPU-seconds of the
+//! unfinished jobs using it. `now + max_r work[r] / capacity[r]` floors
+//! the makespan (no allocation exceeds a capacity; releases, backoffs and
+//! failures only add time), and the run gives up once it passes the limit
+//! by a relative 1e-6. [`Simulator::run`] is `run_within(f64::INFINITY)`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

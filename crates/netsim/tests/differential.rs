@@ -11,6 +11,9 @@
 //! and zero-work jobs. [`GRAPHS`] graphs are drawn from [`SplitMix64`]
 //! seeded with [`SEED`] — 20,000 in a release build, 2,000 in a debug
 //! one — and a failure names the graph index that reproduces it.
+//!
+//! Each graph also runs bounded: `run_within` a limit just above its
+//! makespan must return the same report, and one just below it `None`.
 
 mod reference;
 
@@ -275,6 +278,16 @@ fn event_driven_engine_matches_the_reference_bit_for_bit() {
         assert_eq!(reference.job_count(), engine.job_count(), "graph {g}");
         let (want, got) = (reference.run(), engine.run());
         assert_identical(g, &want, &got);
+        let above = build!(Simulator, net.clone(), calls).run_within(want.makespan * (1.0 + 1e-5));
+        match above {
+            Some(report) => assert_identical(g, &want, &report),
+            None => panic!("graph {g}: a run within 1e-5 of its makespan was abandoned"),
+        }
+        let below = build!(Simulator, net.clone(), calls).run_within(want.makespan * (1.0 - 1e-3));
+        assert!(
+            want.makespan == 0.0 || below.is_none(),
+            "graph {g}: a run past its limit was kept"
+        );
 
         jobs += want.records.len();
         retried_twice += want.records.iter().filter(|r| r.failures.len() > 1).count();

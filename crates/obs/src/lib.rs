@@ -10,7 +10,9 @@
 //! Three pieces:
 //!
 //! - [`Recorder`]: the sink trait. [`NoopRecorder`] (via [`noop()`])
-//!   keeps untraced call sites free; [`TraceRecorder`] is the default
+//!   keeps untraced call sites free: it is not
+//!   [`enabled`](Recorder::enabled), so callers build no events for it.
+//!   [`TraceRecorder`] is the default
 //!   real implementation — a bounded drop-oldest event ring that counts
 //!   what it evicts ([`TraceRecorder::dropped`]). Totals — bytes,
 //!   transfers, retries, per-rack splits — are folds over the events

@@ -14,15 +14,33 @@ use crate::event::Event;
 pub trait Recorder: Sync {
     /// Record one event. Implementations must not block for long.
     fn record(&self, event: Event);
+
+    /// Whether this recorder keeps events; if not, callers build none.
+    fn enabled(&self) -> bool {
+        true
+    }
 }
 
-/// Discards every event. [`noop()`] returns a shared instance so callers
-/// without a recorder pay one virtual call per event and nothing else.
+impl dyn Recorder + '_ {
+    /// Record the event `make` builds, if [`enabled`](Recorder::enabled).
+    pub fn emit(&self, make: impl FnOnce() -> Event) {
+        if self.enabled() {
+            self.record(make());
+        }
+    }
+}
+
+/// Discards every event and is not [`enabled`](Recorder::enabled), so
+/// callers build none. [`noop()`] returns a shared instance.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {
     fn record(&self, _event: Event) {}
+
+    fn enabled(&self) -> bool {
+        false
+    }
 }
 
 /// A shared no-op recorder for call sites that don't trace.

@@ -1,4 +1,4 @@
-//! Sharded at-risk stripe index.
+//! At-risk stripe index.
 //!
 //! The scheduler's admission queue, keyed by **at-risk level** — the
 //! number of blocks a stripe has lost. A stripe one more failure away
@@ -6,16 +6,15 @@
 //! left, so stripes at level `z` are always served before any stripe at
 //! level `z − 1`; within a level, service is FIFO in enqueue order.
 //!
-//! Each level is split into shards (queue segments keyed by
-//! `stripe % shards`) so enqueues from concurrent failure detectors
-//! touch disjoint queue tails; popping picks the oldest head across the
-//! level's shards, which keeps level-wide FIFO exact.
+//! Each level is one queue of `(seq, stripe)` entries. Sequence numbers
+//! are handed out in increasing order, so a queue's front is its oldest
+//! entry and popping the front keeps level-wide FIFO exact.
 //!
 //! **O(1) requeue.** When a new failure is detected on an already-queued
 //! stripe, [`StripeIndex::requeue`] bumps its level record and pushes a
 //! fresh entry — it never searches the old level's queue. The stale
-//! entry stays behind and is skipped lazily when it surfaces at a shard
-//! head (its recorded level no longer matches). Every entry is pushed at
+//! entry stays behind and is skipped lazily when it surfaces at a queue
+//! front (its recorded level no longer matches). Every entry is pushed at
 //! most once per (re)queue and discarded at most once, so the amortized
 //! cost stays O(1) per operation.
 
@@ -38,34 +37,30 @@ struct StripeState {
     seq: u64,
 }
 
-/// A sharded FIFO queue of at-risk stripes, prioritized by level.
+/// A FIFO queue of at-risk stripes, prioritized by level.
 ///
 /// See the [module docs](self) for the priority and requeue semantics.
 pub struct StripeIndex {
-    /// `queues[level][shard]` holds `(seq, stripe)` entries, oldest first.
-    queues: Vec<Vec<VecDeque<(u64, u32)>>>,
+    /// `queues[level]` holds `(seq, stripe)` entries, oldest first.
+    queues: Vec<VecDeque<(u64, u32)>>,
     state: Vec<StripeState>,
-    shards: usize,
     next_seq: u64,
     live: usize,
 }
 
 impl StripeIndex {
     /// An index accepting levels `1..=max_level` over `stripes` stripe
-    /// ids, each level sharded `shards` ways.
+    /// ids.
     ///
     /// # Panics
-    /// Panics if `max_level` is 0 or ≥ 255, or `shards` is 0.
-    pub fn new(max_level: usize, shards: usize, stripes: usize) -> StripeIndex {
+    /// Panics if `max_level` is 0 or ≥ 255.
+    pub fn new(max_level: usize, stripes: usize) -> StripeIndex {
         assert!(
             max_level > 0 && max_level < NO_LEVEL as usize,
             "StripeIndex: max_level out of range"
         );
-        assert!(shards > 0, "StripeIndex: need at least one shard");
         StripeIndex {
-            queues: (0..=max_level)
-                .map(|_| (0..shards).map(|_| VecDeque::new()).collect())
-                .collect(),
+            queues: (0..=max_level).map(|_| VecDeque::new()).collect(),
             state: vec![
                 StripeState {
                     level: NO_LEVEL,
@@ -74,7 +69,6 @@ impl StripeIndex {
                 };
                 stripes
             ],
-            shards,
             next_seq: 0,
             live: 0,
         }
@@ -116,13 +110,13 @@ impl StripeIndex {
         st.level = level as u8;
         st.queued = true;
         st.seq = seq;
-        self.queues[level][stripe as usize % self.shards].push_back((seq, stripe));
+        self.queues[level].push_back((seq, stripe));
     }
 
     /// Move an already-tracked stripe to a new level after a newly
     /// detected failure. O(1): the stale entry at the old level is
-    /// abandoned in place and skipped lazily when it reaches a shard
-    /// head.
+    /// abandoned in place and skipped lazily when it reaches its queue's
+    /// front.
     pub fn requeue(&mut self, stripe: u32, new_level: usize) {
         self.enqueue(stripe, new_level);
     }
@@ -145,31 +139,19 @@ impl StripeIndex {
             return None;
         }
         for level in (1..self.queues.len()).rev() {
-            // Oldest live head across this level's shards.
-            let mut best: Option<(u64, usize)> = None;
-            for shard in 0..self.shards {
-                // Lazy deletion: drop stale heads (requeued or served).
-                while let Some(&(sq, s)) = self.queues[level][shard].front() {
-                    let st = self.state[s as usize];
-                    if st.queued && st.level as usize == level && st.seq == sq {
-                        break;
+            let queue = &mut self.queues[level];
+            // Lazy deletion: drop stale fronts (requeued or served).
+            while let Some(&(seq, stripe)) = queue.front() {
+                let st = &mut self.state[stripe as usize];
+                if st.queued && st.level as usize == level && st.seq == seq {
+                    if take {
+                        queue.pop_front();
+                        st.queued = false;
+                        self.live -= 1;
                     }
-                    self.queues[level][shard].pop_front();
+                    return Some((stripe, level));
                 }
-                if let Some(&(seq, _)) = self.queues[level][shard].front() {
-                    if best.is_none_or(|(b, _)| seq < b) {
-                        best = Some((seq, shard));
-                    }
-                }
-            }
-            if let Some((_, shard)) = best {
-                let &(_, stripe) = self.queues[level][shard].front().expect("live head");
-                if take {
-                    self.queues[level][shard].pop_front();
-                    self.state[stripe as usize].queued = false;
-                    self.live -= 1;
-                }
-                return Some((stripe, level));
+                queue.pop_front();
             }
         }
         None
@@ -181,8 +163,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fifo_within_a_level_across_shards() {
-        let mut ix = StripeIndex::new(3, 4, 100);
+    fn fifo_within_a_level() {
+        let mut ix = StripeIndex::new(3, 100);
         for s in [7u32, 3, 12, 5, 9] {
             ix.enqueue(s, 1);
         }
@@ -193,7 +175,7 @@ mod tests {
 
     #[test]
     fn higher_level_always_wins() {
-        let mut ix = StripeIndex::new(3, 2, 10);
+        let mut ix = StripeIndex::new(3, 10);
         ix.enqueue(0, 1);
         ix.enqueue(1, 3);
         ix.enqueue(2, 2);
@@ -204,7 +186,7 @@ mod tests {
 
     #[test]
     fn requeue_escalates_in_o1_and_skips_stale_entry() {
-        let mut ix = StripeIndex::new(3, 2, 10);
+        let mut ix = StripeIndex::new(3, 10);
         ix.enqueue(0, 1);
         ix.enqueue(1, 1);
         // Stripe 0 loses another block: it jumps ahead of stripe 1.
@@ -217,7 +199,7 @@ mod tests {
 
     #[test]
     fn same_level_reenqueue_is_a_noop() {
-        let mut ix = StripeIndex::new(2, 2, 4);
+        let mut ix = StripeIndex::new(2, 4);
         ix.enqueue(0, 1);
         ix.enqueue(0, 1);
         assert_eq!(ix.len(), 1);
@@ -227,7 +209,7 @@ mod tests {
 
     #[test]
     fn peek_does_not_remove() {
-        let mut ix = StripeIndex::new(2, 2, 4);
+        let mut ix = StripeIndex::new(2, 4);
         ix.enqueue(2, 1);
         assert_eq!(ix.peek(), Some((2, 1)));
         assert_eq!(ix.peek(), Some((2, 1)));
@@ -238,7 +220,7 @@ mod tests {
     #[test]
     fn randomized_against_reference_model() {
         // Reference: a flat Vec of (seq, level, stripe) with linear scans.
-        let mut ix = StripeIndex::new(4, 8, 256);
+        let mut ix = StripeIndex::new(4, 256);
         let mut model: Vec<(u64, usize, u32)> = Vec::new();
         let mut level_of = [0usize; 256];
         let mut seq = 0u64;

@@ -5,7 +5,7 @@
 //! concurrently under shared rack bandwidth. This crate supplies the
 //! three pieces that makes true at scale:
 //!
-//! * [`StripeIndex`] — a sharded admission queue keyed by **at-risk
+//! * [`StripeIndex`] — an admission queue keyed by **at-risk
 //!   level**: stripes with `z` failures are served strictly before
 //!   stripes with `z − 1`, FIFO within a level, with O(1) requeue when
 //!   a queued stripe loses another block.

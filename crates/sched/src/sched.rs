@@ -327,7 +327,7 @@ pub fn drain_fleet(
     } else {
         base_max
     };
-    let mut index = StripeIndex::new(index_max, 16, jobs.len());
+    let mut index = StripeIndex::new(index_max, jobs.len());
     // Jobs not yet arrived, ascending by arrival time (ties in job
     // order); `next_due` walks this list as the clock advances.
     let mut due: Vec<u32> = (0..jobs.len() as u32).collect();
@@ -392,7 +392,7 @@ pub fn drain_fleet(
             let job = &jobs[i as usize];
             live.update(i as usize, 1);
             index.enqueue(i, job.level);
-            rec.record(Event::StripeEnqueued {
+            rec.emit(|| Event::StripeEnqueued {
                 stripe: job.stripe as u64,
                 level: job.level,
                 t: job.arrival,
@@ -431,13 +431,13 @@ pub fn drain_fleet(
             index.pop();
             let job = &jobs[i];
             let waited = now - job.arrival;
-            rec.record(Event::StripeAdmitted {
+            rec.emit(|| Event::StripeAdmitted {
                 stripe: job.stripe as u64,
                 level: lvl,
                 t: now,
             });
             if waited > 0.0 {
-                rec.record(Event::BandwidthWaited {
+                rec.emit(|| Event::BandwidthWaited {
                     stripe: job.stripe as u64,
                     level: lvl,
                     waited,
@@ -490,7 +490,7 @@ pub fn drain_fleet(
                         .borrow_mut()
                         .complete(r.stripe, r.level, r.admitted, r.finish, r.waited);
                     if let Some(cp) = cp {
-                        rec.record(Event::JournalCheckpoint {
+                        rec.emit(|| Event::JournalCheckpoint {
                             seq: cp.seq,
                             completed: cp.completed,
                             lost: cp.lost,
@@ -621,7 +621,7 @@ fn apply_churn_hit(h: ChurnHit<'_, '_>) {
         *h.churn_failures += 1;
         let from = h.level[i];
         let to = from + 1;
-        h.rec.record(Event::ChurnFailure {
+        h.rec.emit(|| Event::ChurnFailure {
             stripe: stripe as u64,
             level: to,
             t,
@@ -636,7 +636,7 @@ fn apply_churn_hit(h: ChurnHit<'_, '_>) {
                 level: to,
                 t,
             });
-            h.rec.record(Event::StripeLost {
+            h.rec.emit(|| Event::StripeLost {
                 stripe: stripe as u64,
                 level: to,
                 t,
@@ -662,7 +662,7 @@ fn apply_churn_hit(h: ChurnHit<'_, '_>) {
         }
         *h.escalations += 1;
         let in_flight = h.holding[i].is_some();
-        h.rec.record(Event::RiskEscalated {
+        h.rec.emit(|| Event::RiskEscalated {
             stripe: stripe as u64,
             from,
             to,

@@ -10,11 +10,16 @@
 #      of its own and is not checked)
 #   1. cargo build --release --workspace
 #   2. cargo build --release --examples
-#   3. cargo test -q --workspace, then the netsim differential harness
-#      once more in release (`cargo test --release -p rpr-netsim --test
-#      differential`): the event-driven engine against the rescanning
-#      reference on 20,000 seeded random graphs, 2,000 in the debug run
-#      (the count follows `cfg!(debug_assertions)`)
+#   3. cargo test -q --workspace, then two suites once more in release,
+#      each sized by `cfg!(debug_assertions)`: the netsim differential
+#      harness (`cargo test --release -p rpr-netsim --test differential`:
+#      the event-driven engine against the rescanning reference, and
+#      `run_within` just above and below each makespan, on 20,000 seeded
+#      random graphs, 2,000 in the debug run) and the RPR planner's
+#      pruned search against exhaustive simulation (`cargo test --release
+#      -p rpr-core --lib pruned_search_chooses_the_exhaustive_plan`: every
+#      single failure of the six paper codes plus sampled doubles, at
+#      64 MiB in 1 MiB chunks, 16 MiB in 4 MiB chunks in the debug run)
 #   4. cargo clippy --workspace --all-targets -- -D warnings
 #   5. cargo doc --no-deps --workspace   (rustdoc warnings are errors)
 #   6. streaming collapse: at (6,3) the chunked `rpr plan` makespan must
@@ -117,6 +122,7 @@ run cargo build $OFFLINE --release --workspace
 run cargo build $OFFLINE --release --examples
 run cargo test $OFFLINE -q --workspace
 run cargo test $OFFLINE -q --release -p rpr-netsim --test differential
+run cargo test $OFFLINE -q --release -p rpr-core --lib pruned_search_chooses_the_exhaustive_plan
 run cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc $OFFLINE --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc $OFFLINE --no-deps --workspace

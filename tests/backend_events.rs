@@ -13,7 +13,9 @@
 //!   a wave a won hedge cut short; the crash trigger's send is queued,
 //!   started and failed (`node_down`) at one instant;
 //! * 1 MiB chunk mode under supervision: each backend writes one
-//!   `stream_summary` per streamed send.
+//!   `stream_summary` per streamed send;
+//! * a recorder that is not `enabled()` gets no `record` call from a
+//!   supervised storm on either backend, nor from `run_load`.
 
 use rpr::codec::{BlockId, CodeParams, StripeCodec};
 use rpr::core::{
@@ -22,9 +24,11 @@ use rpr::core::{
 };
 use rpr::exec::{execute_recorded, execute_supervised};
 use rpr::faults::{reason, CrashSite, FaultStorm, HealthTracker, StormFault};
-use rpr::obs::{Event, TraceRecorder};
+use rpr::load::{run_load_recorded, LoadSpec, RepairMode};
+use rpr::obs::{Event, Recorder, TraceRecorder};
 use rpr::topology::{cluster_for, BandwidthProfile, Placement, Topology};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const PAPER_CODES: [(usize, usize); 6] = [(4, 2), (6, 2), (8, 2), (6, 3), (8, 4), (12, 4)];
 
@@ -349,4 +353,53 @@ fn chunked_supervision_summarizes_each_streamed_send_on_both_backends() {
         .expect("the real-bytes repair completes");
     assert!(exec.report.verified);
     assert_eq!(summaries(rec.take_events()), want, "exec");
+}
+
+/// Keeps nothing and says so; counts the `record` calls it gets anyway.
+#[derive(Default)]
+struct Disabled(AtomicUsize);
+
+impl Recorder for Disabled {
+    fn record(&self, _: Event) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn enabled(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn a_disabled_recorder_gets_no_record_call() {
+    // A chunked crash-then-timeout storm on both backends, clean runs of
+    // both, and the load co-simulation in each tenancy mode.
+    let world = World::new(6, 3, 2 << 20);
+    let ctx = world.ctx(Some(1 << 20));
+    let storm = FaultStorm::new(17)
+        .with_generation(vec![StormFault::Crash(CrashSite::SeedPick)])
+        .with_generation(vec![StormFault::Timeout]);
+    let cfg = SuperviseConfig::default();
+    let rec = Disabled::default();
+
+    let tracker = &mut HealthTracker::with_defaults();
+    let sim = supervise_injected(&ctx, &storm, &cfg, tracker, &rec).expect("the storm completes");
+    assert_eq!(sim.replans, 1);
+    let tracker = &mut HealthTracker::with_defaults();
+    let exec = execute_supervised(&ctx, &world.stripe, &rec, &storm, &cfg, tracker)
+        .expect("the real-bytes storm completes");
+    assert!(exec.report.verified && exec.replans == 1);
+    let plan = RprPlanner::new().plan(&ctx);
+    simulate_traced(&plan, &ctx, &rec);
+    assert!(execute_recorded(&plan, &ctx, &world.stripe, &rec).verified);
+
+    for mode in [
+        RepairMode::Off,
+        RepairMode::Unthrottled,
+        LoadSpec::paper_qos(),
+    ] {
+        let mut spec = LoadSpec::paper_config(17, mode);
+        (spec.requests, spec.block_bytes) = (60, 4 << 20);
+        run_load_recorded(&spec, &rec);
+    }
+    assert_eq!(rec.0.load(Ordering::Relaxed), 0, "record calls");
 }
